@@ -14,6 +14,7 @@ from fxtqp.fxts import (
     Regime,
     RegimeKind,
     alpha_from_deadline,
+    worst_case,
     settling_time_bound,
     settling_time_bound_basic,
     gamma_roots,
@@ -42,8 +43,7 @@ from fxtqp.controller import (
 )
 from fxtqp.simulation import (
     Phase,
-    PhaseSchedule,
-    TrackSchedule,
+    Schedule,
     Trace,
     Outcome,
     step_euler,

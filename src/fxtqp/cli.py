@@ -15,9 +15,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
-from fxtqp.fxts import FxtsGains, RegimeKind, settling_time_bound, simulate_scalar_v
+from fxtqp.fxts import FxtsGains, settling_time_bound, simulate_scalar_v, worst_case
 from fxtqp.simulation import OutcomeKind, monitor, trace_to_csv
 from fxtqp.scenarios import scenario_from_id
 
@@ -67,29 +65,6 @@ def _outcome_exit_code(outcome) -> int:
     return EXIT_VIOLATION
 
 
-def _fixed_time_certificate(trace, scenario) -> dict | None:
-    """Run-level convergence certificate from the worst observed slack.
-
-    The per-step predicted time is advisory; the certificate that holds for
-    the whole run uses the supremum of delta1 over the visited states, and
-    is domain-restricted (checked against the initial goal value) once that
-    supremum reaches the critical threshold.
-    """
-    if len(trace) == 0:
-        return None
-    delta1_sup = float(np.max(trace.delta1))
-    bound = settling_time_bound(scenario.params.gains, max(0.0, delta1_sup),
-                                scenario.params.k_margin)
-    domain_ok = bool(trace.h_goal[0] <= bound.regime.v_max)
-    return {
-        "delta1_sup": delta1_sup,
-        "regime": bound.regime.kind.value,
-        "bound_T": bound.T if domain_ok else None,
-        "domain_ok": domain_ok,
-        "within_deadline": bound.regime.kind is RegimeKind.GLOBAL_WITHIN_DEADLINE,
-    }
-
-
 def _summarize(trace, scenario) -> dict:
     stats = monitor(trace, d_min=scenario.d_min)
     return {
@@ -109,7 +84,8 @@ def _summarize(trace, scenario) -> dict:
         "max_h_per_branch": stats["max_h_per_branch"],
         "min_separation": stats["min_separation"],
         "max_delta1": stats["max_delta1"],
-        "fixed_time_certificate": _fixed_time_certificate(trace, scenario),
+        "fixed_time_certificate": worst_case(trace.segments),
+        "segments": list(trace.segments),
         "disc_warnings": trace.disc_warnings,
         "exit_code": _outcome_exit_code(trace.outcome),
     }
@@ -181,15 +157,36 @@ def cmd_sweep(args) -> int:
     return max((s["exit_code"] for s in summaries), default=EXIT_OK)
 
 
-def cmd_verify_bounds(args) -> int:
+def _finite(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _load_bounds_grid(path) -> dict:
+    """The default grid updated from a JSON file, checked before any run."""
     grid = dict(DEFAULT_BOUNDS_GRID)
-    if args.grid_json:
-        try:
-            with open(args.grid_json) as fh:
-                grid.update(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+    if path:
+        with open(path) as fh:
+            given = json.load(fh)
+        if not isinstance(given, dict) or not set(given) <= set(grid):
+            raise ValueError(f"grid JSON must be an object with keys from {sorted(grid)}")
+        grid.update(given)
+    for key, what, ok in (("alpha", " > 0", lambda v: v > 0),
+                          ("mu", " > 1", lambda v: v > 1),
+                          ("delta1", "", lambda v: True),
+                          ("V0", " >= 0", lambda v: v >= 0)):
+        if not (isinstance(grid[key], list) and all(_finite(v) and ok(v) for v in grid[key])):
+            raise ValueError(f"grid {key!r} must be a list of finite numbers{what}")
+    if not (_finite(grid["dt"]) and grid["dt"] > 0):
+        raise ValueError("grid 'dt' must be a finite number > 0")
+    return grid
+
+
+def cmd_verify_bounds(args) -> int:
+    try:
+        grid = _load_bounds_grid(args.grid_json)
+    except (OSError, ValueError) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     out_dir = _out_dir(args)
     rows = []
     failures = 0

@@ -191,19 +191,15 @@ def safety_row(sys: ControlAffineSystem, h_s: SetFunction, x: np.ndarray) -> tup
     return row, -lie.Lf
 
 
-def safety_rows(sys: ControlAffineSystem, h_s: SetFunction, x: np.ndarray,
-                per_branch: bool = True) -> list[tuple[np.ndarray, float]]:
+def safety_rows(sys: ControlAffineSystem, h_s: SetFunction,
+                x: np.ndarray) -> list[tuple[np.ndarray, float]]:
     """Safety rows for a possibly composite safe set.
 
-    By default one smooth row is emitted per branch, all sharing the single
-    delta2 slack; the conjunction is equivalent to enforcing the max branch
-    and avoids gradient jumps at branch switches.  ``per_branch=False``
-    collapses to a single row built from the argmax branch, kept for
-    comparison.
+    One smooth row is emitted per branch, all sharing the single delta2
+    slack; the conjunction is equivalent to enforcing the max branch and
+    avoids gradient jumps at branch switches.
     """
-    if per_branch and h_s.branches:
-        return [safety_row(sys, b, x) for b in h_s.branches]
-    return [safety_row(sys, h_s, x)]
+    return [safety_row(sys, b, x) for b in h_s.branches or (h_s,)]
 
 
 def input_rows(bounds: InputBounds) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ physical units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -29,13 +29,7 @@ from fxtqp.constraints import (
     input_rows,
     safety_rows,
 )
-from fxtqp.fxts import (
-    FxtsGains,
-    Regime,
-    alpha_from_deadline,
-    classify_regime,
-    settling_time_bound,
-)
+from fxtqp.fxts import FxtsGains, alpha_from_deadline
 
 __all__ = ["SynthesisParams", "ControlDecision", "SolverFailure", "assemble",
            "synthesize", "continuity_probe", "ContinuityProbeResult"]
@@ -54,6 +48,7 @@ class SolverFailure(RuntimeError):
 class SynthesisParams:
     """Deadline, derived gains, and objective weights of the synthesis QP.
 
+    ``gains`` is derived from (T_ud, mu): alpha_from_deadline meets T_ud.
     ``delta2_freeze_level``, when set, pins delta2 = 0 (via an equality
     encoded as two inequality rows) whenever some safe-set value exceeds the
     level; used by the disturbed cruise-control study.
@@ -61,24 +56,19 @@ class SynthesisParams:
 
     T_ud: float
     mu: float
-    gains: FxtsGains
     w_u: np.ndarray
+    gains: FxtsGains = field(init=False)
     w1: float = 1.0
     w2: float = 1.0
     q1: float = 100.0
     k_margin: float = 0.9
     delta2_freeze_level: float | None = None
-    split_safety_branches: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "w_u", np.atleast_1d(np.asarray(self.w_u, dtype=float)))
         if not (self.T_ud > 0 and self.mu > 1):
             raise ValueError("need T_ud > 0 and mu > 1")
-        expected = self.mu * math.pi / (2.0 * self.T_ud)
-        if not (math.isclose(self.gains.alpha1, expected, rel_tol=1e-9)
-                and math.isclose(self.gains.alpha2, expected, rel_tol=1e-9)
-                and self.gains.mu == self.mu):
-            raise ValueError("gains are inconsistent with (T_ud, mu)")
+        object.__setattr__(self, "gains", alpha_from_deadline(self.T_ud, self.mu))
         if np.any(self.w_u <= 0) or self.w1 <= 0 or self.w2 <= 0 or self.q1 <= 0:
             raise ValueError("objective weights must be strictly positive")
         if not (0.0 < self.k_margin < 1.0):
@@ -86,14 +76,9 @@ class SynthesisParams:
 
     @classmethod
     def for_deadline(cls, T_ud: float, mu: float, m: int, *, w_u=None,
-                     w1: float = 1.0, w2: float = 1.0, q1: float = 100.0,
-                     k_margin: float = 0.9,
-                     delta2_freeze_level: float | None = None) -> "SynthesisParams":
-        if w_u is None:
-            w_u = np.ones(m)
-        return cls(T_ud=T_ud, mu=mu, gains=alpha_from_deadline(T_ud, mu),
-                   w_u=np.asarray(w_u, dtype=float), w1=w1, w2=w2, q1=q1,
-                   k_margin=k_margin, delta2_freeze_level=delta2_freeze_level)
+                     **weights) -> "SynthesisParams":
+        """Parameters with unit input weights unless ``w_u`` is given."""
+        return cls(T_ud=T_ud, mu=mu, w_u=np.ones(m) if w_u is None else w_u, **weights)
 
 
 @dataclass(frozen=True)
@@ -103,9 +88,6 @@ class ControlDecision:
     u: np.ndarray
     delta1: float
     delta2: float
-    regime: Regime
-    predicted_T: float | None
-    duals: np.ndarray
     active_set: tuple[int, ...]
     strict_cs: bool
     objective: float
@@ -138,7 +120,7 @@ def assemble(sys: ControlAffineSystem, h_g: SetFunction,
     rhss.append(rhs)
 
     for s in safes:
-        for r, c in safety_rows(sys, s, x, per_branch=params.split_safety_branches):
+        for r, c in safety_rows(sys, s, x):
             rows.append(r)
             rhss.append(c)
 
@@ -208,7 +190,7 @@ def synthesize(sys: ControlAffineSystem, h_g: SetFunction,
                safes: Sequence[SetFunction], bounds: InputBounds,
                params: SynthesisParams, x: np.ndarray,
                warm_start: np.ndarray | None = None) -> ControlDecision:
-    """Solve the synthesis QP at x and classify the convergence regime.
+    """Solve the synthesis QP at x.
 
     ``warm_start`` is a previous solution in solver coordinates (the
     ``z_star`` field of an earlier decision); it can only speed the solve
@@ -226,23 +208,13 @@ def synthesize(sys: ControlAffineSystem, h_g: SetFunction,
     if solution.status is not qp.SolveStatus.OPTIMAL:
         raise SolverFailure(f"synthesis QP {solution.status.value} at x={np.asarray(x)}")
 
-    m = bounds.m
     z = solution.z_star
     # round-off from the scaled solve may poke past the box by ~1e-8 N
     u = np.clip(z[:m] * bounds.scale(), bounds.lower, bounds.upper)
-    delta1 = float(z[m])
-    delta2 = float(z[m + 1])
-    regime = classify_regime(params.gains, delta1, params.k_margin)
-    bound = settling_time_bound(params.gains, max(0.0, delta1), params.k_margin)
-    v_now = max(0.0, h_g.value(x))
-    predicted_T = bound.T if v_now <= bound.regime.v_max else None
     return ControlDecision(
         u=u,
-        delta1=delta1,
-        delta2=delta2,
-        regime=regime,
-        predicted_T=predicted_T,
-        duals=solution.lambda_star,
+        delta1=float(z[m]),
+        delta2=float(z[m + 1]),
         active_set=solution.active_set,
         strict_cs=qp.check_strict_complementarity(problem, solution),
         objective=solution.objective,

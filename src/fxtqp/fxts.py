@@ -31,6 +31,8 @@ __all__ = [
     "settling_time_bound",
     "domain_threshold",
     "classify_regime",
+    "certify_segment",
+    "worst_case",
     "simulate_scalar_v",
 ]
 
@@ -90,9 +92,6 @@ class Regime:
     """
 
     kind: RegimeKind
-    delta1: float
-    threshold: float
-    k: float
     v_max: float
     roots: tuple[float, float] | None
 
@@ -174,7 +173,7 @@ def classify_regime(gains: FxtsGains, delta1: float, k: float = 0.9) -> Regime:
             a = math.sqrt(gains.alpha2 / gains.alpha1)
             roots = (a, a)
         v_max = (k * roots[0]) ** gains.mu
-    return Regime(kind=kind, delta1=delta1, threshold=thr, k=k, v_max=v_max, roots=roots)
+    return Regime(kind=kind, v_max=v_max, roots=roots)
 
 
 def settling_time_bound(gains: FxtsGains, delta1: float, k: float = 0.9) -> SettlingBound:
@@ -218,6 +217,45 @@ def domain_threshold(gains: FxtsGains, delta1: float, k: float = 0.9) -> float:
     stall before reaching zero.
     """
     return classify_regime(gains, delta1, k).v_max
+
+
+def certify_segment(gains: FxtsGains, k: float, t_start: float, t_end: float,
+                    v_entry: float, delta1_sup: float) -> dict:
+    """Fixed-time certificate of one goal segment of a closed-loop run.
+
+    A goal segment is a maximal run of steps, t_start to t_end, under the
+    same controller goal.  Its bound uses the supremum of delta1 over those
+    steps and holds only from the goal value at the first step, ``v_entry``,
+    when that lies inside the certified domain (``bound_T`` is None else).
+    """
+    bound = settling_time_bound(gains, max(0.0, delta1_sup), k)
+    domain_ok = bool(v_entry <= bound.regime.v_max)
+    return {
+        "t_start": t_start,
+        "t_end": t_end,
+        "v_entry": v_entry,
+        "delta1_sup": delta1_sup,
+        "regime": bound.regime.kind.value,
+        "bound_T": bound.T if domain_ok else None,
+        "domain_ok": domain_ok,
+        "within_deadline": bound.regime.kind is RegimeKind.GLOBAL_WITHIN_DEADLINE,
+    }
+
+
+def worst_case(segments) -> dict | None:
+    """Worst case of segment certificates: the largest delta1_sup with its
+    regime and bound, the bound only if every segment is domain_ok."""
+    if not segments:
+        return None
+    worst = max(segments, key=lambda s: s["delta1_sup"])
+    domain_ok = all(s["domain_ok"] for s in segments)
+    return {
+        "delta1_sup": worst["delta1_sup"],
+        "regime": worst["regime"],
+        "bound_T": worst["bound_T"] if domain_ok else None,
+        "domain_ok": domain_ok,
+        "within_deadline": worst["within_deadline"],
+    }
 
 
 def simulate_scalar_v(gains: FxtsGains, delta1: float, V0: float,

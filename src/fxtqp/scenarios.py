@@ -16,7 +16,7 @@ import numpy as np
 
 from fxtqp.constraints import ControlAffineSystem, InputBounds, SetFunction, SetKind
 from fxtqp.controller import SynthesisParams
-from fxtqp.simulation import Phase, PhaseSchedule, TrackSchedule, Trace, run
+from fxtqp.simulation import Phase, Schedule, Trace, run
 
 __all__ = [
     "Scenario",
@@ -37,7 +37,7 @@ class Scenario:
 
     scenario_id: str
     sys: ControlAffineSystem
-    schedule: PhaseSchedule
+    schedule: Schedule
     bounds: InputBounds
     params: SynthesisParams
     x0: np.ndarray
@@ -46,7 +46,7 @@ class Scenario:
 
     def simulate(self, dt: float | None = None) -> Trace:
         return run(self.sys, self.schedule, self.bounds, self.params, self.x0,
-                   dt if dt is not None else self.dt, scenario_id=self.scenario_id)
+                   dt if dt is not None else self.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +185,9 @@ def acc_scenario(cfg: AccConfig | None = None) -> Scenario:
         q1=cfg.q1_disturbed if disturbed else cfg.q1,
         delta2_freeze_level=cfg.delta2_freeze_at if disturbed else None,
     )
-    schedule = PhaseSchedule(
-        phases=(Phase(goal=acc_goal(cfg), deadline=cfg.T_ud,
-                      reach_tol=cfg.reach_band ** 2, label="speed_band"),),
+    schedule = Schedule(
+        tracks=((Phase(goal=acc_goal(cfg), deadline=cfg.T_ud,
+                       reach_tol=cfg.reach_band ** 2, label="speed_band"),),),
         global_safes=(acc_headway(cfg),),
         horizon=cfg.horizon,
     )
@@ -370,12 +370,12 @@ def two_robot_scenario(cfg: TwoRobotConfig | None = None,
     """Stacked 4-state system with one centralized QP per step.
 
     Each agent runs its own phase track (advancing the moment that agent
-    touches its current waypoint) and the controller goal is the max over
-    the two current waypoint functions; synchronizing arrivals instead
-    parks the agents a separation-distance apart facing crossed goals,
-    which deadlocks the pointwise QP.  Each track's current phase keeps the
-    agent inside the set it is traversing, which is how the sequential
-    always/eventually requirements reduce to reach problems.
+    touches its current waypoint) and the controller goal is the sum of the
+    positive parts of the unmet current waypoint functions; synchronizing
+    arrivals instead parks the agents a separation-distance apart facing
+    crossed goals, which deadlocks the pointwise QP.  Each track's current
+    phase keeps the agent inside the set it is traversing, which is how the
+    sequential always/eventually requirements reduce to reach problems.
     ``swap_agents`` relabels the agents (tours and starts exchanged) for
     symmetry checks.
     """
@@ -411,7 +411,7 @@ def two_robot_scenario(cfg: TwoRobotConfig | None = None,
             prev = i
         tracks.append(tuple(legs))
 
-    schedule = TrackSchedule(
+    schedule = Schedule(
         tracks=tuple(tracks),
         global_safes=(
             _square_branches(cfg, 0),
@@ -463,7 +463,7 @@ def synthetic_suite() -> list[SyntheticCase]:
     goal_1d = SetFunction(name="ball1d", kind=SetKind.GOAL,
                           h=lambda x: float(x[0] ** 2 - 0.01),
                           grad_h=lambda x: np.array([2.0 * x[0]]))
-    sched = PhaseSchedule(phases=(Phase(goal=goal_1d, deadline=2.0, label="origin"),))
+    sched = Schedule(tracks=((Phase(goal=goal_1d, deadline=2.0, label="origin"),),))
     cases.append(SyntheticCase(
         scenario=Scenario(
             scenario_id="synthetic:int1d",
@@ -484,8 +484,8 @@ def synthetic_suite() -> list[SyntheticCase]:
     obstacle = SetFunction(name="obstacle_disk", kind=SetKind.SAFE,
                            h=lambda x: float(0.16 - ((x[0] - 1.0) ** 2 + x[1] ** 2)),
                            grad_h=lambda x: np.array([-2.0 * (x[0] - 1.0), -2.0 * x[1]]))
-    sched2 = PhaseSchedule(
-        phases=(Phase(goal=goal_2d, deadline=6.0, label="across"),),
+    sched2 = Schedule(
+        tracks=((Phase(goal=goal_2d, deadline=6.0, label="across"),),),
         global_safes=(obstacle,),
     )
     cases.append(SyntheticCase(
@@ -514,8 +514,8 @@ def synthetic_suite() -> list[SyntheticCase]:
     keep_in = SetFunction(name="disk4", kind=SetKind.SAFE,
                           h=lambda x: float(x[0] ** 2 + x[1] ** 2 - 4.0),
                           grad_h=lambda x: 2.0 * np.asarray(x, dtype=float))
-    sched3 = PhaseSchedule(
-        phases=(Phase(goal=goal_nl, deadline=3.0, label="inward"),),
+    sched3 = Schedule(
+        tracks=((Phase(goal=goal_nl, deadline=3.0, label="inward"),),),
         global_safes=(keep_in,),
     )
     cases.append(SyntheticCase(

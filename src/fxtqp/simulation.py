@@ -4,7 +4,7 @@ A run executes a phase schedule: each phase names a goal set, a relative
 deadline, and phase-specific safety branches layered on top of the global
 ones.  Phases advance the moment the goal value drops to the phase's reach
 tolerance; deadlines are checked, not waited for.  The trace records every
-step and ends with a single outcome.
+step, a fixed-time certificate per goal segment, and a single outcome.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ import numpy as np
 
 from fxtqp.constraints import ControlAffineSystem, InputBounds, SetFunction
 from fxtqp.controller import SolverFailure, SynthesisParams, synthesize
+from fxtqp.fxts import certify_segment
 
 __all__ = [
     "Phase",
-    "PhaseSchedule",
-    "TrackSchedule",
+    "Schedule",
     "Outcome",
     "OutcomeKind",
     "Trace",
@@ -84,36 +84,16 @@ class Phase:
 
 
 @dataclass(frozen=True)
-class PhaseSchedule:
-    """Ordered phases plus safety branches that apply throughout.
-
-    ``horizon``, when set, keeps the simulation running under the last
-    phase's sets after every phase has been met (to observe post-reach
-    behavior); None stops at the last reach.
-    """
-
-    phases: tuple[Phase, ...]
-    global_safes: tuple[SetFunction, ...] = ()
-    horizon: float | None = None
-
-    def __post_init__(self):
-        if not self.phases:
-            raise ValueError("schedule needs at least one phase")
-
-    @property
-    def tracks(self) -> tuple[tuple[Phase, ...], ...]:
-        return (self.phases,)
-
-
-@dataclass(frozen=True)
-class TrackSchedule:
-    """Several phase sequences progressing on independent clocks.
+class Schedule:
+    """Phase sequences (tracks) on independent clocks, plus global safeties.
 
     Each track advances the moment its own current goal is met; the
-    controller goal at any instant combines the unfinished tracks' current
-    goals (all must make progress), and every track's current phase
-    contributes its extra safety branches.  Used for multi-agent tours
-    where synchronizing arrivals would park the agents head-on.
+    controller goal combines the unfinished tracks' current goals, and every
+    track's current phase adds its extra safety branches.  One track is a
+    plain phase sequence; multi-agent tours use one per agent, because
+    synchronized arrivals would park the agents head-on.  ``horizon``, when
+    set, keeps running under the last phases' sets after every phase is met;
+    None stops at the last reach.
     """
 
     tracks: tuple[tuple[Phase, ...], ...]
@@ -123,6 +103,13 @@ class TrackSchedule:
     def __post_init__(self):
         if not self.tracks or any(not t for t in self.tracks):
             raise ValueError("every track needs at least one phase")
+
+    @property
+    def phases(self) -> tuple[Phase, ...]:
+        """The only track of a single-track schedule."""
+        if len(self.tracks) != 1:
+            raise ValueError(f"schedule has {len(self.tracks)} tracks, not one")
+        return self.tracks[0]
 
 
 @dataclass
@@ -141,10 +128,10 @@ class Trace:
     phase: np.ndarray
     safe_names: tuple[str, ...]
     dt: float
-    scenario_id: str = ""
     outcome: Outcome | None = None
     reach_times: tuple[float | None, ...] = ()
     track_reach_times: tuple[tuple[float | None, ...], ...] = ()
+    segments: tuple[dict, ...] = ()     # fxts.certify_segment, one per goal segment
     disc_warnings: int = 0
 
     def __len__(self) -> int:
@@ -198,16 +185,18 @@ def _safe_column_names(schedule) -> tuple[str, ...]:
     return tuple(names)
 
 
-def run(sys: ControlAffineSystem, schedule: PhaseSchedule | TrackSchedule,
-        bounds: InputBounds, params: SynthesisParams, x0: np.ndarray, dt: float,
-        scenario_id: str = "") -> Trace:
+def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
+        params: SynthesisParams, x0: np.ndarray, dt: float) -> Trace:
     """Close the loop from x0 until the schedule resolves.
 
     Per step: advance every track whose current goal is met, synthesize the
-    input for the combined goal (max over unfinished tracks), record,
-    monitor safety, then integrate.  A state with a safe-set value inside
-    the Euler-consistency band (10 * dt * the running slope estimate of
-    that branch) counts as a discretization warning, not a violation.
+    input for the combined goal (the sum of the positive parts of the
+    unfinished tracks' goals), record, monitor safety, then integrate.  A
+    state with a safe-set value inside the Euler-consistency band (10 * dt *
+    the running slope estimate of that column, kept only while the column's
+    set stays the same) counts as a discretization warning, not a violation.
+    Each goal segment, a maximal run of steps whose controller goal is built
+    from the same phase goals, gets a certificate.
     Deterministic: identical inputs give bit-identical traces.
     """
     if not dt > 0:
@@ -232,7 +221,10 @@ def run(sys: ControlAffineSystem, schedule: PhaseSchedule | TrackSchedule,
     outcome: Outcome | None = None
     disc_warnings = 0
     prev_hs: np.ndarray | None = None
+    prev_safes: tuple[SetFunction, ...] = ()
     max_rate = np.zeros(len(safe_names))
+    seg_goals: list[SetFunction] = []
+    seg_starts: list[int] = []
 
     while outcome is None:
         # advance every track through goals already met
@@ -287,10 +279,17 @@ def run(sys: ControlAffineSystem, schedule: PhaseSchedule | TrackSchedule,
         rec_scs.append(decision.strict_cs)
         rec_as.append(len(decision.active_set))
         rec_phase.append(min(min(idx), n_legs - 1))
+        if pending != seg_goals:
+            seg_goals = pending
+            seg_starts.append(len(rec_t) - 1)
 
-        if prev_hs is not None and prev_hs.size == hs_vals.size:
-            max_rate = np.maximum(max_rate, np.abs(hs_vals - prev_hs) / dt)
-        prev_hs = hs_vals
+        if prev_hs is not None:
+            rate = np.abs(hs_vals - prev_hs) / dt
+            if safes != prev_safes:
+                # a leg switch put other sets in these columns: a jump, not a slope
+                rate[[s is not p for s, p in zip(safes, prev_safes)]] = 0.0
+            max_rate = np.maximum(max_rate, rate)
+        prev_hs, prev_safes = hs_vals, safes
         band = 10.0 * dt * max_rate
         violated = np.nonzero(hs_vals > band + 1e-12)[0]
         if violated.size:
@@ -309,6 +308,11 @@ def run(sys: ControlAffineSystem, schedule: PhaseSchedule | TrackSchedule,
             break
         step += 1
         t = step * dt
+
+    segments = tuple(
+        certify_segment(params.gains, params.k_margin, rec_t[a], rec_t[b - 1],
+                        rec_hg[a], max(rec_d1[a:b]))
+        for a, b in zip(seg_starts, seg_starts[1:] + [len(rec_t)]))
 
     # joint leg completion: the later of the tracks' leg reach times
     joint: list[float | None] = []
@@ -331,10 +335,10 @@ def run(sys: ControlAffineSystem, schedule: PhaseSchedule | TrackSchedule,
         phase=np.asarray(rec_phase, dtype=int),
         safe_names=safe_names,
         dt=dt,
-        scenario_id=scenario_id,
         outcome=outcome,
         reach_times=tuple(joint),
         track_reach_times=tuple(tuple(r) for r in reach),
+        segments=segments,
         disc_warnings=disc_warnings,
     )
 
@@ -346,28 +350,19 @@ def monitor(trace: Trace, d_min: float | None = None) -> dict:
     ``separation`` of the form d_min**2 - distance**2 when ``d_min`` is
     given.  An empty trace yields None statistics.
     """
-    if len(trace) == 0:
-        return {
-            "max_h_per_branch": None,
-            "min_margin_per_branch": None,
-            "min_separation": None,
-            "reach_times": list(trace.reach_times) if trace.reach_times else None,
-            "max_abs_u": None,
-            "max_delta1": None,
-        }
-    max_h = {name: float(np.max(trace.h_safe[:, j]))
-             for j, name in enumerate(trace.safe_names)}
-    summary = {
+    empty = len(trace) == 0
+    max_h = None if empty else {name: float(np.max(trace.h_safe[:, j]))
+                                for j, name in enumerate(trace.safe_names)}
+    separation = None
+    if d_min is not None and max_h and "separation" in max_h:
+        separation = math.sqrt(max(0.0, d_min * d_min - max_h["separation"]))
+    return {
         "max_h_per_branch": max_h,
-        "min_margin_per_branch": {k: -v for k, v in max_h.items()},
-        "min_separation": None,
+        "min_separation": separation,
         "reach_times": list(trace.reach_times) if trace.reach_times else None,
-        "max_abs_u": [float(v) for v in np.max(np.abs(trace.u), axis=0)],
-        "max_delta1": float(np.max(trace.delta1)),
+        "max_abs_u": None if empty else [float(v) for v in np.max(np.abs(trace.u), axis=0)],
+        "max_delta1": None if empty else float(np.max(trace.delta1)),
     }
-    if d_min is not None and "separation" in max_h:
-        summary["min_separation"] = math.sqrt(max(0.0, d_min * d_min - max_h["separation"]))
-    return summary
 
 
 def trace_to_csv(trace: Trace, path) -> None:
@@ -392,7 +387,7 @@ def trace_to_csv(trace: Trace, path) -> None:
             writer.writerow(row)
 
 
-def trace_from_csv(path, dt: float | None = None) -> Trace:
+def trace_from_csv(path) -> Trace:
     """Re-parse a trace CSV written by :func:`trace_to_csv`.
 
     Run metadata (outcome, reach times) lives in the summary JSON, not the
@@ -407,8 +402,6 @@ def trace_from_csv(path, dt: float | None = None) -> Trace:
     xs = [c for c in header if c.startswith("x") and c[1:].isdigit()]
     us = [c for c in header if c.startswith("u") and c[1:].isdigit()]
     hs = [c for c in header if c.startswith("hs_")]
-    if len(rows) >= 2 and dt is None:
-        dt = float(data[1, cols["t"]] - data[0, cols["t"]])
     return Trace(
         t=data[:, cols["t"]],
         x=data[:, [cols[c] for c in xs]],
@@ -421,5 +414,5 @@ def trace_from_csv(path, dt: float | None = None) -> Trace:
         active_set_size=data[:, cols["active_set_size"]].astype(int),
         phase=data[:, cols["phase"]].astype(int),
         safe_names=tuple(c[3:] for c in hs),
-        dt=dt if dt is not None else 0.0,
+        dt=float(data[1, cols["t"]] - data[0, cols["t"]]) if len(rows) >= 2 else 0.0,
     )

@@ -75,6 +75,10 @@ class TestRun:
         assert cert["regime"] in ("global_within_deadline", "global_fixed_time",
                                   "local_fixed_time")
         assert cert["bound_T"] is None or cert["bound_T"] > 0
+        # one reach phase plus its post-reach hold: a single goal segment
+        [segment] = summary["segments"]
+        assert segment["v_entry"] == trace.h_goal[0]
+        assert {k: segment[k] for k in cert} == cert
 
     def test_certificate_run_level_bound(self, tmp_path):
         # the synthetic 1-D case keeps the slack nonpositive, so the
@@ -130,3 +134,12 @@ class TestVerifyBounds:
         # the out-of-domain point is reported, not failed
         out_of_domain = [r for r in rows[1:] if ",False," in r]
         assert len(out_of_domain) == 1 and out_of_domain[0].endswith("True")
+
+    @pytest.mark.parametrize("grid", ['[1, 2]', '{"dt": 0}', '{"alpha": [-1.0]}',
+                                      '{"alpha": 1.0}'])
+    def test_malformed_grid_is_config_error(self, tmp_path, grid):
+        path = tmp_path / "grid.json"
+        path.write_text(grid)
+        assert run_cli("--verify-bounds", "--grid-json", str(path),
+                       "--out", str(tmp_path)) == 2
+        assert not (tmp_path / "bounds.csv").exists()

@@ -124,9 +124,6 @@ class TestSafetyRow:
         comp = SetFunction.max_of("both", SetKind.SAFE, (b1, b2))
         rows = safety_rows(integrator(2), comp, np.array([0.2, 0.1]))
         assert len(rows) == 2
-        single = safety_rows(integrator(2), comp, np.array([0.2, 0.1]),
-                             per_branch=False)
-        assert len(single) == 1
 
 
 class TestCompositeSemantics:

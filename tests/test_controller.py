@@ -11,8 +11,8 @@ from fxtqp.controller import (
     continuity_probe,
     synthesize,
 )
-from fxtqp.fxts import RegimeKind, alpha_from_deadline
-from fxtqp.scenarios import AccConfig, acc_goal, acc_headway, _acc_system
+from fxtqp.fxts import RegimeKind, domain_threshold
+from fxtqp.scenarios import AccConfig, acc_goal, acc_headway, acc_scenario, _acc_system
 
 
 def integrator(n):
@@ -47,11 +47,6 @@ class TestParams:
         p = SynthesisParams.for_deadline(10.0, 5.0, m=2)
         assert p.gains.alpha1 == pytest.approx(np.pi / 4)
         assert p.w_u.shape == (2,)
-
-    def test_rejects_inconsistent_gains(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            SynthesisParams(T_ud=10.0, mu=5.0, gains=alpha_from_deadline(9.0, 5.0),
-                            w_u=np.ones(1))
 
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):
@@ -164,16 +159,25 @@ class TestSynthesize:
         assert np.allclose(z, dec.z_star, atol=1e-7)
 
     def test_regime_classification_follows_delta1(self):
-        sys, goal, safes, bounds, params = acc_pieces()
-        dec = synthesize(sys, goal, safes, bounds, params, np.array([17.0, 10.0, 150.0]))
-        thr = params.gains.critical_delta1
-        if dec.delta1 <= 0:
-            assert dec.regime.kind is RegimeKind.GLOBAL_WITHIN_DEADLINE
-        elif dec.delta1 < thr:
-            assert dec.regime.kind is RegimeKind.GLOBAL_FIXED_TIME
-        else:
-            assert dec.regime.kind is RegimeKind.LOCAL_FIXED_TIME
-        assert dec.predicted_T is None or dec.predicted_T > 0
+        # the certificate of each goal segment classifies the segment's
+        # worst slack and bounds the settling time only from inside its domain
+        sc = acc_scenario(AccConfig(v_f0=17.0, horizon=3.0))
+        gains, k = sc.params.gains, sc.params.k_margin
+        segments = sc.simulate().segments
+        assert segments
+        for seg in segments:
+            regime = RegimeKind(seg["regime"])
+            if seg["delta1_sup"] <= 0:
+                assert regime is RegimeKind.GLOBAL_WITHIN_DEADLINE
+            elif seg["delta1_sup"] < gains.critical_delta1:
+                assert regime is RegimeKind.GLOBAL_FIXED_TIME
+            else:
+                assert regime is RegimeKind.LOCAL_FIXED_TIME
+            assert seg["within_deadline"] == (regime is RegimeKind.GLOBAL_WITHIN_DEADLINE)
+            v_max = domain_threshold(gains, max(0.0, seg["delta1_sup"]), k)
+            assert seg["domain_ok"] == (seg["v_entry"] <= v_max)
+            assert (seg["bound_T"] is None) == (not seg["domain_ok"])
+            assert seg["bound_T"] is None or seg["bound_T"] > 0
 
     def test_solver_failure_raised_on_infeasible_freeze(self):
         # delta2 pinned to zero while the plain headway constraint (no

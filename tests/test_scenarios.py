@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fxtqp.constraints import SetKind
+from fxtqp.fxts import settling_time_bound, worst_case
 from fxtqp.simulation import OutcomeKind, monitor
 from fxtqp.scenarios import (
     AccConfig,
@@ -177,6 +178,22 @@ class TestTwoRobotRun:
         stats = monitor(trace, d_min=0.1)
         for name, value in stats["max_h_per_branch"].items():
             assert value <= 1e-9, name
+
+    def test_segment_certificates_cover_the_tour(self, trace):
+        segs = trace.segments
+        assert len(segs) > 1
+        assert segs[0]["t_start"] == trace.t[0] and segs[-1]["t_end"] == trace.t[-1]
+        for a, b in zip(segs, segs[1:]):
+            i = int(np.searchsorted(trace.t, a["t_end"]))
+            assert trace.t[i] == a["t_end"] and trace.t[i + 1] == b["t_start"]
+        params = two_robot_scenario().params
+        cert = worst_case(segs)
+        assert cert["delta1_sup"] == max(s["delta1_sup"] for s in segs) == np.max(trace.delta1)
+        bound = settling_time_bound(params.gains, max(0.0, cert["delta1_sup"]),
+                                    params.k_margin)
+        assert cert["regime"] == bound.regime.kind.value
+        assert cert["domain_ok"] == all(s["domain_ok"] for s in segs)
+        assert cert["bound_T"] == (bound.T if cert["domain_ok"] else None)
 
     def test_label_swap_mirrors_trace(self):
         # generic (tie-free) starts; the stacked QP has a unique optimum, so

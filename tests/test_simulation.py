@@ -3,11 +3,12 @@ import pytest
 
 from fxtqp.constraints import ControlAffineSystem, InputBounds, SetFunction, SetKind
 from fxtqp.controller import SynthesisParams
+from fxtqp.fxts import settling_time_bound, worst_case
 from fxtqp.simulation import (
     NonFiniteState,
     OutcomeKind,
     Phase,
-    PhaseSchedule,
+    Schedule,
     monitor,
     run,
     step_euler,
@@ -29,9 +30,17 @@ def goal_ball(radius, center=None, name="goal"):
                        grad_h=lambda x: 2.0 * (np.asarray(x, float) - c))
 
 
+def half_line(name, kind, bound, upper):
+    """1-D set x <= bound when ``upper``, x >= bound otherwise."""
+    sign = 1.0 if upper else -1.0
+    return SetFunction(name=name, kind=kind,
+                       h=lambda x: float(sign * (x[0] - bound)),
+                       grad_h=lambda x: np.array([sign]))
+
+
 def simple_setup(deadline=2.0, horizon=None):
-    sched = PhaseSchedule(
-        phases=(Phase(goal=goal_ball(0.1), deadline=deadline),),
+    sched = Schedule(
+        tracks=((Phase(goal=goal_ball(0.1), deadline=deadline),),),
         horizon=horizon,
     )
     bounds = InputBounds(lower=-2.0 * np.ones(2), upper=2.0 * np.ones(2))
@@ -89,12 +98,13 @@ class TestRun:
         assert trace.outcome.kind is OutcomeKind.ALL_PHASES_MET
         assert trace.reach_times == (0.0,)
         assert len(trace) == 0
+        assert trace.segments == () and worst_case(trace.segments) is None
 
     def test_phase_index_monotone(self):
         goal1 = goal_ball(0.1, center=(1.0, 0.0), name="g1")
         goal2 = goal_ball(0.1, center=(0.0, 0.0), name="g2")
-        sched = PhaseSchedule(phases=(Phase(goal=goal1, deadline=3.0),
-                                      Phase(goal=goal2, deadline=3.0)))
+        sched = Schedule(tracks=((Phase(goal=goal1, deadline=3.0),
+                                  Phase(goal=goal2, deadline=3.0)),))
         bounds = InputBounds(lower=-2.0 * np.ones(2), upper=2.0 * np.ones(2))
         params = SynthesisParams.for_deadline(3.0, 2.0, m=2)
         trace = run(integrator(2), sched, bounds, params,
@@ -110,6 +120,9 @@ class TestRun:
         assert trace.outcome.kind is OutcomeKind.ALL_PHASES_MET
         reached = trace.t >= trace.reach_times[0]
         assert np.all(trace.h_goal[reached] <= 1e-6)
+        # the post-reach hold stays in the reach phase's goal segment
+        assert reached.any() and len(trace.segments) == 1
+        assert trace.segments[0]["t_end"] == trace.t[-1]
 
     def test_deterministic_bitwise(self):
         sys, sched, bounds, params = simple_setup()
@@ -123,6 +136,72 @@ class TestRun:
         sys, sched, bounds, params = simple_setup()
         trace = run(sys, sched, bounds, params, np.array([1.0, 1.0]), 1e-3)
         assert np.allclose(np.diff(trace.t), 1e-3, atol=1e-12)
+
+
+class TestSchedule:
+    def test_phases_is_the_only_track(self):
+        sys, sched, bounds, params = simple_setup()
+        assert sched.phases is sched.tracks[0]
+        two = Schedule(tracks=(sched.tracks[0], sched.tracks[0]))
+        with pytest.raises(ValueError):
+            two.phases
+
+
+class TestSegments:
+    def test_two_phase_segments_partition_the_steps(self):
+        goal1 = goal_ball(0.1, center=(1.0, 0.0), name="g1")
+        goal2 = goal_ball(0.1, center=(0.0, 0.0), name="g2")
+        sched = Schedule(tracks=((Phase(goal=goal1, deadline=3.0),
+                                  Phase(goal=goal2, deadline=3.0)),))
+        bounds = InputBounds(lower=-2.0 * np.ones(2), upper=2.0 * np.ones(2))
+        params = SynthesisParams.for_deadline(3.0, 2.0, m=2)
+        trace = run(integrator(2), sched, bounds, params, np.array([2.0, 0.5]), 1e-3)
+        assert trace.outcome.kind is OutcomeKind.ALL_PHASES_MET
+        segs = trace.segments
+        assert len(segs) == 2
+        assert segs[1]["t_start"] == trace.reach_times[0]
+        first = [int(np.searchsorted(trace.t, s["t_start"])) for s in segs]
+        last = [int(np.searchsorted(trace.t, s["t_end"])) for s in segs]
+        assert first[0] == 0 and last[-1] == len(trace) - 1
+        assert all(b == a + 1 for a, b in zip(last, first[1:]))
+        for s, i, j in zip(segs, first, last):
+            assert (trace.t[i], trace.t[j]) == (s["t_start"], s["t_end"])
+            assert s["v_entry"] == trace.h_goal[i]
+            assert s["delta1_sup"] == np.max(trace.delta1[i:j + 1])
+            bound = settling_time_bound(params.gains, max(0.0, s["delta1_sup"]),
+                                        params.k_margin)
+            assert s["regime"] == bound.regime.kind.value
+            assert s["domain_ok"] == (s["v_entry"] <= bound.regime.v_max)
+            assert s["bound_T"] == (bound.T if s["domain_ok"] else None)
+        cert = worst_case(segs)
+        assert cert["delta1_sup"] == max(s["delta1_sup"] for s in segs)
+        bound = settling_time_bound(params.gains, max(0.0, cert["delta1_sup"]),
+                                    params.k_margin)
+        assert cert["regime"] == bound.regime.kind.value
+        assert cert["domain_ok"] == all(s["domain_ok"] for s in segs)
+        assert cert["bound_T"] == (bound.T if cert["domain_ok"] else None)
+
+
+class TestSafetyBand:
+    def test_set_switch_does_not_widen_the_band(self):
+        # the first leg ends at x = 0.9, where the second leg's extra set
+        # x <= 0.4 is violated by 0.5; the column's jump at the switch is a
+        # change of set, not a slope, so it must not widen the warning band
+        line = ControlAffineSystem(n=1, m=1, f=lambda x: np.zeros(1),
+                                   g=lambda x: np.eye(1))
+        out = Phase(goal=half_line("x_ge_0.9", SetKind.GOAL, 0.9, upper=False),
+                    deadline=2.0,
+                    safe_extra=(half_line("x_le_2", SetKind.SAFE, 2.0, upper=True),))
+        back = Phase(goal=goal_ball(0.1, center=(0.0,), name="origin"), deadline=2.0,
+                     safe_extra=(half_line("x_le_0.4", SetKind.SAFE, 0.4, upper=True),))
+        trace = run(line, Schedule(tracks=((out, back),)),
+                    InputBounds(lower=np.array([-2.0]), upper=np.array([2.0])),
+                    SynthesisParams.for_deadline(2.0, 2.0, m=1), np.array([0.0]), 1e-3)
+        assert trace.outcome.kind is OutcomeKind.SAFETY_VIOLATED
+        assert trace.outcome.branch == "phase_extra_0"
+        assert trace.outcome.phase == 1
+        assert trace.outcome.t == trace.reach_times[0]
+        assert trace.h_safe[-1, 0] == pytest.approx(0.5, abs=1e-3)
 
 
 class TestMonitor:
