@@ -14,7 +14,6 @@ physical units.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -143,68 +142,21 @@ def assemble(sys: ControlAffineSystem, h_g: SetFunction,
     return qp.QpProblem(H=H, F=F, A=A, b=b)
 
 
-def _slack_completed_start(problem: qp.QpProblem, m: int,
-                           v_guess: np.ndarray) -> np.ndarray | None:
-    """Feasible point from an input guess by solving for the slacks.
-
-    Mirrors the QP's feasibility argument: clamp the input into its box,
-    then pick delta1/delta2 inside the interval each remaining row allows.
-    Returns None when the intervals are empty (the phase-1 LP then takes
-    over); that does not happen at states where the QP is feasible with the
-    given input, e.g. anywhere strictly inside the safe set.
-    """
-    A, b = problem.A, problem.b
-    v = v_guess.copy()
-    for i in range(2 * m):
-        coef = A[i, : m]
-        j = int(np.argmax(np.abs(coef)))
-        if coef[j] > 0:
-            v[j] = min(v[j], b[i] / coef[j])
-        elif coef[j] < 0:
-            v[j] = max(v[j], b[i] / coef[j])
-    lo = [-math.inf, -math.inf]
-    hi = [math.inf, math.inf]
-    for i in range(2 * m, A.shape[0]):
-        rest = b[i] - float(A[i, : m] @ v)
-        for k in (0, 1):
-            c = A[i, m + k]
-            if c > 1e-12:
-                hi[k] = min(hi[k], rest / c)
-            elif c < -1e-12:
-                lo[k] = max(lo[k], rest / c)
-            elif abs(A[i, m]) <= 1e-12 and abs(A[i, m + 1]) <= 1e-12:
-                if rest < -1e-10:
-                    return None
-                break
-    if lo[0] > hi[0] + 1e-12 or lo[1] > hi[1] + 1e-12:
-        return None
-    d1 = min(max(0.0, lo[0]), hi[0])
-    d2 = min(max(0.0, lo[1]), hi[1])
-    z0 = np.concatenate([v, [d1, d2]])
-    if problem.m_c and np.max(A @ z0 - b) > 1e-9:
-        return None
-    return z0
-
-
 def synthesize(sys: ControlAffineSystem, h_g: SetFunction,
                safes: Sequence[SetFunction], bounds: InputBounds,
                params: SynthesisParams, x: np.ndarray,
-               warm_start: np.ndarray | None = None) -> ControlDecision:
+               warm_start: Sequence[int] | None = None) -> ControlDecision:
     """Solve the synthesis QP at x.
 
-    ``warm_start`` is a previous solution in solver coordinates (the
-    ``z_star`` field of an earlier decision); it can only speed the solve
-    up, never change the answer.  Raises :class:`SolverFailure` when the QP
-    reports anything but optimality.
+    ``warm_start`` is a guess at the QP's working set as row indices, e.g.
+    the ``active_set`` of the decision at the previous state; it can only
+    speed the solve up, never change the answer.  Raises
+    :class:`SolverFailure` when the QP reports anything but optimality
+    (infeasibility, or the solver's iteration guard).
     """
     problem = assemble(sys, h_g, safes, bounds, params, x)
     m = bounds.m
-    v_guess = (np.asarray(warm_start, dtype=float)[:m]
-               if warm_start is not None else np.zeros(m))
-    start = _slack_completed_start(problem, m, v_guess)
-    solution = qp.solve_qp(problem, warm_start=start)
-    if solution.status is qp.SolveStatus.ITERATION_LIMIT:
-        solution = qp.solve_qp(problem, warm_start=warm_start, bland=True)
+    solution = qp.solve_qp(problem, warm_start=warm_start)
     if solution.status is not qp.SolveStatus.OPTIMAL:
         raise SolverFailure(f"synthesis QP {solution.status.value} at x={np.asarray(x)}")
 

@@ -6,22 +6,24 @@ Solves
     subject to  A z <= b
 
 for small, strictly convex problems (H positive definite).  Two independent
-routes are provided: :func:`solve_qp`, a primal active-set method meant for
-production use, and :func:`brute_force_solve`, an exhaustive working-set
-enumeration used as a test oracle.  Both report duals and the active set so
-callers can check KKT conditions and strict complementarity.
+routes are provided: :func:`solve_qp`, a Goldfarb-Idnani dual active-set
+method meant for production use, which can be hot-started from a guess at
+its working set and needs neither a feasible start nor an LP, and
+:func:`brute_force_solve`, an exhaustive working-set enumeration used as a
+test oracle.  Both report duals and the active set so callers can check KKT
+conditions and strict complementarity.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import linprog
 
 __all__ = [
     "QpProblem",
@@ -40,7 +42,11 @@ FEAS_TOL = 1e-8
 DUAL_TOL = 1e-10
 STAT_TOL = 1e-8
 _SYM_TOL = 1e-10
-_RATIO_TIE = 1e-12
+# solve_qp, on the equilibrated rows: a row is violated beyond
+# _VIOL_TOL * (1 + |b_i|), and a row's normal lies in the span of the working
+# set when its part outside that span is at most _DEP_TOL times its length.
+_VIOL_TOL = 1e-11
+_DEP_TOL = 1e-10
 
 
 class SolveStatus(Enum):
@@ -54,13 +60,15 @@ class QpProblem:
     """Data of a strictly convex inequality-constrained QP.
 
     All data must be finite, H symmetric positive definite (validated by
-    Cholesky), and the constraint data dimensionally consistent with it.
+    Cholesky, whose lower factor is kept as ``L``), and the constraint data
+    dimensionally consistent with it.
     """
 
     H: np.ndarray
     F: np.ndarray
     A: np.ndarray
     b: np.ndarray
+    L: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         H = np.asarray(self.H, dtype=float)
@@ -85,7 +93,7 @@ class QpProblem:
         if np.max(np.abs(H - H.T), initial=0.0) > _SYM_TOL:
             raise ValueError("H is not symmetric within tolerance")
         try:
-            np.linalg.cholesky(H)
+            object.__setattr__(self, "L", np.linalg.cholesky(H))
         except np.linalg.LinAlgError as exc:
             raise ValueError("H is not positive definite") from exc
 
@@ -107,7 +115,8 @@ class QpSolution:
 
     For ``status == INFEASIBLE`` the ``lambda_star`` field carries a
     Farkas-style certificate: nonnegative row weights y with y'A ~ 0 and
-    y'b < 0, obtained from the phase-1 feasibility LP.
+    y'b < 0 (from the dual active-set method in :func:`solve_qp`, from a
+    feasibility LP in :func:`brute_force_solve`).
     """
 
     z_star: np.ndarray
@@ -137,8 +146,11 @@ def _feasibility_lp(problem: QpProblem):
     """Minimize the max constraint violation s with A z - s <= b, s >= 0.
 
     Returns (s_star, z, dual_weights); s_star > 0 certifies infeasibility and
-    the LP duals on the constraint rows form the Farkas combination.
+    the LP duals on the constraint rows form the Farkas combination.  Only the
+    oracle reaches it, so scipy.optimize is imported here and not with fxtqp.
     """
+    from scipy.optimize import linprog
+
     m, n = problem.A.shape
     c = np.zeros(n + 1)
     c[-1] = 1.0
@@ -164,126 +176,144 @@ def _infeasible_solution(problem: QpProblem, z: np.ndarray, duals: np.ndarray,
     )
 
 
-def solve_qp(problem: QpProblem, warm_start: np.ndarray | None = None,
-             bland: bool = False) -> QpSolution:
-    """Primal active-set solve of a strictly convex QP.
+def _index_guess(warm_start: Sequence[int] | None, n: int, m: int) -> list[int]:
+    """The guessed working set as a list of distinct row indices, or [] if unusable."""
+    if warm_start is None:
+        return []
+    guess = list(warm_start)
+    ok = (len(guess) <= n and len(set(guess)) == len(guess)
+          and all(isinstance(i, (int, np.integer)) and 0 <= i < m for i in guess))
+    return [int(i) for i in guess] if ok else []
 
-    The working set is grown by the smallest-index blocking constraint
-    (deterministic tie-breaking) and shrunk by the most negative multiplier;
-    ``bland=True`` switches the drop rule to smallest index as an
-    anti-cycling fallback.  A feasible start is taken from ``warm_start``
-    when it satisfies the constraints, from the unconstrained minimizer when
-    that is feasible, and from a phase-1 feasibility LP otherwise.
 
-    Constraint rows are equilibrated to unit infinity norm internally (the
-    Schur solves go ill-conditioned when row scales mix); the returned duals
-    refer to the rows as given.
+def _equality_solve(Q: np.ndarray, R: np.ndarray, f: np.ndarray,
+                    b_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Multipliers and minimizer of 0.5|y|^2 + f'y subject to C_w y = b_w.
 
-    Returns a solution with ``status`` OPTIMAL, INFEASIBLE, or
-    ITERATION_LIMIT (cycling guard; callers are expected to retry with
-    ``bland=True``).
+    ``Q R`` is a QR factorization of C_w'.  The minimizer is assembled from
+    its parts in and orthogonal to the span of Q, not from the multipliers,
+    so that the working rows hold to the round-off of b_w and f.
+    """
+    on_span = np.linalg.solve(R.T, b_w)     # Q'y
+    qf = Q.T @ f
+    lam = np.linalg.solve(R, -qf - on_span)
+    return lam, Q @ on_span - (f - Q @ qf)
+
+
+def solve_qp(problem: QpProblem, warm_start: Sequence[int] | None = None) -> QpSolution:
+    """Goldfarb-Idnani dual active-set solve of a strictly convex QP.
+
+    Works in the coordinates y = L'z (H = LL'), where the objective is
+    0.5|y|^2 + f'y with f = L^-1 F.  The solve starts at the unconstrained
+    minimizer y = -f and adds the most violated row until none is left; a
+    working-set row whose multiplier would turn negative first leaves the
+    working set (Goldfarb & Idnani, Math. Prog. 27, 1983).  No feasible start
+    is needed.  On exit the equality QP on the final working set is solved
+    once more (unless the start was already optimal), so that stationarity
+    holds to round-off.
+
+    ``warm_start`` is a guess at the working set, as row indices, e.g. the
+    active set of the previous solve of a nearby problem.  It is used only
+    when every index is in range, the rows are independent and the equality
+    QP on them has nonnegative multipliers; otherwise the solve starts cold.
+    Either way the answer is the same KKT point.
+
+    Constraint rows are equilibrated to unit infinity norm internally; the
+    returned duals refer to the rows as given.  Whether a row's normal lies
+    in the span of the working set is decided relative to its length.
+
+    Returns a solution with ``status`` OPTIMAL, INFEASIBLE (``lambda_star``
+    then holds a Farkas certificate: weight 1 on the row that cannot be
+    added, and the negated coefficients of that row in the working set on
+    the working set), or ITERATION_LIMIT (a guard against cycling on
+    round-off).  ``iterations`` counts the working-set changes.
     """
     n, m = problem.n_z, problem.m_c
-    H, F = problem.H, problem.F
-    row_scale = np.maximum(np.max(np.abs(problem.A), axis=1, initial=0.0), 1e-30) if m else np.zeros(0)
-    A = problem.A / row_scale[:, None] if m else problem.A
-    b = problem.b / row_scale if m else problem.b
-    # QpProblem has checked its data for finiteness; scipy need not again
-    chol = cho_factor(H, lower=True, check_finite=False)
-    iterations = 0
-
-    z = None
-    if warm_start is not None:
-        w = np.asarray(warm_start, dtype=float).ravel()
-        if w.size == n and np.all(np.isfinite(w)):
-            if m == 0 or np.max(A @ w - b) <= 1e-9:
-                z = w.copy()
-    if z is None:
-        z_uc = cho_solve(chol, -F, check_finite=False)
-        if m == 0 or np.max(A @ z_uc - b) <= 1e-9:
-            z = z_uc
-        else:
-            s_star, z_lp, duals = _feasibility_lp(problem)
-            if s_star > 1e-7:
-                return _infeasible_solution(problem, z_lp, duals)
-            z = z_lp
+    row_scale = np.maximum(np.max(np.abs(problem.A), axis=1, initial=0.0), 1e-30)
+    b = problem.b / row_scale
+    L_inv = np.linalg.inv(problem.L)
+    C = (problem.A / row_scale[:, None]) @ L_inv.T
+    f = L_inv @ problem.F
+    norms = np.sqrt(np.einsum("ij,ij->i", C, C))
+    viol_tol = _VIOL_TOL * (1.0 + np.abs(b))
 
     work: list[int] = []
+    Q, R, lam, y = np.zeros((n, 0)), np.zeros((0, 0)), np.zeros(0), -f
+    guess = _index_guess(warm_start, n, m)
+    if guess:
+        Q_g, R_g = np.linalg.qr(C[guess].T)
+        if (np.abs(np.diag(R_g)) > _DEP_TOL * norms[guess]).all():
+            lam_g, y_g = _equality_solve(Q_g, R_g, f, b[guess])
+            if (lam_g >= 0.0).all():
+                work, Q, R, lam, y = guess, Q_g, R_g, lam_g, y_g
+
+    iterations = 0
     max_iter = 50 * (m + n)
-    lam_work = np.zeros(0)
+    while m:
+        excess = C @ y - b - viol_tol
+        excess[work] = -np.inf
+        p = int(np.argmax(excess))
+        if excess[p] <= 0.0:
+            break
+        c, lam_p = C[p], 0.0
+        while True:
+            # raise row p's multiplier until the row is active, dropping the
+            # working-set rows whose multipliers reach zero on the way
+            iterations += 1
+            if iterations > max_iter:
+                return QpSolution(z_star=L_inv.T @ y, lambda_star=np.zeros(m), active_set=(),
+                                  objective=math.nan, status=SolveStatus.ITERATION_LIMIT,
+                                  iterations=iterations)
+            v = Q.T @ c
+            w = c - Q @ v
+            v_re = Q.T @ w     # one re-orthogonalization keeps w accurate
+            w -= Q @ v_re
+            v += v_re
+            r = np.linalg.solve(R, v)     # c = C_work' r + w
+            w2 = float(w @ w)
+            dependent = w2 <= (_DEP_TOL * norms[p]) ** 2
+            # on a dependent row a coefficient of round-off size is no block
+            blocks = r > (_DEP_TOL * norms[p] / norms[work] if dependent else 0.0)
+            t, k = math.inf, -1
+            if blocks.any():
+                ratios = np.where(blocks, lam / np.where(blocks, r, 1.0), np.inf)
+                k = int(np.argmin(ratios))
+                t = max(float(ratios[k]), 0.0)     # a multiplier may sit at -0 by round-off
+            if dependent and k < 0:
+                cert = np.zeros(m)
+                cert[p] = 1.0
+                cert[work] = np.maximum(-r, 0.0)
+                return _infeasible_solution(problem, L_inv.T @ y, cert / row_scale, iterations)
+            if not dependent:
+                t_full = float(c @ y - b[p]) / w2
+                if t_full <= t:
+                    y = y - t_full * w
+                    lam = np.append(lam - t_full * r, lam_p + t_full)
+                    size = len(work)
+                    R_add = np.zeros((size + 1, size + 1))
+                    R_add[:size, :size] = R
+                    R_add[:size, size] = v
+                    R_add[size, size] = math.sqrt(w2)
+                    Q, R = np.column_stack([Q, w / R_add[size, size]]), R_add
+                    work.append(p)
+                    break
+                y = y - t * w
+            lam = np.delete(lam - t * r, k)
+            lam_p += t
+            del work[k]
+            Q, R = np.linalg.qr(C[work].T)
 
-    while iterations < max_iter:
-        iterations += 1
-        g = H @ z + F
-        if work:
-            # null-space step: robust when active rows have mixed scales
-            A_w = A[work]
-            k = len(work)
-            Q, R = np.linalg.qr(A_w.T, mode="complete")
-            Z = Q[:, k:]
-            if Z.shape[1]:
-                red = Z.T @ H @ Z
-                y = cho_solve(cho_factor(red, lower=True, check_finite=False), -(Z.T @ g),
-                              check_finite=False)
-                p = Z @ y
-            else:
-                p = np.zeros(n)
-            resid_stat = -(H @ p + g)
-            try:
-                lam_work = np.linalg.solve(R[:k, :k], Q[:, :k].T @ resid_stat)
-            except np.linalg.LinAlgError:
-                lam_work = np.linalg.lstsq(R[:k, :k], Q[:, :k].T @ resid_stat, rcond=None)[0]
-        else:
-            lam_work = np.zeros(0)
-            p = -cho_solve(chol, g, check_finite=False)
-
-        if np.max(np.abs(p), initial=0.0) <= 1e-9 * max(1.0, float(np.max(np.abs(z), initial=0.0))):
-            if work:
-                neg = [k for k, lv in enumerate(lam_work) if lv < -DUAL_TOL]
-                if neg:
-                    if bland:
-                        drop = min(neg, key=lambda k: work[k])
-                    else:
-                        drop = min(neg, key=lambda k: (lam_work[k], work[k]))
-                    work.pop(drop)
-                    continue
-            lam = np.zeros(m)
-            for k, j in enumerate(work):
-                lam[j] = max(0.0, float(lam_work[k])) / row_scale[j]
-            return QpSolution(
-                z_star=z,
-                lambda_star=lam,
-                active_set=_active_by_value(problem, z),
-                objective=problem.objective(z),
-                status=SolveStatus.OPTIMAL,
-                iterations=iterations,
-            )
-
-        # Ratio test over constraints outside the working set.
-        alpha = 1.0
-        if m:
-            Ap = A @ p
-            resid = b - A @ z
-            in_work = np.zeros(m, dtype=bool)
-            in_work[work] = True
-            increasing = (~in_work) & (Ap > 1e-13)
-            if np.any(increasing):
-                ratios = np.where(increasing, np.maximum(resid, 0.0) / np.where(increasing, Ap, 1.0), np.inf)
-                best = float(np.min(ratios))
-                if best < 1.0:
-                    alpha = best
-                    blockers = np.nonzero(increasing & (ratios <= best + _RATIO_TIE))[0]
-                    z = z + alpha * p
-                    work.append(int(blockers[0]))
-                    continue
-        z = z + alpha * p
-
+    if iterations and work:
+        lam, y = _equality_solve(Q, R, f, b[work])
+    z = L_inv.T @ y
+    lam_full = np.zeros(m)
+    lam_full[work] = np.maximum(lam, 0.0) / row_scale[work]
     return QpSolution(
         z_star=z,
-        lambda_star=np.zeros(m),
+        lambda_star=lam_full,
         active_set=_active_by_value(problem, z),
         objective=problem.objective(z),
-        status=SolveStatus.ITERATION_LIMIT,
+        status=SolveStatus.OPTIMAL,
         iterations=iterations,
     )
 

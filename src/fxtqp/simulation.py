@@ -217,7 +217,7 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
     idx = [0] * n_tracks
     start = [0.0] * n_tracks
     step = 0
-    warm: np.ndarray | None = None
+    warm: tuple[int, ...] | None = None
     outcome: Outcome | None = None
     disc_warnings = 0
     prev_hs: np.ndarray | None = None
@@ -266,7 +266,7 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
             outcome = Outcome(kind=OutcomeKind.SOLVER_FAILURE, phase=min(idx), t=t,
                               message=str(exc))
             break
-        warm = decision.z_star
+        warm = decision.active_set
 
         hs_vals = np.array([s.value(x) for s in safes])
         rec_t.append(t)

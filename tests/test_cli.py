@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -143,3 +147,14 @@ class TestVerifyBounds:
         assert run_cli("--verify-bounds", "--grid-json", str(path),
                        "--out", str(tmp_path)) == 2
         assert not (tmp_path / "bounds.csv").exists()
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # only the brute-force oracle's feasibility LP needs scipy.optimize
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, fxtqp.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"

@@ -12,7 +12,8 @@ from fxtqp.controller import (
     synthesize,
 )
 from fxtqp.fxts import RegimeKind, domain_threshold
-from fxtqp.scenarios import AccConfig, acc_goal, acc_headway, acc_scenario, _acc_system
+from fxtqp.scenarios import (AccConfig, acc_goal, acc_headway, acc_scenario, _acc_system,
+                             synthetic_suite)
 
 
 def integrator(n):
@@ -40,6 +41,15 @@ def acc_pieces(cfg=None):
                                              w2=cfg.w2, q1=cfg.q1)
     bounds = InputBounds(lower=np.array([-cfg.u_max]), upper=np.array([cfg.u_max]))
     return _acc_system(cfg), acc_goal(cfg), (acc_headway(cfg),), bounds, sc_params
+
+
+def equality_qp(problem, W):
+    """Minimizer and multipliers of the QP with the rows W held as equalities."""
+    chol = cho_factor(problem.H, lower=True)
+    A_w = problem.A[W]
+    S = A_w @ cho_solve(chol, A_w.T)
+    lam = np.linalg.solve(S, -(A_w @ cho_solve(chol, problem.F)) - problem.b[W])
+    return cho_solve(chol, -(problem.F + A_w.T @ lam)), lam
 
 
 class TestParams:
@@ -134,13 +144,34 @@ class TestSynthesize:
             assert bounds.contains(dec.u, tol=0.0)
 
     def test_warm_start_changes_nothing(self):
+        # working-set guesses: the cold active set, out-of-range indices, and
+        # sets whose equality QP has a negative multiplier
         sys, goal, safes, bounds, params = acc_pieces()
         x = np.array([24.0, 10.0, 80.0])
+        problem = assemble(sys, goal, safes, bounds, params, x)
         cold = synthesize(sys, goal, safes, bounds, params, x)
-        warm = synthesize(sys, goal, safes, bounds, params, x,
-                          warm_start=cold.z_star)
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-10)
-        assert np.allclose(warm.u, cold.u, atol=1e-8)
+        assert min(equality_qp(problem, [0, 2])[1]) < 0
+        assert min(equality_qp(problem, [2, 3])[1]) < 0
+        for guess in (cold.active_set, (problem.m_c,), (-1, 2), (0, 2), (2, 3)):
+            warm = synthesize(sys, goal, safes, bounds, params, x, warm_start=guess)
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-10)
+            assert np.allclose(warm.u, cold.u, atol=1e-8)
+
+    def test_warm_start_on_freeze_pin_pair(self):
+        # the freeze pins delta2 = 0 by two opposing rows, which are then both
+        # active: the decision's own active set is a dependent guess
+        cfg = AccConfig(d_delta=50.0)
+        sys, goal, safes, bounds, _ = acc_pieces(cfg)
+        params = SynthesisParams.for_deadline(
+            cfg.T_ud, cfg.mu, m=1, w_u=[cfg.w_u], w1=cfg.w1, w2=cfg.w2,
+            q1=cfg.q1_disturbed, delta2_freeze_level=cfg.delta2_freeze_at)
+        x = np.array([20.0, 10.0, 40.0])
+        cold = synthesize(sys, goal, safes, bounds, params, x)
+        assert {4, 5} <= set(cold.active_set)
+        for guess in (cold.active_set, (4, 5), (2, 4), (2, 5)):
+            warm = synthesize(sys, goal, safes, bounds, params, x, warm_start=guess)
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-10)
+            assert np.allclose(warm.u, cold.u, atol=1e-8)
 
     def test_active_set_reproduces_solution(self):
         # re-solving the equality-constrained problem on the reported active
@@ -149,13 +180,8 @@ class TestSynthesize:
         x = np.array([24.0, 10.0, 60.0])
         dec = synthesize(sys, goal, safes, bounds, params, x)
         problem = assemble(sys, goal, safes, bounds, params, x)
-        W = list(dec.active_set)
-        assert W
-        chol = cho_factor(problem.H, lower=True)
-        A_w = problem.A[W]
-        S = A_w @ cho_solve(chol, A_w.T)
-        lam = np.linalg.solve(S, -(A_w @ cho_solve(chol, problem.F)) - problem.b[W])
-        z = cho_solve(chol, -(problem.F + A_w.T @ lam))
+        assert dec.active_set
+        z, _ = equality_qp(problem, list(dec.active_set))
         assert np.allclose(z, dec.z_star, atol=1e-7)
 
     def test_regime_classification_follows_delta1(self):
@@ -224,3 +250,42 @@ class TestContinuityProbe:
         res = continuity_probe(sys, goal, (), bounds, params,
                                np.array([0.8]), radius=1e-5, n_samples=10)
         assert res.max_quotient < 1e5
+
+
+def _trajectory_scenarios():
+    runs = [(f"acc-{v:g}", lambda v=v: acc_scenario(AccConfig(v_f0=v)))
+            for v in (17.0, 22.0, 27.0)]
+    # from 24 m/s the disturbed run stays below the freeze level; from 27 m/s
+    # the freeze pins delta2 at about a third of the states
+    runs += [(f"acc-{v:g}-d100", lambda v=v: acc_scenario(AccConfig(v_f0=v, d_delta=100.0)))
+             for v in (24.0, 27.0)]
+    runs += [(case.scenario.scenario_id, lambda case=case: case.scenario)
+             for case in synthetic_suite()]
+    return runs
+
+
+@pytest.mark.parametrize("build", [b for _, b in _trajectory_scenarios()],
+                         ids=[name for name, _ in _trajectory_scenarios()])
+def test_solver_matches_oracle_along_trajectory(build):
+    # every recorded state of a closed-loop run, re-solved cold and hot-started
+    # from the previous state's active set, against the brute-force oracle;
+    # objective gaps are relative once the objective exceeds 1 (it reaches 1e5)
+    sc = build()
+    trace = sc.simulate()
+    phase = sc.schedule.phases[0]
+    safes = sc.schedule.global_safes + phase.safe_extra
+    guess = None
+    for k in range(len(trace)):
+        problem = assemble(sc.sys, phase.goal, safes, sc.bounds, sc.params, trace.x[k])
+        cold = qp.solve_qp(problem)
+        hot = qp.solve_qp(problem, warm_start=guess)
+        oracle = qp.brute_force_solve(problem)
+        assert cold.status is qp.SolveStatus.OPTIMAL, k
+        scale = max(1.0, abs(oracle.objective))
+        assert abs(cold.objective - oracle.objective) <= 1e-8 * scale, k
+        assert abs(hot.objective - cold.objective) <= 1e-10 * scale, k
+        strict = qp.check_strict_complementarity(problem, oracle)
+        assert qp.check_strict_complementarity(problem, cold) == strict, k
+        if strict:
+            assert np.max(np.abs(cold.z_star - oracle.z_star)) <= 1e-7, k
+        guess = cold.active_set

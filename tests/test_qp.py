@@ -69,6 +69,33 @@ class TestSmallExamples:
         assert y @ p.b < -1e-9
         assert brute_force_solve(p).status is SolveStatus.INFEASIBLE
 
+    def test_random_infeasible_problems_have_certificates(self):
+        # a feasible problem plus the contradictory pair a'z <= -1, -a'z <= -1
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            p = random_feasible_problem(rng)
+            a = rng.normal(size=p.n_z)
+            q = make_problem(p.H, p.F, np.vstack([p.A, a, -a]),
+                             np.concatenate([p.b, [-1.0, -1.0]]))
+            s = solve_qp(q)
+            assert s.status is SolveStatus.INFEASIBLE
+            y = s.lambda_star
+            assert np.all(y >= 0.0)
+            assert np.max(np.abs(y @ q.A)) <= 1e-9
+            assert y @ q.b < 0.0
+
+    def test_zero_row(self):
+        # 0'z <= b holds for b >= 0 and is its own certificate for b < 0
+        p = make_problem(np.eye(2), [1.0, -1.0], [[0.0, 0.0], [1.0, 0.0]], [0.0, -2.0])
+        s = solve_qp(p)
+        assert s.status is SolveStatus.OPTIMAL
+        assert np.allclose(s.z_star, [-2.0, 1.0], atol=1e-12)
+        q = make_problem(np.eye(2), [1.0, -1.0], [[0.0, 0.0], [1.0, 0.0]], [-1.0, -2.0])
+        s = solve_qp(q)
+        assert s.status is SolveStatus.INFEASIBLE
+        assert s.lambda_star[0] > 0 and s.lambda_star @ q.b < 0
+        assert np.all(s.lambda_star @ q.A == 0.0)
+
 
 class TestKktResidual:
     def test_exact_solution_zero_residuals(self):
@@ -147,12 +174,55 @@ class TestAlgebraicProperties:
         assert np.max(np.abs(c * s1.lambda_star - s2.lambda_star)) <= 1e-6 * (1 + c * np.max(np.abs(s1.lambda_star), initial=0))
 
     def test_warm_start_changes_nothing(self):
+        # every working-set guess, usable or not, ends at the cold optimum:
+        # the cold active set, out-of-range or malformed indices, more rows
+        # than variables, and single rows (some with a negative multiplier)
         rng = np.random.default_rng(5)
         for _ in range(20):
             p = random_feasible_problem(rng)
             cold = solve_qp(p)
-            warm = solve_qp(p, warm_start=cold.z_star + 1e-3)
+            m = p.m_c
+            guesses = [cold.active_set, (m,), (-1,), (0, m + 5), (0.5,), (0, 0),
+                       tuple(range(m))] + [(i,) for i in range(m)]
+            for guess in guesses:
+                warm = solve_qp(p, warm_start=guess)
+                assert warm.status is SolveStatus.OPTIMAL
+                assert warm.objective == pytest.approx(cold.objective, abs=1e-10), guess
+                assert kkt_residual(p, warm).stationarity <= 1e-8
+
+    def test_warm_start_on_dependent_pair(self):
+        # the opposing rows of an equality pin are dependent: the guess is
+        # rejected and the solve starts cold
+        p = make_problem(np.eye(3), [-1.0, -1.0, -1.0],
+                         [[0, 0, 1.0], [0, 0, -1.0], [1.0, 0, 0]],
+                         [0.0, 0.0, 0.3])
+        cold = solve_qp(p)
+        for guess in ((0, 1), (0, 1, 2), (1, 0)):
+            warm = solve_qp(p, warm_start=guess)
             assert warm.objective == pytest.approx(cold.objective, abs=1e-10)
+            assert np.allclose(warm.z_star, [0.3, 1.0, 0.0], atol=1e-10)
+
+    def test_warm_start_with_negative_multiplier(self):
+        # min 0.5|z - (1, 1)|^2 s.t. z1 <= 5, z2 <= 0.5: holding z1 = 5 needs
+        # the multiplier 1 - 5 = -4, so that guess is rejected
+        p = make_problem(np.eye(2), [-1.0, -1.0], [[1.0, 0.0], [0.0, 1.0]], [5.0, 0.5])
+        cold = solve_qp(p)
+        assert cold.active_set == (1,)
+        for guess in ((0,), (0, 1), (1,)):
+            warm = solve_qp(p, warm_start=guess)
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-10)
+            assert np.allclose(warm.z_star, [1.0, 0.5], atol=1e-12)
+            assert np.allclose(warm.lambda_star, [0.0, 0.5], atol=1e-12)
+
+    def test_hot_start_from_optimal_set_takes_no_iteration(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            p = random_feasible_problem(rng)
+            cold = solve_qp(p)
+            hot = solve_qp(p, warm_start=cold.active_set)
+            if check_strict_complementarity(p, cold, tol=1e-6):
+                assert hot.iterations == 0
+                assert np.max(np.abs(hot.z_star - cold.z_star), initial=0.0) <= 1e-9
 
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(9)

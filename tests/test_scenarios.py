@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from fxtqp import qp
 from fxtqp.constraints import SetKind
+from fxtqp.controller import assemble
 from fxtqp.fxts import settling_time_bound, worst_case
-from fxtqp.simulation import OutcomeKind, monitor
+from fxtqp.simulation import OutcomeKind, _joint_goal, monitor
 from fxtqp.scenarios import (
     AccConfig,
     TwoRobotConfig,
@@ -154,7 +156,35 @@ def trace():
     return two_robot_scenario().simulate()
 
 
+def tour_problem(sc, trace, k):
+    """The QP the tour's controller solved at step k.
+
+    Mirrors the set selection of ``simulation.run``: a track's leg counts as
+    done from its recorded reach time on.
+    """
+    t = trace.t[k]
+    current, pending = [], []
+    for track, reached in zip(sc.schedule.tracks, trace.track_reach_times):
+        idx = sum(1 for r in reached if r is not None and r <= t)
+        current.append(track[min(idx, len(track) - 1)])
+        if idx < len(track):
+            pending.append(current[-1].goal)
+    goals = pending or [ph.goal for ph in current]
+    goal = goals[0] if len(goals) == 1 else _joint_goal(goals)
+    safes = sc.schedule.global_safes + tuple(s for ph in current for s in ph.safe_extra)
+    return assemble(sc.sys, goal, safes, sc.bounds, sc.params, trace.x[k])
+
+
 class TestTwoRobotRun:
+    def test_kkt_residuals_where_the_first_legs_end(self, trace):
+        # the primal active-set solver left stationarity residuals up to 6e-8
+        # at steps 115-125 of this tour
+        sc = two_robot_scenario()
+        for k in range(100, 141):
+            problem = tour_problem(sc, trace, k)
+            res = qp.kkt_residual(problem, qp.solve_qp(problem))
+            assert max(res.stationarity, res.primal_violation, res.comp_slack) <= 1e-8, (k, res)
+
     def test_all_legs_within_budget(self, trace):
         assert trace.outcome.kind is OutcomeKind.ALL_PHASES_MET
         for track in trace.track_reach_times:
