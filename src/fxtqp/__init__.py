@@ -26,15 +26,12 @@ from fxtqp.constraints import (
     SetFunction,
     SetKind,
     InputBounds,
-    lie_derivatives,
-    convergence_row,
-    safety_row,
-    safety_rows,
-    input_rows,
+    qp_rows,
     finite_diff_gradient_check,
 )
 from fxtqp.controller import (
     SynthesisParams,
+    SynthesisQp,
     ControlDecision,
     SolverFailure,
     assemble,

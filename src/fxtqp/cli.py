@@ -65,6 +65,17 @@ def _outcome_exit_code(outcome) -> int:
     return EXIT_VIOLATION
 
 
+def _solver_summary(trace) -> dict:
+    """QP counters of a run: working-set changes, non-strict steps, box overshoot."""
+    empty = len(trace) == 0
+    return {
+        "iterations_mean": None if empty else float(trace.qp_iters.mean()),
+        "iterations_max": None if empty else int(trace.qp_iters.max()),
+        "nonstrict_steps": int((~trace.strict_cs).sum()),
+        "max_box_overshoot": None if empty else float(trace.box_overshoot.max()),
+    }
+
+
 def _summarize(trace, scenario) -> dict:
     stats = monitor(trace, d_min=scenario.d_min)
     return {
@@ -87,6 +98,7 @@ def _summarize(trace, scenario) -> dict:
         "fixed_time_certificate": worst_case(trace.segments),
         "segments": list(trace.segments),
         "disc_warnings": trace.disc_warnings,
+        "solver": _solver_summary(trace),
         "exit_code": _outcome_exit_code(trace.outcome),
     }
 

@@ -5,14 +5,15 @@ with an analytic gradient.  Nonsmooth sets built as a max over smooth
 branches keep their branch list so the constraint assembler can emit one
 smooth row per branch instead of differentiating the max.
 
-Rows are expressed over the decision vector z = (v, delta1, delta2) where v
-is the physical input; any input scaling is the caller's business.
+Rows are expressed over the decision vector z = (v_s, delta1, delta2), where
+the physical input is v = scale * v_s with the per-component bound magnitude
+of :class:`InputBounds`; :func:`qp_rows` builds all of them in one pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -25,12 +26,7 @@ __all__ = [
     "SetKind",
     "SetFunction",
     "InputBounds",
-    "LieDerivatives",
-    "lie_derivatives",
-    "convergence_row",
-    "safety_row",
-    "safety_rows",
-    "input_rows",
+    "qp_rows",
     "finite_diff_gradient_check",
 ]
 
@@ -111,10 +107,16 @@ class SetFunction:
 
 @dataclass(frozen=True)
 class InputBounds:
-    """Component-wise input box, lower < upper strictly."""
+    """Component-wise input box, lower < upper strictly.
+
+    The input scale and the box rows of the synthesis QP are built once here
+    (read-only) rather than at every state.
+    """
 
     lower: np.ndarray
     upper: np.ndarray
+    _scale: np.ndarray = field(init=False, repr=False, compare=False)
+    box_rows: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
@@ -125,6 +127,20 @@ class InputBounds:
             raise ValueError("lower bounds must be strictly below upper bounds")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
+        s = np.maximum(np.abs(lo), np.abs(hi))
+        scale = np.where(s > 0, s, 1.0)
+        # per input i: v_i <= upper_i, -v_i <= -lower_i, in scaled coordinates
+        m = lo.size
+        A = np.zeros((2 * m, m + 2))
+        A[0::2, :m] = np.diag(scale)
+        A[1::2, :m] = np.diag(-scale)
+        b = np.empty(2 * m)
+        b[0::2] = hi
+        b[1::2] = -lo
+        for arr in (scale, A, b):
+            arr.setflags(write=False)
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "box_rows", (A, b))
 
     @property
     def m(self) -> int:
@@ -132,26 +148,10 @@ class InputBounds:
 
     def scale(self) -> np.ndarray:
         """Per-component magnitude used to normalize inputs inside the QP."""
-        s = np.maximum(np.abs(self.lower), np.abs(self.upper))
-        return np.where(s > 0, s, 1.0)
+        return self._scale
 
     def contains(self, u: np.ndarray, tol: float = 1e-9) -> bool:
         return bool(np.all(u >= self.lower - tol) and np.all(u <= self.upper + tol))
-
-
-@dataclass(frozen=True)
-class LieDerivatives:
-    Lf: float
-    Lg: np.ndarray
-
-
-def lie_derivatives(sys: ControlAffineSystem, s: SetFunction, x: np.ndarray) -> LieDerivatives:
-    """Directional derivatives of h along the drift and the input matrix."""
-    grad = s.gradient(x)
-    return LieDerivatives(
-        Lf=float(grad @ sys.drift(x)),
-        Lg=grad @ sys.input_matrix(x),
-    )
 
 
 def _clamped_power_sum(h: float, gains: FxtsGains) -> float:
@@ -161,58 +161,76 @@ def _clamped_power_sum(h: float, gains: FxtsGains) -> float:
     return gains.alpha1 * math.pow(h, gains.gamma1) + gains.alpha2 * math.pow(h, gains.gamma2)
 
 
-def convergence_row(sys: ControlAffineSystem, h_g: SetFunction, x: np.ndarray,
-                    gains: FxtsGains) -> tuple[np.ndarray, float]:
-    """Reach-rate row over z = (v, delta1, delta2).
+def qp_rows(sys: ControlAffineSystem, h_g: SetFunction, safes: Sequence[SetFunction],
+            bounds: InputBounds, gains: FxtsGains, x: np.ndarray,
+            freeze_level: float | None = None
+            ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """Every constraint row of the synthesis QP at x, in one pass.
 
-    Encodes  Lf·h_g + Lg·h_g v - delta1*h_g <= -alpha1*max(0,h_g)**gamma1
-                                               -alpha2*max(0,h_g)**gamma2.
+    Rows are over z = (v_s, delta1, delta2), with the input v = scale * v_s
+    (``InputBounds.scale``), in this order:
+
+    - the input box, per input i the pair v_i <= upper_i, -v_i <= -lower_i;
+    - the reach-rate row
+      Lf·h_g + Lg·h_g v - delta1*h_g <= -alpha1*max(0,h_g)**gamma1
+      - alpha2*max(0,h_g)**gamma2;
+    - one invariance row Lf·h_s + Lg·h_s v <= -delta2*h_s per safe-set
+      branch, all sharing delta2 (the conjunction enforces the max branch
+      without its gradient jumps; on the boundary h_s = 0 the row reduces to
+      tangency);
+    - when ``freeze_level`` is set and some safe-set value exceeds it, the
+      pair delta2 <= 0, -delta2 <= 0 that pins delta2 = 0.
+
+    f(x) and g(x) are evaluated once; each set function once per branch.
+    Returns (A, b, h_goal, h_safe): the rows and the set values they used,
+    h_safe with one value per safe set (a composite's is its max branch).
     """
     if h_g.kind is not SetKind.GOAL:
         raise ValueError("convergence row expects a goal set function")
-    lie = lie_derivatives(sys, h_g, x)
-    hval = h_g.value(x)
-    row = np.concatenate([lie.Lg, [-hval, 0.0]])
-    rhs = -lie.Lf - _clamped_power_sum(hval, gains)
-    return row, rhs
-
-
-def safety_row(sys: ControlAffineSystem, h_s: SetFunction, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Invariance row over z: encodes Lf·h_s + Lg·h_s v <= -delta2*h_s.
-
-    On the set boundary (h_s = 0) the slack coefficient vanishes and the row
-    reduces to the tangency condition Lf·h_s + Lg·h_s v <= 0.
-    """
-    if h_s.kind is not SetKind.SAFE:
-        raise ValueError("safety row expects a safe set function")
-    lie = lie_derivatives(sys, h_s, x)
-    hval = h_s.value(x)
-    row = np.concatenate([lie.Lg, [0.0, hval]])
-    return row, -lie.Lf
-
-
-def safety_rows(sys: ControlAffineSystem, h_s: SetFunction,
-                x: np.ndarray) -> list[tuple[np.ndarray, float]]:
-    """Safety rows for a possibly composite safe set.
-
-    One smooth row is emitted per branch, all sharing the single delta2
-    slack; the conjunction is equivalent to enforcing the max branch and
-    avoids gradient jumps at branch switches.
-    """
-    return [safety_row(sys, b, x) for b in h_s.branches or (h_s,)]
-
-
-def input_rows(bounds: InputBounds) -> tuple[np.ndarray, np.ndarray]:
-    """Box rows over z: per input i the pair v_i <= upper_i, -v_i <= -lower_i."""
+    fx = sys.drift(x)
+    gx = sys.input_matrix(x)
+    box_A, box_b = bounds.box_rows
     m = bounds.m
-    A = np.zeros((2 * m, m + 2))
-    b = np.zeros(2 * m)
-    for i in range(m):
-        A[2 * i, i] = 1.0
-        b[2 * i] = bounds.upper[i]
-        A[2 * i + 1, i] = -1.0
-        b[2 * i + 1] = -bounds.lower[i]
-    return A, b
+    k = box_b.size
+    n_rows = k + 1 + sum(len(s.branches) or 1 for s in safes)
+    if freeze_level is not None:
+        n_rows += 2
+    A = np.zeros((n_rows, m + 2))
+    b = np.zeros(n_rows)
+    A[:k] = box_A
+    b[:k] = box_b
+
+    # input columns hold the Lie derivatives Lg·h until scaled at the end
+    h_goal = h_g.value(x)
+    grad = h_g.gradient(x)
+    A[k, :m] = grad @ gx
+    A[k, m] = -h_goal
+    b[k] = -float(grad @ fx) - _clamped_power_sum(h_goal, gains)
+    k += 1
+
+    h_safe = []
+    for s in safes:
+        values = []
+        for br in s.branches or (s,):
+            if br.kind is not SetKind.SAFE:
+                raise ValueError("safety row expects a safe set function")
+            hv = br.value(x)
+            grad = br.gradient(x)
+            A[k, :m] = grad @ gx
+            A[k, m + 1] = hv
+            b[k] = -float(grad @ fx)
+            values.append(hv)
+            k += 1
+        h_safe.append(max(values))
+    A[box_b.size:k, :m] *= bounds.scale()
+
+    if freeze_level is not None:
+        if h_safe and max(h_safe) > freeze_level:
+            A[k, m + 1] = 1.0
+            A[k + 1, m + 1] = -1.0
+        else:
+            A, b = A[:k], b[:k]
+    return A, b, h_goal, np.array(h_safe)
 
 
 def finite_diff_gradient_check(s: SetFunction, xs: Sequence[np.ndarray],

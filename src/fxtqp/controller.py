@@ -20,18 +20,11 @@ from typing import Sequence
 import numpy as np
 
 from fxtqp import qp
-from fxtqp.constraints import (
-    ControlAffineSystem,
-    InputBounds,
-    SetFunction,
-    convergence_row,
-    input_rows,
-    safety_rows,
-)
+from fxtqp.constraints import ControlAffineSystem, InputBounds, SetFunction, qp_rows
 from fxtqp.fxts import FxtsGains, alpha_from_deadline
 
-__all__ = ["SynthesisParams", "ControlDecision", "SolverFailure", "assemble",
-           "synthesize", "continuity_probe", "ContinuityProbeResult"]
+__all__ = ["SynthesisParams", "SynthesisQp", "ControlDecision", "SolverFailure",
+           "assemble", "synthesize", "continuity_probe", "ContinuityProbeResult"]
 
 
 class SolverFailure(RuntimeError):
@@ -48,6 +41,8 @@ class SynthesisParams:
     """Deadline, derived gains, and objective weights of the synthesis QP.
 
     ``gains`` is derived from (T_ud, mu): alpha_from_deadline meets T_ud.
+    ``H`` and ``F``, the QP's objective in input-scaled coordinates, are
+    built once from the weights (read-only).
     ``delta2_freeze_level``, when set, pins delta2 = 0 (via an equality
     encoded as two inequality rows) whenever some safe-set value exceeds the
     level; used by the disturbed cruise-control study.
@@ -62,6 +57,8 @@ class SynthesisParams:
     q1: float = 100.0
     k_margin: float = 0.9
     delta2_freeze_level: float | None = None
+    H: np.ndarray = field(init=False, repr=False, compare=False)
+    F: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "w_u", np.atleast_1d(np.asarray(self.w_u, dtype=float)))
@@ -72,6 +69,14 @@ class SynthesisParams:
             raise ValueError("objective weights must be strictly positive")
         if not (0.0 < self.k_margin < 1.0):
             raise ValueError("k_margin must lie in (0, 1)")
+        m = self.w_u.size
+        H = np.diag(np.concatenate([self.w_u, [self.w1, self.w2]]))
+        F = np.zeros(m + 2)
+        F[m] = self.q1
+        H.setflags(write=False)
+        F.setflags(write=False)
+        object.__setattr__(self, "H", H)
+        object.__setattr__(self, "F", F)
 
     @classmethod
     def for_deadline(cls, T_ud: float, mu: float, m: int, *, w_u=None,
@@ -81,8 +86,16 @@ class SynthesisParams:
 
 
 @dataclass(frozen=True)
+class SynthesisQp(qp.QpProblem):
+    """The synthesis QP at one state, with the set values its rows used."""
+
+    h_goal: float
+    h_safe: np.ndarray = field(compare=False)   # one value per safe set
+
+
+@dataclass(frozen=True)
 class ControlDecision:
-    """Solved control input plus the slack and regularity diagnostics."""
+    """Solved control input plus the slack, solver and regularity diagnostics."""
 
     u: np.ndarray
     delta1: float
@@ -90,56 +103,20 @@ class ControlDecision:
     active_set: tuple[int, ...]
     strict_cs: bool
     objective: float
-    z_star: np.ndarray   # solution in solver (input-scaled) coordinates
-
-
-def _freeze_active(params: SynthesisParams, safes: Sequence[SetFunction],
-                   x: np.ndarray) -> bool:
-    if params.delta2_freeze_level is None or not safes:
-        return False
-    return max(s.value(x) for s in safes) > params.delta2_freeze_level
+    z_star: np.ndarray      # solution in solver (input-scaled) coordinates
+    iterations: int         # working-set changes of the QP solve
+    box_overshoot: float    # scaled distance the solved input left its box, >= 0
+    h_goal: float           # goal-set value at the state
+    h_safe: np.ndarray      # safe-set values at the state, one per safe set
 
 
 def assemble(sys: ControlAffineSystem, h_g: SetFunction,
              safes: Sequence[SetFunction], bounds: InputBounds,
-             params: SynthesisParams, x: np.ndarray) -> qp.QpProblem:
+             params: SynthesisParams, x: np.ndarray) -> SynthesisQp:
     """Build the synthesis QP at state x, in input-scaled coordinates."""
-    m = bounds.m
-    scale = bounds.scale()
-    rows = []
-    rhss = []
-
-    A_u, b_u = input_rows(bounds)
-    for r, c in zip(A_u, b_u):
-        rows.append(r)
-        rhss.append(c)
-
-    row, rhs = convergence_row(sys, h_g, x, params.gains)
-    rows.append(row)
-    rhss.append(rhs)
-
-    for s in safes:
-        for r, c in safety_rows(sys, s, x):
-            rows.append(r)
-            rhss.append(c)
-
-    if _freeze_active(params, safes, x):
-        pin = np.zeros(m + 2)
-        pin[m + 1] = 1.0
-        rows.append(pin.copy())
-        rhss.append(0.0)
-        rows.append(-pin)
-        rhss.append(0.0)
-
-    A = np.vstack(rows)
-    b = np.asarray(rhss, dtype=float)
-    # change of variables v = scale * v_s
-    A[:, :m] = A[:, :m] * scale[np.newaxis, :]
-
-    H = np.diag(np.concatenate([params.w_u, [params.w1, params.w2]]))
-    F = np.zeros(m + 2)
-    F[m] = params.q1
-    return qp.QpProblem(H=H, F=F, A=A, b=b)
+    A, b, h_goal, h_safe = qp_rows(sys, h_g, safes, bounds, params.gains, x,
+                                   params.delta2_freeze_level)
+    return SynthesisQp(H=params.H, F=params.F, A=A, b=b, h_goal=h_goal, h_safe=h_safe)
 
 
 def synthesize(sys: ControlAffineSystem, h_g: SetFunction,
@@ -152,7 +129,9 @@ def synthesize(sys: ControlAffineSystem, h_g: SetFunction,
     the ``active_set`` of the decision at the previous state; it can only
     speed the solve up, never change the answer.  Raises
     :class:`SolverFailure` when the QP reports anything but optimality
-    (infeasibility, or the solver's iteration guard).
+    (infeasibility, or the solver's iteration guard), or when the solved
+    input leaves its box by more than ``qp.FEAS_TOL`` in scaled units;
+    a smaller overshoot (round-off) is clipped and reported.
     """
     problem = assemble(sys, h_g, safes, bounds, params, x)
     m = bounds.m
@@ -161,16 +140,25 @@ def synthesize(sys: ControlAffineSystem, h_g: SetFunction,
         raise SolverFailure(f"synthesis QP {solution.status.value} at x={np.asarray(x)}")
 
     z = solution.z_star
-    # round-off from the scaled solve may poke past the box by ~1e-8 N
-    u = np.clip(z[:m] * bounds.scale(), bounds.lower, bounds.upper)
+    scale = bounds.scale()
+    u = z[:m] * scale
+    overshoot = float(np.max(np.maximum(u - bounds.upper, bounds.lower - u) / scale,
+                             initial=0.0))
+    if overshoot > qp.FEAS_TOL:
+        raise SolverFailure(f"synthesis QP input leaves its box by {overshoot:.3g} "
+                            f"(scaled) at x={np.asarray(x)}")
     return ControlDecision(
-        u=u,
+        u=np.clip(u, bounds.lower, bounds.upper),
         delta1=float(z[m]),
         delta2=float(z[m + 1]),
         active_set=solution.active_set,
         strict_cs=qp.check_strict_complementarity(problem, solution),
         objective=solution.objective,
         z_star=z,
+        iterations=solution.iterations,
+        box_overshoot=overshoot,
+        h_goal=problem.h_goal,
+        h_safe=problem.h_safe,
     )
 
 

@@ -16,6 +16,7 @@ conditions and strict complementarity.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -55,13 +56,36 @@ class SolveStatus(Enum):
     ITERATION_LIMIT = "iteration_limit"
 
 
+@functools.lru_cache(maxsize=16)
+def _factor(n: int, data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Validate H, given by its order and bytes, and return (L, L^-1), H = LL'.
+
+    Cached per distinct H: a run's problems share one H, so it is factored
+    once, and a changed H is a different key (a failed check caches nothing).
+    """
+    H = np.frombuffer(data).reshape(n, n)
+    if not np.isfinite(H).all():
+        raise ValueError("QP data must be finite")
+    if np.max(np.abs(H - H.T), initial=0.0) > _SYM_TOL:
+        raise ValueError("H is not symmetric within tolerance")
+    try:
+        L = np.linalg.cholesky(H)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("H is not positive definite") from exc
+    L_inv = np.linalg.inv(L)
+    L.setflags(write=False)
+    L_inv.setflags(write=False)
+    return L, L_inv
+
+
 @dataclass(frozen=True)
 class QpProblem:
     """Data of a strictly convex inequality-constrained QP.
 
     All data must be finite, H symmetric positive definite (validated by
-    Cholesky, whose lower factor is kept as ``L``), and the constraint data
-    dimensionally consistent with it.
+    Cholesky, whose lower factor is kept as ``L`` with its inverse
+    ``L_inv``, both read-only and shared by every problem with the same H),
+    and the constraint data dimensionally consistent with it.
     """
 
     H: np.ndarray
@@ -69,6 +93,7 @@ class QpProblem:
     A: np.ndarray
     b: np.ndarray
     L: np.ndarray = field(init=False, repr=False, compare=False)
+    L_inv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         H = np.asarray(self.H, dtype=float)
@@ -88,14 +113,11 @@ class QpProblem:
             raise ValueError(f"A shape {A.shape} inconsistent with {n} variables")
         if b.shape != (A.shape[0],):
             raise ValueError(f"b length {b.shape} inconsistent with A rows {A.shape[0]}")
-        if not all(np.all(np.isfinite(v)) for v in (H, F, A, b)):
+        if not (np.isfinite(F).all() and np.isfinite(A).all() and np.isfinite(b).all()):
             raise ValueError("QP data must be finite")
-        if np.max(np.abs(H - H.T), initial=0.0) > _SYM_TOL:
-            raise ValueError("H is not symmetric within tolerance")
-        try:
-            object.__setattr__(self, "L", np.linalg.cholesky(H))
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("H is not positive definite") from exc
+        L, L_inv = _factor(n, H.tobytes())
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "L_inv", L_inv)
 
     @property
     def n_z(self) -> int:
@@ -176,16 +198,6 @@ def _infeasible_solution(problem: QpProblem, z: np.ndarray, duals: np.ndarray,
     )
 
 
-def _index_guess(warm_start: Sequence[int] | None, n: int, m: int) -> list[int]:
-    """The guessed working set as a list of distinct row indices, or [] if unusable."""
-    if warm_start is None:
-        return []
-    guess = list(warm_start)
-    ok = (len(guess) <= n and len(set(guess)) == len(guess)
-          and all(isinstance(i, (int, np.integer)) and 0 <= i < m for i in guess))
-    return [int(i) for i in guess] if ok else []
-
-
 def _equality_solve(Q: np.ndarray, R: np.ndarray, f: np.ndarray,
                     b_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Multipliers and minimizer of 0.5|y|^2 + f'y subject to C_w y = b_w.
@@ -198,6 +210,40 @@ def _equality_solve(Q: np.ndarray, R: np.ndarray, f: np.ndarray,
     qf = Q.T @ f
     lam = np.linalg.solve(R, -qf - on_span)
     return lam, Q @ on_span - (f - Q @ qf)
+
+
+def _hot_start(C: np.ndarray, f: np.ndarray, b: np.ndarray, norms: np.ndarray,
+               warm_start: Sequence[int] | None):
+    """Trim a working-set guess to a dual feasible start, or None to start cold.
+
+    The guess's in-range integer indices are taken in index order.  The
+    first n of them are factored; a row whose normal lies in the span of
+    the rows before it (|R_jj| small against its length, the test of the
+    solve's add step) is dropped, the first such row at a time, and the
+    rest refactored.  Then, while the equality QP on the set has a negative
+    multiplier, the row with the most negative one is dropped.  What is
+    left has multipliers >= 0: the minimizer on it is a start the dual
+    method accepts.  Returns (work, Q, R, lam, y) with Q R = C_work'.
+    """
+    if warm_start is None:
+        return None
+    n, m = C.shape[1], C.shape[0]
+    work = sorted({int(i) for i in warm_start
+                   if isinstance(i, (int, np.integer)) and 0 <= i < m})
+    while work:
+        kept = work[:n]
+        Q, R = np.linalg.qr(C[kept].T)
+        independent = np.abs(np.diag(R)) > _DEP_TOL * norms[kept]
+        if not independent.all():
+            del work[int(np.argmin(independent))]
+            continue
+        work = kept
+        lam, y = _equality_solve(Q, R, f, b[work])
+        k = int(np.argmin(lam))
+        if lam[k] >= 0.0:
+            return work, Q, R, lam, y
+        del work[k]
+    return None
 
 
 def solve_qp(problem: QpProblem, warm_start: Sequence[int] | None = None) -> QpSolution:
@@ -213,9 +259,10 @@ def solve_qp(problem: QpProblem, warm_start: Sequence[int] | None = None) -> QpS
     holds to round-off.
 
     ``warm_start`` is a guess at the working set, as row indices, e.g. the
-    active set of the previous solve of a nearby problem.  It is used only
-    when every index is in range, the rows are independent and the equality
-    QP on them has nonnegative multipliers; otherwise the solve starts cold.
+    active set of the previous solve of a nearby problem.  It is trimmed to
+    a dual feasible start: indices out of range and rows dependent on the
+    rows kept before them are dropped, then rows with negative multipliers,
+    most negative first; the solve starts cold only when nothing is left.
     Either way the answer is the same KKT point.
 
     Constraint rows are equilibrated to unit infinity norm internally; the
@@ -226,26 +273,23 @@ def solve_qp(problem: QpProblem, warm_start: Sequence[int] | None = None) -> QpS
     then holds a Farkas certificate: weight 1 on the row that cannot be
     added, and the negated coefficients of that row in the working set on
     the working set), or ITERATION_LIMIT (a guard against cycling on
-    round-off).  ``iterations`` counts the working-set changes.
+    round-off).  ``iterations`` counts the working-set changes the method
+    makes after the hot start's trim.
     """
     n, m = problem.n_z, problem.m_c
     row_scale = np.maximum(np.max(np.abs(problem.A), axis=1, initial=0.0), 1e-30)
     b = problem.b / row_scale
-    L_inv = np.linalg.inv(problem.L)
+    L_inv = problem.L_inv
     C = (problem.A / row_scale[:, None]) @ L_inv.T
     f = L_inv @ problem.F
     norms = np.sqrt(np.einsum("ij,ij->i", C, C))
     viol_tol = _VIOL_TOL * (1.0 + np.abs(b))
 
-    work: list[int] = []
-    Q, R, lam, y = np.zeros((n, 0)), np.zeros((0, 0)), np.zeros(0), -f
-    guess = _index_guess(warm_start, n, m)
-    if guess:
-        Q_g, R_g = np.linalg.qr(C[guess].T)
-        if (np.abs(np.diag(R_g)) > _DEP_TOL * norms[guess]).all():
-            lam_g, y_g = _equality_solve(Q_g, R_g, f, b[guess])
-            if (lam_g >= 0.0).all():
-                work, Q, R, lam, y = guess, Q_g, R_g, lam_g, y_g
+    start = _hot_start(C, f, b, norms, warm_start)
+    if start is None:
+        work, Q, R, lam, y = [], np.zeros((n, 0)), np.zeros((0, 0)), np.zeros(0), -f
+    else:
+        work, Q, R, lam, y = start
 
     iterations = 0
     max_iter = 50 * (m + n)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -128,6 +128,10 @@ class Trace:
     phase: np.ndarray
     safe_names: tuple[str, ...]
     dt: float
+    # per-step QP working-set changes and scaled pre-clip box overshoot;
+    # not in the CSV, so empty for a trace read back from one
+    qp_iters: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    box_overshoot: np.ndarray = field(default_factory=lambda: np.zeros(0))
     outcome: Outcome | None = None
     reach_times: tuple[float | None, ...] = ()
     track_reach_times: tuple[tuple[float | None, ...], ...] = ()
@@ -211,6 +215,7 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
     rec_t, rec_x, rec_u = [], [], []
     rec_hg, rec_hs = [], []
     rec_d1, rec_d2, rec_scs, rec_as, rec_phase = [], [], [], [], []
+    rec_iters, rec_over = [], []
     reach: list[list[float | None]] = [[None] * lengths[j] for j in range(n_tracks)]
 
     t = 0.0
@@ -253,10 +258,9 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
         pending = [current[j].goal for j in range(n_tracks) if idx[j] < lengths[j]]
         if not pending:
             pending = [ph.goal for ph in current]
-        if len(pending) == 1:
-            goal = pending[0]
-        else:
-            goal = _joint_goal(pending)
+        new_segment = pending != seg_goals
+        if new_segment:
+            goal = pending[0] if len(pending) == 1 else _joint_goal(pending)
         safes = schedule.global_safes + tuple(
             s for ph in current for s in ph.safe_extra)
         try:
@@ -268,18 +272,20 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
             break
         warm = decision.active_set
 
-        hs_vals = np.array([s.value(x) for s in safes])
+        hs_vals = decision.h_safe
         rec_t.append(t)
         rec_x.append(x.copy())
         rec_u.append(decision.u.copy())
-        rec_hg.append(goal.value(x))
+        rec_hg.append(decision.h_goal)
         rec_hs.append(hs_vals)
         rec_d1.append(decision.delta1)
         rec_d2.append(decision.delta2)
         rec_scs.append(decision.strict_cs)
         rec_as.append(len(decision.active_set))
         rec_phase.append(min(min(idx), n_legs - 1))
-        if pending != seg_goals:
+        rec_iters.append(decision.iterations)
+        rec_over.append(decision.box_overshoot)
+        if new_segment:
             seg_goals = pending
             seg_starts.append(len(rec_t) - 1)
 
@@ -335,6 +341,8 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
         phase=np.asarray(rec_phase, dtype=int),
         safe_names=safe_names,
         dt=dt,
+        qp_iters=np.asarray(rec_iters, dtype=int),
+        box_overshoot=np.asarray(rec_over, dtype=float),
         outcome=outcome,
         reach_times=tuple(joint),
         track_reach_times=tuple(tuple(r) for r in reach),

@@ -23,6 +23,21 @@ class TestRun:
         assert summary["outcome"]["kind"] == "all_phases_met"
         assert (run_dir / "trace.csv").exists()
 
+    def test_summary_solver_block(self, tmp_path):
+        assert run_cli("--scenario", "synthetic:int2d", "--out", str(tmp_path)) == 0
+        run_dir = tmp_path / "synthetic_int2d"
+        solver = json.loads((run_dir / "summary.json").read_text())["solver"]
+        trace = trace_from_csv(run_dir / "trace.csv")
+        assert set(solver) == {"iterations_mean", "iterations_max", "nonstrict_steps",
+                               "max_box_overshoot"}
+        assert 0.0 <= solver["iterations_mean"] <= solver["iterations_max"]
+        assert solver["nonstrict_steps"] == int((~trace.strict_cs).sum())
+        assert 0.0 <= solver["max_box_overshoot"] <= 1e-8
+        # the counters stay out of trace.csv
+        header = (run_dir / "trace.csv").read_text().splitlines()[0]
+        assert header == ("t,x0,x1,u0,u1,h_goal,hs_obstacle_disk,delta1,delta2,"
+                          "strict_cs,active_set_size,phase")
+
     def test_unknown_field_is_config_error(self, tmp_path):
         assert run_cli("--scenario", "acc", "--set", "bogus=1",
                        "--out", str(tmp_path)) == 2

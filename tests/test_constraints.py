@@ -8,12 +8,8 @@ from fxtqp.constraints import (
     InputBounds,
     SetFunction,
     SetKind,
-    convergence_row,
     finite_diff_gradient_check,
-    input_rows,
-    lie_derivatives,
-    safety_row,
-    safety_rows,
+    qp_rows,
 )
 from fxtqp.fxts import alpha_from_deadline
 from fxtqp.scenarios import AccConfig, acc_goal, acc_headway, _acc_system
@@ -30,28 +26,48 @@ def ball(radius=1.0, kind=SetKind.GOAL, name="ball"):
                        grad_h=lambda x: 2.0 * np.asarray(x, float))
 
 
+def unit_box(m):
+    # scale 1, so the input columns of the rows are the Lie derivatives
+    return InputBounds(lower=-np.ones(m), upper=np.ones(m))
+
+
+def reach_row(sys, goal, x, gains=None):
+    """The reach-rate row over z = (v, delta1, delta2) and its right side."""
+    A, b, _, _ = qp_rows(sys, goal, (), unit_box(sys.m), gains or alpha_from_deadline(2.0, 2.0), x)
+    return A[2 * sys.m], b[2 * sys.m]
+
+
+def safety_rows(sys, safe, x):
+    """The invariance rows of one safe set (one per branch) and their right sides."""
+    goal = ball(kind=SetKind.GOAL)
+    A, b, _, _ = qp_rows(sys, goal, (safe,), unit_box(sys.m), alpha_from_deadline(2.0, 2.0), x)
+    return A[2 * sys.m + 1:], b[2 * sys.m + 1:]
+
+
 ACC_STATE = np.array([20.0, 10.0, 150.0])
 
 
 class TestLieDerivatives:
     def test_single_integrator_ball(self):
-        lie = lie_derivatives(integrator(2), ball(), np.array([1.0, 0.0]))
-        assert lie.Lf == 0.0
-        assert np.allclose(lie.Lg, [2.0, 0.0])
+        row, rhs = reach_row(integrator(2), ball(), np.array([1.0, 0.0]))
+        assert rhs == 0.0     # Lf = 0 and h = 0
+        assert np.allclose(row[:2], [2.0, 0.0])
 
     def test_acc_goal_hand_values(self):
         # grad = (2(v_f - 22), 0, 0), drag at v_f = 20 is 0.1 + 100 + 100
         cfg = AccConfig()
-        lie = lie_derivatives(_acc_system(cfg), acc_goal(cfg), ACC_STATE)
-        assert lie.Lf == pytest.approx((-4.0) * (-200.1 / 1650.0), rel=1e-12)
-        assert lie.Lg[0] == pytest.approx(-4.0 / 1650.0, rel=1e-12)
+        gains = alpha_from_deadline(10.0, 5.0)
+        row, rhs = reach_row(_acc_system(cfg), acc_goal(cfg), ACC_STATE, gains)
+        power = gains.alpha1 * 4.0 ** gains.gamma1 + gains.alpha2 * 4.0 ** gains.gamma2
+        assert -(rhs + power) == pytest.approx((-4.0) * (-200.1 / 1650.0), rel=1e-12)
+        assert row[0] == pytest.approx(-4.0 / 1650.0, rel=1e-12)
 
     def test_constant_function_vanishes(self):
         const = SetFunction(name="c", kind=SetKind.SAFE,
                             h=lambda x: 1.0,
                             grad_h=lambda x: np.zeros(2))
-        lie = lie_derivatives(integrator(2), const, np.ones(2))
-        assert lie.Lf == 0.0 and np.all(lie.Lg == 0.0)
+        rows, rhs = safety_rows(integrator(2), const, np.ones(2))
+        assert rhs[0] == 0.0 and np.all(rows[0, :2] == 0.0)
 
 
 class TestConvergenceRow:
@@ -59,21 +75,21 @@ class TestConvergenceRow:
         gains = alpha_from_deadline(2.0, 2.0)
         sys = integrator(2)
         x = np.array([1.0, 0.0])  # exactly on the unit circle
-        row, rhs = convergence_row(sys, ball(), x, gains)
+        row, rhs = reach_row(sys, ball(), x, gains)
         assert row[-2] == pytest.approx(0.0)      # delta1 coefficient is -h = 0
-        assert rhs == pytest.approx(-lie_derivatives(sys, ball(), x).Lf)
+        assert rhs == pytest.approx(0.0)          # -Lf with Lf = 0
 
     def test_unit_level_powers_sum_to_alphas(self):
         gains = alpha_from_deadline(3.0, 5.0)
         sys = integrator(2)
         x = np.array([math.sqrt(2.0), 0.0])  # h = 1
-        _, rhs = convergence_row(sys, ball(), x, gains)
+        _, rhs = reach_row(sys, ball(), x, gains)
         assert rhs == pytest.approx(-(gains.alpha1 + gains.alpha2), rel=1e-12)
 
     def test_acc_hand_arithmetic(self):
         cfg = AccConfig()
         gains = alpha_from_deadline(10.0, 5.0)
-        row, rhs = convergence_row(_acc_system(cfg), acc_goal(cfg), ACC_STATE, gains)
+        row, rhs = reach_row(_acc_system(cfg), acc_goal(cfg), ACC_STATE, gains)
         lf = (-4.0) * (-200.1 / 1650.0)
         expected = -lf - math.pi / 4.0 * (4.0 ** 1.2 + 4.0 ** 0.8)
         assert rhs == pytest.approx(expected, rel=1e-12)
@@ -81,7 +97,7 @@ class TestConvergenceRow:
         assert row[-2] == pytest.approx(-4.0)     # -h_g
 
     def test_rhs_monotone_in_goal_value(self):
-        # larger positive goal value demands a faster decrease
+        # larger positive goal value demands a faster decrease (Lf = 0 here)
         gains = alpha_from_deadline(2.0, 2.0)
         sys = integrator(1)
         s = SetFunction(name="sq", kind=SetKind.GOAL,
@@ -89,15 +105,17 @@ class TestConvergenceRow:
                         grad_h=lambda x: np.array([2.0 * x[0]]))
         rhs_prev = math.inf
         for xv in np.linspace(0.5, 4.0, 12):
-            _, rhs = convergence_row(sys, s, np.array([xv]), gains)
-            rhs_here = rhs + lie_derivatives(sys, s, np.array([xv])).Lf
-            assert rhs_here <= rhs_prev
-            rhs_prev = rhs_here
+            _, rhs = reach_row(sys, s, np.array([xv]), gains)
+            assert rhs <= rhs_prev
+            rhs_prev = rhs
 
     def test_rejects_safe_kind(self):
         with pytest.raises(ValueError):
-            convergence_row(integrator(2), ball(kind=SetKind.SAFE),
-                            np.zeros(2), alpha_from_deadline(1.0, 2.0))
+            reach_row(integrator(2), ball(kind=SetKind.SAFE), np.zeros(2))
+
+    def test_rejects_goal_kind_as_safe_set(self):
+        with pytest.raises(ValueError):
+            safety_rows(integrator(2), ball(kind=SetKind.GOAL), np.zeros(2))
 
 
 class TestSafetyRow:
@@ -105,16 +123,16 @@ class TestSafetyRow:
         sys = integrator(2)
         s = ball(radius=2.0, kind=SetKind.SAFE)
         x = np.array([2.0, 0.0])
-        row, rhs = safety_row(sys, s, x)
-        assert row[-1] == pytest.approx(0.0)
-        assert rhs == pytest.approx(0.0)
+        rows, rhs = safety_rows(sys, s, x)
+        assert rows[0, -1] == pytest.approx(0.0)
+        assert rhs[0] == pytest.approx(0.0)
 
     def test_interior_example(self):
-        row, rhs = safety_row(integrator(2), ball(2.0, SetKind.SAFE),
-                              np.array([1.0, 0.0]))
-        assert np.allclose(row[:2], [2.0, 0.0])
-        assert row[-1] == pytest.approx(-3.0)
-        assert rhs == pytest.approx(0.0)
+        rows, rhs = safety_rows(integrator(2), ball(2.0, SetKind.SAFE),
+                                np.array([1.0, 0.0]))
+        assert np.allclose(rows[0, :2], [2.0, 0.0])
+        assert rows[0, -1] == pytest.approx(-3.0)
+        assert rhs[0] == pytest.approx(0.0)
 
     def test_composite_emits_one_row_per_branch(self):
         b1 = ball(1.0, SetKind.SAFE, "b1")
@@ -122,8 +140,39 @@ class TestSafetyRow:
                          h=lambda x: float(x[0] - 1.0),
                          grad_h=lambda x: np.array([1.0, 0.0]))
         comp = SetFunction.max_of("both", SetKind.SAFE, (b1, b2))
-        rows = safety_rows(integrator(2), comp, np.array([0.2, 0.1]))
+        x = np.array([0.2, 0.1])
+        rows, _ = safety_rows(integrator(2), comp, x)
         assert len(rows) == 2
+        assert list(rows[:, -1]) == [b1.value(x), b2.value(x)]
+
+    def test_set_values_are_reported(self):
+        # a composite's value is its max branch, as SetFunction.value gives it
+        b1 = ball(1.0, SetKind.SAFE, "b1")
+        b2 = SetFunction(name="b2", kind=SetKind.SAFE,
+                         h=lambda x: float(x[0] - 1.0),
+                         grad_h=lambda x: np.array([1.0, 0.0]))
+        comp = SetFunction.max_of("both", SetKind.SAFE, (b1, b2))
+        goal = ball(0.5)
+        x = np.array([0.2, 0.1])
+        _, _, h_goal, h_safe = qp_rows(integrator(2), goal, (comp, b2), unit_box(2),
+                                       alpha_from_deadline(2.0, 2.0), x)
+        assert h_goal == goal.value(x)
+        assert list(h_safe) == [comp.value(x), b2.value(x)]
+
+
+class TestFreezePins:
+    def test_pins_only_above_the_level(self):
+        cfg = AccConfig()
+        args = (_acc_system(cfg), acc_goal(cfg), (acc_headway(cfg),), unit_box(1),
+                alpha_from_deadline(10.0, 5.0))
+        far_A, _, _, _ = qp_rows(*args, np.array([20.0, 10.0, 150.0]), freeze_level=-20.0)
+        near_A, near_b, _, _ = qp_rows(*args, np.array([20.0, 10.0, 40.0]), freeze_level=-20.0)
+        unset_A, unset_b, _, _ = qp_rows(*args, np.array([20.0, 10.0, 40.0]))
+        assert far_A.shape == (4, 3) and unset_A.shape == (4, 3)
+        assert near_A.shape == (6, 3)
+        assert np.array_equal(near_A[4:], [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+        assert np.array_equal(near_b[4:], [0.0, 0.0])
+        assert np.array_equal(near_A[:4], unset_A) and np.array_equal(near_b[:4], unset_b)
 
 
 class TestCompositeSemantics:
@@ -151,9 +200,7 @@ class TestCompositeSemantics:
 
     def test_rows_affine_in_decision(self):
         # evaluating a row at 2z doubles the left side exactly
-        gains = alpha_from_deadline(2.0, 2.0)
-        sys = integrator(2)
-        row, _ = convergence_row(sys, ball(), np.array([1.5, -0.3]), gains)
+        row, _ = reach_row(integrator(2), ball(), np.array([1.5, -0.3]))
         rng = np.random.default_rng(0)
         z = rng.normal(size=row.size)
         assert row @ (2.0 * z) == pytest.approx(2.0 * (row @ z), rel=1e-15)
@@ -161,29 +208,40 @@ class TestCompositeSemantics:
 
 class TestInputRows:
     def test_symmetric_two_inputs(self):
-        A, b = input_rows(InputBounds(lower=-7.0 * np.ones(2), upper=7.0 * np.ones(2)))
+        bounds = InputBounds(lower=-7.0 * np.ones(2), upper=7.0 * np.ones(2))
+        A, b = bounds.box_rows
         assert A.shape == (4, 4)
+        assert np.array_equal(A[:, :2], [[7.0, 0.0], [-7.0, 0.0], [0.0, 7.0], [0.0, -7.0]])
         assert np.allclose(b, 7.0)
         assert np.all(A[:, 2:] == 0.0)
 
     def test_acc_quarter_weight_bound(self):
         u_max = 0.25 * 1650.0 * 9.81
         assert u_max == pytest.approx(4046.625)
-        A, b = input_rows(InputBounds(lower=np.array([-u_max]), upper=np.array([u_max])))
+        _, b = InputBounds(lower=np.array([-u_max]), upper=np.array([u_max])).box_rows
         assert np.allclose(b, [4046.625, 4046.625])
 
     def test_asymmetric_bounds(self):
-        A, b = input_rows(InputBounds(lower=np.array([-1.0]), upper=np.array([2.0])))
-        assert np.allclose(b, [2.0, 1.0])
+        bounds = InputBounds(lower=np.array([-1.0]), upper=np.array([2.0]))
+        assert np.allclose(bounds.box_rows[1], [2.0, 1.0])
+        assert np.allclose(bounds.scale(), [2.0])
 
     def test_feasible_iff_inside_box(self):
+        # the rows are over the scaled input v_s = v / scale
         rng = np.random.default_rng(1)
         bounds = InputBounds(lower=np.array([-1.0, 0.5]), upper=np.array([2.0, 3.0]))
-        A, b = input_rows(bounds)
+        A, b = bounds.box_rows
         for _ in range(500):
             v = rng.uniform(-2, 4, size=2)
-            z = np.concatenate([v, rng.normal(size=2)])
+            z = np.concatenate([v / bounds.scale(), rng.normal(size=2)])
             assert np.all(A @ z <= b + 1e-12) == bounds.contains(v)
+
+    def test_built_once_and_read_only(self):
+        bounds = InputBounds(lower=-np.ones(2), upper=np.ones(2))
+        assert bounds.scale() is bounds.scale()
+        for arr in (bounds.scale(), *bounds.box_rows):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -13,7 +16,8 @@ from fxtqp.controller import (
 )
 from fxtqp.fxts import RegimeKind, domain_threshold
 from fxtqp.scenarios import (AccConfig, acc_goal, acc_headway, acc_scenario, _acc_system,
-                             synthetic_suite)
+                             synthetic_suite, two_robot_scenario)
+from fxtqp.simulation import _joint_goal
 
 
 def integrator(n):
@@ -52,6 +56,78 @@ def equality_qp(problem, W):
     return cho_solve(chol, -(problem.F + A_w.T @ lam)), lam
 
 
+def reference_rows(sys, goal, safes, bounds, params, x):
+    """The synthesis QP's rows built one at a time, each with its own Lie
+    derivatives and set value, stacked and input-scaled at the end."""
+    m = bounds.m
+    mag = np.maximum(np.abs(bounds.lower), np.abs(bounds.upper))
+    scale = np.where(mag > 0, mag, 1.0)
+    rows, rhs = [], []
+    for i in range(m):
+        e = np.zeros(m + 2)
+        e[i] = 1.0
+        rows += [e, np.where(e > 0, -1.0, 0.0)]
+        rhs += [bounds.upper[i], -bounds.lower[i]]
+    grad, hv = goal.gradient(x), goal.value(x)
+    g = params.gains
+    power = (g.alpha1 * math.pow(hv, g.gamma1) + g.alpha2 * math.pow(hv, g.gamma2)
+             if hv > 0.0 else 0.0)
+    rows.append(np.concatenate([grad @ sys.input_matrix(x), [-hv, 0.0]]))
+    rhs.append(-float(grad @ sys.drift(x)) - power)
+    for s in safes:
+        for br in s.branches or (s,):
+            grad = br.gradient(x)
+            rows.append(np.concatenate([grad @ sys.input_matrix(x), [0.0, br.value(x)]]))
+            rhs.append(-float(grad @ sys.drift(x)))
+    level = params.delta2_freeze_level
+    if level is not None and safes and max(s.value(x) for s in safes) > level:
+        rows += [np.eye(m + 2)[m + 1], -np.eye(m + 2)[m + 1]]
+        rhs += [0.0, 0.0]
+    A = np.vstack(rows)
+    A[:, :m] = A[:, :m] * scale
+    return A, np.asarray(rhs, dtype=float)
+
+
+def assembly_samples():
+    """(label, sys, goal, safes, bounds, params, x) at states where assembly
+    has something to get wrong: frozen acc states (both pin rows), square
+    corners and diagonals of the tour (tied branches), joint goals, and the
+    synthetic cases."""
+    rng = np.random.default_rng(21)
+    out = []
+    cfg = AccConfig(d_delta=100.0)
+    sys, goal, safes, bounds, _ = acc_pieces(cfg)
+    frozen = acc_scenario(cfg).params
+    nominal = acc_pieces()[4]
+    for _ in range(40):
+        out.append(("acc", sys, goal, safes, bounds, nominal,
+                    rng.uniform([12, 8, 30], [28, 12, 200])))
+    for _ in range(40):
+        # D near 1.8 v_f puts the barrier above the freeze level -20
+        v = rng.uniform(15, 28)
+        out.append(("acc-frozen", sys, goal, safes, bounds, frozen,
+                    np.array([v, rng.uniform(8, 12), 1.8 * v + rng.uniform(-5, 25)])))
+    sc = two_robot_scenario()
+    t1, t2 = sc.schedule.tracks
+    for _ in range(80):
+        k1, k2 = rng.integers(8), rng.integers(8)
+        goal = _joint_goal([t1[k1].goal, t2[k2].goal])
+        safes = sc.schedule.global_safes + t1[k1].safe_extra + t2[k2].safe_extra
+        x = rng.uniform(-2.0, 2.0, size=4)
+        if len(out) % 2:
+            # agent 1 on a square corner or a diagonal, where two branches tie
+            x[:2] = rng.choice([-2.0, 2.0], size=2) * (1.0 if len(out) % 4 == 1
+                                                       else rng.uniform(0, 1))
+        out.append(("tour", sc.sys, goal, safes, sc.bounds, sc.params, x))
+    for case in synthetic_suite():
+        c = case.scenario
+        phase = c.schedule.phases[0]
+        for _ in range(15):
+            out.append((c.scenario_id, c.sys, phase.goal, c.schedule.global_safes + phase.safe_extra,
+                        c.bounds, c.params, rng.uniform(-2.0, 2.0, size=c.sys.n)))
+    return out
+
+
 class TestParams:
     def test_for_deadline_builds_consistent_gains(self):
         p = SynthesisParams.for_deadline(10.0, 5.0, m=2)
@@ -64,6 +140,15 @@ class TestParams:
 
 
 class TestAssemble:
+    def test_objective_built_once(self):
+        sys, goal, safes, bounds, params = acc_pieces()
+        p1 = assemble(sys, goal, safes, bounds, params, np.array([20.0, 10.0, 150.0]))
+        p2 = assemble(sys, goal, safes, bounds, params, np.array([24.0, 10.0, 80.0]))
+        assert p1.H is params.H and np.shares_memory(p2.F, params.F)
+        assert p1.L is p2.L and p1.L_inv is p2.L_inv
+        with pytest.raises(ValueError):
+            params.H[0, 0] = 2.0
+
     def test_acc_dimensions(self):
         sys, goal, safes, bounds, params = acc_pieces()
         p = assemble(sys, goal, safes, bounds, params, np.array([20.0, 10.0, 150.0]))
@@ -90,6 +175,22 @@ class TestAssemble:
         p = assemble(sc.sys, track0.goal, safes, sc.bounds, sc.params, sc.x0)
         assert p.n_z == 6
         assert p.m_c == 8 + 1 + 13   # inputs, convergence, safety branches
+
+    def test_matches_row_by_row_reference(self):
+        samples = assembly_samples()
+        assert len(samples) >= 200
+        pinned = ties = 0
+        for label, sys, goal, safes, bounds, params, x in samples:
+            p = assemble(sys, goal, safes, bounds, params, x)
+            A, b = reference_rows(sys, goal, safes, bounds, params, x)
+            assert p.A.shape == A.shape, label
+            assert np.array_equal(p.A, A) and np.array_equal(p.b, b), (label, x)
+            assert p.h_goal == goal.value(x)
+            assert list(p.h_safe) == [s.value(x) for s in safes]
+            pinned += label == "acc-frozen" and p.m_c == 6
+            ties += any(sorted(s.branch_values(x))[-2:] == [s.value(x)] * 2
+                        for s in safes if s.branches)
+        assert pinned >= 10 and ties >= 10
 
     def test_objective_layout(self):
         sys, goal, safes, bounds, params = acc_pieces()
@@ -204,6 +305,43 @@ class TestSynthesize:
             assert seg["domain_ok"] == (seg["v_entry"] <= v_max)
             assert (seg["bound_T"] is None) == (not seg["domain_ok"])
             assert seg["bound_T"] is None or seg["bound_T"] > 0
+
+    @staticmethod
+    def pushed_solver(monkeypatch, excess):
+        """Make qp.solve_qp return its answer with the input moved past the
+        upper bound by ``excess`` (scaled)."""
+        solve = qp.solve_qp
+
+        def pushed(problem, warm_start=None):
+            sol = solve(problem, warm_start=warm_start)
+            z = sol.z_star.copy()
+            z[0] = 1.0 + excess
+            return dataclasses.replace(sol, z_star=z)
+
+        monkeypatch.setattr(qp, "solve_qp", pushed)
+
+    def test_box_overshoot_beyond_tolerance_fails(self, monkeypatch):
+        sys, goal, safes, bounds, params = acc_pieces()
+        self.pushed_solver(monkeypatch, 1e-6)
+        with pytest.raises(SolverFailure, match="leaves its box"):
+            synthesize(sys, goal, safes, bounds, params, np.array([20.0, 10.0, 150.0]))
+
+    def test_box_overshoot_within_tolerance_is_clipped(self, monkeypatch):
+        sys, goal, safes, bounds, params = acc_pieces()
+        self.pushed_solver(monkeypatch, 1e-12)
+        dec = synthesize(sys, goal, safes, bounds, params, np.array([20.0, 10.0, 150.0]))
+        assert dec.u[0] == bounds.upper[0]
+        assert dec.box_overshoot == pytest.approx(1e-12, rel=1e-3)
+
+    def test_decision_reports_solver_counters(self):
+        sys, goal, safes, bounds, params = acc_pieces()
+        x = np.array([24.0, 10.0, 80.0])
+        cold = synthesize(sys, goal, safes, bounds, params, x)
+        hot = synthesize(sys, goal, safes, bounds, params, x, warm_start=cold.active_set)
+        assert cold.iterations >= 1 and hot.iterations == 0
+        assert cold.box_overshoot == 0.0 or cold.box_overshoot <= qp.FEAS_TOL
+        assert cold.h_goal == goal.value(x)
+        assert list(cold.h_safe) == [s.value(x) for s in safes]
 
     def test_solver_failure_raised_on_infeasible_freeze(self):
         # delta2 pinned to zero while the plain headway constraint (no

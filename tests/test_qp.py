@@ -191,25 +191,45 @@ class TestAlgebraicProperties:
                 assert kkt_residual(p, warm).stationarity <= 1e-8
 
     def test_warm_start_on_dependent_pair(self):
-        # the opposing rows of an equality pin are dependent: the guess is
-        # rejected and the solve starts cold
+        # the opposing rows of an equality pin are dependent: the later one is
+        # dropped and the solve starts from the rest, not cold
         p = make_problem(np.eye(3), [-1.0, -1.0, -1.0],
                          [[0, 0, 1.0], [0, 0, -1.0], [1.0, 0, 0]],
                          [0.0, 0.0, 0.3])
         cold = solve_qp(p)
-        for guess in ((0, 1), (0, 1, 2), (1, 0)):
+        assert cold.iterations == 2
+        for guess, iterations in (((0, 1), 1), ((0, 1, 2), 0), ((1, 0), 1), ((2, 1, 0), 0)):
             warm = solve_qp(p, warm_start=guess)
+            assert warm.iterations == iterations < cold.iterations, guess
             assert warm.objective == pytest.approx(cold.objective, abs=1e-10)
             assert np.allclose(warm.z_star, [0.3, 1.0, 0.0], atol=1e-10)
 
+    def test_warm_start_with_more_rows_than_variables(self):
+        # min 0.5|z - (2, 2)|^2 s.t. z1 <= 1, z2 <= 1, z1 <= 3, z1 + z2 <= 5:
+        # a guess of all four rows keeps the first two, which are optimal;
+        # (0, 2, 3) drops row 2, dependent on row 0, and takes row 3 in its
+        # place, whose multiplier -2 then drops it as well
+        p = make_problem(np.eye(2), [-2.0, -2.0],
+                         [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]],
+                         [1.0, 1.0, 3.0, 5.0])
+        cold = solve_qp(p)
+        assert cold.iterations == 2
+        for guess, iterations in (((0, 1, 2, 3), 0), ((3, 2, 1, 0), 0), ((0, 1, 3), 0),
+                                  ((0, 2, 3), 1)):
+            warm = solve_qp(p, warm_start=guess)
+            assert warm.iterations == iterations < cold.iterations, guess
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-10)
+            assert np.allclose(warm.z_star, [1.0, 1.0], atol=1e-12)
+
     def test_warm_start_with_negative_multiplier(self):
         # min 0.5|z - (1, 1)|^2 s.t. z1 <= 5, z2 <= 0.5: holding z1 = 5 needs
-        # the multiplier 1 - 5 = -4, so that guess is rejected
+        # the multiplier 1 - 5 = -4, so that row is dropped from the guess
         p = make_problem(np.eye(2), [-1.0, -1.0], [[1.0, 0.0], [0.0, 1.0]], [5.0, 0.5])
         cold = solve_qp(p)
-        assert cold.active_set == (1,)
-        for guess in ((0,), (0, 1), (1,)):
+        assert cold.active_set == (1,) and cold.iterations == 1
+        for guess, iterations in (((0,), 1), ((0, 1), 0), ((1,), 0)):
             warm = solve_qp(p, warm_start=guess)
+            assert warm.iterations == iterations, guess
             assert warm.objective == pytest.approx(cold.objective, abs=1e-10)
             assert np.allclose(warm.z_star, [1.0, 0.5], atol=1e-12)
             assert np.allclose(warm.lambda_star, [0.0, 0.5], atol=1e-12)
@@ -252,6 +272,46 @@ def test_property_kkt_residuals_hold(seed):
     assert r.stationarity <= 1e-8
     assert r.primal_violation <= 1e-8
     assert r.comp_slack <= 1e-8
+
+
+class TestFactorCache:
+    def test_same_h_shares_one_factor(self):
+        H = np.array([[4.0, 1.0], [1.0, 3.0]])
+        p, q = make_problem(H, [1.0, 0.0]), make_problem(H.copy(), [0.0, 1.0])
+        assert p.L is q.L and p.L_inv is q.L_inv
+        assert np.allclose(p.L @ p.L.T, H, atol=1e-15)
+        with pytest.raises(ValueError):
+            p.L[0, 0] = 1.0
+
+    def test_distinct_h_never_share_a_factor(self):
+        H = np.array([[4.0, 1.0], [1.0, 3.0]])
+        near = H.copy()
+        near[1, 1] = np.nextafter(3.0, 4.0)
+        p, q = make_problem(H, [1.0, 0.0]), make_problem(near, [1.0, 0.0])
+        assert p.L is not q.L and not np.array_equal(p.L, q.L)
+        assert np.allclose(q.L @ q.L.T, near, rtol=0, atol=1e-15)
+        assert np.allclose(q.L_inv @ q.L, np.eye(2), atol=1e-15)
+
+    def test_invalid_h_rejected_after_a_valid_one(self):
+        # a factored H of the same shape must not let a bad one through
+        make_problem(np.eye(2), [0.0, 0.0])
+        with pytest.raises(ValueError, match="symmetric"):
+            make_problem([[1.0, 0.5], [0.0, 1.0]], [0.0, 0.0])
+        with pytest.raises(ValueError, match="positive definite"):
+            make_problem([[1.0, 0.0], [0.0, -1.0]], [0.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            make_problem([[1.0, 0.0], [0.0, np.nan]], [0.0, 0.0])
+        for _ in range(2):   # a failed check caches nothing
+            with pytest.raises(ValueError, match="finite"):
+                make_problem([[np.inf, 0.0], [0.0, 1.0]], [0.0, 0.0])
+
+    def test_non_finite_rows_rejected_with_a_cached_h(self):
+        make_problem(np.eye(2), [0.0, 0.0])
+        for F, A, b in (([np.nan, 0.0], [[1.0, 0.0]], [1.0]),
+                        ([0.0, 0.0], [[np.inf, 0.0]], [1.0]),
+                        ([0.0, 0.0], [[1.0, 0.0]], [np.nan])):
+            with pytest.raises(ValueError, match="finite"):
+                make_problem(np.eye(2), F, A, b)
 
 
 class TestValidation:

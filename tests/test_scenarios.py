@@ -250,22 +250,25 @@ class TestSyntheticSuite:
 
     def test_normalized_gradient_input_renders_boundary_safe(self):
         # a scaled negative gradient step satisfies the tangency condition
-        # on any safe-set boundary of a single integrator
-        from fxtqp.constraints import lie_derivatives
+        # (the invariance row with h_s = 0) on any safe-set boundary of a
+        # single integrator
+        from fxtqp.constraints import ControlAffineSystem, InputBounds, qp_rows
         case = next(c for c in synthetic_suite()
                     if c.scenario.scenario_id == "synthetic:fullact2d")
-        safe = case.scenario.schedule.global_safes[0]
+        sc = case.scenario
+        safe = sc.schedule.global_safes[0]
         rng = np.random.default_rng(5)
-        from fxtqp.constraints import ControlAffineSystem
         integ2 = ControlAffineSystem(n=2, m=2, f=lambda x: np.zeros(2),
                                      g=lambda x: np.eye(2))
+        unit = InputBounds(lower=-np.ones(2), upper=np.ones(2))
         for _ in range(50):
             theta = rng.uniform(0, 2 * np.pi)
             x = 2.0 * np.array([np.cos(theta), np.sin(theta)])  # on the disk edge
             grad = safe.gradient(x)
             u = -0.5 * grad / np.linalg.norm(grad)
-            lie = lie_derivatives(integ2, safe, x)
-            assert lie.Lf + lie.Lg @ u <= 1e-12
+            A, b, _, _ = qp_rows(integ2, sc.schedule.phases[0].goal, (safe,), unit,
+                                 sc.params.gains, x)
+            assert A[-1, :2] @ u <= b[-1] + 1e-12     # Lg u <= -Lf
 
     def test_obstacle_detour_reaches_and_avoids(self):
         case = next(c for c in synthetic_suite()

@@ -132,6 +132,14 @@ class TestRun:
             assert np.array_equal(getattr(t1, field), getattr(t2, field))
         assert t1.reach_times == t2.reach_times
 
+    def test_solver_counters_per_step(self):
+        sys, sched, bounds, params = simple_setup()
+        trace = run(sys, sched, bounds, params, np.array([1.0, -0.4]), 1e-3)
+        assert trace.qp_iters.shape == trace.box_overshoot.shape == (len(trace),)
+        assert trace.qp_iters.dtype.kind == "i" and np.all(trace.qp_iters >= 0)
+        assert trace.qp_iters[0] >= 1          # the first solve starts cold
+        assert np.all((trace.box_overshoot >= 0.0) & (trace.box_overshoot <= 1e-8))
+
     def test_time_grid_is_uniform(self):
         sys, sched, bounds, params = simple_setup()
         trace = run(sys, sched, bounds, params, np.array([1.0, 1.0]), 1e-3)
