@@ -97,7 +97,6 @@ def _summarize(trace, scenario) -> dict:
         "max_delta1": stats["max_delta1"],
         "fixed_time_certificate": worst_case(trace.segments),
         "segments": list(trace.segments),
-        "disc_warnings": trace.disc_warnings,
         "solver": _solver_summary(trace),
         "exit_code": _outcome_exit_code(trace.outcome),
     }
@@ -148,7 +147,7 @@ def cmd_sweep(args) -> int:
                            tag=f"{axis}={value}")
 
     try:
-        with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             summaries = list(pool.map(one, values))
     except (ValueError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -259,6 +258,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.dt is not None and not args.dt > 0:
         print("configuration error: dt must be positive", file=sys.stderr)
+        return EXIT_CONFIG
+    if args.jobs < 1:
+        print(f"configuration error: --jobs must be at least 1, got {args.jobs}",
+              file=sys.stderr)
         return EXIT_CONFIG
     if args.verify_bounds:
         return cmd_verify_bounds(args)

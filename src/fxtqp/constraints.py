@@ -45,7 +45,6 @@ class ControlAffineSystem:
     f: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
     disturbance: Callable[[np.ndarray], np.ndarray] | None = None
-    name: str = ""
 
     def drift(self, x: np.ndarray) -> np.ndarray:
         out = np.asarray(self.f(x), dtype=float).reshape(self.n)
@@ -177,9 +176,13 @@ def qp_rows(sys: ControlAffineSystem, h_g: SetFunction, safes: Sequence[SetFunct
     - one invariance row Lf·h_s + Lg·h_s v <= -delta2*h_s per safe-set
       branch, all sharing delta2 (the conjunction enforces the max branch
       without its gradient jumps; on the boundary h_s = 0 the row reduces to
-      tangency);
-    - when ``freeze_level`` is set and some safe-set value exceeds it, the
-      pair delta2 <= 0, -delta2 <= 0 that pins delta2 = 0.
+      tangency).
+
+    When ``freeze_level`` is set and some safe-set value exceeds it, the
+    delta2 column of every invariance row is zeroed, so each row reads
+    Lf·h_s + Lg·h_s v <= 0.  delta2 then enters no row, and the objective
+    (diagonal, no linear delta2 term) puts it at 0.  The row count is the
+    same frozen or not.
 
     f(x) and g(x) are evaluated once; each set function once per branch.
     Returns (A, b, h_goal, h_safe): the rows and the set values they used,
@@ -193,8 +196,6 @@ def qp_rows(sys: ControlAffineSystem, h_g: SetFunction, safes: Sequence[SetFunct
     m = bounds.m
     k = box_b.size
     n_rows = k + 1 + sum(len(s.branches) or 1 for s in safes)
-    if freeze_level is not None:
-        n_rows += 2
     A = np.zeros((n_rows, m + 2))
     b = np.zeros(n_rows)
     A[:k] = box_A
@@ -223,13 +224,8 @@ def qp_rows(sys: ControlAffineSystem, h_g: SetFunction, safes: Sequence[SetFunct
             k += 1
         h_safe.append(max(values))
     A[box_b.size:k, :m] *= bounds.scale()
-
-    if freeze_level is not None:
-        if h_safe and max(h_safe) > freeze_level:
-            A[k, m + 1] = 1.0
-            A[k + 1, m + 1] = -1.0
-        else:
-            A, b = A[:k], b[:k]
+    if freeze_level is not None and h_safe and max(h_safe) > freeze_level:
+        A[:, m + 1] = 0.0
     return A, b, h_goal, np.array(h_safe)
 
 

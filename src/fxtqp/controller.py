@@ -43,9 +43,10 @@ class SynthesisParams:
     ``gains`` is derived from (T_ud, mu): alpha_from_deadline meets T_ud.
     ``H`` and ``F``, the QP's objective in input-scaled coordinates, are
     built once from the weights (read-only).
-    ``delta2_freeze_level``, when set, pins delta2 = 0 (via an equality
-    encoded as two inequality rows) whenever some safe-set value exceeds the
-    level; used by the disturbed cruise-control study.
+    ``delta2_freeze_level``, when set, pins delta2 = 0 whenever some
+    safe-set value exceeds the level, by dropping delta2 from every
+    invariance row (see :func:`fxtqp.constraints.qp_rows`); used by the
+    disturbed cruise-control study.
     """
 
     T_ud: float

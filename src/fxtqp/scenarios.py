@@ -64,8 +64,9 @@ class AccConfig:
     whose safe set lies inside the headway set.
     The optional disturbance d_delta/M * |v_f - v_d| pushes on the follower
     acceleration; when it is active the invariance slack is pinned to zero
-    as soon as the barrier value rises past delta2_freeze_at, and the
-    ``*_disturbed`` weights replace the nominal ones.
+    as soon as the barrier value rises past delta2_freeze_at (the invariance
+    row then drops delta2 and reads h_s' <= 0), and the ``*_disturbed``
+    weights replace the nominal ones.
     """
 
     M: float = 1650.0            # follower mass, kg
@@ -125,7 +126,7 @@ def _acc_system(cfg: AccConfig) -> ControlAffineSystem:
         def disturbance(x):
             return np.array([cfg.d_delta / cfg.M * abs(x[0] - cfg.v_d), 0.0, 0.0])
 
-    return ControlAffineSystem(n=3, m=1, f=f, g=g, disturbance=disturbance, name="acc")
+    return ControlAffineSystem(n=3, m=1, f=f, g=g, disturbance=disturbance)
 
 
 def acc_goal(cfg: AccConfig) -> SetFunction:
@@ -187,7 +188,7 @@ def acc_scenario(cfg: AccConfig | None = None) -> Scenario:
     )
     schedule = Schedule(
         tracks=((Phase(goal=acc_goal(cfg), deadline=cfg.T_ud,
-                       reach_tol=cfg.reach_band ** 2, label="speed_band"),),),
+                       reach_tol=cfg.reach_band ** 2),),),
         global_safes=(acc_headway(cfg),),
         horizon=cfg.horizon,
     )
@@ -387,7 +388,7 @@ def two_robot_scenario(cfg: TwoRobotConfig | None = None,
     def g(x):
         return np.eye(4)
 
-    sys = ControlAffineSystem(n=4, m=4, f=f, g=g, name="two_robot")
+    sys = ControlAffineSystem(n=4, m=4, f=f, g=g)
 
     goals = [waypoint_sets(cfg, agent, SetKind.GOAL) for agent in (0, 1)]
     stays = [waypoint_sets(cfg, agent, SetKind.SAFE) for agent in (0, 1)]
@@ -404,10 +405,9 @@ def two_robot_scenario(cfg: TwoRobotConfig | None = None,
     for agent in (0, 1):
         prev = starts[agent]
         legs = []
-        for leg, i in enumerate(tours[agent]):
+        for i in tours[agent]:
             legs.append(Phase(goal=goals[agent][i], deadline=cfg.phase_budget,
-                              safe_extra=(stays[agent][prev],),
-                              label=f"a{agent + 1}_leg{leg}"))
+                              safe_extra=(stays[agent][prev],)))
             prev = i
         tracks.append(tuple(legs))
 
@@ -451,7 +451,7 @@ class SyntheticCase:
 
 def _integrator(n: int) -> ControlAffineSystem:
     return ControlAffineSystem(n=n, m=n, f=lambda x: np.zeros(n),
-                               g=lambda x: np.eye(n), name=f"integrator{n}d")
+                               g=lambda x: np.eye(n))
 
 
 def synthetic_suite() -> list[SyntheticCase]:
@@ -463,7 +463,7 @@ def synthetic_suite() -> list[SyntheticCase]:
     goal_1d = SetFunction(name="ball1d", kind=SetKind.GOAL,
                           h=lambda x: float(x[0] ** 2 - 0.01),
                           grad_h=lambda x: np.array([2.0 * x[0]]))
-    sched = Schedule(tracks=((Phase(goal=goal_1d, deadline=2.0, label="origin"),),))
+    sched = Schedule(tracks=((Phase(goal=goal_1d, deadline=2.0),),))
     cases.append(SyntheticCase(
         scenario=Scenario(
             scenario_id="synthetic:int1d",
@@ -485,7 +485,7 @@ def synthetic_suite() -> list[SyntheticCase]:
                            h=lambda x: float(0.16 - ((x[0] - 1.0) ** 2 + x[1] ** 2)),
                            grad_h=lambda x: np.array([-2.0 * (x[0] - 1.0), -2.0 * x[1]]))
     sched2 = Schedule(
-        tracks=((Phase(goal=goal_2d, deadline=6.0, label="across"),),),
+        tracks=((Phase(goal=goal_2d, deadline=6.0),),),
         global_safes=(obstacle,),
     )
     cases.append(SyntheticCase(
@@ -515,13 +515,13 @@ def synthetic_suite() -> list[SyntheticCase]:
                           h=lambda x: float(x[0] ** 2 + x[1] ** 2 - 4.0),
                           grad_h=lambda x: 2.0 * np.asarray(x, dtype=float))
     sched3 = Schedule(
-        tracks=((Phase(goal=goal_nl, deadline=3.0, label="inward"),),),
+        tracks=((Phase(goal=goal_nl, deadline=3.0),),),
         global_safes=(keep_in,),
     )
     cases.append(SyntheticCase(
         scenario=Scenario(
             scenario_id="synthetic:fullact2d",
-            sys=ControlAffineSystem(n=2, m=2, f=f_nl, g=g_nl, name="fullact2d"),
+            sys=ControlAffineSystem(n=2, m=2, f=f_nl, g=g_nl),
             schedule=sched3,
             bounds=InputBounds(lower=-5.0 * np.ones(2), upper=5.0 * np.ones(2)),
             params=SynthesisParams.for_deadline(3.0, 2.0, m=2),

@@ -3,8 +3,10 @@
 A run executes a phase schedule: each phase names a goal set, a relative
 deadline, and phase-specific safety branches layered on top of the global
 ones.  Phases advance the moment the goal value drops to the phase's reach
-tolerance; deadlines are checked, not waited for.  The trace records every
-step, a fixed-time certificate per goal segment, and a single outcome.
+tolerance; deadlines are checked, not waited for.  Safety is judged as the
+paper defines it, forward invariance of {h_s <= 0}: the first step with a
+positive safe-set value (beyond round-off) ends the run.  The trace records
+every step, a fixed-time certificate per goal segment, and a single outcome.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
 ]
 
 _TIME_EPS = 1e-12
+_SAFE_TOL = 1e-12   # round-off allowance on a recorded safe-set value
 
 
 class NonFiniteState(RuntimeError):
@@ -76,7 +79,6 @@ class Phase:
     deadline: float
     safe_extra: tuple[SetFunction, ...] = ()
     reach_tol: float = 0.0
-    label: str = ""
 
     def __post_init__(self):
         if not self.deadline > 0:
@@ -136,7 +138,6 @@ class Trace:
     reach_times: tuple[float | None, ...] = ()
     track_reach_times: tuple[tuple[float | None, ...], ...] = ()
     segments: tuple[dict, ...] = ()     # fxts.certify_segment, one per goal segment
-    disc_warnings: int = 0
 
     def __len__(self) -> int:
         return self.t.size
@@ -195,12 +196,12 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
 
     Per step: advance every track whose current goal is met, synthesize the
     input for the combined goal (the sum of the positive parts of the
-    unfinished tracks' goals), record, monitor safety, then integrate.  A
-    state with a safe-set value inside the Euler-consistency band (10 * dt *
-    the running slope estimate of that column, kept only while the column's
-    set stays the same) counts as a discretization warning, not a violation.
-    Each goal segment, a maximal run of steps whose controller goal is built
-    from the same phase goals, gets a certificate.
+    unfinished tracks' goals), record, monitor safety, then integrate.
+    Safety is forward invariance of every {h_s <= 0}: a recorded safe-set
+    value above a round-off allowance of 1e-12 ends the run
+    ``safety_violated`` at that step.  Each goal segment, a maximal run of
+    steps whose controller goal is built from the same phase goals, gets a
+    certificate.
     Deterministic: identical inputs give bit-identical traces.
     """
     if not dt > 0:
@@ -224,10 +225,6 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
     step = 0
     warm: tuple[int, ...] | None = None
     outcome: Outcome | None = None
-    disc_warnings = 0
-    prev_hs: np.ndarray | None = None
-    prev_safes: tuple[SetFunction, ...] = ()
-    max_rate = np.zeros(len(safe_names))
     seg_goals: list[SetFunction] = []
     seg_starts: list[int] = []
 
@@ -289,22 +286,12 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
             seg_goals = pending
             seg_starts.append(len(rec_t) - 1)
 
-        if prev_hs is not None:
-            rate = np.abs(hs_vals - prev_hs) / dt
-            if safes != prev_safes:
-                # a leg switch put other sets in these columns: a jump, not a slope
-                rate[[s is not p for s, p in zip(safes, prev_safes)]] = 0.0
-            max_rate = np.maximum(max_rate, rate)
-        prev_hs, prev_safes = hs_vals, safes
-        band = 10.0 * dt * max_rate
-        violated = np.nonzero(hs_vals > band + 1e-12)[0]
-        if violated.size:
-            j = int(violated[np.argmax(hs_vals[violated])])
+        if np.any(hs_vals > _SAFE_TOL):
+            j = int(np.argmax(hs_vals))
             outcome = Outcome(kind=OutcomeKind.SAFETY_VIOLATED, phase=min(idx), t=t,
                               branch=safe_names[j],
                               message=f"h_s[{safe_names[j]}] = {hs_vals[j]:.6g}")
             break
-        disc_warnings += int(np.count_nonzero(hs_vals > 1e-12))
 
         try:
             x = step_euler(sys, x, decision.u, dt)
@@ -347,7 +334,6 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
         reach_times=tuple(joint),
         track_reach_times=tuple(tuple(r) for r in reach),
         segments=segments,
-        disc_warnings=disc_warnings,
     )
 
 

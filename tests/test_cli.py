@@ -1,9 +1,11 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fxtqp.cli import main
@@ -73,6 +75,19 @@ class TestRun:
         summary = json.loads((tmp_path / "acc" / "summary.json").read_text())
         assert summary["outcome"]["kind"] == "solver_failure"
 
+    def test_frozen_acc_run_is_strictly_complementary(self, tmp_path):
+        # the freeze takes delta2 out of the invariance row, so no dependent
+        # pin pair is left to report non-strict complementarity at the
+        # frozen steps (about a third of this run)
+        assert run_cli("--scenario", "acc", "--set", "v_f0=27", "--set", "d_delta=100",
+                       "--out", str(tmp_path)) == 0
+        summary = json.loads((tmp_path / "acc" / "summary.json").read_text())
+        assert summary["solver"]["nonstrict_steps"] == 0
+        trace = trace_from_csv(tmp_path / "acc" / "trace.csv")
+        frozen = trace.h_safe[:, 0] > -20.0
+        assert frozen.sum() >= 600
+        assert np.max(np.abs(trace.delta2[frozen])) <= 1e-8
+
     def test_env_var_sets_default_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FXTQP_OUT", str(tmp_path / "from-env"))
         assert run_cli("--scenario", "synthetic:int1d") == 0
@@ -129,6 +144,12 @@ class TestSweep:
         for sub in ("v_f0=21", "v_f0=24"):
             assert (tmp_path / sub / "trace.csv").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_config_error(self, tmp_path, jobs):
+        assert run_cli("--scenario", "acc", "--sweep", "v_f0=21", "--jobs", jobs,
+                       "--out", str(tmp_path)) == 2
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_sweep_propagates_failures(self, tmp_path):
         # with a 1 s deadline the 17 m/s start misses and the 21 m/s one meets it
         code = run_cli("--scenario", "acc", "--sweep", "v_f0=17,21",
@@ -162,6 +183,23 @@ class TestVerifyBounds:
         assert run_cli("--verify-bounds", "--grid-json", str(path),
                        "--out", str(tmp_path)) == 2
         assert not (tmp_path / "bounds.csv").exists()
+
+
+def test_readme_lists_every_summary_key(tmp_path):
+    # README's summary.json field list and the written summary name the same
+    # top-level keys: each key appears in a bullet, each bullet opens with a key
+    assert run_cli("--scenario", "synthetic:int1d", "--out", str(tmp_path)) == 0
+    keys = set(json.loads((tmp_path / "synthetic_int1d" / "summary.json").read_text()))
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("`summary.json` fields:\n\n", 1)[1].split("\n\n", 1)[0]
+    bullets = [b for b in section.split("\n- ") if b.strip()]
+    assert bullets and section.startswith("- ")
+    missing = {k for k in keys if f"`{k}`" not in section}
+    assert not missing, f"summary keys absent from README: {sorted(missing)}"
+    openers = [re.match(r"-? ?`(\w+)`", b) for b in bullets]
+    assert all(openers), bullets
+    stale = {o.group(1) for o in openers} - keys
+    assert not stale, f"README bullets for keys the summary lacks: {sorted(stale)}"
 
 
 def test_import_leaves_scipy_optimize_unloaded():

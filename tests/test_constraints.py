@@ -165,14 +165,18 @@ class TestFreezePins:
         cfg = AccConfig()
         args = (_acc_system(cfg), acc_goal(cfg), (acc_headway(cfg),), unit_box(1),
                 alpha_from_deadline(10.0, 5.0))
-        far_A, _, _, _ = qp_rows(*args, np.array([20.0, 10.0, 150.0]), freeze_level=-20.0)
-        near_A, near_b, _, _ = qp_rows(*args, np.array([20.0, 10.0, 40.0]), freeze_level=-20.0)
-        unset_A, unset_b, _, _ = qp_rows(*args, np.array([20.0, 10.0, 40.0]))
-        assert far_A.shape == (4, 3) and unset_A.shape == (4, 3)
-        assert near_A.shape == (6, 3)
-        assert np.array_equal(near_A[4:], [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-        assert np.array_equal(near_b[4:], [0.0, 0.0])
-        assert np.array_equal(near_A[:4], unset_A) and np.array_equal(near_b[:4], unset_b)
+        far, near = np.array([20.0, 10.0, 150.0]), np.array([20.0, 10.0, 40.0])
+        far_A, far_b, _, _ = qp_rows(*args, far, freeze_level=-20.0)
+        near_A, near_b, _, _ = qp_rows(*args, near, freeze_level=-20.0)
+        unset_far_A, unset_far_b, _, _ = qp_rows(*args, far)
+        unset_A, unset_b, _, _ = qp_rows(*args, near)
+        # the same rows frozen or not; below the level nothing changes
+        assert far_A.shape == near_A.shape == unset_A.shape == (4, 3)
+        assert np.array_equal(far_A, unset_far_A) and np.array_equal(far_b, unset_far_b)
+        assert far_A[3, 2] != 0.0
+        # above it delta2 leaves the invariance row and nothing else changes
+        assert unset_A[3, 2] != 0.0 and not near_A[:, 2].any()
+        assert np.array_equal(near_A[:, :2], unset_A[:, :2]) and np.array_equal(near_b, unset_b)
 
 
 class TestCompositeSemantics:

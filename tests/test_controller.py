@@ -79,18 +79,17 @@ def reference_rows(sys, goal, safes, bounds, params, x):
             grad = br.gradient(x)
             rows.append(np.concatenate([grad @ sys.input_matrix(x), [0.0, br.value(x)]]))
             rhs.append(-float(grad @ sys.drift(x)))
+    A = np.vstack(rows)
     level = params.delta2_freeze_level
     if level is not None and safes and max(s.value(x) for s in safes) > level:
-        rows += [np.eye(m + 2)[m + 1], -np.eye(m + 2)[m + 1]]
-        rhs += [0.0, 0.0]
-    A = np.vstack(rows)
+        A[:, m + 1] = 0.0
     A[:, :m] = A[:, :m] * scale
     return A, np.asarray(rhs, dtype=float)
 
 
 def assembly_samples():
     """(label, sys, goal, safes, bounds, params, x) at states where assembly
-    has something to get wrong: frozen acc states (both pin rows), square
+    has something to get wrong: frozen acc states (delta2 column zeroed), square
     corners and diagonals of the tour (tied branches), joint goals, and the
     synthetic cases."""
     rng = np.random.default_rng(21)
@@ -155,7 +154,7 @@ class TestAssemble:
         assert p.n_z == 3
         assert p.m_c == 4     # 2 input rows + convergence + safety
 
-    def test_freeze_rows_added_near_boundary(self):
+    def test_freeze_drops_delta2_near_boundary(self):
         cfg = AccConfig(d_delta=50.0)
         sys, goal, safes, bounds, _ = acc_pieces(cfg)
         params = SynthesisParams.for_deadline(
@@ -163,8 +162,12 @@ class TestAssemble:
             q1=cfg.q1_disturbed, delta2_freeze_level=cfg.delta2_freeze_at)
         far = assemble(sys, goal, safes, bounds, params, np.array([20.0, 10.0, 150.0]))
         assert far.m_c == 4   # h_s = -91 is below the freeze level
+        assert far.A[3, 2] == pytest.approx(-91.0, abs=1.0)
         near = assemble(sys, goal, safes, bounds, params, np.array([20.0, 10.0, 40.0]))
-        assert near.m_c == 6  # h_s = +19 pins delta2 = 0 via two rows
+        assert near.m_c == 4  # h_s = +19 pins delta2 = 0: no row carries it
+        assert not near.A[:, 2].any()
+        dec = synthesize(sys, goal, safes, bounds, params, np.array([20.0, 10.0, 40.0]))
+        assert dec.delta2 == 0.0 and dec.strict_cs
 
     def test_two_robot_dimensions(self):
         from fxtqp.scenarios import two_robot_scenario
@@ -187,7 +190,7 @@ class TestAssemble:
             assert np.array_equal(p.A, A) and np.array_equal(p.b, b), (label, x)
             assert p.h_goal == goal.value(x)
             assert list(p.h_safe) == [s.value(x) for s in safes]
-            pinned += label == "acc-frozen" and p.m_c == 6
+            pinned += label == "acc-frozen" and not p.A[:, -1].any()
             ties += any(sorted(s.branch_values(x))[-2:] == [s.value(x)] * 2
                         for s in safes if s.branches)
         assert pinned >= 10 and ties >= 10
@@ -254,22 +257,6 @@ class TestSynthesize:
         assert min(equality_qp(problem, [0, 2])[1]) < 0
         assert min(equality_qp(problem, [2, 3])[1]) < 0
         for guess in (cold.active_set, (problem.m_c,), (-1, 2), (0, 2), (2, 3)):
-            warm = synthesize(sys, goal, safes, bounds, params, x, warm_start=guess)
-            assert warm.objective == pytest.approx(cold.objective, abs=1e-10)
-            assert np.allclose(warm.u, cold.u, atol=1e-8)
-
-    def test_warm_start_on_freeze_pin_pair(self):
-        # the freeze pins delta2 = 0 by two opposing rows, which are then both
-        # active: the decision's own active set is a dependent guess
-        cfg = AccConfig(d_delta=50.0)
-        sys, goal, safes, bounds, _ = acc_pieces(cfg)
-        params = SynthesisParams.for_deadline(
-            cfg.T_ud, cfg.mu, m=1, w_u=[cfg.w_u], w1=cfg.w1, w2=cfg.w2,
-            q1=cfg.q1_disturbed, delta2_freeze_level=cfg.delta2_freeze_at)
-        x = np.array([20.0, 10.0, 40.0])
-        cold = synthesize(sys, goal, safes, bounds, params, x)
-        assert {4, 5} <= set(cold.active_set)
-        for guess in (cold.active_set, (4, 5), (2, 4), (2, 5)):
             warm = synthesize(sys, goal, safes, bounds, params, x, warm_start=guess)
             assert warm.objective == pytest.approx(cold.objective, abs=1e-10)
             assert np.allclose(warm.u, cold.u, atol=1e-8)

@@ -253,7 +253,7 @@ class TestAlgebraicProperties:
         assert s1.active_set == s2.active_set
 
     def test_equality_encoded_rows(self):
-        # z2 pinned to zero by an opposing row pair, as the freeze rule does
+        # z2 pinned to zero by an opposing row pair: an equality as two rows
         p = make_problem(np.eye(3), [-1.0, -1.0, -1.0],
                          [[0, 0, 1.0], [0, 0, -1.0], [1.0, 0, 0]],
                          [0.0, 0.0, 0.3])

@@ -190,11 +190,10 @@ class TestSegments:
         assert cert["bound_T"] == (bound.T if cert["domain_ok"] else None)
 
 
-class TestSafetyBand:
-    def test_set_switch_does_not_widen_the_band(self):
+class TestSafetyMonitor:
+    def test_set_violated_at_leg_switch_is_flagged(self):
         # the first leg ends at x = 0.9, where the second leg's extra set
-        # x <= 0.4 is violated by 0.5; the column's jump at the switch is a
-        # change of set, not a slope, so it must not widen the warning band
+        # x <= 0.4 is violated by 0.5: the run ends at the switch step
         line = ControlAffineSystem(n=1, m=1, f=lambda x: np.zeros(1),
                                    g=lambda x: np.eye(1))
         out = Phase(goal=half_line("x_ge_0.9", SetKind.GOAL, 0.9, upper=False),
@@ -210,6 +209,32 @@ class TestSafetyBand:
         assert trace.outcome.phase == 1
         assert trace.outcome.t == trace.reach_times[0]
         assert trace.h_safe[-1, 0] == pytest.approx(0.5, abs=1e-3)
+
+
+    def test_forced_collision_is_flagged(self):
+        # two points on a line; the plant pushes the first one right at 5,
+        # more than its input (|u| <= 1) and the second one's escape can
+        # offset, so the separation 0.1 is lost however the QP decides
+        sep = SetFunction(name="separation", kind=SetKind.SAFE,
+                          h=lambda x: float(0.01 - (x[0] - x[1]) ** 2),
+                          grad_h=lambda x: np.array([-2.0, 2.0]) * (x[0] - x[1]))
+        goal = SetFunction(name="x1_at_5", kind=SetKind.GOAL,
+                           h=lambda x: float((x[1] - 5.0) ** 2 - 0.01),
+                           grad_h=lambda x: np.array([0.0, 2.0 * (x[1] - 5.0)]))
+        pushed = ControlAffineSystem(n=2, m=2, f=lambda x: np.zeros(2),
+                                     g=lambda x: np.eye(2),
+                                     disturbance=lambda x: np.array([5.0, 0.0]))
+        trace = run(pushed, Schedule(tracks=((Phase(goal=goal, deadline=10.0),),),
+                                     global_safes=(sep,)),
+                    InputBounds(lower=-np.ones(2), upper=np.ones(2)),
+                    SynthesisParams.for_deadline(10.0, 2.0, m=2), np.array([0.0, 1.0]), 1e-3)
+        assert trace.outcome.kind is OutcomeKind.SAFETY_VIOLATED
+        assert trace.outcome.branch == "separation"
+        # the run ends at the first step closer than 0.1 (up to round-off)
+        distance = np.abs(trace.x[:, 0] - trace.x[:, 1])
+        assert distance[-1] < 0.1 and np.all(distance[:-1] >= 0.1 - 1e-12)
+        assert np.all(trace.h_safe[:-1, 0] <= 1e-12) and trace.h_safe[-1, 0] > 1e-12
+        assert trace.outcome.t == trace.t[-1] == pytest.approx(0.226, abs=0.02)
 
 
 class TestMonitor:
