@@ -11,20 +11,17 @@ from fxtqp.qp import (
 )
 from fxtqp.fxts import (
     FxtsGains,
-    Regime,
     RegimeKind,
     alpha_from_deadline,
     worst_case,
     settling_time_bound,
     settling_time_bound_basic,
     gamma_roots,
-    domain_threshold,
     simulate_scalar_v,
 )
 from fxtqp.constraints import (
     ControlAffineSystem,
     SetFunction,
-    SetKind,
     InputBounds,
     qp_rows,
     finite_diff_gradient_check,

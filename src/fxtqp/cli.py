@@ -207,7 +207,7 @@ def cmd_verify_bounds(args) -> int:
             for delta1 in grid["delta1"]:
                 bound = settling_time_bound(gains, delta1)
                 for v0 in grid["V0"]:
-                    in_domain = v0 <= bound.regime.v_max
+                    in_domain = v0 <= bound.v_max
                     hit = None
                     ok = True
                     if in_domain:
@@ -217,7 +217,7 @@ def cmd_verify_bounds(args) -> int:
                         if delta1 == 0.0 and ok:
                             ok = hit <= mu * math.pi / (2.0 * alpha) + 1e-6
                         failures += int(not ok)
-                    rows.append((alpha, alpha, mu, delta1, v0, bound.regime.v_max,
+                    rows.append((alpha, alpha, mu, delta1, v0, bound.v_max,
                                  in_domain, hit, bound.T, ok))
     table = out_dir / "bounds.csv"
     with open(table, "w") as fh:
@@ -256,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.dt is not None and not args.dt > 0:
-        print("configuration error: dt must be positive", file=sys.stderr)
+    if args.dt is not None and not (math.isfinite(args.dt) and args.dt > 0):
+        print("configuration error: dt must be a finite number > 0", file=sys.stderr)
         return EXIT_CONFIG
     if args.jobs < 1:
         print(f"configuration error: --jobs must be at least 1, got {args.jobs}",

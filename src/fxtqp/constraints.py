@@ -1,9 +1,11 @@
 """Control-affine systems, set-defining functions, and QP constraint rows.
 
 A set is always the zero-sublevel set {x : h(x) <= 0} of a scalar function
-with an analytic gradient.  Nonsmooth sets built as a max over smooth
-branches keep their branch list so the constraint assembler can emit one
-smooth row per branch instead of differentiating the max.
+with an analytic gradient, and its role is where it is passed: as the goal
+of :func:`qp_rows` it gets the reach-rate row, as a safe set invariance
+rows.  Nonsmooth sets built as a max over smooth branches keep their branch
+list so the constraint assembler can emit one smooth row per branch instead
+of differentiating the max.
 
 Rows are expressed over the decision vector z = (v_s, delta1, delta2), where
 the physical input is v = scale * v_s with the per-component bound magnitude
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,7 +24,6 @@ from fxtqp.fxts import FxtsGains
 
 __all__ = [
     "ControlAffineSystem",
-    "SetKind",
     "SetFunction",
     "InputBounds",
     "qp_rows",
@@ -54,22 +54,17 @@ class ControlAffineSystem:
         return np.asarray(self.g(x), dtype=float).reshape(self.n, self.m)
 
 
-class SetKind(Enum):
-    GOAL = "goal"
-    SAFE = "safe"
-
-
 @dataclass(frozen=True)
 class SetFunction:
     """Scalar set function h with analytic gradient; set is {h <= 0}.
 
+    One object may be one phase's goal and the next phase's safe set.
     When ``branches`` is nonempty the function is max over the branches:
     ``value`` returns the exact max and ``gradient`` the gradient of the
     argmax branch (smallest index on ties).
     """
 
     name: str
-    kind: SetKind
     h: Callable[[np.ndarray], float] | None = None
     grad_h: Callable[[np.ndarray], np.ndarray] | None = None
     branches: tuple["SetFunction", ...] = ()
@@ -79,10 +74,10 @@ class SetFunction:
             raise ValueError(f"set function {self.name!r} needs h and grad_h or branches")
 
     @classmethod
-    def max_of(cls, name: str, kind: SetKind, branches: Sequence["SetFunction"]) -> "SetFunction":
+    def max_of(cls, name: str, branches: Sequence["SetFunction"]) -> "SetFunction":
         if not branches:
             raise ValueError("max_of needs at least one branch")
-        return cls(name=name, kind=kind, branches=tuple(branches))
+        return cls(name=name, branches=tuple(branches))
 
     def value(self, x: np.ndarray) -> float:
         if self.branches:
@@ -188,8 +183,6 @@ def qp_rows(sys: ControlAffineSystem, h_g: SetFunction, safes: Sequence[SetFunct
     Returns (A, b, h_goal, h_safe): the rows and the set values they used,
     h_safe with one value per safe set (a composite's is its max branch).
     """
-    if h_g.kind is not SetKind.GOAL:
-        raise ValueError("convergence row expects a goal set function")
     fx = sys.drift(x)
     gx = sys.input_matrix(x)
     box_A, box_b = bounds.box_rows
@@ -213,8 +206,6 @@ def qp_rows(sys: ControlAffineSystem, h_g: SetFunction, safes: Sequence[SetFunct
     for s in safes:
         values = []
         for br in s.branches or (s,):
-            if br.kind is not SetKind.SAFE:
-                raise ValueError("safety row expects a safe set function")
             hv = br.value(x)
             grad = br.gradient(x)
             A[k, :m] = grad @ gx

@@ -41,6 +41,7 @@ class SynthesisParams:
     """Deadline, derived gains, and objective weights of the synthesis QP.
 
     ``gains`` is derived from (T_ud, mu): alpha_from_deadline meets T_ud.
+    ``w_u`` holds one weight per input, e.g. ``np.ones(m)``.
     ``H`` and ``F``, the QP's objective in input-scaled coordinates, are
     built once from the weights (read-only).
     ``delta2_freeze_level``, when set, pins delta2 = 0 whenever some
@@ -56,7 +57,6 @@ class SynthesisParams:
     w1: float = 1.0
     w2: float = 1.0
     q1: float = 100.0
-    k_margin: float = 0.9
     delta2_freeze_level: float | None = None
     H: np.ndarray = field(init=False, repr=False, compare=False)
     F: np.ndarray = field(init=False, repr=False, compare=False)
@@ -68,8 +68,6 @@ class SynthesisParams:
         object.__setattr__(self, "gains", alpha_from_deadline(self.T_ud, self.mu))
         if np.any(self.w_u <= 0) or self.w1 <= 0 or self.w2 <= 0 or self.q1 <= 0:
             raise ValueError("objective weights must be strictly positive")
-        if not (0.0 < self.k_margin < 1.0):
-            raise ValueError("k_margin must lie in (0, 1)")
         m = self.w_u.size
         H = np.diag(np.concatenate([self.w_u, [self.w1, self.w2]]))
         F = np.zeros(m + 2)
@@ -78,12 +76,6 @@ class SynthesisParams:
         F.setflags(write=False)
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "F", F)
-
-    @classmethod
-    def for_deadline(cls, T_ud: float, mu: float, m: int, *, w_u=None,
-                     **weights) -> "SynthesisParams":
-        """Parameters with unit input weights unless ``w_u`` is given."""
-        return cls(T_ud=T_ud, mu=mu, w_u=np.ones(m) if w_u is None else w_u, **weights)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ from enum import Enum
 import numpy as np
 
 __all__ = [
+    "K",
     "FxtsGains",
-    "Regime",
     "RegimeKind",
     "ScalarSimResult",
     "SettlingBound",
@@ -29,12 +29,15 @@ __all__ = [
     "settling_time_bound_basic",
     "gamma_roots",
     "settling_time_bound",
-    "domain_threshold",
-    "classify_regime",
     "certify_segment",
     "worst_case",
     "simulate_scalar_v",
 ]
+
+# Margin of the local certificate: above the threshold 2*sqrt(alpha1*alpha2)
+# the bound is certified only for V <= (K*a)**mu, a the smaller barrier root
+# in m = V**(1/mu) space, so the domain stops short of the stall point a**mu.
+K = 0.9
 
 # Relative tolerance on delta1^2 - 4*alpha1*alpha2 below which the two roots
 # are treated as coincident and the degenerate bound formula applies.
@@ -83,23 +86,17 @@ class RegimeKind(Enum):
 
 
 @dataclass(frozen=True)
-class Regime:
-    """Convergence regime of the comparison system for a given delta1.
+class SettlingBound:
+    """Settling-time bound ``T`` of the comparison system for one delta1.
 
-    ``v_max`` is the largest V from which convergence is certified
-    (math.inf when the certificate is global), and ``roots`` holds the
-    barrier roots (a, b) in m = V**(1/mu) space when they are real.
+    ``kind`` is the convergence regime and ``v_max`` the largest V from
+    which ``T`` is certified: math.inf in the two global regimes,
+    (K*a)**mu in the local one.
     """
 
+    T: float
     kind: RegimeKind
     v_max: float
-    roots: tuple[float, float] | None
-
-
-@dataclass(frozen=True)
-class SettlingBound:
-    T: float
-    regime: Regime
 
 
 @dataclass(frozen=True)
@@ -148,97 +145,71 @@ def gamma_roots(alpha1: float, alpha2: float, delta1: float) -> tuple[float, flo
     return ((delta1 - s) / (2.0 * alpha1), (delta1 + s) / (2.0 * alpha1))
 
 
-def _is_degenerate(gains: FxtsGains, delta1: float) -> bool:
-    disc = delta1 * delta1 - 4.0 * gains.alpha1 * gains.alpha2
-    scale = max(delta1 * delta1, 4.0 * gains.alpha1 * gains.alpha2)
-    return delta1 > 0.0 and abs(disc) <= _DEGENERATE_RTOL * scale
-
-
-def classify_regime(gains: FxtsGains, delta1: float, k: float = 0.9) -> Regime:
-    """Classify delta1 against 2*sqrt(alpha1*alpha2); ties go local."""
-    if not (0.0 < k < 1.0):
-        raise ValueError("k must lie in (0, 1)")
-    thr = gains.critical_delta1
-    roots = gamma_roots(gains.alpha1, gains.alpha2, delta1)
-    if delta1 <= 0.0:
-        kind = RegimeKind.GLOBAL_WITHIN_DEADLINE
-        v_max = math.inf
-    elif delta1 < thr and not _is_degenerate(gains, delta1):
-        kind = RegimeKind.GLOBAL_FIXED_TIME
-        v_max = math.inf
-    else:
-        kind = RegimeKind.LOCAL_FIXED_TIME
-        if roots is None:
-            # inside the degenerate band but just below the threshold
-            a = math.sqrt(gains.alpha2 / gains.alpha1)
-            roots = (a, a)
-        v_max = (k * roots[0]) ** gains.mu
-    return Regime(kind=kind, v_max=v_max, roots=roots)
-
-
-def settling_time_bound(gains: FxtsGains, delta1: float, k: float = 0.9) -> SettlingBound:
+def settling_time_bound(gains: FxtsGains, delta1: float) -> SettlingBound:
     """Piecewise settling-time bound of the comparison system.
 
-    delta1 <= 0:
+    delta1 <= 0 (global, within the deadline):
         T = mu*pi / (2*sqrt(alpha1*alpha2))
-    0 < delta1 < 2*sqrt(alpha1*alpha2):
+    0 < delta1 < 2*sqrt(alpha1*alpha2) (global, fixed time):
         T = mu/(alpha1*k1) * (pi/2 - atan(k2)),
         k1 = sqrt((4*a1*a2 - d1^2) / (4*a1^2)),  k2 = -d1 / sqrt(4*a1*a2 - d1^2)
     delta1 == 2*sqrt(alpha1*alpha2) (within a relative band of 1e-12):
-        T = mu/sqrt(alpha1*alpha2) * k/(1-k)
+        T = mu/sqrt(alpha1*alpha2) * K/(1-K)
     delta1 > 2*sqrt(alpha1*alpha2):
-        T = mu/(alpha1*(b-a)) * (log((b-k*a)/(a*(1-k))) - log(b/a))
+        T = mu/(alpha1*(b-a)) * (log((b-K*a)/(a*(1-K))) - log(b/a))
 
-    The last two branches certify convergence only from V <= (k*a)**mu where
-    a is the smaller root; see :func:`domain_threshold`.
+    The last two branches are the local regime (ties at the threshold go
+    local): they certify convergence only from V <= (K*a)**mu, where a <= b
+    are the barrier roots of :func:`gamma_roots`, a = sqrt(alpha2/alpha1)
+    inside the band.  Above that the comparison system may stall before
+    reaching zero.
     """
-    regime = classify_regime(gains, delta1, k)
     a1, a2, mu = gains.alpha1, gains.alpha2, gains.mu
-    if regime.kind is RegimeKind.GLOBAL_WITHIN_DEADLINE:
+    if delta1 <= 0.0:
         T = mu * math.pi / (2.0 * math.sqrt(a1 * a2))
-    elif regime.kind is RegimeKind.GLOBAL_FIXED_TIME:
+        return SettlingBound(T=T, kind=RegimeKind.GLOBAL_WITHIN_DEADLINE, v_max=math.inf)
+    disc = delta1 * delta1 - 4.0 * a1 * a2
+    degenerate = abs(disc) <= _DEGENERATE_RTOL * max(delta1 * delta1, 4.0 * a1 * a2)
+    if delta1 < gains.critical_delta1 and not degenerate:
         rad = 4.0 * a1 * a2 - delta1 * delta1
         k1 = math.sqrt(rad / (4.0 * a1 * a1))
         k2 = -delta1 / math.sqrt(rad)
         T = mu / (a1 * k1) * (math.pi / 2.0 - math.atan(k2))
-    elif _is_degenerate(gains, delta1):
-        T = mu / math.sqrt(a1 * a2) * (k / (1.0 - k))
+        return SettlingBound(T=T, kind=RegimeKind.GLOBAL_FIXED_TIME, v_max=math.inf)
+    roots = gamma_roots(a1, a2, delta1)
+    if roots is None:
+        # inside the degenerate band but just below the threshold
+        a = math.sqrt(a2 / a1)
+        roots = (a, a)
+    a, b = roots
+    if degenerate:
+        T = mu / math.sqrt(a1 * a2) * (K / (1.0 - K))
     else:
-        a, b = regime.roots
-        T = mu / (a1 * (b - a)) * (math.log((b - k * a) / (a * (1.0 - k))) - math.log(b / a))
-    return SettlingBound(T=T, regime=regime)
+        T = mu / (a1 * (b - a)) * (math.log((b - K * a) / (a * (1.0 - K))) - math.log(b / a))
+    return SettlingBound(T=T, kind=RegimeKind.LOCAL_FIXED_TIME, v_max=(K * a) ** mu)
 
 
-def domain_threshold(gains: FxtsGains, delta1: float, k: float = 0.9) -> float:
-    """Largest certified V, (k*V1)**mu, or math.inf below the threshold.
-
-    V1 = (delta1 - sqrt(delta1^2 - 4*alpha1*alpha2)) / (2*alpha1) is the
-    smaller barrier root; above the returned value the comparison system may
-    stall before reaching zero.
-    """
-    return classify_regime(gains, delta1, k).v_max
-
-
-def certify_segment(gains: FxtsGains, k: float, t_start: float, t_end: float,
+def certify_segment(gains: FxtsGains, t_start: float, t_end: float,
                     v_entry: float, delta1_sup: float) -> dict:
     """Fixed-time certificate of one goal segment of a closed-loop run.
 
     A goal segment is a maximal run of steps, t_start to t_end, under the
     same controller goal.  Its bound uses the supremum of delta1 over those
     steps and holds only from the goal value at the first step, ``v_entry``,
-    when that lies inside the certified domain (``bound_T`` is None else).
+    when that lies inside the certified domain, V <= ``v_max`` of
+    :func:`settling_time_bound` (``bound_T`` is None else).
     """
-    bound = settling_time_bound(gains, max(0.0, delta1_sup), k)
-    domain_ok = bool(v_entry <= bound.regime.v_max)
+    bound = settling_time_bound(gains, max(0.0, delta1_sup))
+    domain_ok = bool(v_entry <= bound.v_max)
     return {
         "t_start": t_start,
         "t_end": t_end,
         "v_entry": v_entry,
         "delta1_sup": delta1_sup,
-        "regime": bound.regime.kind.value,
+        "regime": bound.kind.value,
         "bound_T": bound.T if domain_ok else None,
         "domain_ok": domain_ok,
-        "within_deadline": bound.regime.kind is RegimeKind.GLOBAL_WITHIN_DEADLINE,
+        "within_deadline": bound.kind is RegimeKind.GLOBAL_WITHIN_DEADLINE,
     }
 
 

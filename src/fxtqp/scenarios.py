@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from fxtqp.constraints import ControlAffineSystem, InputBounds, SetFunction, SetKind
+from fxtqp.constraints import ControlAffineSystem, InputBounds, SetFunction
 from fxtqp.controller import SynthesisParams
 from fxtqp.simulation import Phase, Schedule, Trace, run
 
@@ -25,7 +25,6 @@ __all__ = [
     "acc_scenario",
     "acc_disturbance_sweep",
     "two_robot_scenario",
-    "SyntheticCase",
     "synthetic_suite",
     "scenario_from_id",
 ]
@@ -134,7 +133,6 @@ def acc_goal(cfg: AccConfig) -> SetFunction:
     so arrival is judged against the reach band instead of exact membership."""
     return SetFunction(
         name="speed_error",
-        kind=SetKind.GOAL,
         h=lambda x: (x[0] - cfg.v_d) ** 2,
         grad_h=lambda x: np.array([2.0 * (x[0] - cfg.v_d), 0.0, 0.0]),
     )
@@ -168,7 +166,7 @@ def acc_headway(cfg: AccConfig) -> SetFunction:
         r = closing(x) / a_b
         return np.array([cfg.tau_d + r, -r, -1.0])
 
-    return SetFunction(name="headway", kind=SetKind.SAFE, h=h, grad_h=grad)
+    return SetFunction(name="headway", h=h, grad_h=grad)
 
 
 def acc_scenario(cfg: AccConfig | None = None) -> Scenario:
@@ -179,8 +177,8 @@ def acc_scenario(cfg: AccConfig | None = None) -> Scenario:
     # early enough (with the nominal w2 the d_delta = 100 runs from 24-27 m/s
     # cross the barrier).
     disturbed = cfg.d_delta > 0
-    params = SynthesisParams.for_deadline(
-        cfg.T_ud, cfg.mu, m=1,
+    params = SynthesisParams(
+        T_ud=cfg.T_ud, mu=cfg.mu,
         w_u=[cfg.w_u], w1=cfg.w1,
         w2=cfg.w2_disturbed if disturbed else cfg.w2,
         q1=cfg.q1_disturbed if disturbed else cfg.q1,
@@ -247,13 +245,17 @@ class TwoRobotConfig:
     def __post_init__(self):
         if self.d_m <= 0 or self.component_bound <= 0 or self.phase_budget <= 0:
             raise ValueError("two-robot constants must be positive")
+        for name in ("x0_agent1", "x0_agent2"):
+            p = getattr(self, name)
+            if len(p) != 2 or not all(math.isfinite(v) for v in p):
+                raise ValueError(f"{name} must be two finite numbers, got {p}")
 
 
 def _agent_slice(agent: int) -> slice:
     return slice(2 * agent, 2 * agent + 2)
 
 
-def _circle(name: str, kind: SetKind, center, radius: float, agent: int) -> SetFunction:
+def _circle(name: str, center, radius: float, agent: int) -> SetFunction:
     c = np.asarray(center, dtype=float)
     sl = _agent_slice(agent)
 
@@ -266,11 +268,10 @@ def _circle(name: str, kind: SetKind, center, radius: float, agent: int) -> SetF
         out[sl] = 2.0 * (x[sl] - c)
         return out
 
-    return SetFunction(name=name, kind=kind, h=h, grad_h=grad)
+    return SetFunction(name=name, h=h, grad_h=grad)
 
 
-def _ellipse(name: str, kind: SetKind, center, semi_x: float, semi_y: float,
-             agent: int) -> SetFunction:
+def _ellipse(name: str, center, semi_x: float, semi_y: float, agent: int) -> SetFunction:
     c = np.asarray(center, dtype=float)
     sl = _agent_slice(agent)
     wx, wy = 1.0 / semi_x ** 2, 1.0 / semi_y ** 2
@@ -285,7 +286,7 @@ def _ellipse(name: str, kind: SetKind, center, semi_x: float, semi_y: float,
         out[sl] = np.array([2.0 * wx * d[0], 2.0 * wy * d[1]])
         return out
 
-    return SetFunction(name=name, kind=kind, h=h, grad_h=grad)
+    return SetFunction(name=name, h=h, grad_h=grad)
 
 
 def _square_branches(cfg: TwoRobotConfig, agent: int) -> SetFunction:
@@ -303,8 +304,8 @@ def _square_branches(cfg: TwoRobotConfig, agent: int) -> SetFunction:
                 return out
 
             branches.append(SetFunction(name=f"square_a{agent + 1}_{axis}{int(sign > 0)}",
-                                        kind=SetKind.SAFE, h=h, grad_h=grad))
-    return SetFunction.max_of(f"square_a{agent + 1}", SetKind.SAFE, branches)
+                                        h=h, grad_h=grad))
+    return SetFunction.max_of(f"square_a{agent + 1}", branches)
 
 
 def _outside_hub(cfg: TwoRobotConfig, agent: int) -> SetFunction:
@@ -320,7 +321,7 @@ def _outside_hub(cfg: TwoRobotConfig, agent: int) -> SetFunction:
         out[sl] = -2.0 * x[sl]
         return out
 
-    return SetFunction(name=f"hub_a{agent + 1}", kind=SetKind.SAFE, h=h, grad_h=grad)
+    return SetFunction(name=f"hub_a{agent + 1}", h=h, grad_h=grad)
 
 
 def _separation(cfg: TwoRobotConfig) -> SetFunction:
@@ -334,10 +335,10 @@ def _separation(cfg: TwoRobotConfig) -> SetFunction:
         d = x[0:2] - x[2:4]
         return np.concatenate([-2.0 * d, 2.0 * d])
 
-    return SetFunction(name="separation", kind=SetKind.SAFE, h=h, grad_h=grad)
+    return SetFunction(name="separation", h=h, grad_h=grad)
 
 
-def waypoint_sets(cfg: TwoRobotConfig, agent: int, kind: SetKind) -> list[SetFunction]:
+def waypoint_sets(cfg: TwoRobotConfig, agent: int) -> list[SetFunction]:
     """The eight waypoint sets, indexed 0..7, lifted to the given agent.
 
     Even indices are the corner circles (top-left first, clockwise), odd
@@ -348,14 +349,14 @@ def waypoint_sets(cfg: TwoRobotConfig, agent: int, kind: SetKind) -> list[SetFun
     maj, mnr = cfg.ellipse_major, cfg.ellipse_minor
     tag = f"a{agent + 1}"
     return [
-        _circle(f"S1_{tag}", kind, (-c, c), r, agent),
-        _ellipse(f"S2_{tag}", kind, (0.0, e), maj, mnr, agent),
-        _circle(f"S3_{tag}", kind, (c, c), r, agent),
-        _ellipse(f"S4_{tag}", kind, (e, 0.0), mnr, maj, agent),
-        _circle(f"S5_{tag}", kind, (c, -c), r, agent),
-        _ellipse(f"S6_{tag}", kind, (0.0, -e), maj, mnr, agent),
-        _circle(f"S7_{tag}", kind, (-c, -c), r, agent),
-        _ellipse(f"S8_{tag}", kind, (-e, 0.0), mnr, maj, agent),
+        _circle(f"S1_{tag}", (-c, c), r, agent),
+        _ellipse(f"S2_{tag}", (0.0, e), maj, mnr, agent),
+        _circle(f"S3_{tag}", (c, c), r, agent),
+        _ellipse(f"S4_{tag}", (e, 0.0), mnr, maj, agent),
+        _circle(f"S5_{tag}", (c, -c), r, agent),
+        _ellipse(f"S6_{tag}", (0.0, -e), maj, mnr, agent),
+        _circle(f"S7_{tag}", (-c, -c), r, agent),
+        _ellipse(f"S8_{tag}", (-e, 0.0), mnr, maj, agent),
     ]
 
 
@@ -390,8 +391,7 @@ def two_robot_scenario(cfg: TwoRobotConfig | None = None,
 
     sys = ControlAffineSystem(n=4, m=4, f=f, g=g)
 
-    goals = [waypoint_sets(cfg, agent, SetKind.GOAL) for agent in (0, 1)]
-    stays = [waypoint_sets(cfg, agent, SetKind.SAFE) for agent in (0, 1)]
+    sets = [waypoint_sets(cfg, agent) for agent in (0, 1)]
 
     tours = [AGENT1_TOUR, AGENT2_TOUR]
     starts = [AGENT1_START, AGENT2_START]
@@ -406,8 +406,8 @@ def two_robot_scenario(cfg: TwoRobotConfig | None = None,
         prev = starts[agent]
         legs = []
         for i in tours[agent]:
-            legs.append(Phase(goal=goals[agent][i], deadline=cfg.phase_budget,
-                              safe_extra=(stays[agent][prev],)))
+            legs.append(Phase(goal=sets[agent][i], deadline=cfg.phase_budget,
+                              safe_extra=(sets[agent][prev],)))
             prev = i
         tracks.append(tuple(legs))
 
@@ -423,8 +423,8 @@ def two_robot_scenario(cfg: TwoRobotConfig | None = None,
         horizon=None,
     )
     ub = cfg.component_bound
-    params = SynthesisParams.for_deadline(
-        cfg.phase_budget, cfg.mu, m=4,
+    params = SynthesisParams(
+        T_ud=cfg.phase_budget, mu=cfg.mu,
         w_u=[cfg.w_u] * 4, w1=cfg.w1, w2=cfg.w2, q1=cfg.q1,
     )
     return Scenario(
@@ -443,95 +443,78 @@ def two_robot_scenario(cfg: TwoRobotConfig | None = None,
 # synthetic systems for property tests
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SyntheticCase:
-    scenario: Scenario
-    description: str
-
-
 def _integrator(n: int) -> ControlAffineSystem:
     return ControlAffineSystem(n=n, m=n, f=lambda x: np.zeros(n),
                                g=lambda x: np.eye(n))
 
 
-def synthetic_suite() -> list[SyntheticCase]:
+def synthetic_suite() -> list[Scenario]:
     """Small systems with known behavior: a 1-D and a 2-D integrator, and a
     fully actuated nonlinear system whose safe set admits an inward input by
     construction."""
-    cases = []
-
-    goal_1d = SetFunction(name="ball1d", kind=SetKind.GOAL,
+    # 1-D integrator to a ball at the origin; the reach-rate slack stays
+    # nonpositive throughout
+    goal_1d = SetFunction(name="ball1d",
                           h=lambda x: float(x[0] ** 2 - 0.01),
                           grad_h=lambda x: np.array([2.0 * x[0]]))
-    sched = Schedule(tracks=((Phase(goal=goal_1d, deadline=2.0),),))
-    cases.append(SyntheticCase(
-        scenario=Scenario(
-            scenario_id="synthetic:int1d",
-            sys=_integrator(1),
-            schedule=sched,
-            bounds=InputBounds(lower=np.array([-2.0]), upper=np.array([2.0])),
-            params=SynthesisParams.for_deadline(2.0, 2.0, m=1),
-            x0=np.array([1.0]),
-            dt=1e-3,
-        ),
-        description="1-D integrator to a ball at the origin; the reach-rate "
-                    "slack stays nonpositive throughout",
-    ))
+    int1d = Scenario(
+        scenario_id="synthetic:int1d",
+        sys=_integrator(1),
+        schedule=Schedule(tracks=((Phase(goal=goal_1d, deadline=2.0),),)),
+        bounds=InputBounds(lower=np.array([-2.0]), upper=np.array([2.0])),
+        params=SynthesisParams(T_ud=2.0, mu=2.0, w_u=np.ones(1)),
+        x0=np.array([1.0]),
+        dt=1e-3,
+    )
 
-    goal_2d = SetFunction(name="goal_disk", kind=SetKind.GOAL,
+    # 2-D integrator detouring around an obstacle disk on the straight line
+    # to the goal
+    goal_2d = SetFunction(name="goal_disk",
                           h=lambda x: float((x[0] - 2.0) ** 2 + x[1] ** 2 - 0.0625),
                           grad_h=lambda x: np.array([2.0 * (x[0] - 2.0), 2.0 * x[1]]))
-    obstacle = SetFunction(name="obstacle_disk", kind=SetKind.SAFE,
+    obstacle = SetFunction(name="obstacle_disk",
                            h=lambda x: float(0.16 - ((x[0] - 1.0) ** 2 + x[1] ** 2)),
                            grad_h=lambda x: np.array([-2.0 * (x[0] - 1.0), -2.0 * x[1]]))
-    sched2 = Schedule(
-        tracks=((Phase(goal=goal_2d, deadline=6.0),),),
-        global_safes=(obstacle,),
-    )
-    cases.append(SyntheticCase(
-        scenario=Scenario(
-            scenario_id="synthetic:int2d",
-            sys=_integrator(2),
-            schedule=sched2,
-            bounds=InputBounds(lower=-np.ones(2), upper=np.ones(2)),
-            params=SynthesisParams.for_deadline(6.0, 2.0, m=2),
-            x0=np.array([0.0, 0.05]),
-            dt=1e-3,
+    int2d = Scenario(
+        scenario_id="synthetic:int2d",
+        sys=_integrator(2),
+        schedule=Schedule(
+            tracks=((Phase(goal=goal_2d, deadline=6.0),),),
+            global_safes=(obstacle,),
         ),
-        description="2-D integrator detouring around an obstacle disk on the "
-                    "straight line to the goal",
-    ))
+        bounds=InputBounds(lower=-np.ones(2), upper=np.ones(2)),
+        params=SynthesisParams(T_ud=6.0, mu=2.0, w_u=np.ones(2)),
+        x0=np.array([0.0, 0.05]),
+        dt=1e-3,
+    )
 
+    # fully actuated nonlinear system confined to a disk; an inward input
+    # exists everywhere on the boundary
     def f_nl(x):
         return np.array([-0.5 * x[1], 0.5 * math.sin(x[0])])
 
     def g_nl(x):
         return np.eye(2)
 
-    goal_nl = SetFunction(name="goal_nl", kind=SetKind.GOAL,
+    goal_nl = SetFunction(name="goal_nl",
                           h=lambda x: float((x[0] - 1.0) ** 2 + (x[1] - 0.5) ** 2 - 0.04),
                           grad_h=lambda x: np.array([2.0 * (x[0] - 1.0), 2.0 * (x[1] - 0.5)]))
-    keep_in = SetFunction(name="disk4", kind=SetKind.SAFE,
+    keep_in = SetFunction(name="disk4",
                           h=lambda x: float(x[0] ** 2 + x[1] ** 2 - 4.0),
                           grad_h=lambda x: 2.0 * np.asarray(x, dtype=float))
-    sched3 = Schedule(
-        tracks=((Phase(goal=goal_nl, deadline=3.0),),),
-        global_safes=(keep_in,),
-    )
-    cases.append(SyntheticCase(
-        scenario=Scenario(
-            scenario_id="synthetic:fullact2d",
-            sys=ControlAffineSystem(n=2, m=2, f=f_nl, g=g_nl),
-            schedule=sched3,
-            bounds=InputBounds(lower=-5.0 * np.ones(2), upper=5.0 * np.ones(2)),
-            params=SynthesisParams.for_deadline(3.0, 2.0, m=2),
-            x0=np.array([-1.2, -0.4]),
-            dt=1e-3,
+    fullact2d = Scenario(
+        scenario_id="synthetic:fullact2d",
+        sys=ControlAffineSystem(n=2, m=2, f=f_nl, g=g_nl),
+        schedule=Schedule(
+            tracks=((Phase(goal=goal_nl, deadline=3.0),),),
+            global_safes=(keep_in,),
         ),
-        description="fully actuated nonlinear system confined to a disk; an "
-                    "inward input exists everywhere on the boundary",
-    ))
-    return cases
+        bounds=InputBounds(lower=-5.0 * np.ones(2), upper=5.0 * np.ones(2)),
+        params=SynthesisParams(T_ud=3.0, mu=2.0, w_u=np.ones(2)),
+        x0=np.array([-1.2, -0.4]),
+        dt=1e-3,
+    )
+    return [int1d, int2d, fullact2d]
 
 
 def scenario_from_id(scenario_id: str, overrides: dict | None = None) -> Scenario:
@@ -548,10 +531,9 @@ def scenario_from_id(scenario_id: str, overrides: dict | None = None) -> Scenari
     if scenario_id.startswith("synthetic:"):
         if overrides:
             raise ValueError("synthetic scenarios take no overrides")
-        wanted = scenario_id
-        for case in synthetic_suite():
-            if case.scenario.scenario_id == wanted:
-                return case.scenario
+        for sc in synthetic_suite():
+            if sc.scenario_id == scenario_id:
+                return sc
         raise ValueError(f"unknown synthetic scenario {scenario_id!r}")
     raise ValueError(f"unknown scenario {scenario_id!r}")
 
@@ -565,9 +547,16 @@ def _apply_overrides(cfg, overrides: dict):
     for k, v in overrides.items():
         current = getattr(cfg, k)
         if isinstance(current, tuple):
-            typed[k] = tuple(float(p) for p in v)
+            typed[k] = tuple(_number(k, p) for p in v)
         elif isinstance(current, float):
-            typed[k] = float(v)
+            typed[k] = _number(k, v)
         else:
             typed[k] = v
     return replace(cfg, **typed)
+
+
+def _number(name: str, v) -> float:
+    # float(True) is 1.0; a boolean given for a number is a typo, not a value
+    if isinstance(v, bool):
+        raise ValueError(f"{name} takes numbers, not booleans: {v!r}")
+    return float(v)

@@ -178,7 +178,7 @@ def _joint_goal(goals: Sequence[SetFunction]) -> SetFunction:
             total = np.zeros_like(np.asarray(x, dtype=float))
         return total
 
-    return SetFunction(name="joint_goal", kind=goals[0].kind, h=h, grad_h=grad)
+    return SetFunction(name="joint_goal", h=h, grad_h=grad)
 
 
 def _safe_column_names(schedule) -> tuple[str, ...]:
@@ -204,8 +204,8 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
     certificate.
     Deterministic: identical inputs give bit-identical traces.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be a finite number > 0, got {dt}")
     x = np.asarray(x0, dtype=float).copy()
     tracks = schedule.tracks
     n_tracks = len(tracks)
@@ -303,8 +303,8 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
         t = step * dt
 
     segments = tuple(
-        certify_segment(params.gains, params.k_margin, rec_t[a], rec_t[b - 1],
-                        rec_hg[a], max(rec_d1[a:b]))
+        certify_segment(params.gains, rec_t[a], rec_t[b - 1], rec_hg[a],
+                        max(rec_d1[a:b]))
         for a, b in zip(seg_starts, seg_starts[1:] + [len(rec_t)]))
 
     # joint leg completion: the later of the tracks' leg reach times

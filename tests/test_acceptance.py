@@ -16,7 +16,7 @@ import numpy as np
 from fxtqp.cli import main as cli_main
 from fxtqp.fxts import FxtsGains, alpha_from_deadline, settling_time_bound, settling_time_bound_basic
 from fxtqp.qp import QpProblem, SolveStatus, brute_force_solve, kkt_residual, solve_qp
-from fxtqp.constraints import finite_diff_gradient_check, SetKind
+from fxtqp.constraints import finite_diff_gradient_check
 from fxtqp.simulation import OutcomeKind, monitor
 from fxtqp.scenarios import (
     AccConfig,
@@ -200,15 +200,15 @@ def test_criterion_07_two_robot_reproduction():
 
 def test_criterion_08_nonpositive_slack_meets_deadline():
     case = next(c for c in synthetic_suite()
-                if c.scenario.scenario_id == "synthetic:int1d")
-    trace = case.scenario.simulate()
+                if c.scenario_id == "synthetic:int1d")
+    trace = case.simulate()
     max_d1 = float(np.max(trace.delta1))
     reach = trace.reach_times[0]
     ok = (trace.outcome.kind is OutcomeKind.ALL_PHASES_MET
           and max_d1 <= 0.0
-          and reach is not None and reach <= case.scenario.params.T_ud)
+          and reach is not None and reach <= case.params.T_ud)
     report(8, ok, f"slack sign max {max_d1:.3g} <= 0 and reach "
-                  f"{reach:.3f} s within the {case.scenario.params.T_ud} s deadline")
+                  f"{reach:.3f} s within the {case.params.T_ud} s deadline")
     assert ok
 
 
@@ -227,7 +227,7 @@ def test_criterion_09_gradient_oracle():
     for s in sc.schedule.global_safes:
         checks.append((s.name, finite_diff_gradient_check(s, planar)))
     for agent in (0, 1):
-        for s in waypoint_sets(two, agent, SetKind.GOAL):
+        for s in waypoint_sets(two, agent):
             checks.append((s.name, finite_diff_gradient_check(s, planar)))
 
     worst = max(v for _, v in checks)

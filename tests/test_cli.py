@@ -52,6 +52,28 @@ class TestRun:
         assert run_cli("--scenario", "acc", "--dt", "-0.1",
                        "--out", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("flags", [("--dt", "inf"), ("--set", "dt=inf")])
+    def test_infinite_dt_is_config_error(self, tmp_path, flags):
+        # an infinite step reaches a non-finite state at once; that is a bad
+        # setting, not a solver failure (exit 3)
+        assert run_cli("--scenario", "acc", *flags, "--out", str(tmp_path)) == 2
+        assert not (tmp_path / "acc").exists()
+
+    @pytest.mark.parametrize("start", ["[0.1]", "[1, 2, 3]"])
+    def test_start_must_be_a_pair(self, tmp_path, start):
+        assert run_cli("--scenario", "two-robot", "--set", f"x0_agent1={start}",
+                       "--out", str(tmp_path)) == 2
+        assert not (tmp_path / "two-robot").exists()
+
+    @pytest.mark.parametrize("scenario, setting", [
+        ("acc", "v_f0=true"), ("acc", "M=false"),
+        ("two-robot", "x0_agent2=[1.5, true]")])
+    def test_boolean_for_a_number_is_config_error(self, tmp_path, scenario, setting):
+        # float(True) == 1.0 would otherwise run from a start nobody asked for
+        assert run_cli("--scenario", scenario, "--set", setting,
+                       "--out", str(tmp_path)) == 2
+        assert not any(tmp_path.iterdir())
+
     def test_deadline_miss_exits_4(self, tmp_path):
         # full thrust needs about 1.9 s to climb from 17 m/s into the band,
         # so a 1 s deadline is out of reach

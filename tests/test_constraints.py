@@ -7,7 +7,6 @@ from fxtqp.constraints import (
     ControlAffineSystem,
     InputBounds,
     SetFunction,
-    SetKind,
     finite_diff_gradient_check,
     qp_rows,
 )
@@ -20,8 +19,8 @@ def integrator(n):
                                g=lambda x: np.eye(n))
 
 
-def ball(radius=1.0, kind=SetKind.GOAL, name="ball"):
-    return SetFunction(name=name, kind=kind,
+def ball(radius=1.0, name="ball"):
+    return SetFunction(name=name,
                        h=lambda x: float(x @ x - radius ** 2),
                        grad_h=lambda x: 2.0 * np.asarray(x, float))
 
@@ -39,7 +38,7 @@ def reach_row(sys, goal, x, gains=None):
 
 def safety_rows(sys, safe, x):
     """The invariance rows of one safe set (one per branch) and their right sides."""
-    goal = ball(kind=SetKind.GOAL)
+    goal = ball()
     A, b, _, _ = qp_rows(sys, goal, (safe,), unit_box(sys.m), alpha_from_deadline(2.0, 2.0), x)
     return A[2 * sys.m + 1:], b[2 * sys.m + 1:]
 
@@ -63,7 +62,7 @@ class TestLieDerivatives:
         assert row[0] == pytest.approx(-4.0 / 1650.0, rel=1e-12)
 
     def test_constant_function_vanishes(self):
-        const = SetFunction(name="c", kind=SetKind.SAFE,
+        const = SetFunction(name="c",
                             h=lambda x: 1.0,
                             grad_h=lambda x: np.zeros(2))
         rows, rhs = safety_rows(integrator(2), const, np.ones(2))
@@ -100,7 +99,7 @@ class TestConvergenceRow:
         # larger positive goal value demands a faster decrease (Lf = 0 here)
         gains = alpha_from_deadline(2.0, 2.0)
         sys = integrator(1)
-        s = SetFunction(name="sq", kind=SetKind.GOAL,
+        s = SetFunction(name="sq",
                         h=lambda x: float(x[0] ** 2),
                         grad_h=lambda x: np.array([2.0 * x[0]]))
         rhs_prev = math.inf
@@ -109,37 +108,39 @@ class TestConvergenceRow:
             assert rhs <= rhs_prev
             rhs_prev = rhs
 
-    def test_rejects_safe_kind(self):
-        with pytest.raises(ValueError):
-            reach_row(integrator(2), ball(kind=SetKind.SAFE), np.zeros(2))
-
-    def test_rejects_goal_kind_as_safe_set(self):
-        with pytest.raises(ValueError):
-            safety_rows(integrator(2), ball(kind=SetKind.GOAL), np.zeros(2))
+    def test_one_set_serves_as_goal_and_as_safe_set(self):
+        # a set's role is where it is passed: the same object gives the
+        # reach-rate row and an invariance row with the same Lie derivative
+        sys, s, x = integrator(2), ball(), np.array([0.6, -0.3])
+        A, b, h_goal, h_safe = qp_rows(sys, s, (s,), unit_box(2),
+                                       alpha_from_deadline(2.0, 2.0), x)
+        assert h_goal == h_safe[0] == s.value(x)
+        assert np.array_equal(A[4, :2], A[5, :2])
+        assert (A[4, 2], A[5, 3]) == (-h_goal, h_goal)
 
 
 class TestSafetyRow:
     def test_boundary_reduces_to_tangency(self):
         sys = integrator(2)
-        s = ball(radius=2.0, kind=SetKind.SAFE)
+        s = ball(radius=2.0)
         x = np.array([2.0, 0.0])
         rows, rhs = safety_rows(sys, s, x)
         assert rows[0, -1] == pytest.approx(0.0)
         assert rhs[0] == pytest.approx(0.0)
 
     def test_interior_example(self):
-        rows, rhs = safety_rows(integrator(2), ball(2.0, SetKind.SAFE),
+        rows, rhs = safety_rows(integrator(2), ball(2.0),
                                 np.array([1.0, 0.0]))
         assert np.allclose(rows[0, :2], [2.0, 0.0])
         assert rows[0, -1] == pytest.approx(-3.0)
         assert rhs[0] == pytest.approx(0.0)
 
     def test_composite_emits_one_row_per_branch(self):
-        b1 = ball(1.0, SetKind.SAFE, "b1")
-        b2 = SetFunction(name="b2", kind=SetKind.SAFE,
+        b1 = ball(1.0, "b1")
+        b2 = SetFunction(name="b2",
                          h=lambda x: float(x[0] - 1.0),
                          grad_h=lambda x: np.array([1.0, 0.0]))
-        comp = SetFunction.max_of("both", SetKind.SAFE, (b1, b2))
+        comp = SetFunction.max_of("both", (b1, b2))
         x = np.array([0.2, 0.1])
         rows, _ = safety_rows(integrator(2), comp, x)
         assert len(rows) == 2
@@ -147,11 +148,11 @@ class TestSafetyRow:
 
     def test_set_values_are_reported(self):
         # a composite's value is its max branch, as SetFunction.value gives it
-        b1 = ball(1.0, SetKind.SAFE, "b1")
-        b2 = SetFunction(name="b2", kind=SetKind.SAFE,
+        b1 = ball(1.0, "b1")
+        b2 = SetFunction(name="b2",
                          h=lambda x: float(x[0] - 1.0),
                          grad_h=lambda x: np.array([1.0, 0.0]))
-        comp = SetFunction.max_of("both", SetKind.SAFE, (b1, b2))
+        comp = SetFunction.max_of("both", (b1, b2))
         goal = ball(0.5)
         x = np.array([0.2, 0.1])
         _, _, h_goal, h_safe = qp_rows(integrator(2), goal, (comp, b2), unit_box(2),
@@ -182,23 +183,23 @@ class TestFreezePins:
 class TestCompositeSemantics:
     def test_value_is_exact_max(self):
         rng = np.random.default_rng(42)
-        b1 = ball(1.0, SetKind.SAFE, "b1")
-        b2 = SetFunction(name="plane", kind=SetKind.SAFE,
+        b1 = ball(1.0, "b1")
+        b2 = SetFunction(name="plane",
                          h=lambda x: float(x[0] + 0.3),
                          grad_h=lambda x: np.array([1.0, 0.0]))
-        comp = SetFunction.max_of("m", SetKind.SAFE, (b1, b2))
+        comp = SetFunction.max_of("m", (b1, b2))
         for _ in range(10_000):
             x = rng.normal(size=2) * 2
             assert comp.value(x) == max(b1.value(x), b2.value(x))
 
     def test_argmax_gradient_smallest_index_on_tie(self):
-        b1 = SetFunction(name="x", kind=SetKind.SAFE,
+        b1 = SetFunction(name="x",
                          h=lambda x: float(x[0]),
                          grad_h=lambda x: np.array([1.0, 0.0]))
-        b2 = SetFunction(name="y", kind=SetKind.SAFE,
+        b2 = SetFunction(name="y",
                          h=lambda x: float(x[1]),
                          grad_h=lambda x: np.array([0.0, 1.0]))
-        comp = SetFunction.max_of("m", SetKind.SAFE, (b1, b2))
+        comp = SetFunction.max_of("m", (b1, b2))
         g = comp.gradient(np.array([0.7, 0.7]))
         assert np.allclose(g, [1.0, 0.0])
 
@@ -268,7 +269,7 @@ class TestGradientCheck:
 
     def test_anisotropic_ellipse(self):
         ell = SetFunction(
-            name="p1", kind=SetKind.GOAL,
+            name="p1",
             h=lambda x: float(x[0] ** 2 / 1.2 ** 2 + (x[1] - 1.5) ** 2 / 0.5 ** 2 - 1.0),
             grad_h=lambda x: np.array([2.0 * x[0] / 1.44, 2.0 * (x[1] - 1.5) / 0.25]),
         )
@@ -277,13 +278,13 @@ class TestGradientCheck:
         assert finite_diff_gradient_check(ell, xs, eps=1e-6) <= 1e-5
 
     def test_skips_branch_switches(self):
-        b1 = SetFunction(name="x", kind=SetKind.SAFE,
+        b1 = SetFunction(name="x",
                          h=lambda x: float(x[0]),
                          grad_h=lambda x: np.array([1.0, 0.0]))
-        b2 = SetFunction(name="y", kind=SetKind.SAFE,
+        b2 = SetFunction(name="y",
                          h=lambda x: float(x[1]),
                          grad_h=lambda x: np.array([0.0, 1.0]))
-        comp = SetFunction.max_of("m", SetKind.SAFE, (b1, b2))
+        comp = SetFunction.max_of("m", (b1, b2))
         # every sample sits on the switch line; all must be skipped
         xs = [np.array([v, v]) for v in np.linspace(-1, 1, 20)]
         assert finite_diff_gradient_check(comp, xs, eps=1e-6) == 0.0

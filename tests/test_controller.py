@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from fxtqp import qp
-from fxtqp.constraints import ControlAffineSystem, InputBounds, SetFunction, SetKind
+from fxtqp.constraints import ControlAffineSystem, InputBounds, SetFunction
 from fxtqp.controller import (
     SolverFailure,
     SynthesisParams,
@@ -14,7 +14,7 @@ from fxtqp.controller import (
     continuity_probe,
     synthesize,
 )
-from fxtqp.fxts import RegimeKind, domain_threshold
+from fxtqp.fxts import RegimeKind, settling_time_bound
 from fxtqp.scenarios import (AccConfig, acc_goal, acc_headway, acc_scenario, _acc_system,
                              synthetic_suite, two_robot_scenario)
 from fxtqp.simulation import _joint_goal
@@ -27,22 +27,22 @@ def integrator(n):
 
 def goal_ball(radius, center=None, name="goal"):
     c = np.zeros(2) if center is None else np.asarray(center, float)
-    return SetFunction(name=name, kind=SetKind.GOAL,
+    return SetFunction(name=name,
                        h=lambda x: float((x - c) @ (x - c) - radius ** 2),
                        grad_h=lambda x: 2.0 * (np.asarray(x, float) - c))
 
 
 def safe_ball(radius, name="safe"):
-    return SetFunction(name=name, kind=SetKind.SAFE,
+    return SetFunction(name=name,
                        h=lambda x: float(x @ x - radius ** 2),
                        grad_h=lambda x: 2.0 * np.asarray(x, float))
 
 
 def acc_pieces(cfg=None):
     cfg = cfg or AccConfig()
-    sc_params = SynthesisParams.for_deadline(cfg.T_ud, cfg.mu, m=1,
-                                             w_u=[cfg.w_u], w1=cfg.w1,
-                                             w2=cfg.w2, q1=cfg.q1)
+    sc_params = SynthesisParams(T_ud=cfg.T_ud, mu=cfg.mu,
+                                w_u=[cfg.w_u], w1=cfg.w1,
+                                w2=cfg.w2, q1=cfg.q1)
     bounds = InputBounds(lower=np.array([-cfg.u_max]), upper=np.array([cfg.u_max]))
     return _acc_system(cfg), acc_goal(cfg), (acc_headway(cfg),), bounds, sc_params
 
@@ -118,8 +118,7 @@ def assembly_samples():
             x[:2] = rng.choice([-2.0, 2.0], size=2) * (1.0 if len(out) % 4 == 1
                                                        else rng.uniform(0, 1))
         out.append(("tour", sc.sys, goal, safes, sc.bounds, sc.params, x))
-    for case in synthetic_suite():
-        c = case.scenario
+    for c in synthetic_suite():
         phase = c.schedule.phases[0]
         for _ in range(15):
             out.append((c.scenario_id, c.sys, phase.goal, c.schedule.global_safes + phase.safe_extra,
@@ -128,14 +127,14 @@ def assembly_samples():
 
 
 class TestParams:
-    def test_for_deadline_builds_consistent_gains(self):
-        p = SynthesisParams.for_deadline(10.0, 5.0, m=2)
+    def test_deadline_builds_consistent_gains(self):
+        p = SynthesisParams(T_ud=10.0, mu=5.0, w_u=np.ones(2))
         assert p.gains.alpha1 == pytest.approx(np.pi / 4)
         assert p.w_u.shape == (2,)
 
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):
-            SynthesisParams.for_deadline(1.0, 2.0, m=1, w2=0.0)
+            SynthesisParams(T_ud=1.0, mu=2.0, w_u=np.ones(1), w2=0.0)
 
 
 class TestAssemble:
@@ -157,8 +156,8 @@ class TestAssemble:
     def test_freeze_drops_delta2_near_boundary(self):
         cfg = AccConfig(d_delta=50.0)
         sys, goal, safes, bounds, _ = acc_pieces(cfg)
-        params = SynthesisParams.for_deadline(
-            cfg.T_ud, cfg.mu, m=1, w_u=[cfg.w_u], w1=cfg.w1, w2=cfg.w2,
+        params = SynthesisParams(
+            T_ud=cfg.T_ud, mu=cfg.mu, w_u=[cfg.w_u], w1=cfg.w1, w2=cfg.w2,
             q1=cfg.q1_disturbed, delta2_freeze_level=cfg.delta2_freeze_at)
         far = assemble(sys, goal, safes, bounds, params, np.array([20.0, 10.0, 150.0]))
         assert far.m_c == 4   # h_s = -91 is below the freeze level
@@ -208,7 +207,7 @@ class TestSynthesize:
         goal = goal_ball(0.1)
         bound_mag = 20.0   # generous enough for the demanded fixed-time rate
         bounds = InputBounds(lower=-bound_mag * np.ones(2), upper=bound_mag * np.ones(2))
-        params = SynthesisParams.for_deadline(2.0, 2.0, m=2)
+        params = SynthesisParams(T_ud=2.0, mu=2.0, w_u=np.ones(2))
         x = np.array([3.0, 1.0])
         dec = synthesize(sys, goal, (), bounds, params, x)
         problem = assemble(sys, goal, (), bounds, params, x)
@@ -224,7 +223,7 @@ class TestSynthesize:
         goal = goal_ball(0.1, center=(3.0, 0.0))
         safe = safe_ball(2.0)
         bounds = InputBounds(lower=-5 * np.ones(2), upper=5 * np.ones(2))
-        params = SynthesisParams.for_deadline(2.0, 2.0, m=2)
+        params = SynthesisParams(T_ud=2.0, mu=2.0, w_u=np.ones(2))
         x = np.array([2.0, 0.0])    # exactly on the boundary
         dec = synthesize(sys, goal, (safe,), bounds, params, x)
         hdot = 2.0 * x @ dec.u
@@ -235,7 +234,7 @@ class TestSynthesize:
         goal = goal_ball(1.0)
         safe = safe_ball(5.0)
         bounds = InputBounds(lower=-np.ones(2), upper=np.ones(2))
-        params = SynthesisParams.for_deadline(2.0, 2.0, m=2)
+        params = SynthesisParams(T_ud=2.0, mu=2.0, w_u=np.ones(2))
         dec = synthesize(sys, goal, (safe,), bounds, params, np.array([0.1, 0.0]))
         assert np.linalg.norm(dec.u) <= 1e-6
 
@@ -276,7 +275,7 @@ class TestSynthesize:
         # the certificate of each goal segment classifies the segment's
         # worst slack and bounds the settling time only from inside its domain
         sc = acc_scenario(AccConfig(v_f0=17.0, horizon=3.0))
-        gains, k = sc.params.gains, sc.params.k_margin
+        gains = sc.params.gains
         segments = sc.simulate().segments
         assert segments
         for seg in segments:
@@ -288,7 +287,7 @@ class TestSynthesize:
             else:
                 assert regime is RegimeKind.LOCAL_FIXED_TIME
             assert seg["within_deadline"] == (regime is RegimeKind.GLOBAL_WITHIN_DEADLINE)
-            v_max = domain_threshold(gains, max(0.0, seg["delta1_sup"]), k)
+            v_max = settling_time_bound(gains, max(0.0, seg["delta1_sup"])).v_max
             assert seg["domain_ok"] == (seg["v_entry"] <= v_max)
             assert (seg["bound_T"] is None) == (not seg["domain_ok"])
             assert seg["bound_T"] is None or seg["bound_T"] > 0
@@ -336,11 +335,11 @@ class TestSynthesize:
         # the QP is genuinely infeasible
         cfg = AccConfig(d_delta=50.0)
         sys, goal, _, bounds, _ = acc_pieces(cfg)
-        safes = (SetFunction(name="headway", kind=SetKind.SAFE,
+        safes = (SetFunction(name="headway",
                              h=lambda x: cfg.tau_d * x[0] - x[2],
                              grad_h=lambda x: np.array([cfg.tau_d, 0.0, -1.0])),)
-        params = SynthesisParams.for_deadline(
-            cfg.T_ud, cfg.mu, m=1, w_u=[1.0], w1=1.0, w2=1.0, q1=1.0,
+        params = SynthesisParams(
+            T_ud=cfg.T_ud, mu=cfg.mu, w_u=[1.0], w1=1.0, w2=1.0, q1=1.0,
             delta2_freeze_level=cfg.delta2_freeze_at)
         x = np.array([22.0, 10.0, 39.7])   # h_s just below zero, closing fast
         with pytest.raises(SolverFailure):
@@ -367,11 +366,11 @@ class TestContinuityProbe:
         # near the input-bound activation the solution map is piecewise
         # smooth; quotients stay finite
         sys = integrator(1)
-        goal = SetFunction(name="g", kind=SetKind.GOAL,
+        goal = SetFunction(name="g",
                            h=lambda x: float(x[0] ** 2 - 0.01),
                            grad_h=lambda x: np.array([2.0 * x[0]]))
         bounds = InputBounds(lower=np.array([-2.0]), upper=np.array([2.0]))
-        params = SynthesisParams.for_deadline(2.0, 2.0, m=1)
+        params = SynthesisParams(T_ud=2.0, mu=2.0, w_u=np.ones(1))
         res = continuity_probe(sys, goal, (), bounds, params,
                                np.array([0.8]), radius=1e-5, n_samples=10)
         assert res.max_quotient < 1e5
@@ -384,8 +383,7 @@ def _trajectory_scenarios():
     # the freeze pins delta2 at about a third of the states
     runs += [(f"acc-{v:g}-d100", lambda v=v: acc_scenario(AccConfig(v_f0=v, d_delta=100.0)))
              for v in (24.0, 27.0)]
-    runs += [(case.scenario.scenario_id, lambda case=case: case.scenario)
-             for case in synthetic_suite()]
+    runs += [(sc.scenario_id, lambda sc=sc: sc) for sc in synthetic_suite()]
     return runs
 
 

@@ -6,11 +6,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from fxtqp.fxts import (
+    K,
     FxtsGains,
     RegimeKind,
     alpha_from_deadline,
-    classify_regime,
-    domain_threshold,
     gamma_roots,
     settling_time_bound,
     settling_time_bound_basic,
@@ -104,23 +103,24 @@ class TestSettlingBound:
     def test_zero_slack_gives_pi_over_gains(self):
         bound = settling_time_bound(FxtsGains(1, 1, 2), 0.0)
         assert bound.T == pytest.approx(math.pi)
-        assert bound.regime.kind is RegimeKind.GLOBAL_WITHIN_DEADLINE
+        assert bound.kind is RegimeKind.GLOBAL_WITHIN_DEADLINE
 
     def test_log_branch_equals_quadrature_at_domain_edge(self):
-        # oracle-first: the bound with margin k equals the exact travel time
-        # from V0 = (k a)^mu, evaluated by quadrature
+        # oracle-first: the bound with margin K equals the exact travel time
+        # from V0 = (K a)^mu, evaluated by quadrature
         g = FxtsGains(1, 1, 2)
-        bound = settling_time_bound(g, 2.5, k=0.5)
+        bound = settling_time_bound(g, 2.5)
         a, _ = gamma_roots(1, 1, 2.5)
-        oracle = exact_settling_integral(g, 2.5, (0.5 * a) ** g.mu)
+        oracle = exact_settling_integral(g, 2.5, (K * a) ** g.mu)
         assert bound.T == pytest.approx(oracle, rel=1e-10)
-        assert bound.T == pytest.approx(4.0 / 3.0 * math.log(7.0 / 4.0), rel=1e-12)
-        assert bound.regime.kind is RegimeKind.LOCAL_FIXED_TIME
+        # roots a = 0.5, b = 2: 2/1.5 * (log(1.55/0.05) - log(4))
+        assert bound.T == pytest.approx(4.0 / 3.0 * math.log(7.75), rel=1e-12)
+        assert bound.kind is RegimeKind.LOCAL_FIXED_TIME
 
     def test_degenerate_double_root_branch(self):
-        bound = settling_time_bound(FxtsGains(1, 1, 2), 2.0, k=0.5)
-        assert bound.T == pytest.approx(2.0)
-        assert bound.regime.kind is RegimeKind.LOCAL_FIXED_TIME
+        bound = settling_time_bound(FxtsGains(1, 1, 2), 2.0)
+        assert bound.T == pytest.approx(18.0)   # mu/sqrt(a1 a2) * 0.9/0.1
+        assert bound.kind is RegimeKind.LOCAL_FIXED_TIME
 
     def test_arctan_branch_against_quadrature(self):
         g = FxtsGains(1, 1, 2)
@@ -148,16 +148,39 @@ class TestSettlingBound:
                     assert new < old
 
 
-class TestDomainThreshold:
+class TestCertifiedDomain:
     def test_examples(self):
         g = FxtsGains(1, 1, 2)
-        assert domain_threshold(g, 2.5, 0.5) == pytest.approx(0.0625)
-        assert domain_threshold(g, 1.0) == math.inf
-        assert domain_threshold(g, 2.0, 0.9) == pytest.approx(0.81)
+        assert settling_time_bound(g, 2.5).v_max == pytest.approx(0.2025)   # (0.9 * 0.5)^2
+        assert settling_time_bound(g, 1.0).v_max == math.inf
+        assert settling_time_bound(g, 2.0).v_max == pytest.approx(0.81)
 
-    def test_tie_goes_local(self):
-        regime = classify_regime(FxtsGains(1, 1, 2), 2.0)
-        assert regime.kind is RegimeKind.LOCAL_FIXED_TIME
+    # delta1 as a multiple of the threshold: the degenerate band is a
+    # relative 1e-12 on delta1^2 - 4 a1 a2, so 1 -+ 1e-13 lie inside it and
+    # 1 -+ 1e-11 outside; ties (and the whole band) go local
+    GRID = [(-1.0, False), (0.0, False), (0.5, False), (1.0 - 1e-11, False),
+            (1.0 - 1e-13, True), (1.0, True), (1.0 + 1e-13, True),
+            (1.0 + 1e-11, True), (3.0, True)]
+
+    @pytest.mark.parametrize("a1, a2, mu", [(1.0, 1.0, 2.0), (0.5, 2.0, 5.0),
+                                            (7.85, 0.3, 1.5)])
+    def test_v_max_over_threshold_grid(self, a1, a2, mu):
+        g = FxtsGains(a1, a2, mu)
+        for factor, local in self.GRID:
+            delta1 = factor * g.critical_delta1
+            bound = settling_time_bound(g, delta1)
+            if not local:
+                assert bound.kind is not RegimeKind.LOCAL_FIXED_TIME, factor
+                assert bound.v_max == math.inf, factor
+                continue
+            roots = gamma_roots(a1, a2, delta1)
+            if factor < 1.0:
+                assert roots is None, factor
+            # no real root (below the threshold, and at it when rounding puts
+            # delta1^2 under 4 a1 a2): the double root sqrt(a2/a1) stands in
+            a = math.sqrt(a2 / a1) if roots is None else roots[0]
+            assert bound.kind is RegimeKind.LOCAL_FIXED_TIME, factor
+            assert bound.v_max == (K * a) ** mu, factor
 
 
 class TestScalarOracle:
@@ -169,8 +192,8 @@ class TestScalarOracle:
 
     def test_bound_holds_at_domain_edge(self):
         g = FxtsGains(1, 1, 2)
-        bound = settling_time_bound(g, 2.5, k=0.5)
-        res = simulate_scalar_v(g, 2.5, 0.0625, 1e-4)
+        bound = settling_time_bound(g, 2.5)
+        res = simulate_scalar_v(g, 2.5, 0.2025, 1e-4)
         assert res.hit_time is not None
         assert res.hit_time <= bound.T + 1e-6
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fxtqp import qp
-from fxtqp.constraints import SetKind
 from fxtqp.controller import assemble
 from fxtqp.fxts import settling_time_bound, worst_case
 from fxtqp.simulation import OutcomeKind, _joint_goal, monitor
@@ -118,8 +117,19 @@ class TestAccRuns:
 
 
 class TestTwoRobotGeometry:
+    def test_leg_goal_is_next_leg_stay_set(self):
+        # one object per waypoint: a leg's goal is the set the next leg
+        # stays in, so each track's legs chain through shared sets
+        for swap in (False, True):
+            tracks = two_robot_scenario(swap_agents=swap).schedule.tracks
+            assert len(tracks) == 2
+            for track in tracks:
+                assert len(track) == 8
+                for prev, leg in zip(track, track[1:]):
+                    assert prev.goal is leg.safe_extra[0]
+
     def test_ellipse_center_membership(self):
-        sets = waypoint_sets(TwoRobotConfig(), 0, SetKind.GOAL)
+        sets = waypoint_sets(TwoRobotConfig(), 0)
         s2 = sets[1]     # top edge ellipse, centered at (0, 1.5)
         assert s2.value(np.array([0.0, 1.5, 9.0, 9.0])) == pytest.approx(-1.0)
 
@@ -127,7 +137,7 @@ class TestTwoRobotGeometry:
         # sampled nonempty intersections, including the wrap-around pair,
         # with the workspace constraints active
         cfg = TwoRobotConfig()
-        sets = waypoint_sets(cfg, 0, SetKind.GOAL)
+        sets = waypoint_sets(cfg, 0)
         rng = np.random.default_rng(0)
         for i in range(8):
             a, b = sets[i], sets[(i + 1) % 8]
@@ -219,9 +229,8 @@ class TestTwoRobotRun:
         params = two_robot_scenario().params
         cert = worst_case(segs)
         assert cert["delta1_sup"] == max(s["delta1_sup"] for s in segs) == np.max(trace.delta1)
-        bound = settling_time_bound(params.gains, max(0.0, cert["delta1_sup"]),
-                                    params.k_margin)
-        assert cert["regime"] == bound.regime.kind.value
+        bound = settling_time_bound(params.gains, max(0.0, cert["delta1_sup"]))
+        assert cert["regime"] == bound.kind.value
         assert cert["domain_ok"] == all(s["domain_ok"] for s in segs)
         assert cert["bound_T"] == (bound.T if cert["domain_ok"] else None)
 
@@ -241,21 +250,18 @@ class TestTwoRobotRun:
 
 class TestSyntheticSuite:
     def test_one_dimensional_slack_stays_nonpositive(self):
-        case = next(c for c in synthetic_suite()
-                    if c.scenario.scenario_id == "synthetic:int1d")
-        trace = case.scenario.simulate()
+        sc = next(s for s in synthetic_suite() if s.scenario_id == "synthetic:int1d")
+        trace = sc.simulate()
         assert trace.outcome.kind is OutcomeKind.ALL_PHASES_MET
         assert np.max(trace.delta1) <= 0.0
-        assert trace.reach_times[0] <= case.scenario.params.T_ud
+        assert trace.reach_times[0] <= sc.params.T_ud
 
     def test_normalized_gradient_input_renders_boundary_safe(self):
         # a scaled negative gradient step satisfies the tangency condition
         # (the invariance row with h_s = 0) on any safe-set boundary of a
         # single integrator
         from fxtqp.constraints import ControlAffineSystem, InputBounds, qp_rows
-        case = next(c for c in synthetic_suite()
-                    if c.scenario.scenario_id == "synthetic:fullact2d")
-        sc = case.scenario
+        sc = next(s for s in synthetic_suite() if s.scenario_id == "synthetic:fullact2d")
         safe = sc.schedule.global_safes[0]
         rng = np.random.default_rng(5)
         integ2 = ControlAffineSystem(n=2, m=2, f=lambda x: np.zeros(2),
@@ -271,9 +277,8 @@ class TestSyntheticSuite:
             assert A[-1, :2] @ u <= b[-1] + 1e-12     # Lg u <= -Lf
 
     def test_obstacle_detour_reaches_and_avoids(self):
-        case = next(c for c in synthetic_suite()
-                    if c.scenario.scenario_id == "synthetic:int2d")
-        trace = case.scenario.simulate()
+        sc = next(s for s in synthetic_suite() if s.scenario_id == "synthetic:int2d")
+        trace = sc.simulate()
         assert trace.outcome.kind is OutcomeKind.ALL_PHASES_MET
         assert np.max(trace.h_safe) <= 0.0
         # the straight segment to the goal is blocked; the path must leave it

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fxtqp.constraints import ControlAffineSystem, InputBounds, SetFunction, SetKind
+from fxtqp.constraints import ControlAffineSystem, InputBounds, SetFunction
 from fxtqp.controller import SynthesisParams
 from fxtqp.fxts import settling_time_bound, worst_case
 from fxtqp.simulation import (
@@ -25,15 +25,15 @@ def integrator(n):
 
 def goal_ball(radius, center=None, name="goal"):
     c = np.zeros(2) if center is None else np.asarray(center, float)
-    return SetFunction(name=name, kind=SetKind.GOAL,
+    return SetFunction(name=name,
                        h=lambda x: float((x - c) @ (x - c) - radius ** 2),
                        grad_h=lambda x: 2.0 * (np.asarray(x, float) - c))
 
 
-def half_line(name, kind, bound, upper):
+def half_line(name, bound, upper):
     """1-D set x <= bound when ``upper``, x >= bound otherwise."""
     sign = 1.0 if upper else -1.0
-    return SetFunction(name=name, kind=kind,
+    return SetFunction(name=name,
                        h=lambda x: float(sign * (x[0] - bound)),
                        grad_h=lambda x: np.array([sign]))
 
@@ -44,7 +44,7 @@ def simple_setup(deadline=2.0, horizon=None):
         horizon=horizon,
     )
     bounds = InputBounds(lower=-2.0 * np.ones(2), upper=2.0 * np.ones(2))
-    params = SynthesisParams.for_deadline(2.0, 2.0, m=2)
+    params = SynthesisParams(T_ud=2.0, mu=2.0, w_u=np.ones(2))
     return integrator(2), sched, bounds, params
 
 
@@ -92,6 +92,12 @@ class TestRun:
         assert trace.outcome.kind is OutcomeKind.DEADLINE_MISSED
         assert trace.outcome.phase == 0
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, np.inf, np.nan])
+    def test_rejects_dt_that_is_not_finite_and_positive(self, dt):
+        sys, sched, bounds, params = simple_setup()
+        with pytest.raises(ValueError):
+            run(sys, sched, bounds, params, np.array([1.0, 1.0]), dt)
+
     def test_start_inside_goal_completes_at_zero(self):
         sys, sched, bounds, params = simple_setup()
         trace = run(sys, sched, bounds, params, np.array([0.01, 0.0]), 1e-3)
@@ -106,7 +112,7 @@ class TestRun:
         sched = Schedule(tracks=((Phase(goal=goal1, deadline=3.0),
                                   Phase(goal=goal2, deadline=3.0)),))
         bounds = InputBounds(lower=-2.0 * np.ones(2), upper=2.0 * np.ones(2))
-        params = SynthesisParams.for_deadline(3.0, 2.0, m=2)
+        params = SynthesisParams(T_ud=3.0, mu=2.0, w_u=np.ones(2))
         trace = run(integrator(2), sched, bounds, params,
                     np.array([2.0, 0.5]), 1e-3)
         assert trace.outcome.kind is OutcomeKind.ALL_PHASES_MET
@@ -162,7 +168,7 @@ class TestSegments:
         sched = Schedule(tracks=((Phase(goal=goal1, deadline=3.0),
                                   Phase(goal=goal2, deadline=3.0)),))
         bounds = InputBounds(lower=-2.0 * np.ones(2), upper=2.0 * np.ones(2))
-        params = SynthesisParams.for_deadline(3.0, 2.0, m=2)
+        params = SynthesisParams(T_ud=3.0, mu=2.0, w_u=np.ones(2))
         trace = run(integrator(2), sched, bounds, params, np.array([2.0, 0.5]), 1e-3)
         assert trace.outcome.kind is OutcomeKind.ALL_PHASES_MET
         segs = trace.segments
@@ -176,16 +182,14 @@ class TestSegments:
             assert (trace.t[i], trace.t[j]) == (s["t_start"], s["t_end"])
             assert s["v_entry"] == trace.h_goal[i]
             assert s["delta1_sup"] == np.max(trace.delta1[i:j + 1])
-            bound = settling_time_bound(params.gains, max(0.0, s["delta1_sup"]),
-                                        params.k_margin)
-            assert s["regime"] == bound.regime.kind.value
-            assert s["domain_ok"] == (s["v_entry"] <= bound.regime.v_max)
+            bound = settling_time_bound(params.gains, max(0.0, s["delta1_sup"]))
+            assert s["regime"] == bound.kind.value
+            assert s["domain_ok"] == (s["v_entry"] <= bound.v_max)
             assert s["bound_T"] == (bound.T if s["domain_ok"] else None)
         cert = worst_case(segs)
         assert cert["delta1_sup"] == max(s["delta1_sup"] for s in segs)
-        bound = settling_time_bound(params.gains, max(0.0, cert["delta1_sup"]),
-                                    params.k_margin)
-        assert cert["regime"] == bound.regime.kind.value
+        bound = settling_time_bound(params.gains, max(0.0, cert["delta1_sup"]))
+        assert cert["regime"] == bound.kind.value
         assert cert["domain_ok"] == all(s["domain_ok"] for s in segs)
         assert cert["bound_T"] == (bound.T if cert["domain_ok"] else None)
 
@@ -196,14 +200,14 @@ class TestSafetyMonitor:
         # x <= 0.4 is violated by 0.5: the run ends at the switch step
         line = ControlAffineSystem(n=1, m=1, f=lambda x: np.zeros(1),
                                    g=lambda x: np.eye(1))
-        out = Phase(goal=half_line("x_ge_0.9", SetKind.GOAL, 0.9, upper=False),
+        out = Phase(goal=half_line("x_ge_0.9", 0.9, upper=False),
                     deadline=2.0,
-                    safe_extra=(half_line("x_le_2", SetKind.SAFE, 2.0, upper=True),))
+                    safe_extra=(half_line("x_le_2", 2.0, upper=True),))
         back = Phase(goal=goal_ball(0.1, center=(0.0,), name="origin"), deadline=2.0,
-                     safe_extra=(half_line("x_le_0.4", SetKind.SAFE, 0.4, upper=True),))
+                     safe_extra=(half_line("x_le_0.4", 0.4, upper=True),))
         trace = run(line, Schedule(tracks=((out, back),)),
                     InputBounds(lower=np.array([-2.0]), upper=np.array([2.0])),
-                    SynthesisParams.for_deadline(2.0, 2.0, m=1), np.array([0.0]), 1e-3)
+                    SynthesisParams(T_ud=2.0, mu=2.0, w_u=np.ones(1)), np.array([0.0]), 1e-3)
         assert trace.outcome.kind is OutcomeKind.SAFETY_VIOLATED
         assert trace.outcome.branch == "phase_extra_0"
         assert trace.outcome.phase == 1
@@ -215,10 +219,10 @@ class TestSafetyMonitor:
         # two points on a line; the plant pushes the first one right at 5,
         # more than its input (|u| <= 1) and the second one's escape can
         # offset, so the separation 0.1 is lost however the QP decides
-        sep = SetFunction(name="separation", kind=SetKind.SAFE,
+        sep = SetFunction(name="separation",
                           h=lambda x: float(0.01 - (x[0] - x[1]) ** 2),
                           grad_h=lambda x: np.array([-2.0, 2.0]) * (x[0] - x[1]))
-        goal = SetFunction(name="x1_at_5", kind=SetKind.GOAL,
+        goal = SetFunction(name="x1_at_5",
                            h=lambda x: float((x[1] - 5.0) ** 2 - 0.01),
                            grad_h=lambda x: np.array([0.0, 2.0 * (x[1] - 5.0)]))
         pushed = ControlAffineSystem(n=2, m=2, f=lambda x: np.zeros(2),
@@ -227,7 +231,7 @@ class TestSafetyMonitor:
         trace = run(pushed, Schedule(tracks=((Phase(goal=goal, deadline=10.0),),),
                                      global_safes=(sep,)),
                     InputBounds(lower=-np.ones(2), upper=np.ones(2)),
-                    SynthesisParams.for_deadline(10.0, 2.0, m=2), np.array([0.0, 1.0]), 1e-3)
+                    SynthesisParams(T_ud=10.0, mu=2.0, w_u=np.ones(2)), np.array([0.0, 1.0]), 1e-3)
         assert trace.outcome.kind is OutcomeKind.SAFETY_VIOLATED
         assert trace.outcome.branch == "separation"
         # the run ends at the first step closer than 0.1 (up to round-off)
