@@ -21,7 +21,7 @@ import numpy as np
 
 from fxtqp.constraints import ControlAffineSystem, InputBounds, SetFunction
 from fxtqp.controller import SolverFailure, SynthesisParams, synthesize
-from fxtqp.fxts import certify_segment
+from fxtqp.fxts import certify_segment, worst_case
 
 __all__ = [
     "Phase",
@@ -213,10 +213,7 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
     n_legs = max(lengths)
     safe_names = _safe_column_names(schedule)
 
-    rec_t, rec_x, rec_u = [], [], []
-    rec_hg, rec_hs = [], []
-    rec_d1, rec_d2, rec_scs, rec_as, rec_phase = [], [], [], [], []
-    rec_iters, rec_over = [], []
+    rows: list[list] = []   # trace.csv's columns, then qp_iters and box_overshoot
     reach: list[list[float | None]] = [[None] * lengths[j] for j in range(n_tracks)]
 
     t = 0.0
@@ -270,21 +267,14 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
         warm = decision.active_set
 
         hs_vals = decision.h_safe
-        rec_t.append(t)
-        rec_x.append(x.copy())
-        rec_u.append(decision.u.copy())
-        rec_hg.append(decision.h_goal)
-        rec_hs.append(hs_vals)
-        rec_d1.append(decision.delta1)
-        rec_d2.append(decision.delta2)
-        rec_scs.append(decision.strict_cs)
-        rec_as.append(len(decision.active_set))
-        rec_phase.append(min(min(idx), n_legs - 1))
-        rec_iters.append(decision.iterations)
-        rec_over.append(decision.box_overshoot)
+        rows.append([t, *x.tolist(), *decision.u.tolist(), decision.h_goal,
+                     *hs_vals.tolist(), decision.delta1, decision.delta2,
+                     decision.strict_cs, len(decision.active_set),
+                     min(min(idx), n_legs - 1), decision.iterations,
+                     decision.box_overshoot])
         if new_segment:
             seg_goals = pending
-            seg_starts.append(len(rec_t) - 1)
+            seg_starts.append(len(rows) - 1)
 
         if np.any(hs_vals > _SAFE_TOL):
             j = int(np.argmax(hs_vals))
@@ -302,10 +292,14 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
         step += 1
         t = step * dt
 
+    width = len(_trace_header(sys.n, bounds.m, safe_names)) + 2
+    steps = _step_fields(np.array(rows, dtype=float).reshape(-1, width),
+                         sys.n, bounds.m, safe_names)
+    t_rec, hg, d1 = steps["t"], steps["h_goal"], steps["delta1"]
     segments = tuple(
-        certify_segment(params.gains, rec_t[a], rec_t[b - 1], rec_hg[a],
-                        max(rec_d1[a:b]))
-        for a, b in zip(seg_starts, seg_starts[1:] + [len(rec_t)]))
+        certify_segment(params.gains, float(t_rec[a]), float(t_rec[b - 1]), float(hg[a]),
+                        float(d1[a:b].max()))
+        for a, b in zip(seg_starts, seg_starts[1:] + [len(rows)]))
 
     # joint leg completion: the later of the tracks' leg reach times
     joint: list[float | None] = []
@@ -313,23 +307,9 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
         times = [reach[j][k] for j in range(n_tracks) if k < lengths[j]]
         joint.append(None if any(v is None for v in times) else max(times))
 
-    n = sys.n
-    m = bounds.m
     return Trace(
-        t=np.asarray(rec_t),
-        x=np.asarray(rec_x).reshape(len(rec_t), n),
-        u=np.asarray(rec_u).reshape(len(rec_t), m),
-        h_goal=np.asarray(rec_hg),
-        h_safe=np.asarray(rec_hs).reshape(len(rec_t), len(safe_names)),
-        delta1=np.asarray(rec_d1),
-        delta2=np.asarray(rec_d2),
-        strict_cs=np.asarray(rec_scs, dtype=bool),
-        active_set_size=np.asarray(rec_as, dtype=int),
-        phase=np.asarray(rec_phase, dtype=int),
-        safe_names=safe_names,
+        **steps,
         dt=dt,
-        qp_iters=np.asarray(rec_iters, dtype=int),
-        box_overshoot=np.asarray(rec_over, dtype=float),
         outcome=outcome,
         reach_times=tuple(joint),
         track_reach_times=tuple(tuple(r) for r in reach),
@@ -338,75 +318,101 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
 
 
 def monitor(trace: Trace, d_min: float | None = None) -> dict:
-    """Summary statistics of a trace, as used by the acceptance suite.
+    """A run's ``summary.json`` body, without ``scenario`` and ``exit_code``.
 
-    ``min_separation`` is recovered from a safety branch named
-    ``separation`` of the form d_min**2 - distance**2 when ``d_min`` is
-    given.  An empty trace yields None statistics.
+    Outcome, reach times, the statistics of the acceptance suite, the
+    fixed-time certificates (one per goal segment and their worst case) and
+    the QP counters, in the written key order.  ``min_separation`` is
+    recovered from a safety branch named ``separation`` of the form
+    d_min**2 - distance**2 when ``d_min`` is given.  An empty trace yields
+    None statistics; a trace read back from CSV carries no outcome and no
+    QP counters, so those read None too.
     """
     empty = len(trace) == 0
+    counted = trace.qp_iters.size > 0
     max_h = None if empty else {name: float(np.max(trace.h_safe[:, j]))
                                 for j, name in enumerate(trace.safe_names)}
     separation = None
     if d_min is not None and max_h and "separation" in max_h:
         separation = math.sqrt(max(0.0, d_min * d_min - max_h["separation"]))
+    outcome = trace.outcome
     return {
+        "outcome": None if outcome is None else dict(vars(outcome), kind=outcome.kind.value),
+        "steps": len(trace),
+        "dt": trace.dt,
+        "reach_times": list(trace.reach_times) if trace.reach_times else None,
+        "track_reach_times": [list(r) for r in trace.track_reach_times],
+        "max_abs_u": None if empty else [float(v) for v in np.max(np.abs(trace.u), axis=0)],
         "max_h_per_branch": max_h,
         "min_separation": separation,
-        "reach_times": list(trace.reach_times) if trace.reach_times else None,
-        "max_abs_u": None if empty else [float(v) for v in np.max(np.abs(trace.u), axis=0)],
         "max_delta1": None if empty else float(np.max(trace.delta1)),
+        "fixed_time_certificate": worst_case(trace.segments),
+        "segments": list(trace.segments),
+        "solver": {
+            "iterations_mean": float(trace.qp_iters.mean()) if counted else None,
+            "iterations_max": int(trace.qp_iters.max()) if counted else None,
+            "nonstrict_steps": int((~trace.strict_cs).sum()),
+            "max_box_overshoot": float(trace.box_overshoot.max()) if counted else None,
+        },
     }
+
+
+def _trace_header(n: int, m: int, safe_names: Sequence[str]) -> list[str]:
+    """trace.csv's columns: a trace's step fields in table order."""
+    return (["t"] + [f"x{i}" for i in range(n)] + [f"u{i}" for i in range(m)]
+            + ["h_goal"] + [f"hs_{name}" for name in safe_names]
+            + ["delta1", "delta2", "strict_cs", "active_set_size", "phase"])
+
+
+def _step_fields(table: np.ndarray, n: int, m: int, safe_names: Sequence[str]) -> dict:
+    """Trace's step fields sliced from a table in :func:`_trace_header` order.
+
+    Two trailing columns beyond that layout are the QP counters
+    ``qp_iters`` and ``box_overshoot``.
+    """
+    h = 1 + n + m                # h_goal
+    d = h + 1 + len(safe_names)  # delta1
+    fields = dict(
+        t=table[:, 0], x=table[:, 1:1 + n], u=table[:, 1 + n:h], h_goal=table[:, h],
+        h_safe=table[:, h + 1:d], delta1=table[:, d], delta2=table[:, d + 1],
+        strict_cs=table[:, d + 2].astype(bool),
+        active_set_size=table[:, d + 3].astype(int),
+        phase=table[:, d + 4].astype(int), safe_names=tuple(safe_names))
+    if table.shape[1] > d + 5:
+        fields.update(qp_iters=table[:, d + 5].astype(int), box_overshoot=table[:, d + 6])
+    return fields
 
 
 def trace_to_csv(trace: Trace, path) -> None:
     """Write the step records with 17 significant digits (lossless doubles)."""
-    n = trace.x.shape[1]
-    m = trace.u.shape[1]
-    header = (["t"] + [f"x{i}" for i in range(n)] + [f"u{i}" for i in range(m)]
-              + ["h_goal"] + [f"hs_{name}" for name in trace.safe_names]
-              + ["delta1", "delta2", "strict_cs", "active_set_size", "phase"])
+    table = np.column_stack([trace.t, trace.x, trace.u, trace.h_goal, trace.h_safe,
+                             trace.delta1, trace.delta2, trace.strict_cs,
+                             trace.active_set_size, trace.phase])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(len(trace)):
-            row = ([f"{trace.t[k]:.17g}"]
-                   + [f"{v:.17g}" for v in trace.x[k]]
-                   + [f"{v:.17g}" for v in trace.u[k]]
-                   + [f"{trace.h_goal[k]:.17g}"]
-                   + [f"{v:.17g}" for v in trace.h_safe[k]]
-                   + [f"{trace.delta1[k]:.17g}", f"{trace.delta2[k]:.17g}",
-                      str(int(trace.strict_cs[k])), str(int(trace.active_set_size[k])),
-                      str(int(trace.phase[k]))])
-            writer.writerow(row)
+        writer.writerow(_trace_header(trace.x.shape[1], trace.u.shape[1],
+                                      trace.safe_names))
+        for row in table.tolist():
+            writer.writerow([f"{v:.17g}" for v in row[:-3]] + [int(v) for v in row[-3:]])
 
 
 def trace_from_csv(path) -> Trace:
     """Re-parse a trace CSV written by :func:`trace_to_csv`.
 
     Run metadata (outcome, reach times) lives in the summary JSON, not the
-    CSV; the returned trace carries the step records only.
+    CSV; the returned trace carries the step records only.  A header that
+    is not a trace layout raises ValueError.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         rows = [[float(v) for v in row] for row in reader]
-    data = np.asarray(rows, dtype=float) if rows else np.zeros((0, len(header)))
-    cols = {name: j for j, name in enumerate(header)}
-    xs = [c for c in header if c.startswith("x") and c[1:].isdigit()]
-    us = [c for c in header if c.startswith("u") and c[1:].isdigit()]
-    hs = [c for c in header if c.startswith("hs_")]
-    return Trace(
-        t=data[:, cols["t"]],
-        x=data[:, [cols[c] for c in xs]],
-        u=data[:, [cols[c] for c in us]],
-        h_goal=data[:, cols["h_goal"]],
-        h_safe=data[:, [cols[c] for c in hs]] if hs else np.zeros((len(rows), 0)),
-        delta1=data[:, cols["delta1"]],
-        delta2=data[:, cols["delta2"]],
-        strict_cs=data[:, cols["strict_cs"]].astype(bool),
-        active_set_size=data[:, cols["active_set_size"]].astype(int),
-        phase=data[:, cols["phase"]].astype(int),
-        safe_names=tuple(c[3:] for c in hs),
-        dt=float(data[1, cols["t"]] - data[0, cols["t"]]) if len(rows) >= 2 else 0.0,
-    )
+    h = header.index("h_goal") if "h_goal" in header else 0
+    n = sum(c.startswith("x") for c in header[1:h])
+    safe_names = tuple(c[3:] for c in header[h + 1:-5])
+    if header != _trace_header(n, h - 1 - n, safe_names):
+        raise ValueError(f"{path}: not a trace.csv header: {','.join(header)}")
+    steps = _step_fields(np.array(rows, dtype=float).reshape(-1, len(header)),
+                         n, h - 1 - n, safe_names)
+    t = steps["t"]
+    return Trace(**steps, dt=float(t[1] - t[0]) if t.size >= 2 else 0.0)

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fxtqp.cli import main
+from fxtqp.cli import build_parser, main
+from fxtqp.scenarios import scenario_from_id
 from fxtqp.simulation import monitor, trace_from_csv
 
 
@@ -149,6 +150,19 @@ class TestRun:
         assert summary["reach_times"][0] <= cert["bound_T"]
 
 
+@pytest.mark.parametrize("scenario_id, tag", [("acc", "acc"),
+                                              ("synthetic:int2d", "synthetic_int2d")])
+def test_monitor_is_the_summary(tmp_path, scenario_id, tag):
+    # the library builds every summary field; the CLI adds only the scenario
+    # id and the exit code
+    assert run_cli("--scenario", scenario_id, "--out", str(tmp_path)) == 0
+    written = json.loads((tmp_path / tag / "summary.json").read_text())
+    scenario = scenario_from_id(scenario_id, {})
+    body = json.loads(json.dumps(monitor(scenario.simulate(), d_min=scenario.d_min)))
+    assert list(written) == ["scenario", *body, "exit_code"]
+    assert {k: v for k, v in written.items() if k not in ("scenario", "exit_code")} == body
+
+
 class TestSweep:
     def test_empty_value_list_is_noop(self, tmp_path):
         assert run_cli("--scenario", "acc", "--sweep", "v_f0=",
@@ -157,7 +171,7 @@ class TestSweep:
 
     def test_sweep_aggregates_and_exit_code(self, tmp_path):
         code = run_cli("--scenario", "acc", "--sweep", "v_f0=21,24",
-                       "--set", "horizon=12.0", "--jobs", "2",
+                       "--set", "horizon=12.0",
                        "--out", str(tmp_path))
         assert code == 0
         lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
@@ -166,11 +180,17 @@ class TestSweep:
         for sub in ("v_f0=21", "v_f0=24"):
             assert (tmp_path / sub / "trace.csv").exists()
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_is_config_error(self, tmp_path, jobs):
-        assert run_cli("--scenario", "acc", "--sweep", "v_f0=21", "--jobs", jobs,
+    def test_key_without_values_is_config_error(self, tmp_path):
+        # like --set without '=', unlike the empty list of 'v_f0='
+        assert run_cli("--scenario", "acc", "--sweep", "v_f0",
                        "--out", str(tmp_path)) == 2
-        assert not (tmp_path / "sweep.csv").exists()
+        assert not any(tmp_path.iterdir())
+
+    def test_sweep_and_verify_bounds_exclude_each_other(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--verify-bounds", "--sweep", "v_f0=1", "--out", str(tmp_path))
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
 
     def test_sweep_propagates_failures(self, tmp_path):
         # with a 1 s deadline the 17 m/s start misses and the 21 m/s one meets it
@@ -222,6 +242,17 @@ def test_readme_lists_every_summary_key(tmp_path):
     assert all(openers), bullets
     stale = {o.group(1) for o in openers} - keys
     assert not stale, f"README bullets for keys the summary lacks: {sorted(stale)}"
+
+
+def test_readme_lists_every_flag():
+    # README's Flags paragraph and the parser name the same options
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme.split("\nFlags: ", 1)[1].split("\n\n", 1)[0]
+    documented = set(re.findall(r"`(--[\w-]+)", paragraph))
+    options = {opt for action in build_parser()._actions if action.dest != "help"
+               for opt in action.option_strings}
+    assert options - documented == set(), "flags absent from README"
+    assert documented - options == set(), "README flags the parser lacks"
 
 
 def test_import_leaves_scipy_optimize_unloaded():

@@ -265,12 +265,22 @@ class TestCsvRoundTrip:
         path = tmp_path / "trace.csv"
         trace_to_csv(trace, path)
         back = trace_from_csv(path)
-        assert np.array_equal(back.t, trace.t)
-        assert np.array_equal(back.x, trace.x)
-        assert np.array_equal(back.u, trace.u)
-        assert np.array_equal(back.delta1, trace.delta1)
-        assert np.array_equal(back.phase, trace.phase)
+        for name in ("t", "x", "u", "h_goal", "h_safe", "delta1", "delta2",
+                     "strict_cs", "active_set_size", "phase"):
+            a, b = getattr(back, name), getattr(trace, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert back.safe_names == trace.safe_names
         assert back.dt == trace.dt
+
+    @pytest.mark.parametrize("header", ["", "t,x0,u0,h_goal,delta1",
+                                        "t,x0,u0,h_goal,hs_a,delta1,delta2,strict_cs,phase",
+                                        "t,y0,u0,h_goal,delta1,delta2,strict_cs,"
+                                        "active_set_size,phase"])
+    def test_foreign_header_is_rejected(self, tmp_path, header):
+        path = tmp_path / "trace.csv"
+        path.write_text(header + "\n")
+        with pytest.raises(ValueError):
+            trace_from_csv(path)
 
     def test_monitor_stats_survive_round_trip(self, tmp_path):
         from fxtqp.scenarios import two_robot_scenario
