@@ -11,9 +11,11 @@ external tools.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -50,6 +52,12 @@ def _parse_overrides(pairs):
         key, _, value = item.partition("=")
         overrides[key.strip()] = _parse_value(value.strip())
     return overrides
+
+
+def _split_values(raw: str) -> list[str]:
+    """A sweep's nonempty values; commas inside a flat list do not split, so
+    ``[1.5, 0.5],[1.2, 0.4]`` is two values."""
+    return [v for v in re.split(r",(?![^\[]*\])", raw) if v]
 
 
 def _out_dir(args) -> Path:
@@ -99,7 +107,7 @@ def cmd_sweep(args) -> int:
         axis, eq, raw = args.sweep.partition("=")
         if not eq:
             raise ValueError(f"--sweep expects key=v1,v2,..., got {args.sweep!r}")
-        values = [_parse_value(v) for v in raw.split(",") if v != ""]
+        values = [_parse_value(v) for v in _split_values(raw)]
         out_dir = _out_dir(args)
     except (ValueError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -115,16 +123,18 @@ def cmd_sweep(args) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    agg_path = out_dir / "sweep.csv"
-    with open(agg_path, "w") as fh:
-        fh.write(f"{axis},outcome,reach_last,max_abs_u,max_h,min_separation,max_delta1,exit_code\n")
+    with open(out_dir / "sweep.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([axis, "outcome", "reach_last", "max_abs_u", "max_h",
+                         "min_separation", "max_delta1", "exit_code"])
         for value, s in zip(values, summaries):
             reach = s["reach_times"][-1] if s["reach_times"] else None
             max_h = max(s["max_h_per_branch"].values()) if s["max_h_per_branch"] else None
             max_u = max(s["max_abs_u"]) if s["max_abs_u"] else None
-            fh.write(",".join(str(v) for v in [
+            # str() keeps None as "None"; a list value is one quoted field
+            writer.writerow([str(v) for v in [
                 value, s["outcome"]["kind"], reach, max_u, max_h,
-                s["min_separation"], s["max_delta1"], s["exit_code"]]) + "\n")
+                s["min_separation"], s["max_delta1"], s["exit_code"]]])
     for value, s in zip(values, summaries):
         print(f"{axis}={value}: {s['outcome']['kind']} (exit {s['exit_code']})")
     return max((s["exit_code"] for s in summaries), default=EXIT_OK)
@@ -195,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fxtqp",
         description="Run fixed-time safe-control scenarios and bound checks.",
     )
-    parser.add_argument("--scenario", default="acc",
-                        help="acc | two-robot | synthetic:<id>")
+    parser.add_argument("--scenario", default=None,
+                        help="acc (default) | two-robot | synthetic:<id>")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a scenario config field (repeatable)")
     parser.add_argument("--dt", type=float, default=None,
@@ -213,13 +223,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flag_error(args) -> str | None:
+    """Why the given flags do not go together, or None."""
+    if args.verify_bounds:
+        given = [f"--{f}" for f in ("scenario", "set", "dt") if getattr(args, f) is not None]
+        if given:
+            return f"--verify-bounds takes no {', '.join(given)}"
+    elif args.grid_json is not None:
+        return "--grid-json needs --verify-bounds"
+    if args.dt is not None and not (math.isfinite(args.dt) and args.dt > 0):
+        return "dt must be a finite number > 0"
+    return None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.dt is not None and not (math.isfinite(args.dt) and args.dt > 0):
-        print("configuration error: dt must be a finite number > 0", file=sys.stderr)
+    error = _flag_error(args)
+    if error:
+        print(f"configuration error: {error}", file=sys.stderr)
         return EXIT_CONFIG
     if args.verify_bounds:
         return cmd_verify_bounds(args)
+    if args.scenario is None:
+        args.scenario = "acc"
     if args.sweep:
         return cmd_sweep(args)
     return cmd_run(args)

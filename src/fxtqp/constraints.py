@@ -2,10 +2,9 @@
 
 A set is always the zero-sublevel set {x : h(x) <= 0} of a scalar function
 with an analytic gradient, and its role is where it is passed: as the goal
-of :func:`qp_rows` it gets the reach-rate row, as a safe set invariance
-rows.  Nonsmooth sets built as a max over smooth branches keep their branch
-list so the constraint assembler can emit one smooth row per branch instead
-of differentiating the max.
+of :func:`qp_rows` it gets the reach-rate row, as a safe set an invariance
+row.  A set bounded by several smooth functions is passed as several safe
+sets, one row each, so no row differentiates a nonsmooth max.
 
 Rows are expressed over the decision vector z = (v_s, delta1, delta2), where
 the physical input is v = scale * v_s with the per-component bound magnitude
@@ -59,43 +58,16 @@ class SetFunction:
     """Scalar set function h with analytic gradient; set is {h <= 0}.
 
     One object may be one phase's goal and the next phase's safe set.
-    When ``branches`` is nonempty the function is max over the branches:
-    ``value`` returns the exact max and ``gradient`` the gradient of the
-    argmax branch (smallest index on ties).
     """
 
     name: str
-    h: Callable[[np.ndarray], float] | None = None
-    grad_h: Callable[[np.ndarray], np.ndarray] | None = None
-    branches: tuple["SetFunction", ...] = ()
-
-    def __post_init__(self):
-        if not self.branches and (self.h is None or self.grad_h is None):
-            raise ValueError(f"set function {self.name!r} needs h and grad_h or branches")
-
-    @classmethod
-    def max_of(cls, name: str, branches: Sequence["SetFunction"]) -> "SetFunction":
-        if not branches:
-            raise ValueError("max_of needs at least one branch")
-        return cls(name=name, branches=tuple(branches))
+    h: Callable[[np.ndarray], float]
+    grad_h: Callable[[np.ndarray], np.ndarray]
 
     def value(self, x: np.ndarray) -> float:
-        if self.branches:
-            return max(b.value(x) for b in self.branches)
         return float(self.h(x))
 
-    def branch_values(self, x: np.ndarray) -> list[float]:
-        if self.branches:
-            return [b.value(x) for b in self.branches]
-        return [self.value(x)]
-
-    def _argmax_branch(self, x: np.ndarray) -> "SetFunction":
-        vals = self.branch_values(x)
-        return self.branches[int(np.argmax(vals))]   # np.argmax takes the first max
-
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        if self.branches:
-            return self._argmax_branch(x).gradient(x)
         return np.asarray(self.grad_h(x), dtype=float).ravel()
 
 
@@ -168,9 +140,8 @@ def qp_rows(sys: ControlAffineSystem, h_g: SetFunction, safes: Sequence[SetFunct
     - the reach-rate row
       Lf·h_g + Lg·h_g v - delta1*h_g <= -alpha1*max(0,h_g)**gamma1
       - alpha2*max(0,h_g)**gamma2;
-    - one invariance row Lf·h_s + Lg·h_s v <= -delta2*h_s per safe-set
-      branch, all sharing delta2 (the conjunction enforces the max branch
-      without its gradient jumps; on the boundary h_s = 0 the row reduces to
+    - one invariance row Lf·h_s + Lg·h_s v <= -delta2*h_s per safe set,
+      all sharing delta2 (on the boundary h_s = 0 the row reduces to
       tangency).
 
     When ``freeze_level`` is set and some safe-set value exceeds it, the
@@ -179,16 +150,16 @@ def qp_rows(sys: ControlAffineSystem, h_g: SetFunction, safes: Sequence[SetFunct
     (diagonal, no linear delta2 term) puts it at 0.  The row count is the
     same frozen or not.
 
-    f(x) and g(x) are evaluated once; each set function once per branch.
+    f(x) and g(x) are evaluated once, each set function once.
     Returns (A, b, h_goal, h_safe): the rows and the set values they used,
-    h_safe with one value per safe set (a composite's is its max branch).
+    h_safe with one value per safe set.
     """
     fx = sys.drift(x)
     gx = sys.input_matrix(x)
     box_A, box_b = bounds.box_rows
     m = bounds.m
     k = box_b.size
-    n_rows = k + 1 + sum(len(s.branches) or 1 for s in safes)
+    n_rows = k + 1 + len(safes)
     A = np.zeros((n_rows, m + 2))
     b = np.zeros(n_rows)
     A[:k] = box_A
@@ -202,42 +173,28 @@ def qp_rows(sys: ControlAffineSystem, h_g: SetFunction, safes: Sequence[SetFunct
     b[k] = -float(grad @ fx) - _clamped_power_sum(h_goal, gains)
     k += 1
 
-    h_safe = []
-    for s in safes:
-        values = []
-        for br in s.branches or (s,):
-            hv = br.value(x)
-            grad = br.gradient(x)
-            A[k, :m] = grad @ gx
-            A[k, m + 1] = hv
-            b[k] = -float(grad @ fx)
-            values.append(hv)
-            k += 1
-        h_safe.append(max(values))
-    A[box_b.size:k, :m] *= bounds.scale()
-    if freeze_level is not None and h_safe and max(h_safe) > freeze_level:
+    h_safe = np.empty(len(safes))
+    for j, s in enumerate(safes):
+        h_safe[j] = hv = s.value(x)
+        grad = s.gradient(x)
+        A[k + j, :m] = grad @ gx
+        A[k + j, m + 1] = hv
+        b[k + j] = -float(grad @ fx)
+    A[box_b.size:, :m] *= bounds.scale()
+    if freeze_level is not None and h_safe.size and h_safe.max() > freeze_level:
         A[:, m + 1] = 0.0
-    return A, b, h_goal, np.array(h_safe)
+    return A, b, h_goal, h_safe
 
 
 def finite_diff_gradient_check(s: SetFunction, xs: Sequence[np.ndarray],
                                eps: float = 1e-6) -> float:
-    """Max relative error of grad_h against central finite differences.
-
-    States closer than the perturbation to a branch switch of a composite
-    are skipped (the max is nonsmooth there and the comparison meaningless).
-    """
+    """Max relative error of grad_h against central finite differences."""
     if not eps > 0:
         raise ValueError("eps must be positive")
     worst = 0.0
     for x in xs:
         x = np.asarray(x, dtype=float)
         grad = s.gradient(x)
-        if s.branches and len(s.branches) > 1:
-            vals = sorted(s.branch_values(x), reverse=True)
-            margin = 10.0 * eps * (1.0 + float(np.linalg.norm(grad)))
-            if vals[0] - vals[1] <= margin:
-                continue
         fd = np.empty_like(grad)
         for j in range(x.size):
             step = np.zeros_like(x)

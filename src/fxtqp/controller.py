@@ -6,7 +6,7 @@ slack, and the invariance slack.  The QP minimizes
     0.5 * (w_u . v_s^2 + w1*delta1^2 + w2*delta2^2) + q1*delta1
 
 over the input-box rows, one reach-rate row for the goal set, and one
-invariance row per safe-set branch.  Inputs are scaled component-wise by
+invariance row per safe set.  Inputs are scaled component-wise by
 their bound magnitude inside the solver (v_s above) so the Hessian stays
 well conditioned when physical inputs are large; results are reported in
 physical units.

@@ -158,7 +158,7 @@ def settling_time_bound(gains: FxtsGains, delta1: float) -> SettlingBound:
     delta1 > 2*sqrt(alpha1*alpha2):
         T = mu/(alpha1*(b-a)) * (log((b-K*a)/(a*(1-K))) - log(b/a))
 
-    The last two branches are the local regime (ties at the threshold go
+    The last two cases are the local regime (ties at the threshold go
     local): they certify convergence only from V <= (K*a)**mu, where a <= b
     are the barrier roots of :func:`gamma_roots`, a = sqrt(alpha2/alpha1)
     inside the band.  Above that the comparison system may stall before

@@ -289,10 +289,11 @@ def _ellipse(name: str, center, semi_x: float, semi_y: float, agent: int) -> Set
     return SetFunction(name=name, h=h, grad_h=grad)
 
 
-def _square_branches(cfg: TwoRobotConfig, agent: int) -> SetFunction:
+def _square_walls(cfg: TwoRobotConfig, agent: int) -> list[SetFunction]:
+    """The agent's four wall sets ±x_axis <= arena; together the square."""
     sl = _agent_slice(agent)
     a = cfg.arena
-    branches = []
+    walls = []
     for axis in (0, 1):
         for sign in (1.0, -1.0):
             def h(x, axis=axis, sign=sign):
@@ -303,9 +304,9 @@ def _square_branches(cfg: TwoRobotConfig, agent: int) -> SetFunction:
                 out[sl.start + axis] = sign
                 return out
 
-            branches.append(SetFunction(name=f"square_a{agent + 1}_{axis}{int(sign > 0)}",
-                                        h=h, grad_h=grad))
-    return SetFunction.max_of(f"square_a{agent + 1}", branches)
+            walls.append(SetFunction(name=f"square_a{agent + 1}_{axis}{int(sign > 0)}",
+                                     h=h, grad_h=grad))
+    return walls
 
 
 def _outside_hub(cfg: TwoRobotConfig, agent: int) -> SetFunction:
@@ -414,8 +415,8 @@ def two_robot_scenario(cfg: TwoRobotConfig | None = None,
     schedule = Schedule(
         tracks=tuple(tracks),
         global_safes=(
-            _square_branches(cfg, 0),
-            _square_branches(cfg, 1),
+            *_square_walls(cfg, 0),
+            *_square_walls(cfg, 1),
             _outside_hub(cfg, 0),
             _outside_hub(cfg, 1),
             _separation(cfg),

@@ -1,7 +1,7 @@
 """Closed-loop simulation: explicit Euler under the QP controller.
 
 A run executes a phase schedule: each phase names a goal set, a relative
-deadline, and phase-specific safety branches layered on top of the global
+deadline, and phase-specific safe sets layered on top of the global
 ones.  Phases advance the moment the goal value drops to the phase's reach
 tolerance; deadlines are checked, not waited for.  Safety is judged as the
 paper defines it, forward invariance of {h_s <= 0}: the first step with a
@@ -72,7 +72,7 @@ class Phase:
     ``reach_tol`` widens the arrival test to goal value <= reach_tol, for
     goals whose zero-sublevel set has empty interior (exact membership is
     then unreachable on a grid).  ``safe_extra`` holds the phase's own
-    safety branches, e.g. the set currently being traversed.
+    safe sets, e.g. the set currently being traversed.
     """
 
     goal: SetFunction
@@ -91,11 +91,12 @@ class Schedule:
 
     Each track advances the moment its own current goal is met; the
     controller goal combines the unfinished tracks' current goals, and every
-    track's current phase adds its extra safety branches.  One track is a
-    plain phase sequence; multi-agent tours use one per agent, because
-    synchronized arrivals would park the agents head-on.  ``horizon``, when
-    set, keeps running under the last phases' sets after every phase is met;
-    None stops at the last reach.
+    track's current phase adds its extra safe sets.  The trace has one
+    column per safe set, so all phases of a track must carry equally many.
+    One track is a plain phase sequence; multi-agent tours use one per
+    agent, because synchronized arrivals would park the agents head-on.
+    ``horizon``, when set, keeps running under the last phases' sets after
+    every phase is met; None stops at the last reach.
     """
 
     tracks: tuple[tuple[Phase, ...], ...]
@@ -105,6 +106,10 @@ class Schedule:
     def __post_init__(self):
         if not self.tracks or any(not t for t in self.tracks):
             raise ValueError("every track needs at least one phase")
+        for j, track in enumerate(self.tracks):
+            if len({len(ph.safe_extra) for ph in track}) > 1:
+                raise ValueError(f"track {j}: its phases carry different numbers of "
+                                 "safe_extra sets, but the trace has one column per safe set")
 
     @property
     def phases(self) -> tuple[Phase, ...]:
@@ -323,7 +328,7 @@ def monitor(trace: Trace, d_min: float | None = None) -> dict:
     Outcome, reach times, the statistics of the acceptance suite, the
     fixed-time certificates (one per goal segment and their worst case) and
     the QP counters, in the written key order.  ``min_separation`` is
-    recovered from a safety branch named ``separation`` of the form
+    recovered from a safe set named ``separation`` of the form
     d_min**2 - distance**2 when ``d_min`` is given.  An empty trace yields
     None statistics; a trace read back from CSV carries no outcome and no
     QP counters, so those read None too.

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fxtqp.cli import build_parser, main
+from fxtqp.cli import _split_values, build_parser, main
 from fxtqp.scenarios import scenario_from_id
 from fxtqp.simulation import monitor, trace_from_csv
 
@@ -192,12 +193,54 @@ class TestSweep:
         assert exc.value.code == 2
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("raw, values", [
+        ("17,21", ["17", "21"]),
+        ("[1.5, 0.5],[1.2, 0.4]", ["[1.5, 0.5]", "[1.2, 0.4]"]),
+        ("[1.5, 0.5]", ["[1.5, 0.5]"]),
+        ("[1, 2],3,", ["[1, 2]", "3"]),
+        ("", [])])
+    def test_values_split_on_commas_outside_brackets(self, raw, values):
+        assert _split_values(raw) == values
+
+    @pytest.mark.parametrize("start", ["[0.1]", "[0.1, 0.2, 0.3]"])
+    def test_list_value_reaches_the_config_whole(self, tmp_path, capsys, start):
+        # the config, not the split, refuses a start that is not a pair; split
+        # on every comma, the second would reach it as the strings '[0.1' ...
+        assert run_cli("--scenario", "two-robot", "--sweep", f"x0_agent1={start}",
+                       "--out", str(tmp_path)) == 2
+        assert "x0_agent1 must be two finite numbers" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_list_value_is_one_sweep_field(self, tmp_path):
+        # the default start, given as a list: one tour run
+        assert run_cli("--scenario", "two-robot", "--sweep", "x0_agent1=[-1.5, 1.5]",
+                       "--out", str(tmp_path)) == 0
+        with open(tmp_path / "sweep.csv", newline="") as fh:
+            header, row = list(csv.reader(fh))
+        assert header[0] == "x0_agent1" and len(row) == len(header)
+        assert row[0] == "[-1.5, 1.5]" and row[1] == "all_phases_met"
+        assert (tmp_path / "x0_agent1=[-1.5, 1.5]" / "trace.csv").exists()
+
     def test_sweep_propagates_failures(self, tmp_path):
         # with a 1 s deadline the 17 m/s start misses and the 21 m/s one meets it
         code = run_cli("--scenario", "acc", "--sweep", "v_f0=17,21",
                        "--set", "T_ud=1.0",
                        "--set", "horizon=11.0", "--out", str(tmp_path))
         assert code == 4
+
+
+class TestFlagCombinations:
+    # a flag the chosen mode would ignore is refused before any run
+    @pytest.mark.parametrize("flags", [
+        ("--verify-bounds", "--scenario", "acc"),
+        ("--verify-bounds", "--set", "bogus=1"),
+        ("--verify-bounds", "--dt", "0.01"),
+        ("--grid-json", "missing.json"),
+        ("--scenario", "synthetic:int1d", "--grid-json", "missing.json")])
+    def test_ignored_flag_is_config_error(self, tmp_path, capsys, flags):
+        assert run_cli(*flags, "--out", str(tmp_path)) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestVerifyBounds:

@@ -37,7 +37,7 @@ def reach_row(sys, goal, x, gains=None):
 
 
 def safety_rows(sys, safe, x):
-    """The invariance rows of one safe set (one per branch) and their right sides."""
+    """The invariance row of one safe set and its right side."""
     goal = ball()
     A, b, _, _ = qp_rows(sys, goal, (safe,), unit_box(sys.m), alpha_from_deadline(2.0, 2.0), x)
     return A[2 * sys.m + 1:], b[2 * sys.m + 1:]
@@ -135,30 +135,19 @@ class TestSafetyRow:
         assert rows[0, -1] == pytest.approx(-3.0)
         assert rhs[0] == pytest.approx(0.0)
 
-    def test_composite_emits_one_row_per_branch(self):
-        b1 = ball(1.0, "b1")
-        b2 = SetFunction(name="b2",
-                         h=lambda x: float(x[0] - 1.0),
-                         grad_h=lambda x: np.array([1.0, 0.0]))
-        comp = SetFunction.max_of("both", (b1, b2))
-        x = np.array([0.2, 0.1])
-        rows, _ = safety_rows(integrator(2), comp, x)
-        assert len(rows) == 2
-        assert list(rows[:, -1]) == [b1.value(x), b2.value(x)]
-
     def test_set_values_are_reported(self):
-        # a composite's value is its max branch, as SetFunction.value gives it
+        # one value per safe set, in the order the sets were passed
         b1 = ball(1.0, "b1")
         b2 = SetFunction(name="b2",
                          h=lambda x: float(x[0] - 1.0),
                          grad_h=lambda x: np.array([1.0, 0.0]))
-        comp = SetFunction.max_of("both", (b1, b2))
         goal = ball(0.5)
         x = np.array([0.2, 0.1])
-        _, _, h_goal, h_safe = qp_rows(integrator(2), goal, (comp, b2), unit_box(2),
+        A, _, h_goal, h_safe = qp_rows(integrator(2), goal, (b1, b2), unit_box(2),
                                        alpha_from_deadline(2.0, 2.0), x)
         assert h_goal == goal.value(x)
-        assert list(h_safe) == [comp.value(x), b2.value(x)]
+        assert list(h_safe) == [b1.value(x), b2.value(x)]
+        assert list(A[-2:, -1]) == list(h_safe)
 
 
 class TestFreezePins:
@@ -181,28 +170,6 @@ class TestFreezePins:
 
 
 class TestCompositeSemantics:
-    def test_value_is_exact_max(self):
-        rng = np.random.default_rng(42)
-        b1 = ball(1.0, "b1")
-        b2 = SetFunction(name="plane",
-                         h=lambda x: float(x[0] + 0.3),
-                         grad_h=lambda x: np.array([1.0, 0.0]))
-        comp = SetFunction.max_of("m", (b1, b2))
-        for _ in range(10_000):
-            x = rng.normal(size=2) * 2
-            assert comp.value(x) == max(b1.value(x), b2.value(x))
-
-    def test_argmax_gradient_smallest_index_on_tie(self):
-        b1 = SetFunction(name="x",
-                         h=lambda x: float(x[0]),
-                         grad_h=lambda x: np.array([1.0, 0.0]))
-        b2 = SetFunction(name="y",
-                         h=lambda x: float(x[1]),
-                         grad_h=lambda x: np.array([0.0, 1.0]))
-        comp = SetFunction.max_of("m", (b1, b2))
-        g = comp.gradient(np.array([0.7, 0.7]))
-        assert np.allclose(g, [1.0, 0.0])
-
     def test_rows_affine_in_decision(self):
         # evaluating a row at 2z doubles the left side exactly
         row, _ = reach_row(integrator(2), ball(), np.array([1.5, -0.3]))
@@ -276,15 +243,3 @@ class TestGradientCheck:
         rng = np.random.default_rng(4)
         xs = rng.uniform([-1, 1], [1, 2], size=(100, 2))
         assert finite_diff_gradient_check(ell, xs, eps=1e-6) <= 1e-5
-
-    def test_skips_branch_switches(self):
-        b1 = SetFunction(name="x",
-                         h=lambda x: float(x[0]),
-                         grad_h=lambda x: np.array([1.0, 0.0]))
-        b2 = SetFunction(name="y",
-                         h=lambda x: float(x[1]),
-                         grad_h=lambda x: np.array([0.0, 1.0]))
-        comp = SetFunction.max_of("m", (b1, b2))
-        # every sample sits on the switch line; all must be skipped
-        xs = [np.array([v, v]) for v in np.linspace(-1, 1, 20)]
-        assert finite_diff_gradient_check(comp, xs, eps=1e-6) == 0.0

@@ -75,10 +75,9 @@ def reference_rows(sys, goal, safes, bounds, params, x):
     rows.append(np.concatenate([grad @ sys.input_matrix(x), [-hv, 0.0]]))
     rhs.append(-float(grad @ sys.drift(x)) - power)
     for s in safes:
-        for br in s.branches or (s,):
-            grad = br.gradient(x)
-            rows.append(np.concatenate([grad @ sys.input_matrix(x), [0.0, br.value(x)]]))
-            rhs.append(-float(grad @ sys.drift(x)))
+        grad = s.gradient(x)
+        rows.append(np.concatenate([grad @ sys.input_matrix(x), [0.0, s.value(x)]]))
+        rhs.append(-float(grad @ sys.drift(x)))
     A = np.vstack(rows)
     level = params.delta2_freeze_level
     if level is not None and safes and max(s.value(x) for s in safes) > level:
@@ -90,7 +89,7 @@ def reference_rows(sys, goal, safes, bounds, params, x):
 def assembly_samples():
     """(label, sys, goal, safes, bounds, params, x) at states where assembly
     has something to get wrong: frozen acc states (delta2 column zeroed), square
-    corners and diagonals of the tour (tied branches), joint goals, and the
+    corners and diagonals of the tour (tied wall sets), joint goals, and the
     synthetic cases."""
     rng = np.random.default_rng(21)
     out = []
@@ -114,7 +113,7 @@ def assembly_samples():
         safes = sc.schedule.global_safes + t1[k1].safe_extra + t2[k2].safe_extra
         x = rng.uniform(-2.0, 2.0, size=4)
         if len(out) % 2:
-            # agent 1 on a square corner or a diagonal, where two branches tie
+            # agent 1 on a square corner or a diagonal, where two walls tie
             x[:2] = rng.choice([-2.0, 2.0], size=2) * (1.0 if len(out) % 4 == 1
                                                        else rng.uniform(0, 1))
         out.append(("tour", sc.sys, goal, safes, sc.bounds, sc.params, x))
@@ -176,7 +175,7 @@ class TestAssemble:
         safes = sc.schedule.global_safes + track0.safe_extra + track1.safe_extra
         p = assemble(sc.sys, track0.goal, safes, sc.bounds, sc.params, sc.x0)
         assert p.n_z == 6
-        assert p.m_c == 8 + 1 + 13   # inputs, convergence, safety branches
+        assert p.m_c == 8 + 1 + 13   # inputs, convergence, safe sets
 
     def test_matches_row_by_row_reference(self):
         samples = assembly_samples()
@@ -190,8 +189,8 @@ class TestAssemble:
             assert p.h_goal == goal.value(x)
             assert list(p.h_safe) == [s.value(x) for s in safes]
             pinned += label == "acc-frozen" and not p.A[:, -1].any()
-            ties += any(sorted(s.branch_values(x))[-2:] == [s.value(x)] * 2
-                        for s in safes if s.branches)
+            walls = sorted(s.value(x) for s in safes if s.name.startswith("square_a1"))
+            ties += len(walls) > 1 and walls[-1] == walls[-2]
         assert pinned >= 10 and ties >= 10
 
     def test_objective_layout(self):

@@ -4,7 +4,7 @@ import pytest
 from fxtqp import qp
 from fxtqp.controller import assemble
 from fxtqp.fxts import settling_time_bound, worst_case
-from fxtqp.simulation import OutcomeKind, _joint_goal, monitor
+from fxtqp.simulation import OutcomeKind, _joint_goal, monitor, trace_to_csv
 from fxtqp.scenarios import (
     AccConfig,
     TwoRobotConfig,
@@ -218,6 +218,23 @@ class TestTwoRobotRun:
         stats = monitor(trace, d_min=0.1)
         for name, value in stats["max_h_per_branch"].items():
             assert value <= 1e-9, name
+
+    def test_one_column_per_wall(self, trace, tmp_path):
+        # four wall sets per agent, each its own safe set and trace column
+        trace_to_csv(trace, tmp_path / "trace.csv")
+        header = (tmp_path / "trace.csv").read_text().splitlines()[0].split(",")
+        assert sum(c.startswith("hs_") for c in header) == 13
+        keys = list(monitor(trace, d_min=0.1)["max_h_per_branch"])
+        walls = [k for k in keys if k.startswith("square_")]
+        assert len(walls) == 8 and keys[:8] == walls
+        # the workspace check of the acceptance suite matches every wall and hub
+        assert {k for k in keys if k.startswith(("square", "hub"))} == \
+            set(keys) - {"separation", "phase_extra_0_0", "phase_extra_1_0"}
+        # an agent's walls together are the square: their max is |p|_inf - arena
+        for agent in (0, 1):
+            p = trace.x[:, 2 * agent:2 * agent + 2]
+            assert np.array_equal(trace.h_safe[:, 4 * agent:4 * agent + 4].max(axis=1),
+                                  np.abs(p).max(axis=1) - TwoRobotConfig().arena)
 
     def test_segment_certificates_cover_the_tour(self, trace):
         segs = trace.segments

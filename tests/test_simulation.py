@@ -160,6 +160,18 @@ class TestSchedule:
         with pytest.raises(ValueError):
             two.phases
 
+    def test_phases_of_a_track_carry_equally_many_safe_sets(self):
+        # the trace has one column per safe set, so a track whose phases
+        # differ in safe_extra count is refused before any run
+        goal = goal_ball(0.1)
+        wall = half_line("wall", 3.0, upper=True)
+        plain = (Phase(goal=goal, deadline=1.0),)
+        ragged = (Phase(goal=goal, deadline=1.0),
+                  Phase(goal=goal, deadline=1.0, safe_extra=(wall,)))
+        with pytest.raises(ValueError, match="track 1"):
+            Schedule(tracks=(plain, ragged))
+        Schedule(tracks=(plain, ragged[1:]))
+
 
 class TestSegments:
     def test_two_phase_segments_partition_the_steps(self):
