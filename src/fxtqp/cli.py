@@ -63,7 +63,10 @@ def _split_values(raw: str) -> list[str]:
 def _out_dir(args) -> Path:
     root = args.out or os.environ.get("FXTQP_OUT") or "fxtqp-out"
     path = Path(root)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot use {root!r} as output directory: {exc}") from exc
     return path
 
 
@@ -167,10 +170,10 @@ def _load_bounds_grid(path) -> dict:
 def cmd_verify_bounds(args) -> int:
     try:
         grid = _load_bounds_grid(args.grid_json)
+        out_dir = _out_dir(args)
     except (OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out_dir = _out_dir(args)
     rows = []
     failures = 0
     for alpha in grid["alpha"]:

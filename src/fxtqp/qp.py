@@ -12,6 +12,11 @@ its working set and needs neither a feasible start nor an LP, and
 :func:`brute_force_solve`, an exhaustive working-set enumeration used as a
 test oracle.  Both report duals and the active set so callers can check KKT
 conditions and strict complementarity.
+
+:func:`solve_qp` keeps a thin QR factor of its working rows through
+``scipy.linalg.lapack`` directly (numpy's ``linalg`` wrappers cost several
+times the arithmetic at these sizes): ``dgeqrf``/``dorgqr`` factor a hot
+start and refactor after each drop, and every solve with R or R' is ``dtrtrs``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, lapack
 
 __all__ = [
     "QpProblem",
@@ -198,17 +203,41 @@ def _infeasible_solution(problem: QpProblem, z: np.ndarray, duals: np.ndarray,
     )
 
 
+def _thin_qr(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q (n x k) and R (k x k) with Q R = M, for an n x k M with 1 <= k <= n.
+
+    R keeps dgeqrf's Householder vectors below its diagonal, unzeroed: it is
+    read only through its diagonal and by dtrtrs, which reads the upper part.
+    """
+    qr, tau, _, info = lapack.dgeqrf(M)
+    if info:
+        raise LinAlgError(f"dgeqrf failed with info {info}")
+    Q, _, info = lapack.dorgqr(qr, tau)
+    if info:
+        raise LinAlgError(f"dorgqr failed with info {info}")
+    return Q, qr[:M.shape[1]]
+
+
+def _tri_solve(R: np.ndarray, v: np.ndarray, trans: int = 0) -> np.ndarray:
+    """x with R x = v (trans=0) or R'x = v (trans=1), R upper triangular."""
+    x, info = lapack.dtrtrs(R, v, trans=trans)
+    if info:
+        raise LinAlgError(f"dtrtrs failed with info {info}")
+    return x
+
+
 def _equality_solve(Q: np.ndarray, R: np.ndarray, f: np.ndarray,
                     b_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Multipliers and minimizer of 0.5|y|^2 + f'y subject to C_w y = b_w.
 
-    ``Q R`` is a QR factorization of C_w'.  The minimizer is assembled from
-    its parts in and orthogonal to the span of Q, not from the multipliers,
-    so that the working rows hold to the round-off of b_w and f.
+    ``Q R`` is a QR factorization of C_w', with at least one row.  The
+    minimizer is assembled from its parts in and orthogonal to the span of
+    Q, not from the multipliers, so that the working rows hold to the
+    round-off of b_w and f.
     """
-    on_span = np.linalg.solve(R.T, b_w)     # Q'y
+    on_span = _tri_solve(R, b_w, trans=1)     # Q'y
     qf = Q.T @ f
-    lam = np.linalg.solve(R, -qf - on_span)
+    lam = _tri_solve(R, -qf - on_span)
     return lam, Q @ on_span - (f - Q @ qf)
 
 
@@ -232,7 +261,7 @@ def _hot_start(C: np.ndarray, f: np.ndarray, b: np.ndarray, norms: np.ndarray,
                    if isinstance(i, (int, np.integer)) and 0 <= i < m})
     while work:
         kept = work[:n]
-        Q, R = np.linalg.qr(C[kept].T)
+        Q, R = _thin_qr(C[kept].T)
         independent = np.abs(np.diag(R)) > _DEP_TOL * norms[kept]
         if not independent.all():
             del work[int(np.argmin(independent))]
@@ -256,7 +285,9 @@ def solve_qp(problem: QpProblem, warm_start: Sequence[int] | None = None) -> QpS
     working set (Goldfarb & Idnani, Math. Prog. 27, 1983).  No feasible start
     is needed.  On exit the equality QP on the final working set is solved
     once more (unless the start was already optimal), so that stationarity
-    holds to round-off.
+    holds to round-off.  The working rows are kept as a thin QR factor: an
+    added row appends a column to Q and R, a dropped row refactors the rest
+    with ``dgeqrf``/``dorgqr``, and every solve with R or R' is ``dtrtrs``.
 
     ``warm_start`` is a guess at the working set, as row indices, e.g. the
     active set of the previous solve of a nearby problem.  It is trimmed to
@@ -313,7 +344,7 @@ def solve_qp(problem: QpProblem, warm_start: Sequence[int] | None = None) -> QpS
             v_re = Q.T @ w     # one re-orthogonalization keeps w accurate
             w -= Q @ v_re
             v += v_re
-            r = np.linalg.solve(R, v)     # c = C_work' r + w
+            r = _tri_solve(R, v) if work else v     # c = C_work' r + w
             w2 = float(w @ w)
             dependent = w2 <= (_DEP_TOL * norms[p]) ** 2
             # on a dependent row a coefficient of round-off size is no block
@@ -334,7 +365,8 @@ def solve_qp(problem: QpProblem, warm_start: Sequence[int] | None = None) -> QpS
                     y = y - t_full * w
                     lam = np.append(lam - t_full * r, lam_p + t_full)
                     size = len(work)
-                    R_add = np.zeros((size + 1, size + 1))
+                    # Fortran order: dtrtrs reads R without a copy
+                    R_add = np.zeros((size + 1, size + 1), order="F")
                     R_add[:size, :size] = R
                     R_add[:size, size] = v
                     R_add[size, size] = math.sqrt(w2)
@@ -345,7 +377,8 @@ def solve_qp(problem: QpProblem, warm_start: Sequence[int] | None = None) -> QpS
             lam = np.delete(lam - t * r, k)
             lam_p += t
             del work[k]
-            Q, R = np.linalg.qr(C[work].T)
+            # LAPACK gets no empty matrix: an emptied set keeps empty factors
+            Q, R = _thin_qr(C[work].T) if work else (Q[:, :0], R[:0, :0])
 
     if iterations and work:
         lam, y = _equality_solve(Q, R, f, b[work])

@@ -243,6 +243,18 @@ class TestFlagCombinations:
         assert not any(tmp_path.iterdir())
 
 
+    # one case per mode: run, sweep and bound check
+    @pytest.mark.parametrize("flags", [
+        ("--scenario", "synthetic:int1d"),
+        ("--scenario", "synthetic:int1d", "--sweep", "horizon=5.0"),
+        ("--verify-bounds",)])
+    def test_out_naming_a_file_is_config_error(self, tmp_path, capsys, flags):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        assert run_cli(*flags, "--out", str(taken)) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert taken.read_text() == "not a directory"
+
 class TestVerifyBounds:
     def test_small_grid_passes(self, tmp_path):
         grid = tmp_path / "grid.json"

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from fxtqp.qp import (
     QpProblem,
     SolveStatus,
+    _tri_solve,
     brute_force_solve,
     check_strict_complementarity,
     kkt_residual,
@@ -233,6 +234,46 @@ class TestAlgebraicProperties:
             assert warm.objective == pytest.approx(cold.objective, abs=1e-10)
             assert np.allclose(warm.z_star, [1.0, 0.5], atol=1e-12)
             assert np.allclose(warm.lambda_star, [0.0, 0.5], atol=1e-12)
+
+    def test_drop_to_empty_working_set(self):
+        # min 0.5|z|^2 s.t. z1 >= 1, z2 <= 2 z1 - 5: the optimum (2, -1) holds
+        # row 1 alone with multiplier 1.  From the guess (0,), adding row 1
+        # drives row 0's multiplier to zero first, so row 0 is dropped, which
+        # empties the working set, and then row 1 is added
+        p = make_problem(np.eye(2), [0.0, 0.0], [[-1.0, 0.0], [-2.0, 1.0]], [-1.0, -5.0])
+        for guess, iterations in ((None, 1), ((0,), 2), ((1,), 0), ((0, 1), 0)):
+            s = solve_qp(p, warm_start=guess)
+            assert s.status is SolveStatus.OPTIMAL
+            assert s.iterations == iterations, guess
+            assert np.allclose(s.z_star, [2.0, -1.0], atol=1e-12)
+            assert np.allclose(s.lambda_star, [0.0, 1.0], atol=1e-12)
+            assert s.active_set == (1,)
+
+    def test_solve_path_makes_no_numpy_linalg_call(self, monkeypatch):
+        # every factor and solve of a step goes through LAPACK directly; the
+        # problems are built first, so their H is factored and cached
+        dependent_pair = make_problem(np.eye(3), [-1.0, -1.0, -1.0],
+                                      [[0, 0, 1.0], [0, 0, -1.0], [1.0, 0, 0]],
+                                      [0.0, 0.0, 0.3])
+        drop_to_empty = make_problem(np.eye(2), [0.0, 0.0],
+                                     [[-1.0, 0.0], [-2.0, 1.0]], [-1.0, -5.0])
+        infeasible = make_problem([[1.0]], [0.0], [[1.0], [-1.0]], [-1.0, -1.0])
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.linalg called on the solve path")
+
+        monkeypatch.setattr(np.linalg, "qr", forbidden)
+        monkeypatch.setattr(np.linalg, "solve", forbidden)
+        cold = solve_qp(dependent_pair)
+        assert solve_qp(dependent_pair, warm_start=cold.active_set).iterations == 0
+        assert solve_qp(dependent_pair, warm_start=(0, 1)).iterations == 1
+        assert solve_qp(drop_to_empty, warm_start=(0,)).iterations == 2
+        assert solve_qp(infeasible).status is SolveStatus.INFEASIBLE
+
+    def test_singular_triangle_raises(self):
+        # a zero on R's diagonal is LAPACK's info > 0, never a silent answer
+        with pytest.raises(np.linalg.LinAlgError):
+            _tri_solve(np.array([[1.0, 2.0], [0.0, 0.0]]), np.ones(2))
 
     def test_hot_start_from_optimal_set_takes_no_iteration(self):
         rng = np.random.default_rng(13)
