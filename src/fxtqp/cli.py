@@ -79,6 +79,8 @@ def _outcome_exit_code(outcome) -> int:
 
 
 def _single_run(scenario_id: str, overrides: dict, dt, out_dir: Path, tag: str = "run"):
+    if dt is not None and "dt" in overrides:
+        raise ValueError("--dt and a dt in --set or --sweep both set the step; give one")
     scenario = scenario_from_id(scenario_id, overrides)
     trace = scenario.simulate(dt=dt)
     summary = {"scenario": scenario.scenario_id, **monitor(trace, d_min=scenario.d_min),

@@ -1,10 +1,11 @@
 """Control-affine systems, set-defining functions, and QP constraint rows.
 
 A set is always the zero-sublevel set {x : h(x) <= 0} of a scalar function
-with an analytic gradient, and its role is where it is passed: as the goal
-of :func:`qp_rows` it gets the reach-rate row, as a safe set an invariance
-row.  A set bounded by several smooth functions is passed as several safe
-sets, one row each, so no row differentiates a nonsmooth max.
+with an analytic gradient, and one call returns both, so each row's value
+and gradient come from one evaluation.  Its role is where it is passed: as
+the goal of :func:`qp_rows` it gets the reach-rate row, as a safe set an
+invariance row.  A set bounded by several smooth functions is passed as
+several safe sets, one row each, so no row differentiates a nonsmooth max.
 
 Rows are expressed over the decision vector z = (v_s, delta1, delta2), where
 the physical input is v = scale * v_s with the per-component bound magnitude
@@ -57,18 +58,20 @@ class ControlAffineSystem:
 class SetFunction:
     """Scalar set function h with analytic gradient; set is {h <= 0}.
 
-    One object may be one phase's goal and the next phase's safe set.
+    ``fn(x)`` returns the pair (h(x), grad h(x)) from one evaluation, so a
+    set computes what its value and gradient share once.  One object may be
+    one phase's goal and the next phase's safe set.
     """
 
     name: str
-    h: Callable[[np.ndarray], float]
-    grad_h: Callable[[np.ndarray], np.ndarray]
+    fn: Callable[[np.ndarray], tuple[float, np.ndarray]]
+
+    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        h, grad = self.fn(x)
+        return float(h), np.asarray(grad, dtype=float).ravel()
 
     def value(self, x: np.ndarray) -> float:
-        return float(self.h(x))
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.grad_h(x), dtype=float).ravel()
+        return self.value_and_gradient(x)[0]
 
 
 @dataclass(frozen=True)
@@ -150,7 +153,8 @@ def qp_rows(sys: ControlAffineSystem, h_g: SetFunction, safes: Sequence[SetFunct
     (diagonal, no linear delta2 term) puts it at 0.  The row count is the
     same frozen or not.
 
-    f(x) and g(x) are evaluated once, each set function once.
+    f(x) and g(x) are evaluated once, each set function once (one call
+    gives its value and gradient).
     Returns (A, b, h_goal, h_safe): the rows and the set values they used,
     h_safe with one value per safe set.
     """
@@ -166,8 +170,7 @@ def qp_rows(sys: ControlAffineSystem, h_g: SetFunction, safes: Sequence[SetFunct
     b[:k] = box_b
 
     # input columns hold the Lie derivatives Lg·h until scaled at the end
-    h_goal = h_g.value(x)
-    grad = h_g.gradient(x)
+    h_goal, grad = h_g.value_and_gradient(x)
     A[k, :m] = grad @ gx
     A[k, m] = -h_goal
     b[k] = -float(grad @ fx) - _clamped_power_sum(h_goal, gains)
@@ -175,8 +178,8 @@ def qp_rows(sys: ControlAffineSystem, h_g: SetFunction, safes: Sequence[SetFunct
 
     h_safe = np.empty(len(safes))
     for j, s in enumerate(safes):
-        h_safe[j] = hv = s.value(x)
-        grad = s.gradient(x)
+        hv, grad = s.value_and_gradient(x)
+        h_safe[j] = hv
         A[k + j, :m] = grad @ gx
         A[k + j, m + 1] = hv
         b[k + j] = -float(grad @ fx)
@@ -188,13 +191,14 @@ def qp_rows(sys: ControlAffineSystem, h_g: SetFunction, safes: Sequence[SetFunct
 
 def finite_diff_gradient_check(s: SetFunction, xs: Sequence[np.ndarray],
                                eps: float = 1e-6) -> float:
-    """Max relative error of grad_h against central finite differences."""
+    """Max relative error of the analytic gradient against central finite
+    differences of the value."""
     if not eps > 0:
         raise ValueError("eps must be positive")
     worst = 0.0
     for x in xs:
         x = np.asarray(x, dtype=float)
-        grad = s.gradient(x)
+        grad = s.value_and_gradient(x)[1]
         fd = np.empty_like(grad)
         for j in range(x.size):
             step = np.zeros_like(x)

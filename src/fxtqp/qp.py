@@ -42,11 +42,12 @@ __all__ = [
     "check_strict_complementarity",
 ]
 
-# Absolute tolerances on well-scaled data (see module docs: inputs are
-# expected pre-scaled to O(1)-O(1e3)).
+# A row is reported active where its slack is at most FEAS_TOL * (1 + |b_i|);
+# the oracle refuses multipliers below -DUAL_TOL on its equilibrated rows.
+# Both assume O(1)-sized rows: the controller scales inputs by their bound
+# (InputBounds.scale) before it builds them.
 FEAS_TOL = 1e-8
 DUAL_TOL = 1e-10
-STAT_TOL = 1e-8
 _SYM_TOL = 1e-10
 # solve_qp, on the equilibrated rows: a row is violated beyond
 # _VIOL_TOL * (1 + |b_i|), and a row's normal lies in the span of the working

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -46,6 +47,14 @@ class Scenario:
     def simulate(self, dt: float | None = None) -> Trace:
         return run(self.sys, self.schedule, self.bounds, self.params, self.x0,
                    dt if dt is not None else self.dt)
+
+
+def _require_finite(cfg) -> None:
+    # NaN passes every comparison check below, and an infinite horizon or
+    # gain makes a run that never ends or fails in the solver
+    bad = [k for k, v in vars(cfg).items() if isinstance(v, float) and not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"config numbers must be finite: {', '.join(bad)}")
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +106,7 @@ class AccConfig:
     q1_disturbed: float = 0.3    # q1 used when d_delta > 0 (freeze-compatible braking)
 
     def __post_init__(self):
+        _require_finite(self)
         if min(self.M, self.grav, self.v_d, self.tau_d, self.T_ud) <= 0 or self.mu <= 1:
             raise ValueError("ACC constants must be positive (mu > 1)")
         if self.d_delta < 0:
@@ -112,14 +122,19 @@ class AccConfig:
         return self.f0 + self.f1 * v_f + self.f2 * v_f * v_f
 
 
+def _constant(a) -> Callable[[np.ndarray], np.ndarray]:
+    """A function of the state that returns ``a``, built once and read-only."""
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return lambda x: a
+
+
 def _acc_system(cfg: AccConfig) -> ControlAffineSystem:
     def f(x):
         v_f, v_l, _ = x
         return np.array([-cfg.drag(v_f) / cfg.M, cfg.a_lead, v_l - v_f])
 
-    def g(x):
-        return np.array([[1.0 / cfg.M], [0.0], [0.0]])
-
+    g = _constant([[1.0 / cfg.M], [0.0], [0.0]])
     disturbance = None
     if cfg.d_delta > 0:
         def disturbance(x):
@@ -131,11 +146,11 @@ def _acc_system(cfg: AccConfig) -> ControlAffineSystem:
 def acc_goal(cfg: AccConfig) -> SetFunction:
     """Squared speed error; its zero set {v_f = v_d} has empty interior,
     so arrival is judged against the reach band instead of exact membership."""
-    return SetFunction(
-        name="speed_error",
-        h=lambda x: (x[0] - cfg.v_d) ** 2,
-        grad_h=lambda x: np.array([2.0 * (x[0] - cfg.v_d), 0.0, 0.0]),
-    )
+    def fn(x):
+        e = x[0] - cfg.v_d
+        return e ** 2, np.array([2.0 * e, 0.0, 0.0])
+
+    return SetFunction("speed_error", fn)
 
 
 def acc_headway(cfg: AccConfig) -> SetFunction:
@@ -156,17 +171,13 @@ def acc_headway(cfg: AccConfig) -> SetFunction:
     """
     a_b = 0.9 * cfg.u_max / cfg.M
 
-    def closing(x):
-        return max(0.0, x[0] - x[1])
+    def fn(x):
+        closing = max(0.0, x[0] - x[1])
+        r = closing / a_b
+        return (cfg.tau_d * x[0] - x[2] + closing ** 2 / (2.0 * a_b),
+                np.array([cfg.tau_d + r, -r, -1.0]))
 
-    def h(x):
-        return cfg.tau_d * x[0] - x[2] + closing(x) ** 2 / (2.0 * a_b)
-
-    def grad(x):
-        r = closing(x) / a_b
-        return np.array([cfg.tau_d + r, -r, -1.0])
-
-    return SetFunction(name="headway", h=h, grad_h=grad)
+    return SetFunction("headway", fn)
 
 
 def acc_scenario(cfg: AccConfig | None = None) -> Scenario:
@@ -243,6 +254,7 @@ class TwoRobotConfig:
     q1: float = 100.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.d_m <= 0 or self.component_bound <= 0 or self.phase_budget <= 0:
             raise ValueError("two-robot constants must be positive")
         for name in ("x0_agent1", "x0_agent2"):
@@ -259,16 +271,13 @@ def _circle(name: str, center, radius: float, agent: int) -> SetFunction:
     c = np.asarray(center, dtype=float)
     sl = _agent_slice(agent)
 
-    def h(x):
+    def fn(x):
         d = x[sl] - c
-        return float(d @ d - radius * radius)
+        grad = np.zeros(4)
+        grad[sl] = 2.0 * d
+        return d @ d - radius * radius, grad
 
-    def grad(x):
-        out = np.zeros(4)
-        out[sl] = 2.0 * (x[sl] - c)
-        return out
-
-    return SetFunction(name=name, h=h, grad_h=grad)
+    return SetFunction(name, fn)
 
 
 def _ellipse(name: str, center, semi_x: float, semi_y: float, agent: int) -> SetFunction:
@@ -276,17 +285,13 @@ def _ellipse(name: str, center, semi_x: float, semi_y: float, agent: int) -> Set
     sl = _agent_slice(agent)
     wx, wy = 1.0 / semi_x ** 2, 1.0 / semi_y ** 2
 
-    def h(x):
+    def fn(x):
         d = x[sl] - c
-        return float(wx * d[0] ** 2 + wy * d[1] ** 2 - 1.0)
+        grad = np.zeros(4)
+        grad[sl] = np.array([2.0 * wx * d[0], 2.0 * wy * d[1]])
+        return wx * d[0] ** 2 + wy * d[1] ** 2 - 1.0, grad
 
-    def grad(x):
-        d = x[sl] - c
-        out = np.zeros(4)
-        out[sl] = np.array([2.0 * wx * d[0], 2.0 * wy * d[1]])
-        return out
-
-    return SetFunction(name=name, h=h, grad_h=grad)
+    return SetFunction(name, fn)
 
 
 def _square_walls(cfg: TwoRobotConfig, agent: int) -> list[SetFunction]:
@@ -296,16 +301,15 @@ def _square_walls(cfg: TwoRobotConfig, agent: int) -> list[SetFunction]:
     walls = []
     for axis in (0, 1):
         for sign in (1.0, -1.0):
-            def h(x, axis=axis, sign=sign):
-                return float(sign * x[sl][axis] - a)
+            i = sl.start + axis
+            normal = np.zeros(4)
+            normal[i] = sign
+            normal.setflags(write=False)
 
-            def grad(x, axis=axis, sign=sign):
-                out = np.zeros(4)
-                out[sl.start + axis] = sign
-                return out
+            def fn(x, i=i, sign=sign, normal=normal):
+                return sign * x[i] - a, normal
 
-            walls.append(SetFunction(name=f"square_a{agent + 1}_{axis}{int(sign > 0)}",
-                                     h=h, grad_h=grad))
+            walls.append(SetFunction(f"square_a{agent + 1}_{axis}{int(sign > 0)}", fn))
     return walls
 
 
@@ -313,30 +317,23 @@ def _outside_hub(cfg: TwoRobotConfig, agent: int) -> SetFunction:
     sl = _agent_slice(agent)
     r2 = cfg.hub_radius ** 2
 
-    def h(x):
+    def fn(x):
         d = x[sl]
-        return float(r2 - d @ d)
+        grad = np.zeros(4)
+        grad[sl] = -2.0 * d
+        return r2 - d @ d, grad
 
-    def grad(x):
-        out = np.zeros(4)
-        out[sl] = -2.0 * x[sl]
-        return out
-
-    return SetFunction(name=f"hub_a{agent + 1}", h=h, grad_h=grad)
+    return SetFunction(f"hub_a{agent + 1}", fn)
 
 
 def _separation(cfg: TwoRobotConfig) -> SetFunction:
     d2 = cfg.d_m ** 2
 
-    def h(x):
+    def fn(x):
         d = x[0:2] - x[2:4]
-        return float(d2 - d @ d)
+        return d2 - d @ d, np.concatenate([-2.0 * d, 2.0 * d])
 
-    def grad(x):
-        d = x[0:2] - x[2:4]
-        return np.concatenate([-2.0 * d, 2.0 * d])
-
-    return SetFunction(name="separation", h=h, grad_h=grad)
+    return SetFunction("separation", fn)
 
 
 def waypoint_sets(cfg: TwoRobotConfig, agent: int) -> list[SetFunction]:
@@ -384,13 +381,7 @@ def two_robot_scenario(cfg: TwoRobotConfig | None = None,
     """
     cfg = cfg or TwoRobotConfig()
 
-    def f(x):
-        return np.zeros(4)
-
-    def g(x):
-        return np.eye(4)
-
-    sys = ControlAffineSystem(n=4, m=4, f=f, g=g)
+    sys = ControlAffineSystem(n=4, m=4, f=_constant(np.zeros(4)), g=_constant(np.eye(4)))
 
     sets = [waypoint_sets(cfg, agent) for agent in (0, 1)]
 
@@ -445,8 +436,19 @@ def two_robot_scenario(cfg: TwoRobotConfig | None = None,
 # ---------------------------------------------------------------------------
 
 def _integrator(n: int) -> ControlAffineSystem:
-    return ControlAffineSystem(n=n, m=n, f=lambda x: np.zeros(n),
-                               g=lambda x: np.eye(n))
+    return ControlAffineSystem(n=n, m=n, f=_constant(np.zeros(n)), g=_constant(np.eye(n)))
+
+
+def _disk(name: str, center, r2: float, outside: bool = False) -> SetFunction:
+    """{|x - center|^2 <= r2} in the plane, or with ``outside`` its complement."""
+    c = np.asarray(center, dtype=float)
+
+    def fn(x):
+        d = x - c
+        q = d[0] ** 2 + d[1] ** 2
+        return (r2 - q, -2.0 * d) if outside else (q - r2, 2.0 * d)
+
+    return SetFunction(name, fn)
 
 
 def synthetic_suite() -> list[Scenario]:
@@ -455,9 +457,7 @@ def synthetic_suite() -> list[Scenario]:
     construction."""
     # 1-D integrator to a ball at the origin; the reach-rate slack stays
     # nonpositive throughout
-    goal_1d = SetFunction(name="ball1d",
-                          h=lambda x: float(x[0] ** 2 - 0.01),
-                          grad_h=lambda x: np.array([2.0 * x[0]]))
+    goal_1d = SetFunction("ball1d", lambda x: (x[0] ** 2 - 0.01, [2.0 * x[0]]))
     int1d = Scenario(
         scenario_id="synthetic:int1d",
         sys=_integrator(1),
@@ -470,12 +470,8 @@ def synthetic_suite() -> list[Scenario]:
 
     # 2-D integrator detouring around an obstacle disk on the straight line
     # to the goal
-    goal_2d = SetFunction(name="goal_disk",
-                          h=lambda x: float((x[0] - 2.0) ** 2 + x[1] ** 2 - 0.0625),
-                          grad_h=lambda x: np.array([2.0 * (x[0] - 2.0), 2.0 * x[1]]))
-    obstacle = SetFunction(name="obstacle_disk",
-                           h=lambda x: float(0.16 - ((x[0] - 1.0) ** 2 + x[1] ** 2)),
-                           grad_h=lambda x: np.array([-2.0 * (x[0] - 1.0), -2.0 * x[1]]))
+    goal_2d = _disk("goal_disk", (2.0, 0.0), 0.0625)
+    obstacle = _disk("obstacle_disk", (1.0, 0.0), 0.16, outside=True)
     int2d = Scenario(
         scenario_id="synthetic:int2d",
         sys=_integrator(2),
@@ -494,18 +490,11 @@ def synthetic_suite() -> list[Scenario]:
     def f_nl(x):
         return np.array([-0.5 * x[1], 0.5 * math.sin(x[0])])
 
-    def g_nl(x):
-        return np.eye(2)
-
-    goal_nl = SetFunction(name="goal_nl",
-                          h=lambda x: float((x[0] - 1.0) ** 2 + (x[1] - 0.5) ** 2 - 0.04),
-                          grad_h=lambda x: np.array([2.0 * (x[0] - 1.0), 2.0 * (x[1] - 0.5)]))
-    keep_in = SetFunction(name="disk4",
-                          h=lambda x: float(x[0] ** 2 + x[1] ** 2 - 4.0),
-                          grad_h=lambda x: 2.0 * np.asarray(x, dtype=float))
+    goal_nl = _disk("goal_nl", (1.0, 0.5), 0.04)
+    keep_in = _disk("disk4", (0.0, 0.0), 4.0)
     fullact2d = Scenario(
         scenario_id="synthetic:fullact2d",
-        sys=ControlAffineSystem(n=2, m=2, f=f_nl, g=g_nl),
+        sys=ControlAffineSystem(n=2, m=2, f=f_nl, g=_constant(np.eye(2))),
         schedule=Schedule(
             tracks=((Phase(goal=goal_nl, deadline=3.0),),),
             global_safes=(keep_in,),

@@ -170,20 +170,16 @@ def _joint_goal(goals: Sequence[SetFunction]) -> SetFunction:
     per step, starving the rest while their deadlines run.
     """
 
-    def h(x):
-        return float(sum(max(0.0, g.value(x)) for g in goals))
-
-    def grad(x):
-        total = None
+    def fn(x):
+        h, grad = 0.0, None
         for g in goals:
-            if g.value(x) > 0.0:
-                gg = g.gradient(x)
-                total = gg.copy() if total is None else total + gg
-        if total is None:
-            total = np.zeros_like(np.asarray(x, dtype=float))
-        return total
+            v, gg = g.value_and_gradient(x)
+            if v > 0.0:
+                h += v
+                grad = gg if grad is None else grad + gg
+        return h, np.zeros(len(x)) if grad is None else grad
 
-    return SetFunction(name="joint_goal", h=h, grad_h=grad)
+    return SetFunction("joint_goal", fn)
 
 
 def _safe_column_names(schedule) -> tuple[str, ...]:

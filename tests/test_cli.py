@@ -61,6 +61,27 @@ class TestRun:
         assert run_cli("--scenario", "acc", *flags, "--out", str(tmp_path)) == 2
         assert not (tmp_path / "acc").exists()
 
+    def test_dt_flag_and_set_dt_is_config_error(self, tmp_path, capsys):
+        # either would silently override the other
+        assert run_cli("--scenario", "acc", "--set", "dt=0.02", "--dt", "0.01",
+                       "--out", str(tmp_path)) == 2
+        assert "--dt" in capsys.readouterr().err
+        assert not (tmp_path / "acc").exists()
+
+    @pytest.mark.parametrize("setting", ["horizon=inf", "horizon=nan", "d_delta=nan",
+                                         "d_delta=inf"])
+    def test_non_finite_number_is_config_error(self, tmp_path, setting):
+        # in a child with a timeout: an infinite horizon would otherwise never end
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run([sys.executable, "-m", "fxtqp.cli", "--scenario", "acc",
+                              "--set", setting, "--out", str(tmp_path)],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 2
+        assert "finite" in out.stderr
+        assert not (tmp_path / "acc").exists()
+
     @pytest.mark.parametrize("start", ["[0.1]", "[1, 2, 3]"])
     def test_start_must_be_a_pair(self, tmp_path, start):
         assert run_cli("--scenario", "two-robot", "--set", f"x0_agent1={start}",
@@ -220,6 +241,14 @@ class TestSweep:
         assert header[0] == "x0_agent1" and len(row) == len(header)
         assert row[0] == "[-1.5, 1.5]" and row[1] == "all_phases_met"
         assert (tmp_path / "x0_agent1=[-1.5, 1.5]" / "trace.csv").exists()
+
+    def test_dt_flag_with_a_dt_sweep_is_config_error(self, tmp_path, capsys):
+        # --dt would run every value at its own step under the swept labels
+        assert run_cli("--scenario", "acc", "--set", "horizon=1", "--dt", "0.01",
+                       "--sweep", "dt=0.02,0.05", "--out", str(tmp_path)) == 2
+        assert "--dt" in capsys.readouterr().err
+        assert not any(p.name.startswith("dt=") for p in tmp_path.iterdir())
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_sweep_propagates_failures(self, tmp_path):
         # with a 1 s deadline the 17 m/s start misses and the 21 m/s one meets it

@@ -11,7 +11,17 @@ from fxtqp.constraints import (
     qp_rows,
 )
 from fxtqp.fxts import alpha_from_deadline
-from fxtqp.scenarios import AccConfig, acc_goal, acc_headway, _acc_system
+from fxtqp.scenarios import (
+    AccConfig,
+    TwoRobotConfig,
+    acc_goal,
+    acc_headway,
+    _acc_system,
+    synthetic_suite,
+    two_robot_scenario,
+    waypoint_sets,
+)
+from fxtqp.simulation import _joint_goal
 
 
 def integrator(n):
@@ -21,8 +31,7 @@ def integrator(n):
 
 def ball(radius=1.0, name="ball"):
     return SetFunction(name=name,
-                       h=lambda x: float(x @ x - radius ** 2),
-                       grad_h=lambda x: 2.0 * np.asarray(x, float))
+                       fn=lambda x: (float(x @ x - radius ** 2), 2.0 * np.asarray(x, float)))
 
 
 def unit_box(m):
@@ -62,9 +71,7 @@ class TestLieDerivatives:
         assert row[0] == pytest.approx(-4.0 / 1650.0, rel=1e-12)
 
     def test_constant_function_vanishes(self):
-        const = SetFunction(name="c",
-                            h=lambda x: 1.0,
-                            grad_h=lambda x: np.zeros(2))
+        const = SetFunction(name="c", fn=lambda x: (1.0, np.zeros(2)))
         rows, rhs = safety_rows(integrator(2), const, np.ones(2))
         assert rhs[0] == 0.0 and np.all(rows[0, :2] == 0.0)
 
@@ -100,8 +107,7 @@ class TestConvergenceRow:
         gains = alpha_from_deadline(2.0, 2.0)
         sys = integrator(1)
         s = SetFunction(name="sq",
-                        h=lambda x: float(x[0] ** 2),
-                        grad_h=lambda x: np.array([2.0 * x[0]]))
+                        fn=lambda x: (float(x[0] ** 2), np.array([2.0 * x[0]])))
         rhs_prev = math.inf
         for xv in np.linspace(0.5, 4.0, 12):
             _, rhs = reach_row(sys, s, np.array([xv]), gains)
@@ -139,8 +145,7 @@ class TestSafetyRow:
         # one value per safe set, in the order the sets were passed
         b1 = ball(1.0, "b1")
         b2 = SetFunction(name="b2",
-                         h=lambda x: float(x[0] - 1.0),
-                         grad_h=lambda x: np.array([1.0, 0.0]))
+                         fn=lambda x: (float(x[0] - 1.0), np.array([1.0, 0.0])))
         goal = ball(0.5)
         x = np.array([0.2, 0.1])
         A, _, h_goal, h_safe = qp_rows(integrator(2), goal, (b1, b2), unit_box(2),
@@ -237,9 +242,62 @@ class TestGradientCheck:
     def test_anisotropic_ellipse(self):
         ell = SetFunction(
             name="p1",
-            h=lambda x: float(x[0] ** 2 / 1.2 ** 2 + (x[1] - 1.5) ** 2 / 0.5 ** 2 - 1.0),
-            grad_h=lambda x: np.array([2.0 * x[0] / 1.44, 2.0 * (x[1] - 1.5) / 0.25]),
+            fn=lambda x: (float(x[0] ** 2 / 1.2 ** 2 + (x[1] - 1.5) ** 2 / 0.5 ** 2 - 1.0),
+                          np.array([2.0 * x[0] / 1.44, 2.0 * (x[1] - 1.5) / 0.25])),
         )
         rng = np.random.default_rng(4)
         xs = rng.uniform([-1, 1], [1, 2], size=(100, 2))
         assert finite_diff_gradient_check(ell, xs, eps=1e-6) <= 1e-5
+
+    @pytest.mark.parametrize("name", ["ball1d", "goal_disk", "obstacle_disk", "goal_nl",
+                                      "disk4"])
+    def test_synthetic_sets(self, name):
+        sets = {s.name: s for sc in synthetic_suite()
+                for s in (sc.schedule.phases[0].goal, *sc.schedule.global_safes)}
+        s = sets[name]
+        dim = 1 if name == "ball1d" else 2
+        xs = np.random.default_rng(5).uniform(-2.5, 2.5, size=(100, dim))
+        assert finite_diff_gradient_check(s, xs) <= 1e-5
+
+    def test_joint_goal_of_two_waypoints_away_from_its_kinks(self):
+        # the tour's first joint goal: agent 1 heads for S2, agent 2 for S4
+        cfg = TwoRobotConfig()
+        a, b = waypoint_sets(cfg, 0)[1], waypoint_sets(cfg, 1)[3]
+        xs = np.random.default_rng(6).uniform(-2.0, 2.0, size=(400, 4))
+        values = np.array([[a.value(x), b.value(x)] for x in xs])
+        away = np.all(np.abs(values) > 1e-3, axis=1)
+        xs, values = xs[away], values[away]
+        # every sign pattern, so each branch of the positive parts is checked
+        assert len(xs) >= 100 and len({tuple(v) for v in values > 0}) == 4
+        assert finite_diff_gradient_check(_joint_goal([a, b]), xs) <= 1e-5
+
+
+def counting(s, calls):
+    """``s`` with every call of its function counted under its name."""
+    def fn(x):
+        calls[s.name] = calls.get(s.name, 0) + 1
+        return s.fn(x)
+    return SetFunction(s.name, fn)
+
+
+class TestOneCallPerSet:
+    def test_qp_rows_calls_each_set_once(self):
+        sc = two_robot_scenario()
+        calls = {}
+        goal = counting(sc.schedule.tracks[0][0].goal, calls)
+        safes = tuple(counting(s, calls) for s in sc.schedule.global_safes)
+        for k, x in enumerate((sc.x0, sc.x0 + 0.1), start=1):
+            qp_rows(sc.sys, goal, safes, sc.bounds, sc.params.gains, x)
+            assert calls == {s.name: k for s in (goal, *safes)}
+
+    def test_joint_goal_calls_each_goal_once(self):
+        cfg = TwoRobotConfig()
+        calls = {}
+        goals = [counting(waypoint_sets(cfg, 0)[1], calls),
+                 counting(waypoint_sets(cfg, 1)[3], calls)]
+        joint = _joint_goal(goals)
+        x = np.array([-1.5, 1.5, 1.5, -1.5])
+        joint.value_and_gradient(x)
+        assert calls == {"S2_a1": 1, "S4_a2": 1}
+        joint.value(x)
+        assert calls == {"S2_a1": 2, "S4_a2": 2}

@@ -28,14 +28,13 @@ def integrator(n):
 def goal_ball(radius, center=None, name="goal"):
     c = np.zeros(2) if center is None else np.asarray(center, float)
     return SetFunction(name=name,
-                       h=lambda x: float((x - c) @ (x - c) - radius ** 2),
-                       grad_h=lambda x: 2.0 * (np.asarray(x, float) - c))
+                       fn=lambda x: (float((x - c) @ (x - c) - radius ** 2),
+                                     2.0 * (np.asarray(x, float) - c)))
 
 
 def safe_ball(radius, name="safe"):
     return SetFunction(name=name,
-                       h=lambda x: float(x @ x - radius ** 2),
-                       grad_h=lambda x: 2.0 * np.asarray(x, float))
+                       fn=lambda x: (float(x @ x - radius ** 2), 2.0 * np.asarray(x, float)))
 
 
 def acc_pieces(cfg=None):
@@ -68,14 +67,14 @@ def reference_rows(sys, goal, safes, bounds, params, x):
         e[i] = 1.0
         rows += [e, np.where(e > 0, -1.0, 0.0)]
         rhs += [bounds.upper[i], -bounds.lower[i]]
-    grad, hv = goal.gradient(x), goal.value(x)
+    hv, grad = goal.value_and_gradient(x)
     g = params.gains
     power = (g.alpha1 * math.pow(hv, g.gamma1) + g.alpha2 * math.pow(hv, g.gamma2)
              if hv > 0.0 else 0.0)
     rows.append(np.concatenate([grad @ sys.input_matrix(x), [-hv, 0.0]]))
     rhs.append(-float(grad @ sys.drift(x)) - power)
     for s in safes:
-        grad = s.gradient(x)
+        grad = s.value_and_gradient(x)[1]
         rows.append(np.concatenate([grad @ sys.input_matrix(x), [0.0, s.value(x)]]))
         rhs.append(-float(grad @ sys.drift(x)))
     A = np.vstack(rows)
@@ -335,8 +334,8 @@ class TestSynthesize:
         cfg = AccConfig(d_delta=50.0)
         sys, goal, _, bounds, _ = acc_pieces(cfg)
         safes = (SetFunction(name="headway",
-                             h=lambda x: cfg.tau_d * x[0] - x[2],
-                             grad_h=lambda x: np.array([cfg.tau_d, 0.0, -1.0])),)
+                             fn=lambda x: (cfg.tau_d * x[0] - x[2],
+                                           np.array([cfg.tau_d, 0.0, -1.0]))),)
         params = SynthesisParams(
             T_ud=cfg.T_ud, mu=cfg.mu, w_u=[1.0], w1=1.0, w2=1.0, q1=1.0,
             delta2_freeze_level=cfg.delta2_freeze_at)
@@ -366,8 +365,7 @@ class TestContinuityProbe:
         # smooth; quotients stay finite
         sys = integrator(1)
         goal = SetFunction(name="g",
-                           h=lambda x: float(x[0] ** 2 - 0.01),
-                           grad_h=lambda x: np.array([2.0 * x[0]]))
+                           fn=lambda x: (float(x[0] ** 2 - 0.01), np.array([2.0 * x[0]])))
         bounds = InputBounds(lower=np.array([-2.0]), upper=np.array([2.0]))
         params = SynthesisParams(T_ud=2.0, mu=2.0, w_u=np.ones(1))
         res = continuity_probe(sys, goal, (), bounds, params,

@@ -16,3 +16,37 @@ def test_every_exported_name_resolves(name):
     assert len(set(exported)) == len(exported)
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing, f"fxtqp.{name}.__all__ names missing attributes: {missing}"
+
+
+# the names perfbench's workloads and tracing reach at run time, so that a
+# rename fails here rather than in a benchmark run
+BENCHMARK_NAMES = [
+    ("constraints", "SetFunction.value"),
+    ("constraints", "InputBounds.scale"),
+    ("scenarios", "run"),
+    ("simulation", "_joint_goal"),
+    ("simulation", "synthesize"),
+    ("simulation", "step_euler"),
+    ("simulation", "run"),
+    ("simulation", "trace_from_csv"),
+    ("simulation", "OutcomeKind"),
+    ("controller", "assemble"),
+    ("qp", "solve_qp"),
+    ("qp", "brute_force_solve"),
+    ("qp", "kkt_residual"),
+    ("qp", "check_strict_complementarity"),
+    ("qp", "SolveStatus"),
+    ("qp", "FEAS_TOL"),
+    ("cli", "main"),
+    ("cli", "trace_to_csv"),
+    ("cli", "simulate_scalar_v"),
+    ("cli", "DEFAULT_BOUNDS_GRID"),
+]
+
+
+@pytest.mark.parametrize("module, path", BENCHMARK_NAMES)
+def test_names_the_benchmark_reaches_resolve(module, path):
+    obj = importlib.import_module(f"fxtqp.{module}")
+    for part in path.split("."):
+        assert hasattr(obj, part), f"fxtqp.{module}.{path} is gone"
+        obj = getattr(obj, part)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,15 @@ class TestAccConfig:
         with pytest.raises(ValueError):
             AccConfig(a_lead=0.3 * 9.81)
 
+    @pytest.mark.parametrize("config, field", [
+        (AccConfig, "horizon"), (AccConfig, "d_delta"), (AccConfig, "M"),
+        (TwoRobotConfig, "dt"), (TwoRobotConfig, "q1")])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_numbers_are_refused(self, config, field, value):
+        # NaN passes every comparison check; an infinite horizon never ends
+        with pytest.raises(ValueError, match=field):
+            config(**{field: value})
+
     def test_braking_barrier_contains_plain_headway(self):
         # h <= 0 must imply the paper's constraint tau_d * v_f <= D, and full
         # braking behind a constant-speed lead must make h decrease, so the
@@ -57,7 +68,7 @@ class TestAccConfig:
             if x[0] <= x[1]:
                 assert barrier.value(x) == h_plain
             x_dot = sc.sys.f(x) + sc.sys.g(x) @ np.array([-cfg.u_max])
-            assert barrier.gradient(x) @ x_dot < 0.0
+            assert barrier.value_and_gradient(x)[1] @ x_dot < 0.0
 
     def test_freeze_only_when_disturbed(self):
         assert acc_scenario(AccConfig()).params.delta2_freeze_level is None
@@ -287,7 +298,7 @@ class TestSyntheticSuite:
         for _ in range(50):
             theta = rng.uniform(0, 2 * np.pi)
             x = 2.0 * np.array([np.cos(theta), np.sin(theta)])  # on the disk edge
-            grad = safe.gradient(x)
+            grad = safe.value_and_gradient(x)[1]
             u = -0.5 * grad / np.linalg.norm(grad)
             A, b, _, _ = qp_rows(integ2, sc.schedule.phases[0].goal, (safe,), unit,
                                  sc.params.gains, x)
@@ -317,3 +328,13 @@ class TestScenarioFactory:
         assert sc.x0[0] == 21.0
         with pytest.raises(ValueError):
             scenario_from_id("acc", {"no_such_field": 1.0})
+
+    @pytest.mark.parametrize("sid", ["acc", "two-robot", "synthetic:int1d",
+                                     "synthetic:int2d", "synthetic:fullact2d"])
+    def test_input_matrix_is_built_once(self, sid):
+        # g does not depend on x in any scenario: every state gets the same
+        # read-only matrix instead of a fresh one per call
+        sc = scenario_from_id(sid)
+        g = sc.sys.g(sc.x0)
+        assert sc.sys.g(sc.x0 + 0.5) is g
+        assert not g.flags.writeable

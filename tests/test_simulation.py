@@ -26,16 +26,15 @@ def integrator(n):
 def goal_ball(radius, center=None, name="goal"):
     c = np.zeros(2) if center is None else np.asarray(center, float)
     return SetFunction(name=name,
-                       h=lambda x: float((x - c) @ (x - c) - radius ** 2),
-                       grad_h=lambda x: 2.0 * (np.asarray(x, float) - c))
+                       fn=lambda x: (float((x - c) @ (x - c) - radius ** 2),
+                                     2.0 * (np.asarray(x, float) - c)))
 
 
 def half_line(name, bound, upper):
     """1-D set x <= bound when ``upper``, x >= bound otherwise."""
     sign = 1.0 if upper else -1.0
     return SetFunction(name=name,
-                       h=lambda x: float(sign * (x[0] - bound)),
-                       grad_h=lambda x: np.array([sign]))
+                       fn=lambda x: (float(sign * (x[0] - bound)), np.array([sign])))
 
 
 def simple_setup(deadline=2.0, horizon=None):
@@ -232,11 +231,11 @@ class TestSafetyMonitor:
         # more than its input (|u| <= 1) and the second one's escape can
         # offset, so the separation 0.1 is lost however the QP decides
         sep = SetFunction(name="separation",
-                          h=lambda x: float(0.01 - (x[0] - x[1]) ** 2),
-                          grad_h=lambda x: np.array([-2.0, 2.0]) * (x[0] - x[1]))
+                          fn=lambda x: (float(0.01 - (x[0] - x[1]) ** 2),
+                                        np.array([-2.0, 2.0]) * (x[0] - x[1])))
         goal = SetFunction(name="x1_at_5",
-                           h=lambda x: float((x[1] - 5.0) ** 2 - 0.01),
-                           grad_h=lambda x: np.array([0.0, 2.0 * (x[1] - 5.0)]))
+                           fn=lambda x: (float((x[1] - 5.0) ** 2 - 0.01),
+                                         np.array([0.0, 2.0 * (x[1] - 5.0)])))
         pushed = ControlAffineSystem(n=2, m=2, f=lambda x: np.zeros(2),
                                      g=lambda x: np.eye(2),
                                      disturbance=lambda x: np.array([5.0, 0.0]))
