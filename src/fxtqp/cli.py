@@ -83,7 +83,8 @@ def _single_run(scenario_id: str, overrides: dict, dt, out_dir: Path, tag: str =
         raise ValueError("--dt and a dt in --set or --sweep both set the step; give one")
     scenario = scenario_from_id(scenario_id, overrides)
     trace = scenario.simulate(dt=dt)
-    summary = {"scenario": scenario.scenario_id, **monitor(trace, d_min=scenario.d_min),
+    summary = {"scenario": scenario.scenario_id,
+               **monitor(trace, d_min=scenario.d_min, bounds=scenario.bounds),
                "exit_code": _outcome_exit_code(trace.outcome)}
     run_dir = out_dir / tag
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -113,6 +114,13 @@ def cmd_sweep(args) -> int:
         if not eq:
             raise ValueError(f"--sweep expects key=v1,v2,..., got {args.sweep!r}")
         values = [_parse_value(v) for v in _split_values(raw)]
+        if axis in overrides:
+            raise ValueError(f"{axis!r} is both swept and given in --set; give one")
+        # each run writes to the directory named by its tag
+        tags = [f"{axis}={value}" for value in values]
+        repeated = sorted({tag for tag in tags if tags.count(tag) > 1})
+        if repeated:
+            raise ValueError(f"sweep values repeat a run directory: {', '.join(repeated)}")
         out_dir = _out_dir(args)
     except (ValueError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -123,7 +131,7 @@ def cmd_sweep(args) -> int:
 
     try:
         summaries = [_single_run(args.scenario, {**overrides, axis: value}, args.dt,
-                                 out_dir, tag=f"{axis}={value}") for value in values]
+                                 out_dir, tag=tag) for value, tag in zip(values, tags)]
     except (ValueError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

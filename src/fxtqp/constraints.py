@@ -176,13 +176,14 @@ def qp_rows(sys: ControlAffineSystem, h_g: SetFunction, safes: Sequence[SetFunct
     b[k] = -float(grad @ fx) - _clamped_power_sum(h_goal, gains)
     k += 1
 
+    # the invariance rows from one gradient matrix: row j of G is grad h_s_j
     h_safe = np.empty(len(safes))
+    G = np.empty((len(safes), sys.n))
     for j, s in enumerate(safes):
-        hv, grad = s.value_and_gradient(x)
-        h_safe[j] = hv
-        A[k + j, :m] = grad @ gx
-        A[k + j, m + 1] = hv
-        b[k + j] = -float(grad @ fx)
+        h_safe[j], G[j] = s.value_and_gradient(x)
+    A[k:, :m] = G @ gx
+    A[k:, m + 1] = h_safe
+    b[k:] = -(G @ fx)
     A[box_b.size:, :m] *= bounds.scale()
     if freeze_level is not None and h_safe.size and h_safe.max() > freeze_level:
         A[:, m + 1] = 0.0

@@ -135,13 +135,13 @@ def synthesize(sys: ControlAffineSystem, h_g: SetFunction,
     z = solution.z_star
     scale = bounds.scale()
     u = z[:m] * scale
-    overshoot = float(np.max(np.maximum(u - bounds.upper, bounds.lower - u) / scale,
-                             initial=0.0))
+    u_box = u.clip(bounds.lower, bounds.upper)
+    overshoot = float((abs(u - u_box) / scale).max())
     if overshoot > qp.FEAS_TOL:
         raise SolverFailure(f"synthesis QP input leaves its box by {overshoot:.3g} "
                             f"(scaled) at x={np.asarray(x)}")
     return ControlDecision(
-        u=np.clip(u, bounds.lower, bounds.upper),
+        u=u_box,
         delta1=float(z[m]),
         delta2=float(z[m + 1]),
         active_set=solution.active_set,

@@ -153,6 +153,10 @@ class QpSolution:
     objective: float
     status: SolveStatus
     iterations: int = 0
+    # b - A z_star as the active set was judged on, kept so the strict
+    # complementarity check does not compute it again; None where no solver
+    # computed it (non-optimal or hand-built solutions)
+    slack: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -162,12 +166,11 @@ class KktResidual:
     comp_slack: float
 
 
-def _active_by_value(problem: QpProblem, z: np.ndarray) -> tuple[int, ...]:
-    if problem.m_c == 0:
-        return ()
-    r = problem.b - problem.A @ z
+def _active_by_value(problem: QpProblem, z: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+    """The rows active at z, judged by value, and the slack b - A z they were judged on."""
+    slack = problem.b - problem.A @ z
     tol = FEAS_TOL * (1.0 + np.abs(problem.b))
-    return tuple(int(i) for i in np.nonzero(r <= tol)[0])
+    return tuple(np.flatnonzero(slack <= tol).tolist()), slack
 
 
 def _feasibility_lp(problem: QpProblem):
@@ -263,13 +266,13 @@ def _hot_start(C: np.ndarray, f: np.ndarray, b: np.ndarray, norms: np.ndarray,
     while work:
         kept = work[:n]
         Q, R = _thin_qr(C[kept].T)
-        independent = np.abs(np.diag(R)) > _DEP_TOL * norms[kept]
+        independent = abs(R.diagonal()) > _DEP_TOL * norms[kept]
         if not independent.all():
-            del work[int(np.argmin(independent))]
+            del work[int(independent.argmin())]
             continue
         work = kept
         lam, y = _equality_solve(Q, R, f, b[work])
-        k = int(np.argmin(lam))
+        k = int(lam.argmin())
         if lam[k] >= 0.0:
             return work, Q, R, lam, y
         del work[k]
@@ -309,7 +312,7 @@ def solve_qp(problem: QpProblem, warm_start: Sequence[int] | None = None) -> QpS
     makes after the hot start's trim.
     """
     n, m = problem.n_z, problem.m_c
-    row_scale = np.maximum(np.max(np.abs(problem.A), axis=1, initial=0.0), 1e-30)
+    row_scale = np.maximum(np.abs(problem.A).max(axis=1, initial=0.0), 1e-30)
     b = problem.b / row_scale
     L_inv = problem.L_inv
     C = (problem.A / row_scale[:, None]) @ L_inv.T
@@ -328,7 +331,7 @@ def solve_qp(problem: QpProblem, warm_start: Sequence[int] | None = None) -> QpS
     while m:
         excess = C @ y - b - viol_tol
         excess[work] = -np.inf
-        p = int(np.argmax(excess))
+        p = int(excess.argmax())
         if excess[p] <= 0.0:
             break
         c, lam_p = C[p], 0.0
@@ -386,13 +389,15 @@ def solve_qp(problem: QpProblem, warm_start: Sequence[int] | None = None) -> QpS
     z = L_inv.T @ y
     lam_full = np.zeros(m)
     lam_full[work] = np.maximum(lam, 0.0) / row_scale[work]
+    active, slack = _active_by_value(problem, z)
     return QpSolution(
         z_star=z,
         lambda_star=lam_full,
-        active_set=_active_by_value(problem, z),
+        active_set=active,
         objective=problem.objective(z),
         status=SolveStatus.OPTIMAL,
         iterations=iterations,
+        slack=slack,
     )
 
 
@@ -452,12 +457,14 @@ def brute_force_solve(problem: QpProblem) -> QpSolution:
         raise RuntimeError("enumeration found no KKT candidate on a feasible problem")
 
     obj, z, lam, _ = best
+    active, slack = _active_by_value(problem, z)
     return QpSolution(
         z_star=z,
         lambda_star=lam,
-        active_set=_active_by_value(problem, z),
+        active_set=active,
         objective=obj,
         status=SolveStatus.OPTIMAL,
+        slack=slack,
     )
 
 
@@ -486,12 +493,12 @@ def check_strict_complementarity(problem: QpProblem, solution: QpSolution,
 
     Degenerate constraints (both the multiplier and the slack at zero) break
     the regularity needed for the solution map to be continuous, so callers
-    track this flag along trajectories.
+    track this flag along trajectories.  The slack is the solution's own
+    ``slack`` when the solver kept it, else computed from ``z_star``.
     """
     if solution.status is not SolveStatus.OPTIMAL:
         raise ValueError("strict complementarity is defined for optimal solutions only")
-    if problem.m_c == 0:
-        return True
-    slack = problem.b - problem.A @ solution.z_star
-    ok = (solution.lambda_star > tol) | (slack > tol)
-    return bool(np.all(ok))
+    slack = solution.slack
+    if slack is None:
+        slack = problem.b - problem.A @ solution.z_star
+    return bool(((solution.lambda_star > tol) | (slack > tol)).all())

@@ -318,16 +318,30 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
     )
 
 
-def monitor(trace: Trace, d_min: float | None = None) -> dict:
+def _chatter_steps(u: np.ndarray, bounds: InputBounds) -> int:
+    """Steps k >= 2 at which some input reverses across more than half its
+    box twice running: |u_k - u_k-1| and |u_k-1 - u_k-2| both exceed
+    (upper - lower) / 2, with opposite signs."""
+    jump = np.diff(u, axis=0)
+    big = np.abs(jump) > (bounds.upper - bounds.lower) / 2
+    flips = big[1:] & big[:-1] & (jump[1:] * jump[:-1] < 0)
+    return int(flips.any(axis=1).sum())
+
+
+def monitor(trace: Trace, d_min: float | None = None,
+            bounds: InputBounds | None = None) -> dict:
     """A run's ``summary.json`` body, without ``scenario`` and ``exit_code``.
 
     Outcome, reach times, the statistics of the acceptance suite, the
     fixed-time certificates (one per goal segment and their worst case) and
-    the QP counters, in the written key order.  ``min_separation`` is
-    recovered from a safe set named ``separation`` of the form
-    d_min**2 - distance**2 when ``d_min`` is given.  An empty trace yields
-    None statistics; a trace read back from CSV carries no outcome and no
-    QP counters, so those read None too.
+    the QP counters, in the written key order.  ``chatter_steps`` counts
+    the steps where the input jumps across half its box and back (see
+    :func:`_chatter_steps`) and needs the run's input ``bounds``.
+    ``min_separation`` is recovered from a safe set named ``separation`` of
+    the form d_min**2 - distance**2 when ``d_min`` is given.  An empty
+    trace yields None statistics, as does a statistic whose argument is
+    not given; a trace read back from CSV carries no outcome and no QP
+    counters, so those read None too.
     """
     empty = len(trace) == 0
     counted = trace.qp_iters.size > 0
@@ -344,6 +358,7 @@ def monitor(trace: Trace, d_min: float | None = None) -> dict:
         "reach_times": list(trace.reach_times) if trace.reach_times else None,
         "track_reach_times": [list(r) for r in trace.track_reach_times],
         "max_abs_u": None if empty else [float(v) for v in np.max(np.abs(trace.u), axis=0)],
+        "chatter_steps": None if empty or bounds is None else _chatter_steps(trace.u, bounds),
         "max_h_per_branch": max_h,
         "min_separation": separation,
         "max_delta1": None if empty else float(np.max(trace.delta1)),

@@ -180,7 +180,8 @@ def test_monitor_is_the_summary(tmp_path, scenario_id, tag):
     assert run_cli("--scenario", scenario_id, "--out", str(tmp_path)) == 0
     written = json.loads((tmp_path / tag / "summary.json").read_text())
     scenario = scenario_from_id(scenario_id, {})
-    body = json.loads(json.dumps(monitor(scenario.simulate(), d_min=scenario.d_min)))
+    body = json.loads(json.dumps(monitor(scenario.simulate(), d_min=scenario.d_min,
+                                         bounds=scenario.bounds)))
     assert list(written) == ["scenario", *body, "exit_code"]
     assert {k: v for k, v in written.items() if k not in ("scenario", "exit_code")} == body
 
@@ -249,6 +250,20 @@ class TestSweep:
         assert "--dt" in capsys.readouterr().err
         assert not any(p.name.startswith("dt=") for p in tmp_path.iterdir())
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_set_value_for_the_sweep_axis_is_config_error(self, tmp_path, capsys):
+        # the swept value would overwrite the --set one, so 18 would never run
+        assert run_cli("--scenario", "acc", "--set", "horizon=1", "--set", "v_f0=18",
+                       "--sweep", "v_f0=20,21", "--out", str(tmp_path)) == 2
+        assert "v_f0" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_repeated_sweep_value_is_config_error(self, tmp_path, capsys):
+        # a repeated value would rewrite the first run's directory
+        assert run_cli("--scenario", "acc", "--set", "horizon=1",
+                       "--sweep", "v_f0=20,21,20", "--out", str(tmp_path)) == 2
+        assert "v_f0=20" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_sweep_propagates_failures(self, tmp_path):
         # with a 1 s deadline the 17 m/s start misses and the 21 m/s one meets it

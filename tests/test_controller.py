@@ -17,7 +17,7 @@ from fxtqp.controller import (
 from fxtqp.fxts import RegimeKind, settling_time_bound
 from fxtqp.scenarios import (AccConfig, acc_goal, acc_headway, acc_scenario, _acc_system,
                              synthetic_suite, two_robot_scenario)
-from fxtqp.simulation import _joint_goal
+from fxtqp.simulation import OutcomeKind, Phase, Schedule, _joint_goal, run
 
 
 def integrator(n):
@@ -197,6 +197,59 @@ class TestAssemble:
         p = assemble(sys, goal, safes, bounds, params, np.array([20.0, 10.0, 150.0]))
         assert np.allclose(np.diag(p.H), [params.w_u[0], params.w1, params.w2])
         assert np.allclose(p.F, [0.0, params.q1, 0.0])
+
+
+def quadratic_set(name, P, c, r):
+    """{(x - c)' P (x - c) <= r}."""
+    P, c = np.asarray(P, float), np.asarray(c, float)
+
+    def fn(x):
+        d = x - c
+        return float(d @ P @ d - r), 2.0 * (P @ d)
+
+    return SetFunction(name, fn)
+
+
+def coupled_pieces():
+    """A system on which the stacked invariance rows are not the row-by-row
+    products bit for bit: g(x) is not the identity, f(x) is nonzero, and
+    four safe sets (a workspace, two obstacles, a half-space) share G."""
+    sys = ControlAffineSystem(
+        n=3, m=2,
+        f=lambda x: np.array([np.sin(x[1]) - 0.3 * x[0], 0.4 * x[0] * x[2],
+                              0.2 * x[0] ** 2 - 0.7 * x[2]]),
+        g=lambda x: np.array([[1.0 + 0.1 * x[2] ** 2, 0.3 * np.cos(x[0])],
+                              [0.2 * x[1], 1.0],
+                              [0.5, 0.8 + 0.1 * np.sin(x[1])]]))
+    floor = np.array([0.0, 0.3, -1.0])
+    safes = (quadratic_set("workspace", np.diag([0.25, 0.25, 1.0]), np.zeros(3), 1.0),
+             quadratic_set("obstacle", -np.eye(3), [0.6, -0.2, 0.2], -0.09),
+             SetFunction("floor", lambda x: (float(floor @ x - 0.6), floor)),
+             quadratic_set("obstacle2", -np.diag([1.0, 2.0, 1.0]), [0.2, -0.6, 0.3], -0.05))
+    goal = quadratic_set("goal", np.eye(3), [1.2, -0.8, 0.5], 0.04)
+    bounds = InputBounds(lower=np.array([-3.0, -2.0]), upper=np.array([3.0, 2.5]))
+    params = SynthesisParams(T_ud=3.0, mu=3.0, w_u=np.array([1.0, 2.0]))
+    return sys, goal, safes, bounds, params
+
+
+class TestStackedRows:
+    def test_coupled_system_along_a_closed_loop_run(self):
+        sys, goal, safes, bounds, params = coupled_pieces()
+        schedule = Schedule(tracks=((Phase(goal=goal, deadline=3.0),),), global_safes=safes)
+        trace = run(sys, schedule, bounds, params, np.array([-0.6, 0.5, -0.2]), 1e-3)
+        assert trace.outcome.kind is OutcomeKind.ALL_PHASES_MET and len(trace) > 500
+        warm = None
+        for x in trace.x:
+            p = assemble(sys, goal, safes, bounds, params, x)
+            A, b = reference_rows(sys, goal, safes, bounds, params, x)
+            got, ref = np.column_stack([p.A, p.b]), np.column_stack([A, b])
+            gap = np.max(np.abs(got - ref), axis=1)
+            assert np.all(gap <= 1e-14 * np.max(np.abs(ref), axis=1)), x
+            cold = synthesize(sys, goal, safes, bounds, params, x)
+            hot = synthesize(sys, goal, safes, bounds, params, x, warm_start=warm)
+            assert abs(hot.objective - cold.objective) <= 1e-10 * max(1.0, abs(cold.objective))
+            assert hot.strict_cs == cold.strict_cs
+            warm = hot.active_set
 
 
 class TestSynthesize:

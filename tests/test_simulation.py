@@ -9,13 +9,14 @@ from fxtqp.simulation import (
     OutcomeKind,
     Phase,
     Schedule,
+    Trace,
     monitor,
     run,
     step_euler,
     trace_from_csv,
     trace_to_csv,
 )
-from fxtqp.scenarios import AccConfig, _acc_system
+from fxtqp.scenarios import AccConfig, _acc_system, acc_scenario
 
 
 def integrator(n):
@@ -267,6 +268,25 @@ class TestMonitor:
         assert stats["max_abs_u"] == [pytest.approx(2.0, abs=1e-9)] * 2
         assert stats["reach_times"] == [trace.reach_times[0]]
         assert stats["max_delta1"] == pytest.approx(np.max(trace.delta1))
+
+    def test_chatter_steps_on_a_hand_built_trace(self):
+        # box half-widths 1 and 2; steps 3, 4, 8, 9 (input 0) and 6, 7
+        # (input 1) reverse by more than that twice running.  Step 10 jumps
+        # exactly the half-width, step 12 twice the same way: not counted.
+        u = np.array([[0.0, 0.9, -0.9, 0.9, -0.9, -0.9, -0.9, 0.2, -0.85, 0.2, 1.2, 2.4, 3.6],
+                      [0.0, 0.0, 0.0, 0.0, 0.0, 3.0, 0.5, 3.0, 4.0, 4.0, 4.0, 4.0, 4.0]]).T
+        k = len(u)
+        trace = Trace(t=0.1 * np.arange(k), x=np.zeros((k, 1)), u=u, h_goal=np.ones(k),
+                      h_safe=np.zeros((k, 0)), delta1=np.zeros(k), delta2=np.zeros(k),
+                      strict_cs=np.ones(k, dtype=bool), active_set_size=np.zeros(k, dtype=int),
+                      phase=np.zeros(k, dtype=int), safe_names=(), dt=0.1)
+        bounds = InputBounds(lower=np.array([-1.0, 0.0]), upper=np.array([1.0, 4.0]))
+        assert monitor(trace, bounds=bounds)["chatter_steps"] == 6
+        assert monitor(trace)["chatter_steps"] is None
+
+    def test_chatter_steps_on_the_default_acc_run(self):
+        sc = acc_scenario(AccConfig())
+        assert monitor(sc.simulate(), bounds=sc.bounds)["chatter_steps"] == 491
 
 
 class TestCsvRoundTrip:
