@@ -153,10 +153,6 @@ class QpSolution:
     objective: float
     status: SolveStatus
     iterations: int = 0
-    # b - A z_star as the active set was judged on, kept so the strict
-    # complementarity check does not compute it again; None where no solver
-    # computed it (non-optimal or hand-built solutions)
-    slack: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -166,11 +162,12 @@ class KktResidual:
     comp_slack: float
 
 
-def _active_by_value(problem: QpProblem, z: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
-    """The rows active at z, judged by value, and the slack b - A z they were judged on."""
-    slack = problem.b - problem.A @ z
+def _active_by_value(problem: QpProblem, z: np.ndarray) -> tuple[int, ...]:
+    if problem.m_c == 0:
+        return ()
+    r = problem.b - problem.A @ z
     tol = FEAS_TOL * (1.0 + np.abs(problem.b))
-    return tuple(np.flatnonzero(slack <= tol).tolist()), slack
+    return tuple(np.flatnonzero(r <= tol).tolist())
 
 
 def _feasibility_lp(problem: QpProblem):
@@ -389,15 +386,13 @@ def solve_qp(problem: QpProblem, warm_start: Sequence[int] | None = None) -> QpS
     z = L_inv.T @ y
     lam_full = np.zeros(m)
     lam_full[work] = np.maximum(lam, 0.0) / row_scale[work]
-    active, slack = _active_by_value(problem, z)
     return QpSolution(
         z_star=z,
         lambda_star=lam_full,
-        active_set=active,
+        active_set=_active_by_value(problem, z),
         objective=problem.objective(z),
         status=SolveStatus.OPTIMAL,
         iterations=iterations,
-        slack=slack,
     )
 
 
@@ -457,14 +452,12 @@ def brute_force_solve(problem: QpProblem) -> QpSolution:
         raise RuntimeError("enumeration found no KKT candidate on a feasible problem")
 
     obj, z, lam, _ = best
-    active, slack = _active_by_value(problem, z)
     return QpSolution(
         z_star=z,
         lambda_star=lam,
-        active_set=active,
+        active_set=_active_by_value(problem, z),
         objective=obj,
         status=SolveStatus.OPTIMAL,
-        slack=slack,
     )
 
 
@@ -493,12 +486,12 @@ def check_strict_complementarity(problem: QpProblem, solution: QpSolution,
 
     Degenerate constraints (both the multiplier and the slack at zero) break
     the regularity needed for the solution map to be continuous, so callers
-    track this flag along trajectories.  The slack is the solution's own
-    ``slack`` when the solver kept it, else computed from ``z_star``.
+    track this flag along trajectories.
     """
     if solution.status is not SolveStatus.OPTIMAL:
         raise ValueError("strict complementarity is defined for optimal solutions only")
-    slack = solution.slack
-    if slack is None:
-        slack = problem.b - problem.A @ solution.z_star
-    return bool(((solution.lambda_star > tol) | (slack > tol)).all())
+    if problem.m_c == 0:
+        return True
+    slack = problem.b - problem.A @ solution.z_star
+    ok = (solution.lambda_star > tol) | (slack > tol)
+    return bool(np.all(ok))

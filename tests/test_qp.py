@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -138,18 +136,6 @@ class TestStrictComplementarity:
         # min 0.5 z^2 s.t. z <= 0: z* = 0 and lambda* = 0 coincide
         p = make_problem([[1.0]], [0.0], [[1.0]], [0.0])
         assert not check_strict_complementarity(p, solve_qp(p), tol=1e-6)
-
-    def test_kept_slack_is_the_slack_at_the_solution(self):
-        # the solvers keep b - A z* for the check; a solution without it
-        # (hand-built) gets the same answer from z*
-        rng = np.random.default_rng(5)
-        for _ in range(40):
-            p = random_feasible_problem(rng)
-            for s in (solve_qp(p), brute_force_solve(p)):
-                assert np.array_equal(s.slack, p.b - p.A @ s.z_star)
-                bare = dataclasses.replace(s, slack=None)
-                assert (check_strict_complementarity(p, bare)
-                        == check_strict_complementarity(p, s))
 
 
 class TestOracleAgreement:
