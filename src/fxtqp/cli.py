@@ -82,12 +82,15 @@ def _single_run(scenario_id: str, overrides: dict, dt, out_dir: Path, tag: str =
     if dt is not None and "dt" in overrides:
         raise ValueError("--dt and a dt in --set or --sweep both set the step; give one")
     scenario = scenario_from_id(scenario_id, overrides)
+    run_dir = out_dir / tag
+    try:
+        run_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot use {str(run_dir)!r} as run directory: {exc}") from exc
     trace = scenario.simulate(dt=dt)
     summary = {"scenario": scenario.scenario_id,
                **monitor(trace, d_min=scenario.d_min, bounds=scenario.bounds),
                "exit_code": _outcome_exit_code(trace.outcome)}
-    run_dir = out_dir / tag
-    run_dir.mkdir(parents=True, exist_ok=True)
     trace_to_csv(trace, run_dir / "trace.csv")
     with open(run_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)

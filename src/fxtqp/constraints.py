@@ -92,7 +92,10 @@ class InputBounds:
         hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("bounds must be equal-length vectors")
-        if not np.all(lo < hi):
+        for name, v in (("lower", lo), ("upper", hi)):
+            if not np.isfinite(v).all():
+                raise ValueError(f"{name} bounds must be finite, got {v}")
+        if not (lo < hi).all():
             raise ValueError("lower bounds must be strictly below upper bounds")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)

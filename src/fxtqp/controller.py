@@ -14,6 +14,7 @@ physical units.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -66,7 +67,12 @@ class SynthesisParams:
         if not (self.T_ud > 0 and self.mu > 1):
             raise ValueError("need T_ud > 0 and mu > 1")
         object.__setattr__(self, "gains", alpha_from_deadline(self.T_ud, self.mu))
-        if np.any(self.w_u <= 0) or self.w1 <= 0 or self.w2 <= 0 or self.q1 <= 0:
+        if not np.isfinite(self.w_u).all():
+            raise ValueError(f"w_u must be finite, got {self.w_u}")
+        for name in ("w1", "w2", "q1"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if (self.w_u <= 0).any() or self.w1 <= 0 or self.w2 <= 0 or self.q1 <= 0:
             raise ValueError("objective weights must be strictly positive")
         m = self.w_u.size
         H = np.diag(np.concatenate([self.w_u, [self.w1, self.w2]]))

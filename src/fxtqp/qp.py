@@ -119,7 +119,8 @@ class QpProblem:
             raise ValueError(f"A shape {A.shape} inconsistent with {n} variables")
         if b.shape != (A.shape[0],):
             raise ValueError(f"b length {b.shape} inconsistent with A rows {A.shape[0]}")
-        if not (np.isfinite(F).all() and np.isfinite(A).all() and np.isfinite(b).all()):
+        # one pass over every entry (H is checked with its factor)
+        if not np.isfinite(np.concatenate((F, A.ravel(), b))).all():
             raise ValueError("QP data must be finite")
         L, L_inv = _factor(n, H.tobytes())
         object.__setattr__(self, "L", L)
@@ -167,7 +168,7 @@ def _active_by_value(problem: QpProblem, z: np.ndarray) -> tuple[int, ...]:
         return ()
     r = problem.b - problem.A @ z
     tol = FEAS_TOL * (1.0 + np.abs(problem.b))
-    return tuple(np.flatnonzero(r <= tol).tolist())
+    return tuple((r <= tol).nonzero()[0].tolist())
 
 
 def _feasibility_lp(problem: QpProblem):
@@ -364,18 +365,19 @@ def solve_qp(problem: QpProblem, warm_start: Sequence[int] | None = None) -> QpS
                 t_full = float(c @ y - b[p]) / w2
                 if t_full <= t:
                     y = y - t_full * w
-                    lam = np.append(lam - t_full * r, lam_p + t_full)
+                    lam = np.concatenate((lam - t_full * r, (lam_p + t_full,)))
                     size = len(work)
                     # Fortran order: dtrtrs reads R without a copy
                     R_add = np.zeros((size + 1, size + 1), order="F")
                     R_add[:size, :size] = R
                     R_add[:size, size] = v
                     R_add[size, size] = math.sqrt(w2)
-                    Q, R = np.column_stack([Q, w / R_add[size, size]]), R_add
+                    Q, R = np.concatenate((Q, (w / R_add[size, size])[:, None]), axis=1), R_add
                     work.append(p)
                     break
                 y = y - t * w
-            lam = np.delete(lam - t * r, k)
+            lam = lam - t * r
+            lam = np.concatenate((lam[:k], lam[k + 1:]))
             lam_p += t
             del work[k]
             # LAPACK gets no empty matrix: an emptied set keeps empty factors
@@ -390,7 +392,7 @@ def solve_qp(problem: QpProblem, warm_start: Sequence[int] | None = None) -> QpS
         z_star=z,
         lambda_star=lam_full,
         active_set=_active_by_value(problem, z),
-        objective=problem.objective(z),
+        objective=float(0.5 * (y @ y) + f @ y),     # = problem.objective(z), y = L'z
         status=SolveStatus.OPTIMAL,
         iterations=iterations,
     )
@@ -494,4 +496,4 @@ def check_strict_complementarity(problem: QpProblem, solution: QpSolution,
         return True
     slack = problem.b - problem.A @ solution.z_star
     ok = (solution.lambda_star > tol) | (slack > tol)
-    return bool(np.all(ok))
+    return bool(ok.all())

@@ -157,9 +157,21 @@ def step_euler(sys: ControlAffineSystem, x: np.ndarray, u: np.ndarray,
     if sys.disturbance is not None:
         rate = rate + np.asarray(sys.disturbance(x), dtype=float).reshape(sys.n)
     x_next = x + dt * rate
-    if not np.all(np.isfinite(x_next)):
+    if not np.isfinite(x_next).all():
         raise NonFiniteState(f"non-finite state after step from {x}")
     return x_next
+
+
+def _positive_part_sum(pairs: Sequence[tuple[float, np.ndarray]],
+                       n: int) -> tuple[float, np.ndarray]:
+    """Value and gradient of the sum of positive parts of several goals,
+    given each goal's (value, gradient) pair at the same state, in order."""
+    h, grad = 0.0, None
+    for v, gg in pairs:
+        if v > 0.0:
+            h += v
+            grad = gg if grad is None else grad + gg
+    return h, np.zeros(n) if grad is None else grad
 
 
 def _joint_goal(goals: Sequence[SetFunction]) -> SetFunction:
@@ -167,19 +179,16 @@ def _joint_goal(goals: Sequence[SetFunction]) -> SetFunction:
 
     Zero exactly when every goal is met, and its reach-rate row drives all
     unmet goals at once; a max of the goals would drive only the worst one
-    per step, starving the rest while their deadlines run.
+    per step, starving the rest while their deadlines run.  ``run`` builds
+    the same function from the pairs its reach test has already evaluated.
     """
+    return SetFunction("joint_goal", lambda x: _positive_part_sum(
+        [g.value_and_gradient(x) for g in goals], len(x)))
 
-    def fn(x):
-        h, grad = 0.0, None
-        for g in goals:
-            v, gg = g.value_and_gradient(x)
-            if v > 0.0:
-                h += v
-                grad = gg if grad is None else grad + gg
-        return h, np.zeros(len(x)) if grad is None else grad
 
-    return SetFunction("joint_goal", fn)
+def _evaluated(pair: tuple[float, np.ndarray]) -> SetFunction:
+    """A goal already evaluated at the state the controller is called at."""
+    return SetFunction("goal", lambda x: pair)
 
 
 def _safe_column_names(schedule) -> tuple[str, ...]:
@@ -198,6 +207,8 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
     Per step: advance every track whose current goal is met, synthesize the
     input for the combined goal (the sum of the positive parts of the
     unfinished tracks' goals), record, monitor safety, then integrate.
+    Each goal the reach test examines is evaluated once, and the controller
+    goal is built from those (value, gradient) pairs.
     Safety is forward invariance of every {h_s <= 0}: a recorded safe-set
     value above a round-off allowance of 1e-12 ends the run
     ``safety_violated`` at that step.  Each goal segment, a maximal run of
@@ -226,38 +237,45 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
     seg_goals: list[SetFunction] = []
     seg_starts: list[int] = []
 
+    advanced = True
     while outcome is None:
-        # advance every track through goals already met
+        # advance every track through goals already met, keeping the pairs
+        # of the goals still pending; the rest changes only on an advance
+        pairs = []
         for j, track in enumerate(tracks):
             while idx[j] < lengths[j]:
                 ph = track[idx[j]]
-                if ph.goal.value(x) <= ph.reach_tol:
-                    reach[j][idx[j]] = t
-                    idx[j] += 1
-                    start[j] = t
-                else:
+                pair = ph.goal.value_and_gradient(x)
+                if pair[0] > ph.reach_tol:
+                    pairs.append(pair)
                     break
-        done = all(idx[j] >= lengths[j] for j in range(n_tracks))
-        if done and (schedule.horizon is None or t >= schedule.horizon - _TIME_EPS):
+                reach[j][idx[j]] = t
+                idx[j] += 1
+                start[j] = t
+                advanced = True
+        if not pairs and (schedule.horizon is None or t >= schedule.horizon - _TIME_EPS):
             outcome = Outcome(kind=OutcomeKind.ALL_PHASES_MET, t=t)
             break
-        current = [tracks[j][min(idx[j], lengths[j] - 1)] for j in range(n_tracks)]
-        miss = next((j for j in range(n_tracks) if idx[j] < lengths[j]
-                     and t - start[j] > current[j].deadline + _TIME_EPS), None)
+        if advanced:
+            current = [tracks[j][min(idx[j], lengths[j] - 1)] for j in range(n_tracks)]
+            unmet = [j for j in range(n_tracks) if idx[j] < lengths[j]]
+            pending = [current[j].goal for j in unmet] or [ph.goal for ph in current]
+            new_segment = pending != seg_goals
+            safes = schedule.global_safes + tuple(
+                s for ph in current for s in ph.safe_extra)
+            phase = min(min(idx), n_legs - 1)
+        miss = next((j for j in unmet
+                     if t - start[j] > current[j].deadline + _TIME_EPS), None)
         if miss is not None:
             outcome = Outcome(kind=OutcomeKind.DEADLINE_MISSED, phase=idx[miss], t=t,
                               message=f"track {miss} leg {idx[miss]} still unmet "
                                       f"after {current[miss].deadline} s")
             break
 
-        pending = [current[j].goal for j in range(n_tracks) if idx[j] < lengths[j]]
-        if not pending:
-            pending = [ph.goal for ph in current]
-        new_segment = pending != seg_goals
-        if new_segment:
-            goal = pending[0] if len(pending) == 1 else _joint_goal(pending)
-        safes = schedule.global_safes + tuple(
-            s for ph in current for s in ph.safe_extra)
+        if not pairs:   # every phase met, running on to the horizon
+            pairs = [g.value_and_gradient(x) for g in pending]
+        goal = _evaluated(pairs[0] if len(pairs) == 1
+                          else _positive_part_sum(pairs, len(x)))
         try:
             decision = synthesize(sys, goal, safes, bounds, params, x,
                                   warm_start=warm)
@@ -271,13 +289,14 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
         rows.append([t, *x.tolist(), *decision.u.tolist(), decision.h_goal,
                      *hs_vals.tolist(), decision.delta1, decision.delta2,
                      decision.strict_cs, len(decision.active_set),
-                     min(min(idx), n_legs - 1), decision.iterations,
+                     phase, decision.iterations,
                      decision.box_overshoot])
         if new_segment:
             seg_goals = pending
             seg_starts.append(len(rows) - 1)
+        advanced = new_segment = False
 
-        if np.any(hs_vals > _SAFE_TOL):
+        if (hs_vals > _SAFE_TOL).any():
             j = int(np.argmax(hs_vals))
             outcome = Outcome(kind=OutcomeKind.SAFETY_VIOLATED, phase=min(idx), t=t,
                               branch=safe_names[j],
@@ -400,16 +419,20 @@ def _step_fields(table: np.ndarray, n: int, m: int, safe_names: Sequence[str]) -
 
 
 def trace_to_csv(trace: Trace, path) -> None:
-    """Write the step records with 17 significant digits (lossless doubles)."""
+    """Write the step records with 17 significant digits (lossless doubles).
+
+    The header goes through ``csv.writer``, which quotes a safe-set name
+    that needs it; the numeric body is one ``%`` format per row, the same
+    bytes that writer would give for these fields.
+    """
     table = np.column_stack([trace.t, trace.x, trace.u, trace.h_goal, trace.h_safe,
                              trace.delta1, trace.delta2, trace.strict_cs,
                              trace.active_set_size, trace.phase])
+    row = ",".join(["%.17g"] * (table.shape[1] - 3) + ["%d"] * 3) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_trace_header(trace.x.shape[1], trace.u.shape[1],
-                                      trace.safe_names))
-        for row in table.tolist():
-            writer.writerow([f"{v:.17g}" for v in row[:-3]] + [int(v) for v in row[-3:]])
+        csv.writer(fh).writerow(_trace_header(trace.x.shape[1], trace.u.shape[1],
+                                              trace.safe_names))
+        fh.write((row * len(table)) % tuple(table.ravel().tolist()))
 
 
 def trace_from_csv(path) -> Trace:

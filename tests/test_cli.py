@@ -299,6 +299,24 @@ class TestFlagCombinations:
         assert "configuration error" in capsys.readouterr().err
         assert taken.read_text() == "not a directory"
 
+    # the run directory is made before the simulation, so a bad one costs no run
+    @pytest.mark.parametrize("flags, taken, runs", [
+        (("--scenario", "synthetic:int1d"), "synthetic_int1d", 0),
+        (("--scenario", "acc", "--sweep", "horizon=0.05,0.1"), "horizon=0.05", 0),
+        (("--scenario", "acc", "--sweep", "horizon=0.05,0.1"), "horizon=0.1", 1)])
+    def test_run_directory_naming_a_file_is_config_error_before_the_run(
+            self, tmp_path, capsys, monkeypatch, flags, taken, runs):
+        from fxtqp.scenarios import Scenario
+        simulate, calls = Scenario.simulate, []
+        monkeypatch.setattr(Scenario, "simulate",
+                            lambda self, dt=None: calls.append(1) or simulate(self, dt))
+        (tmp_path / taken).write_text("not a directory")
+        assert run_cli(*flags, "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+        assert len(calls) == runs
+        assert (tmp_path / taken).read_text() == "not a directory"
+
 class TestVerifyBounds:
     def test_small_grid_passes(self, tmp_path):
         grid = tmp_path / "grid.json"

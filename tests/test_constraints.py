@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,13 +16,14 @@ from fxtqp.scenarios import (
     AccConfig,
     TwoRobotConfig,
     acc_goal,
+    acc_scenario,
     acc_headway,
     _acc_system,
     synthetic_suite,
     two_robot_scenario,
     waypoint_sets,
 )
-from fxtqp.simulation import _joint_goal
+from fxtqp.simulation import _joint_goal, _positive_part_sum
 
 
 def integrator(n):
@@ -224,6 +226,14 @@ class TestInputRows:
         with pytest.raises(ValueError):
             InputBounds(lower=np.array([1.0]), upper=np.array([1.0]))
 
+    @pytest.mark.parametrize("field", ["lower", "upper"])
+    @pytest.mark.parametrize("value", [-math.inf, math.inf])
+    def test_rejects_infinite_bounds_by_name(self, field, value):
+        given = {"lower": -np.ones(2), "upper": np.ones(2)}
+        given[field] = np.array([given[field][0], value])
+        with pytest.raises(ValueError, match=f"^{field} bounds must be finite"):
+            InputBounds(**given)
+
 
 class TestGradientCheck:
     def test_quadratic_is_second_order_exact(self):
@@ -291,13 +301,35 @@ class TestOneCallPerSet:
             assert calls == {s.name: k for s in (goal, *safes)}
 
     def test_joint_goal_calls_each_goal_once(self):
+        # the run builds the joint goal from pairs it has evaluated, and
+        # _joint_goal from its own call of each goal; either way once each
         cfg = TwoRobotConfig()
         calls = {}
         goals = [counting(waypoint_sets(cfg, 0)[1], calls),
                  counting(waypoint_sets(cfg, 1)[3], calls)]
-        joint = _joint_goal(goals)
         x = np.array([-1.5, 1.5, 1.5, -1.5])
-        joint.value_and_gradient(x)
+        h, grad = _positive_part_sum([g.value_and_gradient(x) for g in goals], x.size)
         assert calls == {"S2_a1": 1, "S4_a2": 1}
-        joint.value(x)
+        h_joint, grad_joint = _joint_goal(goals).value_and_gradient(x)
         assert calls == {"S2_a1": 2, "S4_a2": 2}
+        assert h == h_joint and np.array_equal(grad, grad_joint)
+
+    @pytest.mark.parametrize("build", [acc_scenario, two_robot_scenario])
+    def test_run_evaluates_each_examined_goal_once_per_step(self, build):
+        # the reach test's call gives the reach row too: per step one call
+        # per unfinished track, plus one per leg met and, once all are met,
+        # one per track while the run goes on to its horizon
+        sc = build()
+        calls, counted = {}, {}
+
+        def count(goal):
+            return counted.setdefault(id(goal), counting(goal, calls))
+
+        tracks = tuple(tuple(dataclasses.replace(ph, goal=count(ph.goal)) for ph in track)
+                       for track in sc.schedule.tracks)
+        sc = dataclasses.replace(sc, schedule=dataclasses.replace(sc.schedule, tracks=tracks))
+        trace = sc.simulate()
+        assert trace.outcome.ok
+        n_tracks = len(tracks)
+        legs = sum(r is not None for times in trace.track_reach_times for r in times)
+        assert sum(calls.values()) <= len(trace) * n_tracks + legs + n_tracks

@@ -134,6 +134,14 @@ class TestParams:
         with pytest.raises(ValueError):
             SynthesisParams(T_ud=1.0, mu=2.0, w_u=np.ones(1), w2=0.0)
 
+    @pytest.mark.parametrize("field", ["w_u", "w1", "w2", "q1"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_weights_by_name(self, field, value):
+        # NaN passes the positivity test and infinity passes it too
+        weights = {"w_u": np.ones(2), field: np.array([1.0, value]) if field == "w_u" else value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            SynthesisParams(T_ud=1.0, mu=2.0, **weights)
+
 
 class TestAssemble:
     def test_objective_built_once(self):

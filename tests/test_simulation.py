@@ -1,3 +1,7 @@
+import csv
+import io
+import math
+
 import numpy as np
 import pytest
 
@@ -289,6 +293,23 @@ class TestMonitor:
         assert monitor(sc.simulate(), bounds=sc.bounds)["chatter_steps"] == 491
 
 
+class TestStepPath:
+    def test_makes_no_numpy_wrapper_call(self, monkeypatch):
+        # numpy's Python-level any/all/append/delete cost more than their
+        # work at these sizes; the step path uses array methods instead.
+        # The scenarios are built first: only the runs are guarded
+        from fxtqp.scenarios import two_robot_scenario
+        scenarios = [acc_scenario(AccConfig()), two_robot_scenario()]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numpy wrapper called on the step path")
+
+        for name in ("any", "all", "append", "delete"):
+            monkeypatch.setattr(np, name, forbidden)
+        for sc in scenarios:
+            assert sc.simulate().outcome.ok
+
+
 class TestCsvRoundTrip:
     def test_exact_round_trip(self, tmp_path):
         sys, sched, bounds, params = simple_setup()
@@ -302,6 +323,40 @@ class TestCsvRoundTrip:
             assert a.dtype == b.dtype and np.array_equal(a, b), name
         assert back.safe_names == trace.safe_names
         assert back.dt == trace.dt
+
+    def test_writer_gives_the_csv_writer_bytes_and_reads_back(self, tmp_path):
+        # edge doubles in every float column kind, and a safe-set name that
+        # csv must quote; the reference is csv.writer with per-value formatting
+        edge = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]
+        k = len(edge)
+        trace = Trace(t=np.arange(k) * 0.1, x=np.array([edge, edge[::-1]]).T,
+                      u=np.array([edge[2:] + edge[:2]]).T, h_goal=np.array(edge[::-1]),
+                      h_safe=np.array([edge[1:] + edge[:1], edge]).T,
+                      delta1=np.array(edge), delta2=np.array(edge[3:] + edge[:3]),
+                      strict_cs=np.array([True, False] * 3),
+                      active_set_size=np.arange(k), phase=np.array([0, 0, 1, 1, 2, 12]),
+                      safe_names=('wall,"east"', "sep"), dt=0.1)
+        path = tmp_path / "trace.csv"
+        trace_to_csv(trace, path)
+
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        writer.writerow(["t", "x0", "x1", "u0", "h_goal", 'hs_wall,"east"', "hs_sep",
+                         "delta1", "delta2", "strict_cs", "active_set_size", "phase"])
+        for i in range(k):
+            floats = [trace.t[i], *trace.x[i], *trace.u[i], trace.h_goal[i],
+                      *trace.h_safe[i], trace.delta1[i], trace.delta2[i]]
+            writer.writerow([f"{float(v):.17g}" for v in floats]
+                            + [int(trace.strict_cs[i]), int(trace.active_set_size[i]),
+                               int(trace.phase[i])])
+        assert path.read_bytes() == ref.getvalue().encode()
+
+        back = trace_from_csv(path)
+        for name in ("t", "x", "u", "h_goal", "h_safe", "delta1", "delta2",
+                     "strict_cs", "active_set_size", "phase"):
+            a, b = getattr(back, name), getattr(trace, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert back.safe_names == trace.safe_names
 
     @pytest.mark.parametrize("header", ["", "t,x0,u0,h_goal,delta1",
                                         "t,x0,u0,h_goal,hs_a,delta1,delta2,strict_cs,phase",
