@@ -246,13 +246,14 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
             while idx[j] < lengths[j]:
                 ph = track[idx[j]]
                 pair = ph.goal.value_and_gradient(x)
-                if pair[0] > ph.reach_tol:
+                if pair[0] <= ph.reach_tol:
+                    reach[j][idx[j]] = t
+                    idx[j] += 1
+                    start[j] = t
+                    advanced = True
+                else:
                     pairs.append(pair)
                     break
-                reach[j][idx[j]] = t
-                idx[j] += 1
-                start[j] = t
-                advanced = True
         if not pairs and (schedule.horizon is None or t >= schedule.horizon - _TIME_EPS):
             outcome = Outcome(kind=OutcomeKind.ALL_PHASES_MET, t=t)
             break

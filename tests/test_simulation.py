@@ -102,6 +102,15 @@ class TestRun:
         with pytest.raises(ValueError):
             run(sys, sched, bounds, params, np.array([1.0, 1.0]), dt)
 
+    def test_nan_goal_value_is_not_a_reach(self):
+        # NaN fails every comparison: the reach test must not read it as met,
+        # so the NaN reaches the QP, whose data check refuses it
+        sys, _, bounds, params = simple_setup()
+        nan_goal = SetFunction("nan_goal", lambda x: (math.nan, np.zeros(2)))
+        sched = Schedule(tracks=((Phase(goal=nan_goal, deadline=1.0),),))
+        with pytest.raises(ValueError, match="finite"):
+            run(sys, sched, bounds, params, np.array([1.0, 1.0]), 1e-2)
+
     def test_start_inside_goal_completes_at_zero(self):
         sys, sched, bounds, params = simple_setup()
         trace = run(sys, sched, bounds, params, np.array([0.01, 0.0]), 1e-3)
