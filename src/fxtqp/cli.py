@@ -50,7 +50,10 @@ def _parse_overrides(pairs):
         if "=" not in item:
             raise ValueError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
-        overrides[key.strip()] = _parse_value(value.strip())
+        key = key.strip()
+        if key in overrides:
+            raise ValueError(f"--set gives {key!r} twice; give it once")
+        overrides[key] = _parse_value(value.strip())
     return overrides
 
 
@@ -173,8 +176,9 @@ def _load_bounds_grid(path) -> dict:
                           ("mu", " > 1", lambda v: v > 1),
                           ("delta1", "", lambda v: True),
                           ("V0", " >= 0", lambda v: v >= 0)):
-        if not (isinstance(grid[key], list) and all(_finite(v) and ok(v) for v in grid[key])):
-            raise ValueError(f"grid {key!r} must be a list of finite numbers{what}")
+        if not (isinstance(grid[key], list) and grid[key]
+                and all(_finite(v) and ok(v) for v in grid[key])):
+            raise ValueError(f"grid {key!r} must be a nonempty list of finite numbers{what}")
     if not (_finite(grid["dt"]) and grid["dt"] > 0):
         raise ValueError("grid 'dt' must be a finite number > 0")
     return grid

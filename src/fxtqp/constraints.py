@@ -130,7 +130,10 @@ def _clamped_power_sum(h: float, gains: FxtsGains) -> float:
     # max{0, h}**gamma, exact zero at and below the set boundary
     if h <= 0.0:
         return 0.0
-    return gains.alpha1 * math.pow(h, gains.gamma1) + gains.alpha2 * math.pow(h, gains.gamma2)
+    try:
+        return gains.alpha1 * math.pow(h, gains.gamma1) + gains.alpha2 * math.pow(h, gains.gamma2)
+    except OverflowError:   # a finite h whose power is not: a non-finite row
+        return math.inf
 
 
 def qp_rows(sys: ControlAffineSystem, h_g: SetFunction, safes: Sequence[SetFunction],

@@ -24,16 +24,17 @@ from fxtqp import qp
 from fxtqp.constraints import ControlAffineSystem, InputBounds, SetFunction, qp_rows
 from fxtqp.fxts import FxtsGains, alpha_from_deadline
 
-__all__ = ["SynthesisParams", "SynthesisQp", "ControlDecision", "SolverFailure",
-           "assemble", "synthesize", "continuity_probe", "ContinuityProbeResult"]
+__all__ = ["SynthesisParams", "ControlDecision", "SolverFailure", "assemble",
+           "synthesize", "continuity_probe", "ContinuityProbeResult"]
 
 
 class SolverFailure(RuntimeError):
-    """The synthesis QP could not be solved; indicates a modeling bug.
+    """The synthesis QP could not be built from finite rows or solved.
 
     The QP is feasible by construction whenever the state is outside the
     goal set, so this is escalated instead of silently falling back to a
-    saturated heuristic input.
+    saturated heuristic input; rows that overflow or turn NaN mean the
+    state has left what the model covers.
     """
 
 
@@ -85,14 +86,6 @@ class SynthesisParams:
 
 
 @dataclass(frozen=True)
-class SynthesisQp(qp.QpProblem):
-    """The synthesis QP at one state, with the set values its rows used."""
-
-    h_goal: float
-    h_safe: np.ndarray = field(compare=False)   # one value per safe set
-
-
-@dataclass(frozen=True)
 class ControlDecision:
     """Solved control input plus the slack, solver and regularity diagnostics."""
 
@@ -109,13 +102,25 @@ class ControlDecision:
     h_safe: np.ndarray      # safe-set values at the state, one per safe set
 
 
+def _problem(params: SynthesisParams, A: np.ndarray, b: np.ndarray,
+             x: np.ndarray) -> qp.QpProblem:
+    # rows that overflow or turn NaN (a state or set far outside its model)
+    # fail the run like an unsolvable QP; any other bad data is a ValueError
+    try:
+        return qp.QpProblem(H=params.H, F=params.F, A=A, b=b)
+    except ValueError:
+        if np.isfinite(A).all() and np.isfinite(b).all():
+            raise
+        raise SolverFailure(f"synthesis QP rows are not finite at x={np.asarray(x)}") from None
+
+
 def assemble(sys: ControlAffineSystem, h_g: SetFunction,
              safes: Sequence[SetFunction], bounds: InputBounds,
-             params: SynthesisParams, x: np.ndarray) -> SynthesisQp:
+             params: SynthesisParams, x: np.ndarray) -> qp.QpProblem:
     """Build the synthesis QP at state x, in input-scaled coordinates."""
-    A, b, h_goal, h_safe = qp_rows(sys, h_g, safes, bounds, params.gains, x,
-                                   params.delta2_freeze_level)
-    return SynthesisQp(H=params.H, F=params.F, A=A, b=b, h_goal=h_goal, h_safe=h_safe)
+    A, b, _, _ = qp_rows(sys, h_g, safes, bounds, params.gains, x,
+                         params.delta2_freeze_level)
+    return _problem(params, A, b, x)
 
 
 def synthesize(sys: ControlAffineSystem, h_g: SetFunction,
@@ -127,12 +132,15 @@ def synthesize(sys: ControlAffineSystem, h_g: SetFunction,
     ``warm_start`` is a guess at the QP's working set as row indices, e.g.
     the ``active_set`` of the decision at the previous state; it can only
     speed the solve up, never change the answer.  Raises
-    :class:`SolverFailure` when the QP reports anything but optimality
-    (infeasibility, or the solver's iteration guard), or when the solved
-    input leaves its box by more than ``qp.FEAS_TOL`` in scaled units;
-    a smaller overshoot (round-off) is clipped and reported.
+    :class:`SolverFailure` when the QP's rows are not finite, when the QP
+    reports anything but optimality (infeasibility, or the solver's
+    iteration guard), or when the solved input leaves its box by more than
+    ``qp.FEAS_TOL`` in scaled units; a smaller overshoot (round-off) is
+    clipped and reported.
     """
-    problem = assemble(sys, h_g, safes, bounds, params, x)
+    A, b, h_goal, h_safe = qp_rows(sys, h_g, safes, bounds, params.gains, x,
+                                   params.delta2_freeze_level)
+    problem = _problem(params, A, b, x)
     m = bounds.m
     solution = qp.solve_qp(problem, warm_start=warm_start)
     if solution.status is not qp.SolveStatus.OPTIMAL:
@@ -156,8 +164,8 @@ def synthesize(sys: ControlAffineSystem, h_g: SetFunction,
         z_star=z,
         iterations=solution.iterations,
         box_overshoot=overshoot,
-        h_goal=problem.h_goal,
-        h_safe=problem.h_safe,
+        h_goal=h_goal,
+        h_safe=h_safe,
     )
 
 

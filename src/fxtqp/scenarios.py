@@ -24,7 +24,6 @@ __all__ = [
     "AccConfig",
     "TwoRobotConfig",
     "acc_scenario",
-    "acc_disturbance_sweep",
     "two_robot_scenario",
     "synthetic_suite",
     "scenario_from_id",
@@ -61,6 +60,10 @@ def _require_finite(cfg) -> None:
 # adaptive cruise control
 # ---------------------------------------------------------------------------
 
+# barrier value above which a disturbed acc run pins delta2 = 0
+ACC_FREEZE_LEVEL = -20.0
+
+
 @dataclass(frozen=True)
 class AccConfig:
     """Follower/lead vehicle problem on a straight road.
@@ -72,9 +75,9 @@ class AccConfig:
     whose safe set lies inside the headway set.
     The optional disturbance d_delta/M * |v_f - v_d| pushes on the follower
     acceleration; when it is active the invariance slack is pinned to zero
-    as soon as the barrier value rises past delta2_freeze_at (the invariance
-    row then drops delta2 and reads h_s' <= 0), and the ``*_disturbed``
-    weights replace the nominal ones.
+    as soon as the barrier value rises past ``ACC_FREEZE_LEVEL`` (the
+    invariance row then drops delta2 and reads h_s' <= 0), and the
+    ``*_disturbed`` weights replace the nominal ones.
     """
 
     M: float = 1650.0            # follower mass, kg
@@ -92,7 +95,6 @@ class AccConfig:
     T_ud: float = 10.0           # reach deadline for the speed band, s
     mu: float = 5.0
     d_delta: float = 0.0         # disturbance gain, N s/m
-    delta2_freeze_at: float = -20.0
     reach_band: float = 0.5      # |v_f - v_d| counted as arrived, m/s
     horizon: float = 20.0        # total simulated time, s
     dt: float = 1e-2
@@ -193,7 +195,7 @@ def acc_scenario(cfg: AccConfig | None = None) -> Scenario:
         w_u=[cfg.w_u], w1=cfg.w1,
         w2=cfg.w2_disturbed if disturbed else cfg.w2,
         q1=cfg.q1_disturbed if disturbed else cfg.q1,
-        delta2_freeze_level=cfg.delta2_freeze_at if disturbed else None,
+        delta2_freeze_level=ACC_FREEZE_LEVEL if disturbed else None,
     )
     schedule = Schedule(
         tracks=((Phase(goal=acc_goal(cfg), deadline=cfg.T_ud,
@@ -210,13 +212,6 @@ def acc_scenario(cfg: AccConfig | None = None) -> Scenario:
         x0=np.array([cfg.v_f0, cfg.v_l0, cfg.D0]),
         dt=cfg.dt,
     )
-
-
-def acc_disturbance_sweep(cfg: AccConfig, d_deltas) -> list[Trace]:
-    """One closed-loop run per disturbance gain (gain 0 reproduces nominal)."""
-    if any(d < 0 or d > 100 for d in d_deltas):
-        raise ValueError("disturbance gains must lie in [0, 100]")
-    return [acc_scenario(replace(cfg, d_delta=float(d))).simulate() for d in d_deltas]
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,8 @@ class Schedule:
     Each track advances the moment its own current goal is met; the
     controller goal combines the unfinished tracks' current goals, and every
     track's current phase adds its extra safe sets.  The trace has one
-    column per safe set, so all phases of a track must carry equally many.
+    column per safe set, so all phases of a track must carry equally many,
+    and no two safe sets may share a column name.
     One track is a plain phase sequence; multi-agent tours use one per
     agent, because synchronized arrivals would park the agents head-on.
     ``horizon``, when set, keeps running under the last phases' sets after
@@ -110,6 +111,10 @@ class Schedule:
             if len({len(ph.safe_extra) for ph in track}) > 1:
                 raise ValueError(f"track {j}: its phases carry different numbers of "
                                  "safe_extra sets, but the trace has one column per safe set")
+        names = _safe_column_names(self)
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise ValueError(f"safe sets repeat trace column names: {', '.join(repeated)}")
 
     @property
     def phases(self) -> tuple[Phase, ...]:

@@ -24,7 +24,6 @@ from fxtqp.scenarios import (
     acc_goal,
     acc_headway,
     acc_scenario,
-    acc_disturbance_sweep,
     synthetic_suite,
     two_robot_scenario,
     waypoint_sets,
@@ -148,7 +147,8 @@ def test_criterion_06_acc_disturbance_robustness():
     details = []
     ok = True
     for v0 in (18.0, 27.0):
-        traces = acc_disturbance_sweep(AccConfig(v_f0=v0), [0.0, 50.0, 100.0])
+        traces = [acc_scenario(AccConfig(v_f0=v0, d_delta=d)).simulate()
+                  for d in (0.0, 50.0, 100.0)]
         for d, trace in zip((0.0, 50.0, 100.0), traces):
             safe = float(np.max(trace.h_safe)) <= 0.0 \
                 and trace.outcome.kind is not OutcomeKind.SAFETY_VIOLATED

@@ -97,6 +97,28 @@ class TestRun:
                        "--out", str(tmp_path)) == 2
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("setting, what", [
+        ("v_f0=1e150", "overflows the reach row's power terms"),
+        ("v_f0=1e200", "overflows the speed error itself")])
+    def test_overflowing_start_is_a_solver_failure(self, tmp_path, capsys, setting, what):
+        # a finite start whose QP rows are not finite fails as a run (exit 3),
+        # with its summary written, rather than as a traceback or a config error
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli("--scenario", "acc", "--set", setting, "--out", str(tmp_path))
+        assert code == 3, what
+        assert "Traceback" not in capsys.readouterr().err
+        summary = json.loads((tmp_path / "acc" / "summary.json").read_text())
+        assert summary["outcome"]["kind"] == "solver_failure"
+        assert "not finite" in summary["outcome"]["message"]
+        assert summary["steps"] == 0
+
+    def test_repeated_set_key_is_config_error(self, tmp_path, capsys):
+        # the later value would silently replace the earlier one
+        assert run_cli("--scenario", "acc", "--set", "v_f0=20", "--set", "v_f0=25",
+                       "--out", str(tmp_path)) == 2
+        assert "'v_f0' twice" in capsys.readouterr().err
+        assert not (tmp_path / "acc").exists()
+
     def test_deadline_miss_exits_4(self, tmp_path):
         # full thrust needs about 1.9 s to climb from 17 m/s into the band,
         # so a 1 s deadline is out of reach
@@ -334,8 +356,10 @@ class TestVerifyBounds:
         out_of_domain = [r for r in rows[1:] if ",False," in r]
         assert len(out_of_domain) == 1 and out_of_domain[0].endswith("True")
 
+    # an empty axis verifies no point, which must not read as a pass
     @pytest.mark.parametrize("grid", ['[1, 2]', '{"dt": 0}', '{"alpha": [-1.0]}',
-                                      '{"alpha": 1.0}'])
+                                      '{"alpha": 1.0}', '{"alpha": []}', '{"mu": []}',
+                                      '{"delta1": []}', '{"V0": []}'])
     def test_malformed_grid_is_config_error(self, tmp_path, grid):
         path = tmp_path / "grid.json"
         path.write_text(grid)

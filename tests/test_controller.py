@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from fxtqp import qp
-from fxtqp.constraints import ControlAffineSystem, InputBounds, SetFunction
+from fxtqp.constraints import ControlAffineSystem, InputBounds, SetFunction, qp_rows
 from fxtqp.controller import (
     SolverFailure,
     SynthesisParams,
@@ -15,8 +15,8 @@ from fxtqp.controller import (
     synthesize,
 )
 from fxtqp.fxts import RegimeKind, settling_time_bound
-from fxtqp.scenarios import (AccConfig, acc_goal, acc_headway, acc_scenario, _acc_system,
-                             synthetic_suite, two_robot_scenario)
+from fxtqp.scenarios import (ACC_FREEZE_LEVEL, AccConfig, acc_goal, acc_headway, acc_scenario,
+                             _acc_system, synthetic_suite, two_robot_scenario)
 from fxtqp.simulation import OutcomeKind, Phase, Schedule, _joint_goal, run
 
 
@@ -164,7 +164,7 @@ class TestAssemble:
         sys, goal, safes, bounds, _ = acc_pieces(cfg)
         params = SynthesisParams(
             T_ud=cfg.T_ud, mu=cfg.mu, w_u=[cfg.w_u], w1=cfg.w1, w2=cfg.w2,
-            q1=cfg.q1_disturbed, delta2_freeze_level=cfg.delta2_freeze_at)
+            q1=cfg.q1_disturbed, delta2_freeze_level=ACC_FREEZE_LEVEL)
         far = assemble(sys, goal, safes, bounds, params, np.array([20.0, 10.0, 150.0]))
         assert far.m_c == 4   # h_s = -91 is below the freeze level
         assert far.A[3, 2] == pytest.approx(-91.0, abs=1.0)
@@ -193,8 +193,10 @@ class TestAssemble:
             A, b = reference_rows(sys, goal, safes, bounds, params, x)
             assert p.A.shape == A.shape, label
             assert np.array_equal(p.A, A) and np.array_equal(p.b, b), (label, x)
-            assert p.h_goal == goal.value(x)
-            assert list(p.h_safe) == [s.value(x) for s in safes]
+            _, _, h_goal, h_safe = qp_rows(sys, goal, safes, bounds, params.gains, x,
+                                           params.delta2_freeze_level)
+            assert h_goal == goal.value(x)
+            assert list(h_safe) == [s.value(x) for s in safes]
             pinned += label == "acc-frozen" and not p.A[:, -1].any()
             walls = sorted(s.value(x) for s in safes if s.name.startswith("square_a1"))
             ties += len(walls) > 1 and walls[-1] == walls[-2]
@@ -399,10 +401,31 @@ class TestSynthesize:
                                            np.array([cfg.tau_d, 0.0, -1.0]))),)
         params = SynthesisParams(
             T_ud=cfg.T_ud, mu=cfg.mu, w_u=[1.0], w1=1.0, w2=1.0, q1=1.0,
-            delta2_freeze_level=cfg.delta2_freeze_at)
+            delta2_freeze_level=ACC_FREEZE_LEVEL)
         x = np.array([22.0, 10.0, 39.7])   # h_s just below zero, closing fast
         with pytest.raises(SolverFailure):
             synthesize(sys, goal, safes, bounds, params, x)
+
+
+    def test_rows_that_are_not_finite_are_a_solver_failure(self):
+        sys, goal, _, bounds, params = acc_pieces()
+        x = np.array([20.0, 10.0, 150.0])
+        nan_safe = (SetFunction("nan", lambda x: (math.nan, np.zeros(3))),)
+        with pytest.raises(SolverFailure, match="not finite"):
+            synthesize(sys, goal, nan_safe, bounds, params, x)
+        with pytest.raises(SolverFailure, match="not finite"):
+            assemble(sys, goal, nan_safe, bounds, params, x)
+        # a finite goal value whose powers overflow a float (math.pow raises)
+        # makes an infinite row
+        ball = SetFunction("ball", lambda x: (x[0] ** 2 - 0.01, 2.0 * x))
+        with pytest.raises(SolverFailure, match="not finite"):
+            synthesize(integrator(1), ball, (), InputBounds(lower=[-1.0], upper=[1.0]),
+                       SynthesisParams(T_ud=1.0, mu=2.0, w_u=np.ones(1)), np.array([1e150]))
+        # finite data that does not fit (two input weights, one input) is
+        # a ValueError still
+        two_inputs = SynthesisParams(T_ud=params.T_ud, mu=params.mu, w_u=np.ones(2))
+        with pytest.raises(ValueError, match="inconsistent"):
+            synthesize(sys, goal, (), bounds, two_inputs, x)
 
 
 class TestContinuityProbe:

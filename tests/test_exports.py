@@ -1,6 +1,7 @@
 import importlib
 import pkgutil
 
+import numpy as np
 import pytest
 
 import fxtqp
@@ -24,6 +25,12 @@ BENCHMARK_NAMES = [
     ("constraints", "SetFunction.value"),
     ("constraints", "InputBounds.scale"),
     ("scenarios", "run"),
+    ("scenarios", "AccConfig"),
+    ("scenarios", "TwoRobotConfig"),
+    ("scenarios", "acc_scenario"),
+    ("scenarios", "scenario_from_id"),
+    ("simulation", "Schedule.phases"),
+    ("simulation", "Outcome.ok"),
     ("simulation", "_joint_goal"),
     ("simulation", "synthesize"),
     ("simulation", "step_euler"),
@@ -32,6 +39,7 @@ BENCHMARK_NAMES = [
     ("simulation", "OutcomeKind"),
     ("controller", "assemble"),
     ("qp", "solve_qp"),
+    ("qp", "QpProblem.objective"),
     ("qp", "brute_force_solve"),
     ("qp", "kkt_residual"),
     ("qp", "check_strict_complementarity"),
@@ -50,3 +58,18 @@ def test_names_the_benchmark_reaches_resolve(module, path):
     for part in path.split("."):
         assert hasattr(obj, part), f"fxtqp.{module}.{path} is gone"
         obj = getattr(obj, part)
+
+
+def test_assemble_returns_a_plain_qp_problem():
+    # the benchmark hands assemble's result to the solver and the oracle and
+    # reads its objective, A and b
+    from fxtqp.controller import assemble
+    from fxtqp.qp import QpProblem
+    from fxtqp.scenarios import acc_scenario
+
+    sc = acc_scenario()
+    problem = assemble(sc.sys, sc.schedule.phases[0].goal, sc.schedule.global_safes,
+                       sc.bounds, sc.params, sc.x0)
+    assert type(problem) is QpProblem
+    assert problem.A.shape == (4, 3) and problem.b.shape == (4,)
+    assert problem.objective(np.zeros(3)) == 0.0

@@ -10,7 +10,6 @@ from fxtqp.simulation import OutcomeKind, _joint_goal, monitor, trace_to_csv
 from fxtqp.scenarios import (
     AccConfig,
     TwoRobotConfig,
-    acc_disturbance_sweep,
     acc_headway,
     acc_scenario,
     scenario_from_id,
@@ -102,20 +101,17 @@ class TestAccRuns:
 
     def test_disturbance_zero_identical_to_nominal(self):
         base = acc_scenario(AccConfig(v_f0=24.0)).simulate()
-        swept = acc_disturbance_sweep(AccConfig(v_f0=24.0), [0.0])[0]
+        swept = acc_scenario(AccConfig(v_f0=24.0, d_delta=0.0)).simulate()
         assert np.array_equal(base.x, swept.x)
         assert np.array_equal(base.u, swept.u)
 
     def test_disturbance_sweep_stays_safe(self):
-        traces = acc_disturbance_sweep(AccConfig(v_f0=27.0), [0.0, 50.0, 100.0])
+        traces = [acc_scenario(AccConfig(v_f0=27.0, d_delta=d)).simulate()
+                  for d in (0.0, 50.0, 100.0)]
         for tr in traces:
             assert tr.outcome.kind is not OutcomeKind.SOLVER_FAILURE
             assert tr.outcome.kind is not OutcomeKind.SAFETY_VIOLATED
             assert np.max(tr.h_safe) <= 0.0
-
-    def test_sweep_rejects_out_of_range_gains(self):
-        with pytest.raises(ValueError):
-            acc_disturbance_sweep(AccConfig(), [150.0])
 
     def test_disturbance_magnitude_matches_model(self):
         cfg = AccConfig(d_delta=60.0)

@@ -104,12 +104,29 @@ class TestRun:
 
     def test_nan_goal_value_is_not_a_reach(self):
         # NaN fails every comparison: the reach test must not read it as met,
-        # so the NaN reaches the QP, whose data check refuses it
+        # so the NaN reaches the QP's rows, which fail the run
         sys, _, bounds, params = simple_setup()
         nan_goal = SetFunction("nan_goal", lambda x: (math.nan, np.zeros(2)))
         sched = Schedule(tracks=((Phase(goal=nan_goal, deadline=1.0),),))
-        with pytest.raises(ValueError, match="finite"):
-            run(sys, sched, bounds, params, np.array([1.0, 1.0]), 1e-2)
+        trace = run(sys, sched, bounds, params, np.array([1.0, 1.0]), 1e-2)
+        assert trace.outcome.kind is OutcomeKind.SOLVER_FAILURE
+        assert "not finite" in trace.outcome.message
+        assert trace.reach_times == (None,) and len(trace) == 0
+
+    def test_safe_set_turning_nan_ends_the_run_with_its_steps(self):
+        # a safe set that leaves its model mid-run fails the run as a solver
+        # failure; the steps before it stay in the trace
+        sys, _, bounds, params = simple_setup()
+        flaky = SetFunction("flaky", lambda x: (math.nan if x[0] < 0.5 else -1.0,
+                                                np.zeros(2)))
+        sched = Schedule(tracks=((Phase(goal=goal_ball(0.1), deadline=2.0),),),
+                         global_safes=(flaky,))
+        trace = run(sys, sched, bounds, params, np.array([1.0, 0.0]), 1e-2)
+        assert trace.outcome.kind is OutcomeKind.SOLVER_FAILURE
+        assert "not finite" in trace.outcome.message
+        assert len(trace) > 0 and np.all(trace.x[:, 0] >= 0.5)
+        assert np.all(trace.h_safe == -1.0)
+        assert trace.outcome.t == pytest.approx(trace.t[-1] + 1e-2)
 
     def test_start_inside_goal_completes_at_zero(self):
         sys, sched, bounds, params = simple_setup()
@@ -184,6 +201,19 @@ class TestSchedule:
         with pytest.raises(ValueError, match="track 1"):
             Schedule(tracks=(plain, ragged))
         Schedule(tracks=(plain, ragged[1:]))
+
+    def test_safe_sets_with_one_column_name_are_refused(self):
+        # two global sets named "wall" would write two hs_wall columns, and
+        # max_h_per_branch would keep only the second one's maximum
+        goal = (Phase(goal=goal_ball(0.1), deadline=1.0),)
+        walls = (half_line("wall", 4.0, upper=True), half_line("wall", 0.6, upper=True))
+        with pytest.raises(ValueError, match="wall"):
+            Schedule(tracks=(goal,), global_safes=walls)
+        # a global set may not take the name of a phase's extra-set column
+        extra = (Phase(goal=goal_ball(0.1), deadline=1.0, safe_extra=(walls[0],)),)
+        with pytest.raises(ValueError, match="phase_extra_0"):
+            Schedule(tracks=(extra,), global_safes=(half_line("phase_extra_0", 1.0, True),))
+        Schedule(tracks=(extra,), global_safes=(half_line("wall", 1.0, True),))
 
 
 class TestSegments:
