@@ -35,9 +35,10 @@ __all__ = [
 class ControlAffineSystem:
     """Dynamics x' = f(x) + g(x) u, with an optional additive disturbance.
 
-    The disturbance is applied by the plant simulator only; controllers
-    deliberately never see it (model mismatch is the point of the
-    robustness studies).  f, g and the disturbance must be re-entrant.
+    f and the disturbance return float arrays of shape (n,), g one of shape
+    (n, m), used as returned; all three must be re-entrant.  The disturbance
+    is applied by the plant simulator only; controllers deliberately never
+    see it (model mismatch is the point of the robustness studies).
     """
 
     n: int
@@ -46,29 +47,21 @@ class ControlAffineSystem:
     g: Callable[[np.ndarray], np.ndarray]
     disturbance: Callable[[np.ndarray], np.ndarray] | None = None
 
-    def drift(self, x: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.f(x), dtype=float).reshape(self.n)
-        return out
-
-    def input_matrix(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.g(x), dtype=float).reshape(self.n, self.m)
-
 
 @dataclass(frozen=True)
 class SetFunction:
     """Scalar set function h with analytic gradient; set is {h <= 0}.
 
-    ``fn(x)`` returns the pair (h(x), grad h(x)) from one evaluation, so a
-    set computes what its value and gradient share once.  One object may be
-    one phase's goal and the next phase's safe set.
+    ``fn(x)`` returns (h(x), grad h(x)), a float and a 1-D float array of
+    length n, from one evaluation, so a set computes what the two share
+    once.  One object may be one phase's goal and the next phase's safe set.
     """
 
     name: str
     fn: Callable[[np.ndarray], tuple[float, np.ndarray]]
 
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        h, grad = self.fn(x)
-        return float(h), np.asarray(grad, dtype=float).ravel()
+        return self.fn(x)
 
     def value(self, x: np.ndarray) -> float:
         return self.value_and_gradient(x)[0]
@@ -164,8 +157,8 @@ def qp_rows(sys: ControlAffineSystem, h_g: SetFunction, safes: Sequence[SetFunct
     Returns (A, b, h_goal, h_safe): the rows and the set values they used,
     h_safe with one value per safe set.
     """
-    fx = sys.drift(x)
-    gx = sys.input_matrix(x)
+    fx = sys.f(x)
+    gx = sys.g(x)
     box_A, box_b = bounds.box_rows
     m = bounds.m
     k = box_b.size

@@ -238,11 +238,12 @@ def simulate_scalar_v(gains: FxtsGains, delta1: float, V0: float,
     is nonnegative at V0 (outside the contracting domain) or the horizon is
     exceeded.  RK4 rather than Euler because the gamma2 < 1 power has
     unbounded slope at V = 0 and Euler badly overshoots the hitting time.
+    ``times`` and ``values`` hold the start and the last integrated step.
     """
     if V0 < 0:
         raise ValueError("V0 must be nonnegative")
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be a finite number > 0, got {dt}")
     a1, a2 = gains.alpha1, gains.alpha2
     g1, g2 = gains.gamma1, gains.gamma2
 
@@ -259,11 +260,8 @@ def simulate_scalar_v(gains: FxtsGains, delta1: float, V0: float,
 
     horizon = 10.0 * settling_time_bound(gains, delta1).T
     n_steps = int(math.ceil(horizon / dt))
-    stride = max(1, n_steps // 2000)
 
-    times = [0.0]
-    values = [V0]
-    v = V0
+    v, step = V0, 0
     hit: float | None = None
     for step in range(1, n_steps + 1):
         v_prev = v
@@ -274,10 +272,6 @@ def simulate_scalar_v(gains: FxtsGains, delta1: float, V0: float,
         v = v + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if v < 0.0:
             v = 0.0
-        t = step * dt
-        if step % stride == 0 or v <= HIT_THRESHOLD:
-            times.append(t)
-            values.append(v)
         if v <= HIT_THRESHOLD:
             # interpolate the threshold crossing instead of reporting the
             # grid time; the grid quantization (up to dt) can otherwise
@@ -285,4 +279,5 @@ def simulate_scalar_v(gains: FxtsGains, delta1: float, V0: float,
             frac = (v_prev - HIT_THRESHOLD) / max(v_prev - v, 1e-300)
             hit = (step - 1 + min(1.0, max(0.0, frac))) * dt
             break
-    return ScalarSimResult(hit_time=hit, times=np.asarray(times), values=np.asarray(values))
+    return ScalarSimResult(hit_time=hit, times=np.array([0.0, step * dt]),
+                           values=np.array([V0, v]))

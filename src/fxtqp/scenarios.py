@@ -452,7 +452,7 @@ def synthetic_suite() -> list[Scenario]:
     construction."""
     # 1-D integrator to a ball at the origin; the reach-rate slack stays
     # nonpositive throughout
-    goal_1d = SetFunction("ball1d", lambda x: (x[0] ** 2 - 0.01, [2.0 * x[0]]))
+    goal_1d = SetFunction("ball1d", lambda x: (x[0] ** 2 - 0.01, np.array([2.0 * x[0]])))
     int1d = Scenario(
         scenario_id="synthetic:int1d",
         sys=_integrator(1),

@@ -158,9 +158,11 @@ def step_euler(sys: ControlAffineSystem, x: np.ndarray, u: np.ndarray,
     """One explicit Euler step of the plant, disturbance included."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    rate = sys.drift(x) + sys.input_matrix(x) @ np.atleast_1d(u)
+    rate = sys.f(x) + sys.g(x) @ u
     if sys.disturbance is not None:
-        rate = rate + np.asarray(sys.disturbance(x), dtype=float).reshape(sys.n)
+        rate = rate + sys.disturbance(x)
+    if rate.shape != x.shape:   # an (n, 1) drift would broadcast x to (n, n)
+        raise ValueError(f"rate has shape {rate.shape}, the state {x.shape}")
     x_next = x + dt * rate
     if not np.isfinite(x_next).all():
         raise NonFiniteState(f"non-finite state after step from {x}")
@@ -205,6 +207,7 @@ def _safe_column_names(schedule) -> tuple[str, ...]:
     return tuple(names)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
         params: SynthesisParams, x0: np.ndarray, dt: float) -> Trace:
     """Close the loop from x0 until the schedule resolves.
@@ -216,9 +219,10 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
     goal is built from those (value, gradient) pairs.
     Safety is forward invariance of every {h_s <= 0}: a recorded safe-set
     value above a round-off allowance of 1e-12 ends the run
-    ``safety_violated`` at that step.  Each goal segment, a maximal run of
-    steps whose controller goal is built from the same phase goals, gets a
-    certificate.
+    ``safety_violated`` at that step.  Rows or a state that overflow or
+    turn NaN end it ``solver_failure``, so numpy does not warn of them.
+    Each goal segment, a maximal run of steps whose controller goal is
+    built from the same phase goals, gets a certificate.
     Deterministic: identical inputs give bit-identical traces.
     """
     if not (math.isfinite(dt) and dt > 0):

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,16 @@ class TestRun:
         assert summary["outcome"]["kind"] == "solver_failure"
         assert "not finite" in summary["outcome"]["message"]
         assert summary["steps"] == 0
+
+    @pytest.mark.parametrize("setting", ["v_f0=1e150", "v_f0=1e200"])
+    def test_overflowing_start_warns_nothing(self, tmp_path, setting):
+        # the outcome names the non-finite rows; numpy's overflow warnings
+        # would only repeat it on stderr
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("--scenario", "acc", "--set", setting, "--out", str(tmp_path))
+        assert code == 3
+        assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
 
     def test_repeated_set_key_is_config_error(self, tmp_path, capsys):
         # the later value would silently replace the earlier one

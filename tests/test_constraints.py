@@ -72,6 +72,12 @@ class TestLieDerivatives:
         assert -(rhs + power) == pytest.approx((-4.0) * (-200.1 / 1650.0), rel=1e-12)
         assert row[0] == pytest.approx(-4.0 / 1650.0, rel=1e-12)
 
+    def test_pair_is_handed_on_unconverted(self):
+        # the contract is fn's own (float, 1-D float array): no copy, no view
+        grad = np.array([0.5, -1.0])
+        h, g = SetFunction(name="c", fn=lambda x: (0.25, grad)).value_and_gradient(np.ones(2))
+        assert h == 0.25 and g is grad
+
     def test_constant_function_vanishes(self):
         const = SetFunction(name="c", fn=lambda x: (1.0, np.zeros(2)))
         rows, rhs = safety_rows(integrator(2), const, np.ones(2))

@@ -71,12 +71,12 @@ def reference_rows(sys, goal, safes, bounds, params, x):
     g = params.gains
     power = (g.alpha1 * math.pow(hv, g.gamma1) + g.alpha2 * math.pow(hv, g.gamma2)
              if hv > 0.0 else 0.0)
-    rows.append(np.concatenate([grad @ sys.input_matrix(x), [-hv, 0.0]]))
-    rhs.append(-float(grad @ sys.drift(x)) - power)
+    rows.append(np.concatenate([grad @ sys.g(x), [-hv, 0.0]]))
+    rhs.append(-float(grad @ sys.f(x)) - power)
     for s in safes:
         grad = s.value_and_gradient(x)[1]
-        rows.append(np.concatenate([grad @ sys.input_matrix(x), [0.0, s.value(x)]]))
-        rhs.append(-float(grad @ sys.drift(x)))
+        rows.append(np.concatenate([grad @ sys.g(x), [0.0, s.value(x)]]))
+        rhs.append(-float(grad @ sys.f(x)))
     A = np.vstack(rows)
     level = params.delta2_freeze_level
     if level is not None and safes and max(s.value(x) for s in safes) > level:

@@ -26,7 +26,12 @@ BENCHMARK_NAMES = [
     ("constraints", "InputBounds.scale"),
     ("scenarios", "run"),
     ("scenarios", "AccConfig"),
+    ("scenarios", "AccConfig.u_max"),
+    ("scenarios", "AccConfig.tau_d"),
     ("scenarios", "TwoRobotConfig"),
+    ("scenarios", "TwoRobotConfig.d_m"),
+    ("scenarios", "TwoRobotConfig.arena"),
+    ("scenarios", "TwoRobotConfig.hub_radius"),
     ("scenarios", "acc_scenario"),
     ("scenarios", "scenario_from_id"),
     ("simulation", "Schedule.phases"),

@@ -216,8 +216,44 @@ class TestScalarOracle:
             res = simulate_scalar_v(g, 0.5, v0, 1e-4)
             assert res.hit_time is not None and res.hit_time <= bound.T + 1e-6
 
+    @staticmethod
+    def rk4_values(gains, delta1, v0, dt, n):
+        """V after each of n RK4 steps, the oracle's arithmetic step by step."""
+        def rhs(v):
+            return (-gains.alpha1 * math.pow(v, gains.gamma1)
+                    - gains.alpha2 * math.pow(v, gains.gamma2) + delta1 * v) if v > 0 else 0.0
+        values = [v0]
+        for _ in range(n):
+            v = values[-1]
+            k1 = rhs(v)
+            k2 = rhs(v + 0.5 * dt * k1)
+            k3 = rhs(v + 0.5 * dt * k2)
+            k4 = rhs(v + dt * k3)
+            values.append(max(0.0, v + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)))
+        return values
+
+    def test_last_time_counts_the_steps_to_a_hit(self):
+        g, dt = FxtsGains(1, 1, 2), 1e-3
+        res = simulate_scalar_v(g, 0.5, 1.0, dt)
+        horizon = math.ceil(10.0 * settling_time_bound(g, 0.5).T / dt)
+        values = self.rk4_values(g, 0.5, 1.0, dt, horizon)
+        steps = next(k for k, v in enumerate(values) if v <= 1e-9)
+        assert round(res.times[-1] / dt) == steps
+        assert res.times[-1] - dt < res.hit_time <= res.times[-1]
+        assert res.values[-1] == values[steps]
+
+    def test_last_time_is_the_horizon_without_a_hit(self):
+        g, dt = FxtsGains(1, 1, 2), 1e-3
+        res = simulate_scalar_v(g, 2.5, 9.0, dt)
+        steps = math.ceil(10.0 * settling_time_bound(g, 2.5).T / dt)
+        assert res.hit_time is None
+        assert round(res.times[-1] / dt) == steps and res.times[-1] == steps * dt
+        assert res.values[-1] == self.rk4_values(g, 2.5, 9.0, dt, steps)[-1]
+
     def test_validates_inputs(self):
         with pytest.raises(ValueError):
             simulate_scalar_v(FxtsGains(1, 1, 2), 0.0, -1.0, 1e-3)
         with pytest.raises(ValueError):
             simulate_scalar_v(FxtsGains(1, 1, 2), 0.0, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            simulate_scalar_v(FxtsGains(1, 1, 2), 0.0, 1.0, math.inf)

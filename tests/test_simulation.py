@@ -77,6 +77,13 @@ class TestStepEuler:
         with pytest.raises(NonFiniteState):
             step_euler(bad, np.zeros(1), np.zeros(1), 0.1)
 
+    def test_column_drift_is_refused(self):
+        # an (n, 1) drift plus an (n,) input term would broadcast to (n, n)
+        column = ControlAffineSystem(n=2, m=2, f=lambda x: np.zeros((2, 1)),
+                                     g=lambda x: np.eye(2))
+        with pytest.raises(ValueError, match="shape"):
+            step_euler(column, np.zeros(2), np.ones(2), 0.1)
+
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
             step_euler(integrator(1), np.zeros(1), np.zeros(1), 0.0)
