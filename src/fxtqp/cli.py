@@ -203,7 +203,12 @@ def cmd_verify_bounds(args) -> int:
                     hit = None
                     ok = True
                     if in_domain:
-                        res = simulate_scalar_v(gains, delta1, v0, grid["dt"])
+                        try:
+                            res = simulate_scalar_v(gains, delta1, v0, grid["dt"])
+                        except ValueError as exc:
+                            print(f"configuration error: grid point alpha={alpha}, mu={mu}, "
+                                  f"delta1={delta1}, V0={v0}: {exc}", file=sys.stderr)
+                            return EXIT_CONFIG
                         hit = res.hit_time
                         ok = hit is not None and hit <= bound.T + 1e-6
                         failures += int(not ok)

@@ -378,6 +378,17 @@ class TestVerifyBounds:
                        "--out", str(tmp_path)) == 2
         assert not (tmp_path / "bounds.csv").exists()
 
+    def test_overflowing_start_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"alpha": [1.0], "mu": [2.0], "delta1": [0.0],
+                                    "V0": [1e300], "dt": 1e-3}))
+        assert run_cli("--verify-bounds", "--grid-json", str(path),
+                       "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "V0=1e+300" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "bounds.csv").exists()
+
 
 def test_readme_lists_every_summary_key(tmp_path):
     # README's summary.json field list and the written summary name the same

@@ -250,6 +250,47 @@ class TestScalarOracle:
         assert round(res.times[-1] / dt) == steps and res.times[-1] == steps * dt
         assert res.values[-1] == self.rk4_values(g, 2.5, 9.0, dt, steps)[-1]
 
+    @classmethod
+    def reference(cls, gains, delta1, v0, dt):
+        """(hit_time, times, values) of the oracle rebuilt from rk4_values."""
+        n = math.ceil(10.0 * settling_time_bound(gains, delta1).T / dt)
+        values = cls.rk4_values(gains, delta1, v0, dt, n)
+        step = next((k for k in range(1, n + 1) if values[k] <= 1e-9), n)
+        hit = None
+        if values[step] <= 1e-9:
+            frac = (values[step - 1] - 1e-9) / max(values[step - 1] - values[step], 1e-300)
+            hit = (step - 1 + min(1.0, max(0.0, frac))) * dt
+        return hit, [0.0, step * dt], [v0, values[step]]
+
+    @pytest.mark.parametrize("gains, delta1, v0, dt", [
+        (FxtsGains(1, 1, 2), -0.5, 4.0, 1e-3),        # delta1 < 0
+        (FxtsGains(2, 0.5, 3), 0.0, 50.0, 2e-3),      # delta1 = 0
+        (FxtsGains(1, 1, 2), 1.0, 1.0, 1e-3),         # 0 < delta1 < 2 sqrt(a1 a2)
+        (FxtsGains(1, 1, 2), 2.5, 0.2, 1e-3),         # local, inside v_max = 0.2025
+        (FxtsGains(1, 1, 2), 2.5, 9.0, 1e-2),         # above b**mu = 4: horizon exit
+        (FxtsGains(1, 1, 2), 0.0, 1.0, 0.2),          # a stage below 0 (clamped)
+    ])
+    def test_matches_the_stage_by_stage_reference(self, gains, delta1, v0, dt):
+        hit, times, values = self.reference(gains, delta1, v0, dt)
+        res = simulate_scalar_v(gains, delta1, v0, dt)
+        assert res.hit_time == hit
+        assert res.times.tolist() == times and res.values.tolist() == values
+
+    def test_reference_reaches_a_negative_stage(self):
+        # the large-dt case above clamps a stage, not only the last value
+        g, dt = FxtsGains(1, 1, 2), 0.2
+        values = self.rk4_values(g, 0.0, 1.0, dt, 8)
+        firsts = [v + 0.5 * dt * (-g.alpha1 * math.pow(v, g.gamma1)
+                                  - g.alpha2 * math.pow(v, g.gamma2)) for v in values if v > 0]
+        assert min(firsts) < 0.0
+
+    def test_overflowing_start_rate_is_refused(self):
+        # 1e300**1.5 overflows; 1e300**1.01 does not, but times 1e6 it is inf
+        with pytest.raises(ValueError, match="not finite"):
+            simulate_scalar_v(FxtsGains(1, 1, 2), 0.0, 1e300, 1e-3)
+        with pytest.raises(ValueError, match="not finite"):
+            simulate_scalar_v(FxtsGains(1e6, 1, 100), 0.0, 1e300, 1e-3)
+
     def test_validates_inputs(self):
         with pytest.raises(ValueError):
             simulate_scalar_v(FxtsGains(1, 1, 2), 0.0, -1.0, 1e-3)
