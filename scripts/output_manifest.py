@@ -1,18 +1,19 @@
 """Digest the reference outputs of the package, or compare two digests.
 
-    python3 scripts/output_manifest.py [--src DIR] [--out FILE]
+    python3 scripts/output_manifest.py [--src DIR] > new.json
     python3 scripts/output_manifest.py --diff OLD NEW
 
 The first form imports ``fxtqp`` from DIR (default: this checkout's
 ``src/``), produces every reference output in a temporary directory and
-writes a JSON object that maps each output to its SHA-256 (to FILE, or to
-standard output).  The outputs are:
+writes to standard output a JSON object that maps each output to its
+SHA-256.  The outputs are:
 
 - ``trace.csv`` and ``summary.json`` of ``acc``, ``two-robot``,
   ``synthetic:int1d``, ``synthetic:int2d`` and ``synthetic:fullact2d``;
 - ``sweep.csv`` and every per-value file of ``acc --sweep v_f0=17,22,27``
   and of ``acc --sweep d_delta=50,100 --set v_f0=27``;
 - the default ``--verify-bounds`` table, ``bounds.csv``;
+- the exit code of each of these command-line runs;
 - the per-step ``qp_iters`` and ``box_overshoot`` arrays (not written to
   ``trace.csv``) of ``acc``, ``acc`` from 27 m/s with ``d_delta = 100``, the
   tour and the three synthetic cases.
@@ -72,11 +73,12 @@ def manifest(src: Path) -> dict[str, str]:
     for label, argv in CLI_RUNS.items():
         with tempfile.TemporaryDirectory() as tmp, \
                 contextlib.redirect_stdout(io.StringIO()):
-            main([*argv, "--out", tmp])
+            code = main([*argv, "--out", tmp])
             for path in sorted(Path(tmp).rglob("*")):
                 if path.is_file():
                     rel = path.relative_to(tmp).as_posix()
                     digests[f"{label}/{rel}"] = sha256(path.read_bytes())
+        digests[f"{label}/exit"] = str(code)
     for label, (scenario_id, overrides) in STEP_RUNS.items():
         trace = scenario_from_id(scenario_id, overrides).simulate()
         for name in ("qp_iters", "box_overshoot"):
@@ -105,19 +107,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the fxtqp package (default: ./src)")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="manifest file to write (default: standard output)")
     parser.add_argument("--diff", nargs=2, type=Path, metavar=("OLD", "NEW"),
                         help="compare two manifests instead of writing one")
     args = parser.parse_args(argv)
     if args.diff:
         old, new = (json.loads(p.read_text()) for p in args.diff)
         return diff(old, new)
-    text = json.dumps(manifest(args.src.resolve()), indent=1, sort_keys=True) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        args.out.write_text(text)
+    sys.stdout.write(json.dumps(manifest(args.src.resolve()), indent=1, sort_keys=True) + "\n")
     return 0
 
 

@@ -239,8 +239,8 @@ def simulate_scalar_v(gains: FxtsGains, delta1: float, V0: float,
     exceeded.  RK4 rather than Euler because the gamma2 < 1 power has
     unbounded slope at V = 0 and Euler badly overshoots the hitting time.
     ``times`` and ``values`` hold the start and the last integrated step.
-    Raises ValueError when the rate at V0 is not finite (a V0 so large that
-    a power overflows).
+    Raises ValueError when the rate at V0 is not finite (a NaN V0, or one so
+    large that a power overflows).
     """
     if V0 < 0:
         raise ValueError("V0 must be nonnegative")
@@ -248,14 +248,10 @@ def simulate_scalar_v(gains: FxtsGains, delta1: float, V0: float,
         raise ValueError(f"dt must be a finite number > 0, got {dt}")
     na1, a2 = -gains.alpha1, gains.alpha2   # -a1 * x is (-a1) * x
     g1, g2 = gains.gamma1, gains.gamma2
-
-    def rhs(s: float) -> float:
-        return na1 * s ** g1 - a2 * s ** g2 + delta1 * s if s > 0.0 else 0.0
-
     if V0 <= HIT_THRESHOLD:
         return ScalarSimResult(hit_time=0.0, times=np.array([0.0]), values=np.array([V0]))
     try:
-        rate = rhs(V0)
+        rate = na1 * V0 ** g1 - a2 * V0 ** g2 + delta1 * V0
     except OverflowError:
         rate = math.inf
     if not math.isfinite(rate):
@@ -266,8 +262,8 @@ def simulate_scalar_v(gains: FxtsGains, delta1: float, V0: float,
     horizon = 10.0 * settling_time_bound(gains, delta1).T
     n_steps = int(math.ceil(horizon / dt))
 
-    # the four stages are rhs inlined, with the same arithmetic: Python
-    # reads 0.5 * dt * k as (0.5 * dt) * k and dt / 6.0 * x as (dt / 6.0) * x
+    # the four stages are the start rate inlined, clamped to 0 at s <= 0:
+    # Python reads 0.5 * dt * k as (0.5 * dt) * k and dt / 6.0 * x as (dt / 6.0) * x
     half, sixth, th = 0.5 * dt, dt / 6.0, HIT_THRESHOLD
     v, step = V0, 0
     hit: float | None = None
