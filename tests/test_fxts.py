@@ -283,6 +283,10 @@ class TestScalarOracle:
         with pytest.raises(ValueError, match="not finite"):
             simulate_scalar_v(FxtsGains(1e6, 1, 100), 0.0, 1e300, 1e-3)
 
+    def test_nan_start_is_refused(self):
+        with pytest.raises(ValueError, match="not finite"):
+            simulate_scalar_v(FxtsGains(1, 1, 2), 0.0, math.nan, 1e-3)
+
     def test_validates_inputs(self):
         with pytest.raises(ValueError):
             simulate_scalar_v(FxtsGains(1, 1, 2), 0.0, -1.0, 1e-3)
@@ -290,5 +294,3 @@ class TestScalarOracle:
             simulate_scalar_v(FxtsGains(1, 1, 2), 0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             simulate_scalar_v(FxtsGains(1, 1, 2), 0.0, 1.0, math.inf)
-        with pytest.raises(ValueError, match="not finite"):
-            simulate_scalar_v(FxtsGains(1, 1, 2), 0.0, math.nan, 1e-3)
