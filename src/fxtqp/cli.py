@@ -160,7 +160,8 @@ def cmd_sweep(args) -> int:
 
 
 def _finite(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    # NaN, the infinities and integers beyond float range all fail the bound
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _load_bounds_grid(path) -> dict:

@@ -9,9 +9,12 @@ for small, strictly convex problems (H positive definite).  Two independent
 routes are provided: :func:`solve_qp`, a Goldfarb-Idnani dual active-set
 method meant for production use, which can be hot-started from a guess at
 its working set and needs neither a feasible start nor an LP, and
-:func:`brute_force_solve`, an exhaustive working-set enumeration used as a
-test oracle.  Both report duals and the active set so callers can check KKT
-conditions and strict complementarity.
+:func:`brute_force_solve`, a test oracle that solves the equality QP on
+every independent set of at most n rows, one batched QR per set size.  The
+enumeration is complete, so it needs no LP either: a feasible problem's
+optimum is one of its candidates, and no candidate means infeasible.  Both
+report duals and the active set so callers can check KKT conditions and
+strict complementarity.
 
 :func:`solve_qp` keeps a thin QR factor of its working rows through
 ``scipy.linalg.lapack`` directly (numpy's ``linalg`` wrappers cost several
@@ -29,7 +32,7 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, lapack
+from scipy.linalg import LinAlgError, lapack
 
 __all__ = [
     "QpProblem",
@@ -49,11 +52,14 @@ __all__ = [
 FEAS_TOL = 1e-8
 DUAL_TOL = 1e-10
 _SYM_TOL = 1e-10
-# solve_qp, on the equilibrated rows: a row is violated beyond
-# _VIOL_TOL * (1 + |b_i|), and a row's normal lies in the span of the working
-# set when its part outside that span is at most _DEP_TOL times its length.
+# On the equilibrated rows: solve_qp counts a row violated beyond
+# _VIOL_TOL * (1 + |b_i|), and both routes take a row's normal to lie in the
+# span of the working set when its part outside that span is at most
+# _DEP_TOL times its length.
 _VIOL_TOL = 1e-11
 _DEP_TOL = 1e-10
+# brute_force_solve's memory guard on the working sets it enumerates in all
+_ORACLE_MAX_SUBSETS = 200_000
 
 
 class SolveStatus(Enum):
@@ -142,10 +148,10 @@ class QpProblem:
 class QpSolution:
     """Primal/dual answer of a QP solve.
 
-    For ``status == INFEASIBLE`` the ``lambda_star`` field carries a
-    Farkas-style certificate: nonnegative row weights y with y'A ~ 0 and
-    y'b < 0 (from the dual active-set method in :func:`solve_qp`, from a
-    feasibility LP in :func:`brute_force_solve`).
+    For ``status == INFEASIBLE`` from :func:`solve_qp` the ``lambda_star``
+    field carries a Farkas-style certificate: nonnegative row weights y with
+    y'A ~ 0 and y'b < 0.  The oracle's INFEASIBLE (:func:`brute_force_solve`)
+    carries no certificate: its ``lambda_star`` is zero.
     """
 
     z_star: np.ndarray
@@ -169,40 +175,6 @@ def _active_by_value(problem: QpProblem, z: np.ndarray) -> tuple[int, ...]:
     r = problem.b - problem.A @ z
     tol = FEAS_TOL * (1.0 + np.abs(problem.b))
     return tuple((r <= tol).nonzero()[0].tolist())
-
-
-def _feasibility_lp(problem: QpProblem):
-    """Minimize the max constraint violation s with A z - s <= b, s >= 0.
-
-    Returns (s_star, z, dual_weights); s_star > 0 certifies infeasibility and
-    the LP duals on the constraint rows form the Farkas combination.  Only the
-    oracle reaches it, so scipy.optimize is imported here and not with fxtqp.
-    """
-    from scipy.optimize import linprog
-
-    m, n = problem.A.shape
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    A_ub = np.hstack([problem.A, -np.ones((m, 1))])
-    bounds = [(None, None)] * n + [(0.0, None)]
-    res = linprog(c, A_ub=A_ub, b_ub=problem.b, bounds=bounds, method="highs")
-    if not res.success:
-        raise RuntimeError(f"phase-1 feasibility LP failed: {res.message}")
-    s_star = float(res.x[-1])
-    duals = -np.asarray(res.ineqlin.marginals, dtype=float)
-    return s_star, res.x[:n].copy(), duals
-
-
-def _infeasible_solution(problem: QpProblem, z: np.ndarray, duals: np.ndarray,
-                         iterations: int = 0) -> QpSolution:
-    return QpSolution(
-        z_star=z,
-        lambda_star=duals,
-        active_set=(),
-        objective=math.nan,
-        status=SolveStatus.INFEASIBLE,
-        iterations=iterations,
-    )
 
 
 def _thin_qr(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -360,7 +332,9 @@ def solve_qp(problem: QpProblem, warm_start: Sequence[int] | None = None) -> QpS
                 cert = np.zeros(m)
                 cert[p] = 1.0
                 cert[work] = np.maximum(-r, 0.0)
-                return _infeasible_solution(problem, L_inv.T @ y, cert / row_scale, iterations)
+                return QpSolution(z_star=L_inv.T @ y, lambda_star=cert / row_scale, active_set=(),
+                                  objective=math.nan, status=SolveStatus.INFEASIBLE,
+                                  iterations=iterations)
             if not dependent:
                 t_full = float(c @ y - b[p]) / w2
                 if t_full <= t:
@@ -401,62 +375,71 @@ def solve_qp(problem: QpProblem, warm_start: Sequence[int] | None = None) -> QpS
 def brute_force_solve(problem: QpProblem) -> QpSolution:
     """Exhaustive working-set enumeration oracle (exact up to round-off).
 
-    Every independent subset W of at most n_z constraint rows is treated as
-    an equality set; candidates that are primal feasible with nonnegative
-    multipliers on W are KKT points, hence global optima of the convex
-    problem.  The minimum-objective candidate is returned.  Intended for
-    m_c <= 16 only.
+    The enumeration is complete.  A feasible strictly convex QP has a unique
+    optimum z*, and a vertex of the polyhedron of its multipliers (>= 0, on
+    the active rows) has linearly independent support rows W, at most n_z of
+    them: z* is the minimizer of the equality QP on W.  So the equality QP
+    is solved on every independent W of size 0, 1, ..., min(n_z, m_c), and
+    a candidate with multipliers >= -DUAL_TOL within 1e-9 of every
+    equilibrated row is the optimum.  No candidate means no feasible point:
+    INFEASIBLE, with the unconstrained minimizer and a zero ``lambda_star``
+    (no certificate).
+
+    It takes its own Cholesky factor H = LL', not the solver's cached one,
+    and works in y = L'z over the rows C = (A / row_scale) L^-T, f = L^-1 F.
+    The subsets of one size are stacked and factored by one batched QR of
+    C_W'; a subset with some |R_jj| <= _DEP_TOL |c_j| is dependent and
+    skipped.  y is assembled from its parts in and orthogonal to span(Q), as
+    in solve_qp's equality solve, so the working rows hold to round-off
+    however large the multipliers.  The first candidate in enumeration order
+    (smaller sets first, then lexicographic) wins unless a later one's
+    objective is lower by more than 1e-12.
+
+    A whole set size is held in memory at once (the tour's 6 x 22 QP stacks
+    74 613 QR factors), so a problem with more than _ORACLE_MAX_SUBSETS
+    subsets in all is refused with ValueError.
     """
     n, m = problem.n_z, problem.m_c
-    if m > 16:
-        raise ValueError("brute_force_solve is restricted to m_c <= 16")
-    H, F = problem.H, problem.F
-    row_scale = np.maximum(np.max(np.abs(problem.A), axis=1, initial=0.0), 1e-30) if m else np.zeros(0)
-    A = problem.A / row_scale[:, None] if m else problem.A
-    b = problem.b / row_scale if m else problem.b
-    chol = cho_factor(H, lower=True)
+    top = min(n, m)
+    count = sum(math.comb(m, k) for k in range(top + 1))
+    if count > _ORACLE_MAX_SUBSETS:
+        raise ValueError(f"brute_force_solve enumerates at most {_ORACLE_MAX_SUBSETS} "
+                         f"working sets; this problem has {count}")
+    row_scale = np.maximum(np.abs(problem.A).max(axis=1, initial=0.0), 1e-30)
+    b = problem.b / row_scale
+    L_inv = np.linalg.inv(np.linalg.cholesky(problem.H))
+    C = (problem.A / row_scale[:, None]) @ L_inv.T
+    f = L_inv @ problem.F
+    norms = np.sqrt(np.einsum("ij,ij->i", C, C))
 
-    best: tuple[float, np.ndarray, np.ndarray, tuple[int, ...]] | None = None
-
-    def consider(z, lam_full, subset):
-        nonlocal best
-        if m and np.max(A @ z - b) > 1e-9:
-            return
-        obj = problem.objective(z)
-        if best is None or obj < best[0] - 1e-12:
-            best = (obj, z, lam_full, subset)
-
-    z_uc = cho_solve(chol, -F)
-    consider(z_uc, np.zeros(m), ())
-
-    h_inv_f = cho_solve(chol, F)
-    for k in range(1, min(n, m) + 1):
-        for subset in itertools.combinations(range(m), k):
-            A_w = A[list(subset)]
-            X = cho_solve(chol, A_w.T)
-            S = A_w @ X
-            try:
-                s_chol = cho_factor(S, lower=True)
-            except np.linalg.LinAlgError:
-                continue    # dependent rows; some independent subset covers this face
-            lam_w = cho_solve(s_chol, -(A_w @ h_inv_f) - b[list(subset)])
-            if np.any(lam_w < -DUAL_TOL):
-                continue
-            z = cho_solve(chol, -(F + A_w.T @ lam_w))
-            lam_full = np.zeros(m)
-            lam_full[list(subset)] = np.maximum(lam_w, 0.0) / row_scale[list(subset)]
-            consider(z, lam_full, subset)
+    best = None     # (objective, working set, y, multipliers)
+    for k in range(top + 1):
+        W = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(m), k)),
+                        dtype=np.intp).reshape(math.comb(m, k), k)
+        Q, R = np.linalg.qr(C[W].transpose(0, 2, 1))
+        diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+        independent = (diag > _DEP_TOL * norms[W]).all(axis=1)
+        W, Q, R = W[independent], Q[independent], R[independent]
+        on_span = np.linalg.solve(R.transpose(0, 2, 1), b[W][..., None])     # Q'y
+        qf = (Q.transpose(0, 2, 1) @ f)[..., None]
+        lam = np.linalg.solve(R, -qf - on_span)[..., 0]
+        y = (Q @ (on_span + qf))[..., 0] - f
+        kkt = (lam >= -DUAL_TOL).all(axis=1) & (y @ C.T - b <= 1e-9).all(axis=1)
+        for i in kkt.nonzero()[0]:
+            obj = float(0.5 * (y[i] @ y[i]) + f @ y[i])
+            if best is None or obj < best[0] - 1e-12:
+                best = obj, W[i], y[i], lam[i]
 
     if best is None:
-        s_star, z_lp, duals = _feasibility_lp(problem)
-        if s_star > 1e-7:
-            return _infeasible_solution(problem, z_lp, duals)
-        raise RuntimeError("enumeration found no KKT candidate on a feasible problem")
-
-    obj, z, lam, _ = best
+        return QpSolution(z_star=-L_inv.T @ f, lambda_star=np.zeros(m), active_set=(),
+                          objective=math.nan, status=SolveStatus.INFEASIBLE)
+    obj, W, y, lam = best
+    z = L_inv.T @ y
+    lam_full = np.zeros(m)
+    lam_full[W] = np.maximum(lam, 0.0) / row_scale[W]
     return QpSolution(
         z_star=z,
-        lambda_star=lam,
+        lambda_star=lam_full,
         active_set=_active_by_value(problem, z),
         objective=obj,
         status=SolveStatus.OPTIMAL,

@@ -544,4 +544,7 @@ def _number(name: str, v) -> float:
     # float(True) is 1.0; a boolean given for a number is a typo, not a value
     if isinstance(v, bool):
         raise ValueError(f"{name} takes numbers, not booleans: {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError as exc:
+        raise ValueError(f"{name} is beyond float range") from exc

@@ -19,6 +19,10 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+# a JSON integer that float() cannot hold
+BEYOND_FLOAT = "1" + "0" * 400
+
+
 class TestRun:
     def test_synthetic_run_writes_outputs(self, tmp_path):
         code = run_cli("--scenario", "synthetic:int1d", "--out", str(tmp_path))
@@ -122,6 +126,14 @@ class TestRun:
             code = run_cli("--scenario", "acc", "--set", setting, "--out", str(tmp_path))
         assert code == 3
         assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
+
+    def test_integer_beyond_float_range_is_config_error(self, tmp_path, capsys):
+        assert run_cli("--scenario", "acc", "--set", f"v_f0={BEYOND_FLOAT}",
+                       "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: v_f0 is beyond float range" in err
+        assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
 
     def test_repeated_set_key_is_config_error(self, tmp_path, capsys):
         # the later value would silently replace the earlier one
@@ -291,6 +303,14 @@ class TestSweep:
         assert "v_f0" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    def test_integer_beyond_float_range_is_config_error(self, tmp_path, capsys):
+        assert run_cli("--scenario", "acc", "--sweep", f"v_f0={BEYOND_FLOAT}",
+                       "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: v_f0 is beyond float range" in err
+        assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
     def test_repeated_sweep_value_is_config_error(self, tmp_path, capsys):
         # a repeated value would rewrite the first run's directory
         assert run_cli("--scenario", "acc", "--set", "horizon=1",
@@ -376,6 +396,16 @@ class TestVerifyBounds:
         path.write_text(grid)
         assert run_cli("--verify-bounds", "--grid-json", str(path),
                        "--out", str(tmp_path)) == 2
+        assert not (tmp_path / "bounds.csv").exists()
+
+    def test_integer_beyond_float_range_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "grid.json"
+        path.write_text(f'{{"V0": [{BEYOND_FLOAT}]}}')
+        assert run_cli("--verify-bounds", "--grid-json", str(path),
+                       "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: grid 'V0' must be a nonempty list of finite numbers" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "bounds.csv").exists()
 
     def test_overflowing_start_is_config_error(self, tmp_path, capsys):

@@ -493,3 +493,19 @@ def test_solver_matches_oracle_along_trajectory(build):
         if strict:
             assert np.max(np.abs(cold.z_star - oracle.z_star)) <= 1e-7, k
         guess = cold.active_set
+
+
+def test_oracle_solves_the_goal_boundary_state_with_a_tiny_coefficient():
+    # at this state of a disturbed run the reach row's delta1 coefficient is
+    # -3.46e-12; the optimum has delta1 about 1.78e6, so the multipliers reach
+    # 4.7e10 after equilibration
+    sc = acc_scenario(AccConfig(v_f0=22.0, d_delta=100.0, w2_disturbed=10.0))
+    phase = sc.schedule.phases[0]
+    problem = assemble(sc.sys, phase.goal, sc.schedule.global_safes + phase.safe_extra,
+                       sc.bounds, sc.params, np.array([21.99999814, 10.0, 92.16907532]))
+    assert problem.A[2, 1] == pytest.approx(-3.46e-12, rel=1e-3)
+    solved = qp.solve_qp(problem)
+    oracle = qp.brute_force_solve(problem)
+    assert solved.status is oracle.status is qp.SolveStatus.OPTIMAL
+    assert np.max(np.abs(oracle.z_star - solved.z_star)) <= 1e-7
+    assert abs(oracle.objective - solved.objective) <= 1e-8 * abs(solved.objective)

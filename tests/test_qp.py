@@ -369,7 +369,20 @@ class TestValidation:
             make_problem(np.eye(2), np.zeros(2), [[1.0, 0.0]], [1.0, 2.0])
 
     def test_brute_force_rejects_large_problems(self):
+        # 25 rows, 6 variables: 245 506 working sets of at most 6 rows
         rng = np.random.default_rng(0)
-        A = rng.normal(size=(17, 2))
-        with pytest.raises(ValueError, match="m_c <= 16"):
-            brute_force_solve(make_problem(np.eye(2), np.zeros(2), A, np.ones(17) * 10))
+        A = rng.normal(size=(25, 6))
+        with pytest.raises(ValueError, match="at most 200000 working sets; this problem has 245506"):
+            brute_force_solve(make_problem(np.eye(6), np.zeros(6), A, np.ones(25) * 10))
+
+    def test_brute_force_accepts_the_tour_size(self):
+        # 22 rows, 6 variables, as the two-robot tour's QP: 110 056 working sets
+        rng = np.random.default_rng(3)
+        M = rng.normal(size=(6, 6))
+        A = rng.normal(size=(22, 6))
+        p = make_problem(M @ M.T + np.eye(6), rng.normal(size=6), A,
+                         A @ rng.normal(size=6) + 0.1 + rng.random(22))
+        o, s = brute_force_solve(p), solve_qp(p)
+        assert o.status is SolveStatus.OPTIMAL
+        assert o.objective == pytest.approx(s.objective, rel=1e-8)
+        assert np.max(np.abs(o.z_star - s.z_star)) <= 1e-7

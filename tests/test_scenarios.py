@@ -202,6 +202,23 @@ class TestTwoRobotRun:
             res = qp.kkt_residual(problem, qp.solve_qp(problem))
             assert max(res.stationarity, res.primal_violation, res.comp_slack) <= 1e-8, (k, res)
 
+    def test_solver_matches_oracle_at_sampled_states(self, trace):
+        # the 22-row QP at one state where the first legs end and at seven
+        # seeded states of the whole tour
+        sc = two_robot_scenario()
+        rng = np.random.default_rng(8)
+        steps = [int(rng.integers(100, 141))] + rng.choice(len(trace), 7, replace=False).tolist()
+        for k in steps:
+            problem = tour_problem(sc, trace, k)
+            solved = qp.solve_qp(problem)
+            oracle = qp.brute_force_solve(problem)
+            assert oracle.status is qp.SolveStatus.OPTIMAL, k
+            assert abs(solved.objective - oracle.objective) <= 1e-8 * max(1.0, abs(oracle.objective)), k
+            strict = qp.check_strict_complementarity(problem, oracle)
+            assert qp.check_strict_complementarity(problem, solved) == strict, k
+            if strict:
+                assert np.max(np.abs(solved.z_star - oracle.z_star)) <= 1e-7, k
+
     def test_all_legs_within_budget(self, trace):
         assert trace.outcome.kind is OutcomeKind.ALL_PHASES_MET
         for track in trace.track_reach_times:
