@@ -81,10 +81,13 @@ def _outcome_exit_code(outcome) -> int:
     return EXIT_VIOLATION
 
 
-def _single_run(scenario_id: str, overrides: dict, dt, out_dir: Path, tag: str = "run"):
+def _scenario(scenario_id: str, overrides: dict, dt):
     if dt is not None and "dt" in overrides:
         raise ValueError("--dt and a dt in --set or --sweep both set the step; give one")
-    scenario = scenario_from_id(scenario_id, overrides)
+    return scenario_from_id(scenario_id, overrides)
+
+
+def _single_run(scenario, dt, out_dir: Path, tag: str):
     run_dir = out_dir / tag
     try:
         run_dir.mkdir(parents=True, exist_ok=True)
@@ -102,9 +105,8 @@ def _single_run(scenario_id: str, overrides: dict, dt, out_dir: Path, tag: str =
 
 def cmd_run(args) -> int:
     try:
-        overrides = _parse_overrides(args.set)
-        out_dir = _out_dir(args)
-        summary = _single_run(args.scenario, overrides, args.dt, out_dir,
+        scenario = _scenario(args.scenario, _parse_overrides(args.set), args.dt)
+        summary = _single_run(scenario, args.dt, _out_dir(args),
                               tag=args.scenario.replace(":", "_"))
     except (ValueError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -127,6 +129,9 @@ def cmd_sweep(args) -> int:
         repeated = sorted({tag for tag in tags if tags.count(tag) > 1})
         if repeated:
             raise ValueError(f"sweep values repeat a run directory: {', '.join(repeated)}")
+        # every value's configuration is checked before any run starts
+        scenarios = [_scenario(args.scenario, {**overrides, axis: value}, args.dt)
+                     for value in values]
         out_dir = _out_dir(args)
     except (ValueError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -136,8 +141,8 @@ def cmd_sweep(args) -> int:
         return EXIT_OK
 
     try:
-        summaries = [_single_run(args.scenario, {**overrides, axis: value}, args.dt,
-                                 out_dir, tag=tag) for value, tag in zip(values, tags)]
+        summaries = [_single_run(scenario, args.dt, out_dir, tag)
+                     for scenario, tag in zip(scenarios, tags)]
     except (ValueError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -27,7 +27,6 @@ __all__ = [
     "SetFunction",
     "InputBounds",
     "qp_rows",
-    "finite_diff_gradient_check",
 ]
 
 
@@ -115,9 +114,6 @@ class InputBounds:
         """Per-component magnitude used to normalize inputs inside the QP."""
         return self._scale
 
-    def contains(self, u: np.ndarray, tol: float = 1e-9) -> bool:
-        return bool(np.all(u >= self.lower - tol) and np.all(u <= self.upper + tol))
-
 
 def _clamped_power_sum(h: float, gains: FxtsGains) -> float:
     # max{0, h}**gamma, exact zero at and below the set boundary
@@ -188,22 +184,3 @@ def qp_rows(sys: ControlAffineSystem, h_g: SetFunction, safes: Sequence[SetFunct
         A[:, m + 1] = 0.0
     return A, b, h_goal, h_safe
 
-
-def finite_diff_gradient_check(s: SetFunction, xs: Sequence[np.ndarray],
-                               eps: float = 1e-6) -> float:
-    """Max relative error of the analytic gradient against central finite
-    differences of the value."""
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    worst = 0.0
-    for x in xs:
-        x = np.asarray(x, dtype=float)
-        grad = s.value_and_gradient(x)[1]
-        fd = np.empty_like(grad)
-        for j in range(x.size):
-            step = np.zeros_like(x)
-            step[j] = eps
-            fd[j] = (s.value(x + step) - s.value(x - step)) / (2.0 * eps)
-        err = float(np.linalg.norm(grad - fd)) / max(1.0, float(np.linalg.norm(grad)))
-        worst = max(worst, err)
-    return worst

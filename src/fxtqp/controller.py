@@ -24,8 +24,7 @@ from fxtqp import qp
 from fxtqp.constraints import ControlAffineSystem, InputBounds, SetFunction, qp_rows
 from fxtqp.fxts import FxtsGains, alpha_from_deadline
 
-__all__ = ["SynthesisParams", "ControlDecision", "SolverFailure", "assemble",
-           "synthesize", "continuity_probe", "ContinuityProbeResult"]
+__all__ = ["SynthesisParams", "ControlDecision", "SolverFailure", "assemble", "synthesize"]
 
 
 class SolverFailure(RuntimeError):
@@ -168,39 +167,3 @@ def synthesize(sys: ControlAffineSystem, h_g: SetFunction,
         h_safe=h_safe,
     )
 
-
-@dataclass(frozen=True)
-class ContinuityProbeResult:
-    max_quotient: float
-    quotients: np.ndarray
-    nonstrict_count: int
-
-
-def continuity_probe(sys: ControlAffineSystem, h_g: SetFunction,
-                     safes: Sequence[SetFunction], bounds: InputBounds,
-                     params: SynthesisParams, x: np.ndarray, radius: float,
-                     n_samples: int, seed: int = 0) -> ContinuityProbeResult:
-    """Difference quotients ||du|| / ||dx|| of the QP solution map near x.
-
-    Numerical evidence for continuity of the pointwise controller, not a
-    proof.  States where strict complementarity fails are counted; spikes in
-    the quotient are expected exactly there.
-    """
-    x = np.asarray(x, dtype=float)
-    base = synthesize(sys, h_g, safes, bounds, params, x)
-    rng = np.random.default_rng(seed)
-    quotients = np.zeros(n_samples)
-    nonstrict = 0 if base.strict_cs else 1
-    if radius > 0:
-        for i in range(n_samples):
-            d = rng.normal(size=x.size)
-            d *= radius / np.linalg.norm(d)
-            probe = synthesize(sys, h_g, safes, bounds, params, x + d)
-            quotients[i] = float(np.linalg.norm(probe.u - base.u)) / radius
-            if not probe.strict_cs:
-                nonstrict += 1
-    return ContinuityProbeResult(
-        max_quotient=float(np.max(quotients, initial=0.0)),
-        quotients=quotients,
-        nonstrict_count=nonstrict,
-    )

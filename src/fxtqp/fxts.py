@@ -26,7 +26,6 @@ __all__ = [
     "ScalarSimResult",
     "SettlingBound",
     "alpha_from_deadline",
-    "settling_time_bound_basic",
     "gamma_roots",
     "settling_time_bound",
     "certify_segment",
@@ -115,18 +114,6 @@ def alpha_from_deadline(T_ud: float, mu: float) -> FxtsGains:
         raise ValueError("deadline must be positive")
     alpha = mu * math.pi / (2.0 * T_ud)
     return FxtsGains(alpha1=alpha, alpha2=alpha, mu=mu)
-
-
-def settling_time_bound_basic(a: float, b: float, p: float, q: float) -> float:
-    """Classic two-power settling bound 1/(a(1-p)) + 1/(b(q-1)).
-
-    Valid for dV/dt <= -a V**p - b V**q with a, b > 0, 0 < p < 1 < q.
-    """
-    if not (a > 0 and b > 0):
-        raise ValueError("rate constants must be positive")
-    if not (0 < p < 1 < q):
-        raise ValueError("exponents must satisfy 0 < p < 1 < q")
-    return 1.0 / (a * (1.0 - p)) + 1.0 / (b * (q - 1.0))
 
 
 def gamma_roots(alpha1: float, alpha2: float, delta1: float) -> tuple[float, float] | None:

@@ -58,6 +58,8 @@ _SYM_TOL = 1e-10
 # _DEP_TOL times its length.
 _VIOL_TOL = 1e-11
 _DEP_TOL = 1e-10
+# check_strict_complementarity's floor on a positive multiplier or slack
+_STRICT_CS_TOL = 1e-6
 # brute_force_solve's memory guard on the working sets it enumerates in all
 _ORACLE_MAX_SUBSETS = 200_000
 
@@ -69,8 +71,8 @@ class SolveStatus(Enum):
 
 
 @functools.lru_cache(maxsize=16)
-def _factor(n: int, data: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Validate H, given by its order and bytes, and return (L, L^-1), H = LL'.
+def _factor(n: int, data: bytes) -> np.ndarray:
+    """Validate H, given by its order and bytes, and return L^-1, H = LL'.
 
     Cached per distinct H: a run's problems share one H, so it is factored
     once, and a changed H is a different key (a failed check caches nothing).
@@ -85,9 +87,8 @@ def _factor(n: int, data: bytes) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise ValueError("H is not positive definite") from exc
     L_inv = np.linalg.inv(L)
-    L.setflags(write=False)
     L_inv.setflags(write=False)
-    return L, L_inv
+    return L_inv
 
 
 @dataclass(frozen=True)
@@ -95,16 +96,15 @@ class QpProblem:
     """Data of a strictly convex inequality-constrained QP.
 
     All data must be finite, H symmetric positive definite (validated by
-    Cholesky, whose lower factor is kept as ``L`` with its inverse
-    ``L_inv``, both read-only and shared by every problem with the same H),
-    and the constraint data dimensionally consistent with it.
+    Cholesky, H = LL', whose inverse factor is kept as ``L_inv``, read-only
+    and shared by every problem with the same H), and the constraint data
+    dimensionally consistent with it.
     """
 
     H: np.ndarray
     F: np.ndarray
     A: np.ndarray
     b: np.ndarray
-    L: np.ndarray = field(init=False, repr=False, compare=False)
     L_inv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -128,9 +128,7 @@ class QpProblem:
         # one pass over every entry (H is checked with its factor)
         if not np.isfinite(np.concatenate((F, A.ravel(), b))).all():
             raise ValueError("QP data must be finite")
-        L, L_inv = _factor(n, H.tobytes())
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "L_inv", L_inv)
+        object.__setattr__(self, "L_inv", _factor(n, H.tobytes()))
 
     @property
     def n_z(self) -> int:
@@ -465,9 +463,8 @@ def kkt_residual(problem: QpProblem, solution: QpSolution) -> KktResidual:
     )
 
 
-def check_strict_complementarity(problem: QpProblem, solution: QpSolution,
-                                 tol: float = 1e-6) -> bool:
-    """True iff every constraint has either a positive multiplier or slack.
+def check_strict_complementarity(problem: QpProblem, solution: QpSolution) -> bool:
+    """True iff every constraint has a multiplier or a slack above 1e-6.
 
     Degenerate constraints (both the multiplier and the slack at zero) break
     the regularity needed for the solution map to be continuous, so callers
@@ -478,5 +475,5 @@ def check_strict_complementarity(problem: QpProblem, solution: QpSolution,
     if problem.m_c == 0:
         return True
     slack = problem.b - problem.A @ solution.z_star
-    ok = (solution.lambda_star > tol) | (slack > tol)
+    ok = (solution.lambda_star > _STRICT_CS_TOL) | (slack > _STRICT_CS_TOL)
     return bool(ok.all())

@@ -56,6 +56,12 @@ def _require_finite(cfg) -> None:
         raise ValueError(f"config numbers must be finite: {', '.join(bad)}")
 
 
+def _require_positive(cfg, *names: str) -> None:
+    bad = [k for k in names if not getattr(cfg, k) > 0]
+    if bad:
+        raise ValueError(f"config numbers must be positive: {', '.join(bad)}")
+
+
 # ---------------------------------------------------------------------------
 # adaptive cruise control
 # ---------------------------------------------------------------------------
@@ -109,8 +115,9 @@ class AccConfig:
 
     def __post_init__(self):
         _require_finite(self)
-        if min(self.M, self.grav, self.v_d, self.tau_d, self.T_ud) <= 0 or self.mu <= 1:
-            raise ValueError("ACC constants must be positive (mu > 1)")
+        _require_positive(self, "M", "grav", "v_d", "tau_d", "T_ud", "reach_band", "dt")
+        if self.mu <= 1:
+            raise ValueError("mu must exceed 1")
         if self.d_delta < 0:
             raise ValueError("disturbance gain must be nonnegative")
         if abs(self.a_lead) >= self.a_l * self.grav:
@@ -250,8 +257,8 @@ class TwoRobotConfig:
 
     def __post_init__(self):
         _require_finite(self)
-        if self.d_m <= 0 or self.component_bound <= 0 or self.phase_budget <= 0:
-            raise ValueError("two-robot constants must be positive")
+        _require_positive(self, "d_m", "component_bound", "phase_budget", "arena",
+                          "hub_radius", "circle_radius", "ellipse_major", "ellipse_minor", "dt")
         for name in ("x0_agent1", "x0_agent2"):
             p = getattr(self, name)
             if len(p) != 2 or not all(math.isfinite(v) for v in p):

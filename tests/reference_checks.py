@@ -1,0 +1,64 @@
+"""Reference checks the tests hold the library against.
+
+They are evidence, not controller code: a textbook settling bound to
+compare the paper's tighter one with, central finite differences of a set
+function's value against its analytic gradient, and difference quotients
+of the QP solution map.  The tests fix every argument, so nothing here
+checks its inputs.
+"""
+
+from collections import namedtuple
+
+import numpy as np
+
+from fxtqp.controller import synthesize
+
+_FD_STEP = 1e-6
+
+ProbeResult = namedtuple("ProbeResult", "max_quotient quotients nonstrict_count")
+
+
+def settling_time_bound_basic(a, b, p, q):
+    """Classic two-power settling bound 1/(a(1-p)) + 1/(b(q-1)).
+
+    Valid for dV/dt <= -a V**p - b V**q with a, b > 0, 0 < p < 1 < q.
+    """
+    return 1.0 / (a * (1.0 - p)) + 1.0 / (b * (q - 1.0))
+
+
+def finite_diff_gradient_check(s, xs):
+    """Max relative error of the analytic gradient against central finite
+    differences of the value, over the states ``xs``."""
+    worst = 0.0
+    for x in xs:
+        x = np.asarray(x, dtype=float)
+        grad = s.value_and_gradient(x)[1]
+        fd = np.empty_like(grad)
+        for j in range(x.size):
+            step = np.zeros_like(x)
+            step[j] = _FD_STEP
+            fd[j] = (s.value(x + step) - s.value(x - step)) / (2.0 * _FD_STEP)
+        err = float(np.linalg.norm(grad - fd)) / max(1.0, float(np.linalg.norm(grad)))
+        worst = max(worst, err)
+    return worst
+
+
+def continuity_probe(sys, h_g, safes, bounds, params, x, radius, n_samples):
+    """Difference quotients ||du|| / ||dx|| of the QP solution map near x.
+
+    The probes lie at distance ``radius`` from x in seeded random
+    directions.  Numerical evidence for continuity of the pointwise
+    controller, not a proof.  States where strict complementarity fails
+    (x included) are counted; spikes in the quotient are expected there.
+    """
+    base = synthesize(sys, h_g, safes, bounds, params, x)
+    rng = np.random.default_rng(0)
+    quotients = np.empty(n_samples)
+    nonstrict = int(not base.strict_cs)
+    for i in range(n_samples):
+        d = rng.normal(size=x.size)
+        d *= radius / np.linalg.norm(d)
+        probe = synthesize(sys, h_g, safes, bounds, params, x + d)
+        quotients[i] = np.linalg.norm(probe.u - base.u) / radius
+        nonstrict += int(not probe.strict_cs)
+    return ProbeResult(float(quotients.max()), quotients, nonstrict)

@@ -14,9 +14,8 @@ import time
 import numpy as np
 
 from fxtqp.cli import main as cli_main
-from fxtqp.fxts import FxtsGains, alpha_from_deadline, settling_time_bound, settling_time_bound_basic
+from fxtqp.fxts import FxtsGains, alpha_from_deadline, settling_time_bound
 from fxtqp.qp import QpProblem, SolveStatus, brute_force_solve, kkt_residual, solve_qp
-from fxtqp.constraints import finite_diff_gradient_check
 from fxtqp.simulation import OutcomeKind, monitor
 from fxtqp.scenarios import (
     AccConfig,
@@ -28,6 +27,7 @@ from fxtqp.scenarios import (
     two_robot_scenario,
     waypoint_sets,
 )
+from reference_checks import finite_diff_gradient_check, settling_time_bound_basic
 
 
 def report(number: int, ok: bool, detail: str) -> None:

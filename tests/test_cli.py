@@ -127,6 +127,21 @@ class TestRun:
         assert code == 3
         assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
 
+    @pytest.mark.parametrize("scenario, setting", [
+        ("two-robot", "ellipse_minor=0"), ("two-robot", "ellipse_major=0"),
+        ("two-robot", "circle_radius=-0.5"), ("two-robot", "arena=0"),
+        ("two-robot", "hub_radius=-1"), ("two-robot", "dt=0"),
+        ("acc", "reach_band=-1"), ("acc", "dt=-0.1")])
+    def test_non_positive_number_is_config_error(self, tmp_path, capsys, scenario, setting):
+        # refused with the scenario, so no run directory is made
+        assert run_cli("--scenario", scenario, "--set", setting,
+                       "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        field = setting.partition("=")[0]
+        assert f"configuration error: config numbers must be positive: {field}" in err
+        assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
     def test_integer_beyond_float_range_is_config_error(self, tmp_path, capsys):
         assert run_cli("--scenario", "acc", "--set", f"v_f0={BEYOND_FLOAT}",
                        "--out", str(tmp_path)) == 2
@@ -316,6 +331,16 @@ class TestSweep:
         assert run_cli("--scenario", "acc", "--set", "horizon=1",
                        "--sweep", "v_f0=20,21,20", "--out", str(tmp_path)) == 2
         assert "v_f0=20" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("sweep", ["v_f0=20,1e400", "dt=0.01,-0.01", "reach_band=0.5,0"])
+    def test_bad_value_is_refused_before_any_run(self, tmp_path, capsys, sweep):
+        # every value's scenario is built first: a bad last value costs no run
+        # and leaves no directory of the good ones
+        assert run_cli("--scenario", "acc", "--set", "horizon=0.5", "--sweep", sweep,
+                       "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
         assert not any(tmp_path.iterdir())
 
     def test_sweep_propagates_failures(self, tmp_path):

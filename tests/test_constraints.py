@@ -8,7 +8,6 @@ from fxtqp.constraints import (
     ControlAffineSystem,
     InputBounds,
     SetFunction,
-    finite_diff_gradient_check,
     qp_rows,
 )
 from fxtqp.fxts import alpha_from_deadline
@@ -24,6 +23,7 @@ from fxtqp.scenarios import (
     waypoint_sets,
 )
 from fxtqp.simulation import _joint_goal, _positive_part_sum
+from reference_checks import finite_diff_gradient_check
 
 
 def integrator(n):
@@ -219,7 +219,8 @@ class TestInputRows:
         for _ in range(500):
             v = rng.uniform(-2, 4, size=2)
             z = np.concatenate([v / bounds.scale(), rng.normal(size=2)])
-            assert np.all(A @ z <= b + 1e-12) == bounds.contains(v)
+            inside = np.all((bounds.lower - 1e-9 <= v) & (v <= bounds.upper + 1e-9))
+            assert np.all(A @ z <= b + 1e-12) == inside
 
     def test_built_once_and_read_only(self):
         bounds = InputBounds(lower=-np.ones(2), upper=np.ones(2))
@@ -231,6 +232,11 @@ class TestInputRows:
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
             InputBounds(lower=np.array([1.0]), upper=np.array([1.0]))
+
+    @pytest.mark.parametrize("lower", [-np.ones(3), -np.ones((2, 1))])
+    def test_rejects_bounds_of_unequal_shape(self, lower):
+        with pytest.raises(ValueError, match="equal-length vectors"):
+            InputBounds(lower=lower, upper=np.ones(2))
 
     @pytest.mark.parametrize("field", ["lower", "upper"])
     @pytest.mark.parametrize("value", [-math.inf, math.inf])
@@ -245,7 +251,7 @@ class TestGradientCheck:
     def test_quadratic_is_second_order_exact(self):
         rng = np.random.default_rng(2)
         xs = rng.normal(size=(100, 2))
-        assert finite_diff_gradient_check(ball(), xs, eps=1e-6) <= 1e-8
+        assert finite_diff_gradient_check(ball(), xs) <= 1e-8
 
     def test_linear_is_exact(self):
         cfg = AccConfig()
@@ -253,7 +259,7 @@ class TestGradientCheck:
         xs = rng.uniform([10, 5, 50], [30, 15, 200], size=(50, 3))
         # mathematically exact; the tolerance covers float cancellation at
         # state magnitudes of O(100)
-        assert finite_diff_gradient_check(acc_headway(cfg), xs, eps=1e-6) <= 1e-7
+        assert finite_diff_gradient_check(acc_headway(cfg), xs) <= 1e-7
 
     def test_anisotropic_ellipse(self):
         ell = SetFunction(
@@ -263,7 +269,7 @@ class TestGradientCheck:
         )
         rng = np.random.default_rng(4)
         xs = rng.uniform([-1, 1], [1, 2], size=(100, 2))
-        assert finite_diff_gradient_check(ell, xs, eps=1e-6) <= 1e-5
+        assert finite_diff_gradient_check(ell, xs) <= 1e-5
 
     @pytest.mark.parametrize("name", ["ball1d", "goal_disk", "obstacle_disk", "goal_nl",
                                       "disk4"])

@@ -11,13 +11,13 @@ from fxtqp.controller import (
     SolverFailure,
     SynthesisParams,
     assemble,
-    continuity_probe,
     synthesize,
 )
 from fxtqp.fxts import RegimeKind, settling_time_bound
 from fxtqp.scenarios import (ACC_FREEZE_LEVEL, AccConfig, acc_goal, acc_headway, acc_scenario,
                              _acc_system, synthetic_suite, two_robot_scenario)
 from fxtqp.simulation import OutcomeKind, Phase, Schedule, _joint_goal, run
+from reference_checks import continuity_probe
 
 
 def integrator(n):
@@ -134,6 +134,11 @@ class TestParams:
         with pytest.raises(ValueError):
             SynthesisParams(T_ud=1.0, mu=2.0, w_u=np.ones(1), w2=0.0)
 
+    @pytest.mark.parametrize("T_ud, mu", [(0.0, 2.0), (-1.0, 2.0), (1.0, 1.0), (1.0, math.nan)])
+    def test_rejects_deadline_and_exponent_out_of_range(self, T_ud, mu):
+        with pytest.raises(ValueError, match="T_ud > 0 and mu > 1"):
+            SynthesisParams(T_ud=T_ud, mu=mu, w_u=np.ones(1))
+
     @pytest.mark.parametrize("field", ["w_u", "w1", "w2", "q1"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_non_finite_weights_by_name(self, field, value):
@@ -149,7 +154,7 @@ class TestAssemble:
         p1 = assemble(sys, goal, safes, bounds, params, np.array([20.0, 10.0, 150.0]))
         p2 = assemble(sys, goal, safes, bounds, params, np.array([24.0, 10.0, 80.0]))
         assert p1.H is params.H and np.shares_memory(p2.F, params.F)
-        assert p1.L is p2.L and p1.L_inv is p2.L_inv
+        assert p1.L_inv is p2.L_inv
         with pytest.raises(ValueError):
             params.H[0, 0] = 2.0
 
@@ -305,7 +310,7 @@ class TestSynthesize:
         for _ in range(50):
             x = rng.uniform([12, 8, 40], [28, 12, 200])
             dec = synthesize(sys, goal, safes, bounds, params, x)
-            assert bounds.contains(dec.u, tol=0.0)
+            assert np.all((bounds.lower <= dec.u) & (dec.u <= bounds.upper))
 
     def test_warm_start_changes_nothing(self):
         # working-set guesses: the cold active set, out-of-range indices, and
@@ -429,13 +434,6 @@ class TestSynthesize:
 
 
 class TestContinuityProbe:
-    def test_zero_radius_zero_quotient(self):
-        sys, goal, safes, bounds, params = acc_pieces()
-        res = continuity_probe(sys, goal, safes, bounds, params,
-                               np.array([20.0, 10.0, 150.0]), radius=0.0,
-                               n_samples=5)
-        assert res.max_quotient == 0.0
-
     def test_interior_quotients_finite(self):
         sys, goal, safes, bounds, params = acc_pieces()
         res = continuity_probe(sys, goal, safes, bounds, params,

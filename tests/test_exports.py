@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 import fxtqp
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(fxtqp.__path__))
+REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -17,6 +20,37 @@ def test_every_exported_name_resolves(name):
     assert len(set(exported)) == len(exported)
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing, f"fxtqp.{name}.__all__ names missing attributes: {missing}"
+
+
+def _uses():
+    """(file, enclosing top-level def or class or None, name) for every
+    ``Name`` and ``Attribute`` in the package, the benchmark and the scripts."""
+    uses = set()
+    for root in ("src", "perfbench", "scripts"):
+        for path in (REPO / root).rglob("*.py"):
+            for stmt in ast.parse(path.read_text(), str(path)).body:
+                owner = getattr(stmt, "name", None)
+                for node in ast.walk(stmt):
+                    if isinstance(node, ast.Name):
+                        uses.add((path, owner, node.id))
+                    elif isinstance(node, ast.Attribute):
+                        uses.add((path, owner, node.attr))
+    return uses
+
+
+def test_every_exported_name_has_a_use_outside_the_tests():
+    # an exported name that only tests reach belongs in the tests; a use
+    # inside the name's own def or class does not count, nor does __all__
+    uses = _uses()
+    unused = []
+    for name in MODULES:
+        module = importlib.import_module(f"fxtqp.{name}")
+        path = Path(module.__file__).resolve()
+        for export in getattr(module, "__all__", ()):
+            if not any(n == export and (p != path or owner != export)
+                       for p, owner, n in uses):
+                unused.append(f"fxtqp.{name}.{export}")
+    assert not unused, f"exported names with no use outside the tests: {unused}"
 
 
 # the names perfbench's workloads and tracing reach at run time, so that a

@@ -12,9 +12,9 @@ from fxtqp.fxts import (
     alpha_from_deadline,
     gamma_roots,
     settling_time_bound,
-    settling_time_bound_basic,
     simulate_scalar_v,
 )
+from reference_checks import settling_time_bound_basic
 
 
 def exact_settling_integral(gains, delta1, v0):
@@ -59,6 +59,11 @@ class TestAlphaFromDeadline:
     def test_unit_gain_case(self):
         assert alpha_from_deadline(math.pi, 2.0).alpha1 == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan])
+    def test_rejects_a_deadline_that_is_not_positive(self, T):
+        with pytest.raises(ValueError, match="deadline must be positive"):
+            alpha_from_deadline(T, 2.0)
+
     @pytest.mark.parametrize("T", [0.1, 1.0, 10.0, 100.0])
     @pytest.mark.parametrize("mu", [1.5, 2.0, 5.0, 10.0])
     def test_round_trip_through_bound(self, T, mu):
@@ -87,6 +92,11 @@ class TestGammaRoots:
 
     def test_no_real_roots_below_threshold(self):
         assert gamma_roots(1, 1, 1.0) is None
+
+    @pytest.mark.parametrize("a1, a2", [(0.0, 1.0), (1.0, -1.0), (math.nan, 1.0)])
+    def test_rejects_gains_that_are_not_positive(self, a1, a2):
+        with pytest.raises(ValueError, match="alpha gains must be positive"):
+            gamma_roots(a1, a2, 3.0)
 
     @settings(max_examples=100, deadline=None)
     @given(a1=st.floats(0.1, 10), a2=st.floats(0.1, 10), margin=st.floats(1e-6, 5.0))

@@ -126,16 +126,24 @@ class TestKktResidual:
 class TestStrictComplementarity:
     def test_active_with_positive_multiplier(self):
         p = make_problem([[1.0]], [0.0], [[-1.0]], [-1.0])
-        assert check_strict_complementarity(p, solve_qp(p), tol=1e-6)
+        assert check_strict_complementarity(p, solve_qp(p))
 
     def test_strictly_inactive_constraint(self):
         p = make_problem(np.eye(2), np.zeros(2), [[1.0, 0.0]], [5.0])
-        assert check_strict_complementarity(p, solve_qp(p), tol=1e-6)
+        assert check_strict_complementarity(p, solve_qp(p))
 
     def test_degenerate_constraint_fails(self):
         # min 0.5 z^2 s.t. z <= 0: z* = 0 and lambda* = 0 coincide
         p = make_problem([[1.0]], [0.0], [[1.0]], [0.0])
-        assert not check_strict_complementarity(p, solve_qp(p), tol=1e-6)
+        assert not check_strict_complementarity(p, solve_qp(p))
+
+    def test_refuses_a_solution_that_is_not_optimal(self):
+        # z <= -1 and -z <= -1 have no common point
+        p = make_problem([[1.0]], [0.0], [[1.0], [-1.0]], [-1.0, -1.0])
+        s = solve_qp(p)
+        assert s.status is SolveStatus.INFEASIBLE
+        with pytest.raises(ValueError, match="optimal solutions only"):
+            check_strict_complementarity(p, s)
 
 
 class TestOracleAgreement:
@@ -147,7 +155,7 @@ class TestOracleAgreement:
             o = brute_force_solve(p)
             assert a.status is SolveStatus.OPTIMAL
             assert a.objective == pytest.approx(o.objective, abs=1e-8)
-            if check_strict_complementarity(p, a, tol=1e-6):
+            if check_strict_complementarity(p, a):
                 assert np.max(np.abs(a.z_star - o.z_star)) <= 1e-6
 
     def test_residual_invariants_on_random_problems(self):
@@ -281,7 +289,7 @@ class TestAlgebraicProperties:
             p = random_feasible_problem(rng)
             cold = solve_qp(p)
             hot = solve_qp(p, warm_start=cold.active_set)
-            if check_strict_complementarity(p, cold, tol=1e-6):
+            if check_strict_complementarity(p, cold):
                 assert hot.iterations == 0
                 assert np.max(np.abs(hot.z_star - cold.z_star), initial=0.0) <= 1e-9
 
@@ -319,19 +327,18 @@ class TestFactorCache:
     def test_same_h_shares_one_factor(self):
         H = np.array([[4.0, 1.0], [1.0, 3.0]])
         p, q = make_problem(H, [1.0, 0.0]), make_problem(H.copy(), [0.0, 1.0])
-        assert p.L is q.L and p.L_inv is q.L_inv
-        assert np.allclose(p.L @ p.L.T, H, atol=1e-15)
+        assert p.L_inv is q.L_inv
+        assert np.allclose(p.L_inv @ H @ p.L_inv.T, np.eye(2), atol=1e-15)
         with pytest.raises(ValueError):
-            p.L[0, 0] = 1.0
+            p.L_inv[0, 0] = 1.0
 
     def test_distinct_h_never_share_a_factor(self):
         H = np.array([[4.0, 1.0], [1.0, 3.0]])
         near = H.copy()
         near[1, 1] = np.nextafter(3.0, 4.0)
         p, q = make_problem(H, [1.0, 0.0]), make_problem(near, [1.0, 0.0])
-        assert p.L is not q.L and not np.array_equal(p.L, q.L)
-        assert np.allclose(q.L @ q.L.T, near, rtol=0, atol=1e-15)
-        assert np.allclose(q.L_inv @ q.L, np.eye(2), atol=1e-15)
+        assert p.L_inv is not q.L_inv and not np.array_equal(p.L_inv, q.L_inv)
+        assert np.allclose(q.L_inv @ near @ q.L_inv.T, np.eye(2), rtol=0, atol=1e-15)
 
     def test_invalid_h_rejected_after_a_valid_one(self):
         # a factored H of the same shape must not let a bad one through
@@ -367,6 +374,14 @@ class TestValidation:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
             make_problem(np.eye(2), np.zeros(2), [[1.0, 0.0]], [1.0, 2.0])
+
+    @pytest.mark.parametrize("H, A, match", [
+        (np.eye(3), np.zeros((1, 2)), "H shape"),
+        (np.eye(2), np.zeros((1, 3)), "A shape"),
+        (np.eye(2), np.zeros(2), "A shape")])
+    def test_rejects_hessian_or_rows_of_the_wrong_shape(self, H, A, match):
+        with pytest.raises(ValueError, match=match):
+            QpProblem(H=H, F=np.zeros(2), A=A, b=np.zeros(len(A)))
 
     def test_brute_force_rejects_large_problems(self):
         # 25 rows, 6 variables: 245 506 working sets of at most 6 rows

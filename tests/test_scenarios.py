@@ -52,6 +52,25 @@ class TestAccConfig:
         with pytest.raises(ValueError, match=field):
             config(**{field: value})
 
+    @pytest.mark.parametrize("config, field, value", [
+        (AccConfig, "M", 0.0), (AccConfig, "tau_d", -1.8), (AccConfig, "reach_band", -1.0),
+        (AccConfig, "dt", 0.0), (AccConfig, "dt", -0.1),
+        (TwoRobotConfig, "d_m", 0.0), (TwoRobotConfig, "arena", 0.0),
+        (TwoRobotConfig, "hub_radius", -1.5), (TwoRobotConfig, "circle_radius", -0.5),
+        (TwoRobotConfig, "ellipse_major", 0.0), (TwoRobotConfig, "ellipse_minor", 0.0),
+        (TwoRobotConfig, "dt", -1e-3)])
+    def test_non_positive_numbers_are_refused(self, config, field, value):
+        # a squared radius runs a negative one as its magnitude; a zero
+        # semi-axis divides by zero
+        with pytest.raises(ValueError, match=f"must be positive: {field}$"):
+            config(**{field: value})
+
+    def test_exponent_and_disturbance_gain_ranges(self):
+        with pytest.raises(ValueError, match="mu must exceed 1"):
+            AccConfig(mu=1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            AccConfig(d_delta=-1.0)
+
     def test_braking_barrier_contains_plain_headway(self):
         # h <= 0 must imply the paper's constraint tau_d * v_f <= D, and full
         # braking behind a constant-speed lead must make h decrease, so the
@@ -335,6 +354,13 @@ class TestScenarioFactory:
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError):
             scenario_from_id("unknown")
+
+    @pytest.mark.parametrize("sid, overrides, match", [
+        ("synthetic:int1d", {"dt": 0.01}, "take no overrides"),
+        ("synthetic:int3d", None, "unknown synthetic scenario")])
+    def test_synthetic_refusals(self, sid, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            scenario_from_id(sid, overrides)
 
     def test_override_field_checking(self):
         sc = scenario_from_id("acc", {"v_f0": 21.0})

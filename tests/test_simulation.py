@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,23 @@ class TestRun:
         with pytest.raises(ValueError):
             run(sys, sched, bounds, params, np.array([1.0, 1.0]), dt)
 
+    def test_overflowing_step_is_a_solver_failure(self):
+        # a finite state whose Euler step overflows ends the run at that
+        # step, and numpy does not warn of the overflow
+        sys = ControlAffineSystem(n=2, m=1, f=lambda x: np.array([1e308, 0.0]),
+                                  g=lambda x: np.array([[0.0], [1.0]]))
+        goal = SetFunction("x1", lambda x: (float(x[1] ** 2 - 0.01), np.array([0.0, 2.0 * x[1]])))
+        sched = Schedule(tracks=((Phase(goal=goal, deadline=5.0),),))
+        bounds = InputBounds(lower=-np.ones(1), upper=np.ones(1))
+        params = SynthesisParams(T_ud=2.0, mu=2.0, w_u=np.ones(1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            trace = run(sys, sched, bounds, params, np.array([1e308, 1.0]), 1.0)
+        assert [w for w in caught if w.category is RuntimeWarning] == []
+        assert trace.outcome.kind is OutcomeKind.SOLVER_FAILURE
+        assert trace.outcome.message.startswith("non-finite state")
+        assert len(trace) == 1
+
     def test_nan_goal_value_is_not_a_reach(self):
         # NaN fails every comparison: the reach test must not read it as met,
         # so the NaN reaches the QP's rows, which fail the run
@@ -190,6 +208,16 @@ class TestRun:
 
 
 class TestSchedule:
+    @pytest.mark.parametrize("tracks", [(), ((),)])
+    def test_a_schedule_needs_phases_on_every_track(self, tracks):
+        with pytest.raises(ValueError, match="at least one phase"):
+            Schedule(tracks=tracks)
+
+    @pytest.mark.parametrize("deadline", [0.0, -1.0, math.nan])
+    def test_phase_deadline_must_be_positive(self, deadline):
+        with pytest.raises(ValueError, match="deadline must be positive"):
+            Phase(goal=goal_ball(0.1), deadline=deadline)
+
     def test_phases_is_the_only_track(self):
         sys, sched, bounds, params = simple_setup()
         assert sched.phases is sched.tracks[0]
