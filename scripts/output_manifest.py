@@ -8,8 +8,9 @@ The first form imports ``fxtqp`` from DIR (default: this checkout's
 writes to standard output a JSON object that maps each output to its
 SHA-256.  The outputs are:
 
-- ``trace.csv`` and ``summary.json`` of ``acc``, ``two-robot``,
-  ``synthetic:int1d``, ``synthetic:int2d`` and ``synthetic:fullact2d``;
+- ``trace.csv`` and ``summary.json`` of ``acc``, ``acc --set dt=0.005``,
+  ``two-robot``, ``synthetic:int1d``, ``synthetic:int2d`` and
+  ``synthetic:fullact2d``;
 - ``sweep.csv`` and every per-value file of ``acc --sweep v_f0=17,22,27``
   and of ``acc --sweep d_delta=50,100 --set v_f0=27``;
 - the default ``--verify-bounds`` table, ``bounds.csv``;
@@ -37,6 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 CLI_RUNS = {
     "acc": ["--scenario", "acc"],
+    "acc dt=0.005": ["--scenario", "acc", "--set", "dt=0.005"],
     "two-robot": ["--scenario", "two-robot"],
     "synthetic:int1d": ["--scenario", "synthetic:int1d"],
     "synthetic:int2d": ["--scenario", "synthetic:int2d"],

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import re
 import sys
@@ -81,19 +80,13 @@ def _outcome_exit_code(outcome) -> int:
     return EXIT_VIOLATION
 
 
-def _scenario(scenario_id: str, overrides: dict, dt):
-    if dt is not None and "dt" in overrides:
-        raise ValueError("--dt and a dt in --set or --sweep both set the step; give one")
-    return scenario_from_id(scenario_id, overrides)
-
-
-def _single_run(scenario, dt, out_dir: Path, tag: str):
+def _single_run(scenario, out_dir: Path, tag: str):
     run_dir = out_dir / tag
     try:
         run_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValueError(f"cannot use {str(run_dir)!r} as run directory: {exc}") from exc
-    trace = scenario.simulate(dt=dt)
+    trace = scenario.simulate()
     summary = {"scenario": scenario.scenario_id,
                **monitor(trace, d_min=scenario.d_min, bounds=scenario.bounds),
                "exit_code": _outcome_exit_code(trace.outcome)}
@@ -105,9 +98,8 @@ def _single_run(scenario, dt, out_dir: Path, tag: str):
 
 def cmd_run(args) -> int:
     try:
-        scenario = _scenario(args.scenario, _parse_overrides(args.set), args.dt)
-        summary = _single_run(scenario, args.dt, _out_dir(args),
-                              tag=args.scenario.replace(":", "_"))
+        scenario = scenario_from_id(args.scenario, _parse_overrides(args.set))
+        summary = _single_run(scenario, _out_dir(args), tag=args.scenario.replace(":", "_"))
     except (ValueError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -130,7 +122,7 @@ def cmd_sweep(args) -> int:
         if repeated:
             raise ValueError(f"sweep values repeat a run directory: {', '.join(repeated)}")
         # every value's configuration is checked before any run starts
-        scenarios = [_scenario(args.scenario, {**overrides, axis: value}, args.dt)
+        scenarios = [scenario_from_id(args.scenario, {**overrides, axis: value})
                      for value in values]
         out_dir = _out_dir(args)
     except (ValueError, TypeError) as exc:
@@ -141,7 +133,7 @@ def cmd_sweep(args) -> int:
         return EXIT_OK
 
     try:
-        summaries = [_single_run(scenario, args.dt, out_dir, tag)
+        summaries = [_single_run(scenario, out_dir, tag)
                      for scenario, tag in zip(scenarios, tags)]
     except (ValueError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -240,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="acc (default) | two-robot | synthetic:<id>")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a scenario config field (repeatable)")
-    parser.add_argument("--dt", type=float, default=None,
-                        help="integration step override")
     parser.add_argument("--out", default=None,
                         help="output directory (default $FXTQP_OUT or ./fxtqp-out)")
     mode = parser.add_mutually_exclusive_group()
@@ -257,13 +247,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _flag_error(args) -> str | None:
     """Why the given flags do not go together, or None."""
     if args.verify_bounds:
-        given = [f"--{f}" for f in ("scenario", "set", "dt") if getattr(args, f) is not None]
+        given = [f"--{f}" for f in ("scenario", "set") if getattr(args, f) is not None]
         if given:
             return f"--verify-bounds takes no {', '.join(given)}"
     elif args.grid_json is not None:
         return "--grid-json needs --verify-bounds"
-    if args.dt is not None and not (math.isfinite(args.dt) and args.dt > 0):
-        return "dt must be a finite number > 0"
     return None
 
 

@@ -91,8 +91,8 @@ class InputBounds:
             raise ValueError("lower bounds must be strictly below upper bounds")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-        s = np.maximum(np.abs(lo), np.abs(hi))
-        scale = np.where(s > 0, s, 1.0)
+        # lower < upper, so every scale is positive
+        scale = np.maximum(np.abs(lo), np.abs(hi))
         # per input i: v_i <= upper_i, -v_i <= -lower_i, in scaled coordinates
         m = lo.size
         A = np.zeros((2 * m, m + 2))

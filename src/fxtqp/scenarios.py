@@ -43,9 +43,8 @@ class Scenario:
     dt: float
     d_min: float | None = None     # separation requirement, if any
 
-    def simulate(self, dt: float | None = None) -> Trace:
-        return run(self.sys, self.schedule, self.bounds, self.params, self.x0,
-                   dt if dt is not None else self.dt)
+    def simulate(self) -> Trace:
+        return run(self.sys, self.schedule, self.bounds, self.params, self.x0, self.dt)
 
 
 def _require_finite(cfg) -> None:
@@ -537,13 +536,10 @@ def _apply_overrides(cfg, overrides: dict):
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
     typed = {}
     for k, v in overrides.items():
-        current = getattr(cfg, k)
-        if isinstance(current, tuple):
+        if isinstance(getattr(cfg, k), tuple):
             typed[k] = tuple(_number(k, p) for p in v)
-        elif isinstance(current, float):
-            typed[k] = _number(k, v)
         else:
-            typed[k] = v
+            typed[k] = _number(k, v)
     return replace(cfg, **typed)
 
 

@@ -10,6 +10,7 @@ plain headway set, so the recorded barrier values bound the paper's
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -243,13 +244,12 @@ def test_criterion_10_determinism_and_discretization():
     a2 = acc_scenario(acc_cfg).simulate()
     deterministic = (np.array_equal(a1.x, a2.x) and np.array_equal(a1.u, a2.u))
 
-    half = acc_scenario(acc_cfg).simulate(dt=5e-3)
+    half = acc_scenario(replace(acc_cfg, dt=5e-3)).simulate()
     t_full, t_half = band_time(a1), band_time(half)
     acc_shift = abs(t_half - t_full) / t_full
 
-    sc = two_robot_scenario()
-    r1 = sc.simulate()
-    r2 = sc.simulate(dt=5e-4)
+    r1 = two_robot_scenario().simulate()
+    r2 = two_robot_scenario(TwoRobotConfig(dt=5e-4)).simulate()
     tr_full = r1.reach_times[-1]
     tr_half = r2.reach_times[-1]
     robot_shift = abs(tr_half - tr_full) / tr_full

@@ -55,22 +55,11 @@ class TestRun:
         assert run_cli("--scenario", "acc", "--set", "novalue",
                        "--out", str(tmp_path)) == 2
 
-    def test_negative_dt_is_config_error(self, tmp_path):
-        assert run_cli("--scenario", "acc", "--dt", "-0.1",
-                       "--out", str(tmp_path)) == 2
-
-    @pytest.mark.parametrize("flags", [("--dt", "inf"), ("--set", "dt=inf")])
+    @pytest.mark.parametrize("flags", [("--set", "dt=inf")])
     def test_infinite_dt_is_config_error(self, tmp_path, flags):
         # an infinite step reaches a non-finite state at once; that is a bad
         # setting, not a solver failure (exit 3)
         assert run_cli("--scenario", "acc", *flags, "--out", str(tmp_path)) == 2
-        assert not (tmp_path / "acc").exists()
-
-    def test_dt_flag_and_set_dt_is_config_error(self, tmp_path, capsys):
-        # either would silently override the other
-        assert run_cli("--scenario", "acc", "--set", "dt=0.02", "--dt", "0.01",
-                       "--out", str(tmp_path)) == 2
-        assert "--dt" in capsys.readouterr().err
         assert not (tmp_path / "acc").exists()
 
     @pytest.mark.parametrize("setting", ["horizon=inf", "horizon=nan", "d_delta=nan",
@@ -303,14 +292,6 @@ class TestSweep:
         assert row[0] == "[-1.5, 1.5]" and row[1] == "all_phases_met"
         assert (tmp_path / "x0_agent1=[-1.5, 1.5]" / "trace.csv").exists()
 
-    def test_dt_flag_with_a_dt_sweep_is_config_error(self, tmp_path, capsys):
-        # --dt would run every value at its own step under the swept labels
-        assert run_cli("--scenario", "acc", "--set", "horizon=1", "--dt", "0.01",
-                       "--sweep", "dt=0.02,0.05", "--out", str(tmp_path)) == 2
-        assert "--dt" in capsys.readouterr().err
-        assert not any(p.name.startswith("dt=") for p in tmp_path.iterdir())
-        assert not (tmp_path / "sweep.csv").exists()
-
     def test_set_value_for_the_sweep_axis_is_config_error(self, tmp_path, capsys):
         # the swept value would overwrite the --set one, so 18 would never run
         assert run_cli("--scenario", "acc", "--set", "horizon=1", "--set", "v_f0=18",
@@ -356,7 +337,6 @@ class TestFlagCombinations:
     @pytest.mark.parametrize("flags", [
         ("--verify-bounds", "--scenario", "acc"),
         ("--verify-bounds", "--set", "bogus=1"),
-        ("--verify-bounds", "--dt", "0.01"),
         ("--grid-json", "missing.json"),
         ("--scenario", "synthetic:int1d", "--grid-json", "missing.json")])
     def test_ignored_flag_is_config_error(self, tmp_path, capsys, flags):
@@ -387,7 +367,7 @@ class TestFlagCombinations:
         from fxtqp.scenarios import Scenario
         simulate, calls = Scenario.simulate, []
         monkeypatch.setattr(Scenario, "simulate",
-                            lambda self, dt=None: calls.append(1) or simulate(self, dt))
+                            lambda self: calls.append(1) or simulate(self))
         (tmp_path / taken).write_text("not a directory")
         assert run_cli(*flags, "--out", str(tmp_path)) == 2
         err = capsys.readouterr().err
@@ -474,7 +454,7 @@ def test_readme_lists_every_flag():
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # only the brute-force oracle's feasibility LP needs scipy.optimize
+    # nothing in the package uses scipy.optimize, so importing the CLI must not load it
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))

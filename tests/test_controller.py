@@ -385,6 +385,22 @@ class TestSynthesize:
         assert dec.u[0] == bounds.upper[0]
         assert dec.box_overshoot == pytest.approx(1e-12, rel=1e-3)
 
+    def test_iteration_limit_is_a_solver_failure(self, monkeypatch):
+        # solve_qp's guard against cycling is reported, never read as a decision
+        solve = qp.solve_qp
+
+        def limited(problem, warm_start=None):
+            return dataclasses.replace(solve(problem, warm_start=warm_start),
+                                       status=qp.SolveStatus.ITERATION_LIMIT)
+
+        monkeypatch.setattr(qp, "solve_qp", limited)
+        sys, goal, safes, bounds, params = acc_pieces()
+        with pytest.raises(SolverFailure, match="iteration_limit"):
+            synthesize(sys, goal, safes, bounds, params, np.array([20.0, 10.0, 150.0]))
+        trace = acc_scenario(AccConfig(horizon=1.0)).simulate()
+        assert trace.outcome.kind is OutcomeKind.SOLVER_FAILURE
+        assert "iteration_limit" in trace.outcome.message and len(trace) == 0
+
     def test_decision_reports_solver_counters(self):
         sys, goal, safes, bounds, params = acc_pieces()
         x = np.array([24.0, 10.0, 80.0])

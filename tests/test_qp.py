@@ -1,10 +1,14 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fxtqp import qp
 from fxtqp.qp import (
     QpProblem,
     SolveStatus,
+    _thin_qr,
     _tri_solve,
     brute_force_solve,
     check_strict_complementarity,
@@ -282,6 +286,16 @@ class TestAlgebraicProperties:
         # a zero on R's diagonal is LAPACK's info > 0, never a silent answer
         with pytest.raises(np.linalg.LinAlgError):
             _tri_solve(np.array([[1.0, 2.0], [0.0, 0.0]]), np.ones(2))
+
+    @pytest.mark.parametrize("routine", ["dgeqrf", "dorgqr"])
+    def test_failed_qr_raises(self, monkeypatch, routine):
+        # a non-zero info from either QR routine is an error, never a silent answer
+        stub = SimpleNamespace(dgeqrf=qp.lapack.dgeqrf, dorgqr=qp.lapack.dorgqr)
+        real = getattr(stub, routine)
+        setattr(stub, routine, lambda *args: (*real(*args)[:-1], -1))
+        monkeypatch.setattr(qp, "lapack", stub)
+        with pytest.raises(np.linalg.LinAlgError, match=routine):
+            _thin_qr(np.eye(3)[:, :2])
 
     def test_hot_start_from_optimal_set_takes_no_iteration(self):
         rng = np.random.default_rng(13)
