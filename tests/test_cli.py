@@ -55,7 +55,8 @@ class TestRun:
         assert run_cli("--scenario", "acc", "--set", "novalue",
                        "--out", str(tmp_path)) == 2
 
-    @pytest.mark.parametrize("flags", [("--set", "dt=inf")])
+    # JSON's Infinity and the bare word inf reach the config by different parses
+    @pytest.mark.parametrize("flags", [("--set", "dt=Infinity"), ("--set", "dt=inf")])
     def test_infinite_dt_is_config_error(self, tmp_path, flags):
         # an infinite step reaches a non-finite state at once; that is a bad
         # setting, not a solver failure (exit 3)
@@ -337,6 +338,7 @@ class TestFlagCombinations:
     @pytest.mark.parametrize("flags", [
         ("--verify-bounds", "--scenario", "acc"),
         ("--verify-bounds", "--set", "bogus=1"),
+        ("--verify-bounds", "--scenario", "acc", "--set", "bogus=1"),
         ("--grid-json", "missing.json"),
         ("--scenario", "synthetic:int1d", "--grid-json", "missing.json")])
     def test_ignored_flag_is_config_error(self, tmp_path, capsys, flags):
