@@ -11,8 +11,9 @@ SHA-256.  The outputs are:
 - ``trace.csv`` and ``summary.json`` of ``acc``, ``acc --set dt=0.005``,
   ``two-robot``, ``synthetic:int1d``, ``synthetic:int2d`` and
   ``synthetic:fullact2d``;
-- ``sweep.csv`` and every per-value file of ``acc --sweep v_f0=17,22,27``
-  and of ``acc --sweep d_delta=50,100 --set v_f0=27``;
+- ``sweep.csv`` and every per-value file of ``acc --sweep v_f0=17,18,...,27``
+  (criterion 5's eleven starts) and of
+  ``acc --sweep d_delta=50,100 --set v_f0=27``;
 - the default ``--verify-bounds`` table, ``bounds.csv``;
 - the exit code of each of these command-line runs;
 - the per-step ``qp_iters`` and ``box_overshoot`` arrays (not written to
@@ -43,7 +44,7 @@ CLI_RUNS = {
     "synthetic:int1d": ["--scenario", "synthetic:int1d"],
     "synthetic:int2d": ["--scenario", "synthetic:int2d"],
     "synthetic:fullact2d": ["--scenario", "synthetic:fullact2d"],
-    "sweep v_f0": ["--scenario", "acc", "--sweep", "v_f0=17,22,27"],
+    "sweep v_f0": ["--scenario", "acc", "--sweep", "v_f0=17,18,19,20,21,22,23,24,25,26,27"],
     "sweep d_delta": ["--scenario", "acc", "--sweep", "d_delta=50,100", "--set", "v_f0=27"],
     "bounds": ["--verify-bounds"],
 }

@@ -100,7 +100,7 @@ def cmd_run(args) -> int:
     try:
         scenario = scenario_from_id(args.scenario, _parse_overrides(args.set))
         summary = _single_run(scenario, _out_dir(args), tag=args.scenario.replace(":", "_"))
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(json.dumps(summary, indent=2))
@@ -125,7 +125,7 @@ def cmd_sweep(args) -> int:
         scenarios = [scenario_from_id(args.scenario, {**overrides, axis: value})
                      for value in values]
         out_dir = _out_dir(args)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if not values:
@@ -135,7 +135,7 @@ def cmd_sweep(args) -> int:
     try:
         summaries = [_single_run(scenario, out_dir, tag)
                      for scenario, tag in zip(scenarios, tags)]
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -44,7 +44,8 @@ class SynthesisParams:
     ``gains`` is derived from (T_ud, mu): alpha_from_deadline meets T_ud.
     ``w_u`` holds one weight per input, e.g. ``np.ones(m)``.
     ``H`` and ``F``, the QP's objective in input-scaled coordinates, are
-    built once from the weights (read-only).
+    built once from the weights, and so are the solver's factor ``L_inv``
+    (H = LL') and ``f`` = L^-1 F (all read-only).
     ``delta2_freeze_level``, when set, pins delta2 = 0 whenever some
     safe-set value exceeds the level, by dropping delta2 from every
     invariance row (see :func:`fxtqp.constraints.qp_rows`); used by the
@@ -61,6 +62,8 @@ class SynthesisParams:
     delta2_freeze_level: float | None = None
     H: np.ndarray = field(init=False, repr=False, compare=False)
     F: np.ndarray = field(init=False, repr=False, compare=False)
+    L_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    f: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "w_u", np.atleast_1d(np.asarray(self.w_u, dtype=float)))
@@ -78,10 +81,11 @@ class SynthesisParams:
         H = np.diag(np.concatenate([self.w_u, [self.w1, self.w2]]))
         F = np.zeros(m + 2)
         F[m] = self.q1
-        H.setflags(write=False)
-        F.setflags(write=False)
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "F", F)
+        L_inv = qp._factor(m + 2, H.tobytes())
+        f = L_inv @ F
+        for name, arr in (("H", H), ("F", F), ("L_inv", L_inv), ("f", f)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -101,25 +105,31 @@ class ControlDecision:
     h_safe: np.ndarray      # safe-set values at the state, one per safe set
 
 
-def _problem(params: SynthesisParams, A: np.ndarray, b: np.ndarray,
-             x: np.ndarray) -> qp.QpProblem:
-    # rows that overflow or turn NaN (a state or set far outside its model)
-    # fail the run like an unsolvable QP; any other bad data is a ValueError
-    try:
-        return qp.QpProblem(H=params.H, F=params.F, A=A, b=b)
-    except ValueError:
-        if np.isfinite(A).all() and np.isfinite(b).all():
-            raise
-        raise SolverFailure(f"synthesis QP rows are not finite at x={np.asarray(x)}") from None
+def _checked_rows(sys: ControlAffineSystem, h_g: SetFunction,
+                  safes: Sequence[SetFunction], bounds: InputBounds,
+                  params: SynthesisParams, x: np.ndarray):
+    """qp_rows at x, refused unless they fit params' objective and are finite.
+
+    Rows that overflow or turn NaN (a state or set far outside its model)
+    fail the run like an unsolvable QP; finite rows that do not fit are a
+    ValueError.
+    """
+    A, b, h_goal, h_safe = qp_rows(sys, h_g, safes, bounds, params.gains, x,
+                                   params.delta2_freeze_level)
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise SolverFailure(f"synthesis QP rows are not finite at x={np.asarray(x)}")
+    if A.shape[1] != params.f.size:
+        raise ValueError(f"synthesis QP rows over {A.shape[1]} variables are inconsistent "
+                         f"with an objective over {params.f.size}")
+    return A, b, h_goal, h_safe
 
 
 def assemble(sys: ControlAffineSystem, h_g: SetFunction,
              safes: Sequence[SetFunction], bounds: InputBounds,
              params: SynthesisParams, x: np.ndarray) -> qp.QpProblem:
     """Build the synthesis QP at state x, in input-scaled coordinates."""
-    A, b, _, _ = qp_rows(sys, h_g, safes, bounds, params.gains, x,
-                         params.delta2_freeze_level)
-    return _problem(params, A, b, x)
+    A, b, _, _ = _checked_rows(sys, h_g, safes, bounds, params, x)
+    return qp.QpProblem(H=params.H, F=params.F, A=A, b=b)
 
 
 def synthesize(sys: ControlAffineSystem, h_g: SetFunction,
@@ -137,15 +147,13 @@ def synthesize(sys: ControlAffineSystem, h_g: SetFunction,
     ``qp.FEAS_TOL`` in scaled units; a smaller overshoot (round-off) is
     clipped and reported.
     """
-    A, b, h_goal, h_safe = qp_rows(sys, h_g, safes, bounds, params.gains, x,
-                                   params.delta2_freeze_level)
-    problem = _problem(params, A, b, x)
-    m = bounds.m
-    solution = qp.solve_qp(problem, warm_start=warm_start)
-    if solution.status is not qp.SolveStatus.OPTIMAL:
-        raise SolverFailure(f"synthesis QP {solution.status.value} at x={np.asarray(x)}")
+    A, b, h_goal, h_safe = _checked_rows(sys, h_g, safes, bounds, params, x)
+    status, z, lam, objective, iterations = qp._solve(A, b, params.L_inv, params.f,
+                                                      warm_start)
+    if status is not qp.SolveStatus.OPTIMAL:
+        raise SolverFailure(f"synthesis QP {status.value} at x={np.asarray(x)}")
 
-    z = solution.z_star
+    m = bounds.m
     scale = bounds.scale()
     u = z[:m] * scale
     u_box = u.clip(bounds.lower, bounds.upper)
@@ -153,15 +161,17 @@ def synthesize(sys: ControlAffineSystem, h_g: SetFunction,
     if overshoot > qp.FEAS_TOL:
         raise SolverFailure(f"synthesis QP input leaves its box by {overshoot:.3g} "
                             f"(scaled) at x={np.asarray(x)}")
+    # the decision is judged at the z it reports, from one slack
+    active_set, strict_cs = qp._slack_verdicts(A, b, z, lam)
     return ControlDecision(
         u=u_box,
         delta1=float(z[m]),
         delta2=float(z[m + 1]),
-        active_set=solution.active_set,
-        strict_cs=qp.check_strict_complementarity(problem, solution),
-        objective=solution.objective,
+        active_set=active_set,
+        strict_cs=strict_cs,
+        objective=objective,
         z_star=z,
-        iterations=solution.iterations,
+        iterations=iterations,
         box_overshoot=overshoot,
         h_goal=h_goal,
         h_safe=h_safe,

@@ -42,7 +42,6 @@ __all__ = [
     "solve_qp",
     "brute_force_solve",
     "kkt_residual",
-    "check_strict_complementarity",
 ]
 
 # A row is reported active where its slack is at most FEAS_TOL * (1 + |b_i|);
@@ -167,12 +166,13 @@ class KktResidual:
     comp_slack: float
 
 
-def _active_by_value(problem: QpProblem, z: np.ndarray) -> tuple[int, ...]:
-    if problem.m_c == 0:
-        return ()
-    r = problem.b - problem.A @ z
-    tol = FEAS_TOL * (1.0 + np.abs(problem.b))
-    return tuple((r <= tol).nonzero()[0].tolist())
+def _slack_verdicts(A: np.ndarray, b: np.ndarray, z: np.ndarray,
+                    lam: np.ndarray) -> tuple[tuple[int, ...], bool]:
+    """The rows active by value at z, and whether every row has a multiplier
+    or a slack above _STRICT_CS_TOL, both from the one slack b - Az."""
+    slack = b - A @ z
+    active = tuple((slack <= FEAS_TOL * (1.0 + np.abs(b))).nonzero()[0].tolist())
+    return active, bool(((lam > _STRICT_CS_TOL) | (slack > _STRICT_CS_TOL)).all())
 
 
 def _thin_qr(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -277,14 +277,32 @@ def solve_qp(problem: QpProblem, warm_start: Sequence[int] | None = None) -> QpS
     added, and the negated coefficients of that row in the working set on
     the working set), or ITERATION_LIMIT (a guard against cycling on
     round-off).  ``iterations`` counts the working-set changes the method
-    makes after the hot start's trim.
+    makes after the hot start's trim.  The active set is the rows active by
+    value at the returned z (none unless OPTIMAL).
     """
-    n, m = problem.n_z, problem.m_c
-    row_scale = np.maximum(np.abs(problem.A).max(axis=1, initial=0.0), 1e-30)
-    b = problem.b / row_scale
     L_inv = problem.L_inv
-    C = (problem.A / row_scale[:, None]) @ L_inv.T
-    f = L_inv @ problem.F
+    status, z, lam, objective, iterations = _solve(problem.A, problem.b, L_inv,
+                                                   L_inv @ problem.F, warm_start)
+    active = (_slack_verdicts(problem.A, problem.b, z, lam)[0]
+              if status is SolveStatus.OPTIMAL else ())
+    return QpSolution(z_star=z, lambda_star=lam, active_set=active, objective=objective,
+                      status=status, iterations=iterations)
+
+
+def _solve(A: np.ndarray, b: np.ndarray, L_inv: np.ndarray, f: np.ndarray,
+           warm_start: Sequence[int] | None):
+    """The body of :func:`solve_qp` over the rows A z <= b, the objective's
+    inverse factor L^-1 (H = LL') and f = L^-1 F: finite data of matching
+    sizes, as :class:`QpProblem` checks it.
+
+    Returns (status, z, multipliers or Farkas certificate, objective,
+    iterations), with no judgement of the optimum: callers take the active
+    set and strict complementarity from the slack at z.
+    """
+    n, m = f.size, A.shape[0]
+    row_scale = np.maximum(np.abs(A).max(axis=1, initial=0.0), 1e-30)
+    b = b / row_scale
+    C = (A / row_scale[:, None]) @ L_inv.T
     norms = np.sqrt(np.einsum("ij,ij->i", C, C))
     viol_tol = _VIOL_TOL * (1.0 + np.abs(b))
 
@@ -308,9 +326,8 @@ def solve_qp(problem: QpProblem, warm_start: Sequence[int] | None = None) -> QpS
             # working-set rows whose multipliers reach zero on the way
             iterations += 1
             if iterations > max_iter:
-                return QpSolution(z_star=L_inv.T @ y, lambda_star=np.zeros(m), active_set=(),
-                                  objective=math.nan, status=SolveStatus.ITERATION_LIMIT,
-                                  iterations=iterations)
+                return (SolveStatus.ITERATION_LIMIT, L_inv.T @ y, np.zeros(m), math.nan,
+                        iterations)
             v = Q.T @ c
             w = c - Q @ v
             v_re = Q.T @ w     # one re-orthogonalization keeps w accurate
@@ -330,9 +347,8 @@ def solve_qp(problem: QpProblem, warm_start: Sequence[int] | None = None) -> QpS
                 cert = np.zeros(m)
                 cert[p] = 1.0
                 cert[work] = np.maximum(-r, 0.0)
-                return QpSolution(z_star=L_inv.T @ y, lambda_star=cert / row_scale, active_set=(),
-                                  objective=math.nan, status=SolveStatus.INFEASIBLE,
-                                  iterations=iterations)
+                return (SolveStatus.INFEASIBLE, L_inv.T @ y, cert / row_scale, math.nan,
+                        iterations)
             if not dependent:
                 t_full = float(c @ y - b[p]) / w2
                 if t_full <= t:
@@ -357,17 +373,11 @@ def solve_qp(problem: QpProblem, warm_start: Sequence[int] | None = None) -> QpS
 
     if iterations and work:
         lam, y = _equality_solve(Q, R, f, b[work])
-    z = L_inv.T @ y
     lam_full = np.zeros(m)
     lam_full[work] = np.maximum(lam, 0.0) / row_scale[work]
-    return QpSolution(
-        z_star=z,
-        lambda_star=lam_full,
-        active_set=_active_by_value(problem, z),
-        objective=float(0.5 * (y @ y) + f @ y),     # = problem.objective(z), y = L'z
-        status=SolveStatus.OPTIMAL,
-        iterations=iterations,
-    )
+    # the objective is 0.5 z'Hz + F'z at z = L^-T y
+    return (SolveStatus.OPTIMAL, L_inv.T @ y, lam_full, float(0.5 * (y @ y) + f @ y),
+            iterations)
 
 
 def brute_force_solve(problem: QpProblem) -> QpSolution:
@@ -438,7 +448,7 @@ def brute_force_solve(problem: QpProblem) -> QpSolution:
     return QpSolution(
         z_star=z,
         lambda_star=lam_full,
-        active_set=_active_by_value(problem, z),
+        active_set=_slack_verdicts(problem.A, problem.b, z, lam_full)[0],
         objective=obj,
         status=SolveStatus.OPTIMAL,
     )
@@ -472,8 +482,4 @@ def check_strict_complementarity(problem: QpProblem, solution: QpSolution) -> bo
     """
     if solution.status is not SolveStatus.OPTIMAL:
         raise ValueError("strict complementarity is defined for optimal solutions only")
-    if problem.m_c == 0:
-        return True
-    slack = problem.b - problem.A @ solution.z_star
-    ok = (solution.lambda_star > _STRICT_CS_TOL) | (slack > _STRICT_CS_TOL)
-    return bool(ok.all())
+    return _slack_verdicts(problem.A, problem.b, solution.z_star, solution.lambda_star)[1]

@@ -537,6 +537,8 @@ def _apply_overrides(cfg, overrides: dict):
     typed = {}
     for k, v in overrides.items():
         if isinstance(getattr(cfg, k), tuple):
+            if not isinstance(v, (list, tuple)):
+                raise ValueError(f"{k} takes a list of numbers, got {v!r}")
             typed[k] = tuple(_number(k, p) for p in v)
         else:
             typed[k] = _number(k, v)
@@ -551,3 +553,5 @@ def _number(name: str, v) -> float:
         return float(v)
     except OverflowError as exc:
         raise ValueError(f"{name} is beyond float range") from exc
+    except TypeError:
+        raise ValueError(f"{name} takes a number, got {v!r}") from None

@@ -92,6 +92,31 @@ class TestRun:
                        "--out", str(tmp_path)) == 2
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("scenario, setting", [
+        ("two-robot", "x0_agent1=3"), ("two-robot", 'x0_agent1="ab"'),
+        ("acc", "v_f0=[1,2]"), ("acc", "v_f0=null")])
+    def test_wrong_shape_or_type_is_config_error(self, tmp_path, capsys, scenario, setting):
+        # a number for a list, or a list or null for a number, is refused
+        # where the config is typed, as a ValueError naming the field
+        assert run_cli("--scenario", scenario, "--set", setting,
+                       "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and setting.partition("=")[0] in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags", [("--scenario", "synthetic:int1d"),
+                                       ("--scenario", "acc", "--sweep", "horizon=0.1")])
+    def test_type_error_inside_a_run_surfaces(self, tmp_path, monkeypatch, flags):
+        # a fault in the program is not a configuration error: it is raised
+        from fxtqp.scenarios import Scenario
+
+        def faulty(self):
+            raise TypeError("bug inside the run")
+
+        monkeypatch.setattr(Scenario, "simulate", faulty)
+        with pytest.raises(TypeError, match="bug inside the run"):
+            run_cli(*flags, "--out", str(tmp_path))
+
     @pytest.mark.parametrize("setting, what", [
         ("v_f0=1e150", "overflows the reach row's power terms"),
         ("v_f0=1e200", "overflows the speed error itself")])

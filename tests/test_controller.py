@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -360,17 +359,17 @@ class TestSynthesize:
 
     @staticmethod
     def pushed_solver(monkeypatch, excess):
-        """Make qp.solve_qp return its answer with the input moved past the
-        upper bound by ``excess`` (scaled)."""
-        solve = qp.solve_qp
+        """Make the solver body that synthesize calls return its answer with
+        the input moved past the upper bound by ``excess`` (scaled)."""
+        solve = qp._solve
 
-        def pushed(problem, warm_start=None):
-            sol = solve(problem, warm_start=warm_start)
-            z = sol.z_star.copy()
+        def pushed(*args):
+            status, z, lam, objective, iterations = solve(*args)
+            z = z.copy()
             z[0] = 1.0 + excess
-            return dataclasses.replace(sol, z_star=z)
+            return status, z, lam, objective, iterations
 
-        monkeypatch.setattr(qp, "solve_qp", pushed)
+        monkeypatch.setattr(qp, "_solve", pushed)
 
     def test_box_overshoot_beyond_tolerance_fails(self, monkeypatch):
         sys, goal, safes, bounds, params = acc_pieces()
@@ -386,14 +385,13 @@ class TestSynthesize:
         assert dec.box_overshoot == pytest.approx(1e-12, rel=1e-3)
 
     def test_iteration_limit_is_a_solver_failure(self, monkeypatch):
-        # solve_qp's guard against cycling is reported, never read as a decision
-        solve = qp.solve_qp
+        # the solver's guard against cycling is reported, never read as a decision
+        solve = qp._solve
 
-        def limited(problem, warm_start=None):
-            return dataclasses.replace(solve(problem, warm_start=warm_start),
-                                       status=qp.SolveStatus.ITERATION_LIMIT)
+        def limited(*args):
+            return (qp.SolveStatus.ITERATION_LIMIT, *solve(*args)[1:])
 
-        monkeypatch.setattr(qp, "solve_qp", limited)
+        monkeypatch.setattr(qp, "_solve", limited)
         sys, goal, safes, bounds, params = acc_pieces()
         with pytest.raises(SolverFailure, match="iteration_limit"):
             synthesize(sys, goal, safes, bounds, params, np.array([20.0, 10.0, 150.0]))
@@ -507,6 +505,46 @@ def test_solver_matches_oracle_along_trajectory(build):
         if strict:
             assert np.max(np.abs(cold.z_star - oracle.z_star)) <= 1e-7, k
         guess = cold.active_set
+
+
+class _Enough(Exception):
+    pass
+
+
+@pytest.mark.parametrize("build, steps", [
+    (lambda: acc_scenario(AccConfig(v_f0=27.0, horizon=5.0)), None),
+    (lambda: acc_scenario(AccConfig(v_f0=27.0, d_delta=100.0, horizon=5.0)), None),
+    (two_robot_scenario, 800)], ids=["acc", "acc-d100", "tour-prefix"])
+def test_step_decision_is_solve_qp_bit_for_bit(monkeypatch, build, steps):
+    # the step solves from the params' factor and judges once; the public
+    # entry on the assembled problem, from the same working-set guess, must
+    # give the same z, active set, iterations and strict-CS verdict
+    import fxtqp.simulation as simulation
+    decided = []
+
+    def recorded(*args, warm_start=None):
+        if len(decided) == steps:
+            raise _Enough
+        decision = synthesize(*args, warm_start=warm_start)
+        decided.append((args[:5], args[5].copy(), warm_start, decision))
+        return decision
+
+    monkeypatch.setattr(simulation, "synthesize", recorded)
+    sc = build()
+    if steps is None:
+        assert sc.simulate().outcome.ok
+    else:
+        with pytest.raises(_Enough):
+            sc.simulate()
+    assert decided and decided[0][2] is None
+    for k, (pieces, x, guess, decision) in enumerate(decided):
+        problem = assemble(*pieces, x)
+        solution = qp.solve_qp(problem, warm_start=guess)
+        assert np.array_equal(solution.z_star, decision.z_star), k
+        assert solution.active_set == decision.active_set, k
+        assert solution.iterations == decision.iterations, k
+        assert solution.objective == decision.objective, k
+        assert qp.check_strict_complementarity(problem, solution) == decision.strict_cs, k
 
 
 def test_oracle_solves_the_goal_boundary_state_with_a_tiny_coefficient():
