@@ -13,14 +13,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import re
 import sys
 from pathlib import Path
 
 from fxtqp.fxts import FxtsGains, settling_time_bound, simulate_scalar_v
 from fxtqp.simulation import OutcomeKind, monitor, trace_to_csv
-from fxtqp.scenarios import scenario_from_id
+from fxtqp.scenarios import _finite, scenario_from_id
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -63,7 +62,7 @@ def _split_values(raw: str) -> list[str]:
 
 
 def _out_dir(args) -> Path:
-    root = args.out or os.environ.get("FXTQP_OUT") or "fxtqp-out"
+    root = args.out or "fxtqp-out"
     path = Path(root)
     try:
         path.mkdir(parents=True, exist_ok=True)
@@ -145,7 +144,7 @@ def cmd_sweep(args) -> int:
                          "min_separation", "max_delta1", "exit_code"])
         for value, s in zip(values, summaries):
             reach = s["reach_times"][-1] if s["reach_times"] else None
-            max_h = max(s["max_h_per_branch"].values()) if s["max_h_per_branch"] else None
+            max_h = max(s["max_h_per_safe_set"].values()) if s["max_h_per_safe_set"] else None
             max_u = max(s["max_abs_u"]) if s["max_abs_u"] else None
             # str() keeps None as "None"; a list value is one quoted field
             writer.writerow([str(v) for v in [
@@ -154,11 +153,6 @@ def cmd_sweep(args) -> int:
     for value, s in zip(values, summaries):
         print(f"{axis}={value}: {s['outcome']['kind']} (exit {s['exit_code']})")
     return max((s["exit_code"] for s in summaries), default=EXIT_OK)
-
-
-def _finite(v) -> bool:
-    # NaN, the infinities and integers beyond float range all fail the bound
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _load_bounds_grid(path) -> dict:
@@ -233,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a scenario config field (repeatable)")
     parser.add_argument("--out", default=None,
-                        help="output directory (default $FXTQP_OUT or ./fxtqp-out)")
+                        help="output directory (default ./fxtqp-out)")
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--sweep", default=None, metavar="KEY=V1,V2,...",
                       help="run once per value of a config field")

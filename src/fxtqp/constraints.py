@@ -35,13 +35,14 @@ class ControlAffineSystem:
     """Dynamics x' = f(x) + g(x) u, with an optional additive disturbance.
 
     f and the disturbance return float arrays of shape (n,), g one of shape
-    (n, m), used as returned; all three must be re-entrant.  The disturbance
-    is applied by the plant simulator only; controllers deliberately never
-    see it (model mismatch is the point of the robustness studies).
+    (n, m), used as returned; all three must be re-entrant.  The input size
+    m is the one of the :class:`InputBounds` the system is run with.  The
+    disturbance is applied by the plant simulator only; controllers
+    deliberately never see it (model mismatch is the point of the
+    robustness studies).
     """
 
     n: int
-    m: int
     f: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
     disturbance: Callable[[np.ndarray], np.ndarray] | None = None

@@ -81,7 +81,7 @@ class SynthesisParams:
         H = np.diag(np.concatenate([self.w_u, [self.w1, self.w2]]))
         F = np.zeros(m + 2)
         F[m] = self.q1
-        L_inv = qp._factor(m + 2, H.tobytes())
+        L_inv = qp._factor(H)
         f = L_inv @ F
         for name, arr in (("H", H), ("F", F), ("L_inv", L_inv), ("f", f)):
             arr.setflags(write=False)

@@ -24,7 +24,6 @@ start and refactor after each drop, and every solve with R or R' is ``dtrtrs``.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -57,7 +56,7 @@ _SYM_TOL = 1e-10
 # _DEP_TOL times its length.
 _VIOL_TOL = 1e-11
 _DEP_TOL = 1e-10
-# check_strict_complementarity's floor on a positive multiplier or slack
+# _slack_verdicts' floor on a positive multiplier or slack
 _STRICT_CS_TOL = 1e-6
 # brute_force_solve's memory guard on the working sets it enumerates in all
 _ORACLE_MAX_SUBSETS = 200_000
@@ -69,14 +68,8 @@ class SolveStatus(Enum):
     ITERATION_LIMIT = "iteration_limit"
 
 
-@functools.lru_cache(maxsize=16)
-def _factor(n: int, data: bytes) -> np.ndarray:
-    """Validate H, given by its order and bytes, and return L^-1, H = LL'.
-
-    Cached per distinct H: a run's problems share one H, so it is factored
-    once, and a changed H is a different key (a failed check caches nothing).
-    """
-    H = np.frombuffer(data).reshape(n, n)
+def _factor(H: np.ndarray) -> np.ndarray:
+    """Validate H and return L^-1, H = LL', read-only."""
     if not np.isfinite(H).all():
         raise ValueError("QP data must be finite")
     if np.max(np.abs(H - H.T), initial=0.0) > _SYM_TOL:
@@ -95,9 +88,8 @@ class QpProblem:
     """Data of a strictly convex inequality-constrained QP.
 
     All data must be finite, H symmetric positive definite (validated by
-    Cholesky, H = LL', whose inverse factor is kept as ``L_inv``, read-only
-    and shared by every problem with the same H), and the constraint data
-    dimensionally consistent with it.
+    Cholesky, H = LL', whose inverse factor is kept as ``L_inv``, read-only),
+    and the constraint data dimensionally consistent with it.
     """
 
     H: np.ndarray
@@ -127,7 +119,7 @@ class QpProblem:
         # one pass over every entry (H is checked with its factor)
         if not np.isfinite(np.concatenate((F, A.ravel(), b))).all():
             raise ValueError("QP data must be finite")
-        object.__setattr__(self, "L_inv", _factor(n, H.tobytes()))
+        object.__setattr__(self, "L_inv", _factor(H))
 
     @property
     def n_z(self) -> int:
@@ -393,7 +385,7 @@ def brute_force_solve(problem: QpProblem) -> QpSolution:
     INFEASIBLE, with the unconstrained minimizer and a zero ``lambda_star``
     (no certificate).
 
-    It takes its own Cholesky factor H = LL', not the solver's cached one,
+    It takes its own Cholesky factor H = LL', not the problem's ``L_inv``,
     and works in y = L'z over the rows C = (A / row_scale) L^-T, f = L^-1 F.
     The subsets of one size are stacked and factored by one batched QR of
     C_W'; a subset with some |R_jj| <= _DEP_TOL |c_j| is dependent and
@@ -471,15 +463,3 @@ def kkt_residual(problem: QpProblem, solution: QpSolution) -> KktResidual:
         primal_violation=primal,
         comp_slack=comp,
     )
-
-
-def check_strict_complementarity(problem: QpProblem, solution: QpSolution) -> bool:
-    """True iff every constraint has a multiplier or a slack above 1e-6.
-
-    Degenerate constraints (both the multiplier and the slack at zero) break
-    the regularity needed for the solution map to be continuous, so callers
-    track this flag along trajectories.
-    """
-    if solution.status is not SolveStatus.OPTIMAL:
-        raise ValueError("strict complementarity is defined for optimal solutions only")
-    return _slack_verdicts(problem.A, problem.b, solution.z_star, solution.lambda_star)[1]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, replace
+from sys import float_info
 from typing import Callable
 
 import numpy as np
@@ -47,10 +48,18 @@ class Scenario:
         return run(self.sys, self.schedule, self.bounds, self.params, self.x0, self.dt)
 
 
+def _finite(v) -> bool:
+    """Whether v is a finite number: an int or float, not a bool, finite as
+    a float.  NaN, the infinities, integers beyond float range and strings
+    all fail."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= float_info.max
+
+
 def _require_finite(cfg) -> None:
     # NaN passes every comparison check below, and an infinite horizon or
     # gain makes a run that never ends or fails in the solver
-    bad = [k for k, v in vars(cfg).items() if isinstance(v, float) and not math.isfinite(v)]
+    bad = [k for k, v in vars(cfg).items()
+           if not all(map(_finite, v if isinstance(v, (tuple, list)) else (v,)))]
     if bad:
         raise ValueError(f"config numbers must be finite: {', '.join(bad)}")
 
@@ -148,7 +157,7 @@ def _acc_system(cfg: AccConfig) -> ControlAffineSystem:
         def disturbance(x):
             return np.array([cfg.d_delta / cfg.M * abs(x[0] - cfg.v_d), 0.0, 0.0])
 
-    return ControlAffineSystem(n=3, m=1, f=f, g=g, disturbance=disturbance)
+    return ControlAffineSystem(n=3, f=f, g=g, disturbance=disturbance)
 
 
 def acc_goal(cfg: AccConfig) -> SetFunction:
@@ -260,7 +269,7 @@ class TwoRobotConfig:
                           "hub_radius", "circle_radius", "ellipse_major", "ellipse_minor", "dt")
         for name in ("x0_agent1", "x0_agent2"):
             p = getattr(self, name)
-            if len(p) != 2 or not all(math.isfinite(v) for v in p):
+            if len(p) != 2:
                 raise ValueError(f"{name} must be two finite numbers, got {p}")
 
 
@@ -382,7 +391,7 @@ def two_robot_scenario(cfg: TwoRobotConfig | None = None,
     """
     cfg = cfg or TwoRobotConfig()
 
-    sys = ControlAffineSystem(n=4, m=4, f=_constant(np.zeros(4)), g=_constant(np.eye(4)))
+    sys = ControlAffineSystem(n=4, f=_constant(np.zeros(4)), g=_constant(np.eye(4)))
 
     sets = [waypoint_sets(cfg, agent) for agent in (0, 1)]
 
@@ -437,7 +446,7 @@ def two_robot_scenario(cfg: TwoRobotConfig | None = None,
 # ---------------------------------------------------------------------------
 
 def _integrator(n: int) -> ControlAffineSystem:
-    return ControlAffineSystem(n=n, m=n, f=_constant(np.zeros(n)), g=_constant(np.eye(n)))
+    return ControlAffineSystem(n=n, f=_constant(np.zeros(n)), g=_constant(np.eye(n)))
 
 
 def _disk(name: str, center, r2: float, outside: bool = False) -> SetFunction:
@@ -495,7 +504,7 @@ def synthetic_suite() -> list[Scenario]:
     keep_in = _disk("disk4", (0.0, 0.0), 4.0)
     fullact2d = Scenario(
         scenario_id="synthetic:fullact2d",
-        sys=ControlAffineSystem(n=2, m=2, f=f_nl, g=_constant(np.eye(2))),
+        sys=ControlAffineSystem(n=2, f=f_nl, g=_constant(np.eye(2))),
         schedule=Schedule(
             tracks=((Phase(goal=goal_nl, deadline=3.0),),),
             global_safes=(keep_in,),
@@ -546,12 +555,9 @@ def _apply_overrides(cfg, overrides: dict):
 
 
 def _number(name: str, v) -> float:
-    # float(True) is 1.0; a boolean given for a number is a typo, not a value
-    if isinstance(v, bool):
-        raise ValueError(f"{name} takes numbers, not booleans: {v!r}")
-    try:
+    # float() would parse a string and take True for 1.0
+    if _finite(v):
         return float(v)
-    except OverflowError as exc:
-        raise ValueError(f"{name} is beyond float range") from exc
-    except TypeError:
-        raise ValueError(f"{name} takes a number, got {v!r}") from None
+    if type(v) is int:
+        raise ValueError(f"{name} is beyond float range, not a finite number")
+    raise ValueError(f"{name} takes a finite number, got {v!r}")

@@ -57,7 +57,7 @@ class Outcome:
     kind: OutcomeKind
     phase: int | None = None
     t: float | None = None
-    branch: str | None = None
+    safe_set: str | None = None
     message: str = ""
 
     @property
@@ -309,7 +309,7 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
         if (hs_vals > _SAFE_TOL).any():
             j = int(np.argmax(hs_vals))
             outcome = Outcome(kind=OutcomeKind.SAFETY_VIOLATED, phase=min(idx), t=t,
-                              branch=safe_names[j],
+                              safe_set=safe_names[j],
                               message=f"h_s[{safe_names[j]}] = {hs_vals[j]:.6g}")
             break
 
@@ -388,7 +388,7 @@ def monitor(trace: Trace, d_min: float | None = None,
         "track_reach_times": [list(r) for r in trace.track_reach_times],
         "max_abs_u": None if empty else [float(v) for v in np.max(np.abs(trace.u), axis=0)],
         "chatter_steps": None if empty or bounds is None else _chatter_steps(trace.u, bounds),
-        "max_h_per_branch": max_h,
+        "max_h_per_safe_set": max_h,
         "min_separation": separation,
         "max_delta1": None if empty else float(np.max(trace.delta1)),
         "fixed_time_certificate": worst_case(trace.segments),

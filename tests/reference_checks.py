@@ -2,9 +2,10 @@
 
 They are evidence, not controller code: a textbook settling bound to
 compare the paper's tighter one with, central finite differences of a set
-function's value against its analytic gradient, and difference quotients
-of the QP solution map.  The tests fix every argument, so nothing here
-checks its inputs.
+function's value against its analytic gradient, a strict-complementarity
+verdict on a QP solution, and difference quotients of the QP solution map.
+The tests fix every argument, so nothing here checks its inputs beyond
+what a verdict needs.
 """
 
 from collections import namedtuple
@@ -12,8 +13,11 @@ from collections import namedtuple
 import numpy as np
 
 from fxtqp.controller import synthesize
+from fxtqp.qp import SolveStatus
 
 _FD_STEP = 1e-6
+# the floor on a positive multiplier or slack
+_STRICT_CS_FLOOR = 1e-6
 
 ProbeResult = namedtuple("ProbeResult", "max_quotient quotients nonstrict_count")
 
@@ -41,6 +45,19 @@ def finite_diff_gradient_check(s, xs):
         err = float(np.linalg.norm(grad - fd)) / max(1.0, float(np.linalg.norm(grad)))
         worst = max(worst, err)
     return worst
+
+
+def strictly_complementary(problem, solution):
+    """True iff every row of the problem has a multiplier or a slack above
+    1e-6 at the solution.
+
+    Degenerate rows (both the multiplier and the slack at zero) break the
+    regularity needed for the solution map to be continuous.
+    """
+    if solution.status is not SolveStatus.OPTIMAL:
+        raise ValueError("strict complementarity is defined for optimal solutions only")
+    slack = problem.b - problem.A @ solution.z_star
+    return bool(((solution.lambda_star > _STRICT_CS_FLOOR) | (slack > _STRICT_CS_FLOOR)).all())
 
 
 def continuity_probe(sys, h_g, safes, bounds, params, x, radius, n_samples):

@@ -190,7 +190,7 @@ def test_criterion_07_two_robot_reproduction():
     norm_ok = float(np.max(np.maximum(
         np.linalg.norm(trace.u[:, :2], axis=1),
         np.linalg.norm(trace.u[:, 2:], axis=1)))) <= 10.0
-    workspace_ok = all(v <= 1e-9 for name, v in stats["max_h_per_branch"].items()
+    workspace_ok = all(v <= 1e-9 for name, v in stats["max_h_per_safe_set"].items()
                        if name.startswith(("square", "hub")))
     ok = legs_ok and sep_ok and comp_ok and norm_ok and workspace_ok and elapsed < 60.0
     report(7, ok, f"all legs <= {worst_leg:.3f} s of their 1 s budgets, "

@@ -27,7 +27,7 @@ from reference_checks import finite_diff_gradient_check
 
 
 def integrator(n):
-    return ControlAffineSystem(n=n, m=n, f=lambda x: np.zeros(n),
+    return ControlAffineSystem(n=n, f=lambda x: np.zeros(n),
                                g=lambda x: np.eye(n))
 
 
@@ -43,15 +43,16 @@ def unit_box(m):
 
 def reach_row(sys, goal, x, gains=None):
     """The reach-rate row over z = (v, delta1, delta2) and its right side."""
-    A, b, _, _ = qp_rows(sys, goal, (), unit_box(sys.m), gains or alpha_from_deadline(2.0, 2.0), x)
-    return A[2 * sys.m], b[2 * sys.m]
+    m = sys.g(x).shape[1]
+    A, b, _, _ = qp_rows(sys, goal, (), unit_box(m), gains or alpha_from_deadline(2.0, 2.0), x)
+    return A[2 * m], b[2 * m]
 
 
 def safety_rows(sys, safe, x):
     """The invariance row of one safe set and its right side."""
-    goal = ball()
-    A, b, _, _ = qp_rows(sys, goal, (safe,), unit_box(sys.m), alpha_from_deadline(2.0, 2.0), x)
-    return A[2 * sys.m + 1:], b[2 * sys.m + 1:]
+    m = sys.g(x).shape[1]
+    A, b, _, _ = qp_rows(sys, ball(), (safe,), unit_box(m), alpha_from_deadline(2.0, 2.0), x)
+    return A[2 * m + 1:], b[2 * m + 1:]
 
 
 ACC_STATE = np.array([20.0, 10.0, 150.0])

@@ -81,7 +81,6 @@ BENCHMARK_NAMES = [
     ("qp", "QpProblem.objective"),
     ("qp", "brute_force_solve"),
     ("qp", "kkt_residual"),
-    ("qp", "check_strict_complementarity"),
     ("qp", "SolveStatus"),
     ("qp", "FEAS_TOL"),
     ("cli", "main"),

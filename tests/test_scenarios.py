@@ -17,6 +17,7 @@ from fxtqp.scenarios import (
     two_robot_scenario,
     waypoint_sets,
 )
+from reference_checks import strictly_complementary
 
 
 class TestAccConfig:
@@ -51,6 +52,13 @@ class TestAccConfig:
         # NaN passes every comparison check; an infinite horizon never ends
         with pytest.raises(ValueError, match=field):
             config(**{field: value})
+
+    @pytest.mark.parametrize("start", [(math.nan, 1.5), (1.5, -math.inf), (1.5, True),
+                                       (1.5, "1.5")])
+    def test_start_entries_must_be_finite_numbers(self, start):
+        # built in Python, not through --set: the config's own check decides
+        with pytest.raises(ValueError, match="finite: x0_agent1$"):
+            TwoRobotConfig(x0_agent1=start)
 
     @pytest.mark.parametrize("config, field, value", [
         (AccConfig, "M", 0.0), (AccConfig, "tau_d", -1.8), (AccConfig, "reach_band", -1.0),
@@ -233,8 +241,8 @@ class TestTwoRobotRun:
             oracle = qp.brute_force_solve(problem)
             assert oracle.status is qp.SolveStatus.OPTIMAL, k
             assert abs(solved.objective - oracle.objective) <= 1e-8 * max(1.0, abs(oracle.objective)), k
-            strict = qp.check_strict_complementarity(problem, oracle)
-            assert qp.check_strict_complementarity(problem, solved) == strict, k
+            strict = strictly_complementary(problem, oracle)
+            assert strictly_complementary(problem, solved) == strict, k
             if strict:
                 assert np.max(np.abs(solved.z_star - oracle.z_star)) <= 1e-7, k
 
@@ -259,7 +267,7 @@ class TestTwoRobotRun:
 
     def test_workspace_respected(self, trace):
         stats = monitor(trace, d_min=0.1)
-        for name, value in stats["max_h_per_branch"].items():
+        for name, value in stats["max_h_per_safe_set"].items():
             assert value <= 1e-9, name
 
     def test_one_column_per_wall(self, trace, tmp_path):
@@ -267,7 +275,7 @@ class TestTwoRobotRun:
         trace_to_csv(trace, tmp_path / "trace.csv")
         header = (tmp_path / "trace.csv").read_text().splitlines()[0].split(",")
         assert sum(c.startswith("hs_") for c in header) == 13
-        keys = list(monitor(trace, d_min=0.1)["max_h_per_branch"])
+        keys = list(monitor(trace, d_min=0.1)["max_h_per_safe_set"])
         walls = [k for k in keys if k.startswith("square_")]
         assert len(walls) == 8 and keys[:8] == walls
         # the workspace check of the acceptance suite matches every wall and hub
@@ -324,7 +332,7 @@ class TestSyntheticSuite:
         sc = next(s for s in synthetic_suite() if s.scenario_id == "synthetic:fullact2d")
         safe = sc.schedule.global_safes[0]
         rng = np.random.default_rng(5)
-        integ2 = ControlAffineSystem(n=2, m=2, f=lambda x: np.zeros(2),
+        integ2 = ControlAffineSystem(n=2, f=lambda x: np.zeros(2),
                                      g=lambda x: np.eye(2))
         unit = InputBounds(lower=-np.ones(2), upper=np.ones(2))
         for _ in range(50):

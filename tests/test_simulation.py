@@ -25,7 +25,7 @@ from fxtqp.scenarios import AccConfig, _acc_system, acc_scenario
 
 
 def integrator(n):
-    return ControlAffineSystem(n=n, m=n, f=lambda x: np.zeros(n),
+    return ControlAffineSystem(n=n, f=lambda x: np.zeros(n),
                                g=lambda x: np.eye(n))
 
 
@@ -67,20 +67,20 @@ class TestStepEuler:
         assert x[1] == 10.0
 
     def test_zero_dynamics_is_identity(self):
-        frozen = ControlAffineSystem(n=2, m=1, f=lambda x: np.zeros(2),
+        frozen = ControlAffineSystem(n=2, f=lambda x: np.zeros(2),
                                      g=lambda x: np.zeros((2, 1)))
         x0 = np.array([0.3, -0.7])
         assert np.array_equal(step_euler(frozen, x0, np.array([5.0]), 0.1), x0)
 
     def test_nonfinite_raises(self):
-        bad = ControlAffineSystem(n=1, m=1, f=lambda x: np.array([np.inf]),
+        bad = ControlAffineSystem(n=1, f=lambda x: np.array([np.inf]),
                                   g=lambda x: np.ones((1, 1)))
         with pytest.raises(NonFiniteState):
             step_euler(bad, np.zeros(1), np.zeros(1), 0.1)
 
     def test_column_drift_is_refused(self):
         # an (n, 1) drift plus an (n,) input term would broadcast to (n, n)
-        column = ControlAffineSystem(n=2, m=2, f=lambda x: np.zeros((2, 1)),
+        column = ControlAffineSystem(n=2, f=lambda x: np.zeros((2, 1)),
                                      g=lambda x: np.eye(2))
         with pytest.raises(ValueError, match="shape"):
             step_euler(column, np.zeros(2), np.ones(2), 0.1)
@@ -113,7 +113,7 @@ class TestRun:
     def test_overflowing_step_is_a_solver_failure(self):
         # a finite state whose Euler step overflows ends the run at that
         # step, and numpy does not warn of the overflow
-        sys = ControlAffineSystem(n=2, m=1, f=lambda x: np.array([1e308, 0.0]),
+        sys = ControlAffineSystem(n=2, f=lambda x: np.array([1e308, 0.0]),
                                   g=lambda x: np.array([[0.0], [1.0]]))
         goal = SetFunction("x1", lambda x: (float(x[1] ** 2 - 0.01), np.array([0.0, 2.0 * x[1]])))
         sched = Schedule(tracks=((Phase(goal=goal, deadline=5.0),),))
@@ -239,7 +239,7 @@ class TestSchedule:
 
     def test_safe_sets_with_one_column_name_are_refused(self):
         # two global sets named "wall" would write two hs_wall columns, and
-        # max_h_per_branch would keep only the second one's maximum
+        # max_h_per_safe_set would keep only the second one's maximum
         goal = (Phase(goal=goal_ball(0.1), deadline=1.0),)
         walls = (half_line("wall", 4.0, upper=True), half_line("wall", 0.6, upper=True))
         with pytest.raises(ValueError, match="wall"):
@@ -288,7 +288,7 @@ class TestSafetyMonitor:
     def test_set_violated_at_leg_switch_is_flagged(self):
         # the first leg ends at x = 0.9, where the second leg's extra set
         # x <= 0.4 is violated by 0.5: the run ends at the switch step
-        line = ControlAffineSystem(n=1, m=1, f=lambda x: np.zeros(1),
+        line = ControlAffineSystem(n=1, f=lambda x: np.zeros(1),
                                    g=lambda x: np.eye(1))
         out = Phase(goal=half_line("x_ge_0.9", 0.9, upper=False),
                     deadline=2.0,
@@ -299,7 +299,7 @@ class TestSafetyMonitor:
                     InputBounds(lower=np.array([-2.0]), upper=np.array([2.0])),
                     SynthesisParams(T_ud=2.0, mu=2.0, w_u=np.ones(1)), np.array([0.0]), 1e-3)
         assert trace.outcome.kind is OutcomeKind.SAFETY_VIOLATED
-        assert trace.outcome.branch == "phase_extra_0"
+        assert trace.outcome.safe_set == "phase_extra_0"
         assert trace.outcome.phase == 1
         assert trace.outcome.t == trace.reach_times[0]
         assert trace.h_safe[-1, 0] == pytest.approx(0.5, abs=1e-3)
@@ -315,7 +315,7 @@ class TestSafetyMonitor:
         goal = SetFunction(name="x1_at_5",
                            fn=lambda x: (float((x[1] - 5.0) ** 2 - 0.01),
                                          np.array([0.0, 2.0 * (x[1] - 5.0)])))
-        pushed = ControlAffineSystem(n=2, m=2, f=lambda x: np.zeros(2),
+        pushed = ControlAffineSystem(n=2, f=lambda x: np.zeros(2),
                                      g=lambda x: np.eye(2),
                                      disturbance=lambda x: np.array([5.0, 0.0]))
         trace = run(pushed, Schedule(tracks=((Phase(goal=goal, deadline=10.0),),),
@@ -323,7 +323,7 @@ class TestSafetyMonitor:
                     InputBounds(lower=-np.ones(2), upper=np.ones(2)),
                     SynthesisParams(T_ud=10.0, mu=2.0, w_u=np.ones(2)), np.array([0.0, 1.0]), 1e-3)
         assert trace.outcome.kind is OutcomeKind.SAFETY_VIOLATED
-        assert trace.outcome.branch == "separation"
+        assert trace.outcome.safe_set == "separation"
         # the run ends at the first step closer than 0.1 (up to round-off)
         distance = np.abs(trace.x[:, 0] - trace.x[:, 1])
         assert distance[-1] < 0.1 and np.all(distance[:-1] >= 0.1 - 1e-12)
@@ -337,7 +337,7 @@ class TestMonitor:
         trace = run(sys, sched, bounds, params, np.array([0.01, 0.0]), 1e-3)
         stats = monitor(trace)
         assert stats["max_abs_u"] is None
-        assert stats["max_h_per_branch"] is None
+        assert stats["max_h_per_safe_set"] is None
 
     def test_summary_fields(self):
         sys, sched, bounds, params = simple_setup()
@@ -451,7 +451,7 @@ class TestCsvRoundTrip:
         back = trace_from_csv(path)
         s1 = monitor(trace, d_min=sc.d_min)
         s2 = monitor(back, d_min=sc.d_min)
-        assert s1["max_h_per_branch"] == s2["max_h_per_branch"]
+        assert s1["max_h_per_safe_set"] == s2["max_h_per_safe_set"]
         assert s1["max_abs_u"] == s2["max_abs_u"]
         assert s1["min_separation"] == s2["min_separation"]
         assert s1["max_delta1"] == s2["max_delta1"]
