@@ -61,14 +61,17 @@ def _split_values(raw: str) -> list[str]:
     return [v for v in re.split(r",(?![^\[]*\])", raw) if v]
 
 
-def _out_dir(args) -> Path:
-    root = args.out or "fxtqp-out"
-    path = Path(root)
+def _made_dir(path, what: str) -> Path:
+    """``path`` as a directory, made with its parents if need be."""
     try:
-        path.mkdir(parents=True, exist_ok=True)
+        Path(path).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ValueError(f"cannot use {root!r} as output directory: {exc}") from exc
-    return path
+        raise ValueError(f"cannot use {str(path)!r} as {what}: {exc}") from exc
+    return Path(path)
+
+
+def _out_dir(args) -> Path:
+    return _made_dir(args.out or "fxtqp-out", "output directory")
 
 
 def _outcome_exit_code(outcome) -> int:
@@ -80,11 +83,7 @@ def _outcome_exit_code(outcome) -> int:
 
 
 def _single_run(scenario, out_dir: Path, tag: str):
-    run_dir = out_dir / tag
-    try:
-        run_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ValueError(f"cannot use {str(run_dir)!r} as run directory: {exc}") from exc
+    run_dir = _made_dir(out_dir / tag, "run directory")
     trace = scenario.simulate()
     summary = {"scenario": scenario.scenario_id,
                **monitor(trace, d_min=scenario.d_min, bounds=scenario.bounds),
@@ -96,47 +95,35 @@ def _single_run(scenario, out_dir: Path, tag: str):
 
 
 def cmd_run(args) -> int:
-    try:
-        scenario = scenario_from_id(args.scenario, _parse_overrides(args.set))
-        summary = _single_run(scenario, _out_dir(args), tag=args.scenario.replace(":", "_"))
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    scenario = scenario_from_id(args.scenario, _parse_overrides(args.set))
+    summary = _single_run(scenario, _out_dir(args), tag=args.scenario.replace(":", "_"))
     print(json.dumps(summary, indent=2))
     return summary["exit_code"]
 
 
 def cmd_sweep(args) -> int:
-    try:
-        overrides = _parse_overrides(args.set)
-        axis, eq, raw = args.sweep.partition("=")
-        if not eq:
-            raise ValueError(f"--sweep expects key=v1,v2,..., got {args.sweep!r}")
-        values = [_parse_value(v) for v in _split_values(raw)]
-        if axis in overrides:
-            raise ValueError(f"{axis!r} is both swept and given in --set; give one")
-        # each run writes to the directory named by its tag
-        tags = [f"{axis}={value}" for value in values]
-        repeated = sorted({tag for tag in tags if tags.count(tag) > 1})
-        if repeated:
-            raise ValueError(f"sweep values repeat a run directory: {', '.join(repeated)}")
-        # every value's configuration is checked before any run starts
-        scenarios = [scenario_from_id(args.scenario, {**overrides, axis: value})
-                     for value in values]
-        out_dir = _out_dir(args)
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    overrides = _parse_overrides(args.set)
+    axis, eq, raw = args.sweep.partition("=")
+    if not eq:
+        raise ValueError(f"--sweep expects key=v1,v2,..., got {args.sweep!r}")
+    values = [_parse_value(v) for v in _split_values(raw)]
+    if axis in overrides:
+        raise ValueError(f"{axis!r} is both swept and given in --set; give one")
+    # each run writes to the directory named by its tag
+    tags = [f"{axis}={value}" for value in values]
+    repeated = sorted({tag for tag in tags if tags.count(tag) > 1})
+    if repeated:
+        raise ValueError(f"sweep values repeat a run directory: {', '.join(repeated)}")
+    # every value's configuration is checked before any run starts
+    scenarios = [scenario_from_id(args.scenario, {**overrides, axis: value})
+                 for value in values]
+    out_dir = _out_dir(args)
     if not values:
         print("empty sweep value list; nothing to do")
         return EXIT_OK
 
-    try:
-        summaries = [_single_run(scenario, out_dir, tag)
-                     for scenario, tag in zip(scenarios, tags)]
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    summaries = [_single_run(scenario, out_dir, tag)
+                 for scenario, tag in zip(scenarios, tags)]
 
     with open(out_dir / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -159,8 +146,11 @@ def _load_bounds_grid(path) -> dict:
     """The default grid updated from a JSON file, checked before any run."""
     grid = dict(DEFAULT_BOUNDS_GRID)
     if path:
-        with open(path) as fh:
-            given = json.load(fh)
+        try:
+            with open(path) as fh:
+                given = json.load(fh)
+        except OSError as exc:
+            raise ValueError(exc) from exc
         if not isinstance(given, dict) or not set(given) <= set(grid):
             raise ValueError(f"grid JSON must be an object with keys from {sorted(grid)}")
         grid.update(given)
@@ -177,12 +167,8 @@ def _load_bounds_grid(path) -> dict:
 
 
 def cmd_verify_bounds(args) -> int:
-    try:
-        grid = _load_bounds_grid(args.grid_json)
-        out_dir = _out_dir(args)
-    except (OSError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    grid = _load_bounds_grid(args.grid_json)
+    out_dir = _out_dir(args)
     rows = []
     failures = 0
     for alpha in grid["alpha"]:
@@ -198,9 +184,8 @@ def cmd_verify_bounds(args) -> int:
                         try:
                             res = simulate_scalar_v(gains, delta1, v0, grid["dt"])
                         except ValueError as exc:
-                            print(f"configuration error: grid point alpha={alpha}, mu={mu}, "
-                                  f"delta1={delta1}, V0={v0}: {exc}", file=sys.stderr)
-                            return EXIT_CONFIG
+                            raise ValueError(f"grid point alpha={alpha}, mu={mu}, "
+                                             f"delta1={delta1}, V0={v0}: {exc}") from exc
                         hit = res.hit_time
                         ok = hit is not None and hit <= bound.T + 1e-6
                         failures += int(not ok)
@@ -238,31 +223,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flag_error(args) -> str | None:
-    """Why the given flags do not go together, or None."""
+def _check_flags(args) -> None:
+    """Raise ValueError if the given flags do not go together."""
     if args.verify_bounds:
         given = [f"--{f}" for f in ("scenario", "set") if getattr(args, f) is not None]
         if given:
-            return f"--verify-bounds takes no {', '.join(given)}"
+            raise ValueError(f"--verify-bounds takes no {', '.join(given)}")
     elif args.grid_json is not None:
-        return "--grid-json needs --verify-bounds"
-    return None
+        raise ValueError("--grid-json needs --verify-bounds")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    error = _flag_error(args)
-    if error:
-        print(f"configuration error: {error}", file=sys.stderr)
+    # every configuration error, found before or during a run, exits here
+    try:
+        _check_flags(args)
+        if args.verify_bounds:
+            return cmd_verify_bounds(args)
+        if args.scenario is None:
+            args.scenario = "acc"
+        if args.sweep:
+            return cmd_sweep(args)
+        return cmd_run(args)
+    except ValueError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.verify_bounds:
-        return cmd_verify_bounds(args)
-    if args.scenario is None:
-        args.scenario = "acc"
-    if args.sweep:
-        return cmd_sweep(args)
-    return cmd_run(args)
-
 
 if __name__ == "__main__":
     sys.exit(main())

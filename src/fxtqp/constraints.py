@@ -35,14 +35,13 @@ class ControlAffineSystem:
     """Dynamics x' = f(x) + g(x) u, with an optional additive disturbance.
 
     f and the disturbance return float arrays of shape (n,), g one of shape
-    (n, m), used as returned; all three must be re-entrant.  The input size
-    m is the one of the :class:`InputBounds` the system is run with.  The
-    disturbance is applied by the plant simulator only; controllers
-    deliberately never see it (model mismatch is the point of the
-    robustness studies).
+    (n, m), used as returned; all three must be re-entrant.  The state size
+    n is the size of the state the system is run from, and the input size m
+    the one of the :class:`InputBounds` it is run with.  The disturbance is
+    applied by the plant simulator only; controllers deliberately never see
+    it (model mismatch is the point of the robustness studies).
     """
 
-    n: int
     f: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
     disturbance: Callable[[np.ndarray], np.ndarray] | None = None
@@ -174,7 +173,7 @@ def qp_rows(sys: ControlAffineSystem, h_g: SetFunction, safes: Sequence[SetFunct
 
     # the invariance rows from one gradient matrix: row j of G is grad h_s_j
     h_safe = np.empty(len(safes))
-    G = np.empty((len(safes), sys.n))
+    G = np.empty((len(safes), len(x)))
     for j, s in enumerate(safes):
         h_safe[j], G[j] = s.value_and_gradient(x)
     A[k:, :m] = G @ gx

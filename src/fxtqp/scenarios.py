@@ -112,7 +112,6 @@ class AccConfig:
     reach_band: float = 0.5      # |v_f - v_d| counted as arrived, m/s
     horizon: float = 20.0        # total simulated time, s
     dt: float = 1e-2
-    w_u: float = 1.0             # weight on the scaled input
     w1: float = 0.01             # weight on delta1^2
     w2: float = 10.0             # weight on delta2^2; the braking-distance term
                                  # already starts braking early, so it stays cheap
@@ -157,7 +156,7 @@ def _acc_system(cfg: AccConfig) -> ControlAffineSystem:
         def disturbance(x):
             return np.array([cfg.d_delta / cfg.M * abs(x[0] - cfg.v_d), 0.0, 0.0])
 
-    return ControlAffineSystem(n=3, f=f, g=g, disturbance=disturbance)
+    return ControlAffineSystem(f=f, g=g, disturbance=disturbance)
 
 
 def acc_goal(cfg: AccConfig) -> SetFunction:
@@ -207,7 +206,7 @@ def acc_scenario(cfg: AccConfig | None = None) -> Scenario:
     disturbed = cfg.d_delta > 0
     params = SynthesisParams(
         T_ud=cfg.T_ud, mu=cfg.mu,
-        w_u=[cfg.w_u], w1=cfg.w1,
+        w_u=np.ones(1), w1=cfg.w1,
         w2=cfg.w2_disturbed if disturbed else cfg.w2,
         q1=cfg.q1_disturbed if disturbed else cfg.q1,
         delta2_freeze_level=ACC_FREEZE_LEVEL if disturbed else None,
@@ -257,7 +256,6 @@ class TwoRobotConfig:
     x0_agent1: tuple[float, float] = (-1.5, 1.5)
     x0_agent2: tuple[float, float] = (1.5, -1.5)
     dt: float = 1e-3
-    w_u: float = 1.0
     w1: float = 1.0
     w2: float = 10.0     # shared invariance slack; kept cheap so the thin
                          # corridors between walls do not throttle the tour
@@ -391,7 +389,7 @@ def two_robot_scenario(cfg: TwoRobotConfig | None = None,
     """
     cfg = cfg or TwoRobotConfig()
 
-    sys = ControlAffineSystem(n=4, f=_constant(np.zeros(4)), g=_constant(np.eye(4)))
+    sys = ControlAffineSystem(f=_constant(np.zeros(4)), g=_constant(np.eye(4)))
 
     sets = [waypoint_sets(cfg, agent) for agent in (0, 1)]
 
@@ -427,7 +425,7 @@ def two_robot_scenario(cfg: TwoRobotConfig | None = None,
     ub = cfg.component_bound
     params = SynthesisParams(
         T_ud=cfg.phase_budget, mu=cfg.mu,
-        w_u=[cfg.w_u] * 4, w1=cfg.w1, w2=cfg.w2, q1=cfg.q1,
+        w_u=np.ones(4), w1=cfg.w1, w2=cfg.w2, q1=cfg.q1,
     )
     return Scenario(
         scenario_id="two-robot",
@@ -446,7 +444,7 @@ def two_robot_scenario(cfg: TwoRobotConfig | None = None,
 # ---------------------------------------------------------------------------
 
 def _integrator(n: int) -> ControlAffineSystem:
-    return ControlAffineSystem(n=n, f=_constant(np.zeros(n)), g=_constant(np.eye(n)))
+    return ControlAffineSystem(f=_constant(np.zeros(n)), g=_constant(np.eye(n)))
 
 
 def _disk(name: str, center, r2: float, outside: bool = False) -> SetFunction:
@@ -504,7 +502,7 @@ def synthetic_suite() -> list[Scenario]:
     keep_in = _disk("disk4", (0.0, 0.0), 4.0)
     fullact2d = Scenario(
         scenario_id="synthetic:fullact2d",
-        sys=ControlAffineSystem(n=2, f=f_nl, g=_constant(np.eye(2))),
+        sys=ControlAffineSystem(f=f_nl, g=_constant(np.eye(2))),
         schedule=Schedule(
             tracks=((Phase(goal=goal_nl, deadline=3.0),),),
             global_safes=(keep_in,),

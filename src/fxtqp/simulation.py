@@ -83,6 +83,9 @@ class Phase:
     def __post_init__(self):
         if not self.deadline > 0:
             raise ValueError("phase deadline must be positive")
+        # a goal never reached would otherwise never end the run
+        if not math.isfinite(self.deadline):
+            raise ValueError("phase deadline must be finite")
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,8 @@ class Schedule:
     One track is a plain phase sequence; multi-agent tours use one per
     agent, because synchronized arrivals would park the agents head-on.
     ``horizon``, when set, keeps running under the last phases' sets after
-    every phase is met; None stops at the last reach.
+    every phase is met; None stops at the last reach, and a non-finite
+    horizon, which would never stop, is refused.
     """
 
     tracks: tuple[tuple[Phase, ...], ...]
@@ -105,6 +109,8 @@ class Schedule:
     horizon: float | None = None
 
     def __post_init__(self):
+        if self.horizon is not None and not math.isfinite(self.horizon):
+            raise ValueError(f"schedule horizon must be finite or None, got {self.horizon}")
         if not self.tracks or any(not t for t in self.tracks):
             raise ValueError("every track needs at least one phase")
         for j, track in enumerate(self.tracks):
@@ -322,9 +328,9 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
         step += 1
         t = step * dt
 
-    width = len(_trace_header(sys.n, bounds.m, safe_names)) + 2
+    width = len(_trace_header(len(x), bounds.m, safe_names)) + 2
     steps = _step_fields(np.array(rows, dtype=float).reshape(-1, width),
-                         sys.n, bounds.m, safe_names)
+                         len(x), bounds.m, safe_names)
     t_rec, hg, d1 = steps["t"], steps["h_goal"], steps["delta1"]
     segments = tuple(
         certify_segment(params.gains, float(t_rec[a]), float(t_rec[b - 1]), float(hg[a]),

@@ -415,15 +415,20 @@ class TestVerifyBounds:
         out_of_domain = [r for r in rows[1:] if ",False," in r]
         assert len(out_of_domain) == 1 and out_of_domain[0].endswith("True")
 
-    # an empty axis verifies no point, which must not read as a pass
+    # an empty axis verifies no point, which must not read as a pass; None
+    # writes no grid file, and "alpha: [1]" is not JSON
     @pytest.mark.parametrize("grid", ['[1, 2]', '{"dt": 0}', '{"alpha": [-1.0]}',
                                       '{"alpha": 1.0}', '{"alpha": []}', '{"mu": []}',
-                                      '{"delta1": []}', '{"V0": []}'])
-    def test_malformed_grid_is_config_error(self, tmp_path, grid):
+                                      '{"delta1": []}', '{"V0": []}', None, 'alpha: [1]'])
+    def test_malformed_grid_is_config_error(self, tmp_path, capsys, grid):
         path = tmp_path / "grid.json"
-        path.write_text(grid)
+        if grid is not None:
+            path.write_text(grid)
         assert run_cli("--verify-bounds", "--grid-json", str(path),
                        "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.count("configuration error:") == 1 and len(err.splitlines()) == 1
+        assert "Traceback" not in err
         assert not (tmp_path / "bounds.csv").exists()
 
     def test_integer_beyond_float_range_is_config_error(self, tmp_path, capsys):

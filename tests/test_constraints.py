@@ -27,7 +27,7 @@ from reference_checks import finite_diff_gradient_check
 
 
 def integrator(n):
-    return ControlAffineSystem(n=n, f=lambda x: np.zeros(n),
+    return ControlAffineSystem(f=lambda x: np.zeros(n),
                                g=lambda x: np.eye(n))
 
 

@@ -20,7 +20,7 @@ from reference_checks import continuity_probe, strictly_complementary
 
 
 def integrator(n):
-    return ControlAffineSystem(n=n, f=lambda x: np.zeros(n),
+    return ControlAffineSystem(f=lambda x: np.zeros(n),
                                g=lambda x: np.eye(n))
 
 
@@ -39,7 +39,7 @@ def safe_ball(radius, name="safe"):
 def acc_pieces(cfg=None):
     cfg = cfg or AccConfig()
     sc_params = SynthesisParams(T_ud=cfg.T_ud, mu=cfg.mu,
-                                w_u=[cfg.w_u], w1=cfg.w1,
+                                w_u=np.ones(1), w1=cfg.w1,
                                 w2=cfg.w2, q1=cfg.q1)
     bounds = InputBounds(lower=np.array([-cfg.u_max]), upper=np.array([cfg.u_max]))
     return _acc_system(cfg), acc_goal(cfg), (acc_headway(cfg),), bounds, sc_params
@@ -119,7 +119,7 @@ def assembly_samples():
         phase = c.schedule.phases[0]
         for _ in range(15):
             out.append((c.scenario_id, c.sys, phase.goal, c.schedule.global_safes + phase.safe_extra,
-                        c.bounds, c.params, rng.uniform(-2.0, 2.0, size=c.sys.n)))
+                        c.bounds, c.params, rng.uniform(-2.0, 2.0, size=c.x0.size)))
     return out
 
 
@@ -167,7 +167,7 @@ class TestAssemble:
         cfg = AccConfig(d_delta=50.0)
         sys, goal, safes, bounds, _ = acc_pieces(cfg)
         params = SynthesisParams(
-            T_ud=cfg.T_ud, mu=cfg.mu, w_u=[cfg.w_u], w1=cfg.w1, w2=cfg.w2,
+            T_ud=cfg.T_ud, mu=cfg.mu, w_u=np.ones(1), w1=cfg.w1, w2=cfg.w2,
             q1=cfg.q1_disturbed, delta2_freeze_level=ACC_FREEZE_LEVEL)
         far = assemble(sys, goal, safes, bounds, params, np.array([20.0, 10.0, 150.0]))
         assert far.m_c == 4   # h_s = -91 is below the freeze level
@@ -229,7 +229,6 @@ def coupled_pieces():
     products bit for bit: g(x) is not the identity, f(x) is nonzero, and
     four safe sets (a workspace, two obstacles, a half-space) share G."""
     sys = ControlAffineSystem(
-        n=3,
         f=lambda x: np.array([np.sin(x[1]) - 0.3 * x[0], 0.4 * x[0] * x[2],
                               0.2 * x[0] ** 2 - 0.7 * x[2]]),
         g=lambda x: np.array([[1.0 + 0.1 * x[2] ** 2, 0.3 * np.cos(x[0])],

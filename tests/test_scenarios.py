@@ -332,7 +332,7 @@ class TestSyntheticSuite:
         sc = next(s for s in synthetic_suite() if s.scenario_id == "synthetic:fullact2d")
         safe = sc.schedule.global_safes[0]
         rng = np.random.default_rng(5)
-        integ2 = ControlAffineSystem(n=2, f=lambda x: np.zeros(2),
+        integ2 = ControlAffineSystem(f=lambda x: np.zeros(2),
                                      g=lambda x: np.eye(2))
         unit = InputBounds(lower=-np.ones(2), upper=np.ones(2))
         for _ in range(50):

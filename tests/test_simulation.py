@@ -25,7 +25,7 @@ from fxtqp.scenarios import AccConfig, _acc_system, acc_scenario
 
 
 def integrator(n):
-    return ControlAffineSystem(n=n, f=lambda x: np.zeros(n),
+    return ControlAffineSystem(f=lambda x: np.zeros(n),
                                g=lambda x: np.eye(n))
 
 
@@ -67,20 +67,20 @@ class TestStepEuler:
         assert x[1] == 10.0
 
     def test_zero_dynamics_is_identity(self):
-        frozen = ControlAffineSystem(n=2, f=lambda x: np.zeros(2),
+        frozen = ControlAffineSystem(f=lambda x: np.zeros(2),
                                      g=lambda x: np.zeros((2, 1)))
         x0 = np.array([0.3, -0.7])
         assert np.array_equal(step_euler(frozen, x0, np.array([5.0]), 0.1), x0)
 
     def test_nonfinite_raises(self):
-        bad = ControlAffineSystem(n=1, f=lambda x: np.array([np.inf]),
+        bad = ControlAffineSystem(f=lambda x: np.array([np.inf]),
                                   g=lambda x: np.ones((1, 1)))
         with pytest.raises(NonFiniteState):
             step_euler(bad, np.zeros(1), np.zeros(1), 0.1)
 
     def test_column_drift_is_refused(self):
         # an (n, 1) drift plus an (n,) input term would broadcast to (n, n)
-        column = ControlAffineSystem(n=2, f=lambda x: np.zeros((2, 1)),
+        column = ControlAffineSystem(f=lambda x: np.zeros((2, 1)),
                                      g=lambda x: np.eye(2))
         with pytest.raises(ValueError, match="shape"):
             step_euler(column, np.zeros(2), np.ones(2), 0.1)
@@ -113,7 +113,7 @@ class TestRun:
     def test_overflowing_step_is_a_solver_failure(self):
         # a finite state whose Euler step overflows ends the run at that
         # step, and numpy does not warn of the overflow
-        sys = ControlAffineSystem(n=2, f=lambda x: np.array([1e308, 0.0]),
+        sys = ControlAffineSystem(f=lambda x: np.array([1e308, 0.0]),
                                   g=lambda x: np.array([[0.0], [1.0]]))
         goal = SetFunction("x1", lambda x: (float(x[1] ** 2 - 0.01), np.array([0.0, 2.0 * x[1]])))
         sched = Schedule(tracks=((Phase(goal=goal, deadline=5.0),),))
@@ -218,6 +218,19 @@ class TestSchedule:
         with pytest.raises(ValueError, match="deadline must be positive"):
             Phase(goal=goal_ball(0.1), deadline=deadline)
 
+    def test_phase_deadline_must_be_finite(self):
+        # a goal that is never reached would run forever
+        with pytest.raises(ValueError, match="phase deadline must be finite"):
+            Phase(goal=goal_ball(0.1), deadline=math.inf)
+
+    @pytest.mark.parametrize("horizon", [math.inf, -math.inf, math.nan])
+    def test_schedule_horizon_must_be_finite(self, horizon):
+        # an infinite or NaN horizon is never reached: a met schedule would run forever
+        phase = Phase(goal=goal_ball(0.1), deadline=1.0)
+        with pytest.raises(ValueError, match="horizon must be finite or None"):
+            Schedule(tracks=((phase,),), horizon=horizon)
+        assert Schedule(tracks=((phase,),), horizon=None).horizon is None
+
     def test_phases_is_the_only_track(self):
         sys, sched, bounds, params = simple_setup()
         assert sched.phases is sched.tracks[0]
@@ -288,7 +301,7 @@ class TestSafetyMonitor:
     def test_set_violated_at_leg_switch_is_flagged(self):
         # the first leg ends at x = 0.9, where the second leg's extra set
         # x <= 0.4 is violated by 0.5: the run ends at the switch step
-        line = ControlAffineSystem(n=1, f=lambda x: np.zeros(1),
+        line = ControlAffineSystem(f=lambda x: np.zeros(1),
                                    g=lambda x: np.eye(1))
         out = Phase(goal=half_line("x_ge_0.9", 0.9, upper=False),
                     deadline=2.0,
@@ -315,7 +328,7 @@ class TestSafetyMonitor:
         goal = SetFunction(name="x1_at_5",
                            fn=lambda x: (float((x[1] - 5.0) ** 2 - 0.01),
                                          np.array([0.0, 2.0 * (x[1] - 5.0)])))
-        pushed = ControlAffineSystem(n=2, f=lambda x: np.zeros(2),
+        pushed = ControlAffineSystem(f=lambda x: np.zeros(2),
                                      g=lambda x: np.eye(2),
                                      disturbance=lambda x: np.array([5.0, 0.0]))
         trace = run(pushed, Schedule(tracks=((Phase(goal=goal, deadline=10.0),),),
