@@ -3,9 +3,10 @@
 A set is always the zero-sublevel set {x : h(x) <= 0} of a scalar function
 with an analytic gradient, and one call returns both, so each row's value
 and gradient come from one evaluation.  Its role is where it is passed: as
-the goal of :func:`qp_rows` it gets the reach-rate row, as a safe set an
-invariance row.  A set bounded by several smooth functions is passed as
-several safe sets, one row each, so no row differentiates a nonsmooth max.
+the goal of :func:`qp_rows`, by that pair, it gets the reach-rate row, as a
+safe set an invariance row.  A set bounded by several smooth functions is
+passed as several safe sets, one row each, so no row differentiates a
+nonsmooth max.
 
 Rows are expressed over the decision vector z = (v_s, delta1, delta2), where
 the physical input is v = scale * v_s with the per-component bound magnitude
@@ -125,14 +126,16 @@ def _clamped_power_sum(h: float, gains: FxtsGains) -> float:
         return math.inf
 
 
-def qp_rows(sys: ControlAffineSystem, h_g: SetFunction, safes: Sequence[SetFunction],
-            bounds: InputBounds, gains: FxtsGains, x: np.ndarray,
-            freeze_level: float | None = None
-            ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+def qp_rows(fx: np.ndarray, gx: np.ndarray, goal: tuple[float, np.ndarray],
+            safes: Sequence[SetFunction], bounds: InputBounds, gains: FxtsGains,
+            x: np.ndarray, freeze_level: float | None = None
+            ) -> tuple[np.ndarray, np.ndarray]:
     """Every constraint row of the synthesis QP at x, in one pass.
 
-    Rows are over z = (v_s, delta1, delta2), with the input v = scale * v_s
-    (``InputBounds.scale``), in this order:
+    ``fx`` and ``gx`` are the system's f(x) and g(x), and ``goal`` the goal
+    set's (value, gradient) pair at x.  Rows are over z = (v_s, delta1,
+    delta2), with the input v = scale * v_s (``InputBounds.scale``), in this
+    order:
 
     - the input box, per input i the pair v_i <= upper_i, -v_i <= -lower_i;
     - the reach-rate row
@@ -148,24 +151,22 @@ def qp_rows(sys: ControlAffineSystem, h_g: SetFunction, safes: Sequence[SetFunct
     (diagonal, no linear delta2 term) puts it at 0.  The row count is the
     same frozen or not.
 
-    f(x) and g(x) are evaluated once, each set function once (one call
-    gives its value and gradient).
-    Returns (A, b, h_goal, h_safe): the rows and the set values they used,
-    h_safe with one value per safe set.
+    Each safe set is called once (one call gives its value and gradient).
+    Returns (rows, h_safe): the rows as one array [A | b], A = rows[:, :-1]
+    and b = rows[:, -1], and the safe-set values they used, one per set.
     """
-    fx = sys.f(x)
-    gx = sys.g(x)
     box_A, box_b = bounds.box_rows
     m = bounds.m
     k = box_b.size
     n_rows = k + 1 + len(safes)
-    A = np.zeros((n_rows, m + 2))
-    b = np.zeros(n_rows)
+    rows = np.zeros((n_rows, m + 3))
+    A = rows[:, :-1]
+    b = rows[:, -1]
     A[:k] = box_A
     b[:k] = box_b
 
     # input columns hold the Lie derivatives Lg·h until scaled at the end
-    h_goal, grad = h_g.value_and_gradient(x)
+    h_goal, grad = goal
     A[k, :m] = grad @ gx
     A[k, m] = -h_goal
     b[k] = -float(grad @ fx) - _clamped_power_sum(h_goal, gains)
@@ -182,5 +183,4 @@ def qp_rows(sys: ControlAffineSystem, h_g: SetFunction, safes: Sequence[SetFunct
     A[box_b.size:, :m] *= bounds.scale()
     if freeze_level is not None and h_safe.size and h_safe.max() > freeze_level:
         A[:, m + 1] = 0.0
-    return A, b, h_goal, h_safe
-
+    return rows, h_safe

@@ -88,76 +88,92 @@ class SynthesisParams:
             object.__setattr__(self, name, arr)
 
 
-@dataclass(frozen=True)
+@dataclass
 class ControlDecision:
-    """Solved control input plus the slack, solver and regularity diagnostics."""
+    """Solved control input, the model rate it gives, and the slack, solver
+    and regularity diagnostics."""
 
     u: np.ndarray
     delta1: float
     delta2: float
     active_set: tuple[int, ...]
     strict_cs: bool
-    objective: float
     z_star: np.ndarray      # solution in solver (input-scaled) coordinates
     iterations: int         # working-set changes of the QP solve
     box_overshoot: float    # scaled distance the solved input left its box, >= 0
     h_goal: float           # goal-set value at the state
     h_safe: np.ndarray      # safe-set values at the state, one per safe set
+    rate: np.ndarray        # f(x) + g(x) u from the rows' f(x), g(x); no disturbance
 
 
-def _checked_rows(sys: ControlAffineSystem, h_g: SetFunction,
+def _checked_rows(sys: ControlAffineSystem, h_g: SetFunction | tuple[float, np.ndarray],
                   safes: Sequence[SetFunction], bounds: InputBounds,
                   params: SynthesisParams, x: np.ndarray):
-    """qp_rows at x, refused unless they fit params' objective and are finite.
+    """f(x), g(x) and the qp_rows built from them at x, refused unless the
+    rows fit params' objective and are finite.
 
-    Rows that overflow or turn NaN (a state or set far outside its model)
-    fail the run like an unsolvable QP; finite rows that do not fit are a
-    ValueError.
+    ``h_g`` is the goal set or its (value, gradient) pair at x.  Rows that
+    overflow or turn NaN (a state or set far outside its model) fail the
+    run like an unsolvable QP; finite rows that do not fit are a ValueError.
+    Returns (fx, gx, A, b, h_goal, h_safe), A and b views of one array.
     """
-    A, b, h_goal, h_safe = qp_rows(sys, h_g, safes, bounds, params.gains, x,
-                                   params.delta2_freeze_level)
-    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+    fx = sys.f(x)
+    gx = sys.g(x)
+    goal = h_g.value_and_gradient(x) if isinstance(h_g, SetFunction) else h_g
+    rows, h_safe = qp_rows(fx, gx, goal, safes, bounds, params.gains, x,
+                           params.delta2_freeze_level)
+    if not np.isfinite(rows).all():
         raise SolverFailure(f"synthesis QP rows are not finite at x={np.asarray(x)}")
-    if A.shape[1] != params.f.size:
-        raise ValueError(f"synthesis QP rows over {A.shape[1]} variables are inconsistent "
-                         f"with an objective over {params.f.size}")
-    return A, b, h_goal, h_safe
+    if rows.shape[1] - 1 != params.f.size:
+        raise ValueError(f"synthesis QP rows over {rows.shape[1] - 1} variables are "
+                         f"inconsistent with an objective over {params.f.size}")
+    return fx, gx, rows[:, :-1], rows[:, -1], goal[0], h_safe
 
 
-def assemble(sys: ControlAffineSystem, h_g: SetFunction,
+def assemble(sys: ControlAffineSystem, h_g: SetFunction | tuple[float, np.ndarray],
              safes: Sequence[SetFunction], bounds: InputBounds,
              params: SynthesisParams, x: np.ndarray) -> qp.QpProblem:
-    """Build the synthesis QP at state x, in input-scaled coordinates."""
-    A, b, _, _ = _checked_rows(sys, h_g, safes, bounds, params, x)
+    """Build the synthesis QP at state x, in input-scaled coordinates.
+
+    ``h_g`` is the goal set, or its (value, gradient) pair at x.
+    """
+    _, _, A, b, _, _ = _checked_rows(sys, h_g, safes, bounds, params, x)
     return qp.QpProblem(H=params.H, F=params.F, A=A, b=b)
 
 
-def synthesize(sys: ControlAffineSystem, h_g: SetFunction,
+def synthesize(sys: ControlAffineSystem, h_g: SetFunction | tuple[float, np.ndarray],
                safes: Sequence[SetFunction], bounds: InputBounds,
                params: SynthesisParams, x: np.ndarray,
                warm_start: Sequence[int] | None = None) -> ControlDecision:
     """Solve the synthesis QP at x.
 
-    ``warm_start`` is a guess at the QP's working set as row indices, e.g.
-    the ``active_set`` of the decision at the previous state; it can only
-    speed the solve up, never change the answer.  Raises
-    :class:`SolverFailure` when the QP's rows are not finite, when the QP
-    reports anything but optimality (infeasibility, or the solver's
-    iteration guard), or when the solved input leaves its box by more than
+    ``h_g`` is the goal set, or its (value, gradient) pair at x when the
+    caller has evaluated it already.  f(x) and g(x) are evaluated once: the
+    rows and the decision's ``rate`` share them.  ``warm_start`` is a guess
+    at the QP's working set as row indices, e.g. the ``active_set`` of the
+    decision at the previous state; it can only speed the solve up, never
+    change the answer.  Raises :class:`SolverFailure` when the QP's rows
+    are not finite, when the QP reports anything but optimality
+    (infeasibility, or the solver's iteration guard), when its solution is
+    not finite, or when the solved input leaves its box by more than
     ``qp.FEAS_TOL`` in scaled units; a smaller overshoot (round-off) is
     clipped and reported.
     """
-    A, b, h_goal, h_safe = _checked_rows(sys, h_g, safes, bounds, params, x)
-    status, z, lam, objective, iterations = qp._solve(A, b, params.L_inv, params.f,
-                                                      warm_start)
+    fx, gx, A, b, h_goal, h_safe = _checked_rows(sys, h_g, safes, bounds, params, x)
+    status, y, lam, iterations = qp._solve(A, b, params.L_inv, params.f, warm_start)
     if status is not qp.SolveStatus.OPTIMAL:
         raise SolverFailure(f"synthesis QP {status.value} at x={np.asarray(x)}")
+    z = params.L_inv.T @ y
+    z_list = z.tolist()
+    if not all(map(math.isfinite, z_list)):
+        raise SolverFailure(f"synthesis QP solution {z} is not finite at x={np.asarray(x)}")
 
     m = bounds.m
     scale = bounds.scale()
     u = z[:m] * scale
     u_box = u.clip(bounds.lower, bounds.upper)
-    overshoot = float((abs(u - u_box) / scale).max())
+    # the solution is finite, so a plain max gives numpy's maximum
+    overshoot = max((abs(u - u_box) / scale).tolist())
     if overshoot > qp.FEAS_TOL:
         raise SolverFailure(f"synthesis QP input leaves its box by {overshoot:.3g} "
                             f"(scaled) at x={np.asarray(x)}")
@@ -165,15 +181,14 @@ def synthesize(sys: ControlAffineSystem, h_g: SetFunction,
     active_set, strict_cs = qp._slack_verdicts(A, b, z, lam)
     return ControlDecision(
         u=u_box,
-        delta1=float(z[m]),
-        delta2=float(z[m + 1]),
+        delta1=z_list[m],
+        delta2=z_list[m + 1],
         active_set=active_set,
         strict_cs=strict_cs,
-        objective=objective,
         z_star=z,
         iterations=iterations,
         box_overshoot=overshoot,
         h_goal=h_goal,
         h_safe=h_safe,
+        rate=fx + gx @ u_box,
     )
-

@@ -273,10 +273,14 @@ def solve_qp(problem: QpProblem, warm_start: Sequence[int] | None = None) -> QpS
     value at the returned z (none unless OPTIMAL).
     """
     L_inv = problem.L_inv
-    status, z, lam, objective, iterations = _solve(problem.A, problem.b, L_inv,
-                                                   L_inv @ problem.F, warm_start)
-    active = (_slack_verdicts(problem.A, problem.b, z, lam)[0]
-              if status is SolveStatus.OPTIMAL else ())
+    f = L_inv @ problem.F
+    status, y, lam, iterations = _solve(problem.A, problem.b, L_inv, f, warm_start)
+    z = L_inv.T @ y
+    active, objective = (), math.nan
+    if status is SolveStatus.OPTIMAL:
+        active = _slack_verdicts(problem.A, problem.b, z, lam)[0]
+        # the objective is 0.5 z'Hz + F'z at z = L^-T y
+        objective = float(0.5 * (y @ y) + f @ y)
     return QpSolution(z_star=z, lambda_star=lam, active_set=active, objective=objective,
                       status=status, iterations=iterations)
 
@@ -287,15 +291,15 @@ def _solve(A: np.ndarray, b: np.ndarray, L_inv: np.ndarray, f: np.ndarray,
     inverse factor L^-1 (H = LL') and f = L^-1 F: finite data of matching
     sizes, as :class:`QpProblem` checks it.
 
-    Returns (status, z, multipliers or Farkas certificate, objective,
-    iterations), with no judgement of the optimum: callers take the active
-    set and strict complementarity from the slack at z.
+    Returns (status, y, multipliers or Farkas certificate, iterations),
+    with no judgement of the optimum: callers form z = L^-T y and take the
+    active set and strict complementarity from the slack at z.
     """
     n, m = f.size, A.shape[0]
     row_scale = np.maximum(np.abs(A).max(axis=1, initial=0.0), 1e-30)
     b = b / row_scale
     C = (A / row_scale[:, None]) @ L_inv.T
-    norms = np.sqrt(np.einsum("ij,ij->i", C, C))
+    norms = np.sqrt((C * C).sum(axis=1))
     viol_tol = _VIOL_TOL * (1.0 + np.abs(b))
 
     start = _hot_start(C, f, b, norms, warm_start)
@@ -318,8 +322,7 @@ def _solve(A: np.ndarray, b: np.ndarray, L_inv: np.ndarray, f: np.ndarray,
             # working-set rows whose multipliers reach zero on the way
             iterations += 1
             if iterations > max_iter:
-                return (SolveStatus.ITERATION_LIMIT, L_inv.T @ y, np.zeros(m), math.nan,
-                        iterations)
+                return SolveStatus.ITERATION_LIMIT, y, np.zeros(m), iterations
             v = Q.T @ c
             w = c - Q @ v
             v_re = Q.T @ w     # one re-orthogonalization keeps w accurate
@@ -339,8 +342,7 @@ def _solve(A: np.ndarray, b: np.ndarray, L_inv: np.ndarray, f: np.ndarray,
                 cert = np.zeros(m)
                 cert[p] = 1.0
                 cert[work] = np.maximum(-r, 0.0)
-                return (SolveStatus.INFEASIBLE, L_inv.T @ y, cert / row_scale, math.nan,
-                        iterations)
+                return SolveStatus.INFEASIBLE, y, cert / row_scale, iterations
             if not dependent:
                 t_full = float(c @ y - b[p]) / w2
                 if t_full <= t:
@@ -367,9 +369,7 @@ def _solve(A: np.ndarray, b: np.ndarray, L_inv: np.ndarray, f: np.ndarray,
         lam, y = _equality_solve(Q, R, f, b[work])
     lam_full = np.zeros(m)
     lam_full[work] = np.maximum(lam, 0.0) / row_scale[work]
-    # the objective is 0.5 z'Hz + F'z at z = L^-T y
-    return (SolveStatus.OPTIMAL, L_inv.T @ y, lam_full, float(0.5 * (y @ y) + f @ y),
-            iterations)
+    return SolveStatus.OPTIMAL, y, lam_full, iterations
 
 
 def brute_force_solve(problem: QpProblem) -> QpSolution:

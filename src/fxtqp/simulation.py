@@ -159,18 +159,18 @@ class Trace:
         return self.t.size
 
 
-def step_euler(sys: ControlAffineSystem, x: np.ndarray, u: np.ndarray,
+def step_euler(sys: ControlAffineSystem, x: np.ndarray, rate: np.ndarray,
                dt: float) -> np.ndarray:
-    """One explicit Euler step of the plant, disturbance included."""
+    """One explicit Euler step of the plant from the model rate f(x) + g(x) u
+    at x (a decision's ``rate``), with the plant's disturbance added."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    rate = sys.f(x) + sys.g(x) @ u
     if sys.disturbance is not None:
         rate = rate + sys.disturbance(x)
     if rate.shape != x.shape:   # an (n, 1) drift would broadcast x to (n, n)
         raise ValueError(f"rate has shape {rate.shape}, the state {x.shape}")
     x_next = x + dt * rate
-    if not np.isfinite(x_next).all():
+    if not all(map(math.isfinite, x_next.tolist())):
         raise NonFiniteState(f"non-finite state after step from {x}")
     return x_next
 
@@ -197,11 +197,6 @@ def _joint_goal(goals: Sequence[SetFunction]) -> SetFunction:
     """
     return SetFunction("joint_goal", lambda x: _positive_part_sum(
         [g.value_and_gradient(x) for g in goals], len(x)))
-
-
-def _evaluated(pair: tuple[float, np.ndarray]) -> SetFunction:
-    """A goal already evaluated at the state the controller is called at."""
-    return SetFunction("goal", lambda x: pair)
 
 
 def _safe_column_names(schedule) -> tuple[str, ...]:
@@ -280,8 +275,11 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
             safes = schedule.global_safes + tuple(
                 s for ph in current for s in ph.safe_extra)
             phase = min(min(idx), n_legs - 1)
-        miss = next((j for j in unmet
-                     if t - start[j] > current[j].deadline + _TIME_EPS), None)
+        miss = None
+        for j in unmet:
+            if t - start[j] > current[j].deadline + _TIME_EPS:
+                miss = j
+                break
         if miss is not None:
             outcome = Outcome(kind=OutcomeKind.DEADLINE_MISSED, phase=idx[miss], t=t,
                               message=f"track {miss} leg {idx[miss]} still unmet "
@@ -290,8 +288,7 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
 
         if not pairs:   # every phase met, running on to the horizon
             pairs = [g.value_and_gradient(x) for g in pending]
-        goal = _evaluated(pairs[0] if len(pairs) == 1
-                          else _positive_part_sum(pairs, len(x)))
+        goal = pairs[0] if len(pairs) == 1 else _positive_part_sum(pairs, len(x))
         try:
             decision = synthesize(sys, goal, safes, bounds, params, x,
                                   warm_start=warm)
@@ -301,9 +298,9 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
             break
         warm = decision.active_set
 
-        hs_vals = decision.h_safe
+        hs_vals = decision.h_safe.tolist()
         rows.append([t, *x.tolist(), *decision.u.tolist(), decision.h_goal,
-                     *hs_vals.tolist(), decision.delta1, decision.delta2,
+                     *hs_vals, decision.delta1, decision.delta2,
                      decision.strict_cs, len(decision.active_set),
                      phase, decision.iterations,
                      decision.box_overshoot])
@@ -312,7 +309,9 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
             seg_starts.append(len(rows) - 1)
         advanced = new_segment = False
 
-        if (hs_vals > _SAFE_TOL).any():
+        # no value is NaN (a NaN never freezes its row, and the rows are
+        # checked finite), so a plain max gives numpy's maximum
+        if hs_vals and max(hs_vals) > _SAFE_TOL:
             j = int(np.argmax(hs_vals))
             outcome = Outcome(kind=OutcomeKind.SAFETY_VIOLATED, phase=min(idx), t=t,
                               safe_set=safe_names[j],
@@ -320,7 +319,7 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
             break
 
         try:
-            x = step_euler(sys, x, decision.u, dt)
+            x = step_euler(sys, x, decision.rate, dt)
         except NonFiniteState as exc:
             outcome = Outcome(kind=OutcomeKind.SOLVER_FAILURE, phase=min(idx), t=t,
                               message=f"non-finite state: {exc}")

@@ -3,8 +3,9 @@
 They are evidence, not controller code: a textbook settling bound to
 compare the paper's tighter one with, central finite differences of a set
 function's value against its analytic gradient, a strict-complementarity
-verdict on a QP solution, and difference quotients of the QP solution map.
-The tests fix every argument, so nothing here checks its inputs beyond
+verdict on a QP solution, and difference quotients of the QP solution map;
+and ``rows_at``, the rows of :func:`fxtqp.constraints.qp_rows` from a system
+and a goal set rather than their values at the state.  The tests fix every argument, so nothing here checks its inputs beyond
 what a verdict needs.
 """
 
@@ -12,6 +13,7 @@ from collections import namedtuple
 
 import numpy as np
 
+from fxtqp.constraints import qp_rows
 from fxtqp.controller import synthesize
 from fxtqp.qp import SolveStatus
 
@@ -20,6 +22,14 @@ _FD_STEP = 1e-6
 _STRICT_CS_FLOOR = 1e-6
 
 ProbeResult = namedtuple("ProbeResult", "max_quotient quotients nonstrict_count")
+
+
+def rows_at(sys, h_g, safes, bounds, gains, x, freeze_level=None):
+    """(A, b, h_goal, h_safe) of qp_rows at x, from sys.f(x), sys.g(x) and
+    the goal set's (value, gradient) pair at x."""
+    goal = h_g.value_and_gradient(x)
+    rows, h_safe = qp_rows(sys.f(x), sys.g(x), goal, safes, bounds, gains, x, freeze_level)
+    return rows[:, :-1], rows[:, -1], goal[0], h_safe
 
 
 def settling_time_bound_basic(a, b, p, q):

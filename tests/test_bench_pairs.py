@@ -1,0 +1,74 @@
+"""The summary half of scripts/bench_pairs.py, on hand-built records.
+
+Running pairs runs the benchmark, so only ``summarize`` and ``report`` run
+here.
+"""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def side(step_us, setup_s):
+    return {"correct": True, "attempted": 18, "failed": 0,
+            "metrics": {"step_us": {"value": step_us, "unit": "us"},
+                        "setup_s": {"value": setup_s, "unit": "s"}}}
+
+
+def record(pairs):
+    return {"workload": "acc-mix", "seed": 0, "runs": [
+        {"pair": i, "parent": side(*p), "change": side(*c)}
+        for i, (p, c) in enumerate(pairs, start=1)]}
+
+
+BETTER = {"step_us": "lower", "setup_s": "lower", "absent": "lower"}
+
+
+def test_a_clear_gain_holds():
+    # step_us: the change wins all ten pairs by far more than the parent's
+    # IQR; setup_s: equal in every pair, so no win and no gain
+    pairs = [((100.0 + i, 0.5), (80.0 + i, 0.5)) for i in range(10)]
+    rows = {r["metric"]: r for r in load_script().summarize(record(pairs), BETTER)}
+    assert set(rows) == {"step_us", "setup_s"}     # a metric no run reports is left out
+    step = rows["step_us"]
+    assert step["parent"] == (102.25, 104.5, 106.75)
+    assert step["change"] == (82.25, 84.5, 86.75)
+    assert (step["wins"], step["pairs"], step["gain"]) == (10, 10, True)
+    assert (rows["setup_s"]["wins"], rows["setup_s"]["gain"]) == (0, False)
+
+
+def test_eight_wins_of_ten_are_not_a_gain():
+    pairs = [((100.0, 0.5), (80.0, 0.5))] * 8 + [((100.0, 0.5), (120.0, 0.5))] * 2
+    step = load_script().summarize(record(pairs), BETTER)[0]
+    assert (step["metric"], step["wins"], step["gain"]) == ("step_us", 8, False)
+
+
+def test_a_gap_within_the_parent_iqr_is_not_a_gain():
+    # every pair won, but the parent's own runs spread wider than the gap
+    pairs = [((p, 0.5), (p - 1.0, 0.5)) for p in (90.0, 95.0, 100.0, 105.0, 110.0)]
+    step = load_script().summarize(record(pairs), BETTER)[0]
+    assert step["wins"] == 5 and not step["gain"]
+
+
+def test_higher_is_better_counts_the_other_way():
+    pairs = [((1.0, 0.5), (2.0, 0.5))] * 10
+    step = load_script().summarize(record(pairs), {"step_us": "higher"})[0]
+    assert (step["wins"], step["gain"]) == (10, True)
+
+
+def test_report_names_each_metric_once():
+    pairs = [((100.0 + i, 0.5), (80.0 + i, 0.5)) for i in range(10)]
+    script = load_script()
+    lines = script.report(script.summarize(record(pairs), BETTER)).splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("step_us") and "wins 10 of 10; gain holds" in lines[0]
+    assert "(-19.1 %)" in lines[0]
+    assert lines[1].startswith("setup_s") and "gain not shown" in lines[1]

@@ -8,8 +8,8 @@ from fxtqp.constraints import (
     ControlAffineSystem,
     InputBounds,
     SetFunction,
-    qp_rows,
 )
+from fxtqp.controller import assemble
 from fxtqp.fxts import alpha_from_deadline
 from fxtqp.scenarios import (
     AccConfig,
@@ -22,8 +22,8 @@ from fxtqp.scenarios import (
     two_robot_scenario,
     waypoint_sets,
 )
-from fxtqp.simulation import _joint_goal, _positive_part_sum
-from reference_checks import finite_diff_gradient_check
+from fxtqp.simulation import OutcomeKind, _joint_goal, _positive_part_sum
+from reference_checks import finite_diff_gradient_check, rows_at
 
 
 def integrator(n):
@@ -44,14 +44,14 @@ def unit_box(m):
 def reach_row(sys, goal, x, gains=None):
     """The reach-rate row over z = (v, delta1, delta2) and its right side."""
     m = sys.g(x).shape[1]
-    A, b, _, _ = qp_rows(sys, goal, (), unit_box(m), gains or alpha_from_deadline(2.0, 2.0), x)
+    A, b, _, _ = rows_at(sys, goal, (), unit_box(m), gains or alpha_from_deadline(2.0, 2.0), x)
     return A[2 * m], b[2 * m]
 
 
 def safety_rows(sys, safe, x):
     """The invariance row of one safe set and its right side."""
     m = sys.g(x).shape[1]
-    A, b, _, _ = qp_rows(sys, ball(), (safe,), unit_box(m), alpha_from_deadline(2.0, 2.0), x)
+    A, b, _, _ = rows_at(sys, ball(), (safe,), unit_box(m), alpha_from_deadline(2.0, 2.0), x)
     return A[2 * m + 1:], b[2 * m + 1:]
 
 
@@ -127,7 +127,7 @@ class TestConvergenceRow:
         # a set's role is where it is passed: the same object gives the
         # reach-rate row and an invariance row with the same Lie derivative
         sys, s, x = integrator(2), ball(), np.array([0.6, -0.3])
-        A, b, h_goal, h_safe = qp_rows(sys, s, (s,), unit_box(2),
+        A, b, h_goal, h_safe = rows_at(sys, s, (s,), unit_box(2),
                                        alpha_from_deadline(2.0, 2.0), x)
         assert h_goal == h_safe[0] == s.value(x)
         assert np.array_equal(A[4, :2], A[5, :2])
@@ -157,7 +157,7 @@ class TestSafetyRow:
                          fn=lambda x: (float(x[0] - 1.0), np.array([1.0, 0.0])))
         goal = ball(0.5)
         x = np.array([0.2, 0.1])
-        A, _, h_goal, h_safe = qp_rows(integrator(2), goal, (b1, b2), unit_box(2),
+        A, _, h_goal, h_safe = rows_at(integrator(2), goal, (b1, b2), unit_box(2),
                                        alpha_from_deadline(2.0, 2.0), x)
         assert h_goal == goal.value(x)
         assert list(h_safe) == [b1.value(x), b2.value(x)]
@@ -170,10 +170,10 @@ class TestFreezePins:
         args = (_acc_system(cfg), acc_goal(cfg), (acc_headway(cfg),), unit_box(1),
                 alpha_from_deadline(10.0, 5.0))
         far, near = np.array([20.0, 10.0, 150.0]), np.array([20.0, 10.0, 40.0])
-        far_A, far_b, _, _ = qp_rows(*args, far, freeze_level=-20.0)
-        near_A, near_b, _, _ = qp_rows(*args, near, freeze_level=-20.0)
-        unset_far_A, unset_far_b, _, _ = qp_rows(*args, far)
-        unset_A, unset_b, _, _ = qp_rows(*args, near)
+        far_A, far_b, _, _ = rows_at(*args, far, freeze_level=-20.0)
+        near_A, near_b, _, _ = rows_at(*args, near, freeze_level=-20.0)
+        unset_far_A, unset_far_b, _, _ = rows_at(*args, far)
+        unset_A, unset_b, _, _ = rows_at(*args, near)
         # the same rows frozen or not; below the level nothing changes
         assert far_A.shape == near_A.shape == unset_A.shape == (4, 3)
         assert np.array_equal(far_A, unset_far_A) and np.array_equal(far_b, unset_far_b)
@@ -305,13 +305,38 @@ def counting(s, calls):
 
 class TestOneCallPerSet:
     def test_qp_rows_calls_each_set_once(self):
+        # qp_rows takes the goal's pair; assembling from the goal set calls
+        # it once, and qp_rows each safe set once
         sc = two_robot_scenario()
         calls = {}
         goal = counting(sc.schedule.tracks[0][0].goal, calls)
         safes = tuple(counting(s, calls) for s in sc.schedule.global_safes)
         for k, x in enumerate((sc.x0, sc.x0 + 0.1), start=1):
-            qp_rows(sc.sys, goal, safes, sc.bounds, sc.params.gains, x)
+            assemble(sc.sys, goal, safes, sc.bounds, sc.params, x)
             assert calls == {s.name: k for s in (goal, *safes)}
+
+    @pytest.mark.parametrize("build", [
+        acc_scenario,
+        lambda: acc_scenario(AccConfig(v_f0=27.0, d_delta=100.0)),
+        two_robot_scenario], ids=["acc", "acc-27-d100", "tour"])
+    def test_run_evaluates_the_model_once_per_step(self, build):
+        # the decision's f(x) and g(x) give the rows and the Euler step's
+        # rate; the plant adds the disturbance once per step
+        sc = build()
+        calls = {}
+
+        def counted(name, fn):
+            def wrapped(x):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(x)
+            return wrapped
+
+        model = {name: counted(name, getattr(sc.sys, name))
+                 for name in ("f", "g", "disturbance") if getattr(sc.sys, name) is not None}
+        sc = dataclasses.replace(sc, sys=dataclasses.replace(sc.sys, **model))
+        trace = sc.simulate()
+        assert trace.outcome.kind is not OutcomeKind.SOLVER_FAILURE and len(trace) > 0
+        assert calls == {name: len(trace) for name in model}
 
     def test_joint_goal_calls_each_goal_once(self):
         # the run builds the joint goal from pairs it has evaluated, and

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from fxtqp import qp
-from fxtqp.constraints import ControlAffineSystem, InputBounds, SetFunction, qp_rows
+from fxtqp.constraints import ControlAffineSystem, InputBounds, SetFunction
 from fxtqp.controller import (
     SolverFailure,
     SynthesisParams,
@@ -16,7 +16,7 @@ from fxtqp.fxts import RegimeKind, settling_time_bound
 from fxtqp.scenarios import (ACC_FREEZE_LEVEL, AccConfig, acc_goal, acc_headway, acc_scenario,
                              _acc_system, synthetic_suite, two_robot_scenario)
 from fxtqp.simulation import OutcomeKind, Phase, Schedule, _joint_goal, run
-from reference_checks import continuity_probe, strictly_complementary
+from reference_checks import continuity_probe, rows_at, strictly_complementary
 
 
 def integrator(n):
@@ -197,7 +197,7 @@ class TestAssemble:
             A, b = reference_rows(sys, goal, safes, bounds, params, x)
             assert p.A.shape == A.shape, label
             assert np.array_equal(p.A, A) and np.array_equal(p.b, b), (label, x)
-            _, _, h_goal, h_safe = qp_rows(sys, goal, safes, bounds, params.gains, x,
+            _, _, h_goal, h_safe = rows_at(sys, goal, safes, bounds, params.gains, x,
                                            params.delta2_freeze_level)
             assert h_goal == goal.value(x)
             assert list(h_safe) == [s.value(x) for s in safes]
@@ -260,7 +260,8 @@ class TestStackedRows:
             assert np.all(gap <= 1e-14 * np.max(np.abs(ref), axis=1)), x
             cold = synthesize(sys, goal, safes, bounds, params, x)
             hot = synthesize(sys, goal, safes, bounds, params, x, warm_start=warm)
-            assert abs(hot.objective - cold.objective) <= 1e-10 * max(1.0, abs(cold.objective))
+            hot_obj, cold_obj = p.objective(hot.z_star), p.objective(cold.z_star)
+            assert abs(hot_obj - cold_obj) <= 1e-10 * max(1.0, abs(cold_obj))
             assert hot.strict_cs == cold.strict_cs
             warm = hot.active_set
 
@@ -321,7 +322,8 @@ class TestSynthesize:
         assert min(equality_qp(problem, [2, 3])[1]) < 0
         for guess in (cold.active_set, (problem.m_c,), (-1, 2), (0, 2), (2, 3)):
             warm = synthesize(sys, goal, safes, bounds, params, x, warm_start=guess)
-            assert warm.objective == pytest.approx(cold.objective, abs=1e-10)
+            assert problem.objective(warm.z_star) == pytest.approx(
+                problem.objective(cold.z_star), abs=1e-10)
             assert np.allclose(warm.u, cold.u, atol=1e-8)
 
     def test_active_set_reproduces_solution(self):
@@ -362,11 +364,11 @@ class TestSynthesize:
         the input moved past the upper bound by ``excess`` (scaled)."""
         solve = qp._solve
 
-        def pushed(*args):
-            status, z, lam, objective, iterations = solve(*args)
-            z = z.copy()
+        def pushed(A, b, L_inv, f, warm_start):
+            status, y, lam, iterations = solve(A, b, L_inv, f, warm_start)
+            z = L_inv.T @ y
             z[0] = 1.0 + excess
-            return status, z, lam, objective, iterations
+            return status, np.linalg.solve(L_inv.T, z), lam, iterations
 
         monkeypatch.setattr(qp, "_solve", pushed)
 
@@ -397,6 +399,26 @@ class TestSynthesize:
         trace = acc_scenario(AccConfig(horizon=1.0)).simulate()
         assert trace.outcome.kind is OutcomeKind.SOLVER_FAILURE
         assert "iteration_limit" in trace.outcome.message and len(trace) == 0
+
+    def test_nonfinite_solution_is_a_solver_failure(self, monkeypatch):
+        # a NaN answer at the 5th decision ends the run there, blamed on the
+        # QP, and is never recorded
+        solve = qp._solve
+        calls = []
+
+        def nan_at_fifth(*args):
+            status, y, lam, iterations = solve(*args)
+            calls.append(None)
+            return status, np.full_like(y, np.nan) if len(calls) == 5 else y, lam, iterations
+
+        monkeypatch.setattr(qp, "_solve", nan_at_fifth)
+        trace = acc_scenario().simulate()
+        assert trace.outcome.kind is OutcomeKind.SOLVER_FAILURE
+        assert trace.outcome.message.startswith("synthesis QP solution")
+        assert "not finite" in trace.outcome.message
+        assert len(trace) == 4 and len(calls) == 5
+        for field in (trace.x, trace.u, trace.delta1, trace.delta2, trace.h_safe):
+            assert np.isfinite(field).all()
 
     def test_decision_reports_solver_counters(self):
         sys, goal, safes, bounds, params = acc_pieces()
@@ -542,8 +564,9 @@ def test_step_decision_is_solve_qp_bit_for_bit(monkeypatch, build, steps):
         assert np.array_equal(solution.z_star, decision.z_star), k
         assert solution.active_set == decision.active_set, k
         assert solution.iterations == decision.iterations, k
-        assert solution.objective == decision.objective, k
         assert strictly_complementary(problem, solution) == decision.strict_cs, k
+        sys = pieces[0]
+        assert np.array_equal(decision.rate, sys.f(x) + sys.g(x) @ decision.u), k
 
 
 def test_oracle_solves_the_goal_boundary_state_with_a_tiny_coefficient():

@@ -328,7 +328,8 @@ class TestSyntheticSuite:
         # a scaled negative gradient step satisfies the tangency condition
         # (the invariance row with h_s = 0) on any safe-set boundary of a
         # single integrator
-        from fxtqp.constraints import ControlAffineSystem, InputBounds, qp_rows
+        from fxtqp.constraints import ControlAffineSystem, InputBounds
+        from reference_checks import rows_at
         sc = next(s for s in synthetic_suite() if s.scenario_id == "synthetic:fullact2d")
         safe = sc.schedule.global_safes[0]
         rng = np.random.default_rng(5)
@@ -340,7 +341,7 @@ class TestSyntheticSuite:
             x = 2.0 * np.array([np.cos(theta), np.sin(theta)])  # on the disk edge
             grad = safe.value_and_gradient(x)[1]
             u = -0.5 * grad / np.linalg.norm(grad)
-            A, b, _, _ = qp_rows(integ2, sc.schedule.phases[0].goal, (safe,), unit,
+            A, b, _, _ = rows_at(integ2, sc.schedule.phases[0].goal, (safe,), unit,
                                  sc.params.gains, x)
             assert A[-1, :2] @ u <= b[-1] + 1e-12     # Lg u <= -Lf
 

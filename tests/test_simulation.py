@@ -53,37 +53,51 @@ def simple_setup(deadline=2.0, horizon=None):
     return integrator(2), sched, bounds, params
 
 
+def model_rate(sys, x, u):
+    """The rate a decision hands the Euler step: f(x) + g(x) u."""
+    return sys.f(x) + sys.g(x) @ u
+
+
 class TestStepEuler:
     def test_single_integrator(self):
-        x = step_euler(integrator(2), np.zeros(2), np.array([1.0, 2.0]), 0.1)
+        sys, x0 = integrator(2), np.zeros(2)
+        x = step_euler(sys, x0, model_rate(sys, x0, np.array([1.0, 2.0])), 0.1)
         assert np.allclose(x, [0.1, 0.2])
 
     def test_acc_drift_hand_values(self):
-        cfg = AccConfig()
-        x = step_euler(_acc_system(cfg), np.array([20.0, 10.0, 150.0]),
-                       np.array([0.0]), 0.01)
+        sys, x0 = _acc_system(AccConfig()), np.array([20.0, 10.0, 150.0])
+        x = step_euler(sys, x0, model_rate(sys, x0, np.array([0.0])), 0.01)
         assert 20.0 - x[0] == pytest.approx(0.01 * 200.1 / 1650.0, rel=1e-12)
         assert x[2] - 150.0 == pytest.approx(-0.1, rel=1e-12)
         assert x[1] == 10.0
+
+    def test_disturbance_is_added_to_the_rate(self):
+        # the controller never sees the disturbance; the plant adds it
+        sys = ControlAffineSystem(f=lambda x: np.zeros(2), g=lambda x: np.eye(2),
+                                  disturbance=lambda x: np.array([0.5, -1.0]))
+        x0 = np.array([1.0, 1.0])
+        x = step_euler(sys, x0, np.array([1.0, 2.0]), 0.1)
+        assert np.array_equal(x, x0 + 0.1 * (np.array([1.0, 2.0]) + np.array([0.5, -1.0])))
 
     def test_zero_dynamics_is_identity(self):
         frozen = ControlAffineSystem(f=lambda x: np.zeros(2),
                                      g=lambda x: np.zeros((2, 1)))
         x0 = np.array([0.3, -0.7])
-        assert np.array_equal(step_euler(frozen, x0, np.array([5.0]), 0.1), x0)
+        assert np.array_equal(step_euler(frozen, x0, model_rate(frozen, x0, np.array([5.0])),
+                                         0.1), x0)
 
     def test_nonfinite_raises(self):
         bad = ControlAffineSystem(f=lambda x: np.array([np.inf]),
                                   g=lambda x: np.ones((1, 1)))
         with pytest.raises(NonFiniteState):
-            step_euler(bad, np.zeros(1), np.zeros(1), 0.1)
+            step_euler(bad, np.zeros(1), model_rate(bad, np.zeros(1), np.zeros(1)), 0.1)
 
     def test_column_drift_is_refused(self):
         # an (n, 1) drift plus an (n,) input term would broadcast to (n, n)
         column = ControlAffineSystem(f=lambda x: np.zeros((2, 1)),
                                      g=lambda x: np.eye(2))
         with pytest.raises(ValueError, match="shape"):
-            step_euler(column, np.zeros(2), np.ones(2), 0.1)
+            step_euler(column, np.zeros(2), model_rate(column, np.zeros(2), np.ones(2)), 0.1)
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
