@@ -98,7 +98,6 @@ class ControlDecision:
     delta2: float
     active_set: tuple[int, ...]
     strict_cs: bool
-    z_star: np.ndarray      # solution in solver (input-scaled) coordinates
     iterations: int         # working-set changes of the QP solve
     box_overshoot: float    # scaled distance the solved input left its box, >= 0
     h_goal: float           # goal-set value at the state
@@ -185,7 +184,6 @@ def synthesize(sys: ControlAffineSystem, h_g: SetFunction | tuple[float, np.ndar
         delta2=z_list[m + 1],
         active_set=active_set,
         strict_cs=strict_cs,
-        z_star=z,
         iterations=iterations,
         box_overshoot=overshoot,
         h_goal=h_goal,

@@ -9,10 +9,10 @@ for small, strictly convex problems (H positive definite).  Two independent
 routes are provided: :func:`solve_qp`, a Goldfarb-Idnani dual active-set
 method meant for production use, which can be hot-started from a guess at
 its working set and needs neither a feasible start nor an LP, and
-:func:`brute_force_solve`, a test oracle that solves the equality QP on
-every independent set of at most n rows, one batched QR per set size.  The
-enumeration is complete, so it needs no LP either: a feasible problem's
-optimum is one of its candidates, and no candidate means infeasible.  Both
+:func:`brute_force_solve`, a test oracle that solves the least-distance
+form of the problem with one nonnegative least squares (Lawson & Hanson,
+*Solving Least Squares Problems*, 1974, ch. 23), a primal active-set method
+on the dual independent of the solver's, and checks its own answer.  Both
 report duals and the active set so callers can check KKT conditions and
 strict complementarity.
 
@@ -24,7 +24,6 @@ start and refactor after each drop, and every solve with R or R' is ``dtrtrs``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -44,22 +43,21 @@ __all__ = [
 ]
 
 # A row is reported active where its slack is at most FEAS_TOL * (1 + |b_i|);
-# the oracle refuses multipliers below -DUAL_TOL on its equilibrated rows.
+# the oracle raises rather than return a multiplier below -DUAL_TOL on its
+# equilibrated rows.
 # Both assume O(1)-sized rows: the controller scales inputs by their bound
 # (InputBounds.scale) before it builds them.
 FEAS_TOL = 1e-8
 DUAL_TOL = 1e-10
 _SYM_TOL = 1e-10
 # On the equilibrated rows: solve_qp counts a row violated beyond
-# _VIOL_TOL * (1 + |b_i|), and both routes take a row's normal to lie in the
-# span of the working set when its part outside that span is at most
-# _DEP_TOL times its length.
+# _VIOL_TOL * (1 + |b_i|), and takes a row's normal to lie in the span of
+# the working set when its part outside that span is at most _DEP_TOL times
+# its length.
 _VIOL_TOL = 1e-11
 _DEP_TOL = 1e-10
 # _slack_verdicts' floor on a positive multiplier or slack
 _STRICT_CS_TOL = 1e-6
-# brute_force_solve's memory guard on the working sets it enumerates in all
-_ORACLE_MAX_SUBSETS = 200_000
 
 
 class SolveStatus(Enum):
@@ -139,8 +137,7 @@ class QpSolution:
 
     For ``status == INFEASIBLE`` from :func:`solve_qp` the ``lambda_star``
     field carries a Farkas-style certificate: nonnegative row weights y with
-    y'A ~ 0 and y'b < 0.  The oracle's INFEASIBLE (:func:`brute_force_solve`)
-    carries no certificate: its ``lambda_star`` is zero.
+    y'A ~ 0 and y'b < 0; so does the oracle's (:func:`brute_force_solve`).
     """
 
     z_star: np.ndarray
@@ -373,67 +370,58 @@ def _solve(A: np.ndarray, b: np.ndarray, L_inv: np.ndarray, f: np.ndarray,
 
 
 def brute_force_solve(problem: QpProblem) -> QpSolution:
-    """Exhaustive working-set enumeration oracle (exact up to round-off).
-
-    The enumeration is complete.  A feasible strictly convex QP has a unique
-    optimum z*, and a vertex of the polyhedron of its multipliers (>= 0, on
-    the active rows) has linearly independent support rows W, at most n_z of
-    them: z* is the minimizer of the equality QP on W.  So the equality QP
-    is solved on every independent W of size 0, 1, ..., min(n_z, m_c), and
-    a candidate with multipliers >= -DUAL_TOL within 1e-9 of every
-    equilibrated row is the optimum.  No candidate means no feasible point:
-    INFEASIBLE, with the unconstrained minimizer and a zero ``lambda_star``
-    (no certificate).
+    """Least-distance oracle: one NNLS on the dual, then an equality QP.
 
     It takes its own Cholesky factor H = LL', not the problem's ``L_inv``,
-    and works in y = L'z over the rows C = (A / row_scale) L^-T, f = L^-1 F.
-    The subsets of one size are stacked and factored by one batched QR of
-    C_W'; a subset with some |R_jj| <= _DEP_TOL |c_j| is dependent and
-    skipped.  y is assembled from its parts in and orthogonal to span(Q), as
-    in solve_qp's equality solve, so the working rows hold to round-off
-    however large the multipliers.  The first candidate in enumeration order
-    (smaller sets first, then lexicographic) wins unless a later one's
-    objective is lower by more than 1e-12.
+    and works in y = L'z over the equilibrated rows C = (A / row_scale) L^-T
+    and f = L^-1 F.  In x = y + f the QP is min |x| s.t. -C x >= h with
+    h = -(b + C f), which Lawson & Hanson (1974, ch. 23) solve with one
+    nonnegative least squares: min |E u - e| over u >= 0, E = [-C'; h'],
+    e = (0, ..., 0, 1), by ``scipy.optimize.nnls``, imported here and so
+    never by the step.  Its last residual h'u - 1 equals -|E u - e|^2.
+    When that is zero, up to the round-off of h'u, no point is feasible:
+    the answer is INFEASIBLE, with the Farkas certificate u / row_scale as
+    ``lambda_star`` and the unconstrained minimizer as ``z_star``.
+    Otherwise the support of u is the working set, and the equality QP on
+    it gives y and the multipliers.  y is assembled from its parts in and
+    orthogonal to span(Q), Q R a QR factor of the working rows' C', so the
+    working rows hold to round-off however large the multipliers.
 
-    A whole set size is held in memory at once (the tour's 6 x 22 QP stacks
-    74 613 QR factors), so a problem with more than _ORACLE_MAX_SUBSETS
-    subsets in all is refused with ValueError.
+    The oracle checks its own answer and raises RuntimeError if it fails:
+    an OPTIMAL answer must hold every equilibrated row within 1e-9 and have
+    multipliers >= -DUAL_TOL, and an INFEASIBLE one a certificate y >= 0
+    with |y'A| <= 1e-9 and y'b < 0.  A faulty NNLS therefore shows as an
+    error, never as a wrong answer.
     """
-    n, m = problem.n_z, problem.m_c
-    top = min(n, m)
-    count = sum(math.comb(m, k) for k in range(top + 1))
-    if count > _ORACLE_MAX_SUBSETS:
-        raise ValueError(f"brute_force_solve enumerates at most {_ORACLE_MAX_SUBSETS} "
-                         f"working sets; this problem has {count}")
+    from scipy.optimize import nnls
+
+    m = problem.m_c
     row_scale = np.maximum(np.abs(problem.A).max(axis=1, initial=0.0), 1e-30)
+    A = problem.A / row_scale[:, None]
     b = problem.b / row_scale
     L_inv = np.linalg.inv(np.linalg.cholesky(problem.H))
-    C = (problem.A / row_scale[:, None]) @ L_inv.T
+    C = A @ L_inv.T
     f = L_inv @ problem.F
-    norms = np.sqrt(np.einsum("ij,ij->i", C, C))
-
-    best = None     # (objective, working set, y, multipliers)
-    for k in range(top + 1):
-        W = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(m), k)),
-                        dtype=np.intp).reshape(math.comb(m, k), k)
-        Q, R = np.linalg.qr(C[W].transpose(0, 2, 1))
-        diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
-        independent = (diag > _DEP_TOL * norms[W]).all(axis=1)
-        W, Q, R = W[independent], Q[independent], R[independent]
-        on_span = np.linalg.solve(R.transpose(0, 2, 1), b[W][..., None])     # Q'y
-        qf = (Q.transpose(0, 2, 1) @ f)[..., None]
-        lam = np.linalg.solve(R, -qf - on_span)[..., 0]
-        y = (Q @ (on_span + qf))[..., 0] - f
-        kkt = (lam >= -DUAL_TOL).all(axis=1) & (y @ C.T - b <= 1e-9).all(axis=1)
-        for i in kkt.nonzero()[0]:
-            obj = float(0.5 * (y[i] @ y[i]) + f @ y[i])
-            if best is None or obj < best[0] - 1e-12:
-                best = obj, W[i], y[i], lam[i]
-
-    if best is None:
-        return QpSolution(z_star=-L_inv.T @ f, lambda_star=np.zeros(m), active_set=(),
+    h = -(b + C @ f)
+    # nnls gets no empty matrix: scipy 1.17's aborts the interpreter on one
+    u = nnls(np.vstack((-C.T, h)), np.append(np.zeros(f.size), 1.0))[0] if m else np.zeros(0)
+    if 1.0 - h @ u <= 1e-13 * (np.abs(h) @ u):
+        if not ((u >= 0.0).all() and (np.abs(u @ A) <= 1e-9).all() and u @ b < 0.0):
+            raise RuntimeError("brute_force_solve: the NNLS Farkas certificate fails its check")
+        return QpSolution(z_star=-L_inv.T @ f, lambda_star=u / row_scale, active_set=(),
                           objective=math.nan, status=SolveStatus.INFEASIBLE)
-    obj, W, y, lam = best
+
+    W = u.nonzero()[0]
+    y, lam = -f, np.zeros(0)
+    if W.size:
+        Q, R = np.linalg.qr(C[W].T)
+        on_span = np.linalg.solve(R.T, b[W])     # Q'y
+        qf = Q.T @ f
+        lam = np.linalg.solve(R, -qf - on_span)
+        y = Q @ (on_span + qf) - f
+    # written so that a NaN fails
+    if not ((C @ y - b <= 1e-9).all() and (lam >= -DUAL_TOL).all()):
+        raise RuntimeError("brute_force_solve: the optimum on the NNLS support fails its check")
     z = L_inv.T @ y
     lam_full = np.zeros(m)
     lam_full[W] = np.maximum(lam, 0.0) / row_scale[W]
@@ -441,7 +429,7 @@ def brute_force_solve(problem: QpProblem) -> QpSolution:
         z_star=z,
         lambda_star=lam_full,
         active_set=_slack_verdicts(problem.A, problem.b, z, lam_full)[0],
-        objective=obj,
+        objective=float(0.5 * (y @ y) + f @ y),
         status=SolveStatus.OPTIMAL,
     )
 

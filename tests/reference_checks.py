@@ -4,9 +4,11 @@ They are evidence, not controller code: a textbook settling bound to
 compare the paper's tighter one with, central finite differences of a set
 function's value against its analytic gradient, a strict-complementarity
 verdict on a QP solution, and difference quotients of the QP solution map;
-and ``rows_at``, the rows of :func:`fxtqp.constraints.qp_rows` from a system
-and a goal set rather than their values at the state.  The tests fix every argument, so nothing here checks its inputs beyond
-what a verdict needs.
+``rows_at``, the rows of :func:`fxtqp.constraints.qp_rows` from a system
+and a goal set rather than their values at the state; and ``scaled_z``, a
+decision as the QP's solution in its input-scaled coordinates.  The tests
+fix every argument, so nothing here checks its inputs beyond what a verdict
+needs.
 """
 
 from collections import namedtuple
@@ -30,6 +32,12 @@ def rows_at(sys, h_g, safes, bounds, gains, x, freeze_level=None):
     goal = h_g.value_and_gradient(x)
     rows, h_safe = qp_rows(sys.f(x), sys.g(x), goal, safes, bounds, gains, x, freeze_level)
     return rows[:, :-1], rows[:, -1], goal[0], h_safe
+
+
+def scaled_z(decision, bounds):
+    """(u / scale, delta1, delta2) of a ControlDecision: its QP solution in
+    the solver's input-scaled coordinates, with u as clipped to its box."""
+    return np.concatenate((decision.u / bounds.scale(), (decision.delta1, decision.delta2)))
 
 
 def settling_time_bound_basic(a, b, p, q):

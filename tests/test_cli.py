@@ -482,11 +482,15 @@ def test_readme_lists_every_flag():
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # nothing in the package uses scipy.optimize, so importing the CLI must not load it
+    # only the QP oracle uses scipy.optimize and imports it when called, so
+    # importing the CLI must not load it and one oracle call must
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, fxtqp.cli; print('scipy.optimize' in sys.modules)"
+    code = ("import sys, fxtqp.cli; from fxtqp.qp import QpProblem, brute_force_solve; "
+            "print('scipy.optimize' in sys.modules); "
+            "brute_force_solve(QpProblem(H=[[1.0]], F=[0.0], A=[[1.0]], b=[1.0])); "
+            "print('scipy.optimize' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "True"]

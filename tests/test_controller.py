@@ -16,7 +16,7 @@ from fxtqp.fxts import RegimeKind, settling_time_bound
 from fxtqp.scenarios import (ACC_FREEZE_LEVEL, AccConfig, acc_goal, acc_headway, acc_scenario,
                              _acc_system, synthetic_suite, two_robot_scenario)
 from fxtqp.simulation import OutcomeKind, Phase, Schedule, _joint_goal, run
-from reference_checks import continuity_probe, rows_at, strictly_complementary
+from reference_checks import continuity_probe, rows_at, scaled_z, strictly_complementary
 
 
 def integrator(n):
@@ -260,7 +260,8 @@ class TestStackedRows:
             assert np.all(gap <= 1e-14 * np.max(np.abs(ref), axis=1)), x
             cold = synthesize(sys, goal, safes, bounds, params, x)
             hot = synthesize(sys, goal, safes, bounds, params, x, warm_start=warm)
-            hot_obj, cold_obj = p.objective(hot.z_star), p.objective(cold.z_star)
+            hot_obj = p.objective(scaled_z(hot, bounds))
+            cold_obj = p.objective(scaled_z(cold, bounds))
             assert abs(hot_obj - cold_obj) <= 1e-10 * max(1.0, abs(cold_obj))
             assert hot.strict_cs == cold.strict_cs
             warm = hot.active_set
@@ -277,7 +278,7 @@ class TestSynthesize:
         dec = synthesize(sys, goal, (), bounds, params, x)
         problem = assemble(sys, goal, (), bounds, params, x)
         oracle = qp.brute_force_solve(problem)
-        assert np.allclose(dec.z_star, oracle.z_star, atol=1e-7)
+        assert np.allclose(scaled_z(dec, bounds), oracle.z_star, atol=1e-7)
         assert dec.delta1 <= 0.0
         # input saturated or at an interior stationary point
         at_bound = np.any(np.isclose(np.abs(dec.u), bound_mag, atol=1e-6))
@@ -322,8 +323,8 @@ class TestSynthesize:
         assert min(equality_qp(problem, [2, 3])[1]) < 0
         for guess in (cold.active_set, (problem.m_c,), (-1, 2), (0, 2), (2, 3)):
             warm = synthesize(sys, goal, safes, bounds, params, x, warm_start=guess)
-            assert problem.objective(warm.z_star) == pytest.approx(
-                problem.objective(cold.z_star), abs=1e-10)
+            assert problem.objective(scaled_z(warm, bounds)) == pytest.approx(
+                problem.objective(scaled_z(cold, bounds)), abs=1e-10)
             assert np.allclose(warm.u, cold.u, atol=1e-8)
 
     def test_active_set_reproduces_solution(self):
@@ -335,7 +336,7 @@ class TestSynthesize:
         problem = assemble(sys, goal, safes, bounds, params, x)
         assert dec.active_set
         z, _ = equality_qp(problem, list(dec.active_set))
-        assert np.allclose(z, dec.z_star, atol=1e-7)
+        assert np.allclose(z, scaled_z(dec, bounds), atol=1e-7)
 
     def test_regime_classification_follows_delta1(self):
         # the certificate of each goal segment classifies the segment's
@@ -539,7 +540,8 @@ class _Enough(Exception):
 def test_step_decision_is_solve_qp_bit_for_bit(monkeypatch, build, steps):
     # the step solves from the params' factor and judges once; the public
     # entry on the assembled problem, from the same working-set guess, must
-    # give the same z, active set, iterations and strict-CS verdict
+    # give the same z (as the decision's clipped u and its slacks), active
+    # set, iterations and strict-CS verdict
     import fxtqp.simulation as simulation
     decided = []
 
@@ -561,7 +563,10 @@ def test_step_decision_is_solve_qp_bit_for_bit(monkeypatch, build, steps):
     for k, (pieces, x, guess, decision) in enumerate(decided):
         problem = assemble(*pieces, x)
         solution = qp.solve_qp(problem, warm_start=guess)
-        assert np.array_equal(solution.z_star, decision.z_star), k
+        bounds, z = pieces[3], solution.z_star
+        u = (z[:bounds.m] * bounds.scale()).clip(bounds.lower, bounds.upper)
+        assert np.array_equal(u, decision.u), k
+        assert np.array_equal(z[bounds.m:], [decision.delta1, decision.delta2]), k
         assert solution.active_set == decision.active_set, k
         assert solution.iterations == decision.iterations, k
         assert strictly_complementary(problem, solution) == decision.strict_cs, k

@@ -66,13 +66,13 @@ class TestSmallExamples:
 
     def test_infeasible_has_farkas_certificate(self):
         p = make_problem([[1.0]], [0.0], [[1.0], [-1.0]], [-1.0, -1.0])
-        s = solve_qp(p)
-        assert s.status is SolveStatus.INFEASIBLE
-        y = s.lambda_star
-        assert np.all(y >= -1e-12)
-        assert abs(y @ p.A) <= 1e-9
-        assert y @ p.b < -1e-9
-        assert brute_force_solve(p).status is SolveStatus.INFEASIBLE
+        for solve in (solve_qp, brute_force_solve):
+            s = solve(p)
+            assert s.status is SolveStatus.INFEASIBLE
+            y = s.lambda_star
+            assert np.all(y >= -1e-12)
+            assert abs(y @ p.A) <= 1e-9
+            assert y @ p.b < -1e-9
 
     def test_random_infeasible_problems_have_certificates(self):
         # a feasible problem plus the contradictory pair a'z <= -1, -a'z <= -1
@@ -82,24 +82,43 @@ class TestSmallExamples:
             a = rng.normal(size=p.n_z)
             q = make_problem(p.H, p.F, np.vstack([p.A, a, -a]),
                              np.concatenate([p.b, [-1.0, -1.0]]))
-            s = solve_qp(q)
-            assert s.status is SolveStatus.INFEASIBLE
-            y = s.lambda_star
-            assert np.all(y >= 0.0)
-            assert np.max(np.abs(y @ q.A)) <= 1e-9
-            assert y @ q.b < 0.0
+            for solve in (solve_qp, brute_force_solve):
+                s = solve(q)
+                assert s.status is SolveStatus.INFEASIBLE
+                y = s.lambda_star
+                assert np.all(y >= 0.0)
+                assert np.max(np.abs(y @ q.A)) <= 1e-9
+                assert y @ q.b < 0.0
 
     def test_zero_row(self):
         # 0'z <= b holds for b >= 0 and is its own certificate for b < 0
         p = make_problem(np.eye(2), [1.0, -1.0], [[0.0, 0.0], [1.0, 0.0]], [0.0, -2.0])
-        s = solve_qp(p)
-        assert s.status is SolveStatus.OPTIMAL
-        assert np.allclose(s.z_star, [-2.0, 1.0], atol=1e-12)
         q = make_problem(np.eye(2), [1.0, -1.0], [[0.0, 0.0], [1.0, 0.0]], [-1.0, -2.0])
-        s = solve_qp(q)
-        assert s.status is SolveStatus.INFEASIBLE
-        assert s.lambda_star[0] > 0 and s.lambda_star @ q.b < 0
-        assert np.all(s.lambda_star @ q.A == 0.0)
+        for solve in (solve_qp, brute_force_solve):
+            s = solve(p)
+            assert s.status is SolveStatus.OPTIMAL
+            assert np.allclose(s.z_star, [-2.0, 1.0], atol=1e-12)
+            s = solve(q)
+            assert s.status is SolveStatus.INFEASIBLE
+            assert s.lambda_star[0] > 0 and s.lambda_star @ q.b < 0
+            assert np.all(s.lambda_star @ q.A == 0.0)
+
+    @pytest.mark.parametrize("b, u, match", [
+        # the support misses an active row: the optimum on it violates row 1
+        ([-1.0, -1.0], [0.25, 0.0], "optimum on the NNLS support"),
+        # the support holds z1 = 5, which needs the multiplier -4
+        ([5.0, 0.5], [1.0, 1.0], "optimum on the NNLS support"),
+        # h'u = 1 claims infeasibility, but u'A is not zero
+        ([-1.0, -1.0], [0.25, 0.25], "Farkas certificate")],
+        ids=["missing-row", "negative-multiplier", "false-certificate"])
+    def test_oracle_refuses_a_wrong_nnls_answer(self, monkeypatch, b, u, match):
+        # min 0.5|z|^2 - z1 - z2 s.t. z <= b, whose rows give h = -(b + f) = 1 - b
+        import scipy.optimize
+
+        p = make_problem(np.eye(2), [-1.0, -1.0], np.eye(2), b)
+        monkeypatch.setattr(scipy.optimize, "nnls", lambda E, e: (np.array(u), 0.0))
+        with pytest.raises(RuntimeError, match=match):
+            brute_force_solve(p)
 
 
 class TestKktResidual:
@@ -397,20 +416,17 @@ class TestValidation:
         with pytest.raises(ValueError, match=match):
             QpProblem(H=H, F=np.zeros(2), A=A, b=np.zeros(len(A)))
 
-    def test_brute_force_rejects_large_problems(self):
-        # 25 rows, 6 variables: 245 506 working sets of at most 6 rows
-        rng = np.random.default_rng(0)
-        A = rng.normal(size=(25, 6))
-        with pytest.raises(ValueError, match="at most 200000 working sets; this problem has 245506"):
-            brute_force_solve(make_problem(np.eye(6), np.zeros(6), A, np.ones(25) * 10))
-
-    def test_brute_force_accepts_the_tour_size(self):
-        # 22 rows, 6 variables, as the two-robot tour's QP: 110 056 working sets
+    @pytest.mark.parametrize("m, n", [(22, 6), (25, 6), (22, 18)],
+                             ids=["tour", "245506-sets", "per-set-slack"])
+    def test_brute_force_solves_large_problems(self, m, n):
+        # 22 x 6 is the two-robot tour's QP and 22 x 18 the layout with one
+        # invariance slack per safe set; an enumeration of every working set
+        # of at most n rows would solve 110 056, 245 506 and 4 192 510 QPs
         rng = np.random.default_rng(3)
-        M = rng.normal(size=(6, 6))
-        A = rng.normal(size=(22, 6))
-        p = make_problem(M @ M.T + np.eye(6), rng.normal(size=6), A,
-                         A @ rng.normal(size=6) + 0.1 + rng.random(22))
+        M = rng.normal(size=(n, n))
+        A = rng.normal(size=(m, n))
+        p = make_problem(M @ M.T + np.eye(n), rng.normal(size=n), A,
+                         A @ rng.normal(size=n) + 0.1 + rng.random(m))
         o, s = brute_force_solve(p), solve_qp(p)
         assert o.status is SolveStatus.OPTIMAL
         assert o.objective == pytest.approx(s.objective, rel=1e-8)
