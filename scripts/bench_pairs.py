@@ -14,7 +14,13 @@ result lines).  Then, per end-to-end metric of CHANGE's ``BENCHMARK.json``,
 it prints each side's median and quartiles, how many pairs the change won
 (ties count for neither side) and whether the rule for claiming a gain
 holds: the change wins at least nine tenths of the pairs, and the medians
-differ in its favour by more than the parent's interquartile range.
+differ in its favour by more than the parent's interquartile range.  It
+also prints the no-regression verdict against the metric's ``bound``, a
+fraction of the parent's median: "within bound" when the change's median
+is not worse by more than the bound, "worse by X % > bound" when it is,
+and "unresolved" when the parent's interquartile range exceeds the bound
+(taken relative to its median), unless every change run beats every
+parent run.
 """
 
 from __future__ import annotations
@@ -59,10 +65,27 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, med, q3
 
 
-def summarize(record: dict, better: dict[str, str]) -> list[dict]:
+def regression(parent: list[float], change: list[float], sign: float, bound: float) -> str:
+    """The no-regression verdict of ``change`` against ``parent`` runs, with
+    ``sign`` 1 where lower is better and -1 where higher is."""
+    if max(sign * c for c in change) < min(sign * p for p in parent):
+        return "within bound"
+    (p1, pm, p3), cm = quartiles(parent), quartiles(change)[1]
+    if p3 - p1 > bound * abs(pm):
+        return "unresolved"
+    worse = sign * (cm - pm)
+    if worse > bound * abs(pm):
+        return f"worse by {worse / abs(pm) * 100:.1f} % > {bound * 100:g} % bound"
+    return "within bound"
+
+
+def summarize(record: dict, better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> list[dict]:
     """One row per metric of ``better`` (name -> "lower" or "higher") that
     both sides report in every pair: each side's quartiles, the change's
-    wins, and whether a gain may be claimed."""
+    wins, whether a gain may be claimed and, for a metric of ``bounds``
+    (name -> bound), the no-regression verdict (else None)."""
+    bounds = bounds or {}
     rows = []
     runs = record["runs"]
     for name, direction in better.items():
@@ -82,6 +105,8 @@ def summarize(record: dict, better: dict[str, str]) -> list[dict]:
             "wins": wins,
             "pairs": len(runs),
             "gain": 10 * wins >= 9 * len(runs) and gap > p_q[2] - p_q[0],
+            "regression": (regression(parent, change, sign, bounds[name])
+                           if name in bounds else None),
         })
     return rows
 
@@ -93,7 +118,8 @@ def report(rows: list[dict]) -> str:
         rel = f"{(cm - pm) / pm * 100:+.1f} %" if pm else "n/a"
         lines.append(f"{r['metric']:<14} parent {pm:.6g} [{p1:.6g}-{p3:.6g}] -> change "
                      f"{cm:.6g} [{c1:.6g}-{c3:.6g}] {r['unit']} ({rel}), change wins "
-                     f"{r['wins']} of {r['pairs']}; gain {'holds' if r['gain'] else 'not shown'}")
+                     f"{r['wins']} of {r['pairs']}; gain {'holds' if r['gain'] else 'not shown'}"
+                     + (f"; {r['regression']}" if r["regression"] else ""))
     return "\n".join(lines)
 
 
@@ -148,7 +174,9 @@ def main(argv=None) -> int:
     out = ROOT / "bench" / f"BENCH_{args.number}_{args.workload}_{args.seed}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
-    print(report(summarize(record, {m["name"]: m["better"] for m in spec["end_to_end"]})))
+    metrics = spec["end_to_end"]
+    print(report(summarize(record, {m["name"]: m["better"] for m in metrics},
+                           {m["name"]: m["bound"] for m in metrics})))
     print(f"record written to {out.relative_to(ROOT)}")
     return 0
 

@@ -69,22 +69,28 @@ class SetFunction:
 
 @dataclass(frozen=True)
 class InputBounds:
-    """Component-wise input box, lower < upper strictly.
+    """Component-wise input box of at least one input, lower < upper strictly.
 
     The input scale and the box rows of the synthesis QP are built once here
-    (read-only) rather than at every state.
+    (read-only) rather than at every state, and so is ``box_floats``, the
+    scale, lower and upper bounds as tuples of Python floats for the
+    controller's clip.
     """
 
     lower: np.ndarray
     upper: np.ndarray
     _scale: np.ndarray = field(init=False, repr=False, compare=False)
     box_rows: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    box_floats: tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
         hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("bounds must be equal-length vectors")
+        if lo.size == 0:
+            raise ValueError("the input box is empty: bounds need at least one input")
         for name, v in (("lower", lo), ("upper", hi)):
             if not np.isfinite(v).all():
                 raise ValueError(f"{name} bounds must be finite, got {v}")
@@ -106,6 +112,8 @@ class InputBounds:
             arr.setflags(write=False)
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "box_rows", (A, b))
+        object.__setattr__(self, "box_floats",
+                           tuple(tuple(v.tolist()) for v in (scale, lo, hi)))
 
     @property
     def m(self) -> int:

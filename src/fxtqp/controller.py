@@ -140,6 +140,25 @@ def assemble(sys: ControlAffineSystem, h_g: SetFunction | tuple[float, np.ndarra
     return qp.QpProblem(H=params.H, F=params.F, A=A, b=b)
 
 
+def _clip_to_box(z: list[float], bounds: InputBounds) -> tuple[list[float], float]:
+    """The inputs z[:m] * scale clipped to the box, and the largest scaled
+    distance the clip moved one, for finite z.
+
+    The arithmetic is numpy's clip on Python floats: max(u, lo), then
+    min(., hi), each keeping its first operand only when strictly beyond
+    the other, so a signed zero at a zero bound comes out as numpy's.
+    """
+    clipped, gaps = [], []
+    for v, s, lo, hi in zip(z, *bounds.box_floats):
+        u = v * s
+        c = u if u > lo else lo
+        c = c if c < hi else hi
+        clipped.append(c)
+        gaps.append(abs(u - c) / s)
+    # the gaps are finite, so a plain max gives numpy's maximum
+    return clipped, max(gaps)
+
+
 def synthesize(sys: ControlAffineSystem, h_g: SetFunction | tuple[float, np.ndarray],
                safes: Sequence[SetFunction], bounds: InputBounds,
                params: SynthesisParams, x: np.ndarray,
@@ -168,16 +187,13 @@ def synthesize(sys: ControlAffineSystem, h_g: SetFunction | tuple[float, np.ndar
         raise SolverFailure(f"synthesis QP solution {z} is not finite at x={np.asarray(x)}")
 
     m = bounds.m
-    scale = bounds.scale()
-    u = z[:m] * scale
-    u_box = u.clip(bounds.lower, bounds.upper)
-    # the solution is finite, so a plain max gives numpy's maximum
-    overshoot = max((abs(u - u_box) / scale).tolist())
+    clipped, overshoot = _clip_to_box(z_list, bounds)
     if overshoot > qp.FEAS_TOL:
         raise SolverFailure(f"synthesis QP input leaves its box by {overshoot:.3g} "
                             f"(scaled) at x={np.asarray(x)}")
     # the decision is judged at the z it reports, from one slack
     active_set, strict_cs = qp._slack_verdicts(A, b, z, lam)
+    u_box = np.array(clipped)
     return ControlDecision(
         u=u_box,
         delta1=z_list[m],

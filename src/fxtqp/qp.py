@@ -20,6 +20,9 @@ strict complementarity.
 ``scipy.linalg.lapack`` directly (numpy's ``linalg`` wrappers cost several
 times the arithmetic at these sizes): ``dgeqrf``/``dorgqr`` factor a hot
 start and refactor after each drop, and every solve with R or R' is ``dtrtrs``.
+For the same reason it gathers and scatters its working rows through one
+``np.intp`` index array, rebuilt when the set changes, never through a
+Python list, which numpy converts on every use.
 """
 
 from __future__ import annotations
@@ -159,9 +162,15 @@ def _slack_verdicts(A: np.ndarray, b: np.ndarray, z: np.ndarray,
                     lam: np.ndarray) -> tuple[tuple[int, ...], bool]:
     """The rows active by value at z, and whether every row has a multiplier
     or a slack above _STRICT_CS_TOL, both from the one slack b - Az."""
-    slack = b - A @ z
-    active = tuple((slack <= FEAS_TOL * (1.0 + np.abs(b))).nonzero()[0].tolist())
-    return active, bool(((lam > _STRICT_CS_TOL) | (slack > _STRICT_CS_TOL)).all())
+    # the comparisons run on Python floats: a ufunc call costs more than
+    # its work on a handful of rows
+    active, strict = [], True
+    for i, (s, b_i, l) in enumerate(zip((b - A @ z).tolist(), b.tolist(), lam.tolist())):
+        if s <= FEAS_TOL * (1.0 + abs(b_i)):
+            active.append(i)
+        if not (l > _STRICT_CS_TOL or s > _STRICT_CS_TOL):
+            strict = False
+    return tuple(active), strict
 
 
 def _thin_qr(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -213,25 +222,29 @@ def _hot_start(C: np.ndarray, f: np.ndarray, b: np.ndarray, norms: np.ndarray,
     rest refactored.  Then, while the equality QP on the set has a negative
     multiplier, the row with the most negative one is dropped.  What is
     left has multipliers >= 0: the minimizer on it is a start the dual
-    method accepts.  Returns (work, Q, R, lam, y) with Q R = C_work'.
+    method accepts.  Returns (work, rows, Q, R, lam, y) with Q R = C_work'
+    and ``rows`` the ``np.intp`` array of ``work``.
     """
     if warm_start is None:
         return None
     n, m = C.shape[1], C.shape[0]
     work = sorted({int(i) for i in warm_start
                    if isinstance(i, (int, np.integer)) and 0 <= i < m})
+    norm_list = norms.tolist()
     while work:
         kept = work[:n]
-        Q, R = _thin_qr(C[kept].T)
-        independent = abs(R.diagonal()) > _DEP_TOL * norms[kept]
-        if not independent.all():
-            del work[int(independent.argmin())]
+        rows = np.array(kept, dtype=np.intp)
+        Q, R = _thin_qr(C[rows].T)
+        dependent = next((j for j, (r_jj, i) in enumerate(zip(R.diagonal().tolist(), kept))
+                          if not abs(r_jj) > _DEP_TOL * norm_list[i]), None)
+        if dependent is not None:
+            del work[dependent]
             continue
         work = kept
-        lam, y = _equality_solve(Q, R, f, b[work])
+        lam, y = _equality_solve(Q, R, f, b[rows])
         k = int(lam.argmin())
         if lam[k] >= 0.0:
-            return work, Q, R, lam, y
+            return work, rows, Q, R, lam, y
         del work[k]
     return None
 
@@ -293,23 +306,25 @@ def _solve(A: np.ndarray, b: np.ndarray, L_inv: np.ndarray, f: np.ndarray,
     active set and strict complementarity from the slack at z.
     """
     n, m = f.size, A.shape[0]
-    row_scale = np.maximum(np.abs(A).max(axis=1, initial=0.0), 1e-30)
+    row_scale = abs(A).max(axis=1, initial=1e-30)
     b = b / row_scale
     C = (A / row_scale[:, None]) @ L_inv.T
     norms = np.sqrt((C * C).sum(axis=1))
     viol_tol = _VIOL_TOL * (1.0 + np.abs(b))
 
+    # work keeps the set's order; rows indexes with it, rebuilt on each change
     start = _hot_start(C, f, b, norms, warm_start)
     if start is None:
-        work, Q, R, lam, y = [], np.zeros((n, 0)), np.zeros((0, 0)), np.zeros(0), -f
+        work, rows = [], np.zeros(0, dtype=np.intp)
+        Q, R, lam, y = np.zeros((n, 0)), np.zeros((0, 0)), np.zeros(0), -f
     else:
-        work, Q, R, lam, y = start
+        work, rows, Q, R, lam, y = start
 
     iterations = 0
     max_iter = 50 * (m + n)
     while m:
         excess = C @ y - b - viol_tol
-        excess[work] = -np.inf
+        excess[rows] = -np.inf
         p = int(excess.argmax())
         if excess[p] <= 0.0:
             break
@@ -329,7 +344,7 @@ def _solve(A: np.ndarray, b: np.ndarray, L_inv: np.ndarray, f: np.ndarray,
             w2 = float(w @ w)
             dependent = w2 <= (_DEP_TOL * norms[p]) ** 2
             # on a dependent row a coefficient of round-off size is no block
-            blocks = r > (_DEP_TOL * norms[p] / norms[work] if dependent else 0.0)
+            blocks = r > (_DEP_TOL * norms[p] / norms[rows] if dependent else 0.0)
             t, k = math.inf, -1
             if blocks.any():
                 ratios = np.where(blocks, lam / np.where(blocks, r, 1.0), np.inf)
@@ -338,7 +353,7 @@ def _solve(A: np.ndarray, b: np.ndarray, L_inv: np.ndarray, f: np.ndarray,
             if dependent and k < 0:
                 cert = np.zeros(m)
                 cert[p] = 1.0
-                cert[work] = np.maximum(-r, 0.0)
+                cert[rows] = np.maximum(-r, 0.0)
                 return SolveStatus.INFEASIBLE, y, cert / row_scale, iterations
             if not dependent:
                 t_full = float(c @ y - b[p]) / w2
@@ -353,19 +368,21 @@ def _solve(A: np.ndarray, b: np.ndarray, L_inv: np.ndarray, f: np.ndarray,
                     R_add[size, size] = math.sqrt(w2)
                     Q, R = np.concatenate((Q, (w / R_add[size, size])[:, None]), axis=1), R_add
                     work.append(p)
+                    rows = np.array(work, dtype=np.intp)
                     break
                 y = y - t * w
             lam = lam - t * r
             lam = np.concatenate((lam[:k], lam[k + 1:]))
             lam_p += t
             del work[k]
+            rows = np.array(work, dtype=np.intp)
             # LAPACK gets no empty matrix: an emptied set keeps empty factors
-            Q, R = _thin_qr(C[work].T) if work else (Q[:, :0], R[:0, :0])
+            Q, R = _thin_qr(C[rows].T) if work else (Q[:, :0], R[:0, :0])
 
     if iterations and work:
-        lam, y = _equality_solve(Q, R, f, b[work])
+        lam, y = _equality_solve(Q, R, f, b[rows])
     lam_full = np.zeros(m)
-    lam_full[work] = np.maximum(lam, 0.0) / row_scale[work]
+    lam_full[rows] = np.maximum(lam, 0.0) / row_scale[rows]
     return SolveStatus.OPTIMAL, y, lam_full, iterations
 
 

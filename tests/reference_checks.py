@@ -4,6 +4,8 @@ They are evidence, not controller code: a textbook settling bound to
 compare the paper's tighter one with, central finite differences of a set
 function's value against its analytic gradient, a strict-complementarity
 verdict on a QP solution, and difference quotients of the QP solution map;
+``numpy_slack_verdicts`` and ``numpy_clip``, the numpy expressions the
+step's judge and input clip compute on Python floats;
 ``rows_at``, the rows of :func:`fxtqp.constraints.qp_rows` from a system
 and a goal set rather than their values at the state; and ``scaled_z``, a
 decision as the QP's solution in its input-scaled coordinates.  The tests
@@ -17,7 +19,7 @@ import numpy as np
 
 from fxtqp.constraints import qp_rows
 from fxtqp.controller import synthesize
-from fxtqp.qp import SolveStatus
+from fxtqp.qp import FEAS_TOL, SolveStatus
 
 _FD_STEP = 1e-6
 # the floor on a positive multiplier or slack
@@ -76,6 +78,26 @@ def strictly_complementary(problem, solution):
         raise ValueError("strict complementarity is defined for optimal solutions only")
     slack = problem.b - problem.A @ solution.z_star
     return bool(((solution.lambda_star > _STRICT_CS_FLOOR) | (slack > _STRICT_CS_FLOOR)).all())
+
+
+def numpy_slack_verdicts(A, b, z, lam):
+    """(active rows, strict-CS verdict) of ``fxtqp.qp._slack_verdicts`` as
+    numpy expressions on the one slack b - Az: a row is active where its
+    slack is at most FEAS_TOL * (1 + |b_i|), and the verdict holds where
+    every row has a multiplier or a slack above 1e-6."""
+    slack = b - A @ z
+    active = tuple((slack <= FEAS_TOL * (1.0 + np.abs(b))).nonzero()[0].tolist())
+    return active, bool(((lam > _STRICT_CS_FLOOR) | (slack > _STRICT_CS_FLOOR)).all())
+
+
+def numpy_clip(z, bounds):
+    """(u, overshoot) of ``fxtqp.controller._clip_to_box`` as numpy
+    expressions: u = z[:m] * scale clipped to the box, and the largest
+    scaled distance the clip moved an input."""
+    scale = bounds.scale()
+    u = z[:bounds.m] * scale
+    u_box = u.clip(bounds.lower, bounds.upper)
+    return u_box, max((abs(u - u_box) / scale).tolist())
 
 
 def continuity_probe(sys, h_g, safes, bounds, params, x, radius, n_samples):

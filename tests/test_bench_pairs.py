@@ -72,3 +72,45 @@ def test_report_names_each_metric_once():
     assert lines[0].startswith("step_us") and "wins 10 of 10; gain holds" in lines[0]
     assert "(-19.1 %)" in lines[0]
     assert lines[1].startswith("setup_s") and "gain not shown" in lines[1]
+
+
+BOUNDS = {"step_us": 0.15, "setup_s": 0.25}
+
+
+def verdicts(pairs):
+    return {r["metric"]: r["regression"]
+            for r in load_script().summarize(record(pairs), BETTER, BOUNDS)}
+
+
+def test_a_small_slowdown_is_within_bound():
+    # step_us 10 % worse against a 15 % bound; setup_s unchanged
+    pairs = [((100.0 + i, 0.5), (110.0 + i, 0.5)) for i in range(10)]
+    assert verdicts(pairs) == {"step_us": "within bound", "setup_s": "within bound"}
+
+
+def test_a_slowdown_beyond_the_bound_is_worse():
+    # setup_s +25.4 % against its 25 % bound, with a tight parent spread
+    pairs = [((100.0, 0.287 + 0.001 * i), (100.0, 0.361 + 0.001 * i)) for i in range(10)]
+    assert verdicts(pairs)["setup_s"] == "worse by 25.4 % > 25 % bound"
+    line = load_script().report(load_script().summarize(record(pairs), BETTER, BOUNDS))
+    assert line.splitlines()[1].endswith("; worse by 25.4 % > 25 % bound")
+
+
+def test_a_parent_spread_beyond_the_bound_is_unresolved():
+    # a bimodal parent (0.23 s or 0.40 s): its IQR is over 25 % of its
+    # median, so even an equal change median cannot be called within bound
+    parent = [0.23, 0.40] * 5
+    pairs = [((100.0, p), (100.0, 0.30)) for p in parent]
+    assert verdicts(pairs)["setup_s"] == "unresolved"
+
+
+def test_a_change_beating_every_parent_run_is_within_bound_despite_the_spread():
+    parent = [0.23, 0.40] * 5
+    pairs = [((100.0, p), (100.0, 0.20)) for p in parent]
+    assert verdicts(pairs)["setup_s"] == "within bound"
+
+
+def test_a_metric_without_a_bound_gets_no_verdict():
+    pairs = [((100.0, 0.5), (100.0, 0.5))] * 3
+    rows = load_script().summarize(record(pairs), BETTER, {"step_us": 0.15})
+    assert [r["regression"] for r in rows] == ["within bound", None]

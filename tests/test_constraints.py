@@ -229,6 +229,16 @@ class TestInputRows:
         for arr in (bounds.scale(), *bounds.box_rows):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+        # the clip's Python floats are tuples, so read-only by type
+        assert bounds.box_floats == ((1.0, 1.0), (-1.0, -1.0), (1.0, 1.0))
+        assert all(type(v) is float for part in bounds.box_floats for v in part)
+
+    @pytest.mark.parametrize("lower, upper", [([], []), (np.zeros(0), np.zeros(0))])
+    def test_rejects_an_empty_box(self, lower, upper):
+        # with no input there is nothing to clip or scale: refused by name
+        # here, not left to fail inside the first decision
+        with pytest.raises(ValueError, match="input box is empty"):
+            InputBounds(lower=lower, upper=upper)
 
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from fxtqp.constraints import ControlAffineSystem, InputBounds, SetFunction
 from fxtqp.controller import (
     SolverFailure,
     SynthesisParams,
+    _clip_to_box,
     assemble,
     synthesize,
 )
@@ -16,7 +17,8 @@ from fxtqp.fxts import RegimeKind, settling_time_bound
 from fxtqp.scenarios import (ACC_FREEZE_LEVEL, AccConfig, acc_goal, acc_headway, acc_scenario,
                              _acc_system, synthetic_suite, two_robot_scenario)
 from fxtqp.simulation import OutcomeKind, Phase, Schedule, _joint_goal, run
-from reference_checks import continuity_probe, rows_at, scaled_z, strictly_complementary
+from reference_checks import (continuity_probe, numpy_clip, rows_at, scaled_z,
+                              strictly_complementary)
 
 
 def integrator(n):
@@ -385,6 +387,32 @@ class TestSynthesize:
         dec = synthesize(sys, goal, safes, bounds, params, np.array([20.0, 10.0, 150.0]))
         assert dec.u[0] == bounds.upper[0]
         assert dec.box_overshoot == pytest.approx(1e-12, rel=1e-3)
+
+    def test_clip_is_numpy_clip_bit_for_bit(self):
+        # the decision clips on Python floats; each input and the overshoot
+        # must equal numpy's clip and maximum, zeros with their sign, on
+        # seeded inputs and on the edges: inputs on a bound, just beyond it,
+        # signed zeros, and bounds of 0.0 and -0.0.  z carries delta1 and
+        # delta2 after the inputs, as the solver's z does
+        def same(p, q):
+            return p == q and math.copysign(1.0, p) == math.copysign(1.0, q)
+
+        rng = np.random.default_rng(28)
+        for lower, upper in (([-1.0], [2.0]), ([0.0, -3.0], [5.0, 0.0]),
+                             ([-0.0, -4.0], [1.0, -0.5]), ([-7.0, 2.0, -1e3], [7.0, 9.0, 1e-3])):
+            bounds = InputBounds(lower=np.array(lower), upper=np.array(upper))
+            scale, lo, hi = (np.array(v) for v in bounds.box_floats)
+            edges = [lo / scale, hi / scale, np.nextafter(lo / scale, -np.inf),
+                     np.nextafter(hi / scale, np.inf), lo / scale - 1e-13, hi / scale + 1e-13,
+                     np.zeros(bounds.m), -np.zeros(bounds.m)]
+            seeded = list(rng.uniform(-1.2, 1.2, size=(200, bounds.m)))
+            for v in edges + seeded:
+                z = np.concatenate((v, rng.normal(size=2)))
+                u, overshoot = _clip_to_box(z.tolist(), bounds)
+                u_ref, overshoot_ref = numpy_clip(z, bounds)
+                assert len(u) == bounds.m
+                assert all(map(same, u, u_ref.tolist())), (lower, v)
+                assert same(overshoot, overshoot_ref), (lower, v)
 
     def test_iteration_limit_is_a_solver_failure(self, monkeypatch):
         # the solver's guard against cycling is reported, never read as a decision

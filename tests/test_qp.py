@@ -14,7 +14,7 @@ from fxtqp.qp import (
     kkt_residual,
     solve_qp,
 )
-from reference_checks import strictly_complementary
+from reference_checks import numpy_slack_verdicts, strictly_complementary
 
 
 def make_problem(H, F, A=None, b=None):
@@ -167,6 +167,40 @@ class TestStrictComplementarity:
         assert s.status is SolveStatus.INFEASIBLE
         with pytest.raises(ValueError, match="optimal solutions only"):
             strictly_complementary(p, s)
+
+
+    def test_scalar_judge_is_the_numpy_expressions_bit_for_bit(self):
+        # _slack_verdicts compares on Python floats; it must give the numpy
+        # expressions' verdicts on seeded problems and on the edges: a
+        # one-variable row with z = 1 has slack b - a, rounded once, so the
+        # slacks below sit at, just inside and just beyond each threshold
+        rng = np.random.default_rng(28)
+        cases = []
+        for _ in range(300):
+            m, n = int(rng.integers(0, 8)), int(rng.integers(1, 5))
+            A, z = rng.normal(size=(m, n)), rng.normal(size=n)
+            gap = rng.choice([0.0, 1e-9, 1e-8, 1e-7, 1e-6, 1.0], size=m)
+            b = A @ z + gap * rng.normal(size=m)
+            lam = np.where(rng.random(m) < 0.5, 0.0, rng.choice([1e-7, 1e-6, 1.0], size=m))
+            cases.append((A, b, z, lam))
+        rows = []
+        for b_i in (0.0, -0.0, 3.0, -2.5, 1e-3):
+            s = qp.FEAS_TOL * (1.0 + abs(b_i))
+            for slack in (s, np.nextafter(s, 0.0), np.nextafter(s, 1.0), 0.0, -0.0):
+                rows.append((b_i - slack, b_i, 0.0))
+        at = qp._STRICT_CS_TOL
+        for slack in (at, np.nextafter(at, 0.0), np.nextafter(at, 1.0)):
+            for lam_i in (0.0, -0.0, at, np.nextafter(at, 1.0)):
+                rows.append((-slack, 0.0, lam_i))
+        one = np.ones(1)
+        assert any(0.0 - a == qp.FEAS_TOL for a, b_i, _ in rows if b_i == 0.0)
+        cases += [(np.array([[a]]), np.array([b_i]), one, np.array([lam_i]))
+                  for a, b_i, lam_i in rows]
+        a, b, lam = (np.array(col) for col in zip(*rows))
+        cases.append((a[:, None], b, one, lam))
+        cases.append((np.zeros((0, 3)), np.zeros(0), np.ones(3), np.zeros(0)))
+        for A, b, z, lam in cases:
+            assert qp._slack_verdicts(A, b, z, lam) == numpy_slack_verdicts(A, b, z, lam)
 
 
 class TestOracleAgreement:
