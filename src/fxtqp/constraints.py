@@ -136,8 +136,8 @@ def _clamped_power_sum(h: float, gains: FxtsGains) -> float:
 
 def qp_rows(fx: np.ndarray, gx: np.ndarray, goal: tuple[float, np.ndarray],
             safes: Sequence[SetFunction], bounds: InputBounds, gains: FxtsGains,
-            x: np.ndarray, freeze_level: float | None = None
-            ) -> tuple[np.ndarray, np.ndarray]:
+            x: np.ndarray, freeze_level: float | None = None,
+            delta1_floor: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Every constraint row of the synthesis QP at x, in one pass.
 
     ``fx`` and ``gx`` are the system's f(x) and g(x), and ``goal`` the goal
@@ -151,13 +151,16 @@ def qp_rows(fx: np.ndarray, gx: np.ndarray, goal: tuple[float, np.ndarray],
       - alpha2*max(0,h_g)**gamma2;
     - one invariance row Lf·h_s + Lg·h_s v <= -delta2*h_s per safe set,
       all sharing delta2 (on the boundary h_s = 0 the row reduces to
-      tangency).
+      tangency);
+    - when ``delta1_floor`` is set, the row -delta1 <= -delta1_floor, last,
+      so the rows before it keep their indices.
 
     When ``freeze_level`` is set and some safe-set value exceeds it, the
     delta2 column of every invariance row is zeroed, so each row reads
     Lf·h_s + Lg·h_s v <= 0.  delta2 then enters no row, and the objective
     (diagonal, no linear delta2 term) puts it at 0.  The row count is the
-    same frozen or not.
+    same frozen or not, and the floor row, with no input or delta2 entry,
+    is the same either way.
 
     Each safe set is called once (one call gives its value and gradient).
     Returns (rows, h_safe): the rows as one array [A | b], A = rows[:, :-1]
@@ -166,7 +169,7 @@ def qp_rows(fx: np.ndarray, gx: np.ndarray, goal: tuple[float, np.ndarray],
     box_A, box_b = bounds.box_rows
     m = bounds.m
     k = box_b.size
-    n_rows = k + 1 + len(safes)
+    n_rows = k + 1 + len(safes) + (delta1_floor is not None)
     rows = np.zeros((n_rows, m + 3))
     A = rows[:, :-1]
     b = rows[:, -1]
@@ -185,9 +188,13 @@ def qp_rows(fx: np.ndarray, gx: np.ndarray, goal: tuple[float, np.ndarray],
     G = np.empty((len(safes), len(x)))
     for j, s in enumerate(safes):
         h_safe[j], G[j] = s.value_and_gradient(x)
-    A[k:, :m] = G @ gx
-    A[k:, m + 1] = h_safe
-    b[k:] = -(G @ fx)
+    end = k + len(safes)
+    A[k:end, :m] = G @ gx
+    A[k:end, m + 1] = h_safe
+    b[k:end] = -(G @ fx)
+    if delta1_floor is not None:
+        A[end, m] = -1.0
+        b[end] = -delta1_floor
     A[box_b.size:, :m] *= bounds.scale()
     if freeze_level is not None and h_safe.size and h_safe.max() > freeze_level:
         A[:, m + 1] = 0.0

@@ -348,7 +348,7 @@ def _solve(A: np.ndarray, b: np.ndarray, L_inv: np.ndarray, f: np.ndarray,
             t, k = math.inf, -1
             if blocks.any():
                 ratios = np.where(blocks, lam / np.where(blocks, r, 1.0), np.inf)
-                k = int(np.argmin(ratios))
+                k = int(ratios.argmin())
                 t = max(float(ratios[k]), 0.0)     # a multiplier may sit at -0 by round-off
             if dependent and k < 0:
                 cert = np.zeros(m)

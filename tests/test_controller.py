@@ -58,7 +58,8 @@ def equality_qp(problem, W):
 
 def reference_rows(sys, goal, safes, bounds, params, x):
     """The synthesis QP's rows built one at a time, each with its own Lie
-    derivatives and set value, stacked and input-scaled at the end."""
+    derivatives and set value, then the delta1 floor when params set one,
+    stacked and input-scaled at the end."""
     m = bounds.m
     mag = np.maximum(np.abs(bounds.lower), np.abs(bounds.upper))
     scale = np.where(mag > 0, mag, 1.0)
@@ -78,6 +79,9 @@ def reference_rows(sys, goal, safes, bounds, params, x):
         grad = s.value_and_gradient(x)[1]
         rows.append(np.concatenate([grad @ sys.g(x), [0.0, s.value(x)]]))
         rhs.append(-float(grad @ sys.f(x)))
+    if params.delta1_floor is not None:
+        rows.append(np.concatenate([np.zeros(m), [-1.0, 0.0]]))
+        rhs.append(-params.delta1_floor)
     A = np.vstack(rows)
     level = params.delta2_freeze_level
     if level is not None and safes and max(s.value(x) for s in safes) > level:
@@ -96,7 +100,7 @@ def assembly_samples():
     cfg = AccConfig(d_delta=100.0)
     sys, goal, safes, bounds, _ = acc_pieces(cfg)
     frozen = acc_scenario(cfg).params
-    nominal = acc_pieces()[4]
+    nominal = acc_scenario().params
     for _ in range(40):
         out.append(("acc", sys, goal, safes, bounds, nominal,
                     rng.uniform([12, 8, 30], [28, 12, 200])))
@@ -140,7 +144,7 @@ class TestParams:
         with pytest.raises(ValueError, match="T_ud > 0 and mu > 1"):
             SynthesisParams(T_ud=T_ud, mu=mu, w_u=np.ones(1))
 
-    @pytest.mark.parametrize("field", ["w_u", "w1", "w2", "q1"])
+    @pytest.mark.parametrize("field", ["w_u", "w1", "w2", "q1", "delta1_floor"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_non_finite_weights_by_name(self, field, value):
         # NaN passes the positivity test and infinity passes it too

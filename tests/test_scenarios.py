@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -131,6 +132,18 @@ class TestAccRuns:
         swept = acc_scenario(AccConfig(v_f0=24.0, d_delta=0.0)).simulate()
         assert np.array_equal(base.x, swept.x)
         assert np.array_equal(base.u, swept.u)
+
+    def test_a_floor_that_cannot_bind_changes_nothing(self):
+        # the disturbed weights ask for delta1 = -q1/w1 = -30, above -1/dt
+        sc = acc_scenario(AccConfig(v_f0=27.0, d_delta=100.0))
+        assert sc.params.delta1_floor == -1.0 / sc.dt
+        unfloored = dataclasses.replace(
+            sc, params=dataclasses.replace(sc.params, delta1_floor=None))
+        a, b = sc.simulate(), unfloored.simulate()
+        for name in ("t", "x", "u", "h_goal", "h_safe", "delta1", "delta2", "strict_cs",
+                     "active_set_size", "qp_iters", "box_overshoot"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert a.outcome == b.outcome and a.reach_times == b.reach_times
 
     def test_disturbance_sweep_stays_safe(self):
         traces = [acc_scenario(AccConfig(v_f0=27.0, d_delta=d)).simulate()
