@@ -92,8 +92,9 @@ class AccConfig:
     as soon as the barrier value rises past ``ACC_FREEZE_LEVEL`` (the
     invariance row then drops delta2 and reads h_s' <= 0), and the
     ``*_disturbed`` weights replace the nominal ones.
-    The decision keeps delta1 >= -1/dt: the decay rate -delta1 it asks of
-    the speed error stays one that the Euler step of size ``dt`` follows.
+    The decision keeps delta1 >= -1/dt and delta2 <= 0.5/dt: the decay
+    rate it asks of the speed error and the approach rate it allows the
+    barrier stay ones that the Euler step of size ``dt`` follows.
     """
 
     M: float = 1650.0            # follower mass, kg
@@ -207,8 +208,11 @@ def acc_scenario(cfg: AccConfig | None = None) -> Scenario:
     # cross the barrier).  The nominal weights ask for delta1 = -q1/w1 =
     # -450/s, a decay rate that the Euler step follows only below 2/dt: at
     # 4.5/dt the loop flips its input every other step, so delta1 is held
-    # at or above -1/dt (the disturbed weights ask for -30/s, where the
-    # floor does not bind at the default dt).
+    # at or above -1/dt.  Held there, the follower keeps the goal speed up
+    # to the lead, and delta2 grows on the approach; above 1/dt one step
+    # of h' <= -delta2*h crosses the barrier, so delta2 is held at or below
+    # 0.5/dt.  The disturbed weights ask for delta1 = -30/s, so the floor
+    # binds there only at steps above 1/30 s.
     disturbed = cfg.d_delta > 0
     params = SynthesisParams(
         T_ud=cfg.T_ud, mu=cfg.mu,
@@ -216,7 +220,7 @@ def acc_scenario(cfg: AccConfig | None = None) -> Scenario:
         w2=cfg.w2_disturbed if disturbed else cfg.w2,
         q1=cfg.q1_disturbed if disturbed else cfg.q1,
         delta2_freeze_level=ACC_FREEZE_LEVEL if disturbed else None,
-        delta1_floor=-1.0 / cfg.dt,
+        euler_dt=cfg.dt,
     )
     schedule = Schedule(
         tracks=((Phase(goal=acc_goal(cfg), deadline=cfg.T_ud,

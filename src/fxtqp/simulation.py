@@ -228,6 +228,8 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be a finite number > 0, got {dt}")
+    if params.euler_dt is not None and params.euler_dt != dt:
+        raise ValueError(f"params.euler_dt = {params.euler_dt} is not the run's dt = {dt}")
     x = np.asarray(x0, dtype=float).copy()
     tracks = schedule.tracks
     n_tracks = len(tracks)

@@ -183,20 +183,22 @@ class TestFreezePins:
         assert np.array_equal(near_A[:, :2], unset_A[:, :2]) and np.array_equal(near_b, unset_b)
 
 
-class TestDelta1Floor:
-    def test_floor_row_comes_last_and_the_freeze_leaves_it(self):
+class TestEulerRows:
+    def test_rows_come_last_and_the_freeze_leaves_them(self):
         cfg = AccConfig()
         bounds = InputBounds(lower=np.array([-cfg.u_max]), upper=np.array([cfg.u_max]))
         args = (_acc_system(cfg), acc_goal(cfg), (acc_headway(cfg),), bounds,
                 alpha_from_deadline(10.0, 5.0))
         near = np.array([20.0, 10.0, 40.0])     # barrier above the freeze level
         for level in (None, -20.0):
-            A, b, _, _ = rows_at(*args, near, freeze_level=level, delta1_floor=-1.0 / cfg.dt)
+            A, b, _, _ = rows_at(*args, near, freeze_level=level, euler_dt=cfg.dt)
             plain_A, plain_b, _, _ = rows_at(*args, near, freeze_level=level)
-            assert A.shape == (5, 3)
-            # -delta1 <= 1/dt, unscaled; every other row as without the floor
-            assert list(A[-1]) == [0.0, -1.0, 0.0] and b[-1] == 1.0 / cfg.dt
-            assert np.array_equal(A[:-1], plain_A) and np.array_equal(b[:-1], plain_b)
+            assert A.shape == (6, 3)
+            # -delta1 <= 1/dt and delta2 <= 0.5/dt, unscaled and never frozen;
+            # every other row as without them
+            assert list(A[-2]) == [0.0, -1.0, 0.0] and b[-2] == 1.0 / cfg.dt
+            assert list(A[-1]) == [0.0, 0.0, 1.0] and b[-1] == 0.5 / cfg.dt
+            assert np.array_equal(A[:-2], plain_A) and np.array_equal(b[:-2], plain_b)
 
 
 class TestCompositeSemantics:

@@ -58,8 +58,8 @@ def equality_qp(problem, W):
 
 def reference_rows(sys, goal, safes, bounds, params, x):
     """The synthesis QP's rows built one at a time, each with its own Lie
-    derivatives and set value, then the delta1 floor when params set one,
-    stacked and input-scaled at the end."""
+    derivatives and set value, stacked, frozen and input-scaled, then the
+    Euler step's delta1 and delta2 rows when params name the step."""
     m = bounds.m
     mag = np.maximum(np.abs(bounds.lower), np.abs(bounds.upper))
     scale = np.where(mag > 0, mag, 1.0)
@@ -79,14 +79,15 @@ def reference_rows(sys, goal, safes, bounds, params, x):
         grad = s.value_and_gradient(x)[1]
         rows.append(np.concatenate([grad @ sys.g(x), [0.0, s.value(x)]]))
         rhs.append(-float(grad @ sys.f(x)))
-    if params.delta1_floor is not None:
-        rows.append(np.concatenate([np.zeros(m), [-1.0, 0.0]]))
-        rhs.append(-params.delta1_floor)
     A = np.vstack(rows)
     level = params.delta2_freeze_level
     if level is not None and safes and max(s.value(x) for s in safes) > level:
         A[:, m + 1] = 0.0
     A[:, :m] = A[:, :m] * scale
+    if params.euler_dt is not None:
+        A = np.vstack([A, np.concatenate([np.zeros(m), [-1.0, 0.0]]),
+                       np.concatenate([np.zeros(m), [0.0, 1.0]])])
+        rhs += [1.0 / params.euler_dt, 0.5 / params.euler_dt]
     return A, np.asarray(rhs, dtype=float)
 
 
@@ -144,13 +145,18 @@ class TestParams:
         with pytest.raises(ValueError, match="T_ud > 0 and mu > 1"):
             SynthesisParams(T_ud=T_ud, mu=mu, w_u=np.ones(1))
 
-    @pytest.mark.parametrize("field", ["w_u", "w1", "w2", "q1", "delta1_floor"])
+    @pytest.mark.parametrize("field", ["w_u", "w1", "w2", "q1"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_non_finite_weights_by_name(self, field, value):
         # NaN passes the positivity test and infinity passes it too
         weights = {"w_u": np.ones(2), field: np.array([1.0, value]) if field == "w_u" else value}
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             SynthesisParams(T_ud=1.0, mu=2.0, **weights)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-2])
+    def test_rejects_an_euler_step_that_is_not_a_step(self, value):
+        with pytest.raises(ValueError, match="^euler_dt must be a finite number > 0"):
+            SynthesisParams(T_ud=1.0, mu=2.0, w_u=np.ones(1), euler_dt=value)
 
 
 class TestAssemble:
@@ -207,7 +213,8 @@ class TestAssemble:
                                            params.delta2_freeze_level)
             assert h_goal == goal.value(x)
             assert list(h_safe) == [s.value(x) for s in safes]
-            pinned += label == "acc-frozen" and not p.A[:, -1].any()
+            # frozen: delta2 is left only in the last row, delta2 <= 0.5/dt
+            pinned += label == "acc-frozen" and not p.A[:-1, -1].any()
             walls = sorted(s.value(x) for s in safes if s.name.startswith("square_a1"))
             ties += len(walls) > 1 and walls[-1] == walls[-2]
         assert pinned >= 10 and ties >= 10

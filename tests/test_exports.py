@@ -109,5 +109,5 @@ def test_assemble_returns_a_plain_qp_problem():
     problem = assemble(sc.sys, sc.schedule.phases[0].goal, sc.schedule.global_safes,
                        sc.bounds, sc.params, sc.x0)
     assert type(problem) is QpProblem
-    assert problem.A.shape == (5, 3) and problem.b.shape == (5,)
+    assert problem.A.shape == (6, 3) and problem.b.shape == (6,)
     assert problem.objective(np.zeros(3)) == 0.0

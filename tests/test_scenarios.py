@@ -133,17 +133,32 @@ class TestAccRuns:
         assert np.array_equal(base.x, swept.x)
         assert np.array_equal(base.u, swept.u)
 
-    def test_a_floor_that_cannot_bind_changes_nothing(self):
-        # the disturbed weights ask for delta1 = -q1/w1 = -30, above -1/dt
+    def test_euler_rows_that_cannot_bind_change_nothing(self):
+        # the disturbed weights ask for delta1 = -q1/w1 = -30, above -1/dt,
+        # and keep delta2 below 0.5/dt
         sc = acc_scenario(AccConfig(v_f0=27.0, d_delta=100.0))
-        assert sc.params.delta1_floor == -1.0 / sc.dt
-        unfloored = dataclasses.replace(
-            sc, params=dataclasses.replace(sc.params, delta1_floor=None))
-        a, b = sc.simulate(), unfloored.simulate()
+        assert sc.params.euler_dt == sc.dt
+        unbound = dataclasses.replace(
+            sc, params=dataclasses.replace(sc.params, euler_dt=None))
+        a, b = sc.simulate(), unbound.simulate()
         for name in ("t", "x", "u", "h_goal", "h_safe", "delta1", "delta2", "strict_cs",
                      "active_set_size", "qp_iters", "box_overshoot"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert a.outcome == b.outcome and a.reach_times == b.reach_times
+
+    # with the delta1 floor alone, the nominal runs from 17 and 25-27 m/s at
+    # dt = 5e-2 and from 20, 22 and 24-27 m/s at dt = 0.1 let delta2*dt pass 1
+    # and cross the barrier in one step
+    @pytest.mark.parametrize("dt", [5e-2, 0.1])
+    @pytest.mark.parametrize("d_delta", [0.0, 50.0, 100.0])
+    def test_coarse_steps_stay_safe(self, dt, d_delta):
+        for v_f0 in range(17, 28):
+            trace = acc_scenario(AccConfig(v_f0=float(v_f0), d_delta=d_delta, dt=dt)).simulate()
+            assert trace.outcome.kind != OutcomeKind.SAFETY_VIOLATED, (v_f0, trace.outcome)
+            assert trace.h_safe.max() <= 0.0, v_f0
+            if d_delta == 0.0:
+                assert trace.outcome.ok, v_f0
+                assert trace.delta2.max() * dt <= 0.5 + 1e-12, v_f0
 
     def test_disturbance_sweep_stays_safe(self):
         traces = [acc_scenario(AccConfig(v_f0=27.0, d_delta=d)).simulate()

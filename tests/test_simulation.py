@@ -390,8 +390,8 @@ class TestMonitor:
         assert monitor(trace)["chatter_steps"] is None
 
     # criterion 5's nominal starts and their reach times, the same with and
-    # without the delta1 floor; without it these runs flip their input on
-    # 400-631 of their 2000 steps
+    # without the Euler rows; without the delta1 floor these runs flip their
+    # input on 400-631 of their 2000 steps
     NOMINAL_REACH_TIMES = {17: 1.93, 18: 1.5, 19: 1.08, 20: 0.65, 21: 0.22, 22: 0.0,
                            23: 0.2, 24: 0.58, 25: 0.96, 26: 1.34, 27: 1.72}
 
@@ -401,7 +401,13 @@ class TestMonitor:
         trace = sc.simulate()
         assert monitor(trace, bounds=sc.bounds)["chatter_steps"] == 0
         assert trace.delta1.min() >= -(1.0 + 1e-12) / sc.dt
+        assert trace.delta2.max() <= (0.5 + 1e-12) / sc.dt
         assert trace.reach_times == (self.NOMINAL_REACH_TIMES[v_f0],)
+
+    def test_run_refuses_params_built_for_another_step(self):
+        sc = acc_scenario(AccConfig())
+        with pytest.raises(ValueError, match="euler_dt = 0.01 is not the run's dt = 0.02"):
+            run(sc.sys, sc.schedule, sc.bounds, sc.params, sc.x0, 2e-2)
 
 
 class TestStepPath:
