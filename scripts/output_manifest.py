@@ -10,7 +10,9 @@ SHA-256.  The outputs are:
 
 - ``trace.csv`` and ``summary.json`` of ``acc``, ``acc --set dt=0.005``,
   ``two-robot``, ``synthetic:int1d``, ``synthetic:int2d`` and
-  ``synthetic:fullact2d``;
+  ``synthetic:fullact2d``, and of the tour from each of the benchmark's
+  starts, ``perfbench.workloads.TWO_ROBOT_STARTS`` (imported from this
+  checkout, given as ``--set x0_agent1=[...] --set x0_agent2=[...]``);
 - ``sweep.csv`` and every per-value file of ``acc --sweep v_f0=17,18,...,27``
   (criterion 5's eleven starts) and of
   ``acc --sweep d_delta=50,100 --set v_f0=27``;
@@ -59,6 +61,18 @@ STEP_RUNS = {
 }
 
 
+def tour_runs() -> dict[str, list[str]]:
+    """The tour from each of the benchmark's starts, as command lines."""
+    sys.path.insert(0, str(ROOT))
+    from perfbench.workloads import TWO_ROBOT_STARTS
+
+    return {f"two-robot start {i}": [
+        "--scenario", "two-robot",
+        "--set", f"x0_agent1=[{a1[0]!r}, {a1[1]!r}]",
+        "--set", f"x0_agent2=[{a2[0]!r}, {a2[1]!r}]"]
+        for i, (a1, a2) in enumerate(TWO_ROBOT_STARTS)}
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -73,7 +87,7 @@ def manifest(src: Path) -> dict[str, str]:
         raise SystemExit(f"fxtqp imported from {fxtqp.__file__}, not from {src}")
 
     digests = {}
-    for label, argv in CLI_RUNS.items():
+    for label, argv in {**CLI_RUNS, **tour_runs()}.items():
         with tempfile.TemporaryDirectory() as tmp, \
                 contextlib.redirect_stdout(io.StringIO()):
             code = main([*argv, "--out", tmp])

@@ -136,8 +136,8 @@ def _clamped_power_sum(h: float, gains: FxtsGains) -> float:
 
 def qp_rows(fx: np.ndarray, gx: np.ndarray, goal: tuple[float, np.ndarray],
             safes: Sequence[SetFunction], bounds: InputBounds, gains: FxtsGains,
-            x: np.ndarray, freeze_level: float | None = None,
-            euler_dt: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+            x: np.ndarray, dt: float,
+            freeze_level: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Every constraint row of the synthesis QP at x, in one pass.
 
     ``fx`` and ``gx`` are the system's f(x) and g(x), and ``goal`` the goal
@@ -152,20 +152,22 @@ def qp_rows(fx: np.ndarray, gx: np.ndarray, goal: tuple[float, np.ndarray],
     - one invariance row Lf·h_s + Lg·h_s v <= -delta2*h_s per safe set,
       all sharing delta2 (on the boundary h_s = 0 the row reduces to
       tangency);
-    - when ``euler_dt`` is set, last, so the rows before it keep their
-      indices, the two rows of one forward Euler step of that size:
-      -delta1 <= 1/euler_dt, since one step of V' = delta1*V gives
-      (1 + delta1*dt)*V, which flips sign below delta1*dt = -1 and grows
-      below -2; and delta2 <= 0.5/euler_dt, since one step of
-      h_s' <= -delta2*h_s gives h_s + dt*h_s' <= (1 - delta2*dt)*h_s, which
-      keeps half the margin h_s < 0 for the step's curvature term.
+    - last, so the rows before them keep their indices, the two rows of
+      one forward Euler step of size ``dt``, the step of the loop the
+      decision drives: -delta1 <= 1/dt, since one step of V' = delta1*V
+      gives (1 + delta1*dt)*V, which flips sign below delta1*dt = -1 and
+      grows below -2 (a decay rate the step cannot follow makes the loop
+      flip its input every other step); and delta2 <= 0.5/dt, since one
+      step of h_s' <= -delta2*h_s gives h_s + dt*h_s' <= (1 - delta2*dt)*h_s,
+      which keeps half the margin h_s < 0 for the step's curvature term
+      (above 1/dt one step crosses the barrier).
 
     When ``freeze_level`` is set and some safe-set value exceeds it, the
     delta2 column of every invariance row is zeroed, so each row reads
     Lf·h_s + Lg·h_s v <= 0.  delta2 then enters only the Euler row
-    delta2 <= 0.5/euler_dt, and the objective (diagonal, no linear delta2
-    term) puts it at 0.  The row count is the same frozen or not, and the
-    Euler rows, with no input entry, are the same either way.
+    delta2 <= 0.5/dt, and the objective (diagonal, no linear delta2 term)
+    puts it at 0.  The row count is the same frozen or not, and the Euler
+    rows, with no input entry, are the same either way.
 
     Each safe set is called once (one call gives its value and gradient).
     Returns (rows, h_safe): the rows as one array [A | b], A = rows[:, :-1]
@@ -174,7 +176,7 @@ def qp_rows(fx: np.ndarray, gx: np.ndarray, goal: tuple[float, np.ndarray],
     box_A, box_b = bounds.box_rows
     m = bounds.m
     k = box_b.size
-    n_rows = k + 1 + len(safes) + 2 * (euler_dt is not None)
+    n_rows = k + 1 + len(safes) + 2
     rows = np.zeros((n_rows, m + 3))
     A = rows[:, :-1]
     b = rows[:, -1]
@@ -197,11 +199,10 @@ def qp_rows(fx: np.ndarray, gx: np.ndarray, goal: tuple[float, np.ndarray],
     A[k:end, :m] = G @ gx
     A[k:end, m + 1] = h_safe
     b[k:end] = -(G @ fx)
-    if euler_dt is not None:
-        A[end, m] = -1.0
-        b[end] = 1.0 / euler_dt
-        A[end + 1, m + 1] = 1.0
-        b[end + 1] = 0.5 / euler_dt
+    A[end, m] = -1.0
+    b[end] = 1.0 / dt
+    A[end + 1, m + 1] = 1.0
+    b[end + 1] = 0.5 / dt
     A[box_b.size:, :m] *= bounds.scale()
     if freeze_level is not None and h_safe.size and h_safe.max() > freeze_level:
         A[k:end, m + 1] = 0.0

@@ -6,11 +6,11 @@ slack, and the invariance slack.  The QP minimizes
     0.5 * (w_u . v_s^2 + w1*delta1^2 + w2*delta2^2) + q1*delta1
 
 over the input-box rows, one reach-rate row for the goal set, one
-invariance row per safe set and, when the parameters name the Euler step
-they drive, the two slack rows of that step.  Inputs are scaled
-component-wise by their bound magnitude inside the solver (v_s above) so
-the Hessian stays well conditioned when physical inputs are large; results
-are reported in physical units.
+invariance row per safe set and the two slack rows of the Euler step the
+decision drives.  Inputs are scaled component-wise by their bound
+magnitude inside the solver (v_s above) so the Hessian stays well
+conditioned when physical inputs are large; results are reported in
+physical units.
 """
 
 from __future__ import annotations
@@ -51,22 +51,20 @@ class SynthesisParams:
     safe-set value exceeds the level, by dropping delta2 from every
     invariance row (see :func:`fxtqp.constraints.qp_rows`); used by the
     disturbed cruise-control study.
-    ``euler_dt``, when set, must be the step of the forward Euler loop that
-    uses these params (``simulation.run`` refuses any other): the QP then
-    keeps delta1 >= -1/euler_dt and delta2 <= 0.5/euler_dt, so the decay
-    rate it asks of V and the approach rate it allows each safe set stay
-    ones that one step follows (see :func:`fxtqp.constraints.qp_rows`).
+    ``dt`` is the step of the forward Euler loop that ``simulation.run``
+    drives with these params; the QP keeps delta1 >= -1/dt and
+    delta2 <= 0.5/dt (see :func:`fxtqp.constraints.qp_rows`).
     """
 
     T_ud: float
     mu: float
     w_u: np.ndarray
+    dt: float
     gains: FxtsGains = field(init=False)
     w1: float = 1.0
     w2: float = 1.0
     q1: float = 100.0
     delta2_freeze_level: float | None = None
-    euler_dt: float | None = None
     H: np.ndarray = field(init=False, repr=False, compare=False)
     F: np.ndarray = field(init=False, repr=False, compare=False)
     L_inv: np.ndarray = field(init=False, repr=False, compare=False)
@@ -82,8 +80,8 @@ class SynthesisParams:
         for name in ("w1", "w2", "q1"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.euler_dt is not None and not (math.isfinite(self.euler_dt) and self.euler_dt > 0):
-            raise ValueError(f"euler_dt must be a finite number > 0, got {self.euler_dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be a finite number > 0, got {self.dt}")
         if (self.w_u <= 0).any() or self.w1 <= 0 or self.w2 <= 0 or self.q1 <= 0:
             raise ValueError("objective weights must be strictly positive")
         m = self.w_u.size
@@ -128,8 +126,8 @@ def _checked_rows(sys: ControlAffineSystem, h_g: SetFunction | tuple[float, np.n
     fx = sys.f(x)
     gx = sys.g(x)
     goal = h_g.value_and_gradient(x) if isinstance(h_g, SetFunction) else h_g
-    rows, h_safe = qp_rows(fx, gx, goal, safes, bounds, params.gains, x,
-                           params.delta2_freeze_level, params.euler_dt)
+    rows, h_safe = qp_rows(fx, gx, goal, safes, bounds, params.gains, x, params.dt,
+                           params.delta2_freeze_level)
     if not np.isfinite(rows).all():
         raise SolverFailure(f"synthesis QP rows are not finite at x={np.asarray(x)}")
     if rows.shape[1] - 1 != params.f.size:

@@ -59,10 +59,12 @@ class FxtsGains:
     mu: float
 
     def __post_init__(self):
-        if not (self.alpha1 > 0 and self.alpha2 > 0):
-            raise ValueError("alpha gains must be positive")
-        if not self.mu > 1:
-            raise ValueError("mu must exceed 1")
+        # an infinite gain makes every row it enters non-finite
+        if not (0 < self.alpha1 < math.inf and 0 < self.alpha2 < math.inf):
+            raise ValueError(f"alpha gains must be positive and finite, got "
+                             f"{self.alpha1}, {self.alpha2}")
+        if not 1 < self.mu < math.inf:
+            raise ValueError(f"mu must exceed 1 and be finite, got {self.mu}")
 
     @property
     def gamma1(self) -> float:

@@ -41,11 +41,10 @@ class Scenario:
     bounds: InputBounds
     params: SynthesisParams
     x0: np.ndarray
-    dt: float
     d_min: float | None = None     # separation requirement, if any
 
     def simulate(self) -> Trace:
-        return run(self.sys, self.schedule, self.bounds, self.params, self.x0, self.dt)
+        return run(self.sys, self.schedule, self.bounds, self.params, self.x0)
 
 
 def _finite(v) -> bool:
@@ -92,9 +91,6 @@ class AccConfig:
     as soon as the barrier value rises past ``ACC_FREEZE_LEVEL`` (the
     invariance row then drops delta2 and reads h_s' <= 0), and the
     ``*_disturbed`` weights replace the nominal ones.
-    The decision keeps delta1 >= -1/dt and delta2 <= 0.5/dt: the decay
-    rate it asks of the speed error and the approach rate it allows the
-    barrier stay ones that the Euler step of size ``dt`` follows.
     """
 
     M: float = 1650.0            # follower mass, kg
@@ -205,14 +201,7 @@ def acc_scenario(cfg: AccConfig | None = None) -> Scenario:
     # must shed closing speed well before its delta2 = 0 pin engages; the
     # reach pressure is dialed down and delta2 made expensive there to brake
     # early enough (with the nominal w2 the d_delta = 100 runs from 24-27 m/s
-    # cross the barrier).  The nominal weights ask for delta1 = -q1/w1 =
-    # -450/s, a decay rate that the Euler step follows only below 2/dt: at
-    # 4.5/dt the loop flips its input every other step, so delta1 is held
-    # at or above -1/dt.  Held there, the follower keeps the goal speed up
-    # to the lead, and delta2 grows on the approach; above 1/dt one step
-    # of h' <= -delta2*h crosses the barrier, so delta2 is held at or below
-    # 0.5/dt.  The disturbed weights ask for delta1 = -30/s, so the floor
-    # binds there only at steps above 1/30 s.
+    # cross the barrier).
     disturbed = cfg.d_delta > 0
     params = SynthesisParams(
         T_ud=cfg.T_ud, mu=cfg.mu,
@@ -220,7 +209,7 @@ def acc_scenario(cfg: AccConfig | None = None) -> Scenario:
         w2=cfg.w2_disturbed if disturbed else cfg.w2,
         q1=cfg.q1_disturbed if disturbed else cfg.q1,
         delta2_freeze_level=ACC_FREEZE_LEVEL if disturbed else None,
-        euler_dt=cfg.dt,
+        dt=cfg.dt,
     )
     schedule = Schedule(
         tracks=((Phase(goal=acc_goal(cfg), deadline=cfg.T_ud,
@@ -235,7 +224,6 @@ def acc_scenario(cfg: AccConfig | None = None) -> Scenario:
         bounds=InputBounds(lower=np.array([-cfg.u_max]), upper=np.array([cfg.u_max])),
         params=params,
         x0=np.array([cfg.v_f0, cfg.v_l0, cfg.D0]),
-        dt=cfg.dt,
     )
 
 
@@ -436,7 +424,7 @@ def two_robot_scenario(cfg: TwoRobotConfig | None = None,
     ub = cfg.component_bound
     params = SynthesisParams(
         T_ud=cfg.phase_budget, mu=cfg.mu,
-        w_u=np.ones(4), w1=cfg.w1, w2=cfg.w2, q1=cfg.q1,
+        w_u=np.ones(4), w1=cfg.w1, w2=cfg.w2, q1=cfg.q1, dt=cfg.dt,
     )
     return Scenario(
         scenario_id="two-robot",
@@ -445,7 +433,6 @@ def two_robot_scenario(cfg: TwoRobotConfig | None = None,
         bounds=InputBounds(lower=-ub * np.ones(4), upper=ub * np.ones(4)),
         params=params,
         x0=x0,
-        dt=cfg.dt,
         d_min=cfg.d_m,
     )
 
@@ -482,9 +469,8 @@ def synthetic_suite() -> list[Scenario]:
         sys=_integrator(1),
         schedule=Schedule(tracks=((Phase(goal=goal_1d, deadline=2.0),),)),
         bounds=InputBounds(lower=np.array([-2.0]), upper=np.array([2.0])),
-        params=SynthesisParams(T_ud=2.0, mu=2.0, w_u=np.ones(1)),
+        params=SynthesisParams(T_ud=2.0, mu=2.0, w_u=np.ones(1), dt=1e-3),
         x0=np.array([1.0]),
-        dt=1e-3,
     )
 
     # 2-D integrator detouring around an obstacle disk on the straight line
@@ -499,9 +485,8 @@ def synthetic_suite() -> list[Scenario]:
             global_safes=(obstacle,),
         ),
         bounds=InputBounds(lower=-np.ones(2), upper=np.ones(2)),
-        params=SynthesisParams(T_ud=6.0, mu=2.0, w_u=np.ones(2)),
+        params=SynthesisParams(T_ud=6.0, mu=2.0, w_u=np.ones(2), dt=1e-3),
         x0=np.array([0.0, 0.05]),
-        dt=1e-3,
     )
 
     # fully actuated nonlinear system confined to a disk; an inward input
@@ -519,9 +504,8 @@ def synthetic_suite() -> list[Scenario]:
             global_safes=(keep_in,),
         ),
         bounds=InputBounds(lower=-5.0 * np.ones(2), upper=5.0 * np.ones(2)),
-        params=SynthesisParams(T_ud=3.0, mu=2.0, w_u=np.ones(2)),
+        params=SynthesisParams(T_ud=3.0, mu=2.0, w_u=np.ones(2), dt=1e-3),
         x0=np.array([-1.2, -0.4]),
-        dt=1e-3,
     )
     return [int1d, int2d, fullact2d]
 

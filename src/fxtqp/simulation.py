@@ -210,8 +210,9 @@ def _safe_column_names(schedule) -> tuple[str, ...]:
 
 @np.errstate(over="ignore", invalid="ignore")
 def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
-        params: SynthesisParams, x0: np.ndarray, dt: float) -> Trace:
-    """Close the loop from x0 until the schedule resolves.
+        params: SynthesisParams, x0: np.ndarray) -> Trace:
+    """Close the loop from x0 until the schedule resolves, in Euler steps of
+    ``params.dt``.
 
     Per step: advance every track whose current goal is met, synthesize the
     input for the combined goal (the sum of the positive parts of the
@@ -226,10 +227,7 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
     built from the same phase goals, gets a certificate.
     Deterministic: identical inputs give bit-identical traces.
     """
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be a finite number > 0, got {dt}")
-    if params.euler_dt is not None and params.euler_dt != dt:
-        raise ValueError(f"params.euler_dt = {params.euler_dt} is not the run's dt = {dt}")
+    dt = params.dt
     x = np.asarray(x0, dtype=float).copy()
     tracks = schedule.tracks
     n_tracks = len(tracks)

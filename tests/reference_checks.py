@@ -28,12 +28,11 @@ _STRICT_CS_FLOOR = 1e-6
 ProbeResult = namedtuple("ProbeResult", "max_quotient quotients nonstrict_count")
 
 
-def rows_at(sys, h_g, safes, bounds, gains, x, freeze_level=None, euler_dt=None):
+def rows_at(sys, h_g, safes, bounds, gains, x, dt, freeze_level=None):
     """(A, b, h_goal, h_safe) of qp_rows at x, from sys.f(x), sys.g(x) and
     the goal set's (value, gradient) pair at x."""
     goal = h_g.value_and_gradient(x)
-    rows, h_safe = qp_rows(sys.f(x), sys.g(x), goal, safes, bounds, gains, x, freeze_level,
-                           euler_dt)
+    rows, h_safe = qp_rows(sys.f(x), sys.g(x), goal, safes, bounds, gains, x, dt, freeze_level)
     return rows[:, :-1], rows[:, -1], goal[0], h_safe
 
 

@@ -63,6 +63,14 @@ class TestRun:
         assert run_cli("--scenario", "acc", *flags, "--out", str(tmp_path)) == 2
         assert not (tmp_path / "acc").exists()
 
+    def test_deadline_whose_gains_overflow_is_config_error(self, tmp_path, capsys):
+        # T_ud = 1e-320 is positive, but alpha = mu*pi/(2*T_ud) is infinite:
+        # refused with the scenario, not left to fail the first step (exit 3)
+        assert run_cli("--scenario", "acc", "--set", "T_ud=1e-320",
+                       "--out", str(tmp_path)) == 2
+        assert "alpha gains must be positive" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("setting", ["horizon=inf", "horizon=nan", "d_delta=nan",
                                          "d_delta=inf"])
     def test_non_finite_number_is_config_error(self, tmp_path, setting):

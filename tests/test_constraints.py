@@ -18,6 +18,7 @@ from fxtqp.scenarios import (
     acc_scenario,
     acc_headway,
     _acc_system,
+    scenario_from_id,
     synthetic_suite,
     two_robot_scenario,
     waypoint_sets,
@@ -36,6 +37,9 @@ def ball(radius=1.0, name="ball"):
                        fn=lambda x: (float(x @ x - radius ** 2), 2.0 * np.asarray(x, float)))
 
 
+DT = 1e-3   # the Euler step of the rows built here
+
+
 def unit_box(m):
     # scale 1, so the input columns of the rows are the Lie derivatives
     return InputBounds(lower=-np.ones(m), upper=np.ones(m))
@@ -44,15 +48,17 @@ def unit_box(m):
 def reach_row(sys, goal, x, gains=None):
     """The reach-rate row over z = (v, delta1, delta2) and its right side."""
     m = sys.g(x).shape[1]
-    A, b, _, _ = rows_at(sys, goal, (), unit_box(m), gains or alpha_from_deadline(2.0, 2.0), x)
+    A, b, _, _ = rows_at(sys, goal, (), unit_box(m), gains or alpha_from_deadline(2.0, 2.0),
+                         x, DT)
     return A[2 * m], b[2 * m]
 
 
 def safety_rows(sys, safe, x):
     """The invariance row of one safe set and its right side."""
     m = sys.g(x).shape[1]
-    A, b, _, _ = rows_at(sys, ball(), (safe,), unit_box(m), alpha_from_deadline(2.0, 2.0), x)
-    return A[2 * m + 1:], b[2 * m + 1:]
+    A, b, _, _ = rows_at(sys, ball(), (safe,), unit_box(m), alpha_from_deadline(2.0, 2.0),
+                         x, DT)
+    return A[2 * m + 1:-2], b[2 * m + 1:-2]
 
 
 ACC_STATE = np.array([20.0, 10.0, 150.0])
@@ -128,7 +134,7 @@ class TestConvergenceRow:
         # reach-rate row and an invariance row with the same Lie derivative
         sys, s, x = integrator(2), ball(), np.array([0.6, -0.3])
         A, b, h_goal, h_safe = rows_at(sys, s, (s,), unit_box(2),
-                                       alpha_from_deadline(2.0, 2.0), x)
+                                       alpha_from_deadline(2.0, 2.0), x, DT)
         assert h_goal == h_safe[0] == s.value(x)
         assert np.array_equal(A[4, :2], A[5, :2])
         assert (A[4, 2], A[5, 3]) == (-h_goal, h_goal)
@@ -158,10 +164,10 @@ class TestSafetyRow:
         goal = ball(0.5)
         x = np.array([0.2, 0.1])
         A, _, h_goal, h_safe = rows_at(integrator(2), goal, (b1, b2), unit_box(2),
-                                       alpha_from_deadline(2.0, 2.0), x)
+                                       alpha_from_deadline(2.0, 2.0), x, DT)
         assert h_goal == goal.value(x)
         assert list(h_safe) == [b1.value(x), b2.value(x)]
-        assert list(A[-2:, -1]) == list(h_safe)
+        assert list(A[-4:-2, -1]) == list(h_safe)
 
 
 class TestFreezePins:
@@ -170,35 +176,46 @@ class TestFreezePins:
         args = (_acc_system(cfg), acc_goal(cfg), (acc_headway(cfg),), unit_box(1),
                 alpha_from_deadline(10.0, 5.0))
         far, near = np.array([20.0, 10.0, 150.0]), np.array([20.0, 10.0, 40.0])
-        far_A, far_b, _, _ = rows_at(*args, far, freeze_level=-20.0)
-        near_A, near_b, _, _ = rows_at(*args, near, freeze_level=-20.0)
-        unset_far_A, unset_far_b, _, _ = rows_at(*args, far)
-        unset_A, unset_b, _, _ = rows_at(*args, near)
+        far_A, far_b, _, _ = rows_at(*args, far, cfg.dt, freeze_level=-20.0)
+        near_A, near_b, _, _ = rows_at(*args, near, cfg.dt, freeze_level=-20.0)
+        unset_far_A, unset_far_b, _, _ = rows_at(*args, far, cfg.dt)
+        unset_A, unset_b, _, _ = rows_at(*args, near, cfg.dt)
         # the same rows frozen or not; below the level nothing changes
-        assert far_A.shape == near_A.shape == unset_A.shape == (4, 3)
+        assert far_A.shape == near_A.shape == unset_A.shape == (6, 3)
         assert np.array_equal(far_A, unset_far_A) and np.array_equal(far_b, unset_far_b)
         assert far_A[3, 2] != 0.0
-        # above it delta2 leaves the invariance row and nothing else changes
-        assert unset_A[3, 2] != 0.0 and not near_A[:, 2].any()
+        # above it delta2 leaves the invariance row and nothing else changes;
+        # only the last row, the Euler cap delta2 <= 0.5/dt, keeps it
+        assert unset_A[3, 2] != 0.0 and not near_A[:-1, 2].any()
         assert np.array_equal(near_A[:, :2], unset_A[:, :2]) and np.array_equal(near_b, unset_b)
 
 
 class TestEulerRows:
-    def test_rows_come_last_and_the_freeze_leaves_them(self):
-        cfg = AccConfig()
-        bounds = InputBounds(lower=np.array([-cfg.u_max]), upper=np.array([cfg.u_max]))
-        args = (_acc_system(cfg), acc_goal(cfg), (acc_headway(cfg),), bounds,
-                alpha_from_deadline(10.0, 5.0))
-        near = np.array([20.0, 10.0, 40.0])     # barrier above the freeze level
-        for level in (None, -20.0):
-            A, b, _, _ = rows_at(*args, near, freeze_level=level, euler_dt=cfg.dt)
-            plain_A, plain_b, _, _ = rows_at(*args, near, freeze_level=level)
-            assert A.shape == (6, 3)
-            # -delta1 <= 1/dt and delta2 <= 0.5/dt, unscaled and never frozen;
-            # every other row as without them
-            assert list(A[-2]) == [0.0, -1.0, 0.0] and b[-2] == 1.0 / cfg.dt
-            assert list(A[-1]) == [0.0, 0.0, 1.0] and b[-1] == 0.5 / cfg.dt
-            assert np.array_equal(A[:-2], plain_A) and np.array_equal(b[:-2], plain_b)
+    @pytest.mark.parametrize("scenario_id", ["acc", "two-robot", "synthetic:int1d",
+                                             "synthetic:int2d", "synthetic:fullact2d"])
+    def test_rows_come_last_and_the_freeze_leaves_them(self, scenario_id):
+        sc = scenario_from_id(scenario_id)
+        firsts = [track[0] for track in sc.schedule.tracks]
+        safes = sc.schedule.global_safes + tuple(s for ph in firsts for s in ph.safe_extra)
+        goal, x, m, dt = firsts[0].goal, sc.x0, sc.bounds.m, sc.params.dt
+        # a level below every safe-set value freezes every invariance row
+        level = min((s.value(x) for s in safes), default=0.0) - 1.0
+        frozen = dataclasses.replace(sc.params, delta2_freeze_level=level)
+        p, q = (assemble(sc.sys, goal, safes, sc.bounds, params, x)
+                for params in (sc.params, frozen))
+        for problem in (p, q):
+            # -delta1 <= 1/dt and delta2 <= 0.5/dt, unscaled and never frozen
+            assert problem.A.shape == (2 * m + 1 + len(safes) + 2, m + 2)
+            assert list(problem.A[-2]) == [0.0] * m + [-1.0, 0.0]
+            assert list(problem.A[-1]) == [0.0] * m + [0.0, 1.0]
+            assert problem.b[-2] == 1.0 / dt and problem.b[-1] == 0.5 / dt
+        # the freeze zeroes the invariance rows' delta2 entries and nothing else
+        inv = slice(2 * m + 1, 2 * m + 1 + len(safes))
+        assert not q.A[inv, -1].any() and np.array_equal(p.b, q.b)
+        assert np.all(p.A[inv, -1] != 0.0)
+        rest = np.ones(p.A.shape, dtype=bool)
+        rest[inv, -1] = False
+        assert np.array_equal(p.A[rest], q.A[rest])
 
 
 class TestCompositeSemantics:

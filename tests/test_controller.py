@@ -42,7 +42,7 @@ def acc_pieces(cfg=None):
     cfg = cfg or AccConfig()
     sc_params = SynthesisParams(T_ud=cfg.T_ud, mu=cfg.mu,
                                 w_u=np.ones(1), w1=cfg.w1,
-                                w2=cfg.w2, q1=cfg.q1)
+                                w2=cfg.w2, q1=cfg.q1, dt=cfg.dt)
     bounds = InputBounds(lower=np.array([-cfg.u_max]), upper=np.array([cfg.u_max]))
     return _acc_system(cfg), acc_goal(cfg), (acc_headway(cfg),), bounds, sc_params
 
@@ -59,7 +59,7 @@ def equality_qp(problem, W):
 def reference_rows(sys, goal, safes, bounds, params, x):
     """The synthesis QP's rows built one at a time, each with its own Lie
     derivatives and set value, stacked, frozen and input-scaled, then the
-    Euler step's delta1 and delta2 rows when params name the step."""
+    Euler step's delta1 and delta2 rows."""
     m = bounds.m
     mag = np.maximum(np.abs(bounds.lower), np.abs(bounds.upper))
     scale = np.where(mag > 0, mag, 1.0)
@@ -84,10 +84,9 @@ def reference_rows(sys, goal, safes, bounds, params, x):
     if level is not None and safes and max(s.value(x) for s in safes) > level:
         A[:, m + 1] = 0.0
     A[:, :m] = A[:, :m] * scale
-    if params.euler_dt is not None:
-        A = np.vstack([A, np.concatenate([np.zeros(m), [-1.0, 0.0]]),
-                       np.concatenate([np.zeros(m), [0.0, 1.0]])])
-        rhs += [1.0 / params.euler_dt, 0.5 / params.euler_dt]
+    A = np.vstack([A, np.concatenate([np.zeros(m), [-1.0, 0.0]]),
+                   np.concatenate([np.zeros(m), [0.0, 1.0]])])
+    rhs += [1.0 / params.dt, 0.5 / params.dt]
     return A, np.asarray(rhs, dtype=float)
 
 
@@ -132,18 +131,18 @@ def assembly_samples():
 
 class TestParams:
     def test_deadline_builds_consistent_gains(self):
-        p = SynthesisParams(T_ud=10.0, mu=5.0, w_u=np.ones(2))
+        p = SynthesisParams(T_ud=10.0, mu=5.0, w_u=np.ones(2), dt=1e-3)
         assert p.gains.alpha1 == pytest.approx(np.pi / 4)
         assert p.w_u.shape == (2,)
 
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):
-            SynthesisParams(T_ud=1.0, mu=2.0, w_u=np.ones(1), w2=0.0)
+            SynthesisParams(T_ud=1.0, mu=2.0, w_u=np.ones(1), w2=0.0, dt=1e-3)
 
     @pytest.mark.parametrize("T_ud, mu", [(0.0, 2.0), (-1.0, 2.0), (1.0, 1.0), (1.0, math.nan)])
     def test_rejects_deadline_and_exponent_out_of_range(self, T_ud, mu):
         with pytest.raises(ValueError, match="T_ud > 0 and mu > 1"):
-            SynthesisParams(T_ud=T_ud, mu=mu, w_u=np.ones(1))
+            SynthesisParams(T_ud=T_ud, mu=mu, w_u=np.ones(1), dt=1e-3)
 
     @pytest.mark.parametrize("field", ["w_u", "w1", "w2", "q1"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -151,12 +150,12 @@ class TestParams:
         # NaN passes the positivity test and infinity passes it too
         weights = {"w_u": np.ones(2), field: np.array([1.0, value]) if field == "w_u" else value}
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
-            SynthesisParams(T_ud=1.0, mu=2.0, **weights)
+            SynthesisParams(T_ud=1.0, mu=2.0, **weights, dt=1e-3)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-2])
     def test_rejects_an_euler_step_that_is_not_a_step(self, value):
-        with pytest.raises(ValueError, match="^euler_dt must be a finite number > 0"):
-            SynthesisParams(T_ud=1.0, mu=2.0, w_u=np.ones(1), euler_dt=value)
+        with pytest.raises(ValueError, match="^dt must be a finite number > 0"):
+            SynthesisParams(T_ud=1.0, mu=2.0, w_u=np.ones(1), dt=value)
 
 
 class TestAssemble:
@@ -173,20 +172,20 @@ class TestAssemble:
         sys, goal, safes, bounds, params = acc_pieces()
         p = assemble(sys, goal, safes, bounds, params, np.array([20.0, 10.0, 150.0]))
         assert p.n_z == 3
-        assert p.m_c == 4     # 2 input rows + convergence + safety
+        assert p.m_c == 6     # 2 input rows + convergence + safety + 2 Euler rows
 
     def test_freeze_drops_delta2_near_boundary(self):
         cfg = AccConfig(d_delta=50.0)
         sys, goal, safes, bounds, _ = acc_pieces(cfg)
         params = SynthesisParams(
             T_ud=cfg.T_ud, mu=cfg.mu, w_u=np.ones(1), w1=cfg.w1, w2=cfg.w2,
-            q1=cfg.q1_disturbed, delta2_freeze_level=ACC_FREEZE_LEVEL)
+            q1=cfg.q1_disturbed, delta2_freeze_level=ACC_FREEZE_LEVEL, dt=cfg.dt)
         far = assemble(sys, goal, safes, bounds, params, np.array([20.0, 10.0, 150.0]))
-        assert far.m_c == 4   # h_s = -91 is below the freeze level
+        assert far.m_c == 6   # h_s = -91 is below the freeze level
         assert far.A[3, 2] == pytest.approx(-91.0, abs=1.0)
         near = assemble(sys, goal, safes, bounds, params, np.array([20.0, 10.0, 40.0]))
-        assert near.m_c == 4  # h_s = +19 pins delta2 = 0: no row carries it
-        assert not near.A[:, 2].any()
+        assert near.m_c == 6  # h_s = +19 pins delta2 = 0: only the Euler cap carries it
+        assert not near.A[:-1, 2].any()
         dec = synthesize(sys, goal, safes, bounds, params, np.array([20.0, 10.0, 40.0]))
         assert dec.delta2 == 0.0 and dec.strict_cs
 
@@ -198,7 +197,7 @@ class TestAssemble:
         safes = sc.schedule.global_safes + track0.safe_extra + track1.safe_extra
         p = assemble(sc.sys, track0.goal, safes, sc.bounds, sc.params, sc.x0)
         assert p.n_z == 6
-        assert p.m_c == 8 + 1 + 13   # inputs, convergence, safe sets
+        assert p.m_c == 8 + 1 + 13 + 2   # inputs, convergence, safe sets, Euler rows
 
     def test_matches_row_by_row_reference(self):
         samples = assembly_samples()
@@ -210,7 +209,7 @@ class TestAssemble:
             assert p.A.shape == A.shape, label
             assert np.array_equal(p.A, A) and np.array_equal(p.b, b), (label, x)
             _, _, h_goal, h_safe = rows_at(sys, goal, safes, bounds, params.gains, x,
-                                           params.delta2_freeze_level)
+                                           params.dt, params.delta2_freeze_level)
             assert h_goal == goal.value(x)
             assert list(h_safe) == [s.value(x) for s in safes]
             # frozen: delta2 is left only in the last row, delta2 <= 0.5/dt
@@ -254,7 +253,7 @@ def coupled_pieces():
              quadratic_set("obstacle2", -np.diag([1.0, 2.0, 1.0]), [0.2, -0.6, 0.3], -0.05))
     goal = quadratic_set("goal", np.eye(3), [1.2, -0.8, 0.5], 0.04)
     bounds = InputBounds(lower=np.array([-3.0, -2.0]), upper=np.array([3.0, 2.5]))
-    params = SynthesisParams(T_ud=3.0, mu=3.0, w_u=np.array([1.0, 2.0]))
+    params = SynthesisParams(T_ud=3.0, mu=3.0, w_u=np.array([1.0, 2.0]), dt=1e-3)
     return sys, goal, safes, bounds, params
 
 
@@ -262,7 +261,7 @@ class TestStackedRows:
     def test_coupled_system_along_a_closed_loop_run(self):
         sys, goal, safes, bounds, params = coupled_pieces()
         schedule = Schedule(tracks=((Phase(goal=goal, deadline=3.0),),), global_safes=safes)
-        trace = run(sys, schedule, bounds, params, np.array([-0.6, 0.5, -0.2]), 1e-3)
+        trace = run(sys, schedule, bounds, params, np.array([-0.6, 0.5, -0.2]))
         assert trace.outcome.kind is OutcomeKind.ALL_PHASES_MET and len(trace) > 500
         warm = None
         for x in trace.x:
@@ -286,7 +285,7 @@ class TestSynthesize:
         goal = goal_ball(0.1)
         bound_mag = 20.0   # generous enough for the demanded fixed-time rate
         bounds = InputBounds(lower=-bound_mag * np.ones(2), upper=bound_mag * np.ones(2))
-        params = SynthesisParams(T_ud=2.0, mu=2.0, w_u=np.ones(2))
+        params = SynthesisParams(T_ud=2.0, mu=2.0, w_u=np.ones(2), dt=1e-3)
         x = np.array([3.0, 1.0])
         dec = synthesize(sys, goal, (), bounds, params, x)
         problem = assemble(sys, goal, (), bounds, params, x)
@@ -302,7 +301,7 @@ class TestSynthesize:
         goal = goal_ball(0.1, center=(3.0, 0.0))
         safe = safe_ball(2.0)
         bounds = InputBounds(lower=-5 * np.ones(2), upper=5 * np.ones(2))
-        params = SynthesisParams(T_ud=2.0, mu=2.0, w_u=np.ones(2))
+        params = SynthesisParams(T_ud=2.0, mu=2.0, w_u=np.ones(2), dt=1e-3)
         x = np.array([2.0, 0.0])    # exactly on the boundary
         dec = synthesize(sys, goal, (safe,), bounds, params, x)
         hdot = 2.0 * x @ dec.u
@@ -313,7 +312,7 @@ class TestSynthesize:
         goal = goal_ball(1.0)
         safe = safe_ball(5.0)
         bounds = InputBounds(lower=-np.ones(2), upper=np.ones(2))
-        params = SynthesisParams(T_ud=2.0, mu=2.0, w_u=np.ones(2))
+        params = SynthesisParams(T_ud=2.0, mu=2.0, w_u=np.ones(2), dt=1e-3)
         dec = synthesize(sys, goal, (safe,), bounds, params, np.array([0.1, 0.0]))
         assert np.linalg.norm(dec.u) <= 1e-6
 
@@ -481,7 +480,7 @@ class TestSynthesize:
                                            np.array([cfg.tau_d, 0.0, -1.0]))),)
         params = SynthesisParams(
             T_ud=cfg.T_ud, mu=cfg.mu, w_u=[1.0], w1=1.0, w2=1.0, q1=1.0,
-            delta2_freeze_level=ACC_FREEZE_LEVEL)
+            delta2_freeze_level=ACC_FREEZE_LEVEL, dt=cfg.dt)
         x = np.array([22.0, 10.0, 39.7])   # h_s just below zero, closing fast
         with pytest.raises(SolverFailure):
             synthesize(sys, goal, safes, bounds, params, x)
@@ -500,10 +499,12 @@ class TestSynthesize:
         ball = SetFunction("ball", lambda x: (x[0] ** 2 - 0.01, 2.0 * x))
         with pytest.raises(SolverFailure, match="not finite"):
             synthesize(integrator(1), ball, (), InputBounds(lower=[-1.0], upper=[1.0]),
-                       SynthesisParams(T_ud=1.0, mu=2.0, w_u=np.ones(1)), np.array([1e150]))
+                       SynthesisParams(T_ud=1.0, mu=2.0, w_u=np.ones(1), dt=1e-3),
+                       np.array([1e150]))
         # finite data that does not fit (two input weights, one input) is
         # a ValueError still
-        two_inputs = SynthesisParams(T_ud=params.T_ud, mu=params.mu, w_u=np.ones(2))
+        two_inputs = SynthesisParams(T_ud=params.T_ud, mu=params.mu, w_u=np.ones(2),
+                                     dt=params.dt)
         with pytest.raises(ValueError, match="inconsistent"):
             synthesize(sys, goal, (), bounds, two_inputs, x)
 
@@ -524,7 +525,7 @@ class TestContinuityProbe:
         goal = SetFunction(name="g",
                            fn=lambda x: (float(x[0] ** 2 - 0.01), np.array([2.0 * x[0]])))
         bounds = InputBounds(lower=np.array([-2.0]), upper=np.array([2.0]))
-        params = SynthesisParams(T_ud=2.0, mu=2.0, w_u=np.ones(1))
+        params = SynthesisParams(T_ud=2.0, mu=2.0, w_u=np.ones(1), dt=1e-3)
         res = continuity_probe(sys, goal, (), bounds, params,
                                np.array([0.8]), radius=1e-5, n_samples=10)
         assert res.max_quotient < 1e5

@@ -48,6 +48,15 @@ class TestGains:
         with pytest.raises(ValueError):
             FxtsGains(1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("a1, a2, mu, match", [
+        (math.inf, 1.0, 2.0, "alpha gains must be positive"),
+        (1.0, math.inf, 2.0, "alpha gains must be positive"),
+        (1.0, 1.0, math.inf, "mu must exceed 1")])
+    def test_rejects_gains_that_are_not_finite(self, a1, a2, mu, match):
+        # an infinite gain makes every reach row non-finite
+        with pytest.raises(ValueError, match=match):
+            FxtsGains(a1, a2, mu)
+
 
 class TestAlphaFromDeadline:
     def test_case_study_gains(self):
@@ -63,6 +72,13 @@ class TestAlphaFromDeadline:
     def test_rejects_a_deadline_that_is_not_positive(self, T):
         with pytest.raises(ValueError, match="deadline must be positive"):
             alpha_from_deadline(T, 2.0)
+
+    # a deadline so short that alpha = mu*pi/(2*T) overflows, and an
+    # infinite exponent, give infinite gains
+    @pytest.mark.parametrize("T, mu", [(1e-320, 2.0), (2.0, math.inf)])
+    def test_rejects_a_deadline_whose_gains_are_not_finite(self, T, mu):
+        with pytest.raises(ValueError, match="alpha gains must be positive"):
+            alpha_from_deadline(T, mu)
 
     @pytest.mark.parametrize("T", [0.1, 1.0, 10.0, 100.0])
     @pytest.mark.parametrize("mu", [1.5, 2.0, 5.0, 10.0])

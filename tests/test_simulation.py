@@ -43,13 +43,13 @@ def half_line(name, bound, upper):
                        fn=lambda x: (float(sign * (x[0] - bound)), np.array([sign])))
 
 
-def simple_setup(deadline=2.0, horizon=None):
+def simple_setup(deadline=2.0, horizon=None, dt=1e-3):
     sched = Schedule(
         tracks=((Phase(goal=goal_ball(0.1), deadline=deadline),),),
         horizon=horizon,
     )
     bounds = InputBounds(lower=-2.0 * np.ones(2), upper=2.0 * np.ones(2))
-    params = SynthesisParams(T_ud=2.0, mu=2.0, w_u=np.ones(2))
+    params = SynthesisParams(T_ud=2.0, mu=2.0, w_u=np.ones(2), dt=dt)
     return integrator(2), sched, bounds, params
 
 
@@ -107,22 +107,22 @@ class TestStepEuler:
 class TestRun:
     def test_reaches_goal_within_deadline(self):
         sys, sched, bounds, params = simple_setup()
-        trace = run(sys, sched, bounds, params, np.array([1.0, 1.0]), 1e-3)
+        trace = run(sys, sched, bounds, params, np.array([1.0, 1.0]))
         assert trace.outcome.kind is OutcomeKind.ALL_PHASES_MET
         assert trace.reach_times[0] is not None
         assert trace.reach_times[0] < 2.0
 
     def test_impossible_deadline_missed(self):
         sys, sched, bounds, params = simple_setup(deadline=1e-4)
-        trace = run(sys, sched, bounds, params, np.array([1.0, 1.0]), 1e-3)
+        trace = run(sys, sched, bounds, params, np.array([1.0, 1.0]))
         assert trace.outcome.kind is OutcomeKind.DEADLINE_MISSED
         assert trace.outcome.phase == 0
 
     @pytest.mark.parametrize("dt", [0.0, -1e-3, np.inf, np.nan])
     def test_rejects_dt_that_is_not_finite_and_positive(self, dt):
-        sys, sched, bounds, params = simple_setup()
-        with pytest.raises(ValueError):
-            run(sys, sched, bounds, params, np.array([1.0, 1.0]), dt)
+        # the run's step is its params' dt, refused where it is given
+        with pytest.raises(ValueError, match="^dt must be a finite number > 0"):
+            simple_setup(dt=dt)
 
     def test_overflowing_step_is_a_solver_failure(self):
         # a finite state whose Euler step overflows ends the run at that
@@ -132,10 +132,10 @@ class TestRun:
         goal = SetFunction("x1", lambda x: (float(x[1] ** 2 - 0.01), np.array([0.0, 2.0 * x[1]])))
         sched = Schedule(tracks=((Phase(goal=goal, deadline=5.0),),))
         bounds = InputBounds(lower=-np.ones(1), upper=np.ones(1))
-        params = SynthesisParams(T_ud=2.0, mu=2.0, w_u=np.ones(1))
+        params = SynthesisParams(T_ud=2.0, mu=2.0, w_u=np.ones(1), dt=1.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            trace = run(sys, sched, bounds, params, np.array([1e308, 1.0]), 1.0)
+            trace = run(sys, sched, bounds, params, np.array([1e308, 1.0]))
         assert [w for w in caught if w.category is RuntimeWarning] == []
         assert trace.outcome.kind is OutcomeKind.SOLVER_FAILURE
         assert trace.outcome.message.startswith("non-finite state")
@@ -144,10 +144,10 @@ class TestRun:
     def test_nan_goal_value_is_not_a_reach(self):
         # NaN fails every comparison: the reach test must not read it as met,
         # so the NaN reaches the QP's rows, which fail the run
-        sys, _, bounds, params = simple_setup()
+        sys, _, bounds, params = simple_setup(dt=1e-2)
         nan_goal = SetFunction("nan_goal", lambda x: (math.nan, np.zeros(2)))
         sched = Schedule(tracks=((Phase(goal=nan_goal, deadline=1.0),),))
-        trace = run(sys, sched, bounds, params, np.array([1.0, 1.0]), 1e-2)
+        trace = run(sys, sched, bounds, params, np.array([1.0, 1.0]))
         assert trace.outcome.kind is OutcomeKind.SOLVER_FAILURE
         assert "not finite" in trace.outcome.message
         assert trace.reach_times == (None,) and len(trace) == 0
@@ -155,12 +155,12 @@ class TestRun:
     def test_safe_set_turning_nan_ends_the_run_with_its_steps(self):
         # a safe set that leaves its model mid-run fails the run as a solver
         # failure; the steps before it stay in the trace
-        sys, _, bounds, params = simple_setup()
+        sys, _, bounds, params = simple_setup(dt=1e-2)
         flaky = SetFunction("flaky", lambda x: (math.nan if x[0] < 0.5 else -1.0,
                                                 np.zeros(2)))
         sched = Schedule(tracks=((Phase(goal=goal_ball(0.1), deadline=2.0),),),
                          global_safes=(flaky,))
-        trace = run(sys, sched, bounds, params, np.array([1.0, 0.0]), 1e-2)
+        trace = run(sys, sched, bounds, params, np.array([1.0, 0.0]))
         assert trace.outcome.kind is OutcomeKind.SOLVER_FAILURE
         assert "not finite" in trace.outcome.message
         assert len(trace) > 0 and np.all(trace.x[:, 0] >= 0.5)
@@ -169,7 +169,7 @@ class TestRun:
 
     def test_start_inside_goal_completes_at_zero(self):
         sys, sched, bounds, params = simple_setup()
-        trace = run(sys, sched, bounds, params, np.array([0.01, 0.0]), 1e-3)
+        trace = run(sys, sched, bounds, params, np.array([0.01, 0.0]))
         assert trace.outcome.kind is OutcomeKind.ALL_PHASES_MET
         assert trace.reach_times == (0.0,)
         assert len(trace) == 0
@@ -181,9 +181,8 @@ class TestRun:
         sched = Schedule(tracks=((Phase(goal=goal1, deadline=3.0),
                                   Phase(goal=goal2, deadline=3.0)),))
         bounds = InputBounds(lower=-2.0 * np.ones(2), upper=2.0 * np.ones(2))
-        params = SynthesisParams(T_ud=3.0, mu=2.0, w_u=np.ones(2))
-        trace = run(integrator(2), sched, bounds, params,
-                    np.array([2.0, 0.5]), 1e-3)
+        params = SynthesisParams(T_ud=3.0, mu=2.0, w_u=np.ones(2), dt=1e-3)
+        trace = run(integrator(2), sched, bounds, params, np.array([2.0, 0.5]))
         assert trace.outcome.kind is OutcomeKind.ALL_PHASES_MET
         assert np.all(np.diff(trace.phase) >= 0)
         assert trace.reach_times[0] < trace.reach_times[1]
@@ -191,7 +190,7 @@ class TestRun:
     def test_goal_invariant_after_reach(self):
         # the reach-rate row keeps the goal set invariant once entered
         sys, sched, bounds, params = simple_setup(horizon=1.5)
-        trace = run(sys, sched, bounds, params, np.array([0.5, -0.2]), 1e-3)
+        trace = run(sys, sched, bounds, params, np.array([0.5, -0.2]))
         assert trace.outcome.kind is OutcomeKind.ALL_PHASES_MET
         reached = trace.t >= trace.reach_times[0]
         assert np.all(trace.h_goal[reached] <= 1e-6)
@@ -201,15 +200,15 @@ class TestRun:
 
     def test_deterministic_bitwise(self):
         sys, sched, bounds, params = simple_setup()
-        t1 = run(sys, sched, bounds, params, np.array([1.0, -0.4]), 1e-3)
-        t2 = run(sys, sched, bounds, params, np.array([1.0, -0.4]), 1e-3)
+        t1 = run(sys, sched, bounds, params, np.array([1.0, -0.4]))
+        t2 = run(sys, sched, bounds, params, np.array([1.0, -0.4]))
         for field in ("t", "x", "u", "h_goal", "delta1", "delta2"):
             assert np.array_equal(getattr(t1, field), getattr(t2, field))
         assert t1.reach_times == t2.reach_times
 
     def test_solver_counters_per_step(self):
         sys, sched, bounds, params = simple_setup()
-        trace = run(sys, sched, bounds, params, np.array([1.0, -0.4]), 1e-3)
+        trace = run(sys, sched, bounds, params, np.array([1.0, -0.4]))
         assert trace.qp_iters.shape == trace.box_overshoot.shape == (len(trace),)
         assert trace.qp_iters.dtype.kind == "i" and np.all(trace.qp_iters >= 0)
         assert trace.qp_iters[0] >= 1          # the first solve starts cold
@@ -217,7 +216,7 @@ class TestRun:
 
     def test_time_grid_is_uniform(self):
         sys, sched, bounds, params = simple_setup()
-        trace = run(sys, sched, bounds, params, np.array([1.0, 1.0]), 1e-3)
+        trace = run(sys, sched, bounds, params, np.array([1.0, 1.0]))
         assert np.allclose(np.diff(trace.t), 1e-3, atol=1e-12)
 
 
@@ -285,8 +284,8 @@ class TestSegments:
         sched = Schedule(tracks=((Phase(goal=goal1, deadline=3.0),
                                   Phase(goal=goal2, deadline=3.0)),))
         bounds = InputBounds(lower=-2.0 * np.ones(2), upper=2.0 * np.ones(2))
-        params = SynthesisParams(T_ud=3.0, mu=2.0, w_u=np.ones(2))
-        trace = run(integrator(2), sched, bounds, params, np.array([2.0, 0.5]), 1e-3)
+        params = SynthesisParams(T_ud=3.0, mu=2.0, w_u=np.ones(2), dt=1e-3)
+        trace = run(integrator(2), sched, bounds, params, np.array([2.0, 0.5]))
         assert trace.outcome.kind is OutcomeKind.ALL_PHASES_MET
         segs = trace.segments
         assert len(segs) == 2
@@ -324,7 +323,7 @@ class TestSafetyMonitor:
                      safe_extra=(half_line("x_le_0.4", 0.4, upper=True),))
         trace = run(line, Schedule(tracks=((out, back),)),
                     InputBounds(lower=np.array([-2.0]), upper=np.array([2.0])),
-                    SynthesisParams(T_ud=2.0, mu=2.0, w_u=np.ones(1)), np.array([0.0]), 1e-3)
+                    SynthesisParams(T_ud=2.0, mu=2.0, w_u=np.ones(1), dt=1e-3), np.array([0.0]))
         assert trace.outcome.kind is OutcomeKind.SAFETY_VIOLATED
         assert trace.outcome.safe_set == "phase_extra_0"
         assert trace.outcome.phase == 1
@@ -348,7 +347,8 @@ class TestSafetyMonitor:
         trace = run(pushed, Schedule(tracks=((Phase(goal=goal, deadline=10.0),),),
                                      global_safes=(sep,)),
                     InputBounds(lower=-np.ones(2), upper=np.ones(2)),
-                    SynthesisParams(T_ud=10.0, mu=2.0, w_u=np.ones(2)), np.array([0.0, 1.0]), 1e-3)
+                    SynthesisParams(T_ud=10.0, mu=2.0, w_u=np.ones(2), dt=1e-3),
+                    np.array([0.0, 1.0]))
         assert trace.outcome.kind is OutcomeKind.SAFETY_VIOLATED
         assert trace.outcome.safe_set == "separation"
         # the run ends at the first step closer than 0.1 (up to round-off)
@@ -361,14 +361,14 @@ class TestSafetyMonitor:
 class TestMonitor:
     def test_empty_trace_gives_none_stats(self):
         sys, sched, bounds, params = simple_setup()
-        trace = run(sys, sched, bounds, params, np.array([0.01, 0.0]), 1e-3)
+        trace = run(sys, sched, bounds, params, np.array([0.01, 0.0]))
         stats = monitor(trace)
         assert stats["max_abs_u"] is None
         assert stats["max_h_per_safe_set"] is None
 
     def test_summary_fields(self):
         sys, sched, bounds, params = simple_setup()
-        trace = run(sys, sched, bounds, params, np.array([1.0, 1.0]), 1e-3)
+        trace = run(sys, sched, bounds, params, np.array([1.0, 1.0]))
         stats = monitor(trace)
         assert stats["max_abs_u"] == [pytest.approx(2.0, abs=1e-9)] * 2
         assert stats["reach_times"] == [trace.reach_times[0]]
@@ -400,14 +400,9 @@ class TestMonitor:
         sc = acc_scenario(AccConfig(v_f0=float(v_f0)))
         trace = sc.simulate()
         assert monitor(trace, bounds=sc.bounds)["chatter_steps"] == 0
-        assert trace.delta1.min() >= -(1.0 + 1e-12) / sc.dt
-        assert trace.delta2.max() <= (0.5 + 1e-12) / sc.dt
+        assert trace.delta1.min() >= -(1.0 + 1e-12) / sc.params.dt
+        assert trace.delta2.max() <= (0.5 + 1e-12) / sc.params.dt
         assert trace.reach_times == (self.NOMINAL_REACH_TIMES[v_f0],)
-
-    def test_run_refuses_params_built_for_another_step(self):
-        sc = acc_scenario(AccConfig())
-        with pytest.raises(ValueError, match="euler_dt = 0.01 is not the run's dt = 0.02"):
-            run(sc.sys, sc.schedule, sc.bounds, sc.params, sc.x0, 2e-2)
 
 
 class TestStepPath:
@@ -430,7 +425,7 @@ class TestStepPath:
 class TestCsvRoundTrip:
     def test_exact_round_trip(self, tmp_path):
         sys, sched, bounds, params = simple_setup()
-        trace = run(sys, sched, bounds, params, np.array([1.0, 1.0]), 1e-3)
+        trace = run(sys, sched, bounds, params, np.array([1.0, 1.0]))
         path = tmp_path / "trace.csv"
         trace_to_csv(trace, path)
         back = trace_from_csv(path)
