@@ -13,6 +13,11 @@ SHA-256.  The outputs are:
   ``synthetic:fullact2d``, and of the tour from each of the benchmark's
   starts, ``perfbench.workloads.TWO_ROBOT_STARTS`` (imported from this
   checkout, given as ``--set x0_agent1=[...] --set x0_agent2=[...]``);
+- ``trace.csv`` and ``summary.json`` of ``acc`` from each distinct start of
+  the benchmark's seeds 0 and 7, ``perfbench.workloads.acc_configs``
+  (imported from this checkout, given as ``--set`` of each field that
+  differs from ``AccConfig()``), its disturbed starts included (the default
+  config is the ``acc`` run);
 - ``sweep.csv`` and every per-value file of ``acc --sweep v_f0=17,18,...,27``
   (criterion 5's eleven starts) and of
   ``acc --sweep d_delta=50,100 --set v_f0=27``;
@@ -20,7 +25,7 @@ SHA-256.  The outputs are:
 - the exit code of each of these command-line runs;
 - the per-step ``qp_iters`` and ``box_overshoot`` arrays (not written to
   ``trace.csv``) of ``acc``, ``acc`` from 27 m/s with ``d_delta = 100``, the
-  tour and the three synthetic cases.
+  tour, the three synthetic cases and the benchmark's ``acc`` starts.
 
 The second form prints each entry whose digest differs, or which only one
 manifest has, and exits 1 if there is any, 0 if the manifests are equal.
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -73,6 +79,24 @@ def tour_runs() -> dict[str, list[str]]:
         for i, (a1, a2) in enumerate(TWO_ROBOT_STARTS)}
 
 
+def acc_runs() -> dict[str, dict]:
+    """The distinct ``acc`` starts of the benchmark's seeds 0 and 7, each as
+    the config fields that differ from the default config.  The default
+    config itself is the ``acc`` run, so it is left out."""
+    sys.path.insert(0, str(ROOT))
+    from perfbench.workloads import acc_configs
+
+    runs = {}
+    for seed in (0, 7):
+        for cfg in acc_configs(seed):
+            default = type(cfg)()
+            changed = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)
+                       if getattr(cfg, f.name) != getattr(default, f.name)}
+            if changed:
+                runs["acc " + " ".join(f"{k}={v!r}" for k, v in changed.items())] = changed
+    return runs
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -86,8 +110,12 @@ def manifest(src: Path) -> dict[str, str]:
     if Path(fxtqp.__file__).resolve().parent != src / "fxtqp":
         raise SystemExit(f"fxtqp imported from {fxtqp.__file__}, not from {src}")
 
+    acc = acc_runs()
+    acc_argv = {label: ["--scenario", "acc",
+                        *(a for k, v in changed.items() for a in ("--set", f"{k}={v!r}"))]
+                for label, changed in acc.items()}
     digests = {}
-    for label, argv in {**CLI_RUNS, **tour_runs()}.items():
+    for label, argv in {**CLI_RUNS, **tour_runs(), **acc_argv}.items():
         with tempfile.TemporaryDirectory() as tmp, \
                 contextlib.redirect_stdout(io.StringIO()):
             code = main([*argv, "--out", tmp])
@@ -96,7 +124,8 @@ def manifest(src: Path) -> dict[str, str]:
                     rel = path.relative_to(tmp).as_posix()
                     digests[f"{label}/{rel}"] = sha256(path.read_bytes())
         digests[f"{label}/exit"] = str(code)
-    for label, (scenario_id, overrides) in STEP_RUNS.items():
+    step_runs = {**STEP_RUNS, **{label: ("acc", changed) for label, changed in acc.items()}}
+    for label, (scenario_id, overrides) in step_runs.items():
         trace = scenario_from_id(scenario_id, overrides).simulate()
         for name in ("qp_iters", "box_overshoot"):
             array = getattr(trace, name)

@@ -185,9 +185,9 @@ def qp_rows(fx: np.ndarray, gx: np.ndarray, goal: tuple[float, np.ndarray],
 
     # input columns hold the Lie derivatives Lg·h until scaled at the end
     h_goal, grad = goal
-    A[k, :m] = grad @ gx
+    A[k, :m] = grad.dot(gx)
     A[k, m] = -h_goal
-    b[k] = -float(grad @ fx) - _clamped_power_sum(h_goal, gains)
+    b[k] = -float(grad.dot(fx)) - _clamped_power_sum(h_goal, gains)
     k += 1
 
     # the invariance rows from one gradient matrix: row j of G is grad h_s_j
@@ -196,9 +196,9 @@ def qp_rows(fx: np.ndarray, gx: np.ndarray, goal: tuple[float, np.ndarray],
     for j, s in enumerate(safes):
         h_safe[j], G[j] = s.value_and_gradient(x)
     end = k + len(safes)
-    A[k:end, :m] = G @ gx
+    A[k:end, :m] = G.dot(gx)
     A[k:end, m + 1] = h_safe
-    b[k:end] = -(G @ fx)
+    b[k:end] = -G.dot(fx)
     A[end, m] = -1.0
     b[end] = 1.0 / dt
     A[end + 1, m + 1] = 1.0

@@ -89,7 +89,7 @@ class SynthesisParams:
         F = np.zeros(m + 2)
         F[m] = self.q1
         L_inv = qp._factor(H)
-        f = L_inv @ F
+        f = L_inv.dot(F)
         for name, arr in (("H", H), ("F", F), ("L_inv", L_inv), ("f", f)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -188,7 +188,7 @@ def synthesize(sys: ControlAffineSystem, h_g: SetFunction | tuple[float, np.ndar
     status, y, lam, iterations = qp._solve(A, b, params.L_inv, params.f, warm_start)
     if status is not qp.SolveStatus.OPTIMAL:
         raise SolverFailure(f"synthesis QP {status.value} at x={np.asarray(x)}")
-    z = params.L_inv.T @ y
+    z = params.L_inv.T.dot(y)
     z_list = z.tolist()
     if not all(map(math.isfinite, z_list)):
         raise SolverFailure(f"synthesis QP solution {z} is not finite at x={np.asarray(x)}")
@@ -211,5 +211,5 @@ def synthesize(sys: ControlAffineSystem, h_g: SetFunction | tuple[float, np.ndar
         box_overshoot=overshoot,
         h_goal=h_goal,
         h_safe=h_safe,
-        rate=fx + gx @ u_box,
+        rate=fx + gx.dot(u_box),
     )

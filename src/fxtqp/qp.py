@@ -22,7 +22,9 @@ times the arithmetic at these sizes): ``dgeqrf``/``dorgqr`` factor a hot
 start and refactor after each drop, and every solve with R or R' is ``dtrtrs``.
 For the same reason it gathers and scatters its working rows through one
 ``np.intp`` index array, rebuilt when the set changes, never through a
-Python list, which numpy converts on every use.
+Python list, which numpy converts on every use.  Its products use
+``ndarray.dot``, the same BLAS kernel as ``@`` without the ``matmul``
+gufunc's dispatch.
 """
 
 from __future__ import annotations
@@ -165,7 +167,7 @@ def _slack_verdicts(A: np.ndarray, b: np.ndarray, z: np.ndarray,
     # the comparisons run on Python floats: a ufunc call costs more than
     # its work on a handful of rows
     active, strict = [], True
-    for i, (s, b_i, l) in enumerate(zip((b - A @ z).tolist(), b.tolist(), lam.tolist())):
+    for i, (s, b_i, l) in enumerate(zip((b - A.dot(z)).tolist(), b.tolist(), lam.tolist())):
         if s <= FEAS_TOL * (1.0 + abs(b_i)):
             active.append(i)
         if not (l > _STRICT_CS_TOL or s > _STRICT_CS_TOL):
@@ -206,9 +208,9 @@ def _equality_solve(Q: np.ndarray, R: np.ndarray, f: np.ndarray,
     round-off of b_w and f.
     """
     on_span = _tri_solve(R, b_w, trans=1)     # Q'y
-    qf = Q.T @ f
+    qf = Q.T.dot(f)
     lam = _tri_solve(R, -qf - on_span)
-    return lam, Q @ on_span - (f - Q @ qf)
+    return lam, Q.dot(on_span) - (f - Q.dot(qf))
 
 
 def _hot_start(C: np.ndarray, f: np.ndarray, b: np.ndarray, norms: np.ndarray,
@@ -283,14 +285,14 @@ def solve_qp(problem: QpProblem, warm_start: Sequence[int] | None = None) -> QpS
     value at the returned z (none unless OPTIMAL).
     """
     L_inv = problem.L_inv
-    f = L_inv @ problem.F
+    f = L_inv.dot(problem.F)
     status, y, lam, iterations = _solve(problem.A, problem.b, L_inv, f, warm_start)
-    z = L_inv.T @ y
+    z = L_inv.T.dot(y)
     active, objective = (), math.nan
     if status is SolveStatus.OPTIMAL:
         active = _slack_verdicts(problem.A, problem.b, z, lam)[0]
         # the objective is 0.5 z'Hz + F'z at z = L^-T y
-        objective = float(0.5 * (y @ y) + f @ y)
+        objective = float(0.5 * y.dot(y) + f.dot(y))
     return QpSolution(z_star=z, lambda_star=lam, active_set=active, objective=objective,
                       status=status, iterations=iterations)
 
@@ -308,7 +310,7 @@ def _solve(A: np.ndarray, b: np.ndarray, L_inv: np.ndarray, f: np.ndarray,
     n, m = f.size, A.shape[0]
     row_scale = abs(A).max(axis=1, initial=1e-30)
     b = b / row_scale
-    C = (A / row_scale[:, None]) @ L_inv.T
+    C = (A / row_scale[:, None]).dot(L_inv.T)
     norms = np.sqrt((C * C).sum(axis=1))
     viol_tol = _VIOL_TOL * (1.0 + np.abs(b))
 
@@ -323,7 +325,7 @@ def _solve(A: np.ndarray, b: np.ndarray, L_inv: np.ndarray, f: np.ndarray,
     iterations = 0
     max_iter = 50 * (m + n)
     while m:
-        excess = C @ y - b - viol_tol
+        excess = C.dot(y) - b - viol_tol
         excess[rows] = -np.inf
         p = int(excess.argmax())
         if excess[p] <= 0.0:
@@ -335,13 +337,13 @@ def _solve(A: np.ndarray, b: np.ndarray, L_inv: np.ndarray, f: np.ndarray,
             iterations += 1
             if iterations > max_iter:
                 return SolveStatus.ITERATION_LIMIT, y, np.zeros(m), iterations
-            v = Q.T @ c
-            w = c - Q @ v
-            v_re = Q.T @ w     # one re-orthogonalization keeps w accurate
-            w -= Q @ v_re
+            v = Q.T.dot(c)
+            w = c - Q.dot(v)
+            v_re = Q.T.dot(w)     # one re-orthogonalization keeps w accurate
+            w -= Q.dot(v_re)
             v += v_re
             r = _tri_solve(R, v) if work else v     # c = C_work' r + w
-            w2 = float(w @ w)
+            w2 = float(w.dot(w))
             dependent = w2 <= (_DEP_TOL * norms[p]) ** 2
             # on a dependent row a coefficient of round-off size is no block
             blocks = r > (_DEP_TOL * norms[p] / norms[rows] if dependent else 0.0)
@@ -356,7 +358,7 @@ def _solve(A: np.ndarray, b: np.ndarray, L_inv: np.ndarray, f: np.ndarray,
                 cert[rows] = np.maximum(-r, 0.0)
                 return SolveStatus.INFEASIBLE, y, cert / row_scale, iterations
             if not dependent:
-                t_full = float(c @ y - b[p]) / w2
+                t_full = float(c.dot(y) - b[p]) / w2
                 if t_full <= t:
                     y = y - t_full * w
                     lam = np.concatenate((lam - t_full * r, (lam_p + t_full,)))

@@ -144,16 +144,27 @@ def _constant(a) -> Callable[[np.ndarray], np.ndarray]:
     return lambda x: a
 
 
+def _square(v: float) -> float:
+    """v ** 2 for a Python float v, as numpy's power gives it: inf where it
+    overflows, where Python raises."""
+    try:
+        return v ** 2
+    except OverflowError:
+        return math.inf
+
+
+# The acc model runs on Python floats, which take the operations of numpy
+# scalars in the same order at a fraction of the call cost.
 def _acc_system(cfg: AccConfig) -> ControlAffineSystem:
     def f(x):
-        v_f, v_l, _ = x
+        v_f, v_l, _ = x.tolist()
         return np.array([-cfg.drag(v_f) / cfg.M, cfg.a_lead, v_l - v_f])
 
     g = _constant([[1.0 / cfg.M], [0.0], [0.0]])
     disturbance = None
     if cfg.d_delta > 0:
         def disturbance(x):
-            return np.array([cfg.d_delta / cfg.M * abs(x[0] - cfg.v_d), 0.0, 0.0])
+            return np.array([cfg.d_delta / cfg.M * abs(x.item(0) - cfg.v_d), 0.0, 0.0])
 
     return ControlAffineSystem(f=f, g=g, disturbance=disturbance)
 
@@ -162,8 +173,8 @@ def acc_goal(cfg: AccConfig) -> SetFunction:
     """Squared speed error; its zero set {v_f = v_d} has empty interior,
     so arrival is judged against the reach band instead of exact membership."""
     def fn(x):
-        e = x[0] - cfg.v_d
-        return e ** 2, np.array([2.0 * e, 0.0, 0.0])
+        e = x.item(0) - cfg.v_d
+        return _square(e), np.array([2.0 * e, 0.0, 0.0])
 
     return SetFunction("speed_error", fn)
 
@@ -187,9 +198,10 @@ def acc_headway(cfg: AccConfig) -> SetFunction:
     a_b = 0.9 * cfg.u_max / cfg.M
 
     def fn(x):
-        closing = max(0.0, x[0] - x[1])
+        v_f, v_l, D = x.tolist()
+        closing = max(0.0, v_f - v_l)
         r = closing / a_b
-        return (cfg.tau_d * x[0] - x[2] + closing ** 2 / (2.0 * a_b),
+        return (cfg.tau_d * v_f - D + _square(closing) / (2.0 * a_b),
                 np.array([cfg.tau_d + r, -r, -1.0]))
 
     return SetFunction("headway", fn)
@@ -282,7 +294,7 @@ def _circle(name: str, center, radius: float, agent: int) -> SetFunction:
         d = x[sl] - c
         grad = np.zeros(4)
         grad[sl] = 2.0 * d
-        return d @ d - radius * radius, grad
+        return d.dot(d) - radius * radius, grad
 
     return SetFunction(name, fn)
 
@@ -328,7 +340,7 @@ def _outside_hub(cfg: TwoRobotConfig, agent: int) -> SetFunction:
         d = x[sl]
         grad = np.zeros(4)
         grad[sl] = -2.0 * d
-        return r2 - d @ d, grad
+        return r2 - d.dot(d), grad
 
     return SetFunction(f"hub_a{agent + 1}", fn)
 
@@ -338,7 +350,7 @@ def _separation(cfg: TwoRobotConfig) -> SetFunction:
 
     def fn(x):
         d = x[0:2] - x[2:4]
-        return d2 - d @ d, np.concatenate([-2.0 * d, 2.0 * d])
+        return d2 - d.dot(d), np.concatenate([-2.0 * d, 2.0 * d])
 
     return SetFunction("separation", fn)
 

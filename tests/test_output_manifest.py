@@ -32,3 +32,12 @@ def test_each_difference_is_listed(capsys):
         "only in old: gone",
         "3 of 4 entries differ",
     ]
+
+
+def test_acc_runs_hold_the_benchmark_disturbed_starts():
+    runs = load_script().acc_runs()
+    for v_f0, d_delta in ((21.0, 50.0), (24.0, 100.0), (17.0, 50.0)):
+        assert runs[f"acc v_f0={v_f0!r} d_delta={d_delta!r}"] == {"v_f0": v_f0,
+                                                                  "d_delta": d_delta}
+    # only the fields that differ from the default config are set
+    assert all(changed and "horizon" not in changed for changed in runs.values())

@@ -378,6 +378,64 @@ class TestAlgebraicProperties:
         assert np.allclose(s.z_star, [0.3, 1.0, 0.0], atol=1e-10)
 
 
+def _signed(rng, shape):
+    """Normal entries with about a fifth of them +0.0 or -0.0."""
+    a = rng.normal(size=shape)
+    zero = rng.random(shape) < 0.2
+    a[zero] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zero]
+    return a
+
+
+def _q_product(rng, n, grown, transposed):
+    """(Q', a vector) or (Q, a vector) for an orthonormal n x k Q as the
+    solver holds one: dorgqr's, in Fortran order, or one grown a column by
+    concatenation, as the add step grows it."""
+    Q = _thin_qr(rng.normal(size=(n, int(rng.integers(1, n + 1)))))[0]
+    if grown:
+        Q = np.concatenate((Q[:, :-1], Q[:, -1:]), axis=1)
+    return (Q.T, _signed(rng, n)) if transposed else (Q, _signed(rng, Q.shape[1]))
+
+
+# operand pairs laid out as the step multiplies them
+DOT_CASES = {
+    "d.d, 2": lambda rng: (_signed(rng, 2), _signed(rng, 2)),
+    "w.w, 3": lambda rng: (_signed(rng, 3), _signed(rng, 3)),
+    "grad.fx, 4": lambda rng: (_signed(rng, 4), _signed(rng, 4)),
+    "c.y, 6": lambda rng: (_signed(rng, (24, 6))[5], _signed(rng, 6)),
+    "C y, (24,6)": lambda rng: (_signed(rng, (24, 6)), _signed(rng, 6)),
+    "A z, (24,6) of [A | b]": lambda rng: (_signed(rng, (24, 7))[:, :-1], _signed(rng, 6)),
+    "C y, (6,3)": lambda rng: (_signed(rng, (6, 3)), _signed(rng, 3)),
+    "A z, (6,3) of [A | b]": lambda rng: (_signed(rng, (6, 4))[:, :-1], _signed(rng, 3)),
+    "Q'f, Fortran Q": lambda rng: _q_product(rng, 6, grown=False, transposed=True),
+    "Q v, Fortran Q": lambda rng: _q_product(rng, 6, grown=False, transposed=False),
+    "Q'c, grown Q": lambda rng: _q_product(rng, 3, grown=True, transposed=True),
+    "Q v, grown Q": lambda rng: _q_product(rng, 3, grown=True, transposed=False),
+    "(A / s) L^-T, (24,6)": lambda rng: (
+        _signed(rng, (24, 6)), qp._factor(np.diag(rng.uniform(0.01, 100.0, 6))).T),
+    "L^-T y, (6,6)": lambda rng: (
+        qp._factor(np.diag(rng.uniform(0.01, 100.0, 6))).T, _signed(rng, 6)),
+    "G gx, (13,4)": lambda rng: (_signed(rng, (13, 4)), _signed(rng, (4, 4))),
+    "grad gx, (4,)(4,4)": lambda rng: (_signed(rng, 4), _signed(rng, (4, 4))),
+    "G gx, (1,3)(3,1)": lambda rng: (_signed(rng, (1, 3)), _signed(rng, (3, 1))),
+    "grad gx, (3,)(3,1)": lambda rng: (_signed(rng, 3), _signed(rng, (3, 1))),
+    "gx u, (3,1)(1,)": lambda rng: (_signed(rng, (3, 1)), _signed(rng, 1)),
+}
+
+
+@pytest.mark.parametrize("case", DOT_CASES)
+def test_dot_is_matmul_bit_for_bit(case):
+    # the step multiplies with ndarray.dot, which skips the matmul gufunc's
+    # dispatch; both must reach the same kernel, so a numpy that routes
+    # these shapes differently fails here rather than in a trace
+    rng = np.random.default_rng(sorted(DOT_CASES).index(case))
+    for _ in range(2000):
+        a, b = DOT_CASES[case](rng)
+        by_dot, by_matmul = np.asarray(a.dot(b)), np.asarray(a @ b)
+        assert by_dot.shape == by_matmul.shape
+        assert (by_dot == by_matmul).all()
+        assert (np.signbit(by_dot) == np.signbit(by_matmul)).all()
+
+
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_property_kkt_residuals_hold(seed):

@@ -1,6 +1,9 @@
+import ast
 import csv
+import inspect
 import io
 import math
+import textwrap
 import warnings
 
 import numpy as np
@@ -420,6 +423,28 @@ class TestStepPath:
             monkeypatch.setattr(np, name, forbidden)
         for sc in scenarios:
             assert sc.simulate().outcome.ok
+
+    def test_makes_no_matmul_operator(self):
+        # @ goes through the matmul gufunc's dispatch, ndarray.dot straight
+        # to the same BLAS kernel at about half the call cost; test_qp holds
+        # the two bit for bit on the step's shapes
+        from fxtqp import constraints, controller, qp, scenarios, simulation
+        step_path = [
+            qp.solve_qp, qp._solve, qp._hot_start, qp._equality_solve, qp._slack_verdicts,
+            qp._thin_qr, qp._tri_solve,
+            controller.synthesize, controller._checked_rows, controller._clip_to_box,
+            constraints.qp_rows, constraints._clamped_power_sum,
+            simulation.run, simulation.step_euler, simulation._positive_part_sum,
+            scenarios._constant, scenarios._square, scenarios._acc_system, scenarios.acc_goal,
+            scenarios.acc_headway, scenarios._circle, scenarios._ellipse,
+            scenarios._square_walls, scenarios._outside_hub, scenarios._separation,
+        ]
+        for fn in step_path:
+            source = textwrap.dedent(inspect.getsource(fn))
+            lines = [node.lineno for node in ast.walk(ast.parse(source))
+                     if isinstance(node, (ast.BinOp, ast.AugAssign))
+                     and isinstance(node.op, ast.MatMult)]
+            assert not lines, f"{fn.__qualname__} applies @ on its source lines {lines}"
 
 
 class TestCsvRoundTrip:
