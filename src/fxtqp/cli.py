@@ -117,11 +117,11 @@ def cmd_sweep(args) -> int:
     # every value's configuration is checked before any run starts
     scenarios = [scenario_from_id(args.scenario, {**overrides, axis: value})
                  for value in values]
-    out_dir = _out_dir(args)
     if not values:
         print("empty sweep value list; nothing to do")
         return EXIT_OK
 
+    out_dir = _out_dir(args)
     summaries = [_single_run(scenario, out_dir, tag)
                  for scenario, tag in zip(scenarios, tags)]
 

@@ -24,7 +24,12 @@ For the same reason it gathers and scatters its working rows through one
 ``np.intp`` index array, rebuilt when the set changes, never through a
 Python list, which numpy converts on every use.  Its products use
 ``ndarray.dot``, the same BLAS kernel as ``@`` without the ``matmul``
-gufunc's dispatch.
+gufunc's dispatch.  It branches on Python floats and multiplies on BLAS:
+the ratio test, the multiplier updates of an add or a drop and the hot
+start's choice of the row to drop run on lists, where a numpy call would
+cost more than its work on a vector of at most n entries, while every
+product, triangular solve and refactor, and the most violated row's search
+over all rows, stay on numpy and LAPACK.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -244,11 +250,32 @@ def _hot_start(C: np.ndarray, f: np.ndarray, b: np.ndarray, norms: np.ndarray,
             continue
         work = kept
         lam, y = _equality_solve(Q, R, f, b[rows])
-        k = int(lam.argmin())
-        if lam[k] >= 0.0:
+        lam_list = lam.tolist()
+        low = min(lam_list)
+        if low >= 0.0:
             return work, rows, Q, R, lam, y
-        del work[k]
+        del work[lam_list.index(low)]     # the first most negative, as argmin
     return None
+
+
+def _ratio_test(lam: list[float], r: list[float], norm_p: float,
+                work_norms: np.ndarray | None) -> tuple[float, int]:
+    """The step t >= 0 by which row p's multiplier rises before the first
+    working-set multiplier lam_j - t r_j reaches zero, and that row's
+    position k; (inf, -1) when no row blocks.
+
+    ``r`` holds row p's coefficients in the working set.  Row j blocks where
+    r_j > 0, or, when row p lies in the span of the working set (``norm_p``
+    its length and ``work_norms`` the working rows' lengths, None when it
+    does not), where r_j exceeds the round-off size _DEP_TOL |c_p| / |c_j|.
+    The first smallest ratio lam_j / r_j wins, as with ``argmin``.
+    """
+    floors = repeat(0.0) if work_norms is None else (_DEP_TOL * norm_p / work_norms).tolist()
+    t, k = math.inf, -1
+    for j, (l, r_j, floor) in enumerate(zip(lam, r, floors)):
+        if r_j > floor and l / r_j < t:
+            t, k = l / r_j, j
+    return max(t, 0.0), k     # a multiplier may sit at -0 by round-off
 
 
 def solve_qp(problem: QpProblem, warm_start: Sequence[int] | None = None) -> QpSolution:
@@ -331,6 +358,8 @@ def _solve(A: np.ndarray, b: np.ndarray, L_inv: np.ndarray, f: np.ndarray,
         if excess[p] <= 0.0:
             break
         c, lam_p = C[p], 0.0
+        if not iterations:
+            lam = lam.tolist()     # the multipliers change on floats from here
         while True:
             # raise row p's multiplier until the row is active, dropping the
             # working-set rows whose multipliers reach zero on the way
@@ -343,15 +372,11 @@ def _solve(A: np.ndarray, b: np.ndarray, L_inv: np.ndarray, f: np.ndarray,
             w -= Q.dot(v_re)
             v += v_re
             r = _tri_solve(R, v) if work else v     # c = C_work' r + w
+            r_list = r.tolist()
             w2 = float(w.dot(w))
-            dependent = w2 <= (_DEP_TOL * norms[p]) ** 2
-            # on a dependent row a coefficient of round-off size is no block
-            blocks = r > (_DEP_TOL * norms[p] / norms[rows] if dependent else 0.0)
-            t, k = math.inf, -1
-            if blocks.any():
-                ratios = np.where(blocks, lam / np.where(blocks, r, 1.0), np.inf)
-                k = int(ratios.argmin())
-                t = max(float(ratios[k]), 0.0)     # a multiplier may sit at -0 by round-off
+            norm_p = norms[p]
+            dependent = w2 <= (_DEP_TOL * norm_p) ** 2
+            t, k = _ratio_test(lam, r_list, norm_p, norms[rows] if dependent else None)
             if dependent and k < 0:
                 cert = np.zeros(m)
                 cert[p] = 1.0
@@ -361,7 +386,8 @@ def _solve(A: np.ndarray, b: np.ndarray, L_inv: np.ndarray, f: np.ndarray,
                 t_full = float(c.dot(y) - b[p]) / w2
                 if t_full <= t:
                     y = y - t_full * w
-                    lam = np.concatenate((lam - t_full * r, (lam_p + t_full,)))
+                    lam = [l - t_full * r_j for l, r_j in zip(lam, r_list)]
+                    lam.append(lam_p + t_full)
                     size = len(work)
                     # Fortran order: dtrtrs reads R without a copy
                     R_add = np.zeros((size + 1, size + 1), order="F")
@@ -373,8 +399,8 @@ def _solve(A: np.ndarray, b: np.ndarray, L_inv: np.ndarray, f: np.ndarray,
                     rows = np.array(work, dtype=np.intp)
                     break
                 y = y - t * w
-            lam = lam - t * r
-            lam = np.concatenate((lam[:k], lam[k + 1:]))
+            lam = [l - t * r_j for l, r_j in zip(lam, r_list)]
+            del lam[k]
             lam_p += t
             del work[k]
             rows = np.array(work, dtype=np.intp)

@@ -286,15 +286,22 @@ def _agent_slice(agent: int) -> slice:
     return slice(2 * agent, 2 * agent + 2)
 
 
+# The tour's sets build their gradients from Python floats, one np.array
+# each.  Squared distances stay d.dot(d): BLAS's ddot may fuse its
+# multiply-add, so Python's dx * dx + dy * dy need not give the same bits.
+def _lifted(agent: int, gx: float, gy: float) -> np.ndarray:
+    """The 4-vector with (gx, gy) at the agent's coordinates, zeros elsewhere."""
+    return np.array((gx, gy, 0.0, 0.0) if agent == 0 else (0.0, 0.0, gx, gy))
+
+
 def _circle(name: str, center, radius: float, agent: int) -> SetFunction:
     c = np.asarray(center, dtype=float)
     sl = _agent_slice(agent)
 
     def fn(x):
         d = x[sl] - c
-        grad = np.zeros(4)
-        grad[sl] = 2.0 * d
-        return d.dot(d) - radius * radius, grad
+        dx, dy = d.tolist()
+        return d.dot(d) - radius * radius, _lifted(agent, 2.0 * dx, 2.0 * dy)
 
     return SetFunction(name, fn)
 
@@ -305,10 +312,9 @@ def _ellipse(name: str, center, semi_x: float, semi_y: float, agent: int) -> Set
     wx, wy = 1.0 / semi_x ** 2, 1.0 / semi_y ** 2
 
     def fn(x):
-        d = x[sl] - c
-        grad = np.zeros(4)
-        grad[sl] = np.array([2.0 * wx * d[0], 2.0 * wy * d[1]])
-        return wx * d[0] ** 2 + wy * d[1] ** 2 - 1.0, grad
+        dx, dy = (x[sl] - c).tolist()
+        return (wx * _square(dx) + wy * _square(dy) - 1.0,
+                _lifted(agent, 2.0 * wx * dx, 2.0 * wy * dy))
 
     return SetFunction(name, fn)
 
@@ -326,7 +332,7 @@ def _square_walls(cfg: TwoRobotConfig, agent: int) -> list[SetFunction]:
             normal.setflags(write=False)
 
             def fn(x, i=i, sign=sign, normal=normal):
-                return sign * x[i] - a, normal
+                return sign * x.item(i) - a, normal
 
             walls.append(SetFunction(f"square_a{agent + 1}_{axis}{int(sign > 0)}", fn))
     return walls
@@ -338,9 +344,8 @@ def _outside_hub(cfg: TwoRobotConfig, agent: int) -> SetFunction:
 
     def fn(x):
         d = x[sl]
-        grad = np.zeros(4)
-        grad[sl] = -2.0 * d
-        return r2 - d.dot(d), grad
+        dx, dy = d.tolist()
+        return r2 - d.dot(d), _lifted(agent, -2.0 * dx, -2.0 * dy)
 
     return SetFunction(f"hub_a{agent + 1}", fn)
 
@@ -350,7 +355,8 @@ def _separation(cfg: TwoRobotConfig) -> SetFunction:
 
     def fn(x):
         d = x[0:2] - x[2:4]
-        return d2 - d.dot(d), np.concatenate([-2.0 * d, 2.0 * d])
+        dx, dy = d.tolist()
+        return d2 - d.dot(d), np.array((-2.0 * dx, -2.0 * dy, 2.0 * dx, 2.0 * dy))
 
     return SetFunction("separation", fn)
 

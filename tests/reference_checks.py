@@ -4,8 +4,9 @@ They are evidence, not controller code: a textbook settling bound to
 compare the paper's tighter one with, central finite differences of a set
 function's value against its analytic gradient, a strict-complementarity
 verdict on a QP solution, and difference quotients of the QP solution map;
-``numpy_slack_verdicts`` and ``numpy_clip``, the numpy expressions the
-step's judge and input clip compute on Python floats;
+``numpy_slack_verdicts``, ``numpy_clip``, ``numpy_ratio_test`` and
+``numpy_tour_sets``, the numpy expressions the step's judge, input clip,
+solver ratio test and tour set gradients compute on Python floats;
 ``rows_at``, the rows of :func:`fxtqp.constraints.qp_rows` from a system
 and a goal set rather than their values at the state; and ``scaled_z``, a
 decision as the QP's solution in its input-scaled coordinates.  The tests
@@ -13,13 +14,14 @@ fix every argument, so nothing here checks its inputs beyond what a verdict
 needs.
 """
 
+import math
 from collections import namedtuple
 
 import numpy as np
 
 from fxtqp.constraints import qp_rows
 from fxtqp.controller import synthesize
-from fxtqp.qp import FEAS_TOL, SolveStatus
+from fxtqp.qp import _DEP_TOL, FEAS_TOL, SolveStatus
 
 _FD_STEP = 1e-6
 # the floor on a positive multiplier or slack
@@ -98,6 +100,94 @@ def numpy_clip(z, bounds):
     u = z[:bounds.m] * scale
     u_box = u.clip(bounds.lower, bounds.upper)
     return u_box, max((abs(u - u_box) / scale).tolist())
+
+
+def numpy_ratio_test(lam, r, norm_p, work_norms, dependent):
+    """(t, k) of ``fxtqp.qp._ratio_test`` as numpy expressions on the
+    multipliers ``lam`` and the coefficients ``r`` of row p in the working
+    set: row j blocks where r_j > 0, or, when row p is ``dependent`` on the
+    working set, where r_j > _DEP_TOL * |c_p| / |c_j| (``norm_p``, the
+    working rows' ``work_norms``); k is the argmin of lam_j / r_j over the
+    blocking rows and t that ratio, floored at 0.0; (inf, -1) when no row
+    blocks."""
+    lam, r = np.asarray(lam, dtype=float), np.asarray(r, dtype=float)
+    blocks = r > (_DEP_TOL * np.float64(norm_p) / np.asarray(work_norms) if dependent else 0.0)
+    t, k = math.inf, -1
+    if blocks.any():
+        ratios = np.where(blocks, lam / np.where(blocks, r, 1.0), np.inf)
+        k = int(ratios.argmin())
+        t = max(float(ratios[k]), 0.0)
+    return t, k
+
+
+def _numpy_circle(center, radius, agent):
+    c, sl = np.asarray(center, dtype=float), slice(2 * agent, 2 * agent + 2)
+
+    def fn(x):
+        d = x[sl] - c
+        grad = np.zeros(4)
+        grad[sl] = 2.0 * d
+        return d.dot(d) - radius * radius, grad
+
+    return fn
+
+
+def _numpy_ellipse(center, semi_x, semi_y, agent):
+    c, sl = np.asarray(center, dtype=float), slice(2 * agent, 2 * agent + 2)
+    wx, wy = 1.0 / semi_x ** 2, 1.0 / semi_y ** 2
+
+    def fn(x):
+        d = x[sl] - c
+        grad = np.zeros(4)
+        grad[sl] = np.array([2.0 * wx * d[0], 2.0 * wy * d[1]])
+        return wx * d[0] ** 2 + wy * d[1] ** 2 - 1.0, grad
+
+    return fn
+
+
+def _numpy_wall(i, sign, arena):
+    normal = np.zeros(4)
+    normal[i] = sign
+    return lambda x: (sign * x[i] - arena, normal)
+
+
+def _numpy_hub(r2, agent):
+    sl = slice(2 * agent, 2 * agent + 2)
+
+    def fn(x):
+        d = x[sl]
+        grad = np.zeros(4)
+        grad[sl] = -2.0 * d
+        return r2 - d.dot(d), grad
+
+    return fn
+
+
+def _numpy_separation(d2):
+    def fn(x):
+        d = x[0:2] - x[2:4]
+        return d2 - d.dot(d), np.concatenate([-2.0 * d, 2.0 * d])
+
+    return fn
+
+
+def numpy_tour_sets(cfg, agent):
+    """The (value, gradient) maps of the tour's sets for one agent as numpy
+    expressions on arrays: the eight waypoint sets in ``waypoint_sets``
+    order, the four walls in ``_square_walls`` order, the hub, and last the
+    separation of the two agents."""
+    r, c, e = cfg.circle_radius, cfg.hub_radius, cfg.hub_radius
+    maj, mnr = cfg.ellipse_major, cfg.ellipse_minor
+    waypoints = [
+        _numpy_circle((-c, c), r, agent), _numpy_ellipse((0.0, e), maj, mnr, agent),
+        _numpy_circle((c, c), r, agent), _numpy_ellipse((e, 0.0), mnr, maj, agent),
+        _numpy_circle((c, -c), r, agent), _numpy_ellipse((0.0, -e), maj, mnr, agent),
+        _numpy_circle((-c, -c), r, agent), _numpy_ellipse((-e, 0.0), mnr, maj, agent),
+    ]
+    walls = [_numpy_wall(2 * agent + axis, sign, cfg.arena)
+             for axis in (0, 1) for sign in (1.0, -1.0)]
+    return [*waypoints, *walls, _numpy_hub(cfg.hub_radius ** 2, agent),
+            _numpy_separation(cfg.d_m ** 2)]
 
 
 def continuity_probe(sys, h_g, safes, bounds, params, x, radius, n_samples):

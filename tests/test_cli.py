@@ -270,6 +270,11 @@ class TestSweep:
         assert run_cli("--scenario", "acc", "--sweep", "v_f0=",
                        "--out", str(tmp_path)) == 0
         assert not (tmp_path / "sweep.csv").exists()
+        # nor does it make an output directory that is not there yet
+        fresh = tmp_path / "new" / "dir"
+        assert run_cli("--scenario", "acc", "--sweep", "v_f0=",
+                       "--out", str(fresh)) == 0
+        assert not (tmp_path / "new").exists()
 
     def test_sweep_aggregates_and_exit_code(self, tmp_path):
         code = run_cli("--scenario", "acc", "--sweep", "v_f0=21,24",

@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +15,7 @@ from fxtqp.qp import (
     kkt_residual,
     solve_qp,
 )
-from reference_checks import numpy_slack_verdicts, strictly_complementary
+from reference_checks import numpy_ratio_test, numpy_slack_verdicts, strictly_complementary
 
 
 def make_problem(H, F, A=None, b=None):
@@ -201,6 +202,87 @@ class TestStrictComplementarity:
         cases.append((np.zeros((0, 3)), np.zeros(0), np.ones(3), np.zeros(0)))
         for A, b, z, lam in cases:
             assert qp._slack_verdicts(A, b, z, lam) == numpy_slack_verdicts(A, b, z, lam)
+
+
+class TestFloatBranching:
+    # the solver's ratio test and its hot start's trim branch on Python
+    # floats; each must pick what the numpy expressions they replace pick
+
+    @staticmethod
+    def same(p, q):
+        return p == q and math.copysign(1.0, p) == math.copysign(1.0, q)
+
+    def test_ratio_test_is_the_numpy_expressions_bit_for_bit(self):
+        # seeded (lam, r, norms), most drawn from small value sets so that
+        # ratios tie, multipliers sit at +-0.0 and coefficients at +-0.0 or
+        # near the dependent floor, and the edges: tied ratios, signed zero
+        # multipliers, r_j exactly at the dependent floor and no blocking row
+        rng = np.random.default_rng(32)
+        cases = []
+        for _ in range(2000):
+            k = int(rng.integers(0, 7))
+            lam = rng.choice([0.0, -0.0, 1.0, 2.0, 3.0, 1e-17, -1e-17], size=k)
+            r = rng.choice([-1.0, -0.0, 0.0, 1e-10, 3e-11, 2e-10, 0.5, 1.0, 2.0], size=k)
+            norms = rng.choice([0.5, 1.0, 3.0], size=k + 1)
+            if k and rng.random() < 0.3:
+                j = int(rng.integers(0, k))
+                r[j] = (qp._DEP_TOL * norms[0] / norms[1:])[j]
+            cases.append((lam, r, norms[0], norms[1:]))
+            cases.append((rng.uniform(0.0, 2.0, k), rng.normal(size=k),
+                          rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0, k)))
+        ones = np.ones(4)
+        floor = qp._DEP_TOL * np.float64(1.0) / np.array([1.0, 2.0])
+        cases += [
+            (np.array([2.0, 1.0, 2.0, 1.0]), np.ones(4), 1.0, ones),     # tied ratios
+            (np.array([3.0, 6.0]), np.array([1.0, 2.0]), 1.0, ones[:2]),
+            (np.array([-0.0, 0.0]), np.ones(2), 1.0, ones[:2]),     # signed zeros
+            (np.array([0.0, -0.0]), np.ones(2), 1.0, ones[:2]),
+            (np.array([1.0, -0.0]), np.array([1.0, 2.0]), 1.0, ones[:2]),
+            (np.array([0.0, 5.0]), np.array([floor[0], 1.0]), 1.0, np.array([1.0, 2.0])),
+            (np.array([0.0, 5.0]), np.array([1.0, floor[1]]), 1.0, np.array([1.0, 2.0])),
+            (np.array([0.0, 0.0, 3.0]), np.array([0.0, -0.0, 1.0]), 1.0, ones[:3]),
+            (np.array([1.0, 1.0]), np.array([-1.0, 0.0]), 1.0, ones[:2]),     # no block
+            (np.array([1.0, 1.0]), np.array([1e-11, floor[1]]), 1.0, np.array([1.0, 2.0])),
+            (np.zeros(0), np.zeros(0), 1.0, np.zeros(0)),
+        ]
+        for lam, r, norm_p, work_norms in cases:
+            for dependent in (False, True):
+                t, k = qp._ratio_test(lam.tolist(), r.tolist(), np.float64(norm_p),
+                                      work_norms if dependent else None)
+                t_ref, k_ref = numpy_ratio_test(lam, r, norm_p, work_norms, dependent)
+                assert k == k_ref and self.same(t, t_ref), (lam, r, dependent)
+
+    def test_hot_start_drops_the_row_argmin_would(self, monkeypatch):
+        # fed chosen multipliers for the whole guess, the trim must drop the
+        # row numpy's argmin picks when it is negative, and nothing else: ties
+        # between equal most negative multipliers and -0.0 against 0.0
+        # included.  Identity rows are independent, and b[rows] = rows names
+        # the rows of each equality solve
+        n = 6
+        C, f, b, norms = np.eye(n), np.zeros(n), np.arange(float(n)), np.ones(n)
+
+        def trim(lam_first):
+            solved = []
+
+            def equality_solve(Q, R, f_, b_w):
+                solved.append(b_w.tolist())
+                return (lam_first if len(solved) == 1 else np.zeros(b_w.size)), np.zeros(n)
+
+            monkeypatch.setattr(qp, "_equality_solve", equality_solve)
+            start = qp._hot_start(C, f, b, norms, range(lam_first.size))
+            return (start[0] if start else []), solved
+
+        rng = np.random.default_rng(32)
+        cases = [[-1.0, -2.0, -2.0, 0.0], [-3.0, -3.0], [0.0, -0.0], [-0.0, 0.0, 1.0],
+                 [1.0, -0.0, -1e-300, -1e-300], [2.0, 1.0], [-5.0]]
+        cases += [rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0], size=int(rng.integers(1, n + 1)))
+                  for _ in range(300)]
+        for lam in map(np.array, cases):
+            k = int(lam.argmin())
+            kept = [j for j in range(lam.size) if not (lam[k] < 0.0 and j == k)]
+            # a trimmed guess is solved once more, unless nothing is left
+            solves = [list(range(lam.size))] + ([kept] if 0 < len(kept) < lam.size else [])
+            assert trim(lam) == (kept, solves), lam
 
 
 class TestOracleAgreement:

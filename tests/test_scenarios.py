@@ -17,7 +17,7 @@ from fxtqp.scenarios import (
     two_robot_scenario,
     waypoint_sets,
 )
-from reference_checks import strictly_complementary
+from reference_checks import numpy_tour_sets, strictly_complementary
 
 
 class TestAccConfig:
@@ -240,6 +240,42 @@ class TestTwoRobotGeometry:
         stay2 = sc.schedule.tracks[1][0].safe_extra[0]
         assert stay1.value(x0) < 0
         assert stay2.value(x0) < 0
+
+
+def test_tour_sets_are_the_numpy_expressions_bit_for_bit():
+    # the tour's sets build their gradients on Python floats; value and
+    # gradient must equal the numpy expressions they replace, zeros with
+    # their sign, for every set type and both agents, on seeded states:
+    # uniform, at and near each centre, with signed zeros, and of magnitude
+    # 1e+-150 (1e160, whose squares overflow, too)
+    from fxtqp.scenarios import _outside_hub, _separation, _square_walls
+    cfg = TwoRobotConfig()
+    rng = np.random.default_rng(32)
+    c = cfg.hub_radius
+    centres = [(-c, c), (0.0, c), (c, c), (c, 0.0), (c, -c), (0.0, -c), (-c, -c), (-c, 0.0),
+               (0.0, 0.0), (-0.0, -0.0)]
+    states = list(rng.uniform(-2.5, 2.5, size=(200, 4)))
+    for p in centres:
+        for q in centres:
+            at = np.array([*p, *q])
+            states += [at, *(at + rng.normal(scale=1e-12, size=(2, 4)))]
+    states += list(rng.choice([0.0, -0.0, 1.5, -1.5], size=(100, 4)))
+    states += list(rng.choice([1e150, -1e150, 1e-150, -1e-150, 1e160, -1e160, 0.0, -0.0],
+                              size=(200, 4)))
+    for agent in (0, 1):
+        sets = [*waypoint_sets(cfg, agent), *_square_walls(cfg, agent),
+                _outside_hub(cfg, agent), _separation(cfg)]
+        refs = numpy_tour_sets(cfg, agent)
+        assert len(sets) == len(refs) == 14
+        for s, ref in zip(sets, refs):
+            for x in states:
+                with np.errstate(over="ignore"):
+                    h, grad = s.value_and_gradient(x)
+                    h_ref, grad_ref = ref(x)
+                assert h == h_ref and np.signbit(h) == np.signbit(h_ref), (s.name, x)
+                assert grad.dtype == grad_ref.dtype and grad.shape == grad_ref.shape
+                assert (grad == grad_ref).all(), (s.name, x)
+                assert (np.signbit(grad) == np.signbit(grad_ref)).all(), (s.name, x)
 
 
 @pytest.fixture(scope="module")

@@ -430,13 +430,13 @@ class TestStepPath:
         # the two bit for bit on the step's shapes
         from fxtqp import constraints, controller, qp, scenarios, simulation
         step_path = [
-            qp.solve_qp, qp._solve, qp._hot_start, qp._equality_solve, qp._slack_verdicts,
-            qp._thin_qr, qp._tri_solve,
+            qp.solve_qp, qp._solve, qp._hot_start, qp._ratio_test, qp._equality_solve,
+            qp._slack_verdicts, qp._thin_qr, qp._tri_solve,
             controller.synthesize, controller._checked_rows, controller._clip_to_box,
             constraints.qp_rows, constraints._clamped_power_sum,
             simulation.run, simulation.step_euler, simulation._positive_part_sum,
             scenarios._constant, scenarios._square, scenarios._acc_system, scenarios.acc_goal,
-            scenarios.acc_headway, scenarios._circle, scenarios._ellipse,
+            scenarios.acc_headway, scenarios._lifted, scenarios._circle, scenarios._ellipse,
             scenarios._square_walls, scenarios._outside_hub, scenarios._separation,
         ]
         for fn in step_path:
