@@ -44,9 +44,9 @@ class SynthesisParams:
 
     ``gains`` is derived from (T_ud, mu): alpha_from_deadline meets T_ud.
     ``w_u`` holds one weight per input, e.g. ``np.ones(m)``.
-    ``H`` and ``F``, the QP's objective in input-scaled coordinates, are
-    built once from the weights, and so are the solver's factor ``L_inv``
-    (H = LL') and ``f`` = L^-1 F (all read-only).
+    ``objective``, the QP's objective in input-scaled coordinates, is built
+    once from the weights as a row-less :class:`fxtqp.qp.QpProblem`, which
+    checks and factors it; its H and F are read-only.
     ``delta2_freeze_level``, when set, pins delta2 = 0 whenever some
     safe-set value exceeds the level, by dropping delta2 from every
     invariance row (see :func:`fxtqp.constraints.qp_rows`); used by the
@@ -65,10 +65,7 @@ class SynthesisParams:
     w2: float = 1.0
     q1: float = 100.0
     delta2_freeze_level: float | None = None
-    H: np.ndarray = field(init=False, repr=False, compare=False)
-    F: np.ndarray = field(init=False, repr=False, compare=False)
-    L_inv: np.ndarray = field(init=False, repr=False, compare=False)
-    f: np.ndarray = field(init=False, repr=False, compare=False)
+    objective: qp.QpProblem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "w_u", np.atleast_1d(np.asarray(self.w_u, dtype=float)))
@@ -88,11 +85,9 @@ class SynthesisParams:
         H = np.diag(np.concatenate([self.w_u, [self.w1, self.w2]]))
         F = np.zeros(m + 2)
         F[m] = self.q1
-        L_inv = qp._factor(H)
-        f = L_inv.dot(F)
-        for name, arr in (("H", H), ("F", F), ("L_inv", L_inv), ("f", f)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        H.setflags(write=False)
+        F.setflags(write=False)
+        object.__setattr__(self, "objective", qp.QpProblem(H=H, F=F, A=(), b=()))
 
 
 @dataclass
@@ -107,7 +102,6 @@ class ControlDecision:
     strict_cs: bool
     iterations: int         # working-set changes of the QP solve
     box_overshoot: float    # scaled distance the solved input left its box, >= 0
-    h_goal: float           # goal-set value at the state
     h_safe: np.ndarray      # safe-set values at the state, one per safe set
     rate: np.ndarray        # f(x) + g(x) u from the rows' f(x), g(x); no disturbance
 
@@ -121,7 +115,7 @@ def _checked_rows(sys: ControlAffineSystem, h_g: SetFunction | tuple[float, np.n
     ``h_g`` is the goal set or its (value, gradient) pair at x.  Rows that
     overflow or turn NaN (a state or set far outside its model) fail the
     run like an unsolvable QP; finite rows that do not fit are a ValueError.
-    Returns (fx, gx, A, b, h_goal, h_safe), A and b views of one array.
+    Returns (fx, gx, A, b, h_safe), A and b views of one array.
     """
     fx = sys.f(x)
     gx = sys.g(x)
@@ -130,10 +124,10 @@ def _checked_rows(sys: ControlAffineSystem, h_g: SetFunction | tuple[float, np.n
                            params.delta2_freeze_level)
     if not np.isfinite(rows).all():
         raise SolverFailure(f"synthesis QP rows are not finite at x={np.asarray(x)}")
-    if rows.shape[1] - 1 != params.f.size:
+    if rows.shape[1] - 1 != params.objective.F.size:
         raise ValueError(f"synthesis QP rows over {rows.shape[1] - 1} variables are "
-                         f"inconsistent with an objective over {params.f.size}")
-    return fx, gx, rows[:, :-1], rows[:, -1], goal[0], h_safe
+                         f"inconsistent with an objective over {params.objective.F.size}")
+    return fx, gx, rows[:, :-1], rows[:, -1], h_safe
 
 
 def assemble(sys: ControlAffineSystem, h_g: SetFunction | tuple[float, np.ndarray],
@@ -143,8 +137,8 @@ def assemble(sys: ControlAffineSystem, h_g: SetFunction | tuple[float, np.ndarra
 
     ``h_g`` is the goal set, or its (value, gradient) pair at x.
     """
-    _, _, A, b, _, _ = _checked_rows(sys, h_g, safes, bounds, params, x)
-    return qp.QpProblem(H=params.H, F=params.F, A=A, b=b)
+    _, _, A, b, _ = _checked_rows(sys, h_g, safes, bounds, params, x)
+    return qp.QpProblem(H=params.objective.H, F=params.objective.F, A=A, b=b)
 
 
 def _clip_to_box(z: list[float], bounds: InputBounds) -> tuple[list[float], float]:
@@ -184,11 +178,12 @@ def synthesize(sys: ControlAffineSystem, h_g: SetFunction | tuple[float, np.ndar
     ``qp.FEAS_TOL`` in scaled units; a smaller overshoot (round-off) is
     clipped and reported.
     """
-    fx, gx, A, b, h_goal, h_safe = _checked_rows(sys, h_g, safes, bounds, params, x)
-    status, y, lam, iterations = qp._solve(A, b, params.L_inv, params.f, warm_start)
+    fx, gx, A, b, h_safe = _checked_rows(sys, h_g, safes, bounds, params, x)
+    L_inv = params.objective.L_inv
+    status, y, lam, iterations = qp._solve(A, b, L_inv, params.objective.f, warm_start)
     if status is not qp.SolveStatus.OPTIMAL:
         raise SolverFailure(f"synthesis QP {status.value} at x={np.asarray(x)}")
-    z = params.L_inv.T.dot(y)
+    z = L_inv.T.dot(y)
     z_list = z.tolist()
     if not all(map(math.isfinite, z_list)):
         raise SolverFailure(f"synthesis QP solution {z} is not finite at x={np.asarray(x)}")
@@ -209,7 +204,6 @@ def synthesize(sys: ControlAffineSystem, h_g: SetFunction | tuple[float, np.ndar
         strict_cs=strict_cs,
         iterations=iterations,
         box_overshoot=overshoot,
-        h_goal=h_goal,
         h_safe=h_safe,
         rate=fx + gx.dot(u_box),
     )

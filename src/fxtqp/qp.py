@@ -98,7 +98,9 @@ class QpProblem:
 
     All data must be finite, H symmetric positive definite (validated by
     Cholesky, H = LL', whose inverse factor is kept as ``L_inv``, read-only),
-    and the constraint data dimensionally consistent with it.
+    and the constraint data dimensionally consistent with it.  ``f`` =
+    L^-1 F, read-only, is the linear term of the objective in the solver's
+    coordinates y = L'z.
     """
 
     H: np.ndarray
@@ -106,6 +108,7 @@ class QpProblem:
     A: np.ndarray
     b: np.ndarray
     L_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    f: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         H = np.asarray(self.H, dtype=float)
@@ -128,11 +131,11 @@ class QpProblem:
         # one pass over every entry (H is checked with its factor)
         if not np.isfinite(np.concatenate((F, A.ravel(), b))).all():
             raise ValueError("QP data must be finite")
-        object.__setattr__(self, "L_inv", _factor(H))
-
-    @property
-    def n_z(self) -> int:
-        return self.F.size
+        L_inv = _factor(H)
+        f = L_inv.dot(F)
+        f.setflags(write=False)
+        object.__setattr__(self, "L_inv", L_inv)
+        object.__setattr__(self, "f", f)
 
     @property
     def m_c(self) -> int:
@@ -311,8 +314,7 @@ def solve_qp(problem: QpProblem, warm_start: Sequence[int] | None = None) -> QpS
     makes after the hot start's trim.  The active set is the rows active by
     value at the returned z (none unless OPTIMAL).
     """
-    L_inv = problem.L_inv
-    f = L_inv.dot(problem.F)
+    L_inv, f = problem.L_inv, problem.f
     status, y, lam, iterations = _solve(problem.A, problem.b, L_inv, f, warm_start)
     z = L_inv.T.dot(y)
     active, objective = (), math.nan

@@ -75,6 +75,8 @@ def _require_positive(cfg, *names: str) -> None:
 
 # barrier value above which a disturbed acc run pins delta2 = 0
 ACC_FREEZE_LEVEL = -20.0
+# bound on |a_lead|, as a fraction of grav: the lead's acceleration envelope
+ACC_LEAD_ACCEL_ENVELOPE = 0.3
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,6 @@ class AccConfig:
     f0: float = 0.1              # drag: f0 + f1 v + f2 v^2, N
     f1: float = 5.0
     f2: float = 0.25
-    a_l: float = 0.3             # lead acceleration envelope, fraction of grav
     a_lead: float = 0.0          # actual (constant) lead acceleration, m/s^2
     tau_d: float = 1.8           # desired time headway, s
     T_ud: float = 10.0           # reach deadline for the speed band, s
@@ -126,7 +127,7 @@ class AccConfig:
             raise ValueError("mu must exceed 1")
         if self.d_delta < 0:
             raise ValueError("disturbance gain must be nonnegative")
-        if abs(self.a_lead) >= self.a_l * self.grav:
+        if abs(self.a_lead) >= ACC_LEAD_ACCEL_ENVELOPE * self.grav:
             raise ValueError("lead acceleration outside its envelope")
 
     @property

@@ -29,7 +29,6 @@ __all__ = [
     "Outcome",
     "OutcomeKind",
     "Trace",
-    "NonFiniteState",
     "step_euler",
     "run",
     "monitor",
@@ -39,10 +38,6 @@ __all__ = [
 
 _TIME_EPS = 1e-12
 _SAFE_TOL = 1e-12   # round-off allowance on a recorded safe-set value
-
-
-class NonFiniteState(RuntimeError):
-    """A state component became NaN or infinite during integration."""
 
 
 class OutcomeKind(Enum):
@@ -86,6 +81,9 @@ class Phase:
         # a goal never reached would otherwise never end the run
         if not math.isfinite(self.deadline):
             raise ValueError("phase deadline must be finite")
+        # a NaN tolerance is never met, an infinite one met at once
+        if not math.isfinite(self.reach_tol):
+            raise ValueError(f"phase reach_tol must be finite, got {self.reach_tol}")
 
 
 @dataclass(frozen=True)
@@ -162,7 +160,8 @@ class Trace:
 def step_euler(sys: ControlAffineSystem, x: np.ndarray, rate: np.ndarray,
                dt: float) -> np.ndarray:
     """One explicit Euler step of the plant from the model rate f(x) + g(x) u
-    at x (a decision's ``rate``), with the plant's disturbance added."""
+    at x (a decision's ``rate``), with the plant's disturbance added; a
+    new state that is not finite is a :class:`fxtqp.controller.SolverFailure`."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     if sys.disturbance is not None:
@@ -171,7 +170,7 @@ def step_euler(sys: ControlAffineSystem, x: np.ndarray, rate: np.ndarray,
         raise ValueError(f"rate has shape {rate.shape}, the state {x.shape}")
     x_next = x + dt * rate
     if not all(map(math.isfinite, x_next.tolist())):
-        raise NonFiniteState(f"non-finite state after step from {x}")
+        raise SolverFailure(f"non-finite state after step from {x}")
     return x_next
 
 
@@ -292,37 +291,32 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
         try:
             decision = synthesize(sys, goal, safes, bounds, params, x,
                                   warm_start=warm)
+            warm = decision.active_set
+
+            hs_vals = decision.h_safe.tolist()
+            rows.append([t, *x.tolist(), *decision.u.tolist(), goal[0],
+                         *hs_vals, decision.delta1, decision.delta2,
+                         decision.strict_cs, len(decision.active_set),
+                         phase, decision.iterations,
+                         decision.box_overshoot])
+            if new_segment:
+                seg_goals = pending
+                seg_starts.append(len(rows) - 1)
+            advanced = new_segment = False
+
+            # no value is NaN (a NaN never freezes its row, and the rows are
+            # checked finite), so a plain max gives numpy's maximum
+            if hs_vals and max(hs_vals) > _SAFE_TOL:
+                j = int(np.argmax(hs_vals))
+                outcome = Outcome(kind=OutcomeKind.SAFETY_VIOLATED, phase=min(idx), t=t,
+                                  safe_set=safe_names[j],
+                                  message=f"h_s[{safe_names[j]}] = {hs_vals[j]:.6g}")
+                break
+
+            x = step_euler(sys, x, decision.rate, dt)
         except SolverFailure as exc:
             outcome = Outcome(kind=OutcomeKind.SOLVER_FAILURE, phase=min(idx), t=t,
                               message=str(exc))
-            break
-        warm = decision.active_set
-
-        hs_vals = decision.h_safe.tolist()
-        rows.append([t, *x.tolist(), *decision.u.tolist(), decision.h_goal,
-                     *hs_vals, decision.delta1, decision.delta2,
-                     decision.strict_cs, len(decision.active_set),
-                     phase, decision.iterations,
-                     decision.box_overshoot])
-        if new_segment:
-            seg_goals = pending
-            seg_starts.append(len(rows) - 1)
-        advanced = new_segment = False
-
-        # no value is NaN (a NaN never freezes its row, and the rows are
-        # checked finite), so a plain max gives numpy's maximum
-        if hs_vals and max(hs_vals) > _SAFE_TOL:
-            j = int(np.argmax(hs_vals))
-            outcome = Outcome(kind=OutcomeKind.SAFETY_VIOLATED, phase=min(idx), t=t,
-                              safe_set=safe_names[j],
-                              message=f"h_s[{safe_names[j]}] = {hs_vals[j]:.6g}")
-            break
-
-        try:
-            x = step_euler(sys, x, decision.rate, dt)
-        except NonFiniteState as exc:
-            outcome = Outcome(kind=OutcomeKind.SOLVER_FAILURE, phase=min(idx), t=t,
-                              message=f"non-finite state: {exc}")
             break
         step += 1
         t = step * dt

@@ -32,6 +32,11 @@ class TestRun:
         assert summary["outcome"]["kind"] == "all_phases_met"
         assert (run_dir / "trace.csv").exists()
 
+    def test_scenario_defaults_to_acc(self, tmp_path):
+        assert run_cli("--out", str(tmp_path)) == 0
+        summary = json.loads((tmp_path / "acc" / "summary.json").read_text())
+        assert summary["scenario"] == "acc"
+
     def test_summary_solver_block(self, tmp_path):
         assert run_cli("--scenario", "synthetic:int2d", "--out", str(tmp_path)) == 0
         run_dir = tmp_path / "synthetic_int2d"

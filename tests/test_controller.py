@@ -163,15 +163,17 @@ class TestAssemble:
         sys, goal, safes, bounds, params = acc_pieces()
         p1 = assemble(sys, goal, safes, bounds, params, np.array([20.0, 10.0, 150.0]))
         p2 = assemble(sys, goal, safes, bounds, params, np.array([24.0, 10.0, 80.0]))
-        assert p1.H is params.H and np.shares_memory(p2.F, params.F)
-        assert np.array_equal(p1.L_inv, params.L_inv) and np.array_equal(p2.L_inv, params.L_inv)
+        objective = params.objective
+        assert p1.H is objective.H and np.shares_memory(p2.F, objective.F)
+        assert (np.array_equal(p1.L_inv, objective.L_inv)
+                and np.array_equal(p2.L_inv, objective.L_inv))
         with pytest.raises(ValueError):
-            params.H[0, 0] = 2.0
+            objective.H[0, 0] = 2.0
 
     def test_acc_dimensions(self):
         sys, goal, safes, bounds, params = acc_pieces()
         p = assemble(sys, goal, safes, bounds, params, np.array([20.0, 10.0, 150.0]))
-        assert p.n_z == 3
+        assert p.F.size == 3
         assert p.m_c == 6     # 2 input rows + convergence + safety + 2 Euler rows
 
     def test_freeze_drops_delta2_near_boundary(self):
@@ -196,7 +198,7 @@ class TestAssemble:
         track1 = sc.schedule.tracks[1][0]
         safes = sc.schedule.global_safes + track0.safe_extra + track1.safe_extra
         p = assemble(sc.sys, track0.goal, safes, sc.bounds, sc.params, sc.x0)
-        assert p.n_z == 6
+        assert p.F.size == 6
         assert p.m_c == 8 + 1 + 13 + 2   # inputs, convergence, safe sets, Euler rows
 
     def test_matches_row_by_row_reference(self):
@@ -466,7 +468,6 @@ class TestSynthesize:
         hot = synthesize(sys, goal, safes, bounds, params, x, warm_start=cold.active_set)
         assert cold.iterations >= 1 and hot.iterations == 0
         assert cold.box_overshoot == 0.0 or cold.box_overshoot <= qp.FEAS_TOL
-        assert cold.h_goal == goal.value(x)
         assert list(cold.h_safe) == [s.value(x) for s in safes]
 
     def test_solver_failure_raised_on_infeasible_freeze(self):

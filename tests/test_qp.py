@@ -80,7 +80,7 @@ class TestSmallExamples:
         rng = np.random.default_rng(17)
         for _ in range(200):
             p = random_feasible_problem(rng)
-            a = rng.normal(size=p.n_z)
+            a = rng.normal(size=p.F.size)
             q = make_problem(p.H, p.F, np.vstack([p.A, a, -a]),
                              np.concatenate([p.b, [-1.0, -1.0]]))
             for solve in (solve_qp, brute_force_solve):
@@ -395,6 +395,23 @@ class TestAlgebraicProperties:
             assert np.allclose(s.z_star, [2.0, -1.0], atol=1e-12)
             assert np.allclose(s.lambda_star, [0.0, 1.0], atol=1e-12)
             assert s.active_set == (1,)
+
+    def test_cycling_ends_at_the_iteration_guard(self, monkeypatch):
+        # min 0.5|z|^2 s.t. z1 <= -1, -z1 + 0.1 z2 <= -1: two lines at a
+        # shallow angle.  A ratio test that drops the working row at once
+        # makes each add push the other row out of its half-space, a zig-zag
+        # that creeps toward the corner by about 1 % per add, so the method
+        # cycles until the guard at 50 (m + n) working-set changes
+        p = make_problem(np.eye(2), [0.0, 0.0], [[1.0, 0.0], [-1.0, 0.1]], [-1.0, -1.0])
+        assert solve_qp(p).status is SolveStatus.OPTIMAL
+        monkeypatch.setattr(qp, "_ratio_test",
+                            lambda lam, r, norm_p, work_norms:
+                            (0.0, 0) if lam else (math.inf, -1))
+        s = solve_qp(p)
+        assert s.status is SolveStatus.ITERATION_LIMIT
+        assert s.iterations == 50 * (2 + 2) + 1
+        assert np.array_equal(s.lambda_star, np.zeros(2))
+        assert s.active_set == () and math.isnan(s.objective)
 
     def test_solve_path_makes_no_numpy_linalg_call(self, monkeypatch):
         # every factor and solve of a step goes through LAPACK directly; the

@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 
 from fxtqp.constraints import ControlAffineSystem, InputBounds, SetFunction
-from fxtqp.controller import SynthesisParams
+from fxtqp.controller import SolverFailure, SynthesisParams
 from fxtqp.fxts import settling_time_bound, worst_case
 from fxtqp.simulation import (
-    NonFiniteState,
     OutcomeKind,
     Phase,
     Schedule,
@@ -92,7 +91,7 @@ class TestStepEuler:
     def test_nonfinite_raises(self):
         bad = ControlAffineSystem(f=lambda x: np.array([np.inf]),
                                   g=lambda x: np.ones((1, 1)))
-        with pytest.raises(NonFiniteState):
+        with pytest.raises(SolverFailure, match="non-finite state"):
             step_euler(bad, np.zeros(1), model_rate(bad, np.zeros(1), np.zeros(1)), 0.1)
 
     def test_column_drift_is_refused(self):
@@ -238,6 +237,12 @@ class TestSchedule:
         # a goal that is never reached would run forever
         with pytest.raises(ValueError, match="phase deadline must be finite"):
             Phase(goal=goal_ball(0.1), deadline=math.inf)
+
+    @pytest.mark.parametrize("reach_tol", [math.nan, math.inf])
+    def test_phase_reach_tol_must_be_finite(self, reach_tol):
+        # a NaN tolerance is never met and an infinite one is met at t = 0
+        with pytest.raises(ValueError, match="phase reach_tol must be finite"):
+            Phase(goal=goal_ball(0.1), deadline=1.0, reach_tol=reach_tol)
 
     @pytest.mark.parametrize("horizon", [math.inf, -math.inf, math.nan])
     def test_schedule_horizon_must_be_finite(self, horizon):
