@@ -1,33 +1,29 @@
-"""Control-affine systems, set-defining functions, and QP constraint rows.
+"""The model's types: control-affine systems, set functions, the input box.
 
 A set is always the zero-sublevel set {x : h(x) <= 0} of a scalar function
 with an analytic gradient, and one call returns both, so each row's value
-and gradient come from one evaluation.  Its role is where it is passed: as
-the goal of :func:`qp_rows`, by that pair, it gets the reach-rate row, as a
-safe set an invariance row.  A set bounded by several smooth functions is
-passed as several safe sets, one row each, so no row differentiates a
-nonsmooth max.
+and gradient come from one evaluation.  Its role is where the controller
+passes it: as the goal it gets the reach-rate row, as a safe set an
+invariance row (see :func:`fxtqp.controller.qp_rows`).  A set bounded by
+several smooth functions is passed as several safe sets, one row each, so
+no row differentiates a nonsmooth max.
 
-Rows are expressed over the decision vector z = (v_s, delta1, delta2), where
-the physical input is v = scale * v_s with the per-component bound magnitude
-of :class:`InputBounds`; :func:`qp_rows` builds all of them in one pass.
+The input box knows only the input: its rows are over the scaled input
+v_s = v / scale, with the per-component bound magnitude of
+:class:`InputBounds`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-
-from fxtqp.fxts import FxtsGains
 
 __all__ = [
     "ControlAffineSystem",
     "SetFunction",
     "InputBounds",
-    "qp_rows",
 ]
 
 
@@ -71,10 +67,10 @@ class SetFunction:
 class InputBounds:
     """Component-wise input box of at least one input, lower < upper strictly.
 
-    The input scale and the box rows of the synthesis QP are built once here
-    (read-only) rather than at every state, and so is ``box_floats``, the
-    scale, lower and upper bounds as tuples of Python floats for the
-    controller's clip.
+    The input scale and ``box_rows``, the box as rows (A, b) over the
+    scaled input alone, A of shape (2m, m), are built once here (read-only)
+    rather than at every state, and so is ``box_floats``, the scale, lower
+    and upper bounds as tuples of Python floats for the controller's clip.
     """
 
     lower: np.ndarray
@@ -102,9 +98,9 @@ class InputBounds:
         scale = np.maximum(np.abs(lo), np.abs(hi))
         # per input i: v_i <= upper_i, -v_i <= -lower_i, in scaled coordinates
         m = lo.size
-        A = np.zeros((2 * m, m + 2))
-        A[0::2, :m] = np.diag(scale)
-        A[1::2, :m] = np.diag(-scale)
+        A = np.empty((2 * m, m))
+        A[0::2] = np.diag(scale)
+        A[1::2] = np.diag(-scale)
         b = np.empty(2 * m)
         b[0::2] = hi
         b[1::2] = -lo
@@ -122,88 +118,3 @@ class InputBounds:
     def scale(self) -> np.ndarray:
         """Per-component magnitude used to normalize inputs inside the QP."""
         return self._scale
-
-
-def _clamped_power_sum(h: float, gains: FxtsGains) -> float:
-    # max{0, h}**gamma, exact zero at and below the set boundary
-    if h <= 0.0:
-        return 0.0
-    try:
-        return gains.alpha1 * math.pow(h, gains.gamma1) + gains.alpha2 * math.pow(h, gains.gamma2)
-    except OverflowError:   # a finite h whose power is not: a non-finite row
-        return math.inf
-
-
-def qp_rows(fx: np.ndarray, gx: np.ndarray, goal: tuple[float, np.ndarray],
-            safes: Sequence[SetFunction], bounds: InputBounds, gains: FxtsGains,
-            x: np.ndarray, dt: float,
-            freeze_level: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Every constraint row of the synthesis QP at x, in one pass.
-
-    ``fx`` and ``gx`` are the system's f(x) and g(x), and ``goal`` the goal
-    set's (value, gradient) pair at x.  Rows are over z = (v_s, delta1,
-    delta2), with the input v = scale * v_s (``InputBounds.scale``), in this
-    order:
-
-    - the input box, per input i the pair v_i <= upper_i, -v_i <= -lower_i;
-    - the reach-rate row
-      Lf·h_g + Lg·h_g v - delta1*h_g <= -alpha1*max(0,h_g)**gamma1
-      - alpha2*max(0,h_g)**gamma2;
-    - one invariance row Lf·h_s + Lg·h_s v <= -delta2*h_s per safe set,
-      all sharing delta2 (on the boundary h_s = 0 the row reduces to
-      tangency);
-    - last, so the rows before them keep their indices, the two rows of
-      one forward Euler step of size ``dt``, the step of the loop the
-      decision drives: -delta1 <= 1/dt, since one step of V' = delta1*V
-      gives (1 + delta1*dt)*V, which flips sign below delta1*dt = -1 and
-      grows below -2 (a decay rate the step cannot follow makes the loop
-      flip its input every other step); and delta2 <= 0.5/dt, since one
-      step of h_s' <= -delta2*h_s gives h_s + dt*h_s' <= (1 - delta2*dt)*h_s,
-      which keeps half the margin h_s < 0 for the step's curvature term
-      (above 1/dt one step crosses the barrier).
-
-    When ``freeze_level`` is set and some safe-set value exceeds it, the
-    delta2 column of every invariance row is zeroed, so each row reads
-    Lf·h_s + Lg·h_s v <= 0.  delta2 then enters only the Euler row
-    delta2 <= 0.5/dt, and the objective (diagonal, no linear delta2 term)
-    puts it at 0.  The row count is the same frozen or not, and the Euler
-    rows, with no input entry, are the same either way.
-
-    Each safe set is called once (one call gives its value and gradient).
-    Returns (rows, h_safe): the rows as one array [A | b], A = rows[:, :-1]
-    and b = rows[:, -1], and the safe-set values they used, one per set.
-    """
-    box_A, box_b = bounds.box_rows
-    m = bounds.m
-    k = box_b.size
-    n_rows = k + 1 + len(safes) + 2
-    rows = np.zeros((n_rows, m + 3))
-    A = rows[:, :-1]
-    b = rows[:, -1]
-    A[:k] = box_A
-    b[:k] = box_b
-
-    # input columns hold the Lie derivatives Lg·h until scaled at the end
-    h_goal, grad = goal
-    A[k, :m] = grad.dot(gx)
-    A[k, m] = -h_goal
-    b[k] = -float(grad.dot(fx)) - _clamped_power_sum(h_goal, gains)
-    k += 1
-
-    # the invariance rows from one gradient matrix: row j of G is grad h_s_j
-    h_safe = np.empty(len(safes))
-    G = np.empty((len(safes), len(x)))
-    for j, s in enumerate(safes):
-        h_safe[j], G[j] = s.value_and_gradient(x)
-    end = k + len(safes)
-    A[k:end, :m] = G.dot(gx)
-    A[k:end, m + 1] = h_safe
-    b[k:end] = -G.dot(fx)
-    A[end, m] = -1.0
-    b[end] = 1.0 / dt
-    A[end + 1, m + 1] = 1.0
-    b[end + 1] = 0.5 / dt
-    A[box_b.size:, :m] *= bounds.scale()
-    if freeze_level is not None and h_safe.size and h_safe.max() > freeze_level:
-        A[k:end, m + 1] = 0.0
-    return rows, h_safe

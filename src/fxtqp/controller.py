@@ -1,16 +1,18 @@
-"""Pointwise controller: assemble the synthesis QP at a state and solve it.
+"""The synthesis QP: its objective, its rows, and its solve at a state.
 
-The decision vector is z = (v, delta1, delta2): the input, the reach-rate
-slack, and the invariance slack.  The QP minimizes
+The decision vector is z = (v_s, delta1, delta2): the scaled input, the
+reach-rate slack, and the invariance slack.  Both sides of the QP are
+built here, so this module alone knows z's layout: the objective
 
     0.5 * (w_u . v_s^2 + w1*delta1^2 + w2*delta2^2) + q1*delta1
 
-over the input-box rows, one reach-rate row for the goal set, one
-invariance row per safe set and the two slack rows of the Euler step the
-decision drives.  Inputs are scaled component-wise by their bound
-magnitude inside the solver (v_s above) so the Hessian stays well
-conditioned when physical inputs are large; results are reported in
-physical units.
+from the weights of :class:`SynthesisParams`, and, in :func:`qp_rows`, the
+input box of :class:`fxtqp.constraints.InputBounds` in the input columns,
+one reach-rate row for the goal set, one invariance row per safe set and
+the two slack rows of the Euler step the decision drives.  Inputs are
+scaled component-wise by their bound magnitude inside the solver
+(v = scale * v_s) so the Hessian stays well conditioned when physical
+inputs are large; results are reported in physical units.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ from typing import Sequence
 import numpy as np
 
 from fxtqp import qp
-from fxtqp.constraints import ControlAffineSystem, InputBounds, SetFunction, qp_rows
+from fxtqp.constraints import ControlAffineSystem, InputBounds, SetFunction
 from fxtqp.fxts import FxtsGains, alpha_from_deadline
 
-__all__ = ["SynthesisParams", "ControlDecision", "SolverFailure", "assemble", "synthesize"]
+__all__ = ["SynthesisParams", "ControlDecision", "SolverFailure", "qp_rows", "assemble",
+           "synthesize"]
 
 
 class SolverFailure(RuntimeError):
@@ -49,11 +52,11 @@ class SynthesisParams:
     checks and factors it; its H and F are read-only.
     ``delta2_freeze_level``, when set, pins delta2 = 0 whenever some
     safe-set value exceeds the level, by dropping delta2 from every
-    invariance row (see :func:`fxtqp.constraints.qp_rows`); used by the
-    disturbed cruise-control study.
+    invariance row (see :func:`qp_rows`); used by the disturbed
+    cruise-control study.
     ``dt`` is the step of the forward Euler loop that ``simulation.run``
     drives with these params; the QP keeps delta1 >= -1/dt and
-    delta2 <= 0.5/dt (see :func:`fxtqp.constraints.qp_rows`).
+    delta2 <= 0.5/dt (see :func:`qp_rows`).
     """
 
     T_ud: float
@@ -104,6 +107,92 @@ class ControlDecision:
     box_overshoot: float    # scaled distance the solved input left its box, >= 0
     h_safe: np.ndarray      # safe-set values at the state, one per safe set
     rate: np.ndarray        # f(x) + g(x) u from the rows' f(x), g(x); no disturbance
+
+
+def _clamped_power_sum(h: float, gains: FxtsGains) -> float:
+    # max{0, h}**gamma, exact zero at and below the set boundary
+    if h <= 0.0:
+        return 0.0
+    try:
+        return gains.alpha1 * math.pow(h, gains.gamma1) + gains.alpha2 * math.pow(h, gains.gamma2)
+    except OverflowError:   # a finite h whose power is not: a non-finite row
+        return math.inf
+
+
+def qp_rows(fx: np.ndarray, gx: np.ndarray, goal: tuple[float, np.ndarray],
+            safes: Sequence[SetFunction], bounds: InputBounds, gains: FxtsGains,
+            x: np.ndarray, dt: float,
+            freeze_level: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Every constraint row of the synthesis QP at x, in one pass.
+
+    ``fx`` and ``gx`` are the system's f(x) and g(x), and ``goal`` the goal
+    set's (value, gradient) pair at x.  Rows are over z = (v_s, delta1,
+    delta2), with the input v = scale * v_s (``InputBounds.scale``), in this
+    order:
+
+    - the input box ``bounds.box_rows`` in the input columns, per input i
+      the pair v_i <= upper_i, -v_i <= -lower_i;
+    - the reach-rate row
+      Lf·h_g + Lg·h_g v - delta1*h_g <= -alpha1*max(0,h_g)**gamma1
+      - alpha2*max(0,h_g)**gamma2;
+    - one invariance row Lf·h_s + Lg·h_s v <= -delta2*h_s per safe set,
+      all sharing delta2 (on the boundary h_s = 0 the row reduces to
+      tangency);
+    - last, so the rows before them keep their indices, the two rows of
+      one forward Euler step of size ``dt``, the step of the loop the
+      decision drives: -delta1 <= 1/dt, since one step of V' = delta1*V
+      gives (1 + delta1*dt)*V, which flips sign below delta1*dt = -1 and
+      grows below -2 (a decay rate the step cannot follow makes the loop
+      flip its input every other step); and delta2 <= 0.5/dt, since one
+      step of h_s' <= -delta2*h_s gives h_s + dt*h_s' <= (1 - delta2*dt)*h_s,
+      which keeps half the margin h_s < 0 for the step's curvature term
+      (above 1/dt one step crosses the barrier).
+
+    When ``freeze_level`` is set and some safe-set value exceeds it, the
+    delta2 column of every invariance row is zeroed, so each row reads
+    Lf·h_s + Lg·h_s v <= 0.  delta2 then enters only the Euler row
+    delta2 <= 0.5/dt, and the objective (diagonal, no linear delta2 term)
+    puts it at 0.  The row count is the same frozen or not, and the Euler
+    rows, with no input entry, are the same either way.
+
+    Each safe set is called once (one call gives its value and gradient).
+    Returns (rows, h_safe): the rows as one array [A | b], A = rows[:, :-1]
+    and b = rows[:, -1], and the safe-set values they used, one per set.
+    """
+    box_A, box_b = bounds.box_rows
+    m = bounds.m
+    k = box_b.size
+    n_rows = k + 1 + len(safes) + 2
+    rows = np.zeros((n_rows, m + 3))
+    A = rows[:, :-1]
+    b = rows[:, -1]
+    A[:k, :m] = box_A
+    b[:k] = box_b
+
+    # input columns hold the Lie derivatives Lg·h until scaled at the end
+    h_goal, grad = goal
+    A[k, :m] = grad.dot(gx)
+    A[k, m] = -h_goal
+    b[k] = -float(grad.dot(fx)) - _clamped_power_sum(h_goal, gains)
+    k += 1
+
+    # the invariance rows from one gradient matrix: row j of G is grad h_s_j
+    h_safe = np.empty(len(safes))
+    G = np.empty((len(safes), len(x)))
+    for j, s in enumerate(safes):
+        h_safe[j], G[j] = s.value_and_gradient(x)
+    end = k + len(safes)
+    A[k:end, :m] = G.dot(gx)
+    A[k:end, m + 1] = h_safe
+    b[k:end] = -G.dot(fx)
+    A[end, m] = -1.0
+    b[end] = 1.0 / dt
+    A[end + 1, m + 1] = 1.0
+    b[end + 1] = 0.5 / dt
+    A[box_b.size:, :m] *= bounds.scale()
+    if freeze_level is not None and h_safe.size and h_safe.max() > freeze_level:
+        A[k:end, m + 1] = 0.0
+    return rows, h_safe
 
 
 def _checked_rows(sys: ControlAffineSystem, h_g: SetFunction | tuple[float, np.ndarray],

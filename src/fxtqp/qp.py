@@ -77,21 +77,6 @@ class SolveStatus(Enum):
     ITERATION_LIMIT = "iteration_limit"
 
 
-def _factor(H: np.ndarray) -> np.ndarray:
-    """Validate H and return L^-1, H = LL', read-only."""
-    if not np.isfinite(H).all():
-        raise ValueError("QP data must be finite")
-    if np.max(np.abs(H - H.T), initial=0.0) > _SYM_TOL:
-        raise ValueError("H is not symmetric within tolerance")
-    try:
-        L = np.linalg.cholesky(H)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("H is not positive definite") from exc
-    L_inv = np.linalg.inv(L)
-    L_inv.setflags(write=False)
-    return L_inv
-
-
 @dataclass(frozen=True)
 class QpProblem:
     """Data of a strictly convex inequality-constrained QP.
@@ -128,11 +113,18 @@ class QpProblem:
             raise ValueError(f"A shape {A.shape} inconsistent with {n} variables")
         if b.shape != (A.shape[0],):
             raise ValueError(f"b length {b.shape} inconsistent with A rows {A.shape[0]}")
-        # one pass over every entry (H is checked with its factor)
-        if not np.isfinite(np.concatenate((F, A.ravel(), b))).all():
+        # one pass over every entry
+        if not np.isfinite(np.concatenate((H.ravel(), F, A.ravel(), b))).all():
             raise ValueError("QP data must be finite")
-        L_inv = _factor(H)
+        if np.max(np.abs(H - H.T), initial=0.0) > _SYM_TOL:
+            raise ValueError("H is not symmetric within tolerance")
+        try:
+            L = np.linalg.cholesky(H)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("H is not positive definite") from exc
+        L_inv = np.linalg.inv(L)
         f = L_inv.dot(F)
+        L_inv.setflags(write=False)
         f.setflags(write=False)
         object.__setattr__(self, "L_inv", L_inv)
         object.__setattr__(self, "f", f)

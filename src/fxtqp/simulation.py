@@ -3,7 +3,9 @@
 A run executes a phase schedule: each phase names a goal set, a relative
 deadline, and phase-specific safe sets layered on top of the global
 ones.  Phases advance the moment the goal value drops to the phase's reach
-tolerance; deadlines are checked, not waited for.  Safety is judged as the
+tolerance; deadlines are checked, not waited for: a leg counts as reached
+only at a step at most its deadline after the leg began, and the first step
+past the deadline of a leg still unmet ends the run.  Safety is judged as the
 paper defines it, forward invariance of {h_s <= 0}: the first step with a
 positive safe-set value (beyond round-off) ends the run.  The trace records
 every step, a fixed-time certificate per goal segment, and a single outcome.
@@ -36,7 +38,7 @@ __all__ = [
     "trace_from_csv",
 ]
 
-_TIME_EPS = 1e-12
+_TIME_EPS = 1e-12   # round-off allowance on a step time k * dt against a deadline or horizon
 _SAFE_TOL = 1e-12   # round-off allowance on a recorded safe-set value
 
 
@@ -255,7 +257,8 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
             while idx[j] < lengths[j]:
                 ph = track[idx[j]]
                 pair = ph.goal.value_and_gradient(x)
-                if pair[0] <= ph.reach_tol:
+                # a late reach is none: the leg stays unmet for the miss check
+                if pair[0] <= ph.reach_tol and t - start[j] <= ph.deadline + _TIME_EPS:
                     reach[j][idx[j]] = t
                     idx[j] += 1
                     start[j] = t

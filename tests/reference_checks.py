@@ -7,7 +7,7 @@ verdict on a QP solution, and difference quotients of the QP solution map;
 ``numpy_slack_verdicts``, ``numpy_clip``, ``numpy_ratio_test`` and
 ``numpy_tour_sets``, the numpy expressions the step's judge, input clip,
 solver ratio test and tour set gradients compute on Python floats;
-``rows_at``, the rows of :func:`fxtqp.constraints.qp_rows` from a system
+``rows_at``, the rows of :func:`fxtqp.controller.qp_rows` from a system
 and a goal set rather than their values at the state; and ``scaled_z``, a
 decision as the QP's solution in its input-scaled coordinates.  The tests
 fix every argument, so nothing here checks its inputs beyond what a verdict
@@ -19,8 +19,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from fxtqp.constraints import qp_rows
-from fxtqp.controller import synthesize
+from fxtqp.controller import qp_rows, synthesize
 from fxtqp.qp import _DEP_TOL, FEAS_TOL, SolveStatus
 
 _FD_STEP = 1e-6

@@ -231,10 +231,23 @@ class TestInputRows:
     def test_symmetric_two_inputs(self):
         bounds = InputBounds(lower=-7.0 * np.ones(2), upper=7.0 * np.ones(2))
         A, b = bounds.box_rows
-        assert A.shape == (4, 4)
-        assert np.array_equal(A[:, :2], [[7.0, 0.0], [-7.0, 0.0], [0.0, 7.0], [0.0, -7.0]])
+        # over the scaled input alone: the box knows nothing of the slacks
+        assert A.shape == (4, 2)
+        assert np.array_equal(A, [[7.0, 0.0], [-7.0, 0.0], [0.0, 7.0], [0.0, -7.0]])
         assert np.allclose(b, 7.0)
-        assert np.all(A[:, 2:] == 0.0)
+
+    def test_qp_rows_put_the_box_in_the_input_columns_only(self):
+        # the box rows of the synthesis QP are the input box's rows in the
+        # input columns and zero in both slack columns, frozen or not
+        bounds = InputBounds(lower=np.array([-1.0, 0.5]), upper=np.array([2.0, 3.0]))
+        safe = ball(4.0, name="room")
+        for level in (None, -100.0):
+            A, b, _, _ = rows_at(integrator(2), ball(), (safe,), bounds,
+                                 alpha_from_deadline(2.0, 2.0), np.array([1.5, -0.3]), DT,
+                                 freeze_level=level)
+            box_A, box_b = bounds.box_rows
+            assert np.array_equal(A[:4, :2], box_A) and np.array_equal(b[:4], box_b)
+            assert np.all(A[:4, 2:] == 0.0)
 
     def test_acc_quarter_weight_bound(self):
         u_max = 0.25 * 1650.0 * 9.81
@@ -254,9 +267,8 @@ class TestInputRows:
         A, b = bounds.box_rows
         for _ in range(500):
             v = rng.uniform(-2, 4, size=2)
-            z = np.concatenate([v / bounds.scale(), rng.normal(size=2)])
             inside = np.all((bounds.lower - 1e-9 <= v) & (v <= bounds.upper + 1e-9))
-            assert np.all(A @ z <= b + 1e-12) == inside
+            assert np.all(A @ (v / bounds.scale()) <= b + 1e-12) == inside
 
     def test_built_once_and_read_only(self):
         bounds = InputBounds(lower=-np.ones(2), upper=np.ones(2))

@@ -495,6 +495,11 @@ def _q_product(rng, n, grown, transposed):
     return (Q.T, _signed(rng, n)) if transposed else (Q, _signed(rng, Q.shape[1]))
 
 
+def _inverse_factor(rng):
+    """L^-1 of a random diagonal H = LL', as QpProblem keeps it."""
+    return np.linalg.inv(np.linalg.cholesky(np.diag(rng.uniform(0.01, 100.0, 6))))
+
+
 # operand pairs laid out as the step multiplies them
 DOT_CASES = {
     "d.d, 2": lambda rng: (_signed(rng, 2), _signed(rng, 2)),
@@ -510,9 +515,8 @@ DOT_CASES = {
     "Q'c, grown Q": lambda rng: _q_product(rng, 3, grown=True, transposed=True),
     "Q v, grown Q": lambda rng: _q_product(rng, 3, grown=True, transposed=False),
     "(A / s) L^-T, (24,6)": lambda rng: (
-        _signed(rng, (24, 6)), qp._factor(np.diag(rng.uniform(0.01, 100.0, 6))).T),
-    "L^-T y, (6,6)": lambda rng: (
-        qp._factor(np.diag(rng.uniform(0.01, 100.0, 6))).T, _signed(rng, 6)),
+        _signed(rng, (24, 6)), _inverse_factor(rng).T),
+    "L^-T y, (6,6)": lambda rng: (_inverse_factor(rng).T, _signed(rng, 6)),
     "G gx, (13,4)": lambda rng: (_signed(rng, (13, 4)), _signed(rng, (4, 4))),
     "grad gx, (4,)(4,4)": lambda rng: (_signed(rng, 4), _signed(rng, (4, 4))),
     "G gx, (1,3)(3,1)": lambda rng: (_signed(rng, (1, 3)), _signed(rng, (3, 1))),

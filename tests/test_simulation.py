@@ -222,6 +222,43 @@ class TestRun:
         assert np.allclose(np.diff(trace.t), 1e-3, atol=1e-12)
 
 
+def line_run(goal_at, deadline, dt, horizon=None):
+    """x' = u, |u| <= 1, from x0 = 1 toward the goal x <= goal_at, whose one
+    leg has ``deadline`` (T_ud too)."""
+    goal = SetFunction("goal", lambda x: (float(x[0] - goal_at), np.array([1.0])))
+    sched = Schedule(tracks=((Phase(goal=goal, deadline=deadline),),), horizon=horizon)
+    bounds = InputBounds(lower=-np.ones(1), upper=np.ones(1))
+    params = SynthesisParams(T_ud=deadline, mu=2.0, w_u=np.ones(1), dt=dt)
+    return run(integrator(1), sched, bounds, params, np.array([1.0]))
+
+
+class TestDeadlineRule:
+    def test_a_goal_first_met_after_the_deadline_is_a_miss(self):
+        # x = 0.6 at t = 0.4, the deadline, and 0.5 (met) one step later:
+        # that late reach is no reach, the step past the deadline ends the run
+        trace = line_run(0.55, deadline=0.4, dt=0.1)
+        assert trace.outcome.kind is OutcomeKind.DEADLINE_MISSED
+        assert trace.outcome.t == 0.5 and trace.reach_times == (None,)
+        # with a deadline one step earlier the same goal misses a step earlier
+        trace = line_run(0.55, deadline=0.3, dt=0.1)
+        assert trace.outcome.kind is OutcomeKind.DEADLINE_MISSED
+        assert trace.outcome.t == 0.4
+
+    def test_a_step_time_rounded_up_is_still_on_the_deadline(self):
+        # 3 * 0.1 is 0.30000000000000004: without the round-off allowance the
+        # step at the deadline would already count as past it
+        trace = line_run(-100.0, deadline=0.3, dt=0.1)
+        assert trace.outcome.kind is OutcomeKind.DEADLINE_MISSED
+        assert trace.outcome.t == 0.4 and len(trace) == 4
+
+    def test_a_step_time_rounded_down_is_already_at_the_horizon(self):
+        # met at x0; 3 * 0.3 is 0.8999999999999999, which the allowance
+        # reads as the horizon 0.9, so the run records three steps, not four
+        trace = line_run(2.0, deadline=2.0, dt=0.3, horizon=0.9)
+        assert trace.outcome.kind is OutcomeKind.ALL_PHASES_MET
+        assert trace.reach_times == (0.0,) and len(trace) == 3
+
+
 class TestSchedule:
     @pytest.mark.parametrize("tracks", [(), ((),)])
     def test_a_schedule_needs_phases_on_every_track(self, tracks):
@@ -433,12 +470,12 @@ class TestStepPath:
         # @ goes through the matmul gufunc's dispatch, ndarray.dot straight
         # to the same BLAS kernel at about half the call cost; test_qp holds
         # the two bit for bit on the step's shapes
-        from fxtqp import constraints, controller, qp, scenarios, simulation
+        from fxtqp import controller, qp, scenarios, simulation
         step_path = [
             qp.solve_qp, qp._solve, qp._hot_start, qp._ratio_test, qp._equality_solve,
             qp._slack_verdicts, qp._thin_qr, qp._tri_solve,
             controller.synthesize, controller._checked_rows, controller._clip_to_box,
-            constraints.qp_rows, constraints._clamped_power_sum,
+            controller.qp_rows, controller._clamped_power_sum,
             simulation.run, simulation.step_euler, simulation._positive_part_sum,
             scenarios._constant, scenarios._square, scenarios._acc_system, scenarios.acc_goal,
             scenarios.acc_headway, scenarios._lifted, scenarios._circle, scenarios._ellipse,
