@@ -80,8 +80,9 @@ class SynthesisParams:
         for name in ("w1", "w2", "q1"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be a finite number > 0, got {self.dt}")
+        # the Euler rows hold 1/dt, which overflows for a subnormal dt
+        if not (math.isfinite(self.dt) and self.dt > 0 and math.isfinite(1.0 / self.dt)):
+            raise ValueError(f"dt must be a finite number > 0 with a finite 1/dt, got {self.dt}")
         if (self.w_u <= 0).any() or self.w1 <= 0 or self.w2 <= 0 or self.q1 <= 0:
             raise ValueError("objective weights must be strictly positive")
         m = self.w_u.size
@@ -268,11 +269,10 @@ def synthesize(sys: ControlAffineSystem, h_g: SetFunction | tuple[float, np.ndar
     clipped and reported.
     """
     fx, gx, A, b, h_safe = _checked_rows(sys, h_g, safes, bounds, params, x)
-    L_inv = params.objective.L_inv
-    status, y, lam, iterations = qp._solve(A, b, L_inv, params.objective.f, warm_start)
+    status, z, _, iterations, active_set, strict_cs = qp._solve(A, b, params.objective,
+                                                                 warm_start)
     if status is not qp.SolveStatus.OPTIMAL:
         raise SolverFailure(f"synthesis QP {status.value} at x={np.asarray(x)}")
-    z = L_inv.T.dot(y)
     z_list = z.tolist()
     if not all(map(math.isfinite, z_list)):
         raise SolverFailure(f"synthesis QP solution {z} is not finite at x={np.asarray(x)}")
@@ -282,8 +282,6 @@ def synthesize(sys: ControlAffineSystem, h_g: SetFunction | tuple[float, np.ndar
     if overshoot > qp.FEAS_TOL:
         raise SolverFailure(f"synthesis QP input leaves its box by {overshoot:.3g} "
                             f"(scaled) at x={np.asarray(x)}")
-    # the decision is judged at the z it reports, from one slack
-    active_set, strict_cs = qp._slack_verdicts(A, b, z, lam)
     u_box = np.array(clipped)
     return ControlDecision(
         u=u_box,

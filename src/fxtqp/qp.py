@@ -306,37 +306,33 @@ def solve_qp(problem: QpProblem, warm_start: Sequence[int] | None = None) -> QpS
     makes after the hot start's trim.  The active set is the rows active by
     value at the returned z (none unless OPTIMAL).
     """
-    L_inv, f = problem.L_inv, problem.f
-    status, y, lam, iterations = _solve(problem.A, problem.b, L_inv, f, warm_start)
-    z = L_inv.T.dot(y)
-    active, objective = (), math.nan
-    if status is SolveStatus.OPTIMAL:
-        active = _slack_verdicts(problem.A, problem.b, z, lam)[0]
-        # the objective is 0.5 z'Hz + F'z at z = L^-T y
-        objective = float(0.5 * y.dot(y) + f.dot(y))
+    status, z, lam, iterations, active, _ = _solve(problem.A, problem.b, problem, warm_start)
+    objective = problem.objective(z) if status is SolveStatus.OPTIMAL else math.nan
     return QpSolution(z_star=z, lambda_star=lam, active_set=active, objective=objective,
                       status=status, iterations=iterations)
 
 
-def _solve(A: np.ndarray, b: np.ndarray, L_inv: np.ndarray, f: np.ndarray,
+def _solve(A: np.ndarray, b: np.ndarray, objective: QpProblem,
            warm_start: Sequence[int] | None):
-    """The body of :func:`solve_qp` over the rows A z <= b, the objective's
-    inverse factor L^-1 (H = LL') and f = L^-1 F: finite data of matching
-    sizes, as :class:`QpProblem` checks it.
+    """The body of :func:`solve_qp` over the rows A z <= b and the objective
+    of ``objective``, whose own rows it ignores: finite rows of matching
+    sizes, as :class:`QpProblem` checks them.
 
-    Returns (status, y, multipliers or Farkas certificate, iterations),
-    with no judgement of the optimum: callers form z = L^-T y and take the
-    active set and strict complementarity from the slack at z.
+    Returns (status, z, multipliers or Farkas certificate, iterations,
+    active set, strict complementarity).  The last two are judged from the
+    slack at z when the status is OPTIMAL, and are () and False otherwise.
     """
+    L_inv, f = objective.L_inv, objective.f
     n, m = f.size, A.shape[0]
     row_scale = abs(A).max(axis=1, initial=1e-30)
-    b = b / row_scale
+    # the equilibrated rows C y <= d
+    d = b / row_scale
     C = (A / row_scale[:, None]).dot(L_inv.T)
     norms = np.sqrt((C * C).sum(axis=1))
-    viol_tol = _VIOL_TOL * (1.0 + np.abs(b))
+    viol_tol = _VIOL_TOL * (1.0 + np.abs(d))
 
     # work keeps the set's order; rows indexes with it, rebuilt on each change
-    start = _hot_start(C, f, b, norms, warm_start)
+    start = _hot_start(C, f, d, norms, warm_start)
     if start is None:
         work, rows = [], np.zeros(0, dtype=np.intp)
         Q, R, lam, y = np.zeros((n, 0)), np.zeros((0, 0)), np.zeros(0), -f
@@ -346,7 +342,7 @@ def _solve(A: np.ndarray, b: np.ndarray, L_inv: np.ndarray, f: np.ndarray,
     iterations = 0
     max_iter = 50 * (m + n)
     while m:
-        excess = C.dot(y) - b - viol_tol
+        excess = C.dot(y) - d - viol_tol
         excess[rows] = -np.inf
         p = int(excess.argmax())
         if excess[p] <= 0.0:
@@ -359,7 +355,8 @@ def _solve(A: np.ndarray, b: np.ndarray, L_inv: np.ndarray, f: np.ndarray,
             # working-set rows whose multipliers reach zero on the way
             iterations += 1
             if iterations > max_iter:
-                return SolveStatus.ITERATION_LIMIT, y, np.zeros(m), iterations
+                return (SolveStatus.ITERATION_LIMIT, L_inv.T.dot(y), np.zeros(m), iterations,
+                        (), False)
             v = Q.T.dot(c)
             w = c - Q.dot(v)
             v_re = Q.T.dot(w)     # one re-orthogonalization keeps w accurate
@@ -375,9 +372,10 @@ def _solve(A: np.ndarray, b: np.ndarray, L_inv: np.ndarray, f: np.ndarray,
                 cert = np.zeros(m)
                 cert[p] = 1.0
                 cert[rows] = np.maximum(-r, 0.0)
-                return SolveStatus.INFEASIBLE, y, cert / row_scale, iterations
+                return (SolveStatus.INFEASIBLE, L_inv.T.dot(y), cert / row_scale, iterations,
+                        (), False)
             if not dependent:
-                t_full = float(c.dot(y) - b[p]) / w2
+                t_full = float(c.dot(y) - d[p]) / w2
                 if t_full <= t:
                     y = y - t_full * w
                     lam = [l - t_full * r_j for l, r_j in zip(lam, r_list)]
@@ -402,10 +400,11 @@ def _solve(A: np.ndarray, b: np.ndarray, L_inv: np.ndarray, f: np.ndarray,
             Q, R = _thin_qr(C[rows].T) if work else (Q[:, :0], R[:0, :0])
 
     if iterations and work:
-        lam, y = _equality_solve(Q, R, f, b[rows])
+        lam, y = _equality_solve(Q, R, f, d[rows])
     lam_full = np.zeros(m)
     lam_full[rows] = np.maximum(lam, 0.0) / row_scale[rows]
-    return SolveStatus.OPTIMAL, y, lam_full, iterations
+    z = L_inv.T.dot(y)
+    return (SolveStatus.OPTIMAL, z, lam_full, iterations, *_slack_verdicts(A, b, z, lam_full))
 
 
 def brute_force_solve(problem: QpProblem) -> QpSolution:

@@ -1,8 +1,8 @@
 """Reference scenarios: adaptive cruise control and two-robot waypoint tour.
 
-Both case studies come fully parameterized; the configs below carry every
-physical constant, the controller weights, and the simulation defaults, so
-sweeps only need to replace fields.  A small synthetic suite of integrator
+Each case study's config fixes its plant, geometry, input box and weights
+as class constants and keeps as fields only what a run may set, the fields
+that overrides and sweeps replace.  A small synthetic suite of integrator
 systems with analytically known properties backs the property tests.
 """
 
@@ -12,7 +12,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, replace
 from sys import float_info
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -95,36 +95,35 @@ class AccConfig:
     ``*_disturbed`` weights replace the nominal ones.
     """
 
-    M: float = 1650.0            # follower mass, kg
-    grav: float = 9.81           # m/s^2
-    v_d: float = 22.0            # goal speed, m/s
+    M: ClassVar[float] = 1650.0            # follower mass, kg
+    grav: ClassVar[float] = 9.81           # m/s^2
+    v_d: ClassVar[float] = 22.0            # goal speed, m/s
+    v_l0: ClassVar[float] = 10.0           # initial lead speed, m/s
+    D0: ClassVar[float] = 150.0            # initial gap, m
+    f0: ClassVar[float] = 0.1              # drag: f0 + f1 v + f2 v^2, N
+    f1: ClassVar[float] = 5.0
+    f2: ClassVar[float] = 0.25
+    tau_d: ClassVar[float] = 1.8           # desired time headway, s
+    mu: ClassVar[float] = 5.0
+    reach_band: ClassVar[float] = 0.5      # |v_f - v_d| counted as arrived, m/s
+    w1: ClassVar[float] = 0.01             # weight on delta1^2
+    w2: ClassVar[float] = 10.0             # weight on delta2^2; the braking-distance term
+                                           # already starts braking early, so it stays cheap
+    q1: ClassVar[float] = 4.5              # linear penalty on delta1 (nominal tracking drive)
+
     v_f0: float = 18.0           # initial follower speed, m/s
-    v_l0: float = 10.0           # initial lead speed, m/s
-    D0: float = 150.0            # initial gap, m
-    f0: float = 0.1              # drag: f0 + f1 v + f2 v^2, N
-    f1: float = 5.0
-    f2: float = 0.25
     a_lead: float = 0.0          # actual (constant) lead acceleration, m/s^2
-    tau_d: float = 1.8           # desired time headway, s
     T_ud: float = 10.0           # reach deadline for the speed band, s
-    mu: float = 5.0
     d_delta: float = 0.0         # disturbance gain, N s/m
-    reach_band: float = 0.5      # |v_f - v_d| counted as arrived, m/s
     horizon: float = 20.0        # total simulated time, s
     dt: float = 1e-2
-    w1: float = 0.01             # weight on delta1^2
-    w2: float = 10.0             # weight on delta2^2; the braking-distance term
-                                 # already starts braking early, so it stays cheap
     w2_disturbed: float = 2400.0 # w2 used when d_delta > 0 (keeps delta2 small
                                  # before the freeze pin engages)
-    q1: float = 4.5              # linear penalty on delta1 (nominal tracking drive)
     q1_disturbed: float = 0.3    # q1 used when d_delta > 0 (freeze-compatible braking)
 
     def __post_init__(self):
         _require_finite(self)
-        _require_positive(self, "M", "grav", "v_d", "tau_d", "T_ud", "reach_band", "dt")
-        if self.mu <= 1:
-            raise ValueError("mu must exceed 1")
+        _require_positive(self, "T_ud", "dt")
         if self.d_delta < 0:
             raise ValueError("disturbance gain must be nonnegative")
         if abs(self.a_lead) >= ACC_LEAD_ACCEL_ENVELOPE * self.grav:
@@ -256,27 +255,27 @@ class TwoRobotConfig:
     where the separation constraint does the work.
     """
 
-    d_m: float = 0.1
-    component_bound: float = 7.0
-    mu: float = 5.0
-    phase_budget: float = 1.0
-    arena: float = 2.0
-    hub_radius: float = 1.5
-    circle_radius: float = 0.5
-    ellipse_major: float = 1.2
-    ellipse_minor: float = 0.5
+    d_m: ClassVar[float] = 0.1
+    component_bound: ClassVar[float] = 7.0
+    mu: ClassVar[float] = 5.0
+    phase_budget: ClassVar[float] = 1.0
+    arena: ClassVar[float] = 2.0
+    hub_radius: ClassVar[float] = 1.5
+    circle_radius: ClassVar[float] = 0.5
+    ellipse_major: ClassVar[float] = 1.2
+    ellipse_minor: ClassVar[float] = 0.5
+    w1: ClassVar[float] = 1.0
+    w2: ClassVar[float] = 10.0     # shared invariance slack; kept cheap so the thin
+                                   # corridors between walls do not throttle the tour
+    q1: ClassVar[float] = 100.0
+
     x0_agent1: tuple[float, float] = (-1.5, 1.5)
     x0_agent2: tuple[float, float] = (1.5, -1.5)
     dt: float = 1e-3
-    w1: float = 1.0
-    w2: float = 10.0     # shared invariance slack; kept cheap so the thin
-                         # corridors between walls do not throttle the tour
-    q1: float = 100.0
 
     def __post_init__(self):
         _require_finite(self)
-        _require_positive(self, "d_m", "component_bound", "phase_budget", "arena",
-                          "hub_radius", "circle_radius", "ellipse_major", "ellipse_minor", "dt")
+        _require_positive(self, "dt")
         for name in ("x0_agent1", "x0_agent2"):
             p = getattr(self, name)
             if len(p) != 2:

@@ -152,8 +152,9 @@ class TestParams:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             SynthesisParams(T_ud=1.0, mu=2.0, **weights, dt=1e-3)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-2])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-2, 1e-320])
     def test_rejects_an_euler_step_that_is_not_a_step(self, value):
+        # 1/1e-320 is infinite: the Euler rows could never be finite
         with pytest.raises(ValueError, match="^dt must be a finite number > 0"):
             SynthesisParams(T_ud=1.0, mu=2.0, w_u=np.ones(1), dt=value)
 
@@ -379,11 +380,10 @@ class TestSynthesize:
         the input moved past the upper bound by ``excess`` (scaled)."""
         solve = qp._solve
 
-        def pushed(A, b, L_inv, f, warm_start):
-            status, y, lam, iterations = solve(A, b, L_inv, f, warm_start)
-            z = L_inv.T @ y
+        def pushed(*args):
+            status, z, *rest = solve(*args)
             z[0] = 1.0 + excess
-            return status, np.linalg.solve(L_inv.T, z), lam, iterations
+            return (status, z, *rest)
 
         monkeypatch.setattr(qp, "_solve", pushed)
 
@@ -448,9 +448,9 @@ class TestSynthesize:
         calls = []
 
         def nan_at_fifth(*args):
-            status, y, lam, iterations = solve(*args)
+            status, z, *rest = solve(*args)
             calls.append(None)
-            return status, np.full_like(y, np.nan) if len(calls) == 5 else y, lam, iterations
+            return (status, np.full_like(z, np.nan) if len(calls) == 5 else z, *rest)
 
         monkeypatch.setattr(qp, "_solve", nan_at_fifth)
         trace = acc_scenario().simulate()

@@ -551,8 +551,8 @@ def test_property_kkt_residuals_hold(seed):
     assert r.comp_slack <= 1e-8
 
 
-class TestFactorCache:
-    def test_same_h_shares_one_factor(self):
+class TestHessianFactor:
+    def test_equal_h_give_equal_read_only_factors(self):
         H = np.array([[4.0, 1.0], [1.0, 3.0]])
         p, q = make_problem(H, [1.0, 0.0]), make_problem(H.copy(), [0.0, 1.0])
         assert np.array_equal(p.L_inv, q.L_inv)
@@ -560,7 +560,7 @@ class TestFactorCache:
         with pytest.raises(ValueError):
             p.L_inv[0, 0] = 1.0
 
-    def test_distinct_h_never_share_a_factor(self):
+    def test_nearby_h_gets_its_own_factor(self):
         H = np.array([[4.0, 1.0], [1.0, 3.0]])
         near = H.copy()
         near[1, 1] = np.nextafter(3.0, 4.0)
@@ -569,7 +569,7 @@ class TestFactorCache:
         assert np.allclose(q.L_inv @ near @ q.L_inv.T, np.eye(2), rtol=0, atol=1e-15)
 
     def test_invalid_h_rejected_after_a_valid_one(self):
-        # a factored H of the same shape must not let a bad one through
+        # each problem checks its own H, whatever was factored before
         make_problem(np.eye(2), [0.0, 0.0])
         with pytest.raises(ValueError, match="symmetric"):
             make_problem([[1.0, 0.5], [0.0, 1.0]], [0.0, 0.0])
@@ -581,7 +581,7 @@ class TestFactorCache:
             with pytest.raises(ValueError, match="finite"):
                 make_problem([[np.inf, 0.0], [0.0, 1.0]], [0.0, 0.0])
 
-    def test_non_finite_rows_rejected_with_a_cached_h(self):
+    def test_non_finite_f_a_or_b_is_refused(self):
         make_problem(np.eye(2), [0.0, 0.0])
         for F, A, b in (([np.nan, 0.0], [[1.0, 0.0]], [1.0]),
                         ([0.0, 0.0], [[np.inf, 0.0]], [1.0]),
@@ -611,12 +611,13 @@ class TestValidation:
         with pytest.raises(ValueError, match=match):
             QpProblem(H=H, F=np.zeros(2), A=A, b=np.zeros(len(A)))
 
-    @pytest.mark.parametrize("m, n", [(22, 6), (25, 6), (22, 18)],
-                             ids=["tour", "245506-sets", "per-set-slack"])
+    @pytest.mark.parametrize("m, n", [(24, 6), (22, 6), (25, 6), (22, 18)],
+                             ids=["tour", "110056-sets", "245506-sets", "per-set-slack"])
     def test_brute_force_solves_large_problems(self, m, n):
-        # 22 x 6 is the two-robot tour's QP and 22 x 18 the layout with one
+        # 24 x 6 is the two-robot tour's QP and 22 x 18 the layout with one
         # invariance slack per safe set; an enumeration of every working set
-        # of at most n rows would solve 110 056, 245 506 and 4 192 510 QPs
+        # of at most n rows would solve 190 051, 110 056, 245 506 and
+        # 4 192 510 QPs
         rng = np.random.default_rng(3)
         M = rng.normal(size=(n, n))
         A = rng.normal(size=(m, n))
