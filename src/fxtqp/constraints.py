@@ -8,9 +8,8 @@ invariance row (see :func:`fxtqp.controller.qp_rows`).  A set bounded by
 several smooth functions is passed as several safe sets, one row each, so
 no row differentiates a nonsmooth max.
 
-The input box knows only the input: its rows are over the scaled input
-v_s = v / scale, with the per-component bound magnitude of
-:class:`InputBounds`.
+The input box knows only the input: its bounds and the per-component
+scale v_s = v / scale; :class:`fxtqp.controller.CompiledQp` builds its rows.
 """
 
 from __future__ import annotations
@@ -67,18 +66,12 @@ class SetFunction:
 class InputBounds:
     """Component-wise input box of at least one input, lower < upper strictly.
 
-    The input scale and ``box_rows``, the box as rows (A, b) over the
-    scaled input alone, A of shape (2m, m), are built once here (read-only)
-    rather than at every state, and so is ``box_floats``, the scale, lower
-    and upper bounds as tuples of Python floats for the controller's clip.
+    The input scale is built once here (read-only), not at every state.
     """
 
     lower: np.ndarray
     upper: np.ndarray
     _scale: np.ndarray = field(init=False, repr=False, compare=False)
-    box_rows: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
-    box_floats: tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]] = field(
-        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
@@ -96,20 +89,8 @@ class InputBounds:
         object.__setattr__(self, "upper", hi)
         # lower < upper, so every scale is positive
         scale = np.maximum(np.abs(lo), np.abs(hi))
-        # per input i: v_i <= upper_i, -v_i <= -lower_i, in scaled coordinates
-        m = lo.size
-        A = np.empty((2 * m, m))
-        A[0::2] = np.diag(scale)
-        A[1::2] = np.diag(-scale)
-        b = np.empty(2 * m)
-        b[0::2] = hi
-        b[1::2] = -lo
-        for arr in (scale, A, b):
-            arr.setflags(write=False)
+        scale.setflags(write=False)
         object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "box_rows", (A, b))
-        object.__setattr__(self, "box_floats",
-                           tuple(tuple(v.tolist()) for v in (scale, lo, hi)))
 
     @property
     def m(self) -> int:

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from fxtqp.constraints import ControlAffineSystem, InputBounds, SetFunction
-from fxtqp.controller import SolverFailure, SynthesisParams, synthesize
+from fxtqp.controller import CompiledQp, SolverFailure, SynthesisParams, synthesize
 from fxtqp.fxts import certify_segment, worst_case
 
 __all__ = [
@@ -213,7 +213,8 @@ def _safe_column_names(schedule) -> tuple[str, ...]:
 def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
         params: SynthesisParams, x0: np.ndarray) -> Trace:
     """Close the loop from x0 until the schedule resolves, in Euler steps of
-    ``params.dt``.
+    ``params.dt``, from one :class:`fxtqp.controller.CompiledQp` built
+    before the first step.
 
     Per step: advance every track whose current goal is met, synthesize the
     input for the combined goal (the sum of the positive parts of the
@@ -235,6 +236,7 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
     lengths = [len(tr) for tr in tracks]
     n_legs = max(lengths)
     safe_names = _safe_column_names(schedule)
+    cqp = CompiledQp(bounds, params, len(safe_names))
 
     rows: list[list] = []   # trace.csv's columns, then qp_iters and box_overshoot
     reach: list[list[float | None]] = [[None] * lengths[j] for j in range(n_tracks)]
@@ -292,8 +294,7 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
             pairs = [g.value_and_gradient(x) for g in pending]
         goal = pairs[0] if len(pairs) == 1 else _positive_part_sum(pairs, len(x))
         try:
-            decision = synthesize(sys, goal, safes, bounds, params, x,
-                                  warm_start=warm)
+            decision = synthesize(sys, goal, safes, cqp, x, warm_start=warm)
             warm = decision.active_set
 
             hs_vals = decision.h_safe.tolist()

@@ -7,9 +7,10 @@ verdict on a QP solution, and difference quotients of the QP solution map;
 ``numpy_slack_verdicts``, ``numpy_clip``, ``numpy_ratio_test`` and
 ``numpy_tour_sets``, the numpy expressions the step's judge, input clip,
 solver ratio test and tour set gradients compute on Python floats;
-``rows_at``, the rows of :func:`fxtqp.controller.qp_rows` from a system
-and a goal set rather than their values at the state; and ``scaled_z``, a
-decision as the QP's solution in its input-scaled coordinates.  The tests
+``rows_at``, the rows of :func:`fxtqp.controller.qp_rows` for a compiled
+QP from a system and a goal set rather than their values at the state; and
+``scaled_z``, a decision as the QP's solution in its input-scaled
+coordinates.  The tests
 fix every argument, so nothing here checks its inputs beyond what a verdict
 needs.
 """
@@ -19,7 +20,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from fxtqp.controller import qp_rows, synthesize
+from fxtqp.controller import CompiledQp, qp_rows, synthesize
 from fxtqp.qp import _DEP_TOL, FEAS_TOL, SolveStatus
 
 _FD_STEP = 1e-6
@@ -29,11 +30,11 @@ _STRICT_CS_FLOOR = 1e-6
 ProbeResult = namedtuple("ProbeResult", "max_quotient quotients nonstrict_count")
 
 
-def rows_at(sys, h_g, safes, bounds, gains, x, dt, freeze_level=None):
-    """(A, b, h_goal, h_safe) of qp_rows at x, from sys.f(x), sys.g(x) and
-    the goal set's (value, gradient) pair at x."""
+def rows_at(sys, h_g, safes, cqp, x):
+    """(A, b, h_goal, h_safe) of qp_rows of the compiled QP ``cqp`` at x,
+    from sys.f(x), sys.g(x) and the goal set's (value, gradient) pair at x."""
     goal = h_g.value_and_gradient(x)
-    rows, h_safe = qp_rows(sys.f(x), sys.g(x), goal, safes, bounds, gains, x, dt, freeze_level)
+    rows, h_safe = qp_rows(cqp, sys.f(x), sys.g(x), goal, safes, x)
     return rows[:, :-1], rows[:, -1], goal[0], h_safe
 
 
@@ -197,14 +198,15 @@ def continuity_probe(sys, h_g, safes, bounds, params, x, radius, n_samples):
     controller, not a proof.  States where strict complementarity fails
     (x included) are counted; spikes in the quotient are expected there.
     """
-    base = synthesize(sys, h_g, safes, bounds, params, x)
+    cqp = CompiledQp(bounds, params, len(safes))
+    base = synthesize(sys, h_g, safes, cqp, x)
     rng = np.random.default_rng(0)
     quotients = np.empty(n_samples)
     nonstrict = int(not base.strict_cs)
     for i in range(n_samples):
         d = rng.normal(size=x.size)
         d *= radius / np.linalg.norm(d)
-        probe = synthesize(sys, h_g, safes, bounds, params, x + d)
+        probe = synthesize(sys, h_g, safes, cqp, x + d)
         quotients[i] = np.linalg.norm(probe.u - base.u) / radius
         nonstrict += int(not probe.strict_cs)
     return ProbeResult(float(quotients.max()), quotients, nonstrict)

@@ -9,7 +9,7 @@ from fxtqp.constraints import (
     InputBounds,
     SetFunction,
 )
-from fxtqp.controller import assemble
+from fxtqp.controller import CompiledQp, SynthesisParams, assemble
 from fxtqp.fxts import alpha_from_deadline
 from fxtqp.scenarios import (
     AccConfig,
@@ -45,19 +45,33 @@ def unit_box(m):
     return InputBounds(lower=-np.ones(m), upper=np.ones(m))
 
 
-def reach_row(sys, goal, x, gains=None):
+def compiled(bounds, n_safe, deadline=(2.0, 2.0), dt=DT, freeze_level=None):
+    """The QP compiled for ``bounds``, ``n_safe`` safe sets, unit input
+    weights and the gains alpha_from_deadline(*deadline)."""
+    params = SynthesisParams(T_ud=deadline[0], mu=deadline[1], w_u=np.ones(bounds.m), dt=dt,
+                             delta2_freeze_level=freeze_level)
+    return CompiledQp(bounds, params, n_safe)
+
+
+def box_rows(bounds):
+    """The input box's rows (A, b) of the compiled QP, over the scaled input
+    alone: A of shape (2m, m) and b of shape (2m,)."""
+    m = bounds.m
+    rows = compiled(bounds, 0).rows
+    return rows[:2 * m, :m], rows[:2 * m, -1]
+
+
+def reach_row(sys, goal, x, deadline=(2.0, 2.0)):
     """The reach-rate row over z = (v, delta1, delta2) and its right side."""
     m = sys.g(x).shape[1]
-    A, b, _, _ = rows_at(sys, goal, (), unit_box(m), gains or alpha_from_deadline(2.0, 2.0),
-                         x, DT)
+    A, b, _, _ = rows_at(sys, goal, (), compiled(unit_box(m), 0, deadline), x)
     return A[2 * m], b[2 * m]
 
 
 def safety_rows(sys, safe, x):
     """The invariance row of one safe set and its right side."""
     m = sys.g(x).shape[1]
-    A, b, _, _ = rows_at(sys, ball(), (safe,), unit_box(m), alpha_from_deadline(2.0, 2.0),
-                         x, DT)
+    A, b, _, _ = rows_at(sys, ball(), (safe,), compiled(unit_box(m), 1), x)
     return A[2 * m + 1:-2], b[2 * m + 1:-2]
 
 
@@ -74,7 +88,7 @@ class TestLieDerivatives:
         # grad = (2(v_f - 22), 0, 0), drag at v_f = 20 is 0.1 + 100 + 100
         cfg = AccConfig()
         gains = alpha_from_deadline(10.0, 5.0)
-        row, rhs = reach_row(_acc_system(cfg), acc_goal(cfg), ACC_STATE, gains)
+        row, rhs = reach_row(_acc_system(cfg), acc_goal(cfg), ACC_STATE, (10.0, 5.0))
         power = gains.alpha1 * 4.0 ** gains.gamma1 + gains.alpha2 * 4.0 ** gains.gamma2
         assert -(rhs + power) == pytest.approx((-4.0) * (-200.1 / 1650.0), rel=1e-12)
         assert row[0] == pytest.approx(-4.0 / 1650.0, rel=1e-12)
@@ -93,10 +107,9 @@ class TestLieDerivatives:
 
 class TestConvergenceRow:
     def test_on_goal_boundary_power_terms_vanish(self):
-        gains = alpha_from_deadline(2.0, 2.0)
         sys = integrator(2)
         x = np.array([1.0, 0.0])  # exactly on the unit circle
-        row, rhs = reach_row(sys, ball(), x, gains)
+        row, rhs = reach_row(sys, ball(), x, (2.0, 2.0))
         assert row[-2] == pytest.approx(0.0)      # delta1 coefficient is -h = 0
         assert rhs == pytest.approx(0.0)          # -Lf with Lf = 0
 
@@ -104,13 +117,12 @@ class TestConvergenceRow:
         gains = alpha_from_deadline(3.0, 5.0)
         sys = integrator(2)
         x = np.array([math.sqrt(2.0), 0.0])  # h = 1
-        _, rhs = reach_row(sys, ball(), x, gains)
+        _, rhs = reach_row(sys, ball(), x, (3.0, 5.0))
         assert rhs == pytest.approx(-(gains.alpha1 + gains.alpha2), rel=1e-12)
 
     def test_acc_hand_arithmetic(self):
         cfg = AccConfig()
-        gains = alpha_from_deadline(10.0, 5.0)
-        row, rhs = reach_row(_acc_system(cfg), acc_goal(cfg), ACC_STATE, gains)
+        row, rhs = reach_row(_acc_system(cfg), acc_goal(cfg), ACC_STATE, (10.0, 5.0))
         lf = (-4.0) * (-200.1 / 1650.0)
         expected = -lf - math.pi / 4.0 * (4.0 ** 1.2 + 4.0 ** 0.8)
         assert rhs == pytest.approx(expected, rel=1e-12)
@@ -119,13 +131,12 @@ class TestConvergenceRow:
 
     def test_rhs_monotone_in_goal_value(self):
         # larger positive goal value demands a faster decrease (Lf = 0 here)
-        gains = alpha_from_deadline(2.0, 2.0)
         sys = integrator(1)
         s = SetFunction(name="sq",
                         fn=lambda x: (float(x[0] ** 2), np.array([2.0 * x[0]])))
         rhs_prev = math.inf
         for xv in np.linspace(0.5, 4.0, 12):
-            _, rhs = reach_row(sys, s, np.array([xv]), gains)
+            _, rhs = reach_row(sys, s, np.array([xv]), (2.0, 2.0))
             assert rhs <= rhs_prev
             rhs_prev = rhs
 
@@ -133,8 +144,7 @@ class TestConvergenceRow:
         # a set's role is where it is passed: the same object gives the
         # reach-rate row and an invariance row with the same Lie derivative
         sys, s, x = integrator(2), ball(), np.array([0.6, -0.3])
-        A, b, h_goal, h_safe = rows_at(sys, s, (s,), unit_box(2),
-                                       alpha_from_deadline(2.0, 2.0), x, DT)
+        A, b, h_goal, h_safe = rows_at(sys, s, (s,), compiled(unit_box(2), 1), x)
         assert h_goal == h_safe[0] == s.value(x)
         assert np.array_equal(A[4, :2], A[5, :2])
         assert (A[4, 2], A[5, 3]) == (-h_goal, h_goal)
@@ -163,8 +173,7 @@ class TestSafetyRow:
                          fn=lambda x: (float(x[0] - 1.0), np.array([1.0, 0.0])))
         goal = ball(0.5)
         x = np.array([0.2, 0.1])
-        A, _, h_goal, h_safe = rows_at(integrator(2), goal, (b1, b2), unit_box(2),
-                                       alpha_from_deadline(2.0, 2.0), x, DT)
+        A, _, h_goal, h_safe = rows_at(integrator(2), goal, (b1, b2), compiled(unit_box(2), 2), x)
         assert h_goal == goal.value(x)
         assert list(h_safe) == [b1.value(x), b2.value(x)]
         assert list(A[-4:-2, -1]) == list(h_safe)
@@ -173,13 +182,14 @@ class TestSafetyRow:
 class TestFreezePins:
     def test_pins_only_above_the_level(self):
         cfg = AccConfig()
-        args = (_acc_system(cfg), acc_goal(cfg), (acc_headway(cfg),), unit_box(1),
-                alpha_from_deadline(10.0, 5.0))
+        args = (_acc_system(cfg), acc_goal(cfg), (acc_headway(cfg),))
+        frozen = compiled(unit_box(1), 1, (10.0, 5.0), cfg.dt, freeze_level=-20.0)
+        unset = compiled(unit_box(1), 1, (10.0, 5.0), cfg.dt)
         far, near = np.array([20.0, 10.0, 150.0]), np.array([20.0, 10.0, 40.0])
-        far_A, far_b, _, _ = rows_at(*args, far, cfg.dt, freeze_level=-20.0)
-        near_A, near_b, _, _ = rows_at(*args, near, cfg.dt, freeze_level=-20.0)
-        unset_far_A, unset_far_b, _, _ = rows_at(*args, far, cfg.dt)
-        unset_A, unset_b, _, _ = rows_at(*args, near, cfg.dt)
+        far_A, far_b, _, _ = rows_at(*args, frozen, far)
+        near_A, near_b, _, _ = rows_at(*args, frozen, near)
+        unset_far_A, unset_far_b, _, _ = rows_at(*args, unset, far)
+        unset_A, unset_b, _, _ = rows_at(*args, unset, near)
         # the same rows frozen or not; below the level nothing changes
         assert far_A.shape == near_A.shape == unset_A.shape == (6, 3)
         assert np.array_equal(far_A, unset_far_A) and np.array_equal(far_b, unset_far_b)
@@ -230,7 +240,7 @@ class TestCompositeSemantics:
 class TestInputRows:
     def test_symmetric_two_inputs(self):
         bounds = InputBounds(lower=-7.0 * np.ones(2), upper=7.0 * np.ones(2))
-        A, b = bounds.box_rows
+        A, b = box_rows(bounds)
         # over the scaled input alone: the box knows nothing of the slacks
         assert A.shape == (4, 2)
         assert np.array_equal(A, [[7.0, 0.0], [-7.0, 0.0], [0.0, 7.0], [0.0, -7.0]])
@@ -242,29 +252,28 @@ class TestInputRows:
         bounds = InputBounds(lower=np.array([-1.0, 0.5]), upper=np.array([2.0, 3.0]))
         safe = ball(4.0, name="room")
         for level in (None, -100.0):
-            A, b, _, _ = rows_at(integrator(2), ball(), (safe,), bounds,
-                                 alpha_from_deadline(2.0, 2.0), np.array([1.5, -0.3]), DT,
-                                 freeze_level=level)
-            box_A, box_b = bounds.box_rows
+            A, b, _, _ = rows_at(integrator(2), ball(), (safe,),
+                                 compiled(bounds, 1, freeze_level=level), np.array([1.5, -0.3]))
+            box_A, box_b = box_rows(bounds)
             assert np.array_equal(A[:4, :2], box_A) and np.array_equal(b[:4], box_b)
             assert np.all(A[:4, 2:] == 0.0)
 
     def test_acc_quarter_weight_bound(self):
         u_max = 0.25 * 1650.0 * 9.81
         assert u_max == pytest.approx(4046.625)
-        _, b = InputBounds(lower=np.array([-u_max]), upper=np.array([u_max])).box_rows
+        _, b = box_rows(InputBounds(lower=np.array([-u_max]), upper=np.array([u_max])))
         assert np.allclose(b, [4046.625, 4046.625])
 
     def test_asymmetric_bounds(self):
         bounds = InputBounds(lower=np.array([-1.0]), upper=np.array([2.0]))
-        assert np.allclose(bounds.box_rows[1], [2.0, 1.0])
+        assert np.allclose(box_rows(bounds)[1], [2.0, 1.0])
         assert np.allclose(bounds.scale(), [2.0])
 
     def test_feasible_iff_inside_box(self):
         # the rows are over the scaled input v_s = v / scale
         rng = np.random.default_rng(1)
         bounds = InputBounds(lower=np.array([-1.0, 0.5]), upper=np.array([2.0, 3.0]))
-        A, b = bounds.box_rows
+        A, b = box_rows(bounds)
         for _ in range(500):
             v = rng.uniform(-2, 4, size=2)
             inside = np.all((bounds.lower - 1e-9 <= v) & (v <= bounds.upper + 1e-9))
@@ -272,13 +281,14 @@ class TestInputRows:
 
     def test_built_once_and_read_only(self):
         bounds = InputBounds(lower=-np.ones(2), upper=np.ones(2))
-        assert bounds.scale() is bounds.scale()
-        for arr in (bounds.scale(), *bounds.box_rows):
+        cqp = compiled(bounds, 1)
+        assert bounds.scale() is bounds.scale() is cqp.scale
+        for arr in (bounds.scale(), *box_rows(bounds)):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
         # the clip's Python floats are tuples, so read-only by type
-        assert bounds.box_floats == ((1.0, 1.0), (-1.0, -1.0), (1.0, 1.0))
-        assert all(type(v) is float for part in bounds.box_floats for v in part)
+        assert cqp.box_floats == ((1.0, 1.0), (-1.0, -1.0), (1.0, 1.0))
+        assert all(type(v) is float for part in cqp.box_floats for v in part)
 
     @pytest.mark.parametrize("lower, upper", [([], []), (np.zeros(0), np.zeros(0))])
     def test_rejects_an_empty_box(self, lower, upper):

@@ -7,10 +7,12 @@ from scipy.linalg import cho_factor, cho_solve
 from fxtqp import qp
 from fxtqp.constraints import ControlAffineSystem, InputBounds, SetFunction
 from fxtqp.controller import (
+    CompiledQp,
     SolverFailure,
     SynthesisParams,
     _clip_to_box,
     assemble,
+    qp_rows,
     synthesize,
 )
 from fxtqp.fxts import RegimeKind, settling_time_bound
@@ -160,12 +162,25 @@ class TestParams:
 
 
 class TestAssemble:
-    def test_objective_built_once(self):
+    def test_objective_built_once(self, monkeypatch):
+        # every step solves against the one objective its compiled QP holds,
+        # and assemble's problems carry the same objective
         sys, goal, safes, bounds, params = acc_pieces()
+        cqp = CompiledQp(bounds, params, len(safes))
+        solve, seen = qp._solve, []
+
+        def recorded(A, b, objective, warm_start):
+            seen.append(objective)
+            return solve(A, b, objective, warm_start)
+
+        monkeypatch.setattr(qp, "_solve", recorded)
+        for x in (np.array([20.0, 10.0, 150.0]), np.array([24.0, 10.0, 80.0])):
+            synthesize(sys, goal, safes, cqp, x)
+        objective = cqp.objective
+        assert len(seen) == 2 and all(o is objective for o in seen)
         p1 = assemble(sys, goal, safes, bounds, params, np.array([20.0, 10.0, 150.0]))
         p2 = assemble(sys, goal, safes, bounds, params, np.array([24.0, 10.0, 80.0]))
-        objective = params.objective
-        assert p1.H is objective.H and np.shares_memory(p2.F, objective.F)
+        assert np.array_equal(p1.H, objective.H) and np.array_equal(p2.F, objective.F)
         assert (np.array_equal(p1.L_inv, objective.L_inv)
                 and np.array_equal(p2.L_inv, objective.L_inv))
         with pytest.raises(ValueError):
@@ -189,7 +204,8 @@ class TestAssemble:
         near = assemble(sys, goal, safes, bounds, params, np.array([20.0, 10.0, 40.0]))
         assert near.m_c == 6  # h_s = +19 pins delta2 = 0: only the Euler cap carries it
         assert not near.A[:-1, 2].any()
-        dec = synthesize(sys, goal, safes, bounds, params, np.array([20.0, 10.0, 40.0]))
+        dec = synthesize(sys, goal, safes, CompiledQp(bounds, params, len(safes)),
+                         np.array([20.0, 10.0, 40.0]))
         assert dec.delta2 == 0.0 and dec.strict_cs
 
     def test_two_robot_dimensions(self):
@@ -211,8 +227,8 @@ class TestAssemble:
             A, b = reference_rows(sys, goal, safes, bounds, params, x)
             assert p.A.shape == A.shape, label
             assert np.array_equal(p.A, A) and np.array_equal(p.b, b), (label, x)
-            _, _, h_goal, h_safe = rows_at(sys, goal, safes, bounds, params.gains, x,
-                                           params.dt, params.delta2_freeze_level)
+            _, _, h_goal, h_safe = rows_at(sys, goal, safes,
+                                           CompiledQp(bounds, params, len(safes)), x)
             assert h_goal == goal.value(x)
             assert list(h_safe) == [s.value(x) for s in safes]
             # frozen: delta2 is left only in the last row, delta2 <= 0.5/dt
@@ -266,6 +282,7 @@ class TestStackedRows:
         schedule = Schedule(tracks=((Phase(goal=goal, deadline=3.0),),), global_safes=safes)
         trace = run(sys, schedule, bounds, params, np.array([-0.6, 0.5, -0.2]))
         assert trace.outcome.kind is OutcomeKind.ALL_PHASES_MET and len(trace) > 500
+        cqp = CompiledQp(bounds, params, len(safes))
         warm = None
         for x in trace.x:
             p = assemble(sys, goal, safes, bounds, params, x)
@@ -273,8 +290,8 @@ class TestStackedRows:
             got, ref = np.column_stack([p.A, p.b]), np.column_stack([A, b])
             gap = np.max(np.abs(got - ref), axis=1)
             assert np.all(gap <= 1e-14 * np.max(np.abs(ref), axis=1)), x
-            cold = synthesize(sys, goal, safes, bounds, params, x)
-            hot = synthesize(sys, goal, safes, bounds, params, x, warm_start=warm)
+            cold = synthesize(sys, goal, safes, cqp, x)
+            hot = synthesize(sys, goal, safes, cqp, x, warm_start=warm)
             hot_obj = p.objective(scaled_z(hot, bounds))
             cold_obj = p.objective(scaled_z(cold, bounds))
             assert abs(hot_obj - cold_obj) <= 1e-10 * max(1.0, abs(cold_obj))
@@ -290,7 +307,7 @@ class TestSynthesize:
         bounds = InputBounds(lower=-bound_mag * np.ones(2), upper=bound_mag * np.ones(2))
         params = SynthesisParams(T_ud=2.0, mu=2.0, w_u=np.ones(2), dt=1e-3)
         x = np.array([3.0, 1.0])
-        dec = synthesize(sys, goal, (), bounds, params, x)
+        dec = synthesize(sys, goal, (), CompiledQp(bounds, params, 0), x)
         problem = assemble(sys, goal, (), bounds, params, x)
         oracle = qp.brute_force_solve(problem)
         assert np.allclose(scaled_z(dec, bounds), oracle.z_star, atol=1e-7)
@@ -306,7 +323,7 @@ class TestSynthesize:
         bounds = InputBounds(lower=-5 * np.ones(2), upper=5 * np.ones(2))
         params = SynthesisParams(T_ud=2.0, mu=2.0, w_u=np.ones(2), dt=1e-3)
         x = np.array([2.0, 0.0])    # exactly on the boundary
-        dec = synthesize(sys, goal, (safe,), bounds, params, x)
+        dec = synthesize(sys, goal, (safe,), CompiledQp(bounds, params, 1), x)
         hdot = 2.0 * x @ dec.u
         assert hdot <= 1e-8
 
@@ -316,15 +333,16 @@ class TestSynthesize:
         safe = safe_ball(5.0)
         bounds = InputBounds(lower=-np.ones(2), upper=np.ones(2))
         params = SynthesisParams(T_ud=2.0, mu=2.0, w_u=np.ones(2), dt=1e-3)
-        dec = synthesize(sys, goal, (safe,), bounds, params, np.array([0.1, 0.0]))
+        dec = synthesize(sys, goal, (safe,), CompiledQp(bounds, params, 1), np.array([0.1, 0.0]))
         assert np.linalg.norm(dec.u) <= 1e-6
 
     def test_input_bounds_respected_exactly(self):
         sys, goal, safes, bounds, params = acc_pieces()
+        cqp = CompiledQp(bounds, params, len(safes))
         rng = np.random.default_rng(12)
         for _ in range(50):
             x = rng.uniform([12, 8, 40], [28, 12, 200])
-            dec = synthesize(sys, goal, safes, bounds, params, x)
+            dec = synthesize(sys, goal, safes, cqp, x)
             assert np.all((bounds.lower <= dec.u) & (dec.u <= bounds.upper))
 
     def test_warm_start_changes_nothing(self):
@@ -333,11 +351,12 @@ class TestSynthesize:
         sys, goal, safes, bounds, params = acc_pieces()
         x = np.array([24.0, 10.0, 80.0])
         problem = assemble(sys, goal, safes, bounds, params, x)
-        cold = synthesize(sys, goal, safes, bounds, params, x)
+        cqp = CompiledQp(bounds, params, len(safes))
+        cold = synthesize(sys, goal, safes, cqp, x)
         assert min(equality_qp(problem, [0, 2])[1]) < 0
         assert min(equality_qp(problem, [2, 3])[1]) < 0
         for guess in (cold.active_set, (problem.m_c,), (-1, 2), (0, 2), (2, 3)):
-            warm = synthesize(sys, goal, safes, bounds, params, x, warm_start=guess)
+            warm = synthesize(sys, goal, safes, cqp, x, warm_start=guess)
             assert problem.objective(scaled_z(warm, bounds)) == pytest.approx(
                 problem.objective(scaled_z(cold, bounds)), abs=1e-10)
             assert np.allclose(warm.u, cold.u, atol=1e-8)
@@ -347,7 +366,7 @@ class TestSynthesize:
         # set must land on the same point
         sys, goal, safes, bounds, params = acc_pieces()
         x = np.array([24.0, 10.0, 60.0])
-        dec = synthesize(sys, goal, safes, bounds, params, x)
+        dec = synthesize(sys, goal, safes, CompiledQp(bounds, params, len(safes)), x)
         problem = assemble(sys, goal, safes, bounds, params, x)
         assert dec.active_set
         z, _ = equality_qp(problem, list(dec.active_set))
@@ -391,12 +410,14 @@ class TestSynthesize:
         sys, goal, safes, bounds, params = acc_pieces()
         self.pushed_solver(monkeypatch, 1e-6)
         with pytest.raises(SolverFailure, match="leaves its box"):
-            synthesize(sys, goal, safes, bounds, params, np.array([20.0, 10.0, 150.0]))
+            synthesize(sys, goal, safes, CompiledQp(bounds, params, len(safes)),
+                       np.array([20.0, 10.0, 150.0]))
 
     def test_box_overshoot_within_tolerance_is_clipped(self, monkeypatch):
         sys, goal, safes, bounds, params = acc_pieces()
         self.pushed_solver(monkeypatch, 1e-12)
-        dec = synthesize(sys, goal, safes, bounds, params, np.array([20.0, 10.0, 150.0]))
+        dec = synthesize(sys, goal, safes, CompiledQp(bounds, params, len(safes)),
+                         np.array([20.0, 10.0, 150.0]))
         assert dec.u[0] == bounds.upper[0]
         assert dec.box_overshoot == pytest.approx(1e-12, rel=1e-3)
 
@@ -413,14 +434,16 @@ class TestSynthesize:
         for lower, upper in (([-1.0], [2.0]), ([0.0, -3.0], [5.0, 0.0]),
                              ([-0.0, -4.0], [1.0, -0.5]), ([-7.0, 2.0, -1e3], [7.0, 9.0, 1e-3])):
             bounds = InputBounds(lower=np.array(lower), upper=np.array(upper))
-            scale, lo, hi = (np.array(v) for v in bounds.box_floats)
+            cqp = CompiledQp(bounds, SynthesisParams(T_ud=1.0, mu=2.0, w_u=np.ones(bounds.m),
+                                                     dt=1e-3), 0)
+            scale, lo, hi = (np.array(v) for v in cqp.box_floats)
             edges = [lo / scale, hi / scale, np.nextafter(lo / scale, -np.inf),
                      np.nextafter(hi / scale, np.inf), lo / scale - 1e-13, hi / scale + 1e-13,
                      np.zeros(bounds.m), -np.zeros(bounds.m)]
             seeded = list(rng.uniform(-1.2, 1.2, size=(200, bounds.m)))
             for v in edges + seeded:
                 z = np.concatenate((v, rng.normal(size=2)))
-                u, overshoot = _clip_to_box(z.tolist(), bounds)
+                u, overshoot = _clip_to_box(z.tolist(), cqp)
                 u_ref, overshoot_ref = numpy_clip(z, bounds)
                 assert len(u) == bounds.m
                 assert all(map(same, u, u_ref.tolist())), (lower, v)
@@ -436,7 +459,8 @@ class TestSynthesize:
         monkeypatch.setattr(qp, "_solve", limited)
         sys, goal, safes, bounds, params = acc_pieces()
         with pytest.raises(SolverFailure, match="iteration_limit"):
-            synthesize(sys, goal, safes, bounds, params, np.array([20.0, 10.0, 150.0]))
+            synthesize(sys, goal, safes, CompiledQp(bounds, params, len(safes)),
+                       np.array([20.0, 10.0, 150.0]))
         trace = acc_scenario(AccConfig(horizon=1.0)).simulate()
         assert trace.outcome.kind is OutcomeKind.SOLVER_FAILURE
         assert "iteration_limit" in trace.outcome.message and len(trace) == 0
@@ -464,8 +488,9 @@ class TestSynthesize:
     def test_decision_reports_solver_counters(self):
         sys, goal, safes, bounds, params = acc_pieces()
         x = np.array([24.0, 10.0, 80.0])
-        cold = synthesize(sys, goal, safes, bounds, params, x)
-        hot = synthesize(sys, goal, safes, bounds, params, x, warm_start=cold.active_set)
+        cqp = CompiledQp(bounds, params, len(safes))
+        cold = synthesize(sys, goal, safes, cqp, x)
+        hot = synthesize(sys, goal, safes, cqp, x, warm_start=cold.active_set)
         assert cold.iterations >= 1 and hot.iterations == 0
         assert cold.box_overshoot == 0.0 or cold.box_overshoot <= qp.FEAS_TOL
         assert list(cold.h_safe) == [s.value(x) for s in safes]
@@ -484,7 +509,7 @@ class TestSynthesize:
             delta2_freeze_level=ACC_FREEZE_LEVEL, dt=cfg.dt)
         x = np.array([22.0, 10.0, 39.7])   # h_s just below zero, closing fast
         with pytest.raises(SolverFailure):
-            synthesize(sys, goal, safes, bounds, params, x)
+            synthesize(sys, goal, safes, CompiledQp(bounds, params, len(safes)), x)
 
 
     def test_rows_that_are_not_finite_are_a_solver_failure(self):
@@ -492,22 +517,111 @@ class TestSynthesize:
         x = np.array([20.0, 10.0, 150.0])
         nan_safe = (SetFunction("nan", lambda x: (math.nan, np.zeros(3))),)
         with pytest.raises(SolverFailure, match="not finite"):
-            synthesize(sys, goal, nan_safe, bounds, params, x)
+            synthesize(sys, goal, nan_safe, CompiledQp(bounds, params, 1), x)
         with pytest.raises(SolverFailure, match="not finite"):
             assemble(sys, goal, nan_safe, bounds, params, x)
         # a finite goal value whose powers overflow a float (math.pow raises)
         # makes an infinite row
         ball = SetFunction("ball", lambda x: (x[0] ** 2 - 0.01, 2.0 * x))
         with pytest.raises(SolverFailure, match="not finite"):
-            synthesize(integrator(1), ball, (), InputBounds(lower=[-1.0], upper=[1.0]),
-                       SynthesisParams(T_ud=1.0, mu=2.0, w_u=np.ones(1), dt=1e-3),
+            synthesize(integrator(1), ball, (),
+                       CompiledQp(InputBounds(lower=[-1.0], upper=[1.0]),
+                                  SynthesisParams(T_ud=1.0, mu=2.0, w_u=np.ones(1), dt=1e-3), 0),
                        np.array([1e150]))
         # finite data that does not fit (two input weights, one input) is
         # a ValueError still
         two_inputs = SynthesisParams(T_ud=params.T_ud, mu=params.mu, w_u=np.ones(2),
                                      dt=params.dt)
         with pytest.raises(ValueError, match="inconsistent"):
-            synthesize(sys, goal, (), bounds, two_inputs, x)
+            synthesize(sys, goal, (), CompiledQp(bounds, two_inputs, 0), x)
+
+
+def tour_pieces():
+    """The default tour's system, first goal, first safe sets, bounds,
+    params and start."""
+    sc = two_robot_scenario()
+    first0, first1 = (track[0] for track in sc.schedule.tracks)
+    safes = sc.schedule.global_safes + first0.safe_extra + first1.safe_extra
+    return sc.sys, first0.goal, safes, sc.bounds, sc.params, sc.x0
+
+
+class TestCompiledQp:
+    @pytest.mark.parametrize("pieces", ["acc", "tour"])
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_other_safe_set_count_is_refused(self, pieces, change):
+        # one set fewer would leave a silent 0 <= 0 row, one more has no row
+        if pieces == "acc":
+            sys, goal, safes, bounds, params = acc_pieces()
+            x = np.array([20.0, 10.0, 150.0])
+        else:
+            sys, goal, safes, bounds, params, x = tour_pieces()
+        cqp = CompiledQp(bounds, params, len(safes))
+        given = safes[:-1] if change < 0 else safes + safes[:1]
+        match = f"^{len(safes) + change} safe sets for a QP compiled for {len(safes)}$"
+        with pytest.raises(ValueError, match=match):
+            qp_rows(cqp, sys.f(x), sys.g(x), goal.value_and_gradient(x), given, x)
+        with pytest.raises(ValueError, match=match):
+            synthesize(sys, goal, given, cqp, x)
+
+    def test_weights_that_do_not_fit_the_box_fail_before_the_first_step(self, monkeypatch):
+        import fxtqp.simulation as simulation
+        sys, goal, safes, bounds, params = acc_pieces()
+        two_inputs = SynthesisParams(T_ud=params.T_ud, mu=params.mu, w_u=np.ones(2),
+                                     dt=params.dt)
+        with pytest.raises(ValueError, match="inconsistent"):
+            CompiledQp(bounds, two_inputs, len(safes))
+        steps = []
+        monkeypatch.setattr(simulation, "synthesize", lambda *args, **kw: steps.append(args))
+        schedule = Schedule(tracks=((Phase(goal=goal, deadline=10.0),),), global_safes=safes)
+        with pytest.raises(ValueError, match="inconsistent"):
+            run(sys, schedule, bounds, two_inputs, np.array([20.0, 10.0, 150.0]))
+        assert steps == []
+
+    def test_constant_part_is_read_only(self):
+        sys, goal, safes, bounds, params, x = tour_pieces()
+        cqp = CompiledQp(bounds, params, len(safes))
+        assert cqp.rows.shape == (8 + 1 + 13 + 2, 4 + 3)
+        for arr in (cqp.rows, cqp.scale, cqp.objective.H, cqp.objective.F):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    @pytest.mark.parametrize("freeze", [False, True])
+    def test_qp_rows_fill_a_fresh_array_in_the_state_rows_only(self, freeze):
+        sys, goal, safes, bounds, params, x = tour_pieces()
+        if freeze:
+            level = min(s.value(x) for s in safes) - 1.0
+            params = SynthesisParams(T_ud=params.T_ud, mu=params.mu, w_u=params.w_u,
+                                     dt=params.dt, delta2_freeze_level=level)
+        cqp = CompiledQp(bounds, params, len(safes))
+        constant = cqp.rows.copy()
+        args = (sys.f(x), sys.g(x), goal.value_and_gradient(x), safes, x)
+        first, _ = qp_rows(cqp, *args)
+        second, _ = qp_rows(cqp, *args)
+        assert first.flags.writeable and np.array_equal(first, second)
+        assert not np.shares_memory(first, second) and not np.shares_memory(first, cqp.rows)
+        assert np.array_equal(cqp.rows, constant)
+        # the box and the Euler rows are the compiled ones; the state rows
+        # are zero there and filled here (at the start two sets have a zero
+        # gradient, so frozen, their rows are zero too)
+        state = np.zeros(len(first), dtype=bool)
+        state[2 * bounds.m:2 * bounds.m + 1 + len(safes)] = True
+        assert np.array_equal(first[~state], constant[~state])
+        assert not constant[state].any() and (freeze or first[state].any(axis=1).all())
+
+    def test_run_compiles_once(self, monkeypatch):
+        # the default tour: 15 goal segments, one compiled QP
+        import fxtqp.simulation as simulation
+        built = []
+
+        class Counted(CompiledQp):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(simulation, "CompiledQp", Counted)
+        trace = two_robot_scenario().simulate()
+        assert trace.outcome.ok and len(trace.segments) == 15
+        assert len(built) == 1 and built[0].n_safe == len(trace.safe_names)
 
 
 class TestContinuityProbe:
@@ -590,7 +704,7 @@ def test_step_decision_is_solve_qp_bit_for_bit(monkeypatch, build, steps):
         if len(decided) == steps:
             raise _Enough
         decision = synthesize(*args, warm_start=warm_start)
-        decided.append((args[:5], args[5].copy(), warm_start, decision))
+        decided.append((args[:4], args[4].copy(), warm_start, decision))
         return decision
 
     monkeypatch.setattr(simulation, "synthesize", recorded)
@@ -601,17 +715,16 @@ def test_step_decision_is_solve_qp_bit_for_bit(monkeypatch, build, steps):
         with pytest.raises(_Enough):
             sc.simulate()
     assert decided and decided[0][2] is None
-    for k, (pieces, x, guess, decision) in enumerate(decided):
-        problem = assemble(*pieces, x)
+    for k, ((sys, goal, safes, cqp), x, guess, decision) in enumerate(decided):
+        problem = assemble(sys, goal, safes, cqp.bounds, cqp.params, x)
         solution = qp.solve_qp(problem, warm_start=guess)
-        bounds, z = pieces[3], solution.z_star
+        bounds, z = cqp.bounds, solution.z_star
         u = (z[:bounds.m] * bounds.scale()).clip(bounds.lower, bounds.upper)
         assert np.array_equal(u, decision.u), k
         assert np.array_equal(z[bounds.m:], [decision.delta1, decision.delta2]), k
         assert solution.active_set == decision.active_set, k
         assert solution.iterations == decision.iterations, k
         assert strictly_complementary(problem, solution) == decision.strict_cs, k
-        sys = pieces[0]
         assert np.array_equal(decision.rate, sys.f(x) + sys.g(x) @ decision.u), k
 
 

@@ -108,14 +108,14 @@ def test_euler_rows_that_cannot_bind_change_no_decision(monkeypatch, build):
     decided = []
 
     def recorded(*args, warm_start=None):
-        decided.append((args[:5], args[5].copy()))
+        decided.append((args[:4], args[4].copy()))
         return synthesize(*args, warm_start=warm_start)
 
     monkeypatch.setattr(simulation, "synthesize", recorded)
     assert build().simulate().outcome.ok
     stride = max(1, len(decided) // 300)
-    for k, (pieces, x) in list(enumerate(decided))[::stride]:
-        full = assemble(*pieces, x)
+    for k, ((sys, goal, safes, cqp), x) in list(enumerate(decided))[::stride]:
+        full = assemble(sys, goal, safes, cqp.bounds, cqp.params, x)
         sliced = qp.QpProblem(H=full.H, F=full.F, A=full.A[:-2], b=full.b[:-2])
         a, b = qp.solve_qp(full), qp.solve_qp(sliced)
         assert a.status is b.status is qp.SolveStatus.OPTIMAL, k
@@ -404,6 +404,7 @@ class TestSyntheticSuite:
         # (the invariance row with h_s = 0) on any safe-set boundary of a
         # single integrator
         from fxtqp.constraints import ControlAffineSystem, InputBounds
+        from fxtqp.controller import CompiledQp
         from reference_checks import rows_at
         sc = next(s for s in synthetic_suite() if s.scenario_id == "synthetic:fullact2d")
         safe = sc.schedule.global_safes[0]
@@ -416,8 +417,8 @@ class TestSyntheticSuite:
             x = 2.0 * np.array([np.cos(theta), np.sin(theta)])  # on the disk edge
             grad = safe.value_and_gradient(x)[1]
             u = -0.5 * grad / np.linalg.norm(grad)
-            A, b, _, _ = rows_at(integ2, sc.schedule.phases[0].goal, (safe,), unit,
-                                 sc.params.gains, x, sc.params.dt)
+            A, b, _, _ = rows_at(integ2, sc.schedule.phases[0].goal, (safe,),
+                                 CompiledQp(unit, sc.params, 1), x)
             assert A[-3, :2] @ u <= b[-3] + 1e-12     # Lg u <= -Lf, before the Euler rows
 
     def test_obstacle_detour_reaches_and_avoids(self):

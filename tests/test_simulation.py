@@ -475,7 +475,7 @@ class TestStepPath:
             qp.solve_qp, qp._solve, qp._hot_start, qp._ratio_test, qp._equality_solve,
             qp._slack_verdicts, qp._thin_qr, qp._tri_solve,
             controller.synthesize, controller._checked_rows, controller._clip_to_box,
-            controller.qp_rows, controller._clamped_power_sum,
+            controller.qp_rows, controller._clamped_power_sum, controller.CompiledQp.__post_init__,
             simulation.run, simulation.step_euler, simulation._positive_part_sum,
             scenarios._constant, scenarios._square, scenarios._acc_system, scenarios.acc_goal,
             scenarios.acc_headway, scenarios._lifted, scenarios._circle, scenarios._ellipse,
