@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Sequence
 
@@ -130,26 +130,34 @@ class Schedule:
         return self.tracks[0]
 
 
+def _step(width, dtype=float, prefix: str | None = None):
+    default = {} if prefix else {"default_factory": lambda: np.zeros(0, dtype)}
+    return field(metadata={"step": (width, dtype, prefix)}, **default)
+
+
 @dataclass
 class Trace:
-    """Time-stamped closed-loop record of one run."""
+    """Time-stamped closed-loop record of one run.
 
-    t: np.ndarray
-    x: np.ndarray
-    u: np.ndarray
-    h_goal: np.ndarray
-    h_safe: np.ndarray
-    delta1: np.ndarray
-    delta2: np.ndarray
-    strict_cs: np.ndarray
-    active_set_size: np.ndarray
-    phase: np.ndarray
+    Its ``_step`` fields declare the per-step record once, in the column order
+    of ``run``'s table and ``trace.csv``: width (1, "n" states, "m" inputs or
+    "k" safe sets), dtype, and CSV prefix, None for a counter kept off the CSV.
+    """
+
+    t: np.ndarray = _step(1, prefix="t")
+    x: np.ndarray = _step("n", prefix="x")
+    u: np.ndarray = _step("m", prefix="u")
+    h_goal: np.ndarray = _step(1, prefix="h_goal")
+    h_safe: np.ndarray = _step("k", prefix="hs_")
+    delta1: np.ndarray = _step(1, prefix="delta1")
+    delta2: np.ndarray = _step(1, prefix="delta2")
+    strict_cs: np.ndarray = _step(1, bool, "strict_cs")
+    active_set_size: np.ndarray = _step(1, int, "active_set_size")
+    phase: np.ndarray = _step(1, int, "phase")
     safe_names: tuple[str, ...]
     dt: float
-    # per-step QP working-set changes and scaled pre-clip box overshoot;
-    # not in the CSV, so empty for a trace read back from one
-    qp_iters: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    box_overshoot: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    qp_iters: np.ndarray = _step(1, int)    # QP working-set changes
+    box_overshoot: np.ndarray = _step(1)    # scaled pre-clip box overshoot
     outcome: Outcome | None = None
     reach_times: tuple[float | None, ...] = ()
     track_reach_times: tuple[tuple[float | None, ...], ...] = ()
@@ -157,6 +165,9 @@ class Trace:
 
     def __len__(self) -> int:
         return self.t.size
+
+
+_STEP_FIELDS = tuple((f.name, *f.metadata["step"]) for f in fields(Trace) if "step" in f.metadata)
 
 
 def step_euler(sys: ControlAffineSystem, x: np.ndarray, rate: np.ndarray,
@@ -238,7 +249,7 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
     safe_names = _safe_column_names(schedule)
     cqp = CompiledQp(bounds, params, len(safe_names))
 
-    rows: list[list] = []   # trace.csv's columns, then qp_iters and box_overshoot
+    rows: list[list] = []   # Trace's step fields in their declared order
     reach: list[list[float | None]] = [[None] * lengths[j] for j in range(n_tracks)]
 
     t = 0.0
@@ -325,9 +336,9 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
         step += 1
         t = step * dt
 
-    width = len(_trace_header(len(x), bounds.m, safe_names)) + 2
-    steps = _step_fields(np.array(rows, dtype=float).reshape(-1, width),
-                         len(x), bounds.m, safe_names)
+    layout, columns = _layout(len(x), bounds.m, safe_names)
+    table = np.array(rows, dtype=float).reshape(-1, len(columns))
+    steps = {name: table[:, where].astype(dtype, copy=False) for name, dtype, _, where in layout}
     t_rec, hg, d1 = steps["t"], steps["h_goal"], steps["delta1"]
     segments = tuple(
         certify_segment(params.gains, float(t_rec[a]), float(t_rec[b - 1]), float(hg[a]),
@@ -342,6 +353,7 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
 
     return Trace(
         **steps,
+        safe_names=safe_names,
         dt=dt,
         outcome=outcome,
         reach_times=tuple(joint),
@@ -405,30 +417,17 @@ def monitor(trace: Trace, d_min: float | None = None,
     }
 
 
-def _trace_header(n: int, m: int, safe_names: Sequence[str]) -> list[str]:
-    """trace.csv's columns: a trace's step fields in table order."""
-    return (["t"] + [f"x{i}" for i in range(n)] + [f"u{i}" for i in range(m)]
-            + ["h_goal"] + [f"hs_{name}" for name in safe_names]
-            + ["delta1", "delta2", "strict_cs", "active_set_size", "phase"])
-
-
-def _step_fields(table: np.ndarray, n: int, m: int, safe_names: Sequence[str]) -> dict:
-    """Trace's step fields sliced from a table in :func:`_trace_header` order.
-
-    Two trailing columns beyond that layout are the QP counters
-    ``qp_iters`` and ``box_overshoot``.
-    """
-    h = 1 + n + m                # h_goal
-    d = h + 1 + len(safe_names)  # delta1
-    fields = dict(
-        t=table[:, 0], x=table[:, 1:1 + n], u=table[:, 1 + n:h], h_goal=table[:, h],
-        h_safe=table[:, h + 1:d], delta1=table[:, d], delta2=table[:, d + 1],
-        strict_cs=table[:, d + 2].astype(bool),
-        active_set_size=table[:, d + 3].astype(int),
-        phase=table[:, d + 4].astype(int), safe_names=tuple(safe_names))
-    if table.shape[1] > d + 5:
-        fields.update(qp_iters=table[:, d + 5].astype(int), box_overshoot=table[:, d + 6])
-    return fields
+def _layout(n: int, m: int, safe_names: Sequence[str], csv_only: bool = False) -> tuple:
+    """Trace's step fields in table order as (name, dtype, column names, column
+    index or slice), and all column names; ``csv_only`` drops the counters."""
+    suffixes = {1: [""], "n": range(n), "m": range(m), "k": safe_names}
+    layout, names = [], []
+    for name, width, dtype, prefix in _STEP_FIELDS:
+        if prefix or not csv_only:
+            a = len(names)
+            names += [f"{prefix or name}{s}" for s in suffixes[width]]
+            layout.append((name, dtype, names[a:], a if width == 1 else slice(a, len(names))))
+    return layout, names
 
 
 def trace_to_csv(trace: Trace, path) -> None:
@@ -438,13 +437,12 @@ def trace_to_csv(trace: Trace, path) -> None:
     that needs it; the numeric body is one ``%`` format per row, the same
     bytes that writer would give for these fields.
     """
-    table = np.column_stack([trace.t, trace.x, trace.u, trace.h_goal, trace.h_safe,
-                             trace.delta1, trace.delta2, trace.strict_cs,
-                             trace.active_set_size, trace.phase])
-    row = ",".join(["%.17g"] * (table.shape[1] - 3) + ["%d"] * 3) + "\r\n"
+    layout, header = _layout(trace.x.shape[1], trace.u.shape[1], trace.safe_names, csv_only=True)
+    table = np.column_stack([getattr(trace, name) for name, *_ in layout])
+    row = ",".join("%.17g" if dtype is float else "%d"
+                   for _, dtype, columns, _ in layout for _ in columns) + "\r\n"
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(_trace_header(trace.x.shape[1], trace.u.shape[1],
-                                              trace.safe_names))
+        csv.writer(fh).writerow(header)
         fh.write((row * len(table)) % tuple(table.ravel().tolist()))
 
 
@@ -453,18 +451,31 @@ def trace_from_csv(path) -> Trace:
 
     Run metadata (outcome, reach times) lives in the summary JSON, not the
     CSV; the returned trace carries the step records only.  A header that
-    is not a trace layout raises ValueError.
+    is not a trace layout raises ValueError, as do repeated safe-set columns
+    and an integer cell that is not a whole number >= 0 (a bool one 0 or 1).
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         rows = [[float(v) for v in row] for row in reader]
-    h = header.index("h_goal") if "h_goal" in header else 0
-    n = sum(c.startswith("x") for c in header[1:h])
-    safe_names = tuple(c[3:] for c in header[h + 1:-5])
-    if header != _trace_header(n, h - 1 - n, safe_names):
+    # a wider field's prefix starts its columns and no other
+    found = {width: [c[len(prefix):] for c in header if c.startswith(prefix)]
+             for _, width, _, prefix in _STEP_FIELDS if prefix and width != 1}
+    safe_names = tuple(found["k"])
+    layout, columns = _layout(len(found["n"]), len(found["m"]), safe_names, csv_only=True)
+    if header != columns:
         raise ValueError(f"{path}: not a trace.csv header: {','.join(header)}")
-    steps = _step_fields(np.array(rows, dtype=float).reshape(-1, len(header)),
-                         n, h - 1 - n, safe_names)
+    repeated = sorted({n for n in safe_names if safe_names.count(n) > 1})
+    if repeated:
+        raise ValueError(f"{path}: safe-set columns repeat: {', '.join(repeated)}")
+    table = np.array(rows, dtype=float).reshape(-1, len(header))
+    for name, dtype, _, where in layout:
+        # a cast would read NaN and 2 as True, inf as int64's minimum, 2.5 as
+        # 2; int64 holds every whole double below 2**63
+        col, top = table[:, where], 2 if dtype is bool else 2.0 ** 63
+        if dtype is not float and not np.all((col >= 0) & (col < top) & (col == np.floor(col))):
+            raise ValueError(f"{path}: column {name} holds a value that is not "
+                             f"{'0 or 1' if dtype is bool else 'a whole number >= 0'}")
+    steps = {name: table[:, where].astype(dtype, copy=False) for name, dtype, _, where in layout}
     t = steps["t"]
-    return Trace(**steps, dt=float(t[1] - t[0]) if t.size >= 2 else 0.0)
+    return Trace(**steps, safe_names=safe_names, dt=float(t[1] - t[0]) if t.size >= 2 else 0.0)

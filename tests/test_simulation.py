@@ -1,5 +1,6 @@
 import ast
 import csv
+import dataclasses
 import inspect
 import io
 import math
@@ -23,7 +24,7 @@ from fxtqp.simulation import (
     trace_from_csv,
     trace_to_csv,
 )
-from fxtqp.scenarios import AccConfig, _acc_system, acc_scenario
+from fxtqp.scenarios import AccConfig, _acc_system, acc_scenario, scenario_from_id
 
 
 def integrator(n):
@@ -540,11 +541,41 @@ class TestCsvRoundTrip:
     @pytest.mark.parametrize("header", ["", "t,x0,u0,h_goal,delta1",
                                         "t,x0,u0,h_goal,hs_a,delta1,delta2,strict_cs,phase",
                                         "t,y0,u0,h_goal,delta1,delta2,strict_cs,"
+                                        "active_set_size,phase",
+                                        "t,x1,x0,u0,h_goal,delta1,delta2,strict_cs,"
+                                        "active_set_size,phase",
+                                        "t,x0,u0,h_goal,delta1,delta2,strict_cs,"
+                                        "active_set_size,phase,qp_iters",
+                                        "t,x0,u0,h_goal,delta1,hs_a,delta2,strict_cs,"
                                         "active_set_size,phase"])
     def test_foreign_header_is_rejected(self, tmp_path, header):
         path = tmp_path / "trace.csv"
         path.write_text(header + "\n")
         with pytest.raises(ValueError):
+            trace_from_csv(path)
+
+    def test_repeated_safe_set_columns_are_rejected(self, tmp_path):
+        # read as safe_names ('a', 'a'), monitor would keep the last column
+        # and report max h_s = -0.5, hiding the positive value of the first
+        path = tmp_path / "trace.csv"
+        path.write_text("t,x0,u0,h_goal,hs_a,hs_a,delta1,delta2,strict_cs,"
+                        "active_set_size,phase\n0,0,0,1,0.5,-0.5,0,0,1,2,0\n")
+        with pytest.raises(ValueError, match="repeat"):
+            trace_from_csv(path)
+
+    @pytest.mark.parametrize("column, value", [
+        ("strict_cs", "nan"), ("strict_cs", "2"), ("strict_cs", "-1"), ("strict_cs", "0.5"),
+        ("active_set_size", "inf"), ("active_set_size", "nan"), ("active_set_size", "2.5"),
+        ("active_set_size", "-1"), ("active_set_size", "1e19"), ("phase", "0.7")])
+    def test_integer_and_bool_cells_must_hold_their_values(self, tmp_path, column, value):
+        # a plain cast reads nan and 2 as True, inf as int64's minimum (with
+        # a RuntimeWarning), 2.5 as 2 and 0.7 as 0
+        cells = dict(t="0", x0="1", u0="0", h_goal="1", delta1="0", delta2="0",
+                     strict_cs="1", active_set_size="2", phase="0")
+        path = tmp_path / "trace.csv"
+        path.write_text("\n".join([",".join(cells), ",".join(cells.values()),
+                                   ",".join({**cells, column: value}.values())]))
+        with pytest.raises(ValueError, match=column):
             trace_from_csv(path)
 
     def test_monitor_stats_survive_round_trip(self, tmp_path):
@@ -560,3 +591,32 @@ class TestCsvRoundTrip:
         assert s1["max_abs_u"] == s2["max_abs_u"]
         assert s1["min_separation"] == s2["min_separation"]
         assert s1["max_delta1"] == s2["max_delta1"]
+
+
+# each step field's width per step (1 for a 1-D array, else n states, m
+# inputs or k safe sets) and dtype, in table order
+STEP_LAYOUT = {"t": (1, float), "x": ("n", float), "u": ("m", float), "h_goal": (1, float),
+               "h_safe": ("k", float), "delta1": (1, float), "delta2": (1, float),
+               "strict_cs": (1, bool), "active_set_size": (1, int), "phase": (1, int),
+               "qp_iters": (1, int), "box_overshoot": (1, float)}
+
+
+def declared_steps():
+    return {f.name: f.metadata["step"][:2] for f in dataclasses.fields(Trace)
+            if "step" in f.metadata}
+
+
+class TestStepLayout:
+    def test_trace_declares_the_step_fields(self):
+        assert list(declared_steps().items()) == list(STEP_LAYOUT.items())
+
+    @pytest.mark.parametrize("sid", ["acc", "two-robot", "synthetic:int1d",
+                                     "synthetic:int2d", "synthetic:fullact2d"])
+    def test_every_step_field_has_its_declared_width_and_dtype(self, sid):
+        sc = scenario_from_id(sid)
+        trace = sc.simulate()
+        assert len(trace) > 1
+        sizes = {1: (), "n": (sc.x0.size,), "m": (sc.bounds.m,), "k": (len(trace.safe_names),)}
+        for name, (width, dtype) in declared_steps().items():
+            a = getattr(trace, name)
+            assert a.shape == (len(trace), *sizes[width]) and a.dtype == np.dtype(dtype), name
