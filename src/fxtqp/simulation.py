@@ -129,6 +129,15 @@ class Schedule:
             raise ValueError(f"schedule has {len(self.tracks)} tracks, not one")
         return self.tracks[0]
 
+    def in_force(self, done: Sequence[int]) -> tuple[list[SetFunction], tuple[SetFunction, ...]]:
+        """Once track j has met ``done[j]`` legs: the unfinished tracks' current
+        goals (every track's last once all are met), and the safe sets in force,
+        ``global_safes`` then each track's current (or last) ``safe_extra``."""
+        current = [tr[min(d, len(tr) - 1)] for tr, d in zip(self.tracks, done, strict=True)]
+        pending = [ph.goal for ph, tr, d in zip(current, self.tracks, done) if d < len(tr)]
+        return (pending or [ph.goal for ph in current],
+                self.global_safes + tuple(s for ph in current for s in ph.safe_extra))
+
 
 def _step(width, dtype=float, prefix: str | None = None):
     default = {} if prefix else {"default_factory": lambda: np.zeros(0, dtype)}
@@ -228,8 +237,8 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
     before the first step.
 
     Per step: advance every track whose current goal is met, synthesize the
-    input for the combined goal (the sum of the positive parts of the
-    unfinished tracks' goals), record, monitor safety, then integrate.
+    input under :meth:`Schedule.in_force`'s safe sets for the sum of the
+    positive parts of its goals, record, monitor safety, then integrate.
     Each goal the reach test examines is evaluated once, and the controller
     goal is built from those (value, gradient) pairs.
     Safety is forward invariance of every {h_s <= 0}: a recorded safe-set
@@ -264,42 +273,37 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
     advanced = True
     while outcome is None:
         # advance every track through goals already met, keeping the pairs
-        # of the goals still pending; the rest changes only on an advance
-        pairs = []
+        # of the goals still pending and the first track past its deadline;
+        # the sets in force change only on an advance
+        pairs, miss = [], None
         for j, track in enumerate(tracks):
             while idx[j] < lengths[j]:
                 ph = track[idx[j]]
                 pair = ph.goal.value_and_gradient(x)
-                # a late reach is none: the leg stays unmet for the miss check
-                if pair[0] <= ph.reach_tol and t - start[j] <= ph.deadline + _TIME_EPS:
+                # a late reach is none: the leg stays unmet
+                late = t - start[j] > ph.deadline + _TIME_EPS
+                if pair[0] <= ph.reach_tol and not late:
                     reach[j][idx[j]] = t
                     idx[j] += 1
                     start[j] = t
                     advanced = True
                 else:
                     pairs.append(pair)
+                    if late and miss is None:
+                        miss = j
                     break
         if not pairs and (schedule.horizon is None or t >= schedule.horizon - _TIME_EPS):
             outcome = Outcome(kind=OutcomeKind.ALL_PHASES_MET, t=t)
             break
-        if advanced:
-            current = [tracks[j][min(idx[j], lengths[j] - 1)] for j in range(n_tracks)]
-            unmet = [j for j in range(n_tracks) if idx[j] < lengths[j]]
-            pending = [current[j].goal for j in unmet] or [ph.goal for ph in current]
-            new_segment = pending != seg_goals
-            safes = schedule.global_safes + tuple(
-                s for ph in current for s in ph.safe_extra)
-            phase = min(min(idx), n_legs - 1)
-        miss = None
-        for j in unmet:
-            if t - start[j] > current[j].deadline + _TIME_EPS:
-                miss = j
-                break
         if miss is not None:
             outcome = Outcome(kind=OutcomeKind.DEADLINE_MISSED, phase=idx[miss], t=t,
                               message=f"track {miss} leg {idx[miss]} still unmet "
-                                      f"after {current[miss].deadline} s")
+                                      f"after {tracks[miss][idx[miss]].deadline} s")
             break
+        if advanced:
+            pending, safes = schedule.in_force(idx)
+            new_segment = pending != seg_goals
+            phase = min(min(idx), n_legs - 1)
 
         if not pairs:   # every phase met, running on to the horizon
             pairs = [g.value_and_gradient(x) for g in pending]
@@ -451,13 +455,19 @@ def trace_from_csv(path) -> Trace:
 
     Run metadata (outcome, reach times) lives in the summary JSON, not the
     CSV; the returned trace carries the step records only.  A header that
-    is not a trace layout raises ValueError, as do repeated safe-set columns
-    and an integer cell that is not a whole number >= 0 (a bool one 0 or 1).
+    is not a trace layout raises ValueError, as do repeated safe-set columns,
+    a row with other than the header's cell count, and an integer cell that
+    is not a whole number >= 0 (a bool one 0 or 1).
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        rows = [[float(v) for v in row] for row in reader]
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"{path}: line {reader.line_num} has {len(row)} cells, "
+                                 f"the header {len(header)}")
+            rows.append([float(v) for v in row])
     # a wider field's prefix starts its columns and no other
     found = {width: [c[len(prefix):] for c in header if c.startswith(prefix)]
              for _, width, _, prefix in _STEP_FIELDS if prefix and width != 1}

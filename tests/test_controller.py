@@ -112,11 +112,9 @@ def assembly_samples():
         out.append(("acc-frozen", sys, goal, safes, bounds, frozen,
                     np.array([v, rng.uniform(8, 12), 1.8 * v + rng.uniform(-5, 25)])))
     sc = two_robot_scenario()
-    t1, t2 = sc.schedule.tracks
     for _ in range(80):
-        k1, k2 = rng.integers(8), rng.integers(8)
-        goal = _joint_goal([t1[k1].goal, t2[k2].goal])
-        safes = sc.schedule.global_safes + t1[k1].safe_extra + t2[k2].safe_extra
+        goals, safes = sc.schedule.in_force(rng.integers(8, size=2))
+        goal = _joint_goal(goals)
         x = rng.uniform(-2.0, 2.0, size=4)
         if len(out) % 2:
             # agent 1 on a square corner or a diagonal, where two walls tie

@@ -276,21 +276,11 @@ def trace():
 
 
 def tour_problem(sc, trace, k):
-    """The QP the tour's controller solved at step k.
-
-    Mirrors the set selection of ``simulation.run``: a track's leg counts as
-    done from its recorded reach time on.
-    """
-    t = trace.t[k]
-    current, pending = [], []
-    for track, reached in zip(sc.schedule.tracks, trace.track_reach_times):
-        idx = sum(1 for r in reached if r is not None and r <= t)
-        current.append(track[min(idx, len(track) - 1)])
-        if idx < len(track):
-            pending.append(current[-1].goal)
-    goals = pending or [ph.goal for ph in current]
+    """The QP the tour's controller solved at step k: a track's leg counts as
+    met from its recorded reach time on."""
+    goals, safes = sc.schedule.in_force([sum(r is not None and r <= trace.t[k] for r in reached)
+                                         for reached in trace.track_reach_times])
     goal = goals[0] if len(goals) == 1 else _joint_goal(goals)
-    safes = sc.schedule.global_safes + tuple(s for ph in current for s in ph.safe_extra)
     return assemble(sc.sys, goal, safes, sc.bounds, sc.params, trace.x[k])
 
 

@@ -18,6 +18,7 @@ from fxtqp.simulation import (
     Phase,
     Schedule,
     Trace,
+    _positive_part_sum,
     monitor,
     run,
     step_euler,
@@ -252,6 +253,25 @@ class TestDeadlineRule:
         assert trace.outcome.kind is OutcomeKind.DEADLINE_MISSED
         assert trace.outcome.t == 0.4 and len(trace) == 4
 
+    @pytest.mark.parametrize("bounds_0, deadlines, steps, track", [
+        ((-100.0, -100.0), (0.5, 0.3), 4, 1),   # the later track misses first
+        ((-100.0, -100.0), (0.3, 0.3), 4, 0),   # on a tie, the first track
+        ((2.0, -100.0), (0.3, 0.5), 6, 1)])     # a finished track has no deadline
+    def test_the_first_track_past_its_deadline_ends_the_run(self, bounds_0, deadlines,
+                                                           steps, track):
+        # track j sends x_j toward x_j <= bounds_0[j], from x0 = (1, 1)
+        tracks = tuple((Phase(goal=SetFunction(f"g{j}", lambda x, j=j, b=b: (
+            float(x[j] - b), np.eye(2)[j])), deadline=d),)
+            for j, (b, d) in enumerate(zip(bounds_0, deadlines)))
+        params = SynthesisParams(T_ud=1.0, mu=2.0, w_u=np.ones(2), dt=0.1)
+        trace = run(integrator(2), Schedule(tracks=tracks),
+                    InputBounds(lower=-np.ones(2), upper=np.ones(2)), params, np.ones(2))
+        assert trace.outcome.kind is OutcomeKind.DEADLINE_MISSED
+        assert trace.outcome.t == steps * 0.1 and len(trace) == steps
+        assert trace.outcome.phase == 0
+        assert trace.outcome.message == (f"track {track} leg 0 still unmet after "
+                                         f"{deadlines[track]} s")
+
     def test_a_step_time_rounded_down_is_already_at_the_horizon(self):
         # met at x0; 3 * 0.3 is 0.8999999999999999, which the allowance
         # reads as the horizon 0.9, so the run records three steps, not four
@@ -321,6 +341,63 @@ class TestSchedule:
         with pytest.raises(ValueError, match="phase_extra_0"):
             Schedule(tracks=(extra,), global_safes=(half_line("phase_extra_0", 1.0, True),))
         Schedule(tracks=(extra,), global_safes=(half_line("wall", 1.0, True),))
+
+
+def two_track_schedule():
+    """Two tracks of two legs, each leg with its own goal and one extra safe set."""
+    def leg(j, k):
+        return Phase(goal=goal_ball(0.1, center=(j, k), name=f"g{j}{k}"), deadline=1.0,
+                     safe_extra=(half_line(f"s{j}{k}", 3.0 + k, upper=True),))
+    return Schedule(tracks=((leg(0, 0), leg(0, 1)), (leg(1, 0), leg(1, 1))),
+                    global_safes=(half_line("wall", -3.0, upper=False),))
+
+
+class TestInForce:
+    def test_every_track_on_its_first_leg(self):
+        sched = two_track_schedule()
+        (a0, a1), (b0, b1) = sched.tracks
+        goals, safes = sched.in_force([0, 0])
+        assert goals == [a0.goal, b0.goal]
+        # global sets first, then each track's extra sets in track order
+        assert safes == (*sched.global_safes, *a0.safe_extra, *b0.safe_extra)
+
+    def test_a_finished_track_keeps_its_last_safe_sets_but_no_goal(self):
+        sched = two_track_schedule()
+        (a0, a1), (b0, b1) = sched.tracks
+        goals, safes = sched.in_force([2, 1])
+        assert goals == [b1.goal]
+        assert safes == (*sched.global_safes, *a1.safe_extra, *b1.safe_extra)
+        goals, safes = sched.in_force([0, 2])
+        assert goals == [a0.goal]
+        assert safes == (*sched.global_safes, *a0.safe_extra, *b1.safe_extra)
+
+    def test_all_tracks_met_keeps_every_last_goal(self):
+        sched = two_track_schedule()
+        (a0, a1), (b0, b1) = sched.tracks
+        goals, safes = sched.in_force([2, 2])
+        assert goals == [a1.goal, b1.goal]
+        assert safes == (*sched.global_safes, *a1.safe_extra, *b1.safe_extra)
+
+    def test_one_count_per_track(self):
+        with pytest.raises(ValueError):
+            two_track_schedule().in_force([0])
+
+    @pytest.mark.parametrize("sid", ["acc", "two-robot", "synthetic:int2d"])
+    def test_reproduces_the_sets_of_every_recorded_step(self, sid):
+        # a track's leg counts as met from its recorded reach time on
+        sc = scenario_from_id(sid)
+        trace = sc.simulate()
+        assert trace.outcome.ok and len(trace) > 1
+        for k, t in enumerate(trace.t.tolist()):
+            done = [sum(r is not None and r <= t for r in reached)
+                    for reached in trace.track_reach_times]
+            goals, safes = sc.schedule.in_force(done)
+            x = trace.x[k]
+            pairs = [g.value_and_gradient(x) for g in goals]
+            h_goal = pairs[0][0] if len(pairs) == 1 else _positive_part_sum(pairs, x.size)[0]
+            h_safe = np.array([s.value_and_gradient(x)[0] for s in safes], dtype=float)
+            assert h_goal.hex() == trace.h_goal[k].hex(), k
+            assert h_safe.tobytes() == trace.h_safe[k].tobytes(), k
 
 
 class TestSegments:
@@ -561,6 +638,20 @@ class TestCsvRoundTrip:
         path.write_text("t,x0,u0,h_goal,hs_a,hs_a,delta1,delta2,strict_cs,"
                         "active_set_size,phase\n0,0,0,1,0.5,-0.5,0,0,1,2,0\n")
         with pytest.raises(ValueError, match="repeat"):
+            trace_from_csv(path)
+
+    @pytest.mark.parametrize("body, line, cells", [
+        # a reshape of all cells to the header's width would read this row as
+        # two steps at t = 0 and 0.5, and the third case as three steps
+        (["0,1,0,1,0,0,1,2,0,0.5,1,0,1,0,0,1,2,0"], 2, 18),
+        (["0,1,0,1,0,0,1,2"], 2, 8),
+        (["0,1,0,1,0,0,1,2,0", "0.5,1,0,1,0,0,1,2,0,0", "1,0,1,0,0,1,2,0"], 3, 10),
+        (["0,1,0,1,0,0,1,2,0", "", "0.5,1,0,1,0,0,1,2,0"], 3, 0)])
+    def test_a_row_must_have_as_many_cells_as_the_header(self, tmp_path, body, line, cells):
+        path = tmp_path / "trace.csv"
+        path.write_text("\n".join(["t,x0,u0,h_goal,delta1,delta2,strict_cs,"
+                                   "active_set_size,phase", *body]) + "\n")
+        with pytest.raises(ValueError, match=f"line {line} has {cells} cells, the header 9"):
             trace_from_csv(path)
 
     @pytest.mark.parametrize("column, value", [
