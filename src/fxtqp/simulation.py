@@ -3,12 +3,12 @@
 A run executes a phase schedule: each phase names a goal set, a relative
 deadline, and phase-specific safe sets layered on top of the global
 ones.  Phases advance the moment the goal value drops to the phase's reach
-tolerance; deadlines are checked, not waited for: a leg counts as reached
-only at a step at most its deadline after the leg began, and the first step
-past the deadline of a leg still unmet ends the run.  Safety is judged as the
-paper defines it, forward invariance of {h_s <= 0}: the first step with a
-positive safe-set value (beyond round-off) ends the run.  The trace records
-every step, a fixed-time certificate per goal segment, and a single outcome.
+tolerance; deadlines are checked, not waited for (:meth:`Schedule.advance`
+holds the rule): the first step past the deadline of a leg still unmet ends
+the run.  Safety is judged as the paper defines it, forward invariance of
+{h_s <= 0}: the first step with a positive safe-set value (beyond round-off)
+ends the run.  The trace records every step, a fixed-time certificate per
+goal segment, and a single outcome.
 """
 
 from __future__ import annotations
@@ -138,6 +138,29 @@ class Schedule:
         return (pending or [ph.goal for ph in current],
                 self.global_safes + tuple(s for ph in current for s in ph.safe_extra))
 
+    def advance(self, x: np.ndarray, t: float, met: Sequence[list[float]]
+                ) -> tuple[list[tuple[float, np.ndarray]], int | None]:
+        """At state x and time t, append t to ``met[j]``, track j's reach times,
+        for each leg it meets in turn: goal value at most ``reach_tol``, at
+        most ``deadline`` (plus 1e-12 s for step times k * dt) after the
+        track's previous reach, or after t = 0.  A late reach is none: the leg
+        stays unmet.  Returns the (value, gradient) pairs of the pending goals
+        in track order, and the first track past its deadline, or None."""
+        pairs, miss = [], None
+        for j, (track, times) in enumerate(zip(self.tracks, met, strict=True)):
+            while len(times) < len(track):
+                ph = track[len(times)]
+                pair = ph.goal.value_and_gradient(x)
+                late = t - (times[-1] if times else 0.0) > ph.deadline + _TIME_EPS
+                if pair[0] <= ph.reach_tol and not late:
+                    times.append(t)
+                else:
+                    pairs.append(pair)
+                    if late and miss is None:
+                        miss = j
+                    break
+        return pairs, miss
+
 
 def _step(width, dtype=float, prefix: str | None = None):
     default = {} if prefix else {"default_factory": lambda: np.zeros(0, dtype)}
@@ -168,12 +191,19 @@ class Trace:
     qp_iters: np.ndarray = _step(1, int)    # QP working-set changes
     box_overshoot: np.ndarray = _step(1)    # scaled pre-clip box overshoot
     outcome: Outcome | None = None
-    reach_times: tuple[float | None, ...] = ()
-    track_reach_times: tuple[tuple[float | None, ...], ...] = ()
+    track_reach_times: tuple[tuple[float | None, ...], ...] = ()   # per track and leg
     segments: tuple[dict, ...] = ()     # fxts.certify_segment, one per goal segment
 
     def __len__(self) -> int:
         return self.t.size
+
+    @property
+    def reach_times(self) -> tuple[float | None, ...]:
+        """Per leg, the later of the tracks' reach times of that leg, None
+        while a track that has the leg has not met it."""
+        legs = [[r[k] for r in self.track_reach_times if k < len(r)]
+                for k in range(max(map(len, self.track_reach_times), default=0))]
+        return tuple(None if None in times else max(times) for times in legs)
 
 
 _STEP_FIELDS = tuple((f.name, *f.metadata["step"]) for f in fields(Trace) if "step" in f.metadata)
@@ -214,7 +244,7 @@ def _joint_goal(goals: Sequence[SetFunction]) -> SetFunction:
     Zero exactly when every goal is met, and its reach-rate row drives all
     unmet goals at once; a max of the goals would drive only the worst one
     per step, starving the rest while their deadlines run.  ``run`` builds
-    the same function from the pairs its reach test has already evaluated.
+    the same function from the pairs :meth:`Schedule.advance` evaluated.
     """
     return SetFunction("joint_goal", lambda x: _positive_part_sum(
         [g.value_and_gradient(x) for g in goals], len(x)))
@@ -236,11 +266,11 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
     ``params.dt``, from one :class:`fxtqp.controller.CompiledQp` built
     before the first step.
 
-    Per step: advance every track whose current goal is met, synthesize the
-    input under :meth:`Schedule.in_force`'s safe sets for the sum of the
-    positive parts of its goals, record, monitor safety, then integrate.
-    Each goal the reach test examines is evaluated once, and the controller
-    goal is built from those (value, gradient) pairs.
+    Per step: :meth:`Schedule.advance` records the legs met and ends the run
+    at the first track past its deadline; then synthesize the input under
+    :meth:`Schedule.in_force`'s safe sets for the sum of the positive parts
+    of the pending goals, built from the (value, gradient) pairs ``advance``
+    evaluated, record, monitor safety, then integrate.
     Safety is forward invariance of every {h_s <= 0}: a recorded safe-set
     value above a round-off allowance of 1e-12 ends the run
     ``safety_violated`` at that step.  Rows or a state that overflow or
@@ -252,58 +282,38 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
     dt = params.dt
     x = np.asarray(x0, dtype=float).copy()
     tracks = schedule.tracks
-    n_tracks = len(tracks)
-    lengths = [len(tr) for tr in tracks]
-    n_legs = max(lengths)
+    n_legs = max(map(len, tracks))
     safe_names = _safe_column_names(schedule)
     cqp = CompiledQp(bounds, params, len(safe_names))
 
     rows: list[list] = []   # Trace's step fields in their declared order
-    reach: list[list[float | None]] = [[None] * lengths[j] for j in range(n_tracks)]
+    met: list[list[float]] = [[] for _ in tracks]   # each track's reach times
 
     t = 0.0
-    idx = [0] * n_tracks
-    start = [0.0] * n_tracks
+    done: list[int] | None = None
     step = 0
     warm: tuple[int, ...] | None = None
     outcome: Outcome | None = None
     seg_goals: list[SetFunction] = []
     seg_starts: list[int] = []
 
-    advanced = True
     while outcome is None:
-        # advance every track through goals already met, keeping the pairs
-        # of the goals still pending and the first track past its deadline;
-        # the sets in force change only on an advance
-        pairs, miss = [], None
-        for j, track in enumerate(tracks):
-            while idx[j] < lengths[j]:
-                ph = track[idx[j]]
-                pair = ph.goal.value_and_gradient(x)
-                # a late reach is none: the leg stays unmet
-                late = t - start[j] > ph.deadline + _TIME_EPS
-                if pair[0] <= ph.reach_tol and not late:
-                    reach[j][idx[j]] = t
-                    idx[j] += 1
-                    start[j] = t
-                    advanced = True
-                else:
-                    pairs.append(pair)
-                    if late and miss is None:
-                        miss = j
-                    break
+        pairs, miss = schedule.advance(x, t, met)
         if not pairs and (schedule.horizon is None or t >= schedule.horizon - _TIME_EPS):
             outcome = Outcome(kind=OutcomeKind.ALL_PHASES_MET, t=t)
             break
         if miss is not None:
-            outcome = Outcome(kind=OutcomeKind.DEADLINE_MISSED, phase=idx[miss], t=t,
-                              message=f"track {miss} leg {idx[miss]} still unmet "
-                                      f"after {tracks[miss][idx[miss]].deadline} s")
+            leg = len(met[miss])
+            outcome = Outcome(kind=OutcomeKind.DEADLINE_MISSED, phase=leg, t=t,
+                              message=f"track {miss} leg {leg} still unmet "
+                                      f"after {tracks[miss][leg].deadline} s")
             break
-        if advanced:
-            pending, safes = schedule.in_force(idx)
+        counts = [len(r) for r in met]
+        if counts != done:   # the sets in force change only on a reach
+            done = counts
+            pending, safes = schedule.in_force(done)
             new_segment = pending != seg_goals
-            phase = min(min(idx), n_legs - 1)
+            phase = min(min(done), n_legs - 1)
 
         if not pairs:   # every phase met, running on to the horizon
             pairs = [g.value_and_gradient(x) for g in pending]
@@ -321,20 +331,20 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
             if new_segment:
                 seg_goals = pending
                 seg_starts.append(len(rows) - 1)
-            advanced = new_segment = False
+            new_segment = False
 
             # no value is NaN (a NaN never freezes its row, and the rows are
             # checked finite), so a plain max gives numpy's maximum
             if hs_vals and max(hs_vals) > _SAFE_TOL:
                 j = int(np.argmax(hs_vals))
-                outcome = Outcome(kind=OutcomeKind.SAFETY_VIOLATED, phase=min(idx), t=t,
+                outcome = Outcome(kind=OutcomeKind.SAFETY_VIOLATED, phase=min(done), t=t,
                                   safe_set=safe_names[j],
                                   message=f"h_s[{safe_names[j]}] = {hs_vals[j]:.6g}")
                 break
 
             x = step_euler(sys, x, decision.rate, dt)
         except SolverFailure as exc:
-            outcome = Outcome(kind=OutcomeKind.SOLVER_FAILURE, phase=min(idx), t=t,
+            outcome = Outcome(kind=OutcomeKind.SOLVER_FAILURE, phase=min(done), t=t,
                               message=str(exc))
             break
         step += 1
@@ -349,19 +359,12 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
                         float(d1[a:b].max()))
         for a, b in zip(seg_starts, seg_starts[1:] + [len(rows)]))
 
-    # joint leg completion: the later of the tracks' leg reach times
-    joint: list[float | None] = []
-    for k in range(n_legs):
-        times = [reach[j][k] for j in range(n_tracks) if k < lengths[j]]
-        joint.append(None if any(v is None for v in times) else max(times))
-
     return Trace(
         **steps,
         safe_names=safe_names,
         dt=dt,
         outcome=outcome,
-        reach_times=tuple(joint),
-        track_reach_times=tuple(tuple(r) for r in reach),
+        track_reach_times=tuple((*r, *[None] * (len(tr) - len(r))) for r, tr in zip(met, tracks)),
         segments=segments,
     )
 
@@ -456,8 +459,8 @@ def trace_from_csv(path) -> Trace:
     Run metadata (outcome, reach times) lives in the summary JSON, not the
     CSV; the returned trace carries the step records only.  A header that
     is not a trace layout raises ValueError, as do repeated safe-set columns,
-    a row with other than the header's cell count, and an integer cell that
-    is not a whole number >= 0 (a bool one 0 or 1).
+    a row with other than the header's cell count, a cell that is not a
+    number, and an integer cell that is no whole number >= 0 (bool: 0 or 1).
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -467,7 +470,10 @@ def trace_from_csv(path) -> Trace:
             if len(row) != len(header):
                 raise ValueError(f"{path}: line {reader.line_num} has {len(row)} cells, "
                                  f"the header {len(header)}")
-            rows.append([float(v) for v in row])
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:   # float() names neither the file nor the line
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     # a wider field's prefix starts its columns and no other
     found = {width: [c[len(prefix):] for c in header if c.startswith(prefix)]
              for _, width, _, prefix in _STEP_FIELDS if prefix and width != 1}

@@ -400,6 +400,66 @@ class TestInForce:
             assert h_safe.tobytes() == trace.h_safe[k].tobytes(), k
 
 
+def constant_goal(name, value):
+    """A goal set of the same value at every state."""
+    return SetFunction(name, lambda x: (value, np.zeros(1)))
+
+
+def constant_track(*values, deadline=1.0):
+    return tuple(Phase(goal=constant_goal(f"g{k}", v), deadline=deadline)
+                 for k, v in enumerate(values))
+
+
+class TestAdvance:
+    """The reach and deadline rule on its own, with no QP."""
+
+    X = np.zeros(1)
+
+    def test_legs_met_at_one_state_all_take_its_time(self):
+        sched = Schedule(tracks=(constant_track(0.0, -1.0, 1.0),))
+        met = [[]]
+        pairs, miss = sched.advance(self.X, 0.25, met)
+        assert met == [[0.25, 0.25]] and miss is None
+        assert [v for v, _ in pairs] == [1.0]
+
+    @pytest.mark.parametrize("before", [[], [2.0]])
+    @pytest.mark.parametrize("over, counts", [(5e-13, True), (1e-9, False)])
+    def test_a_reach_past_the_deadline_by_more_than_round_off_is_none(self, before, over,
+                                                                      counts):
+        # the deadline runs from the track's previous reach, or from t = 0;
+        # the leg after the one at stake is never met
+        sched = Schedule(tracks=(constant_track(*[0.0] * len(before), 0.0, 1.0),))
+        met = [list(before)]
+        t = (before[-1] if before else 0.0) + 1.0 + over
+        pairs, miss = sched.advance(self.X, t, met)
+        if counts:
+            assert met == [[*before, t]] and miss is None
+            assert [v for v, _ in pairs] == [1.0]
+        else:
+            assert met == [before] and miss == 0
+            assert [v for v, _ in pairs] == [0.0]
+
+    def test_with_both_tracks_late_the_first_is_reported(self):
+        sched = Schedule(tracks=(constant_track(1.0), constant_track(1.0)))
+        met = [[], []]
+        pairs, miss = sched.advance(self.X, 5.0, met)
+        assert miss == 0 and met == [[], []]
+        assert [v for v, _ in pairs] == [1.0, 1.0]
+
+    def test_a_finished_track_adds_no_pair(self):
+        # track 0 met its one leg at 0.1, long past its deadline since
+        sched = Schedule(tracks=(constant_track(1.0), constant_track(2.0, deadline=10.0)))
+        met = [[0.1], []]
+        pairs, miss = sched.advance(self.X, 5.0, met)
+        assert miss is None and met == [[0.1], []]
+        assert [v for v, _ in pairs] == [2.0]
+
+    def test_one_list_of_reach_times_per_track(self):
+        with pytest.raises(ValueError):
+            Schedule(tracks=(constant_track(1.0), constant_track(1.0))).advance(
+                self.X, 0.0, [[]])
+
+
 class TestSegments:
     def test_two_phase_segments_partition_the_steps(self):
         goal1 = goal_ball(0.1, center=(1.0, 0.0), name="g1")
@@ -511,6 +571,22 @@ class TestMonitor:
         bounds = InputBounds(lower=np.array([-1.0, 0.0]), upper=np.array([1.0, 4.0]))
         assert monitor(trace, bounds=bounds)["chatter_steps"] == 6
         assert monitor(trace)["chatter_steps"] is None
+
+    def test_reach_times_are_the_later_of_the_tracks(self):
+        # leg 1 of track 1 is unmet, and only track 0 has a leg 2
+        trace = Trace(t=np.zeros(0), x=np.zeros((0, 1)), u=np.zeros((0, 1)),
+                      h_goal=np.zeros(0), h_safe=np.zeros((0, 0)), delta1=np.zeros(0),
+                      delta2=np.zeros(0), strict_cs=np.zeros(0, dtype=bool),
+                      active_set_size=np.zeros(0, dtype=int), phase=np.zeros(0, dtype=int),
+                      safe_names=(), dt=0.1, track_reach_times=((0.5, 1.0, 2.0), (0.7, None)))
+        assert trace.reach_times == (0.7, None, 2.0)
+
+    def test_a_trace_read_back_from_csv_has_no_reach_times(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("t,x0,u0,h_goal,delta1,delta2,strict_cs,active_set_size,phase\n"
+                        "0,1,0,1,0,0,1,2,0\n")
+        trace = trace_from_csv(path)
+        assert trace.reach_times == () and monitor(trace)["reach_times"] is None
 
     # criterion 5's nominal starts and their reach times, the same with and
     # without the Euler rows; without the delta1 floor these runs flip their
@@ -652,6 +728,14 @@ class TestCsvRoundTrip:
         path.write_text("\n".join(["t,x0,u0,h_goal,delta1,delta2,strict_cs,"
                                    "active_set_size,phase", *body]) + "\n")
         with pytest.raises(ValueError, match=f"line {line} has {cells} cells, the header 9"):
+            trace_from_csv(path)
+
+    def test_a_cell_that_is_not_a_number_names_its_line(self, tmp_path):
+        # float() alone says only "could not convert string to float: 'abc'"
+        path = tmp_path / "trace.csv"
+        path.write_text("t,x0,u0,h_goal,delta1,delta2,strict_cs,active_set_size,phase\n"
+                        "0,1,0,1,0,0,1,2,abc\n")
+        with pytest.raises(ValueError, match=r"trace\.csv: line 2: .*'abc'"):
             trace_from_csv(path)
 
     @pytest.mark.parametrize("column, value", [
