@@ -89,10 +89,10 @@ class AccConfig:
     The controller keeps the braking-distance barrier of :func:`acc_headway`,
     whose safe set lies inside the headway set.
     The optional disturbance d_delta/M * |v_f - v_d| pushes on the follower
-    acceleration; when it is active the invariance slack is pinned to zero
-    as soon as the barrier value rises past ``ACC_FREEZE_LEVEL`` (the
-    invariance row then drops delta2 and reads h_s' <= 0), and the
-    ``*_disturbed`` weights replace the nominal ones.
+    acceleration; when active, the invariance slack is pinned to zero once
+    the barrier value passes ``ACC_FREEZE_LEVEL`` (the invariance row then
+    reads h_s' <= 0) and the ``*_disturbed`` weights replace the nominal
+    ones.  The fields are what runs vary; ``T_ud`` and all weights are fixed.
     """
 
     M: ClassVar[float] = 1650.0            # follower mass, kg
@@ -110,20 +110,20 @@ class AccConfig:
     w2: ClassVar[float] = 10.0             # weight on delta2^2; the braking-distance term
                                            # already starts braking early, so it stays cheap
     q1: ClassVar[float] = 4.5              # linear penalty on delta1 (nominal tracking drive)
+    T_ud: ClassVar[float] = 10.0           # reach deadline for the speed band, s
+    w2_disturbed: ClassVar[float] = 2400.0 # w2 used when d_delta > 0 (keeps delta2 small
+                                           # before the freeze pin engages)
+    q1_disturbed: ClassVar[float] = 0.3    # q1 used when d_delta > 0 (freeze-compatible braking)
 
     v_f0: float = 18.0           # initial follower speed, m/s
     a_lead: float = 0.0          # actual (constant) lead acceleration, m/s^2
-    T_ud: float = 10.0           # reach deadline for the speed band, s
     d_delta: float = 0.0         # disturbance gain, N s/m
     horizon: float = 20.0        # total simulated time, s
     dt: float = 1e-2
-    w2_disturbed: float = 2400.0 # w2 used when d_delta > 0 (keeps delta2 small
-                                 # before the freeze pin engages)
-    q1_disturbed: float = 0.3    # q1 used when d_delta > 0 (freeze-compatible braking)
 
     def __post_init__(self):
         _require_finite(self)
-        _require_positive(self, "T_ud", "dt")
+        _require_positive(self, "dt")
         if self.d_delta < 0:
             raise ValueError("disturbance gain must be nonnegative")
         if abs(self.a_lead) >= ACC_LEAD_ACCEL_ENVELOPE * self.grav:

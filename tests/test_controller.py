@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -730,10 +731,12 @@ def test_oracle_solves_the_goal_boundary_state_with_a_tiny_coefficient():
     # at this state of a disturbed run the reach row's delta1 coefficient is
     # -3.46e-12; the optimum has delta1 about 1.78e6, so the multipliers reach
     # 4.7e10 after equilibration
-    sc = acc_scenario(AccConfig(v_f0=22.0, d_delta=100.0, w2_disturbed=10.0))
+    # (the disturbed run with w2 = 10 in place of the disturbed weight)
+    sc = acc_scenario(AccConfig(v_f0=22.0, d_delta=100.0))
     phase = sc.schedule.phases[0]
     problem = assemble(sc.sys, phase.goal, sc.schedule.global_safes + phase.safe_extra,
-                       sc.bounds, sc.params, np.array([21.99999814, 10.0, 92.16907532]))
+                       sc.bounds, dataclasses.replace(sc.params, w2=10.0),
+                       np.array([21.99999814, 10.0, 92.16907532]))
     assert problem.A[2, 1] == pytest.approx(-3.46e-12, rel=1e-3)
     solved = qp.solve_qp(problem)
     oracle = qp.brute_force_solve(problem)

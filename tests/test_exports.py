@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
@@ -96,6 +97,28 @@ def test_names_the_benchmark_reaches_resolve(module, path):
     for part in path.split("."):
         assert hasattr(obj, part), f"fxtqp.{module}.{path} is gone"
         obj = getattr(obj, part)
+
+
+# the dataclass fields perfbench reads or replaces; hasattr on the class
+# above sees neither a field without a default nor the difference between a
+# field and a class constant, which dataclasses.replace cannot set
+BENCHMARK_FIELDS = [
+    ("scenarios", "AccConfig", ("v_f0", "d_delta", "horizon")),
+    ("scenarios", "Scenario", ("sys", "schedule", "bounds", "params")),
+    ("simulation", "Schedule", ("tracks", "global_safes")),
+    ("simulation", "Phase", ("goal", "safe_extra")),
+    ("fxts", "ScalarSimResult", ("times",)),
+    ("simulation", "Trace", ("t", "x", "u", "delta1", "delta2", "strict_cs")),
+]
+
+
+@pytest.mark.parametrize("module, cls, names", BENCHMARK_FIELDS,
+                         ids=[cls for _, cls, _ in BENCHMARK_FIELDS])
+def test_fields_the_benchmark_reaches_are_fields(module, cls, names):
+    fields = {f.name for f in dataclasses.fields(getattr(importlib.import_module(
+        f"fxtqp.{module}"), cls))}
+    missing = [n for n in names if n not in fields]
+    assert not missing, f"fxtqp.{module}.{cls} has no fields {missing}"
 
 
 def test_assemble_returns_a_plain_qp_problem():
