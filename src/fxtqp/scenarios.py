@@ -390,19 +390,15 @@ AGENT1_START = 0
 AGENT2_START = 4
 
 
-def two_robot_scenario(cfg: TwoRobotConfig | None = None,
-                       swap_agents: bool = False) -> Scenario:
+def two_robot_scenario(cfg: TwoRobotConfig | None = None) -> Scenario:
     """Stacked 4-state system with one centralized QP per step.
 
     Each agent runs its own phase track (advancing the moment that agent
-    touches its current waypoint) and the controller goal is the sum of the
-    positive parts of the unmet current waypoint functions; synchronizing
-    arrivals instead parks the agents a separation-distance apart facing
-    crossed goals, which deadlocks the pointwise QP.  Each track's current
+    touches its current waypoint), because each agent's legs and deadlines
+    run from its own arrivals; the controller goal is the sum of the pending
+    goals, the unmet current waypoint functions.  Each track's current
     phase keeps the agent inside the set it is traversing, which is how the
     sequential always/eventually requirements reduce to reach problems.
-    ``swap_agents`` relabels the agents (tours and starts exchanged) for
-    symmetry checks.
     """
     cfg = cfg or TwoRobotConfig()
 
@@ -413,10 +409,6 @@ def two_robot_scenario(cfg: TwoRobotConfig | None = None,
     tours = [AGENT1_TOUR, AGENT2_TOUR]
     starts = [AGENT1_START, AGENT2_START]
     x0 = np.array([*cfg.x0_agent1, *cfg.x0_agent2])
-    if swap_agents:
-        tours.reverse()
-        starts.reverse()
-        x0 = np.array([*cfg.x0_agent2, *cfg.x0_agent1])
 
     tracks = []
     for agent in (0, 1):

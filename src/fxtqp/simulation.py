@@ -66,7 +66,7 @@ class Outcome:
 class Phase:
     """One (goal set, deadline) leg of a schedule.
 
-    ``reach_tol`` widens the arrival test to goal value <= reach_tol, for
+    ``reach_tol`` >= 0 widens the arrival test to goal value <= reach_tol, for
     goals whose zero-sublevel set has empty interior (exact membership is
     then unreachable on a grid).  ``safe_extra`` holds the phase's own
     safe sets, e.g. the set currently being traversed.
@@ -83,9 +83,10 @@ class Phase:
         # a goal never reached would otherwise never end the run
         if not math.isfinite(self.deadline):
             raise ValueError("phase deadline must be finite")
-        # a NaN tolerance is never met, an infinite one met at once
-        if not math.isfinite(self.reach_tol):
-            raise ValueError(f"phase reach_tol must be finite, got {self.reach_tol}")
+        # a NaN tolerance is never met, an infinite one met at once; a
+        # negative one would leave a pending goal below zero in the goal sum
+        if not (math.isfinite(self.reach_tol) and self.reach_tol >= 0):
+            raise ValueError(f"phase reach_tol must be finite and >= 0, got {self.reach_tol}")
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,7 @@ class Schedule:
     column per safe set, so all phases of a track must carry equally many,
     and no two safe sets may share a column name.
     One track is a plain phase sequence; multi-agent tours use one per
-    agent, because synchronized arrivals would park the agents head-on.
+    agent, because each agent's legs and deadlines run from its own arrivals.
     ``horizon``, when set, keeps running under the last phases' sets after
     every phase is met; None stops at the last reach, and a non-finite
     horizon, which would never stop, is refused.
@@ -226,28 +227,25 @@ def step_euler(sys: ControlAffineSystem, x: np.ndarray, rate: np.ndarray,
     return x_next
 
 
-def _positive_part_sum(pairs: Sequence[tuple[float, np.ndarray]],
-                       n: int) -> tuple[float, np.ndarray]:
-    """Value and gradient of the sum of positive parts of several goals,
-    given each goal's (value, gradient) pair at the same state, in order."""
-    h, grad = 0.0, None
-    for v, gg in pairs:
-        if v > 0.0:
-            h += v
-            grad = gg if grad is None else grad + gg
-    return h, np.zeros(n) if grad is None else grad
+def _goal_sum(pairs: Sequence[tuple[float, np.ndarray]]) -> tuple[float, np.ndarray]:
+    """Value and gradient of the sum of several goals, given each goal's
+    (value, gradient) pair at the same state, in order."""
+    h, grad = pairs[0]
+    for v, gg in pairs[1:]:
+        h += v
+        grad = grad + gg
+    return h, grad
 
 
 def _joint_goal(goals: Sequence[SetFunction]) -> SetFunction:
-    """Sum of positive parts of several goal functions.
+    """Sum of the pending goals' functions.
 
-    Zero exactly when every goal is met, and its reach-rate row drives all
-    unmet goals at once; a max of the goals would drive only the worst one
-    per step, starving the rest while their deadlines run.  ``run`` builds
-    the same function from the pairs :meth:`Schedule.advance` evaluated.
+    Its reach-rate row drives all pending goals at once; a max of the goals
+    would drive only the worst one per step, starving the rest while their
+    deadlines run.  ``run`` builds the same function from the pairs
+    :meth:`Schedule.advance` evaluated.
     """
-    return SetFunction("joint_goal", lambda x: _positive_part_sum(
-        [g.value_and_gradient(x) for g in goals], len(x)))
+    return SetFunction("joint_goal", lambda x: _goal_sum([g.value_and_gradient(x) for g in goals]))
 
 
 def _safe_column_names(schedule) -> tuple[str, ...]:
@@ -268,9 +266,9 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
 
     Per step: :meth:`Schedule.advance` records the legs met and ends the run
     at the first track past its deadline; then synthesize the input under
-    :meth:`Schedule.in_force`'s safe sets for the sum of the positive parts
-    of the pending goals, built from the (value, gradient) pairs ``advance``
-    evaluated, record, monitor safety, then integrate.
+    :meth:`Schedule.in_force`'s safe sets for the sum of the pending goals,
+    built from the (value, gradient) pairs ``advance`` evaluated, record,
+    monitor safety, then integrate.
     Safety is forward invariance of every {h_s <= 0}: a recorded safe-set
     value above a round-off allowance of 1e-12 ends the run
     ``safety_violated`` at that step.  Rows or a state that overflow or
@@ -317,7 +315,7 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
 
         if not pairs:   # every phase met, running on to the horizon
             pairs = [g.value_and_gradient(x) for g in pending]
-        goal = pairs[0] if len(pairs) == 1 else _positive_part_sum(pairs, len(x))
+        goal = pairs[0] if len(pairs) == 1 else _goal_sum(pairs)
         try:
             decision = synthesize(sys, goal, safes, cqp, x, warm_start=warm)
             warm = decision.active_set

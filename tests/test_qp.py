@@ -467,6 +467,29 @@ class TestAlgebraicProperties:
         assert np.array_equal(s1.lambda_star, s2.lambda_star)
         assert s1.active_set == s2.active_set
 
+    def test_rescaled_active_row_leaves_the_solution(self):
+        # A[i] and b[i] scaled together bound the same half-space; the rows'
+        # equilibration keeps the solve's tolerances from seeing the scale
+        rng = np.random.default_rng(13)
+        solved = 0
+        while solved < 20:
+            H = np.eye(3) + 0.5 * np.diag(rng.random(3))
+            A = rng.normal(size=(6, 3))
+            b = A.dot(rng.normal(size=3)) + 0.1 + rng.random(6)
+            p = make_problem(H, 3.0 * rng.normal(size=3), A, b)
+            s = solve_qp(p)
+            if s.status is not SolveStatus.OPTIMAL or not s.active_set:
+                continue
+            solved += 1
+            i = s.active_set[0]
+            for scale in (1e-12, 1e12):
+                A2, b2 = A.copy(), b.copy()
+                A2[i] *= scale
+                b2[i] *= scale
+                r = solve_qp(make_problem(H, p.F, A2, b2))
+                assert r.status is SolveStatus.OPTIMAL, (solved, scale)
+                assert np.max(np.abs(r.z_star - s.z_star)) <= 1e-9, (solved, scale)
+
     def test_equality_encoded_rows(self):
         # z2 pinned to zero by an opposing row pair: an equality as two rows
         p = make_problem(np.eye(3), [-1.0, -1.0, -1.0],

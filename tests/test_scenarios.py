@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from fxtqp import qp
+from fxtqp import qp, scenarios
 from fxtqp.controller import assemble
 from fxtqp.fxts import settling_time_bound, worst_case
 from fxtqp.simulation import OutcomeKind, _joint_goal, monitor, trace_to_csv
@@ -187,12 +188,26 @@ class TestAccRuns:
             assert psi[1] == psi[2] == 0.0
 
 
+def swap_agents(cfg, monkeypatch):
+    """``cfg`` with the agents' starts exchanged; the agents' tours and start
+    sets are exchanged in ``scenarios`` until the test ends, so that
+    ``two_robot_scenario`` builds the tour with the agents relabeled."""
+    for one, two in (("AGENT1_TOUR", "AGENT2_TOUR"), ("AGENT1_START", "AGENT2_START")):
+        first, second = getattr(scenarios, one), getattr(scenarios, two)
+        monkeypatch.setattr(scenarios, one, second)
+        monkeypatch.setattr(scenarios, two, first)
+    return dataclasses.replace(cfg, x0_agent1=cfg.x0_agent2, x0_agent2=cfg.x0_agent1)
+
+
 class TestTwoRobotGeometry:
-    def test_leg_goal_is_next_leg_stay_set(self):
+    def test_leg_goal_is_next_leg_stay_set(self, monkeypatch):
         # one object per waypoint: a leg's goal is the set the next leg
         # stays in, so each track's legs chain through shared sets
+        cfg = TwoRobotConfig()
         for swap in (False, True):
-            tracks = two_robot_scenario(swap_agents=swap).schedule.tracks
+            if swap:
+                cfg = swap_agents(cfg, monkeypatch)
+            tracks = two_robot_scenario(cfg).schedule.tracks
             assert len(tracks) == 2
             for track in tracks:
                 assert len(track) == 8
@@ -365,14 +380,14 @@ class TestTwoRobotRun:
         assert cert["domain_ok"] == all(s["domain_ok"] for s in segs)
         assert cert["bound_T"] == (bound.T if cert["domain_ok"] else None)
 
-    def test_label_swap_mirrors_trace(self):
+    def test_label_swap_mirrors_trace(self, monkeypatch):
         # generic (tie-free) starts; the stacked QP has a unique optimum, so
         # relabeling the agents permutes the trajectory; round-off from the
         # permuted row order is amplified once the agents start interacting,
         # so the exactness window covers the approach legs
         cfg = TwoRobotConfig(x0_agent1=(-1.45, 1.52), x0_agent2=(1.48, -1.51))
         a = two_robot_scenario(cfg).simulate()
-        b = two_robot_scenario(cfg, swap_agents=True).simulate()
+        b = two_robot_scenario(swap_agents(cfg, monkeypatch)).simulate()
         steps = min(len(a), len(b), 900)
         assert np.allclose(a.x[:steps, 0:2], b.x[:steps, 2:4], atol=1e-10)
         assert np.allclose(a.x[:steps, 2:4], b.x[:steps, 0:2], atol=1e-10)

@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import io
 import math
+import re
 import textwrap
 import warnings
 
@@ -18,7 +19,7 @@ from fxtqp.simulation import (
     Phase,
     Schedule,
     Trace,
-    _positive_part_sum,
+    _goal_sum,
     monitor,
     run,
     step_euler,
@@ -296,10 +297,13 @@ class TestSchedule:
         with pytest.raises(ValueError, match="phase deadline must be finite"):
             Phase(goal=goal_ball(0.1), deadline=math.inf)
 
-    @pytest.mark.parametrize("reach_tol", [math.nan, math.inf])
-    def test_phase_reach_tol_must_be_finite(self, reach_tol):
-        # a NaN tolerance is never met and an infinite one is met at t = 0
-        with pytest.raises(ValueError, match="phase reach_tol must be finite"):
+    @pytest.mark.parametrize("reach_tol", [math.nan, math.inf, -0.01])
+    def test_phase_reach_tol_must_be_finite_and_not_negative(self, reach_tol):
+        # a NaN tolerance is never met and an infinite one is met at t = 0; a
+        # pending goal lies above its reach_tol, so a tolerance >= 0 keeps
+        # every term of the goal sum positive
+        with pytest.raises(ValueError, match=f"phase reach_tol must be finite and >= 0, "
+                                             f"got {re.escape(str(reach_tol))}$"):
             Phase(goal=goal_ball(0.1), deadline=1.0, reach_tol=reach_tol)
 
     @pytest.mark.parametrize("horizon", [math.inf, -math.inf, math.nan])
@@ -394,7 +398,7 @@ class TestInForce:
             goals, safes = sc.schedule.in_force(done)
             x = trace.x[k]
             pairs = [g.value_and_gradient(x) for g in goals]
-            h_goal = pairs[0][0] if len(pairs) == 1 else _positive_part_sum(pairs, x.size)[0]
+            h_goal = _goal_sum(pairs)[0]
             h_safe = np.array([s.value_and_gradient(x)[0] for s in safes], dtype=float)
             assert h_goal.hex() == trace.h_goal[k].hex(), k
             assert h_safe.tobytes() == trace.h_safe[k].tobytes(), k
@@ -630,7 +634,7 @@ class TestStepPath:
             qp._slack_verdicts, qp._thin_qr, qp._tri_solve,
             controller.synthesize, controller._checked_rows, controller._clip_to_box,
             controller.qp_rows, controller._clamped_power_sum, controller.CompiledQp.__post_init__,
-            simulation.run, simulation.step_euler, simulation._positive_part_sum,
+            simulation.run, simulation.step_euler, simulation._goal_sum,
             scenarios._constant, scenarios._square, scenarios._acc_system, scenarios.acc_goal,
             scenarios.acc_headway, scenarios._lifted, scenarios._circle, scenarios._ellipse,
             scenarios._square_walls, scenarios._outside_hub, scenarios._separation,
