@@ -182,10 +182,10 @@ def certify_segment(gains: FxtsGains, t_start: float, t_end: float,
                     v_entry: float, delta1_sup: float) -> dict:
     """Fixed-time certificate of one goal segment of a closed-loop run.
 
-    A goal segment is a maximal run of steps, t_start to t_end, under the
-    same controller goal.  Its bound uses the supremum of delta1 over those
-    steps and holds only from the goal value at the first step, ``v_entry``,
-    when that lies inside the certified domain, V <= ``v_max`` of
+    A goal segment runs from t_start, t = 0 or a reach, to t_end, the step
+    before the next reach or the run's last step.  Its bound uses the
+    supremum of delta1 over those steps and holds only from the goal value
+    at t_start, ``v_entry``, inside the certified domain V <= ``v_max`` of
     :func:`settling_time_bound` (``bound_T`` is None else).
     """
     bound = settling_time_bound(gains, max(0.0, delta1_sup))

@@ -193,7 +193,7 @@ class Trace:
     box_overshoot: np.ndarray = _step(1)    # scaled pre-clip box overshoot
     outcome: Outcome | None = None
     track_reach_times: tuple[tuple[float | None, ...], ...] = ()   # per track and leg
-    segments: tuple[dict, ...] = ()     # fxts.certify_segment, one per goal segment
+    segments: tuple[dict, ...] = ()     # fxts.certify_segment per goal segment, up to a reach
 
     def __len__(self) -> int:
         return self.t.size
@@ -273,8 +273,9 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
     value above a round-off allowance of 1e-12 ends the run
     ``safety_violated`` at that step.  Rows or a state that overflow or
     turn NaN end it ``solver_failure``, so numpy does not warn of them.
-    Each goal segment, a maximal run of steps whose controller goal is
-    built from the same phase goals, gets a certificate.
+    The recorded reach times cut the steps into goal segments, each
+    certified up to the step before its reach or the run's last step; the
+    run-on after every leg is met makes no reach claim and gets none.
     Deterministic: identical inputs give bit-identical traces.
     """
     dt = params.dt
@@ -292,8 +293,6 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
     step = 0
     warm: tuple[int, ...] | None = None
     outcome: Outcome | None = None
-    seg_goals: list[SetFunction] = []
-    seg_starts: list[int] = []
 
     while outcome is None:
         pairs, miss = schedule.advance(x, t, met)
@@ -310,7 +309,6 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
         if counts != done:   # the sets in force change only on a reach
             done = counts
             pending, safes = schedule.in_force(done)
-            new_segment = pending != seg_goals
             phase = min(min(done), n_legs - 1)
 
         if not pairs:   # every phase met, running on to the horizon
@@ -326,10 +324,6 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
                          decision.strict_cs, len(decision.active_set),
                          phase, decision.iterations,
                          decision.box_overshoot])
-            if new_segment:
-                seg_goals = pending
-                seg_starts.append(len(rows) - 1)
-            new_segment = False
 
             # no value is NaN (a NaN never freezes its row, and the rows are
             # checked finite), so a plain max gives numpy's maximum
@@ -352,10 +346,14 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
     table = np.array(rows, dtype=float).reshape(-1, len(columns))
     steps = {name: table[:, where].astype(dtype, copy=False) for name, dtype, _, where in layout}
     t_rec, hg, d1 = steps["t"], steps["h_goal"], steps["delta1"]
+    reached = sorted({r for times in met for r in times})   # each its step's t, found exactly
+    cuts = [0, *np.searchsorted(t_rec, reached).tolist(), len(rows)]
+    if all(len(r) == len(tr) for r, tr in zip(met, tracks)):
+        cuts.pop()   # the run-on after the last reach claims no reach
     segments = tuple(
         certify_segment(params.gains, float(t_rec[a]), float(t_rec[b - 1]), float(hg[a]),
                         float(d1[a:b].max()))
-        for a, b in zip(seg_starts, seg_starts[1:] + [len(rows)]))
+        for a, b in zip(cuts, cuts[1:]) if a < b)
 
     return Trace(
         **steps,

@@ -256,11 +256,13 @@ class TestRun:
         assert stats["max_h_per_safe_set"] == summary["max_h_per_safe_set"]
         assert stats["max_abs_u"] == summary["max_abs_u"]
         cert = summary["fixed_time_certificate"]
-        assert cert["delta1_sup"] == stats["max_delta1"]
+        # the largest delta1 before the reach: the run-on after it is not certified
+        reach_row = int(np.searchsorted(trace.t, summary["reach_times"][0]))
+        assert cert["delta1_sup"] == trace.delta1[:reach_row].max() < stats["max_delta1"]
         assert cert["regime"] in ("global_within_deadline", "global_fixed_time",
                                   "local_fixed_time")
         assert cert["bound_T"] is None or cert["bound_T"] > 0
-        # one reach phase plus its post-reach hold: a single goal segment
+        # one reach phase: a single goal segment, from t = 0 to the reach
         [segment] = summary["segments"]
         assert segment["v_entry"] == trace.h_goal[0]
         assert {k: segment[k] for k in cert} == cert

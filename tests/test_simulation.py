@@ -199,9 +199,11 @@ class TestRun:
         assert trace.outcome.kind is OutcomeKind.ALL_PHASES_MET
         reached = trace.t >= trace.reach_times[0]
         assert np.all(trace.h_goal[reached] <= 1e-6)
-        # the post-reach hold stays in the reach phase's goal segment
-        assert reached.any() and len(trace.segments) == 1
-        assert trace.segments[0]["t_end"] == trace.t[-1]
+        # the one segment ends on the step before the reach: the run-on after
+        # the last reach makes no reach claim, so no certificate covers it
+        reach_row = int(np.argmax(reached))
+        assert reach_row > 0 and len(trace.segments) == 1
+        assert trace.segments[0]["t_end"] == trace.t[reach_row - 1]
 
     def test_deterministic_bitwise(self):
         sys, sched, bounds, params = simple_setup()
@@ -495,6 +497,65 @@ class TestSegments:
         assert cert["regime"] == bound.kind.value
         assert cert["domain_ok"] == all(s["domain_ok"] for s in segs)
         assert cert["bound_T"] == (bound.T if cert["domain_ok"] else None)
+
+    @pytest.mark.parametrize("v_f0", range(17, 28))
+    def test_a_nominal_acc_segment_stops_at_its_reach(self, v_f0):
+        # the steps before the reach do not depend on the horizon
+        trace = acc_scenario(AccConfig(v_f0=float(v_f0), horizon=3.0)).simulate()
+        reach_time = trace.reach_times[0]
+        reach_row = int(np.searchsorted(trace.t, reach_time))
+        assert trace.t[reach_row] == reach_time
+        assert (reach_row == 0) == (v_f0 == 22)   # 22 m/s starts in the band
+        if reach_row == 0:
+            assert trace.segments == () and worst_case(trace.segments) is None
+            return
+        [seg] = trace.segments
+        rows = np.searchsorted(trace.t, [seg["t_start"], seg["t_end"]])
+        assert rows.tolist() == [0, reach_row - 1]
+        assert trace.t[rows].tolist() == [seg["t_start"], seg["t_end"]]
+        assert seg["domain_ok"] and seg["bound_T"] >= reach_time
+
+    @pytest.mark.parametrize("sid", ["two-robot", "synthetic:int1d", "synthetic:int2d",
+                                     "synthetic:fullact2d"])
+    def test_every_certified_bound_covers_its_segment(self, sid):
+        # a segment's goal is met one step after its last row
+        trace = scenario_from_id(sid).simulate()
+        certified = [s for s in trace.segments if s["domain_ok"]]
+        assert certified
+        for s in certified:
+            assert s["bound_T"] >= s["t_end"] - s["t_start"] + trace.dt
+
+
+def decay_excess(trace: Trace, name: str) -> np.ndarray:
+    """h[k+1] - (1 - delta2[k] dt) h[k] of the safe set ``name`` at every
+    recorded step k that has a successor."""
+    h = trace.h_safe[:, trace.safe_names.index(name)]
+    return h[1:] - (1.0 - trace.delta2[:-1] * trace.dt) * h[:-1]
+
+
+class TestEulerDecay:
+    # One Euler step gives h[k+1] = h[k] + dt grad(h).xdot + (dt^2/2) xdot' hess(h) xdot.
+    # On a linear or concave set the last term is at most 0, so the
+    # invariance row alone gives h[k+1] <= (1 - delta2 dt) h[k]; a convex set
+    # can exceed it by its curvature term.
+    LINEAR_OR_CONCAVE = {
+        "two-robot": ("square_a1_00", "square_a1_01", "square_a1_10", "square_a1_11",
+                      "square_a2_00", "square_a2_01", "square_a2_10", "square_a2_11",
+                      "hub_a1", "hub_a2", "separation"),
+        "synthetic:int2d": ("obstacle_disk",),
+    }
+
+    @pytest.mark.parametrize("sid", sorted(LINEAR_OR_CONCAVE))
+    def test_linear_and_concave_sets_keep_the_discrete_decay(self, sid):
+        trace = scenario_from_id(sid).simulate()
+        assert len(trace) > 1
+        for name in self.LINEAR_OR_CONCAVE[sid]:
+            assert decay_excess(trace, name).max() <= 1e-12, name
+
+    def test_the_convex_disk_exceeds_the_discrete_decay(self):
+        # the check tells the two kinds of set apart
+        trace = scenario_from_id("synthetic:fullact2d").simulate()
+        assert np.count_nonzero(decay_excess(trace, "disk4") > 1e-12) > 0
 
 
 class TestSafetyMonitor:
