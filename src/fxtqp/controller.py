@@ -48,10 +48,6 @@ class SynthesisParams:
 
     ``gains`` is derived from (T_ud, mu): alpha_from_deadline meets T_ud.
     ``w_u`` holds one weight per input, e.g. ``np.ones(m)``.
-    ``delta2_freeze_level``, when set, pins delta2 = 0 whenever some
-    safe-set value exceeds the level, by dropping delta2 from every
-    invariance row (see :func:`qp_rows`); used by the disturbed
-    cruise-control study.
     ``dt`` is the step of the forward Euler loop that ``simulation.run``
     drives with these params; the compiled QP keeps delta1 >= -1/dt and
     delta2 <= 0.5/dt (see :class:`CompiledQp` and :func:`qp_rows`).
@@ -65,7 +61,6 @@ class SynthesisParams:
     w1: float = 1.0
     w2: float = 1.0
     q1: float = 100.0
-    delta2_freeze_level: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "w_u", np.atleast_1d(np.asarray(self.w_u, dtype=float)))
@@ -179,12 +174,7 @@ def qp_rows(cqp: CompiledQp, fx: np.ndarray, gx: np.ndarray, goal: tuple[float, 
       (above 1/dt one step crosses the barrier).
 
     Only the state rows are written; the rest are ``cqp.rows``' own, and a
-    safe-set count other than ``cqp.n_safe`` is a ValueError.  When the
-    params' ``delta2_freeze_level`` is set and some safe-set value exceeds
-    it, the delta2 column of every invariance row is zeroed, so each row
-    reads Lf·h_s + Lg·h_s v <= 0.  delta2 then enters only the Euler row
-    delta2 <= 0.5/dt, and the objective (diagonal, no linear delta2 term)
-    puts it at 0.
+    safe-set count other than ``cqp.n_safe`` is a ValueError.
 
     Each safe set is called once (one call gives its value and gradient).
     Returns (rows, h_safe): the rows as one fresh array [A | b],
@@ -214,9 +204,6 @@ def qp_rows(cqp: CompiledQp, fx: np.ndarray, gx: np.ndarray, goal: tuple[float, 
     A[k + 1:end, m + 1] = h_safe
     b[k + 1:end] = -G.dot(fx)
     A[k:end, :m] *= cqp.scale
-    level = cqp.params.delta2_freeze_level
-    if level is not None and h_safe.size and h_safe.max() > level:
-        A[k + 1:end, m + 1] = 0.0
     return rows, h_safe
 
 

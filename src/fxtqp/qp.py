@@ -475,17 +475,10 @@ def brute_force_solve(problem: QpProblem) -> QpSolution:
 def kkt_residual(problem: QpProblem, solution: QpSolution) -> KktResidual:
     """Infinity-norm KKT residuals of a candidate solution."""
     z, lam = solution.z_star, solution.lambda_star
-    stat = problem.H @ z + problem.F
-    if problem.m_c:
-        stat = stat + problem.A.T @ lam
-        slack = problem.A @ z - problem.b
-        primal = float(np.max(np.maximum(slack, 0.0), initial=0.0))
-        comp = float(np.max(np.abs(lam * slack), initial=0.0))
-    else:
-        primal = 0.0
-        comp = 0.0
+    stat = problem.H @ z + problem.F + problem.A.T @ lam
+    slack = problem.A @ z - problem.b
     return KktResidual(
         stationarity=float(np.max(np.abs(stat), initial=0.0)),
-        primal_violation=primal,
-        comp_slack=comp,
+        primal_violation=float(np.max(np.maximum(slack, 0.0), initial=0.0)),
+        comp_slack=float(np.max(np.abs(lam * slack), initial=0.0)),
     )

@@ -325,8 +325,8 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
                          phase, decision.iterations,
                          decision.box_overshoot])
 
-            # no value is NaN (a NaN never freezes its row, and the rows are
-            # checked finite), so a plain max gives numpy's maximum
+            # no value is NaN (the rows are checked finite), so a plain max
+            # gives numpy's maximum
             if hs_vals and max(hs_vals) > _SAFE_TOL:
                 j = int(np.argmax(hs_vals))
                 outcome = Outcome(kind=OutcomeKind.SAFETY_VIOLATED, phase=min(done), t=t,

@@ -147,24 +147,19 @@ def test_criterion_05_acc_reproduction():
 def test_criterion_06_acc_disturbance_robustness():
     details = []
     ok = True
+    worst = -math.inf   # the largest plain headway 1.8 v_f - D over every run
     for v0 in (18.0, 27.0):
-        traces = [acc_scenario(AccConfig(v_f0=v0, d_delta=d)).simulate()
-                  for d in (0.0, 50.0, 100.0)]
-        for d, trace in zip((0.0, 50.0, 100.0), traces):
+        for d in (0.0, 50.0, 100.0):
+            trace = acc_scenario(AccConfig(v_f0=v0, d_delta=d)).simulate()
             safe = float(np.max(trace.h_safe)) <= 0.0 \
                 and trace.outcome.kind is not OutcomeKind.SAFETY_VIOLATED
             solver_ok = trace.outcome.kind is not OutcomeKind.SOLVER_FAILURE
-            freeze_used = True
-            if d > 0:
-                sc = acc_scenario(AccConfig(v_f0=v0, d_delta=d))
-                freeze_used = sc.params.delta2_freeze_level == -20.0
-                near = trace.h_safe[:, 0] > -20.0
-                if near.any():
-                    freeze_used &= bool(np.max(np.abs(trace.delta2[near])) <= 1e-8)
-            ok &= safe and solver_ok and freeze_used
+            headway = float(np.max(AccConfig.tau_d * trace.x[:, 0] - trace.x[:, 2]))
+            worst = max(worst, headway)
+            ok &= safe and solver_ok and headway <= 0.0
             details.append(f"v0={v0:g}/d={d:g}:{'ok' if safe and solver_ok else 'BAD'}")
-    report(6, ok, "freeze rule active, safety held, no solver failures "
-                  f"({'; '.join(details)})")
+    report(6, ok, "safety held, no solver failures, worst plain headway "
+                  f"{worst:.3f} m ({'; '.join(details)})")
     assert ok
 
 

@@ -231,18 +231,14 @@ class TestRun:
         assert summary["outcome"]["kind"] == "solver_failure"
         assert "infeasible" in summary["outcome"]["message"]
 
-    def test_frozen_acc_run_is_strictly_complementary(self, tmp_path):
-        # the freeze takes delta2 out of the invariance row, so no dependent
-        # pin pair is left to report non-strict complementarity at the
-        # frozen steps (about a third of this run)
+    def test_disturbed_acc_run_is_strictly_complementary(self, tmp_path):
+        # of the disturbed study's runs, the one from 27 m/s takes the barrier
+        # closest to its boundary (about -9.3), and still no step solves to a
+        # non-strictly complementary point
         assert run_cli("--scenario", "acc", "--set", "v_f0=27", "--set", "d_delta=100",
                        "--out", str(tmp_path)) == 0
         summary = json.loads((tmp_path / "acc" / "summary.json").read_text())
         assert summary["solver"]["nonstrict_steps"] == 0
-        trace = trace_from_csv(tmp_path / "acc" / "trace.csv")
-        frozen = trace.h_safe[:, 0] > -20.0
-        assert frozen.sum() >= 600
-        assert np.max(np.abs(trace.delta2[frozen])) <= 1e-8
 
     def test_acc_run_summary_reports_band_and_safety(self, tmp_path):
         code = run_cli("--scenario", "acc", "--set", "v_f0=21",

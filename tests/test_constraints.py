@@ -45,11 +45,10 @@ def unit_box(m):
     return InputBounds(lower=-np.ones(m), upper=np.ones(m))
 
 
-def compiled(bounds, n_safe, deadline=(2.0, 2.0), dt=DT, freeze_level=None):
+def compiled(bounds, n_safe, deadline=(2.0, 2.0), dt=DT):
     """The QP compiled for ``bounds``, ``n_safe`` safe sets, unit input
     weights and the gains alpha_from_deadline(*deadline)."""
-    params = SynthesisParams(T_ud=deadline[0], mu=deadline[1], w_u=np.ones(bounds.m), dt=dt,
-                             delta2_freeze_level=freeze_level)
+    params = SynthesisParams(T_ud=deadline[0], mu=deadline[1], w_u=np.ones(bounds.m), dt=dt)
     return CompiledQp(bounds, params, n_safe)
 
 
@@ -179,53 +178,23 @@ class TestSafetyRow:
         assert list(A[-4:-2, -1]) == list(h_safe)
 
 
-class TestFreezePins:
-    def test_pins_only_above_the_level(self):
-        cfg = AccConfig()
-        args = (_acc_system(cfg), acc_goal(cfg), (acc_headway(cfg),))
-        frozen = compiled(unit_box(1), 1, (10.0, 5.0), cfg.dt, freeze_level=-20.0)
-        unset = compiled(unit_box(1), 1, (10.0, 5.0), cfg.dt)
-        far, near = np.array([20.0, 10.0, 150.0]), np.array([20.0, 10.0, 40.0])
-        far_A, far_b, _, _ = rows_at(*args, frozen, far)
-        near_A, near_b, _, _ = rows_at(*args, frozen, near)
-        unset_far_A, unset_far_b, _, _ = rows_at(*args, unset, far)
-        unset_A, unset_b, _, _ = rows_at(*args, unset, near)
-        # the same rows frozen or not; below the level nothing changes
-        assert far_A.shape == near_A.shape == unset_A.shape == (6, 3)
-        assert np.array_equal(far_A, unset_far_A) and np.array_equal(far_b, unset_far_b)
-        assert far_A[3, 2] != 0.0
-        # above it delta2 leaves the invariance row and nothing else changes;
-        # only the last row, the Euler cap delta2 <= 0.5/dt, keeps it
-        assert unset_A[3, 2] != 0.0 and not near_A[:-1, 2].any()
-        assert np.array_equal(near_A[:, :2], unset_A[:, :2]) and np.array_equal(near_b, unset_b)
-
-
 class TestEulerRows:
     @pytest.mark.parametrize("scenario_id", ["acc", "two-robot", "synthetic:int1d",
                                              "synthetic:int2d", "synthetic:fullact2d"])
-    def test_rows_come_last_and_the_freeze_leaves_them(self, scenario_id):
+    def test_rows_come_last(self, scenario_id):
         sc = scenario_from_id(scenario_id)
         firsts = [track[0] for track in sc.schedule.tracks]
         safes = sc.schedule.global_safes + tuple(s for ph in firsts for s in ph.safe_extra)
         goal, x, m, dt = firsts[0].goal, sc.x0, sc.bounds.m, sc.params.dt
-        # a level below every safe-set value freezes every invariance row
-        level = min((s.value(x) for s in safes), default=0.0) - 1.0
-        frozen = dataclasses.replace(sc.params, delta2_freeze_level=level)
-        p, q = (assemble(sc.sys, goal, safes, sc.bounds, params, x)
-                for params in (sc.params, frozen))
-        for problem in (p, q):
-            # -delta1 <= 1/dt and delta2 <= 0.5/dt, unscaled and never frozen
-            assert problem.A.shape == (2 * m + 1 + len(safes) + 2, m + 2)
-            assert list(problem.A[-2]) == [0.0] * m + [-1.0, 0.0]
-            assert list(problem.A[-1]) == [0.0] * m + [0.0, 1.0]
-            assert problem.b[-2] == 1.0 / dt and problem.b[-1] == 0.5 / dt
-        # the freeze zeroes the invariance rows' delta2 entries and nothing else
+        problem = assemble(sc.sys, goal, safes, sc.bounds, sc.params, x)
+        # -delta1 <= 1/dt and delta2 <= 0.5/dt, unscaled
+        assert problem.A.shape == (2 * m + 1 + len(safes) + 2, m + 2)
+        assert list(problem.A[-2]) == [0.0] * m + [-1.0, 0.0]
+        assert list(problem.A[-1]) == [0.0] * m + [0.0, 1.0]
+        assert problem.b[-2] == 1.0 / dt and problem.b[-1] == 0.5 / dt
+        # every invariance row keeps its delta2 entry, the safe-set value
         inv = slice(2 * m + 1, 2 * m + 1 + len(safes))
-        assert not q.A[inv, -1].any() and np.array_equal(p.b, q.b)
-        assert np.all(p.A[inv, -1] != 0.0)
-        rest = np.ones(p.A.shape, dtype=bool)
-        rest[inv, -1] = False
-        assert np.array_equal(p.A[rest], q.A[rest])
+        assert np.all(problem.A[inv, -1] != 0.0)
 
 
 class TestCompositeSemantics:
@@ -248,15 +217,14 @@ class TestInputRows:
 
     def test_qp_rows_put_the_box_in_the_input_columns_only(self):
         # the box rows of the synthesis QP are the input box's rows in the
-        # input columns and zero in both slack columns, frozen or not
+        # input columns and zero in both slack columns
         bounds = InputBounds(lower=np.array([-1.0, 0.5]), upper=np.array([2.0, 3.0]))
         safe = ball(4.0, name="room")
-        for level in (None, -100.0):
-            A, b, _, _ = rows_at(integrator(2), ball(), (safe,),
-                                 compiled(bounds, 1, freeze_level=level), np.array([1.5, -0.3]))
-            box_A, box_b = box_rows(bounds)
-            assert np.array_equal(A[:4, :2], box_A) and np.array_equal(b[:4], box_b)
-            assert np.all(A[:4, 2:] == 0.0)
+        A, b, _, _ = rows_at(integrator(2), ball(), (safe,), compiled(bounds, 1),
+                             np.array([1.5, -0.3]))
+        box_A, box_b = box_rows(bounds)
+        assert np.array_equal(A[:4, :2], box_A) and np.array_equal(b[:4], box_b)
+        assert np.all(A[:4, 2:] == 0.0)
 
     def test_acc_quarter_weight_bound(self):
         u_max = 0.25 * 1650.0 * 9.81

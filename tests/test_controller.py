@@ -17,7 +17,7 @@ from fxtqp.controller import (
     synthesize,
 )
 from fxtqp.fxts import RegimeKind, settling_time_bound
-from fxtqp.scenarios import (ACC_FREEZE_LEVEL, AccConfig, acc_goal, acc_headway, acc_scenario,
+from fxtqp.scenarios import (AccConfig, acc_goal, acc_headway, acc_scenario,
                              _acc_system, synthetic_suite, two_robot_scenario)
 from fxtqp.simulation import OutcomeKind, Phase, Schedule, _joint_goal, run
 from reference_checks import (continuity_probe, numpy_clip, rows_at, scaled_z,
@@ -61,7 +61,7 @@ def equality_qp(problem, W):
 
 def reference_rows(sys, goal, safes, bounds, params, x):
     """The synthesis QP's rows built one at a time, each with its own Lie
-    derivatives and set value, stacked, frozen and input-scaled, then the
+    derivatives and set value, stacked and input-scaled, then the
     Euler step's delta1 and delta2 rows."""
     m = bounds.m
     mag = np.maximum(np.abs(bounds.lower), np.abs(bounds.upper))
@@ -83,9 +83,6 @@ def reference_rows(sys, goal, safes, bounds, params, x):
         rows.append(np.concatenate([grad @ sys.g(x), [0.0, s.value(x)]]))
         rhs.append(-float(grad @ sys.f(x)))
     A = np.vstack(rows)
-    level = params.delta2_freeze_level
-    if level is not None and safes and max(s.value(x) for s in safes) > level:
-        A[:, m + 1] = 0.0
     A[:, :m] = A[:, :m] * scale
     A = np.vstack([A, np.concatenate([np.zeros(m), [-1.0, 0.0]]),
                    np.concatenate([np.zeros(m), [0.0, 1.0]])])
@@ -95,22 +92,22 @@ def reference_rows(sys, goal, safes, bounds, params, x):
 
 def assembly_samples():
     """(label, sys, goal, safes, bounds, params, x) at states where assembly
-    has something to get wrong: frozen acc states (delta2 column zeroed), square
+    has something to get wrong: disturbed acc states near the barrier, square
     corners and diagonals of the tour (tied wall sets), joint goals, and the
     synthetic cases."""
     rng = np.random.default_rng(21)
     out = []
     cfg = AccConfig(d_delta=100.0)
     sys, goal, safes, bounds, _ = acc_pieces(cfg)
-    frozen = acc_scenario(cfg).params
+    disturbed = acc_scenario(cfg).params
     nominal = acc_scenario().params
     for _ in range(40):
         out.append(("acc", sys, goal, safes, bounds, nominal,
                     rng.uniform([12, 8, 30], [28, 12, 200])))
     for _ in range(40):
-        # D near 1.8 v_f puts the barrier above the freeze level -20
+        # D near 1.8 v_f puts the barrier near or above its boundary
         v = rng.uniform(15, 28)
-        out.append(("acc-frozen", sys, goal, safes, bounds, frozen,
+        out.append(("acc-disturbed", sys, goal, safes, bounds, disturbed,
                     np.array([v, rng.uniform(8, 12), 1.8 * v + rng.uniform(-5, 25)])))
     sc = two_robot_scenario()
     for _ in range(80):
@@ -191,22 +188,6 @@ class TestAssemble:
         assert p.F.size == 3
         assert p.m_c == 6     # 2 input rows + convergence + safety + 2 Euler rows
 
-    def test_freeze_drops_delta2_near_boundary(self):
-        cfg = AccConfig(d_delta=50.0)
-        sys, goal, safes, bounds, _ = acc_pieces(cfg)
-        params = SynthesisParams(
-            T_ud=cfg.T_ud, mu=cfg.mu, w_u=np.ones(1), w1=cfg.w1, w2=cfg.w2,
-            q1=cfg.q1_disturbed, delta2_freeze_level=ACC_FREEZE_LEVEL, dt=cfg.dt)
-        far = assemble(sys, goal, safes, bounds, params, np.array([20.0, 10.0, 150.0]))
-        assert far.m_c == 6   # h_s = -91 is below the freeze level
-        assert far.A[3, 2] == pytest.approx(-91.0, abs=1.0)
-        near = assemble(sys, goal, safes, bounds, params, np.array([20.0, 10.0, 40.0]))
-        assert near.m_c == 6  # h_s = +19 pins delta2 = 0: only the Euler cap carries it
-        assert not near.A[:-1, 2].any()
-        dec = synthesize(sys, goal, safes, CompiledQp(bounds, params, len(safes)),
-                         np.array([20.0, 10.0, 40.0]))
-        assert dec.delta2 == 0.0 and dec.strict_cs
-
     def test_two_robot_dimensions(self):
         from fxtqp.scenarios import two_robot_scenario
         sc = two_robot_scenario()
@@ -220,7 +201,7 @@ class TestAssemble:
     def test_matches_row_by_row_reference(self):
         samples = assembly_samples()
         assert len(samples) >= 200
-        pinned = ties = 0
+        ties = 0
         for label, sys, goal, safes, bounds, params, x in samples:
             p = assemble(sys, goal, safes, bounds, params, x)
             A, b = reference_rows(sys, goal, safes, bounds, params, x)
@@ -230,11 +211,9 @@ class TestAssemble:
                                            CompiledQp(bounds, params, len(safes)), x)
             assert h_goal == goal.value(x)
             assert list(h_safe) == [s.value(x) for s in safes]
-            # frozen: delta2 is left only in the last row, delta2 <= 0.5/dt
-            pinned += label == "acc-frozen" and not p.A[:-1, -1].any()
             walls = sorted(s.value(x) for s in safes if s.name.startswith("square_a1"))
             ties += len(walls) > 1 and walls[-1] == walls[-2]
-        assert pinned >= 10 and ties >= 10
+        assert ties >= 10
 
     def test_objective_layout(self):
         sys, goal, safes, bounds, params = acc_pieces()
@@ -494,18 +473,17 @@ class TestSynthesize:
         assert cold.box_overshoot == 0.0 or cold.box_overshoot <= qp.FEAS_TOL
         assert list(cold.h_safe) == [s.value(x) for s in safes]
 
-    def test_solver_failure_raised_on_infeasible_freeze(self):
-        # delta2 pinned to zero while the plain headway constraint (no
-        # braking-distance term) cannot be stopped within the input budget:
-        # the QP is genuinely infeasible
+    def test_solver_failure_raised_on_infeasible_invariance(self):
+        # the plain headway constraint (no braking-distance term) cannot be
+        # held within the input budget once delta2 is capped at 0.5/dt by the
+        # Euler row: the QP is genuinely infeasible
         cfg = AccConfig(d_delta=50.0)
         sys, goal, _, bounds, _ = acc_pieces(cfg)
         safes = (SetFunction(name="headway",
                              fn=lambda x: (cfg.tau_d * x[0] - x[2],
                                            np.array([cfg.tau_d, 0.0, -1.0]))),)
         params = SynthesisParams(
-            T_ud=cfg.T_ud, mu=cfg.mu, w_u=[1.0], w1=1.0, w2=1.0, q1=1.0,
-            delta2_freeze_level=ACC_FREEZE_LEVEL, dt=cfg.dt)
+            T_ud=cfg.T_ud, mu=cfg.mu, w_u=[1.0], w1=1.0, w2=1.0, q1=1.0, dt=cfg.dt)
         x = np.array([22.0, 10.0, 39.7])   # h_s just below zero, closing fast
         with pytest.raises(SolverFailure):
             synthesize(sys, goal, safes, CompiledQp(bounds, params, len(safes)), x)
@@ -584,13 +562,8 @@ class TestCompiledQp:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
-    @pytest.mark.parametrize("freeze", [False, True])
-    def test_qp_rows_fill_a_fresh_array_in_the_state_rows_only(self, freeze):
+    def test_qp_rows_fill_a_fresh_array_in_the_state_rows_only(self):
         sys, goal, safes, bounds, params, x = tour_pieces()
-        if freeze:
-            level = min(s.value(x) for s in safes) - 1.0
-            params = SynthesisParams(T_ud=params.T_ud, mu=params.mu, w_u=params.w_u,
-                                     dt=params.dt, delta2_freeze_level=level)
         cqp = CompiledQp(bounds, params, len(safes))
         constant = cqp.rows.copy()
         args = (sys.f(x), sys.g(x), goal.value_and_gradient(x), safes, x)
@@ -600,12 +573,11 @@ class TestCompiledQp:
         assert not np.shares_memory(first, second) and not np.shares_memory(first, cqp.rows)
         assert np.array_equal(cqp.rows, constant)
         # the box and the Euler rows are the compiled ones; the state rows
-        # are zero there and filled here (at the start two sets have a zero
-        # gradient, so frozen, their rows are zero too)
+        # are zero there and filled here
         state = np.zeros(len(first), dtype=bool)
         state[2 * bounds.m:2 * bounds.m + 1 + len(safes)] = True
         assert np.array_equal(first[~state], constant[~state])
-        assert not constant[state].any() and (freeze or first[state].any(axis=1).all())
+        assert not constant[state].any() and first[state].any(axis=1).all()
 
     def test_run_compiles_once(self, monkeypatch):
         # the default tour: 15 goal segments, one compiled QP
@@ -648,8 +620,8 @@ class TestContinuityProbe:
 def _trajectory_scenarios():
     runs = [(f"acc-{v:g}", lambda v=v: acc_scenario(AccConfig(v_f0=v)))
             for v in (17.0, 22.0, 27.0)]
-    # from 24 m/s the disturbed run stays below the freeze level; from 27 m/s
-    # the freeze pins delta2 at about a third of the states
+    # from 24 m/s the disturbed run keeps its barrier below -30; from 27 m/s
+    # the barrier rises above -20 at about a third of the states
     runs += [(f"acc-{v:g}-d100", lambda v=v: acc_scenario(AccConfig(v_f0=v, d_delta=100.0)))
              for v in (24.0, 27.0)]
     runs += [(sc.scenario_id, lambda sc=sc: sc) for sc in synthetic_suite()]

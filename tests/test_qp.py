@@ -123,9 +123,14 @@ class TestSmallExamples:
 
 
 class TestKktResidual:
-    def test_exact_solution_zero_residuals(self):
-        p = make_problem([[1.0]], [0.0], [[-1.0]], [-1.0])
-        r = kkt_residual(p, solve_qp(p))
+    # one active row, and a QP with no rows (A.T @ lam is then zeros and the
+    # empty maxima are 0)
+    @pytest.mark.parametrize("data", [([0.0], [[-1.0]], [-1.0]), ([-2.0], None, None)],
+                             ids=["one-row", "row-less"])
+    @pytest.mark.parametrize("solve", [solve_qp, brute_force_solve])
+    def test_exact_solution_zero_residuals(self, data, solve):
+        p = make_problem([[1.0]], *data)
+        r = kkt_residual(p, solve(p))
         assert r.stationarity <= 1e-12
         assert r.primal_violation <= 1e-12
         assert r.comp_slack <= 1e-12

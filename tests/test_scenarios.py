@@ -73,7 +73,7 @@ class TestAccConfig:
     def test_braking_barrier_contains_plain_headway(self):
         # h <= 0 must imply the paper's constraint tau_d * v_f <= D, and full
         # braking behind a constant-speed lead must make h decrease, so the
-        # freeze-pinned invariance row stays feasible
+        # invariance row stays feasible even at delta2 = 0
         rng = np.random.default_rng(5)
         states = rng.uniform([0.0, 0.0, 0.0], [35.0, 35.0, 200.0], size=(200, 3))
         cfg = AccConfig()
@@ -86,10 +86,6 @@ class TestAccConfig:
                 assert barrier.value(x) == h_plain
             x_dot = sc.sys.f(x) + sc.sys.g(x) @ np.array([-cfg.u_max])
             assert barrier.value_and_gradient(x)[1] @ x_dot < 0.0
-
-    def test_freeze_only_when_disturbed(self):
-        assert acc_scenario(AccConfig()).params.delta2_freeze_level is None
-        assert acc_scenario(AccConfig(d_delta=10.0)).params.delta2_freeze_level == -20.0
 
 
 @pytest.mark.parametrize("build", [
