@@ -177,6 +177,22 @@ class TestSafetyRow:
         assert list(h_safe) == [b1.value(x), b2.value(x)]
         assert list(A[-4:-2, -1]) == list(h_safe)
 
+    def test_acc_row_keeps_delta2_at_every_barrier_value(self):
+        # the disturbed acc row is the paper's row far inside the barrier's
+        # boundary (-91), near it (-1.3) and past it (+19) alike: delta2's
+        # entry is the barrier value
+        cfg = AccConfig(d_delta=50.0)
+        params = acc_scenario(cfg).params
+        barrier = acc_headway(cfg)
+        args = (_acc_system(cfg), acc_goal(cfg), (barrier,))
+        cqp = CompiledQp(acc_scenario(cfg).bounds, params, 1)
+        for D in (150.0, 60.0, 40.0):
+            x = np.array([20.0, 10.0, D])
+            A, _, _, h_safe = rows_at(*args, cqp, x)
+            assert A.shape == (6, 3)
+            assert A[3, 2] == h_safe[0] == barrier.value(x)
+        assert barrier.value(np.array([20.0, 10.0, 40.0])) > 0.0
+
 
 class TestEulerRows:
     @pytest.mark.parametrize("scenario_id", ["acc", "two-robot", "synthetic:int1d",

@@ -87,6 +87,15 @@ class TestAccConfig:
             x_dot = sc.sys.f(x) + sc.sys.g(x) @ np.array([-cfg.u_max])
             assert barrier.value_and_gradient(x)[1] @ x_dot < 0.0
 
+    def test_disturbed_weights_only_when_disturbed(self):
+        # any disturbance gain switches to the disturbed study's q1 and w2;
+        # the other synthesis parameters are the nominal ones
+        nominal = acc_scenario(AccConfig()).params
+        disturbed = acc_scenario(AccConfig(d_delta=10.0)).params
+        assert (nominal.q1, nominal.w2) == (AccConfig.q1, AccConfig.w2)
+        assert (disturbed.q1, disturbed.w2) == (AccConfig.q1_disturbed, AccConfig.w2_disturbed)
+        assert dataclasses.replace(disturbed, q1=nominal.q1, w2=nominal.w2) == nominal
+
 
 @pytest.mark.parametrize("build", [
     lambda: acc_scenario(AccConfig(v_f0=27.0, d_delta=100.0)),
