@@ -9,7 +9,8 @@ writes to standard output a JSON object that maps each output to its
 SHA-256.  The outputs are:
 
 - ``trace.csv`` and ``summary.json`` of ``acc``, ``acc --set dt=0.005``,
-  ``two-robot``, ``synthetic:int1d``, ``synthetic:int2d`` and
+  ``acc`` behind a braking lead (``--set v_f0=23 --set d_delta=10 --set
+  a_lead=-2``), ``two-robot``, ``synthetic:int1d``, ``synthetic:int2d`` and
   ``synthetic:fullact2d``, and of the tour from each of the benchmark's
   starts, ``perfbench.workloads.TWO_ROBOT_STARTS`` (imported from this
   checkout, given as ``--set x0_agent1=[...] --set x0_agent2=[...]``);
@@ -48,6 +49,8 @@ ROOT = Path(__file__).resolve().parent.parent
 CLI_RUNS = {
     "acc": ["--scenario", "acc"],
     "acc dt=0.005": ["--scenario", "acc", "--set", "dt=0.005"],
+    "acc braking lead": ["--scenario", "acc", "--set", "v_f0=23", "--set", "d_delta=10",
+                         "--set", "a_lead=-2"],
     "two-robot": ["--scenario", "two-robot"],
     "synthetic:int1d": ["--scenario", "synthetic:int1d"],
     "synthetic:int2d": ["--scenario", "synthetic:int2d"],

@@ -5,15 +5,16 @@ reach-rate slack, and the invariance slack.  Both sides of the QP are
 built here, so this module alone knows z's layout.  :class:`CompiledQp`
 builds once per run the objective
 
-    0.5 * (w_u . v_s^2 + w1*delta1^2 + w2*delta2^2) + q1*delta1
+    0.5 * (|v_s|^2 + w1*delta1^2 + w2*delta2^2) + q1*delta1
 
-from the weights of :class:`SynthesisParams`, the input box of
+from the slack weights of :class:`SynthesisParams`, the input box of
 :class:`fxtqp.constraints.InputBounds` in the input columns and the two
 slack rows of the Euler step; at each state :func:`qp_rows` fills in one
 reach-rate row for the goal set and one invariance row per safe set.
 Inputs are scaled component-wise by their bound magnitude inside the
 solver (v = scale * v_s) so the Hessian stays well conditioned when
-physical inputs are large; results are reported in physical units.
+physical inputs are large, and the unit weight on v_s weighs each input
+relative to its bound; results are reported in physical units.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ class SolverFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class SynthesisParams:
-    """Deadline, derived gains, and objective weights of the synthesis QP.
+    """Deadline, derived gains, and slack weights of the synthesis QP.
 
     ``gains`` is derived from (T_ud, mu): alpha_from_deadline meets T_ud.
-    ``w_u`` holds one weight per input, e.g. ``np.ones(m)``.
+    The scaled input has weight 1 (see :class:`CompiledQp`).
     ``dt`` is the step of the forward Euler loop that ``simulation.run``
     drives with these params; the compiled QP keeps delta1 >= -1/dt and
     delta2 <= 0.5/dt (see :class:`CompiledQp` and :func:`qp_rows`).
@@ -55,7 +56,6 @@ class SynthesisParams:
 
     T_ud: float
     mu: float
-    w_u: np.ndarray
     dt: float
     gains: FxtsGains = field(init=False)
     w1: float = 1.0
@@ -63,19 +63,16 @@ class SynthesisParams:
     q1: float = 100.0
 
     def __post_init__(self):
-        object.__setattr__(self, "w_u", np.atleast_1d(np.asarray(self.w_u, dtype=float)))
         if not (self.T_ud > 0 and self.mu > 1):
             raise ValueError("need T_ud > 0 and mu > 1")
         object.__setattr__(self, "gains", alpha_from_deadline(self.T_ud, self.mu))
-        if not np.isfinite(self.w_u).all():
-            raise ValueError(f"w_u must be finite, got {self.w_u}")
         for name in ("w1", "w2", "q1"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         # the Euler rows hold 1/dt, which overflows for a subnormal dt
         if not (math.isfinite(self.dt) and self.dt > 0 and math.isfinite(1.0 / self.dt)):
             raise ValueError(f"dt must be a finite number > 0 with a finite 1/dt, got {self.dt}")
-        if (self.w_u <= 0).any() or self.w1 <= 0 or self.w2 <= 0 or self.q1 <= 0:
+        if self.w1 <= 0 or self.w2 <= 0 or self.q1 <= 0:
             raise ValueError("objective weights must be strictly positive")
 
 
@@ -89,8 +86,7 @@ class CompiledQp:
     ``rows``, the constant [A | b] in :func:`qp_rows`' order, the box over
     the scaled input, zeros in the 1 + n_safe state rows, and the Euler rows
     of ``params.dt``; the input ``scale``; and ``box_floats``, the scale,
-    lower and upper bounds as Python floats for the input clip.  Input
-    weights that do not fit the box are a ValueError here, before any step.
+    lower and upper bounds as Python floats for the input clip.
     """
 
     bounds: InputBounds
@@ -103,9 +99,7 @@ class CompiledQp:
 
     def __post_init__(self):
         p, lo, hi, m = self.params, self.bounds.lower, self.bounds.upper, self.bounds.m
-        if p.w_u.size != m:
-            raise ValueError(f"{p.w_u.size} input weights are inconsistent with {m} inputs")
-        H = np.diag(np.concatenate([p.w_u, [p.w1, p.w2]]))
+        H = np.diag(np.concatenate([np.ones(m), [p.w1, p.w2]]))
         F = np.concatenate([np.zeros(m), [p.q1, 0.0]])
         scale = self.bounds.scale()
         rows = np.zeros((2 * m + 1 + self.n_safe + 2, m + 3))
@@ -207,18 +201,17 @@ def qp_rows(cqp: CompiledQp, fx: np.ndarray, gx: np.ndarray, goal: tuple[float, 
     return rows, h_safe
 
 
-def _checked_rows(sys: ControlAffineSystem, h_g: SetFunction | tuple[float, np.ndarray],
+def _checked_rows(sys: ControlAffineSystem, goal: tuple[float, np.ndarray],
                   safes: Sequence[SetFunction], cqp: CompiledQp, x: np.ndarray):
     """f(x), g(x) and the qp_rows built from them at x, refused unless finite.
 
-    ``h_g`` is the goal set or its (value, gradient) pair at x.  Rows that
+    ``goal`` is the goal set's (value, gradient) pair at x.  Rows that
     overflow or turn NaN (a state or set far outside its model) fail the
     run like an unsolvable QP.  Returns (fx, gx, A, b, h_safe), A and b
     views of one array.
     """
     fx = sys.f(x)
     gx = sys.g(x)
-    goal = h_g.value_and_gradient(x) if isinstance(h_g, SetFunction) else h_g
     rows, h_safe = qp_rows(cqp, fx, gx, goal, safes, x)
     if not np.isfinite(rows).all():
         raise SolverFailure(f"synthesis QP rows are not finite at x={np.asarray(x)}")
@@ -234,7 +227,8 @@ def assemble(sys: ControlAffineSystem, h_g: SetFunction | tuple[float, np.ndarra
     is compiled for this one call; a run compiles it once.
     """
     cqp = CompiledQp(bounds, params, len(safes))
-    _, _, A, b, _ = _checked_rows(sys, h_g, safes, cqp, x)
+    goal = h_g.value_and_gradient(x) if isinstance(h_g, SetFunction) else h_g
+    _, _, A, b, _ = _checked_rows(sys, goal, safes, cqp, x)
     return qp.QpProblem(H=cqp.objective.H, F=cqp.objective.F, A=A, b=b)
 
 
@@ -257,13 +251,13 @@ def _clip_to_box(z: list[float], cqp: CompiledQp) -> tuple[list[float], float]:
     return clipped, max(gaps)
 
 
-def synthesize(sys: ControlAffineSystem, h_g: SetFunction | tuple[float, np.ndarray],
+def synthesize(sys: ControlAffineSystem, goal: tuple[float, np.ndarray],
                safes: Sequence[SetFunction], cqp: CompiledQp, x: np.ndarray,
                warm_start: Sequence[int] | None = None) -> ControlDecision:
     """Solve the synthesis QP compiled as ``cqp`` at x.
 
-    ``h_g`` is the goal set, or its (value, gradient) pair at x when the
-    caller has evaluated it already.  f(x) and g(x) are evaluated once: the
+    ``goal`` is the goal set's (value, gradient) pair at x, which the
+    caller has evaluated already.  f(x) and g(x) are evaluated once: the
     rows and the decision's ``rate`` share them.  ``warm_start`` is a guess
     at the QP's working set as row indices, e.g. the ``active_set`` of the
     decision at the previous state; it can only speed the solve up, never
@@ -274,7 +268,7 @@ def synthesize(sys: ControlAffineSystem, h_g: SetFunction | tuple[float, np.ndar
     ``qp.FEAS_TOL`` in scaled units; a smaller overshoot (round-off) is
     clipped and reported.
     """
-    fx, gx, A, b, h_safe = _checked_rows(sys, h_g, safes, cqp, x)
+    fx, gx, A, b, h_safe = _checked_rows(sys, goal, safes, cqp, x)
     status, z, _, iterations, active_set, strict_cs = qp._solve(A, b, cqp.objective, warm_start)
     if status is not qp.SolveStatus.OPTIMAL:
         raise SolverFailure(f"synthesis QP {status.value} at x={np.asarray(x)}")

@@ -113,7 +113,7 @@ class AccConfig:
     q1_disturbed: ClassVar[float] = 0.3    # q1 used when d_delta > 0 (less reach pressure)
 
     v_f0: float = 18.0           # initial follower speed, m/s
-    a_lead: float = 0.0          # actual (constant) lead acceleration, m/s^2
+    a_lead: float = 0.0          # lead acceleration until the lead stops, m/s^2
     d_delta: float = 0.0         # disturbance gain, N s/m
     horizon: float = 20.0        # total simulated time, s
     dt: float = 1e-2
@@ -141,6 +141,10 @@ def _constant(a) -> Callable[[np.ndarray], np.ndarray]:
     return lambda x: a
 
 
+def _integrator(n: int) -> ControlAffineSystem:
+    return ControlAffineSystem(f=_constant(np.zeros(n)), g=_constant(np.eye(n)))
+
+
 def _square(v: float) -> float:
     """v ** 2 for a Python float v, as numpy's power gives it: inf where it
     overflows, where Python raises."""
@@ -151,11 +155,13 @@ def _square(v: float) -> float:
 
 
 # The acc model runs on Python floats, which take the operations of numpy
-# scalars in the same order at a fraction of the call cost.
+# scalars in the same order at a fraction of the call cost.  A braking lead
+# stops at rest: its rate is 0 once v_l <= 0.
 def _acc_system(cfg: AccConfig) -> ControlAffineSystem:
     def f(x):
         v_f, v_l, _ = x.tolist()
-        return np.array([-cfg.drag(v_f) / cfg.M, cfg.a_lead, v_l - v_f])
+        a_lead = 0.0 if v_l <= 0.0 and cfg.a_lead <= 0.0 else cfg.a_lead
+        return np.array([-cfg.drag(v_f) / cfg.M, a_lead, v_l - v_f])
 
     g = _constant([[1.0 / cfg.M], [0.0], [0.0]])
     disturbance = None
@@ -213,8 +219,7 @@ def acc_scenario(cfg: AccConfig | None = None) -> Scenario:
     # runs from 22-27 m/s do).
     disturbed = cfg.d_delta > 0
     params = SynthesisParams(
-        T_ud=cfg.T_ud, mu=cfg.mu,
-        w_u=np.ones(1), w1=cfg.w1,
+        T_ud=cfg.T_ud, mu=cfg.mu, w1=cfg.w1,
         w2=cfg.w2_disturbed if disturbed else cfg.w2,
         q1=cfg.q1_disturbed if disturbed else cfg.q1,
         dt=cfg.dt,
@@ -398,7 +403,7 @@ def two_robot_scenario(cfg: TwoRobotConfig | None = None) -> Scenario:
     """
     cfg = cfg or TwoRobotConfig()
 
-    sys = ControlAffineSystem(f=_constant(np.zeros(4)), g=_constant(np.eye(4)))
+    sys = _integrator(4)
 
     sets = [waypoint_sets(cfg, agent) for agent in (0, 1)]
 
@@ -430,7 +435,7 @@ def two_robot_scenario(cfg: TwoRobotConfig | None = None) -> Scenario:
     ub = cfg.component_bound
     params = SynthesisParams(
         T_ud=cfg.phase_budget, mu=cfg.mu,
-        w_u=np.ones(4), w1=cfg.w1, w2=cfg.w2, q1=cfg.q1, dt=cfg.dt,
+        w1=cfg.w1, w2=cfg.w2, q1=cfg.q1, dt=cfg.dt,
     )
     return Scenario(
         scenario_id="two-robot",
@@ -446,10 +451,6 @@ def two_robot_scenario(cfg: TwoRobotConfig | None = None) -> Scenario:
 # ---------------------------------------------------------------------------
 # synthetic systems for property tests
 # ---------------------------------------------------------------------------
-
-def _integrator(n: int) -> ControlAffineSystem:
-    return ControlAffineSystem(f=_constant(np.zeros(n)), g=_constant(np.eye(n)))
-
 
 def _disk(name: str, center, r2: float, outside: bool = False) -> SetFunction:
     """{|x - center|^2 <= r2} in the plane, or with ``outside`` its complement."""
@@ -475,7 +476,7 @@ def synthetic_suite() -> list[Scenario]:
         sys=_integrator(1),
         schedule=Schedule(tracks=((Phase(goal=goal_1d, deadline=2.0),),)),
         bounds=InputBounds(lower=np.array([-2.0]), upper=np.array([2.0])),
-        params=SynthesisParams(T_ud=2.0, mu=2.0, w_u=np.ones(1), dt=1e-3),
+        params=SynthesisParams(T_ud=2.0, mu=2.0, dt=1e-3),
         x0=np.array([1.0]),
     )
 
@@ -491,7 +492,7 @@ def synthetic_suite() -> list[Scenario]:
             global_safes=(obstacle,),
         ),
         bounds=InputBounds(lower=-np.ones(2), upper=np.ones(2)),
-        params=SynthesisParams(T_ud=6.0, mu=2.0, w_u=np.ones(2), dt=1e-3),
+        params=SynthesisParams(T_ud=6.0, mu=2.0, dt=1e-3),
         x0=np.array([0.0, 0.05]),
     )
 
@@ -510,7 +511,7 @@ def synthetic_suite() -> list[Scenario]:
             global_safes=(keep_in,),
         ),
         bounds=InputBounds(lower=-5.0 * np.ones(2), upper=5.0 * np.ones(2)),
-        params=SynthesisParams(T_ud=3.0, mu=2.0, w_u=np.ones(2), dt=1e-3),
+        params=SynthesisParams(T_ud=3.0, mu=2.0, dt=1e-3),
         x0=np.array([-1.2, -0.4]),
     )
     return [int1d, int2d, fullact2d]

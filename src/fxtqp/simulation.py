@@ -252,8 +252,7 @@ def _safe_column_names(schedule) -> tuple[str, ...]:
     names = [s.name or f"safe{i}" for i, s in enumerate(schedule.global_safes)]
     for j, track in enumerate(schedule.tracks):
         for k in range(len(track[0].safe_extra)):
-            names.append(f"phase_extra_{j}_{k}" if len(schedule.tracks) > 1
-                         else f"phase_extra_{k}")
+            names.append(f"phase_extra_{j}_{k}")
     return tuple(names)
 
 
@@ -313,7 +312,7 @@ def run(sys: ControlAffineSystem, schedule: Schedule, bounds: InputBounds,
 
         if not pairs:   # every phase met, running on to the horizon
             pairs = [g.value_and_gradient(x) for g in pending]
-        goal = pairs[0] if len(pairs) == 1 else _goal_sum(pairs)
+        goal = _goal_sum(pairs)
         try:
             decision = synthesize(sys, goal, safes, cqp, x, warm_start=warm)
             warm = decision.active_set

@@ -199,14 +199,15 @@ def continuity_probe(sys, h_g, safes, bounds, params, x, radius, n_samples):
     (x included) are counted; spikes in the quotient are expected there.
     """
     cqp = CompiledQp(bounds, params, len(safes))
-    base = synthesize(sys, h_g, safes, cqp, x)
+    base = synthesize(sys, h_g.value_and_gradient(x), safes, cqp, x)
     rng = np.random.default_rng(0)
     quotients = np.empty(n_samples)
     nonstrict = int(not base.strict_cs)
     for i in range(n_samples):
         d = rng.normal(size=x.size)
         d *= radius / np.linalg.norm(d)
-        probe = synthesize(sys, h_g, safes, cqp, x + d)
+        y = x + d
+        probe = synthesize(sys, h_g.value_and_gradient(y), safes, cqp, y)
         quotients[i] = np.linalg.norm(probe.u - base.u) / radius
         nonstrict += int(not probe.strict_cs)
     return ProbeResult(float(quotients.max()), quotients, nonstrict)

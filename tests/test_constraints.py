@@ -46,9 +46,9 @@ def unit_box(m):
 
 
 def compiled(bounds, n_safe, deadline=(2.0, 2.0), dt=DT):
-    """The QP compiled for ``bounds``, ``n_safe`` safe sets, unit input
-    weights and the gains alpha_from_deadline(*deadline)."""
-    params = SynthesisParams(T_ud=deadline[0], mu=deadline[1], w_u=np.ones(bounds.m), dt=dt)
+    """The QP compiled for ``bounds``, ``n_safe`` safe sets and the gains
+    alpha_from_deadline(*deadline)."""
+    params = SynthesisParams(T_ud=deadline[0], mu=deadline[1], dt=dt)
     return CompiledQp(bounds, params, n_safe)
 
 

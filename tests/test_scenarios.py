@@ -183,6 +183,16 @@ class TestAccRuns:
             assert tr.outcome.kind is not OutcomeKind.SAFETY_VIOLATED
             assert np.max(tr.h_safe) <= 0.0
 
+    def test_braking_lead_stops_at_rest(self):
+        # the lead's speed has a floor at rest, so the vehicles cannot pass
+        # through each other; one Euler step of a_lead may dip below it
+        cfg = AccConfig(v_f0=23.0, d_delta=10.0, a_lead=-2.0)
+        trace = acc_scenario(cfg).simulate()
+        assert trace.outcome.ok
+        v_f, v_l, D = trace.x.T
+        assert D.min() > 0.0 and v_f.min() >= 0.0
+        assert v_l.min() >= -abs(cfg.a_lead) * cfg.dt
+
     def test_disturbance_magnitude_matches_model(self):
         cfg = AccConfig(d_delta=60.0)
         sc = acc_scenario(cfg)

@@ -54,7 +54,7 @@ def simple_setup(deadline=2.0, horizon=None, dt=1e-3):
         horizon=horizon,
     )
     bounds = InputBounds(lower=-2.0 * np.ones(2), upper=2.0 * np.ones(2))
-    params = SynthesisParams(T_ud=2.0, mu=2.0, w_u=np.ones(2), dt=dt)
+    params = SynthesisParams(T_ud=2.0, mu=2.0, dt=dt)
     return integrator(2), sched, bounds, params
 
 
@@ -137,7 +137,7 @@ class TestRun:
         goal = SetFunction("x1", lambda x: (float(x[1] ** 2 - 0.01), np.array([0.0, 2.0 * x[1]])))
         sched = Schedule(tracks=((Phase(goal=goal, deadline=5.0),),))
         bounds = InputBounds(lower=-np.ones(1), upper=np.ones(1))
-        params = SynthesisParams(T_ud=2.0, mu=2.0, w_u=np.ones(1), dt=1.0)
+        params = SynthesisParams(T_ud=2.0, mu=2.0, dt=1.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             trace = run(sys, sched, bounds, params, np.array([1e308, 1.0]))
@@ -186,7 +186,7 @@ class TestRun:
         sched = Schedule(tracks=((Phase(goal=goal1, deadline=3.0),
                                   Phase(goal=goal2, deadline=3.0)),))
         bounds = InputBounds(lower=-2.0 * np.ones(2), upper=2.0 * np.ones(2))
-        params = SynthesisParams(T_ud=3.0, mu=2.0, w_u=np.ones(2), dt=1e-3)
+        params = SynthesisParams(T_ud=3.0, mu=2.0, dt=1e-3)
         trace = run(integrator(2), sched, bounds, params, np.array([2.0, 0.5]))
         assert trace.outcome.kind is OutcomeKind.ALL_PHASES_MET
         assert np.all(np.diff(trace.phase) >= 0)
@@ -233,7 +233,7 @@ def line_run(goal_at, deadline, dt, horizon=None):
     goal = SetFunction("goal", lambda x: (float(x[0] - goal_at), np.array([1.0])))
     sched = Schedule(tracks=((Phase(goal=goal, deadline=deadline),),), horizon=horizon)
     bounds = InputBounds(lower=-np.ones(1), upper=np.ones(1))
-    params = SynthesisParams(T_ud=deadline, mu=2.0, w_u=np.ones(1), dt=dt)
+    params = SynthesisParams(T_ud=deadline, mu=2.0, dt=dt)
     return run(integrator(1), sched, bounds, params, np.array([1.0]))
 
 
@@ -266,7 +266,7 @@ class TestDeadlineRule:
         tracks = tuple((Phase(goal=SetFunction(f"g{j}", lambda x, j=j, b=b: (
             float(x[j] - b), np.eye(2)[j])), deadline=d),)
             for j, (b, d) in enumerate(zip(bounds_0, deadlines)))
-        params = SynthesisParams(T_ud=1.0, mu=2.0, w_u=np.ones(2), dt=0.1)
+        params = SynthesisParams(T_ud=1.0, mu=2.0, dt=0.1)
         trace = run(integrator(2), Schedule(tracks=tracks),
                     InputBounds(lower=-np.ones(2), upper=np.ones(2)), params, np.ones(2))
         assert trace.outcome.kind is OutcomeKind.DEADLINE_MISSED
@@ -344,8 +344,8 @@ class TestSchedule:
             Schedule(tracks=(goal,), global_safes=walls)
         # a global set may not take the name of a phase's extra-set column
         extra = (Phase(goal=goal_ball(0.1), deadline=1.0, safe_extra=(walls[0],)),)
-        with pytest.raises(ValueError, match="phase_extra_0"):
-            Schedule(tracks=(extra,), global_safes=(half_line("phase_extra_0", 1.0, True),))
+        with pytest.raises(ValueError, match="phase_extra_0_0"):
+            Schedule(tracks=(extra,), global_safes=(half_line("phase_extra_0_0", 1.0, True),))
         Schedule(tracks=(extra,), global_safes=(half_line("wall", 1.0, True),))
 
 
@@ -473,7 +473,7 @@ class TestSegments:
         sched = Schedule(tracks=((Phase(goal=goal1, deadline=3.0),
                                   Phase(goal=goal2, deadline=3.0)),))
         bounds = InputBounds(lower=-2.0 * np.ones(2), upper=2.0 * np.ones(2))
-        params = SynthesisParams(T_ud=3.0, mu=2.0, w_u=np.ones(2), dt=1e-3)
+        params = SynthesisParams(T_ud=3.0, mu=2.0, dt=1e-3)
         trace = run(integrator(2), sched, bounds, params, np.array([2.0, 0.5]))
         assert trace.outcome.kind is OutcomeKind.ALL_PHASES_MET
         segs = trace.segments
@@ -571,9 +571,9 @@ class TestSafetyMonitor:
                      safe_extra=(half_line("x_le_0.4", 0.4, upper=True),))
         trace = run(line, Schedule(tracks=((out, back),)),
                     InputBounds(lower=np.array([-2.0]), upper=np.array([2.0])),
-                    SynthesisParams(T_ud=2.0, mu=2.0, w_u=np.ones(1), dt=1e-3), np.array([0.0]))
+                    SynthesisParams(T_ud=2.0, mu=2.0, dt=1e-3), np.array([0.0]))
         assert trace.outcome.kind is OutcomeKind.SAFETY_VIOLATED
-        assert trace.outcome.safe_set == "phase_extra_0"
+        assert trace.outcome.safe_set == "phase_extra_0_0"
         assert trace.outcome.phase == 1
         assert trace.outcome.t == trace.reach_times[0]
         assert trace.h_safe[-1, 0] == pytest.approx(0.5, abs=1e-3)
@@ -595,7 +595,7 @@ class TestSafetyMonitor:
         trace = run(pushed, Schedule(tracks=((Phase(goal=goal, deadline=10.0),),),
                                      global_safes=(sep,)),
                     InputBounds(lower=-np.ones(2), upper=np.ones(2)),
-                    SynthesisParams(T_ud=10.0, mu=2.0, w_u=np.ones(2), dt=1e-3),
+                    SynthesisParams(T_ud=10.0, mu=2.0, dt=1e-3),
                     np.array([0.0, 1.0]))
         assert trace.outcome.kind is OutcomeKind.SAFETY_VIOLATED
         assert trace.outcome.safe_set == "separation"
