@@ -228,6 +228,24 @@ class TestAssemble:
         assert np.allclose(np.diag(p.H), [1.0, params.w1, params.w2])
         assert np.allclose(p.F, [0.0, params.q1, 0.0])
 
+    @pytest.mark.parametrize("pieces", ["acc", "tour"])
+    def test_goal_set_and_its_pair_give_one_problem(self, pieces):
+        # assemble evaluates a goal set at x, and takes a (value, gradient)
+        # pair as given: a pair from another state moves the reach-rate row only
+        if pieces == "acc":
+            sys, goal, safes, bounds, params = acc_pieces()
+            x, y = np.array([20.0, 10.0, 150.0]), np.array([24.0, 10.0, 80.0])
+        else:
+            sys, goal, safes, bounds, params, x = tour_pieces()
+            y = x + 0.25
+        from_set = assemble(sys, goal, safes, bounds, params, x)
+        from_pair =assemble(sys, goal.value_and_gradient(x), safes, bounds, params, x)
+        assert np.array_equal(from_set.A, from_pair.A) and np.array_equal(from_set.b, from_pair.b)
+        moved = assemble(sys, goal.value_and_gradient(y), safes, bounds, params, x)
+        row = 2 * bounds.m
+        differs = ~np.all((moved.A == from_set.A) & (moved.b == from_set.b)[:, None], axis=1)
+        assert np.flatnonzero(differs).tolist() == [row]
+
 
 def quadratic_set(name, P, c, r):
     """{(x - c)' P (x - c) <= r}."""
