@@ -10,8 +10,9 @@ SHA-256.  The outputs are:
 
 - ``trace.csv`` and ``summary.json`` of ``acc``, ``acc --set dt=0.005``,
   ``acc`` behind a braking lead (``--set v_f0=23 --set d_delta=10 --set
-  a_lead=-2``), ``two-robot``, ``synthetic:int1d``, ``synthetic:int2d`` and
-  ``synthetic:fullact2d``, and of the tour from each of the benchmark's
+  a_lead=-2``), ``acc`` disturbed behind a lead that stops (``--set v_f0=27
+  --set a_lead=-1 --set d_delta=100``), ``two-robot``, ``synthetic:int1d``,
+  ``synthetic:int2d`` and ``synthetic:fullact2d``, and of the tour from each of the benchmark's
   starts, ``perfbench.workloads.TWO_ROBOT_STARTS`` (imported from this
   checkout, given as ``--set x0_agent1=[...] --set x0_agent2=[...]``);
 - ``trace.csv`` and ``summary.json`` of ``acc`` from each distinct start of
@@ -51,6 +52,8 @@ CLI_RUNS = {
     "acc dt=0.005": ["--scenario", "acc", "--set", "dt=0.005"],
     "acc braking lead": ["--scenario", "acc", "--set", "v_f0=23", "--set", "d_delta=10",
                          "--set", "a_lead=-2"],
+    "acc stopping lead disturbed": ["--scenario", "acc", "--set", "v_f0=27",
+                                    "--set", "a_lead=-1", "--set", "d_delta=100"],
     "two-robot": ["--scenario", "two-robot"],
     "synthetic:int1d": ["--scenario", "synthetic:int1d"],
     "synthetic:int2d": ["--scenario", "synthetic:int2d"],

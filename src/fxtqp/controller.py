@@ -85,8 +85,9 @@ class CompiledQp:
     :class:`fxtqp.qp.QpProblem` over z, which checks and factors it;
     ``rows``, the constant [A | b] in :func:`qp_rows`' order, the box over
     the scaled input, zeros in the 1 + n_safe state rows, and the Euler rows
-    of ``params.dt``; the input ``scale``; and ``box_floats``, the scale,
-    lower and upper bounds as Python floats for the input clip.
+    of ``params.dt``; and ``box_floats``, the input scale
+    (``InputBounds.scale``), lower and upper bounds as Python floats for the
+    input clip.
     """
 
     bounds: InputBounds
@@ -94,7 +95,6 @@ class CompiledQp:
     n_safe: int
     objective: qp.QpProblem = field(init=False, repr=False, compare=False)
     rows: np.ndarray = field(init=False, repr=False, compare=False)
-    scale: np.ndarray = field(init=False, repr=False, compare=False)
     box_floats: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -111,7 +111,6 @@ class CompiledQp:
             arr.setflags(write=False)
         object.__setattr__(self, "objective", qp.QpProblem(H=H, F=F, A=(), b=()))
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "box_floats", tuple(tuple(v.tolist()) for v in (scale, lo, hi)))
 
 
@@ -127,7 +126,7 @@ class ControlDecision:
     strict_cs: bool
     iterations: int         # working-set changes of the QP solve
     box_overshoot: float    # scaled distance the solved input left its box, >= 0
-    h_safe: np.ndarray      # safe-set values at the state, one per safe set
+    h_safe: np.ndarray      # safe-set values at the state: the rows' delta2 column
     rate: np.ndarray        # f(x) + g(x) u from the rows' f(x), g(x); no disturbance
 
 
@@ -141,12 +140,13 @@ def _clamped_power_sum(h: float, gains: FxtsGains) -> float:
         return math.inf
 
 
-def qp_rows(cqp: CompiledQp, fx: np.ndarray, gx: np.ndarray, goal: tuple[float, np.ndarray],
-            safes: Sequence[SetFunction], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every constraint row of the synthesis QP at x, in one pass.
+def qp_rows(sys: ControlAffineSystem, cqp: CompiledQp, goal: tuple[float, np.ndarray],
+            safes: Sequence[SetFunction],
+            x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The synthesis QP's rows at x, built in one pass and checked finite.
 
-    ``fx`` and ``gx`` are the system's f(x) and g(x), and ``goal`` the goal
-    set's (value, gradient) pair at x.  Rows are over z = (v_s, delta1,
+    ``goal`` is the goal set's (value, gradient) pair at x.  The system's
+    f(x) and g(x) are evaluated once here.  Rows are over z = (v_s, delta1,
     delta2), with the input v = scale * v_s (``InputBounds.scale``), in this
     order:
 
@@ -168,15 +168,20 @@ def qp_rows(cqp: CompiledQp, fx: np.ndarray, gx: np.ndarray, goal: tuple[float, 
       (above 1/dt one step crosses the barrier).
 
     Only the state rows are written; the rest are ``cqp.rows``' own, and a
-    safe-set count other than ``cqp.n_safe`` is a ValueError.
+    safe-set count other than ``cqp.n_safe`` is a ValueError.  Each safe
+    set is called once (one call gives its value and gradient), and its
+    value h_s is kept only in its row's delta2 entry, the column
+    rows[2m + 1:-2, m + 1].  Rows that overflow or turn NaN (a state or set
+    far outside its model) are a :class:`SolverFailure`, like an
+    unsolvable QP.
 
-    Each safe set is called once (one call gives its value and gradient).
-    Returns (rows, h_safe): the rows as one fresh array [A | b],
-    A = rows[:, :-1] and b = rows[:, -1], and the safe-set values they
-    used, one per set.
+    Returns (rows, fx, gx): the rows as one fresh array [A | b],
+    A = rows[:, :-1] and b = rows[:, -1], and the f(x) and g(x) they used.
     """
     if len(safes) != cqp.n_safe:
         raise ValueError(f"{len(safes)} safe sets for a QP compiled for {cqp.n_safe}")
+    fx = sys.f(x)
+    gx = sys.g(x)
     rows = cqp.rows.copy()
     A, b = rows[:, :-1], rows[:, -1]
     m = cqp.bounds.m
@@ -189,33 +194,16 @@ def qp_rows(cqp: CompiledQp, fx: np.ndarray, gx: np.ndarray, goal: tuple[float, 
     b[k] = -float(grad.dot(fx)) - _clamped_power_sum(h_goal, cqp.params.gains)
 
     # the invariance rows from one gradient matrix: row j of G is grad h_s_j
-    h_safe = np.empty(len(safes))
     G = np.empty((len(safes), len(x)))
     for j, s in enumerate(safes):
-        h_safe[j], G[j] = s.value_and_gradient(x)
+        A[k + 1 + j, m + 1], G[j] = s.value_and_gradient(x)
     end = k + 1 + len(safes)
     A[k + 1:end, :m] = G.dot(gx)
-    A[k + 1:end, m + 1] = h_safe
     b[k + 1:end] = -G.dot(fx)
-    A[k:end, :m] *= cqp.scale
-    return rows, h_safe
-
-
-def _checked_rows(sys: ControlAffineSystem, goal: tuple[float, np.ndarray],
-                  safes: Sequence[SetFunction], cqp: CompiledQp, x: np.ndarray):
-    """f(x), g(x) and the qp_rows built from them at x, refused unless finite.
-
-    ``goal`` is the goal set's (value, gradient) pair at x.  Rows that
-    overflow or turn NaN (a state or set far outside its model) fail the
-    run like an unsolvable QP.  Returns (fx, gx, A, b, h_safe), A and b
-    views of one array.
-    """
-    fx = sys.f(x)
-    gx = sys.g(x)
-    rows, h_safe = qp_rows(cqp, fx, gx, goal, safes, x)
+    A[k:end, :m] *= cqp.bounds.scale()
     if not np.isfinite(rows).all():
         raise SolverFailure(f"synthesis QP rows are not finite at x={np.asarray(x)}")
-    return fx, gx, rows[:, :-1], rows[:, -1], h_safe
+    return rows, fx, gx
 
 
 def assemble(sys: ControlAffineSystem, h_g: SetFunction | tuple[float, np.ndarray],
@@ -228,8 +216,8 @@ def assemble(sys: ControlAffineSystem, h_g: SetFunction | tuple[float, np.ndarra
     """
     cqp = CompiledQp(bounds, params, len(safes))
     goal = h_g.value_and_gradient(x) if isinstance(h_g, SetFunction) else h_g
-    _, _, A, b, _ = _checked_rows(sys, goal, safes, cqp, x)
-    return qp.QpProblem(H=cqp.objective.H, F=cqp.objective.F, A=A, b=b)
+    rows, _, _ = qp_rows(sys, cqp, goal, safes, x)
+    return qp.QpProblem(H=cqp.objective.H, F=cqp.objective.F, A=rows[:, :-1], b=rows[:, -1])
 
 
 def _clip_to_box(z: list[float], cqp: CompiledQp) -> tuple[list[float], float]:
@@ -257,19 +245,20 @@ def synthesize(sys: ControlAffineSystem, goal: tuple[float, np.ndarray],
     """Solve the synthesis QP compiled as ``cqp`` at x.
 
     ``goal`` is the goal set's (value, gradient) pair at x, which the
-    caller has evaluated already.  f(x) and g(x) are evaluated once: the
-    rows and the decision's ``rate`` share them.  ``warm_start`` is a guess
-    at the QP's working set as row indices, e.g. the ``active_set`` of the
-    decision at the previous state; it can only speed the solve up, never
-    change the answer.  Raises :class:`SolverFailure` when the QP's rows
-    are not finite, when the QP reports anything but optimality
-    (infeasibility, or the solver's iteration guard), when its solution is
-    not finite, or when the solved input leaves its box by more than
-    ``qp.FEAS_TOL`` in scaled units; a smaller overshoot (round-off) is
-    clipped and reported.
+    caller has evaluated already.  The rows come from :func:`qp_rows`,
+    whose f(x) and g(x) also give the decision's ``rate``.  ``warm_start``
+    is a guess at the QP's working set as row indices, e.g. the
+    ``active_set`` of the decision at the previous state; it can only speed
+    the solve up, never change the answer.  Raises :class:`SolverFailure`
+    when the QP's rows are not finite, when the QP reports anything but
+    optimality (infeasibility, or the solver's iteration guard), when its
+    solution is not finite, or when the solved input leaves its box by more
+    than ``qp.FEAS_TOL`` in scaled units; a smaller overshoot (round-off)
+    is clipped and reported.
     """
-    fx, gx, A, b, h_safe = _checked_rows(sys, goal, safes, cqp, x)
-    status, z, _, iterations, active_set, strict_cs = qp._solve(A, b, cqp.objective, warm_start)
+    rows, fx, gx = qp_rows(sys, cqp, goal, safes, x)
+    status, z, _, iterations, active_set, strict_cs = qp._solve(rows[:, :-1], rows[:, -1],
+                                                                cqp.objective, warm_start)
     if status is not qp.SolveStatus.OPTIMAL:
         raise SolverFailure(f"synthesis QP {status.value} at x={np.asarray(x)}")
     z_list = z.tolist()
@@ -290,6 +279,6 @@ def synthesize(sys: ControlAffineSystem, goal: tuple[float, np.ndarray],
         strict_cs=strict_cs,
         iterations=iterations,
         box_overshoot=overshoot,
-        h_safe=h_safe,
+        h_safe=rows[2 * m + 1:-2, m + 1],
         rate=fx + gx.dot(u_box),
     )

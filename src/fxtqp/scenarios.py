@@ -295,14 +295,18 @@ def _lifted(agent: int, gx: float, gy: float) -> np.ndarray:
     return np.array((gx, gy, 0.0, 0.0) if agent == 0 else (0.0, 0.0, gx, gy))
 
 
-def _circle(name: str, center, radius: float, agent: int) -> SetFunction:
+def _circle(name: str, center, radius: float, agent: int, outside: bool = False) -> SetFunction:
+    """The agent's disk of ``radius`` about ``center``, or its outside."""
     c = np.asarray(center, dtype=float)
     sl = _agent_slice(agent)
+    r2 = radius * radius
 
     def fn(x):
         d = x[sl] - c
         dx, dy = d.tolist()
-        return d.dot(d) - radius * radius, _lifted(agent, 2.0 * dx, 2.0 * dy)
+        if outside:
+            return r2 - d.dot(d), _lifted(agent, -2.0 * dx, -2.0 * dy)
+        return d.dot(d) - r2, _lifted(agent, 2.0 * dx, 2.0 * dy)
 
     return SetFunction(name, fn)
 
@@ -337,18 +341,6 @@ def _square_walls(cfg: TwoRobotConfig, agent: int) -> list[SetFunction]:
 
             walls.append(SetFunction(f"square_a{agent + 1}_{axis}{int(sign > 0)}", fn))
     return walls
-
-
-def _outside_hub(cfg: TwoRobotConfig, agent: int) -> SetFunction:
-    sl = _agent_slice(agent)
-    r2 = cfg.hub_radius ** 2
-
-    def fn(x):
-        d = x[sl]
-        dx, dy = d.tolist()
-        return r2 - d.dot(d), _lifted(agent, -2.0 * dx, -2.0 * dy)
-
-    return SetFunction(f"hub_a{agent + 1}", fn)
 
 
 def _separation(cfg: TwoRobotConfig) -> SetFunction:
@@ -426,8 +418,8 @@ def two_robot_scenario(cfg: TwoRobotConfig | None = None) -> Scenario:
         global_safes=(
             *_square_walls(cfg, 0),
             *_square_walls(cfg, 1),
-            _outside_hub(cfg, 0),
-            _outside_hub(cfg, 1),
+            *(_circle(f"hub_a{agent + 1}", (0.0, 0.0), cfg.hub_radius, agent, outside=True)
+              for agent in (0, 1)),
             _separation(cfg),
         ),
         horizon=None,

@@ -32,10 +32,12 @@ ProbeResult = namedtuple("ProbeResult", "max_quotient quotients nonstrict_count"
 
 def rows_at(sys, h_g, safes, cqp, x):
     """(A, b, h_goal, h_safe) of qp_rows of the compiled QP ``cqp`` at x,
-    from sys.f(x), sys.g(x) and the goal set's (value, gradient) pair at x."""
+    from the goal set's (value, gradient) pair at x; h_safe is the rows'
+    delta2 column, where qp_rows keeps the safe-set values."""
     goal = h_g.value_and_gradient(x)
-    rows, h_safe = qp_rows(cqp, sys.f(x), sys.g(x), goal, safes, x)
-    return rows[:, :-1], rows[:, -1], goal[0], h_safe
+    rows, _, _ = qp_rows(sys, cqp, goal, safes, x)
+    m = cqp.bounds.m
+    return rows[:, :-1], rows[:, -1], goal[0], rows[2 * m + 1:-2, m + 1]
 
 
 def scaled_z(decision, bounds):

@@ -266,7 +266,7 @@ class TestInputRows:
     def test_built_once_and_read_only(self):
         bounds = InputBounds(lower=-np.ones(2), upper=np.ones(2))
         cqp = compiled(bounds, 1)
-        assert bounds.scale() is bounds.scale() is cqp.scale
+        assert bounds.scale() is bounds.scale()
         for arr in (bounds.scale(), *box_rows(bounds)):
             with pytest.raises(ValueError):
                 arr[0] = 0.0

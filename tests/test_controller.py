@@ -524,6 +524,8 @@ class TestSynthesize:
         x = np.array([20.0, 10.0, 150.0])
         nan_safe = (SetFunction("nan", lambda x: (math.nan, np.zeros(3))),)
         with pytest.raises(SolverFailure, match="not finite"):
+            qp_rows(sys, CompiledQp(bounds, params, 1), goal.value_and_gradient(x), nan_safe, x)
+        with pytest.raises(SolverFailure, match="not finite"):
             synthesize(sys, goal.value_and_gradient(x), nan_safe, CompiledQp(bounds, params, 1), x)
         with pytest.raises(SolverFailure, match="not finite"):
             assemble(sys, goal, nan_safe, bounds, params, x)
@@ -560,7 +562,7 @@ class TestCompiledQp:
         given = safes[:-1] if change < 0 else safes + safes[:1]
         match = f"^{len(safes) + change} safe sets for a QP compiled for {len(safes)}$"
         with pytest.raises(ValueError, match=match):
-            qp_rows(cqp, sys.f(x), sys.g(x), goal.value_and_gradient(x), given, x)
+            qp_rows(sys, cqp, goal.value_and_gradient(x), given, x)
         with pytest.raises(ValueError, match=match):
             synthesize(sys, goal.value_and_gradient(x), given, cqp, x)
 
@@ -568,7 +570,7 @@ class TestCompiledQp:
         sys, goal, safes, bounds, params, x = tour_pieces()
         cqp = CompiledQp(bounds, params, len(safes))
         assert cqp.rows.shape == (8 + 1 + 13 + 2, 4 + 3)
-        for arr in (cqp.rows, cqp.scale, cqp.objective.H, cqp.objective.F):
+        for arr in (cqp.rows, cqp.objective.H, cqp.objective.F):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
@@ -576,9 +578,10 @@ class TestCompiledQp:
         sys, goal, safes, bounds, params, x = tour_pieces()
         cqp = CompiledQp(bounds, params, len(safes))
         constant = cqp.rows.copy()
-        args = (sys.f(x), sys.g(x), goal.value_and_gradient(x), safes, x)
-        first, _ = qp_rows(cqp, *args)
-        second, _ = qp_rows(cqp, *args)
+        args = (sys, cqp, goal.value_and_gradient(x), safes, x)
+        first, fx, gx = qp_rows(*args)
+        second, _, _ = qp_rows(*args)
+        assert np.array_equal(fx, sys.f(x)) and np.array_equal(gx, sys.g(x))
         assert first.flags.writeable and np.array_equal(first, second)
         assert not np.shares_memory(first, second) and not np.shares_memory(first, cqp.rows)
         assert np.array_equal(cqp.rows, constant)

@@ -268,7 +268,7 @@ def test_tour_sets_are_the_numpy_expressions_bit_for_bit():
     # their sign, for every set type and both agents, on seeded states:
     # uniform, at and near each centre, with signed zeros, and of magnitude
     # 1e+-150 (1e160, whose squares overflow, too)
-    from fxtqp.scenarios import _outside_hub, _separation, _square_walls
+    from fxtqp.scenarios import _circle, _separation, _square_walls
     cfg = TwoRobotConfig()
     rng = np.random.default_rng(32)
     c = cfg.hub_radius
@@ -284,7 +284,8 @@ def test_tour_sets_are_the_numpy_expressions_bit_for_bit():
                               size=(200, 4)))
     for agent in (0, 1):
         sets = [*waypoint_sets(cfg, agent), *_square_walls(cfg, agent),
-                _outside_hub(cfg, agent), _separation(cfg)]
+                _circle(f"hub_a{agent + 1}", (0.0, 0.0), cfg.hub_radius, agent, outside=True),
+                _separation(cfg)]
         refs = numpy_tour_sets(cfg, agent)
         assert len(sets) == len(refs) == 14
         for s, ref in zip(sets, refs):

@@ -693,12 +693,12 @@ class TestStepPath:
         step_path = [
             qp.solve_qp, qp._solve, qp._hot_start, qp._ratio_test, qp._equality_solve,
             qp._slack_verdicts, qp._thin_qr, qp._tri_solve,
-            controller.synthesize, controller._checked_rows, controller._clip_to_box,
+            controller.synthesize, controller._clip_to_box,
             controller.qp_rows, controller._clamped_power_sum, controller.CompiledQp.__post_init__,
             simulation.run, simulation.step_euler, simulation._goal_sum,
             scenarios._constant, scenarios._square, scenarios._acc_system, scenarios.acc_goal,
             scenarios.acc_headway, scenarios._lifted, scenarios._circle, scenarios._ellipse,
-            scenarios._square_walls, scenarios._outside_hub, scenarios._separation,
+            scenarios._square_walls, scenarios._separation,
         ]
         for fn in step_path:
             source = textwrap.dedent(inspect.getsource(fn))
