@@ -8,7 +8,8 @@ with gamma1 = 1 + 1/mu and gamma2 = 1 - 1/mu for some mu > 1.  When delta1
 is small enough the value V reaches zero within a time that does not depend
 on V(0); the closed forms for that time, the domain restriction that appears
 once delta1 crosses 2*sqrt(alpha1*alpha2), and a numerical RK4 oracle that
-validates the bounds all live in this module.
+validates the bounds all live in this module; the oracle integrates
+m = V**(1/mu), the substitution the closed forms come from.
 """
 
 from __future__ import annotations
@@ -220,27 +221,27 @@ def worst_case(segments) -> dict | None:
 
 def simulate_scalar_v(gains: FxtsGains, delta1: float, V0: float,
                       dt: float) -> ScalarSimResult:
-    """RK4 oracle for the comparison system, clamped at V = 0.
+    """RK4 oracle for the comparison system, integrated in m = V**(1/mu).
 
-    Integrates until V drops to 1e-9 (the hit) or ten times the analytic
-    settling bound elapses.  ``hit_time`` is None when the right-hand side
-    is nonnegative at V0 (outside the contracting domain) or the horizon is
-    exceeded.  RK4 rather than Euler because the gamma2 < 1 power has
-    unbounded slope at V = 0 and Euler badly overshoots the hitting time.
-    ``times`` and ``values`` hold the start and the last integrated step.
-    Raises ValueError when the rate at V0 is not finite (a NaN V0, or one so
-    large that a power overflows).
+    As gamma1 + gamma2 = 2, dm/dt = -(alpha1*m**2 - delta1*m + alpha2)/mu:
+    a polynomial with bounded slope at m = 0, unlike the gamma2 < 1 power
+    of V, so no stage needs a power or a clamp.  Integrates until V drops
+    to 1e-9 (m to 1e-9**(1/mu), the hit time interpolated linearly in m) or
+    ten times the analytic settling bound elapses.  ``hit_time`` is None
+    when the rate at V0 is nonnegative (outside the contracting domain) or
+    the horizon is exceeded.  ``times`` and ``values`` hold the start and
+    the last integrated step.  Raises ValueError when the rate at V0, taken
+    in V, is not finite (a NaN V0, or one so large that a power overflows).
     """
     if V0 < 0:
         raise ValueError("V0 must be nonnegative")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be a finite number > 0, got {dt}")
-    na1, a2 = -gains.alpha1, gains.alpha2   # -a1 * x is (-a1) * x
-    g1, g2 = gains.gamma1, gains.gamma2
+    na1, a2, mu = -gains.alpha1, gains.alpha2, gains.mu   # -a1 * x is (-a1) * x
     if V0 <= HIT_THRESHOLD:
         return ScalarSimResult(hit_time=0.0, times=np.array([0.0]), values=np.array([V0]))
     try:
-        rate = na1 * V0 ** g1 - a2 * V0 ** g2 + delta1 * V0
+        rate = na1 * V0 ** gains.gamma1 - a2 * V0 ** gains.gamma2 + delta1 * V0
     except OverflowError:
         rate = math.inf
     if not math.isfinite(rate):
@@ -251,29 +252,27 @@ def simulate_scalar_v(gains: FxtsGains, delta1: float, V0: float,
     horizon = 10.0 * settling_time_bound(gains, delta1).T
     n_steps = int(math.ceil(horizon / dt))
 
-    # the four stages are the start rate inlined, clamped to 0 at s <= 0:
-    # Python reads 0.5 * dt * k as (0.5 * dt) * k and dt / 6.0 * x as (dt / 6.0) * x
-    half, sixth, th = 0.5 * dt, dt / 6.0, HIT_THRESHOLD
-    v, step = V0, 0
+    # each stage is the rate of m, (c2*m + c1)*m + c0, inlined; Python reads
+    # 0.5 * dt * k as (0.5 * dt) * k and dt / 6.0 * x as (dt / 6.0) * x
+    c2, c1, c0 = na1 / mu, delta1 / mu, -a2 / mu
+    half, sixth, th = 0.5 * dt, dt / 6.0, HIT_THRESHOLD ** (1.0 / mu)
+    m, step = V0 ** (1.0 / mu), 0
     hit: float | None = None
     for step in range(1, n_steps + 1):
-        u = v
-        k1 = na1 * u ** g1 - a2 * u ** g2 + delta1 * u if u > 0.0 else 0.0
+        u = m
+        k1 = (c2 * u + c1) * u + c0
         s = u + half * k1
-        k2 = na1 * s ** g1 - a2 * s ** g2 + delta1 * s if s > 0.0 else 0.0
+        k2 = (c2 * s + c1) * s + c0
         s = u + half * k2
-        k3 = na1 * s ** g1 - a2 * s ** g2 + delta1 * s if s > 0.0 else 0.0
+        k3 = (c2 * s + c1) * s + c0
         s = u + dt * k3
-        k4 = na1 * s ** g1 - a2 * s ** g2 + delta1 * s if s > 0.0 else 0.0
-        v = u + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if v <= th:
-            if v < 0.0:
-                v = 0.0
-            # interpolate the threshold crossing instead of reporting the
-            # grid time; the grid quantization (up to dt) can otherwise
-            # exceed a bound that is tight at the domain edge
-            frac = (u - th) / max(u - v, 1e-300)
+        k4 = (c2 * s + c1) * s + c0
+        m = u + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if m <= th:
+            # interpolate the crossing rather than report the grid time, from
+            # the step's unclamped end: the rate is smooth through m = 0
+            frac = (u - th) / max(u - m, 1e-300)
             hit = (step - 1 + min(1.0, max(0.0, frac))) * dt
             break
     return ScalarSimResult(hit_time=hit, times=np.array([0.0, step * dt]),
-                           values=np.array([V0, v]))
+                           values=np.array([V0, max(m, 0.0) ** mu]))

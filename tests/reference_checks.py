@@ -1,8 +1,9 @@
 """Reference checks the tests hold the library against.
 
 They are evidence, not controller code: a textbook settling bound to
-compare the paper's tighter one with, central finite differences of a set
-function's value against its analytic gradient, a strict-complementarity
+compare the paper's tighter one with, the comparison system's exact reach
+time ``reach_time`` to hold the RK4 oracle to, central finite differences
+of a set function's value against its analytic gradient, a strict-complementarity
 verdict on a QP solution, and difference quotients of the QP solution map;
 ``numpy_slack_verdicts``, ``numpy_clip``, ``numpy_ratio_test`` and
 ``numpy_tour_sets``, the numpy expressions the step's judge, input clip,
@@ -52,6 +53,29 @@ def settling_time_bound_basic(a, b, p, q):
     Valid for dV/dt <= -a V**p - b V**q with a, b > 0, 0 < p < 1 < q.
     """
     return 1.0 / (a * (1.0 - p)) + 1.0 / (b * (q - 1.0))
+
+
+def reach_time(gains, delta1, v0, v_end):
+    """Exact time the comparison system takes to fall from V = v0 to v_end.
+
+    In m = V**(1/mu) the time is mu * integral from m_end to m0 of
+    dm / (alpha1*m**2 - delta1*m + alpha2): an arctangent when
+    delta1**2 < 4*alpha1*alpha2, a logarithm with two real roots a < b, and
+    a rational term at the double root.  No root may lie in [m_end, m0].
+    """
+    a1, a2, mu = gains.alpha1, gains.alpha2, gains.mu
+    m0, m1 = v0 ** (1.0 / mu), v_end ** (1.0 / mu)
+    disc = delta1 * delta1 - 4.0 * a1 * a2
+    if disc < 0.0:
+        w = math.sqrt(-disc)
+        return 2.0 * mu / w * (math.atan((2.0 * a1 * m0 - delta1) / w)
+                               - math.atan((2.0 * a1 * m1 - delta1) / w))
+    r = delta1 / (2.0 * a1)
+    if disc == 0.0:
+        return mu / a1 * (1.0 / (m1 - r) - 1.0 / (m0 - r))
+    a, b = r - math.sqrt(disc) / (2.0 * a1), r + math.sqrt(disc) / (2.0 * a1)
+    return mu / (a1 * (b - a)) * (math.log(abs((m0 - b) / (m0 - a)))
+                                  - math.log(abs((m1 - b) / (m1 - a))))
 
 
 def finite_diff_gradient_check(s, xs):

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from fxtqp.cli import _split_values, build_parser, main
+from fxtqp.fxts import HIT_THRESHOLD, FxtsGains
 from fxtqp.scenarios import AccConfig, TwoRobotConfig, scenario_from_id
 from fxtqp.simulation import monitor, trace_from_csv
+from reference_checks import reach_time
 
 
 def run_cli(*argv):
@@ -453,6 +455,16 @@ class TestVerifyBounds:
         # the out-of-domain point is reported, not failed
         out_of_domain = [r for r in rows[1:] if ",False," in r]
         assert len(out_of_domain) == 1 and out_of_domain[0].endswith("True")
+
+    def test_default_grid_hits_at_the_exact_reach_time(self, tmp_path):
+        assert run_cli("--verify-bounds", "--out", str(tmp_path)) == 0
+        with open(tmp_path / "bounds.csv") as fh:
+            rows = [r for r in csv.DictReader(fh) if r["in_domain"] == "True"]
+        assert len(rows) == 72
+        for r in rows:
+            gains = FxtsGains(float(r["alpha1"]), float(r["alpha2"]), float(r["mu"]))
+            exact = reach_time(gains, float(r["delta1"]), float(r["V0"]), HIT_THRESHOLD)
+            assert abs(float(r["hit_time"]) - exact) <= 1e-8, r
 
     # an empty axis verifies no point, which must not read as a pass; None
     # writes no grid file, and "alpha: [1]" is not JSON

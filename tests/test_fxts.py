@@ -14,7 +14,7 @@ from fxtqp.fxts import (
     settling_time_bound,
     simulate_scalar_v,
 )
-from reference_checks import settling_time_bound_basic
+from reference_checks import reach_time, settling_time_bound_basic
 
 
 def exact_settling_integral(gains, delta1, v0):
@@ -244,29 +244,30 @@ class TestScalarOracle:
 
     @staticmethod
     def rk4_values(gains, delta1, v0, dt, n):
-        """V after each of n RK4 steps, the oracle's arithmetic step by step."""
-        def rhs(v):
-            return (-gains.alpha1 * math.pow(v, gains.gamma1)
-                    - gains.alpha2 * math.pow(v, gains.gamma2) + delta1 * v) if v > 0 else 0.0
-        values = [v0]
+        """m = V**(1/mu) after each of n RK4 steps, unclamped: the oracle's
+        arithmetic step by step."""
+        def rhs(m):
+            return ((-gains.alpha1 / gains.mu * m + delta1 / gains.mu) * m
+                    - gains.alpha2 / gains.mu)
+        values = [v0 ** (1.0 / gains.mu)]
         for _ in range(n):
-            v = values[-1]
-            k1 = rhs(v)
-            k2 = rhs(v + 0.5 * dt * k1)
-            k3 = rhs(v + 0.5 * dt * k2)
-            k4 = rhs(v + dt * k3)
-            values.append(max(0.0, v + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)))
+            m = values[-1]
+            k1 = rhs(m)
+            k2 = rhs(m + 0.5 * dt * k1)
+            k3 = rhs(m + 0.5 * dt * k2)
+            k4 = rhs(m + dt * k3)
+            values.append(m + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         return values
 
     def test_last_time_counts_the_steps_to_a_hit(self):
         g, dt = FxtsGains(1, 1, 2), 1e-3
         res = simulate_scalar_v(g, 0.5, 1.0, dt)
         horizon = math.ceil(10.0 * settling_time_bound(g, 0.5).T / dt)
-        values = self.rk4_values(g, 0.5, 1.0, dt, horizon)
-        steps = next(k for k, v in enumerate(values) if v <= 1e-9)
+        ms = self.rk4_values(g, 0.5, 1.0, dt, horizon)
+        steps = next(k for k, m in enumerate(ms) if m <= 1e-9 ** (1.0 / g.mu))
         assert round(res.times[-1] / dt) == steps
         assert res.times[-1] - dt < res.hit_time <= res.times[-1]
-        assert res.values[-1] == values[steps]
+        assert res.values[-1] == max(0.0, ms[steps]) ** g.mu
 
     def test_last_time_is_the_horizon_without_a_hit(self):
         g, dt = FxtsGains(1, 1, 2), 1e-3
@@ -274,19 +275,21 @@ class TestScalarOracle:
         steps = math.ceil(10.0 * settling_time_bound(g, 2.5).T / dt)
         assert res.hit_time is None
         assert round(res.times[-1] / dt) == steps and res.times[-1] == steps * dt
-        assert res.values[-1] == self.rk4_values(g, 2.5, 9.0, dt, steps)[-1]
+        assert res.values[-1] == self.rk4_values(g, 2.5, 9.0, dt, steps)[-1] ** g.mu
 
     @classmethod
     def reference(cls, gains, delta1, v0, dt):
-        """(hit_time, times, values) of the oracle rebuilt from rk4_values."""
+        """(hit_time, times, values) of the oracle rebuilt from rk4_values:
+        the crossing of m = 1e-9**(1/mu) interpolated before m is clamped."""
         n = math.ceil(10.0 * settling_time_bound(gains, delta1).T / dt)
-        values = cls.rk4_values(gains, delta1, v0, dt, n)
-        step = next((k for k in range(1, n + 1) if values[k] <= 1e-9), n)
+        ms = cls.rk4_values(gains, delta1, v0, dt, n)
+        th = 1e-9 ** (1.0 / gains.mu)
+        step = next((k for k in range(1, n + 1) if ms[k] <= th), n)
         hit = None
-        if values[step] <= 1e-9:
-            frac = (values[step - 1] - 1e-9) / max(values[step - 1] - values[step], 1e-300)
+        if ms[step] <= th:
+            frac = (ms[step - 1] - th) / max(ms[step - 1] - ms[step], 1e-300)
             hit = (step - 1 + min(1.0, max(0.0, frac))) * dt
-        return hit, [0.0, step * dt], [v0, values[step]]
+        return hit, [0.0, step * dt], [v0, max(0.0, ms[step]) ** gains.mu]
 
     @pytest.mark.parametrize("gains, delta1, v0, dt", [
         (FxtsGains(1, 1, 2), -0.5, 4.0, 1e-3),        # delta1 < 0
@@ -294,13 +297,28 @@ class TestScalarOracle:
         (FxtsGains(1, 1, 2), 1.0, 1.0, 1e-3),         # 0 < delta1 < 2 sqrt(a1 a2)
         (FxtsGains(1, 1, 2), 2.5, 0.2, 1e-3),         # local, inside v_max = 0.2025
         (FxtsGains(1, 1, 2), 2.5, 9.0, 1e-2),         # above b**mu = 4: horizon exit
-        (FxtsGains(1, 1, 2), 0.0, 1.0, 0.2),          # stages down to -0.01 (clamped)
+        (FxtsGains(1, 1, 2), 0.0, 1.0, 0.2),          # last step takes m to -0.0146
     ])
     def test_matches_the_stage_by_stage_reference(self, gains, delta1, v0, dt):
         hit, times, values = self.reference(gains, delta1, v0, dt)
         res = simulate_scalar_v(gains, delta1, v0, dt)
         assert res.hit_time == hit
         assert res.times.tolist() == times and res.values.tolist() == values
+
+    @pytest.mark.parametrize("gains, delta1, v0", [
+        (FxtsGains(1, 1, 2), -1.0, 1.0),          # delta1 < 0
+        (FxtsGains(1, 1, 2), -2.5, 4.0),          # delta1 < 0, two negative roots
+        (FxtsGains(2, 2, 2), 0.0, 100.0),         # delta1 = 0
+        (FxtsGains(1, 1, 2), 1.0, 1.0),           # 0 < delta1 < 2 sqrt(a1 a2)
+        (FxtsGains(0.5, 0.5, 2), 1.0, 0.5),       # delta1 = 2 sqrt(a1 a2): a double root
+        (FxtsGains(1, 1, 2), 2.5, 0.2),           # local, inside v_max = 0.2025
+        (FxtsGains(1, 1, 5), 0.5, 100.0),         # mu = 5
+    ])
+    def test_hit_time_is_the_exact_reach_time(self, gains, delta1, v0):
+        # the delta1 = -1 and delta1 = 1 runs end their last step below m = 0:
+        # interpolating from the clamped m misses there by 1.6e-7 and 3.1e-7 s
+        res = simulate_scalar_v(gains, delta1, v0, 1e-4)
+        assert abs(res.hit_time - reach_time(gains, delta1, v0, 1e-9)) <= 1e-8
 
     def test_overflowing_start_rate_is_refused(self):
         # 1e300**1.5 overflows; 1e300**1.01 does not, but times 1e6 it is inf
